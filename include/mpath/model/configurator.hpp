@@ -5,15 +5,13 @@
 // the fitted model parameters, with a configuration cache in front.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <list>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "mpath/model/calibration_store.hpp"
 #include "mpath/model/chunking.hpp"
+#include "mpath/model/plan_cache.hpp"
 #include "mpath/model/registry.hpp"
 #include "mpath/model/theta.hpp"
 
@@ -45,6 +43,8 @@ struct ConfiguratorOptions {
   /// this size the per-hop composition is more faithful, so factors are
   /// ignored.
   std::uint64_t omega_override_min_bytes = 16u << 20;
+  /// When false every configure() recomputes, and the reference it returns
+  /// stays valid only until the next call.
   bool cache_enabled = true;
   /// Maximum number of cached configurations; least-recently-used entries
   /// are evicted past this. 0 (default) means unbounded — the legacy
@@ -144,9 +144,7 @@ class PathConfigurator {
   /// on a cold cache (same arithmetic, same order).
   [[nodiscard]] TransferConfig compute_config(
       topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-      std::span<const topo::PathPlan> paths) const {
-    return compute(src, dst, bytes, paths);
-  }
+      std::span<const topo::PathPlan> paths) const;
 
   /// Algorithm 1 lines 7-21 only: resolve parameters and adjusted terms,
   /// no theta solve. Pure (cache untouched).
@@ -163,68 +161,31 @@ class PathConfigurator {
       const PreparedTransfer& prepared, std::uint64_t bytes,
       std::span<const topo::PathPlan> paths, const ThetaSolution& sol) const;
 
-  [[nodiscard]] std::uint64_t cache_hits() const { return cache_hits_; }
-  [[nodiscard]] std::uint64_t cache_misses() const { return cache_misses_; }
+  [[nodiscard]] std::uint64_t cache_hits() const { return cache_.stats().hits; }
+  [[nodiscard]] std::uint64_t cache_misses() const {
+    return cache_.stats().misses;
+  }
   /// Distinct request tuples that hashed onto an occupied key. Each one
   /// recomputes and replaces the entry instead of returning the colliding
   /// config.
   [[nodiscard]] std::uint64_t cache_collisions() const {
-    return cache_collisions_;
+    return cache_.stats().collisions;
   }
   /// Entries dropped by the LRU bound (always 0 with cache_capacity == 0).
   [[nodiscard]] std::uint64_t cache_evictions() const {
-    return cache_evictions_;
+    return cache_.stats().evictions;
   }
   /// Cached entries that matched their tuple but were computed under an
   /// older calibration snapshot; each recomputes under the current one.
   [[nodiscard]] std::uint64_t cache_invalidations() const {
-    return cache_invalidations_;
+    return cache_.stats().invalidations;
   }
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
-  void clear_cache() {
-    cache_.clear();
-    lru_.clear();
-  }
+  void clear_cache() { cache_.clear(); }
 
   [[nodiscard]] const ConfiguratorOptions& options() const { return options_; }
 
-  /// FNV-1a bucket address of a request tuple (distinct tuples can collide;
-  /// callers must verify the full tuple on lookup). Public so the sharded
-  /// ConcurrentConfigurator shares the exact keying — including the
-  /// cache_key_bits collision test hook — with the serial cache.
-  [[nodiscard]] std::uint64_t cache_key(
-      topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-      std::span<const topo::PathPlan> paths) const;
-
  private:
-  [[nodiscard]] TransferConfig compute(
-      topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-      std::span<const topo::PathPlan> paths) const;
-
-  struct CacheEntry {
-    TransferConfig config;
-    /// The full request tuple the entry was computed for. A hash collision
-    /// between distinct tuples must miss, not alias: the key alone is not
-    /// proof of identity.
-    topo::DeviceId src = 0;
-    topo::DeviceId dst = 0;
-    std::uint64_t bytes = 0;
-    std::vector<topo::PathPlan> paths;
-    /// Calibration snapshot version the config was computed under. A
-    /// version bump makes the entry stale: the stored split would reflect
-    /// superseded alpha/beta.
-    std::uint64_t cal_version = 0;
-    /// Position in lru_ (most-recent at the front).
-    std::list<std::uint64_t>::iterator recency;
-
-    [[nodiscard]] bool matches(
-        topo::DeviceId s, topo::DeviceId d, std::uint64_t b,
-        std::span<const topo::PathPlan> p) const {
-      return src == s && dst == d && bytes == b &&
-             std::equal(paths.begin(), paths.end(), p.begin(), p.end());
-    }
-  };
-
   /// Shared-edge bandwidth derates for one request's candidate set: 1.0
   /// for paths whose hop routes touch no edge used by another candidate,
   /// else bottleneck(cap_e) / bottleneck(cap_e / users_e) >= 1.
@@ -236,13 +197,7 @@ class PathConfigurator {
   ConfiguratorOptions options_;
   const CalibrationStore* calibration_ = nullptr;
   const topo::Topology* topology_ = nullptr;
-  std::unordered_map<std::uint64_t, CacheEntry> cache_;
-  std::list<std::uint64_t> lru_;  ///< keys, most-recently-used first
-  std::uint64_t cache_hits_ = 0;
-  std::uint64_t cache_misses_ = 0;
-  std::uint64_t cache_evictions_ = 0;
-  std::uint64_t cache_collisions_ = 0;
-  std::uint64_t cache_invalidations_ = 0;
+  PlanCache<TransferConfig> cache_;
 };
 
 }  // namespace mpath::model

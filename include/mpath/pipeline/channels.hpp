@@ -8,9 +8,12 @@
 //     by exhaustive search (the paper's "Static Path Distribution", [35]).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -112,8 +115,9 @@ struct GraphUseStats {
   std::uint64_t epoch_fallbacks = 0;   ///< link capacities changed
   std::uint64_t contended_rejects = 0; ///< scheduler refused admit_replay
   /// Host wall-nanoseconds spent in the channel's *synchronous* planning
-  /// sections: configure solves, admissions, template compiles, chain
-  /// claim/record bookkeeping. Never spans a co_await, so it measures the
+  /// sections: every plan source (configure, admission, recovery re-plan
+  /// and watchdog set-up, template compile, chain claim) plus departure and
+  /// chain record bookkeeping. Never spans a co_await, so it measures the
   /// per-transfer host-side cost a real (non-simulated) stack would pay on
   /// the CPU — the thing graph replay exists to amortise — with simulated
   /// device/network event processing excluded.
@@ -142,7 +146,8 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
   [[nodiscard]] std::string name() const override { return "model-driven"; }
 
   /// The configuration chosen for the most recent transfer (theta
-  /// reporting, Fig. 4). Empty until the first multi-path transfer.
+  /// reporting, Fig. 4). Empty until the first multi-path transfer. A
+  /// report only: the channel writes it and never reads it back.
   [[nodiscard]] const std::optional<model::TransferConfig>& last_config()
       const {
     return last_config_;
@@ -171,40 +176,51 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
 
  private:
   friend class ChainController;
+  using PlanClock = std::chrono::steady_clock;
+  /// One planned execution: what a plan source hands the settle tail.
+  struct Plan;
+
   [[nodiscard]] const std::vector<topo::PathPlan>& candidate_paths(
       topo::DeviceId src, topo::DeviceId dst);
   /// Calibration version templates are stamped with (0 = no store).
   [[nodiscard]] std::uint64_t graph_cal_version() const;
-  /// Cache lookup plus every replay-safety gate that does not need the
-  /// scheduler: busy templates, unhealthy template paths, and (on scheduled
-  /// channels) superseded capacity epochs all return nullptr — the caller
-  /// then takes the uncompiled path.
-  [[nodiscard]] std::shared_ptr<TransferGraph> find_replayable(
-      topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-      const std::vector<topo::PathPlan>& paths);
+
+  // -- plan sources -----------------------------------------------------------
+  // Each fills {graph, ticket, config, reproducible} without suspending. In
+  // order: chain claim (transfer()), cached template, admission or solo.
+  /// A cached template that passes every replay-safety gate — not busy,
+  /// every path healthy, compiled under the current capacity epoch — and,
+  /// on scheduled channels, admit_replay. False: take the next source.
+  [[nodiscard]] bool plan_cached(topo::DeviceId src, topo::DeviceId dst,
+                                 std::uint64_t bytes,
+                                 const std::vector<topo::PathPlan>& paths,
+                                 Plan& plan);
+  /// Scheduler admission (a re-plan once `plan` holds a ticket) or solo
+  /// Algorithm 1 over `paths`, whose first entry is the anchor. Compiles a
+  /// template when `compile` and the plan is reproducible.
+  void plan_fresh(topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
+                  std::span<const topo::PathPlan> paths, bool compile,
+                  Plan& plan);
   /// Compile `config` into a template, stamp it with the current capacity
   /// epoch, and insert it into the cache. Returns nullptr (and counts a
   /// compile failure) when the staging pool has no free slot.
   [[nodiscard]] std::shared_ptr<TransferGraph> compile_template(
       topo::DeviceId src, topo::DeviceId dst,
       const model::TransferConfig& config);
+
+  /// The one execute-and-settle tail: report the plan as last_config(),
+  /// close its plan_ns section, replay or execute it, and when a complete
+  /// run `finishes` the transfer, depart its ticket and (for a `clean`
+  /// single-attempt transfer) feed the recalibrator. After its co_await it
+  /// reads only the caller-owned `plan`: concurrent transfers interleave.
+  [[nodiscard]] sim::Task<TransferOutcome> settle(
+      Plan& plan, PlanClock::time_point plan_t0, gpusim::DeviceBuffer& dst,
+      std::size_t dst_offset, const gpusim::DeviceBuffer& src,
+      std::size_t src_offset, PathWatchList watch, bool finishes,
+      bool clean);
+  /// Recovery: a loop of planned attempts around the settle tail, each
+  /// re-planning the undelivered remainder over the surviving paths.
   [[nodiscard]] sim::Task<void> transfer_with_recovery(
-      gpusim::DeviceBuffer& dst, std::size_t dst_offset,
-      const gpusim::DeviceBuffer& src, std::size_t src_offset,
-      std::size_t bytes);
-  /// Outcome of one uncaptured transfer. `reproducible` says whether a
-  /// later identical transfer would deterministically pick `config` again —
-  /// exactly the bar a captured chain step must meet to compile. The
-  /// configuration travels here as a coroutine-local copy because
-  /// concurrent transfers interleave at co_await points: by the time the
-  /// caller resumes, the shared last_config_ member may already belong to
-  /// another in-flight transfer.
-  struct UncapturedOutcome {
-    bool reproducible = false;
-    std::optional<model::TransferConfig> config;
-  };
-  /// The whole non-recovery transfer body minus chain interplay.
-  [[nodiscard]] sim::Task<UncapturedOutcome> transfer_uncaptured(
       gpusim::DeviceBuffer& dst, std::size_t dst_offset,
       const gpusim::DeviceBuffer& src, std::size_t src_offset,
       std::size_t bytes);

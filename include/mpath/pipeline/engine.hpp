@@ -14,6 +14,9 @@
 // therefore waits on B_{c-2}), matching the three-step staging protocol of
 // Section 3.4. Each issued operation costs host time, which is what makes
 // path initiation sequential — the effect Algorithm 1 line 18 models.
+//
+// There is one issue loop: an uncompiled plan runs as a transient
+// TransferGraph (graph.hpp) through the loop that replays templates.
 #pragma once
 
 #include <cstdint>
@@ -23,13 +26,12 @@
 
 #include "mpath/gpusim/runtime.hpp"
 #include "mpath/model/configurator.hpp"
+#include "mpath/pipeline/graph.hpp"
 #include "mpath/pipeline/staging.hpp"
 #include "mpath/topo/paths.hpp"
 #include "mpath/util/small_vec.hpp"
 
 namespace mpath::pipeline {
-
-class TransferGraph;
 
 /// One path's assignment inside a transfer.
 struct ExecPath {
@@ -114,13 +116,13 @@ class PipelineEngine {
       const model::TransferConfig& config);
 
   /// Execute a compiled template: one driver frame walks the precompiled op
-  /// list — no theta solve, no plan construction, no per-chunk setup. The
-  /// issued runtime-call / issue-cost sequence is identical to
-  /// execute_monitored on the equivalent plan, so completion times (and rng
-  /// draws under jitter) match the uncompiled path bit for bit. `watch`
-  /// must be empty or sized like graph->config().paths. Throws
-  /// std::logic_error if the graph is already replaying (templates are not
-  /// reentrant), std::invalid_argument on endpoint/graph mismatches.
+  /// list — no theta solve, no plan construction, no per-chunk setup. This
+  /// is the issue loop execute_monitored runs its transient graph through,
+  /// so completion times (and rng draws under jitter) match the uncompiled
+  /// path bit for bit. `watch` must be empty or sized like
+  /// graph->config().paths. Throws std::logic_error if the graph is already
+  /// replaying (templates are not reentrant), std::invalid_argument on
+  /// endpoint/graph mismatches.
   [[nodiscard]] sim::Task<TransferOutcome> replay(
       std::shared_ptr<TransferGraph> graph, gpusim::DeviceBuffer& dst,
       std::size_t dst_offset, const gpusim::DeviceBuffer& src,
@@ -142,32 +144,32 @@ class PipelineEngine {
     auto operator<=>(const StreamKey&) const = default;
   };
 
-  /// Per-path issue state prepared before the interleaved issue loop.
-  /// Per-chunk arrays are small-vectors sized for the common pipeline depth
-  /// (k <= 16); deeper pipelines spill once and the capacity is then moved
-  /// along with the PathIssue.
-  struct PathIssue {
-    ExecPath spec;
-    std::size_t offset = 0;      // within the transfer
-    std::size_t plan_index = 0;  // index into the caller's plan / watch
-    gpusim::StreamId first_stream = 0;
-    gpusim::StreamId second_stream = 0;
-    StagingPool::Lease lease;
-    util::SmallVec<gpusim::EventId, 16> fwd_events;
-    util::SmallVec<gpusim::EventId, 16> bwd_events;
-    util::SmallVec<std::size_t, 16> chunk_offsets;
-    util::SmallVec<std::size_t, 16> chunk_sizes;
-    bool staged = false;
-    bool monitored = false;
-    double extra_sync_s = 0.0;  // host-staging per-chunk penalty
-  };
-
   gpusim::StreamId stream_for(const StreamKey& key, topo::DeviceId device);
   [[nodiscard]] sim::Engine::DelayAwaiter issue_cost();
+
+  /// Start graph `g` over its config(): endpoints, key paths and total.
+  void begin_graph(TransferGraph& g, topo::DeviceId src_dev,
+                   topo::DeviceId dst_dev);
+  /// Append the issue state of share `index` (bytes > 0) at message offset
+  /// `offset`: streams, chunk count and host-sync cost. Staging is the
+  /// caller's: a lease for a staged path, then reserve_events().
+  TransferGraph::Path& add_path(TransferGraph& g, std::size_t index,
+                                std::size_t offset);
+  void reserve_events(TransferGraph::Path& p);
+
+  /// The one chunk-issue loop: arm the watchdogs, walk g's op list, drain
+  /// the streams and report per-path progress.
+  [[nodiscard]] sim::Task<TransferOutcome> issue(
+      TransferGraph& g, gpusim::DeviceBuffer& dst, std::size_t dst_offset,
+      const gpusim::DeviceBuffer& src, std::size_t src_offset,
+      PathWatchList watch);
 
   gpusim::GpuRuntime* runtime_;
   StagingPool staging_;
   std::map<StreamKey, gpusim::StreamId> streams_;
+  /// Drained transient graphs, kept for their container capacity so a
+  /// steady-state uncompiled transfer allocates nothing.
+  std::vector<std::unique_ptr<TransferGraph>> spare_graphs_;
   std::uint64_t transfers_ = 0;
   std::map<topo::PathKind, std::uint64_t> bytes_by_kind_;
 };

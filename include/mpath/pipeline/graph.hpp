@@ -11,13 +11,15 @@
 // the steady state: lookup, replay, done — no theta solve, no plan
 // construction, no per-chunk setup.
 //
-// Replay is timing-identical to the uncompiled path by construction: the op
-// list reproduces execute_monitored's exact runtime-call/issue-cost
-// sequence (same rng draws under jitter), and compile itself takes no
-// simulated time. The one intentional divergence is resource residency —
-// a graph keeps its staging lease and events across replays — so identity
-// holds whenever the staging pool is uncontended (sized at least as large
-// as the live template + transfer count per device).
+// A graph is the captured form of the ordinary stream code, not a second
+// implementation of it: execute_monitored runs a *transient* graph of its
+// plan through the same issue loop, so replay issues the uncompiled path's
+// runtime-call/issue-cost sequence (same rng draws under jitter) by
+// construction, and compile takes no simulated time. The one divergence is
+// residency — a template keeps its staging lease and events across
+// replays, a transient graph waits for staging and returns it on drain —
+// so identity holds whenever the staging pool is uncontended (at least the
+// live template + transfer count per device).
 //
 // Lifetime: a graph borrows streams/events/staging from the runtime that
 // compiled it; graphs (and any cache holding them) must be destroyed before
@@ -27,15 +29,14 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "mpath/gpusim/runtime.hpp"
 #include "mpath/model/configurator.hpp"
+#include "mpath/model/plan_cache.hpp"
 #include "mpath/pipeline/staging.hpp"
 #include "mpath/topo/paths.hpp"
 #include "mpath/util/small_vec.hpp"
@@ -59,12 +60,12 @@ struct GraphOp {
     kRecordBwd,      ///< record bwd[c] on the second stream
   };
   Kind kind{};
-  /// First op of its (path, chunk) group. Replay re-checks the path's
-  /// watchdog here and nowhere else — exactly where the uncompiled issue
-  /// loop checks once per (path, round) before issuing the chunk's ops.
+  /// First op of its (path, chunk) group. The issue loop re-checks the
+  /// path's watchdog here and nowhere else — once per (path, round) before
+  /// issuing the chunk's ops.
   bool chunk_head = false;
   std::uint16_t path = 0;   ///< index into TransferGraph path state
-  std::uint16_t chunk = 0;  ///< chunk index within the path
+  std::uint32_t chunk = 0;  ///< chunk index within the path
 };
 
 /// A reusable compiled transfer template for one (src, dst, bytes,
@@ -74,8 +75,7 @@ struct GraphOp {
 /// them, which is what the concurrent cache tests exercise.
 class TransferGraph {
  public:
-  /// Pre-resolved per-path issue state (the compiled twin of the engine's
-  /// per-transfer PathIssue).
+  /// Pre-resolved per-path issue state.
   struct Path {
     topo::PathPlan plan;
     std::uint64_t bytes = 0;
@@ -145,9 +145,11 @@ class TransferGraph {
   friend class PipelineEngine;
 
   /// Rebuild chunk_offsets/chunk_sizes and the flattened op list from the
-  /// current per-path byte shares (interleaved round-robin issue order,
-  /// matching the uncompiled loop).
+  /// current per-path byte shares (interleaved round-robin issue order).
   void rebuild_ops();
+  /// Return every reserved event to the runtime and drop the per-path
+  /// state (staging leases release with it).
+  void release();
 
   gpusim::GpuRuntime* runtime_ = nullptr;
   topo::DeviceId src_dev_ = topo::kInvalidDevice;
@@ -158,6 +160,9 @@ class TransferGraph {
   util::SmallVec<Path, 4> paths_;  ///< active (bytes > 0) shares only
   std::vector<GraphOp> ops_;
   bool busy_ = false;
+  /// Built by execute_monitored for one run: each staged path hands its
+  /// lease back as soon as it drains, and the engine recycles the graph.
+  bool transient_ = false;
   std::uint64_t replays_ = 0;
   std::uint64_t capacity_epoch_ = 0;
 };
@@ -175,23 +180,14 @@ struct GraphCacheOptions {
   int key_bits = 64;
 };
 
-struct GraphCacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t inserts = 0;
-  std::uint64_t evictions = 0;
-  /// Entries whose tuple matched but were compiled under a superseded
-  /// calibration snapshot; each is dropped so the caller recompiles.
-  std::uint64_t invalidations = 0;
-  /// Distinct tuples that hashed onto an occupied key (lookup must miss).
-  std::uint64_t collisions = 0;
-};
+using GraphCacheStats = model::PlanCacheStats;
 
-/// LRU-bounded, calibration-version-stamped template cache, keyed like the
-/// config cache on the full (src, dst, bytes, path-set) tuple with FNV-1a
-/// bucket addressing plus full-tuple verification on hit. Mutex-protected:
-/// the replay hot path is engine-single-threaded (the lock is uncontended),
-/// but sweep tooling may build/inspect caches from multiple threads.
+/// The template cache: a model::PlanCache keyed, like the config cache, on
+/// the full (src, dst, bytes, path-set) tuple, LRU-bounded and
+/// calibration-version-stamped. Mutex-protected: the replay hot path is
+/// engine-single-threaded (the lock is uncontended), but sweep tooling may
+/// build/inspect caches from multiple threads. A cached template must not
+/// be patched: it stays filed under the tuple it was inserted with.
 class GraphCache {
  public:
   explicit GraphCache(GraphCacheOptions options = {});
@@ -218,28 +214,10 @@ class GraphCache {
   void clear();
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] GraphCacheStats stats() const;  ///< by-value snapshot
-  [[nodiscard]] const GraphCacheOptions& options() const { return options_; }
-
-  /// FNV-1a bucket address (same mixing as PathConfigurator::cache_key).
-  [[nodiscard]] std::uint64_t cache_key(
-      topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-      std::span<const topo::PathPlan> paths) const;
 
  private:
-  struct Entry {
-    GraphPtr graph;
-    std::uint64_t cal_version = 0;
-    std::list<std::uint64_t>::iterator recency;
-  };
-  [[nodiscard]] static bool entry_matches(
-      const Entry& e, topo::DeviceId src, topo::DeviceId dst,
-      std::uint64_t bytes, std::span<const topo::PathPlan> paths);
-
   mutable std::mutex mutex_;
-  GraphCacheOptions options_;
-  std::unordered_map<std::uint64_t, Entry> map_;
-  std::list<std::uint64_t> lru_;  ///< keys, most-recently-used first
-  GraphCacheStats stats_;
+  model::PlanCache<GraphPtr> cache_;
 };
 
 }  // namespace mpath::pipeline

@@ -247,6 +247,17 @@ class TransferScheduler {
     util::SmallVec<std::uint32_t, 8> charged;
   };
 
+  /// One request's fresh plan and its candidates' solo terms and links.
+  struct Planned {
+    model::TransferConfig config;
+    std::vector<model::JointPath> jpaths;
+    bool squeezed = false;  ///< the water-fill capped a path below solo
+  };
+  /// Plan `requests` without registering them — one joint water-fill with
+  /// every live flow (refreshing their predictions), or a solo solve each.
+  /// Admission and recovery re-plans share it.
+  [[nodiscard]] std::vector<Planned> plan_requests(
+      std::span<const Request> requests);
   /// Advance every live path's modeled residue to `now` at the current
   /// water-fill rates and freeze predictions whose admit instant has
   /// passed. Called at the top of every public mutation.
@@ -266,8 +277,22 @@ class TransferScheduler {
   void refresh_predictions(
       std::span<const double> rates,
       std::span<const std::pair<std::size_t, std::size_t>> owners);
+  /// Live residues for the carrying shares of `config`, charged at the
+  /// links and solo terms `solo` gives each path (parallel to the shares).
+  [[nodiscard]] static util::SmallVec<LivePath, 4> live_paths(
+      const model::TransferConfig& config,
+      std::span<const model::JointPath> solo);
+  /// Register a live ticket and its history record for an admitted
+  /// config: the one place admission, replay and chain rounds charge the
+  /// ledger.
+  [[nodiscard]] TicketId register_ticket(
+      topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
+      const model::TransferConfig& config,
+      std::span<const model::JointPath> solo, double now);
   [[nodiscard]] std::size_t find(TicketId ticket);
-  void release(std::size_t index);
+  /// Verify and release the live ticket at `index`, stamping its record
+  /// departed (or failed) at `now`: the one place a ticket leaves.
+  void retire(std::size_t index, double now, bool failed);
   /// Sorted union (with multiplicity) of the ticket's live-path links.
   [[nodiscard]] static util::SmallVec<std::uint32_t, 8> footprint_of(
       const Ticket& t);

@@ -13,32 +13,9 @@ namespace mpath::model {
 
 PathConfigurator::PathConfigurator(const ModelRegistry& registry,
                                    ConfiguratorOptions options)
-    : registry_(&registry), options_(options) {}
-
-std::uint64_t PathConfigurator::cache_key(
-    topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-    std::span<const topo::PathPlan> paths) const {
-  // FNV-1a over the request tuple. The key is a bucket address only:
-  // distinct tuples can collide, so lookups must verify the stored tuple
-  // (CacheEntry::matches) before trusting the config.
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(src);
-  mix(dst);
-  mix(bytes);
-  for (const auto& p : paths) {
-    mix(static_cast<std::uint64_t>(p.kind) + 1);
-    mix(p.stage);
-  }
-  if (options_.cache_key_bits < 64) {
-    const int bits = std::max(options_.cache_key_bits, 1);
-    h &= (1ull << bits) - 1ull;
-  }
-  return h;
-}
+    : registry_(&registry),
+      options_(options),
+      cache_(options.cache_capacity, options.cache_key_bits) {}
 
 const TransferConfig& PathConfigurator::configure(
     topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
@@ -59,63 +36,16 @@ const TransferConfig& PathConfigurator::configure_over(
   if (bytes == 0) {
     throw std::invalid_argument("PathConfigurator: zero-byte transfer");
   }
-  const std::uint64_t key = cache_key(src, dst, bytes, paths);
   const std::uint64_t cal_version =
       calibration_ != nullptr ? calibration_->version() : 0;
-  if (options_.cache_enabled) {
-    if (auto it = cache_.find(key); it != cache_.end()) {
-      if (it->second.matches(src, dst, bytes, paths)) {
-        if (it->second.cal_version == cal_version) {
-          ++cache_hits_;
-          // Refresh recency: splice the key to the MRU end without touching
-          // the stored config.
-          lru_.splice(lru_.begin(), lru_, it->second.recency);
-          return it->second.config;
-        }
-        // Computed under a superseded calibration snapshot: the stored
-        // split reflects old alpha/beta. Recompute and replace.
-        ++cache_invalidations_;
-      } else {
-        // A different request tuple hashed onto this key. Fall through to a
-        // recompute that replaces the entry — returning the resident config
-        // here would hand the caller a plan for someone else's transfer.
-        ++cache_collisions_;
-      }
-    }
+  // A disabled cache never hits; it only holds the config just returned.
+  if (!options_.cache_enabled) cache_.clear();
+  if (const TransferConfig* hit =
+          cache_.find(src, dst, bytes, paths, cal_version)) {
+    return *hit;
   }
-  ++cache_misses_;
-  CacheEntry fresh;
-  fresh.config = compute(src, dst, bytes, paths);
-  fresh.src = src;
-  fresh.dst = dst;
-  fresh.bytes = bytes;
-  fresh.paths.assign(paths.begin(), paths.end());
-  fresh.cal_version = cal_version;
-  auto it = cache_.find(key);
-  if (it != cache_.end()) {
-    // Replace in place (hash collision or superseded calibration): the key
-    // already owns an LRU node, so move that node to the front and keep its
-    // iterator across the assignment — the entry's stored recency must
-    // never point at another key's node or at end().
-    const auto node = it->second.recency;
-    lru_.splice(lru_.begin(), lru_, node);
-    it->second = std::move(fresh);
-    it->second.recency = node;
-  } else {
-    lru_.push_front(key);
-    it = cache_.emplace(key, std::move(fresh)).first;
-    it->second.recency = lru_.begin();
-  }
-  // Bounded cache: drop least-recently-used entries beyond capacity. The
-  // entry just inserted is at the front, so with capacity >= 1 the
-  // returned reference always survives eviction.
-  while (options_.cache_capacity > 0 &&
-         cache_.size() > options_.cache_capacity) {
-    cache_.erase(lru_.back());
-    lru_.pop_back();
-    ++cache_evictions_;
-  }
-  return it->second.config;
+  return cache_.insert(src, dst, bytes, paths, cal_version,
+                       compute_config(src, dst, bytes, paths));
 }
 
 std::vector<double> PathConfigurator::shared_edge_derates(
@@ -252,7 +182,7 @@ PreparedTransfer PathConfigurator::prepare(
   return out;
 }
 
-TransferConfig PathConfigurator::compute(
+TransferConfig PathConfigurator::compute_config(
     topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
     std::span<const topo::PathPlan> paths) const {
   const PreparedTransfer prepared = prepare(src, dst, bytes, paths);

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "mpath/pipeline/collective_graph.hpp"
@@ -15,21 +17,28 @@
 namespace mpath::pipeline {
 
 namespace {
-using PlanClock = std::chrono::steady_clock;
 
 /// Nanoseconds since `t0`, for GraphUseStats::plan_ns sections. Callers
 /// must never let a section span a co_await: suspended wall time belongs
 /// to other coroutines and the event loop, not to this transfer's planner.
-std::uint64_t plan_ns_since(PlanClock::time_point t0) {
+std::uint64_t plan_ns_since(std::chrono::steady_clock::time_point t0) {
   return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(PlanClock::now() -
-                                                           t0)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - t0)
           .count());
 }
 
 ExecPlan direct_plan(std::size_t bytes) {
   return {ExecPath{topo::PathPlan{topo::PathKind::Direct, topo::kInvalidDevice},
                    bytes, 1}};
+}
+
+ExecPlan exec_plan(const model::TransferConfig& config) {
+  ExecPlan plan;
+  for (const model::PathShare& share : config.paths) {
+    plan.push_back(ExecPath{share.plan, share.bytes, share.chunks});
+  }
+  return plan;
 }
 
 /// Single path for a small segment: prefer the Direct survivor when one is
@@ -45,24 +54,29 @@ std::span<const topo::PathPlan> small_segment_path(
   return {alive.data(), 1};
 }
 
-/// Marks a scheduler ticket failed if the transfer coroutine unwinds
-/// without departing cleanly, so the scheduler stops water-filling against
-/// a transfer that no longer exists.
-struct ScheduleGuard {
-  TransferScheduler* sched = nullptr;
-  TransferScheduler::TicketId ticket = TransferScheduler::kInvalidTicket;
-  bool armed = true;
-  ScheduleGuard() = default;
-  ScheduleGuard(const ScheduleGuard&) = delete;
-  ScheduleGuard& operator=(const ScheduleGuard&) = delete;
-  ~ScheduleGuard() {
-    if (armed && sched != nullptr &&
-        ticket != TransferScheduler::kInvalidTicket) {
-      sched->fail(ticket);
-    }
-  }
-};
 }  // namespace
+
+/// The template to replay (or, when null, the uncompiled plan to execute),
+/// the ticket the settle tail departs, a by-value snapshot of the chosen
+/// configuration (empty for a sub-threshold direct transfer), and whether a
+/// later identical transfer would pick it again — the bar a captured chain
+/// step must meet to compile. A transfer that unwinds before departing
+/// fails its ticket, so the scheduler stops water-filling against it.
+struct ModelDrivenChannel::Plan {
+  explicit Plan(TransferScheduler* s) : sched(s) {}
+  Plan(const Plan&) = delete;
+  Plan& operator=(const Plan&) = delete;
+  ~Plan() {
+    if (ticket != TransferScheduler::kInvalidTicket) sched->fail(ticket);
+  }
+
+  TransferScheduler* sched;
+  std::shared_ptr<TransferGraph> graph;
+  ExecPlan exec;
+  TransferScheduler::TicketId ticket = TransferScheduler::kInvalidTicket;
+  model::TransferConfig config;
+  bool reproducible = false;
+};
 
 double escalated_slack(const RecoveryOptions& rec, int replans) {
   const double esc = std::min(std::pow(rec.retry_backoff, replans),
@@ -119,59 +133,6 @@ std::uint64_t ModelDrivenChannel::graph_cal_version() const {
   return cal != nullptr ? cal->version() : 0;
 }
 
-std::shared_ptr<TransferGraph> ModelDrivenChannel::find_replayable(
-    topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-    const std::vector<topo::PathPlan>& paths) {
-  std::shared_ptr<TransferGraph> g =
-      options_.graphs->lookup(src, dst, bytes, paths, graph_cal_version());
-  if (g == nullptr) return nullptr;
-  if (g->busy()) {
-    // Templates are not reentrant (shared events + staging slot); a second
-    // identical transfer in flight takes the uncompiled path.
-    ++graph_stats_.busy_fallbacks;
-    return nullptr;
-  }
-  if (options_.health.enabled) {
-    for (const topo::PathPlan& plan : g->key_paths()) {
-      if (health_.state(src, dst, plan) != PathHealth::kHealthy) {
-        // One of the template's candidates is on probation: the classic
-        // path would plan around it, so the compiled split is stale. Drop
-        // the template; a healthy one is compiled once the path recovers
-        // (or the split without it gets compiled fresh).
-        ++graph_stats_.health_fallbacks;
-        (void)options_.graphs->remove(src, dst, bytes, g->key_paths());
-        return nullptr;
-      }
-    }
-  }
-  if (scheduler_ != nullptr &&
-      g->capacity_epoch() != scheduler_->stats().capacity_events) {
-    // Link capacities changed since compile (sever/degrade/restore): the
-    // joint solve could pick a different split now. Recompile.
-    ++graph_stats_.epoch_fallbacks;
-    (void)options_.graphs->remove(src, dst, bytes, g->key_paths());
-    return nullptr;
-  }
-  return g;
-}
-
-std::shared_ptr<TransferGraph> ModelDrivenChannel::compile_template(
-    topo::DeviceId src, topo::DeviceId dst,
-    const model::TransferConfig& config) {
-  std::shared_ptr<TransferGraph> g =
-      engine_->compile_graph(src, dst, config);
-  if (g == nullptr) {
-    ++graph_stats_.compile_failures;
-    return nullptr;
-  }
-  ++graph_stats_.compiles;
-  if (scheduler_ != nullptr) {
-    g->set_capacity_epoch(scheduler_->stats().capacity_events);
-  }
-  options_.graphs->insert(g, graph_cal_version());
-  return g;
-}
-
 void ModelDrivenChannel::attach_chain(ChainController* chain) {
   if (chain != nullptr && options_.recovery.enabled) {
     throw std::invalid_argument(
@@ -197,199 +158,173 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
   const PlanClock::time_point plan_t0 = PlanClock::now();
   ChainController::Pending pend;
   if (chain_ != nullptr) pend = chain_->take_pending();
-  if (pend.replay) {
-    ChainController::Claim claim = chain_->claim_step(pend);
-    if (claim.graph != nullptr) {
-      const double t0 = engine_->runtime().engine().now();
-      ScheduleGuard guard;
-      guard.sched = scheduler_;
-      guard.ticket = claim.ticket;
-      last_config_ = claim.graph->config();
-      // The recalibrator needs the configuration after the replay resumes,
-      // by which point last_config_ may belong to another in-flight
-      // transfer — only then is a coroutine-local copy worth paying for.
-      std::optional<model::TransferConfig> cfg;
-      if (options_.recalibrator != nullptr) cfg = claim.graph->config();
-      graph_stats_.plan_ns += plan_ns_since(plan_t0);
-      (void)co_await engine_->replay(std::move(claim.graph), dst, dst_offset,
-                                     src, src_offset, {});
-      if (scheduler_ != nullptr &&
-          claim.ticket != TransferScheduler::kInvalidTicket) {
-        const PlanClock::time_point depart_t0 = PlanClock::now();
-        scheduler_->depart(claim.ticket);
-        graph_stats_.plan_ns += plan_ns_since(depart_t0);
-      }
-      guard.armed = false;
-      if (options_.recalibrator != nullptr) {
-        options_.recalibrator->observe(src.device(), dst.device(), *cfg,
-                                       engine_->runtime().engine().now() - t0);
-      }
-      co_return;
-    }
-    // Unclaimable (busy template, contended round, passthrough, or the
-    // chain just died): fall through to the normal path.
+  ChainController::Claim claim;
+  if (pend.replay) claim = chain_->claim_step(pend);
+  // The plan sources in order. An unclaimable step (busy template,
+  // contended round, passthrough, or the chain just died) plans like any
+  // other transfer.
+  const topo::DeviceId sdev = src.device();
+  const topo::DeviceId ddev = dst.device();
+  Plan plan(scheduler_);
+  if (claim.graph != nullptr) {
+    plan.config = claim.graph->config();
+    plan.graph = std::move(claim.graph);
+    plan.ticket = claim.ticket;
+  } else if (bytes < options_.min_multipath_bytes) {
+    plan.exec = direct_plan(bytes);  // no multipath config to reproduce
+  } else if (!plan_cached(sdev, ddev, bytes, candidate_paths(sdev, ddev),
+                          plan)) {
+    plan_fresh(sdev, ddev, bytes, candidate_paths(sdev, ddev),
+               options_.graphs != nullptr, plan);
   }
-  graph_stats_.plan_ns += plan_ns_since(plan_t0);
-  const UncapturedOutcome unc =
-      co_await transfer_uncaptured(dst, dst_offset, src, src_offset, bytes);
+  (void)co_await settle(plan, plan_t0, dst, dst_offset, src, src_offset, {},
+                        /*finishes=*/true, /*clean=*/true);
   if (pend.capture) {
     // Capture bookkeeping — the last leave seals the chain and compiles
     // every step's template, so this section carries the one-off capture
     // cost the steady-state claim path amortises away.
     const PlanClock::time_point record_t0 = PlanClock::now();
-    chain_->record_step(pend, unc.reproducible && unc.config.has_value()
-                                  ? &*unc.config
-                                  : nullptr);
+    chain_->record_step(pend, plan.reproducible ? &plan.config : nullptr);
     graph_stats_.plan_ns += plan_ns_since(record_t0);
   }
 }
 
-sim::Task<ModelDrivenChannel::UncapturedOutcome>
-ModelDrivenChannel::transfer_uncaptured(gpusim::DeviceBuffer& dst,
-                                        std::size_t dst_offset,
-                                        const gpusim::DeviceBuffer& src,
-                                        std::size_t src_offset,
-                                        std::size_t bytes) {
-  if (bytes < options_.min_multipath_bytes) {
-    co_await engine_->execute(dst, dst_offset, src, src_offset,
-                              direct_plan(bytes));
-    co_return UncapturedOutcome{};  // no multipath config to reproduce
+bool ModelDrivenChannel::plan_cached(topo::DeviceId src, topo::DeviceId dst,
+                                     std::uint64_t bytes,
+                                     const std::vector<topo::PathPlan>& paths,
+                                     Plan& plan) {
+  if (options_.graphs == nullptr) return false;
+  std::shared_ptr<TransferGraph> g =
+      options_.graphs->lookup(src, dst, bytes, paths, graph_cal_version());
+  if (g == nullptr) return false;
+  if (g->busy()) {
+    // Templates are not reentrant (shared events + staging slot); a second
+    // identical transfer in flight takes the uncompiled path.
+    ++graph_stats_.busy_fallbacks;
+    return false;
   }
-  const PlanClock::time_point u_t0 = PlanClock::now();
-  const auto& paths = candidate_paths(src.device(), dst.device());
-  const double t0 = engine_->runtime().engine().now();
-  // Everything below keeps a coroutine-local copy of the chosen
-  // configuration (`cfg`): concurrent transfers interleave at every
-  // co_await, so last_config_ only reports "most recent transfer" and must
-  // never be read back after a suspension.
+  if (options_.health.enabled) {
+    for (const topo::PathPlan& p : g->key_paths()) {
+      if (health_.state(src, dst, p) != PathHealth::kHealthy) {
+        // One of the template's candidates is on probation: the classic
+        // path would plan around it, so the compiled split is stale. Drop
+        // the template; a healthy one is compiled once the path recovers
+        // (or the split without it gets compiled fresh).
+        ++graph_stats_.health_fallbacks;
+        (void)options_.graphs->remove(src, dst, bytes, g->key_paths());
+        return false;
+      }
+    }
+  }
   if (scheduler_ != nullptr) {
-    // Compiled fast path: a cached template admitted as a replay skips the
-    // joint solve and plan construction entirely.
-    if (options_.graphs != nullptr) {
-      if (auto g = find_replayable(src.device(), dst.device(), bytes, paths)) {
-        TransferScheduler::Admission adm = scheduler_->admit_replay(
-            src.device(), dst.device(), bytes, paths, g->config());
-        if (adm.ticket != TransferScheduler::kInvalidTicket) {
-          ScheduleGuard guard;
-          guard.sched = scheduler_;
-          guard.ticket = adm.ticket;
-          model::TransferConfig cfg = std::move(adm.config);
-          last_config_ = cfg;
-          ++graph_stats_.replays;
-          graph_stats_.plan_ns += plan_ns_since(u_t0);
-          (void)co_await engine_->replay(std::move(g), dst, dst_offset, src,
-                                         src_offset, {});
-          const PlanClock::time_point d_t0 = PlanClock::now();
-          scheduler_->depart(adm.ticket);
-          graph_stats_.plan_ns += plan_ns_since(d_t0);
-          guard.armed = false;
-          if (options_.recalibrator != nullptr) {
-            options_.recalibrator->observe(
-                src.device(), dst.device(), cfg,
-                engine_->runtime().engine().now() - t0);
-          }
-          co_return UncapturedOutcome{true, std::move(cfg)};
-        }
-        ++graph_stats_.contended_rejects;
-      }
+    if (g->capacity_epoch() != scheduler_->stats().capacity_events) {
+      // Link capacities changed since compile (sever/degrade/restore): the
+      // joint solve could pick a different split now. Recompile.
+      ++graph_stats_.epoch_fallbacks;
+      (void)options_.graphs->remove(src, dst, bytes, g->key_paths());
+      return false;
     }
+    // A cached template admitted as a replay skips the joint solve and plan
+    // construction entirely.
     TransferScheduler::Admission adm =
-        scheduler_->admit(src.device(), dst.device(), bytes, paths);
-    ScheduleGuard guard;
-    guard.sched = scheduler_;
-    guard.ticket = adm.ticket;
-    // Only uncontended admissions compile: their split is reproducible, so
-    // a later admit_replay can register the identical ledger entry.
-    if (options_.graphs != nullptr && adm.uncontended) {
-      if (auto g = compile_template(src.device(), dst.device(), adm.config)) {
-        model::TransferConfig cfg = std::move(adm.config);
-        last_config_ = cfg;
-        ++graph_stats_.replays_fresh;
-        graph_stats_.plan_ns += plan_ns_since(u_t0);
-        (void)co_await engine_->replay(std::move(g), dst, dst_offset, src,
-                                       src_offset, {});
-        const PlanClock::time_point d_t0 = PlanClock::now();
-        scheduler_->depart(adm.ticket);
-        graph_stats_.plan_ns += plan_ns_since(d_t0);
-        guard.armed = false;
-        if (options_.recalibrator != nullptr) {
-          options_.recalibrator->observe(
-              src.device(), dst.device(), cfg,
-              engine_->runtime().engine().now() - t0);
-        }
-        co_return UncapturedOutcome{true, std::move(cfg)};
-      }
+        scheduler_->admit_replay(src, dst, bytes, paths, g->config());
+    if (adm.ticket == TransferScheduler::kInvalidTicket) {
+      ++graph_stats_.contended_rejects;
+      return false;
     }
-    const bool uncontended = adm.uncontended;
-    model::TransferConfig cfg = std::move(adm.config);
-    ExecPlan plan;
-    plan.reserve(cfg.paths.size());
-    for (const auto& share : cfg.paths) {
-      plan.push_back(ExecPath{share.plan, share.bytes, share.chunks});
-    }
-    last_config_ = cfg;
-    graph_stats_.plan_ns += plan_ns_since(u_t0);
-    co_await engine_->execute(dst, dst_offset, src, src_offset,
-                              std::move(plan));
-    const PlanClock::time_point d_t0 = PlanClock::now();
-    scheduler_->depart(adm.ticket);
-    graph_stats_.plan_ns += plan_ns_since(d_t0);
-    guard.armed = false;
-    if (options_.recalibrator != nullptr) {
-      options_.recalibrator->observe(src.device(), dst.device(), cfg,
-                                     engine_->runtime().engine().now() - t0);
-    }
-    // An uncontended joint solve is the solo configuration — reproducible;
-    // a contended one depends on the live flows at this exact instant.
-    co_return UncapturedOutcome{uncontended, std::move(cfg)};
+    plan.ticket = adm.ticket;
+    plan.config = std::move(adm.config);
+  } else {
+    plan.config = g->config();
   }
-  if (options_.graphs != nullptr) {
-    if (auto g = find_replayable(src.device(), dst.device(), bytes, paths)) {
-      model::TransferConfig cfg = g->config();
-      last_config_ = cfg;
-      ++graph_stats_.replays;
-      graph_stats_.plan_ns += plan_ns_since(u_t0);
-      (void)co_await engine_->replay(std::move(g), dst, dst_offset, src,
-                                     src_offset, {});
-      if (options_.recalibrator != nullptr) {
-        options_.recalibrator->observe(src.device(), dst.device(), cfg,
-                                       engine_->runtime().engine().now() - t0);
-      }
-      co_return UncapturedOutcome{true, std::move(cfg)};
-    }
+  ++graph_stats_.replays;
+  plan.graph = std::move(g);
+  plan.reproducible = true;
+  return true;
+}
+
+void ModelDrivenChannel::plan_fresh(topo::DeviceId src, topo::DeviceId dst,
+                                    std::uint64_t bytes,
+                                    std::span<const topo::PathPlan> paths,
+                                    bool compile, Plan& plan) {
+  if (scheduler_ == nullptr) {
+    // Solo configure. Copy out of the configurator's cache: an LRU eviction
+    // during the transfer must not invalidate what it executes (or reports).
+    plan.config = configurator_->configure_over(src, dst, bytes, paths);
+    plan.reproducible = true;  // deterministic given calibration
+  } else if (plan.ticket == TransferScheduler::kInvalidTicket) {
+    // Scheduler admission. An uncontended joint solve is the solo
+    // configuration — reproducible; a contended one depends on the live
+    // flows at this exact instant.
+    TransferScheduler::Admission adm =
+        scheduler_->admit(src, dst, bytes, paths);
+    plan.ticket = adm.ticket;
+    plan.config = std::move(adm.config);
+    plan.reproducible = adm.uncontended;
+  } else {
+    // A recovery re-plan keeps the first admission's ticket.
+    plan.config = scheduler_->replan(plan.ticket, bytes, paths);
+    plan.reproducible = false;
   }
-  // Copy out of the configurator's cache: an LRU eviction during the
-  // transfer below must not invalidate what we executed (or report).
-  model::TransferConfig cfg =
-      configurator_->configure(src.device(), dst.device(), bytes, paths);
-  last_config_ = cfg;
-  if (options_.graphs != nullptr) {
-    if (auto g = compile_template(src.device(), dst.device(), cfg)) {
-      ++graph_stats_.replays_fresh;
-      graph_stats_.plan_ns += plan_ns_since(u_t0);
-      (void)co_await engine_->replay(std::move(g), dst, dst_offset, src,
-                                     src_offset, {});
-      if (options_.recalibrator != nullptr) {
-        options_.recalibrator->observe(src.device(), dst.device(), cfg,
-                                       engine_->runtime().engine().now() - t0);
-      }
-      co_return UncapturedOutcome{true, std::move(cfg)};
-    }
+  // Only reproducible plans compile: a later lookup (and admit_replay) then
+  // registers exactly what a fresh plan would.
+  if (compile && plan.reproducible) {
+    plan.graph = compile_template(src, dst, plan.config);
   }
-  ExecPlan plan;
-  plan.reserve(cfg.paths.size());
-  for (const auto& share : cfg.paths) {
-    plan.push_back(ExecPath{share.plan, share.bytes, share.chunks});
+  if (plan.graph == nullptr) plan.exec = exec_plan(plan.config);
+}
+
+std::shared_ptr<TransferGraph> ModelDrivenChannel::compile_template(
+    topo::DeviceId src, topo::DeviceId dst,
+    const model::TransferConfig& config) {
+  std::shared_ptr<TransferGraph> g =
+      engine_->compile_graph(src, dst, config);
+  if (g == nullptr) {
+    ++graph_stats_.compile_failures;
+    return nullptr;
   }
-  graph_stats_.plan_ns += plan_ns_since(u_t0);
-  co_await engine_->execute(dst, dst_offset, src, src_offset,
-                            std::move(plan));
-  if (options_.recalibrator != nullptr) {
-    options_.recalibrator->observe(src.device(), dst.device(), cfg,
-                                   engine_->runtime().engine().now() - t0);
+  ++graph_stats_.compiles;
+  ++graph_stats_.replays_fresh;  // a fresh template runs right away
+  if (scheduler_ != nullptr) {
+    g->set_capacity_epoch(scheduler_->stats().capacity_events);
   }
-  // Solo configuration: deterministic given calibration.
-  co_return UncapturedOutcome{true, std::move(cfg)};
+  options_.graphs->insert(g, graph_cal_version());
+  return g;
+}
+
+sim::Task<TransferOutcome> ModelDrivenChannel::settle(
+    Plan& plan, PlanClock::time_point plan_t0, gpusim::DeviceBuffer& dst,
+    std::size_t dst_offset, const gpusim::DeviceBuffer& src,
+    std::size_t src_offset, PathWatchList watch, bool finishes, bool clean) {
+  if (!plan.config.paths.empty()) last_config_ = plan.config;
+  graph_stats_.plan_ns += plan_ns_since(plan_t0);
+  sim::Engine& eng = engine_->runtime().engine();
+  const double t0 = eng.now();
+  TransferOutcome out;
+  if (plan.graph != nullptr) {
+    out = co_await engine_->replay(std::move(plan.graph), dst, dst_offset,
+                                   src, src_offset, std::move(watch));
+  } else {
+    out = co_await engine_->execute_monitored(dst, dst_offset, src,
+                                              src_offset, std::move(plan.exec),
+                                              std::move(watch));
+  }
+  if (!out.complete || !finishes) co_return out;
+  if (plan.ticket != TransferScheduler::kInvalidTicket) {
+    const PlanClock::time_point depart_t0 = PlanClock::now();
+    scheduler_->depart(
+        std::exchange(plan.ticket, TransferScheduler::kInvalidTicket));
+    graph_stats_.plan_ns += plan_ns_since(depart_t0);
+  }
+  if (clean && options_.recalibrator != nullptr &&
+      !plan.config.paths.empty()) {
+    // Feed (predicted, actual) back for online alpha/beta refinement.
+    // Transfers that tripped a watchdog are excluded — a stall is a fault
+    // for the health machine, not drift.
+    options_.recalibrator->observe(src.device(), dst.device(), plan.config,
+                                   eng.now() - t0);
+  }
+  co_return out;
 }
 
 sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
@@ -427,10 +362,11 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
   std::vector<Seg> todo{{0, bytes}};
   int replans = 0;
   double first_timeout = -1.0;
-  ScheduleGuard guard;
-  guard.sched = scheduler_;
+  // One plan across attempts: re-plans keep the first admission's ticket.
+  Plan plan(scheduler_);
 
   while (!todo.empty()) {
+    const PlanClock::time_point plan_t0 = PlanClock::now();
     const Seg seg = todo.back();
     todo.pop_back();
     const std::vector<topo::PathPlan>* pool = &alive;
@@ -456,77 +392,29 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
     // Compiled fast path, first whole-message attempt only: replans have
     // shrunken candidate sets and partial segments, which a frozen template
     // cannot express. The lookup runs whenever the request shape fits —
-    // find_replayable vetoes (and evicts) templates with any non-healthy
+    // plan_cached vetoes (and evicts) templates with any non-healthy
     // candidate, so a hit guarantees the health-partitioned pool IS the
     // full candidate set and no probe carving is pending.
     const bool replay_shape =
-        options_.graphs != nullptr && replans == 0 && seg.off == 0 &&
-        seg.bytes == bytes && seg.bytes >= options_.min_multipath_bytes;
+        replans == 0 && bytes >= options_.min_multipath_bytes;
     // Compiling additionally requires the planned pool to be the whole
     // candidate set with no probe slices: a template is keyed under (and
     // replays) the full-tuple plan only — a subset config would compile an
     // unfindable template and strand its staging slot.
-    const bool compile_eligible = replay_shape && probe_due.empty() &&
-                                  pool->size() == candidates.size();
-    std::shared_ptr<TransferGraph> graph;
-    bool graph_from_cache = false;
-    if (replay_shape) {
-      graph = find_replayable(sdev, ddev, seg.bytes, candidates);
-      graph_from_cache = graph != nullptr;
+    const bool compile = replay_shape && options_.graphs != nullptr &&
+                         probe_due.empty() &&
+                         pool->size() == candidates.size();
+    if (!(replay_shape && plan_cached(sdev, ddev, seg.bytes, candidates,
+                                      plan))) {
+      plan_fresh(sdev, ddev, seg.bytes, use, compile, plan);
     }
-    // By-value snapshot, NOT a reference into the configurator's LRU cache:
-    // this config is read again after co_await execute_monitored below, and
-    // any concurrent transfer on the same configurator could evict the
-    // entry mid-await — a use-after-free with a shared bounded cache.
-    model::TransferConfig config;
-    bool uncontended = scheduler_ == nullptr;
-    if (graph != nullptr && scheduler_ != nullptr) {
-      TransferScheduler::Admission adm = scheduler_->admit_replay(
-          sdev, ddev, seg.bytes, candidates, graph->config());
-      if (adm.ticket == TransferScheduler::kInvalidTicket) {
-        ++graph_stats_.contended_rejects;
-        graph = nullptr;
-      } else {
-        guard.ticket = adm.ticket;
-        config = std::move(adm.config);
-      }
-    } else if (graph != nullptr) {
-      config = graph->config();
-    }
-    if (graph == nullptr) {
-      if (scheduler_ != nullptr) {
-        if (guard.ticket == TransferScheduler::kInvalidTicket) {
-          TransferScheduler::Admission adm =
-              scheduler_->admit(src.device(), dst.device(), seg.bytes, use);
-          guard.ticket = adm.ticket;
-          config = std::move(adm.config);
-          uncontended = adm.uncontended;
-        } else {
-          config = scheduler_->replan(guard.ticket, seg.bytes, use);
-        }
-      } else {
-        config = configurator_->configure_over(src.device(), dst.device(),
-                                               seg.bytes, use);
-      }
-      if (compile_eligible && uncontended) {
-        graph = compile_template(sdev, ddev, config);
-      }
-    }
-    last_config_ = config;
     // Watchdog slack for this attempt: the base factor escalates per
     // re-plan (bounded exponential backoff), and with health tracking each
     // path compounds its own failure-streak multiplier on top.
     const double slack = escalated_slack(rec, replans);
-    ExecPlan plan;
     PathWatchList watch;
-    if (graph == nullptr) plan.reserve(config.paths.size());
-    watch.reserve(config.paths.size());
-    for (const auto& share : config.paths) {
-      // A replayed template carries its own precompiled plan; only the
-      // watchdog deadlines are built per attempt (identically either way).
-      if (graph == nullptr) {
-        plan.push_back(ExecPath{share.plan, share.bytes, share.chunks});
-      }
+    watch.reserve(plan.config.paths.size());
+    for (const model::PathShare& share : plan.config.paths) {
       // Watchdog deadline: model-predicted completion time of this share
       // times the slack factor, floored so that noise on tiny shares
       // cannot trip a healthy path.
@@ -544,17 +432,17 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
     // its own (floored) deadline, never the planned paths' bytes. (Never
     // reached on a graph attempt: eligibility requires no pending probes.)
     probes_issued.clear();
-    if (graph == nullptr && use_health &&
+    if (plan.graph == nullptr && use_health &&
         seg.bytes >= options_.min_multipath_bytes) {
       const std::uint64_t pb = health_.probe_bytes(seg.bytes);
       for (const topo::PathPlan& pp : probe_due) {
         // Keep the anchor meaningfully larger than what it donates.
-        if (plan.empty() || plan.front().bytes < 2 * pb) break;
-        plan.front().bytes -= pb;
+        if (plan.exec.empty() || plan.exec.front().bytes < 2 * pb) break;
+        plan.exec.front().bytes -= pb;
         const model::TransferConfig probe_cfg = configurator_->compute_config(
             sdev, ddev, pb, std::span<const topo::PathPlan>(&pp, 1));
         const double mult = health_.slack_multiplier(sdev, ddev, pp);
-        plan.push_back(ExecPath{pp, pb, probe_cfg.paths[0].chunks});
+        plan.exec.push_back(ExecPath{pp, pb, probe_cfg.paths[0].chunks});
         watch.push_back(PathWatch{
             std::max(rec.min_deadline_s,
                      slack * mult * probe_cfg.predicted_time)});
@@ -562,24 +450,13 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
         health_.on_probe_issued(sdev, ddev, pp);
       }
     }
-    TransferOutcome out;
-    if (graph != nullptr) {
-      if (graph_from_cache) {
-        ++graph_stats_.replays;
-      } else {
-        ++graph_stats_.replays_fresh;
-      }
-      out = co_await engine_->replay(std::move(graph), dst,
-                                     dst_offset + seg.off, src,
-                                     src_offset + seg.off, std::move(watch));
-    } else {
-      out = co_await engine_->execute_monitored(
-          dst, dst_offset + seg.off, src, src_offset + seg.off,
-          std::move(plan), std::move(watch));
-    }
+    const TransferOutcome out =
+        co_await settle(plan, plan_t0, dst, dst_offset + seg.off, src,
+                        src_offset + seg.off, std::move(watch),
+                        /*finishes=*/todo.empty(), /*clean=*/replans == 0);
     if (out.complete) {
       if (use_health) {
-        for (const auto& share : config.paths) {
+        for (const model::PathShare& share : plan.config.paths) {
           if (share.bytes > 0) health_.on_success(sdev, ddev, share.plan,
                                                   eng.now());
         }
@@ -598,9 +475,9 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
     for (std::size_t i = 0; i < out.paths.size(); ++i) {
       const PathOutcome& po = out.paths[i];
       const topo::PathPlan dead =
-          i < config.paths.size()
-              ? config.paths[i].plan
-              : probes_issued[i - config.paths.size()];
+          i < plan.config.paths.size()
+              ? plan.config.paths[i].plan
+              : probes_issued[i - plan.config.paths.size()];
       if (po.timed_out) {
         ++stats_.path_timeouts;
         dead_names.push_back(topo::describe(dead, topo));
@@ -646,20 +523,9 @@ sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
     }
     ++stats_.replans;
   }
-  if (scheduler_ != nullptr &&
-      guard.ticket != TransferScheduler::kInvalidTicket) {
-    scheduler_->depart(guard.ticket);
-    guard.armed = false;
-  }
   if (first_timeout >= 0.0) {
     ++stats_.transfers_recovered;
     stats_.recovery_time_s += eng.now() - first_timeout;
-  } else if (options_.recalibrator != nullptr && last_config_.has_value()) {
-    // Clean single-plan completion: feed (predicted, actual) back for
-    // online alpha/beta refinement. Transfers that tripped a watchdog are
-    // excluded — a stall is a fault for the health machine, not drift.
-    options_.recalibrator->observe(sdev, ddev, *last_config_,
-                                   eng.now() - t0);
   }
 }
 

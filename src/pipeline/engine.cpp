@@ -1,11 +1,10 @@
 #include "mpath/pipeline/engine.hpp"
 
 #include <algorithm>
-
-#include "mpath/pipeline/graph.hpp"
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 namespace mpath::pipeline {
@@ -67,6 +66,38 @@ struct MonitorState {
   }
 };
 
+/// The byte total of `shares`, after checking that each can be issued: at
+/// least one chunk and, on a staged path, a stage — for zero-byte shares
+/// only when `all`, since compiled configs carry excluded paths — and a
+/// total that cannot wrap past the region bounds checks and then throw
+/// mid-issuance.
+std::uint64_t checked_total(std::span<const model::PathShare> shares,
+                            bool all) {
+  std::uint64_t total = 0;
+  for (const model::PathShare& s : shares) {
+    if ((all || s.bytes > 0) && s.chunks < 1) {
+      throw std::invalid_argument("PipelineEngine: chunks must be >= 1");
+    }
+    if ((all || s.bytes > 0) && s.plan.kind != topo::PathKind::Direct &&
+        s.plan.stage == topo::kInvalidDevice) {
+      throw std::invalid_argument("PipelineEngine: staged path without stage");
+    }
+    if (s.bytes > std::numeric_limits<std::uint64_t>::max() - total) {
+      throw std::invalid_argument("PipelineEngine: plan byte total overflows");
+    }
+    total += s.bytes;
+  }
+  return total;
+}
+
+/// Double-buffered staging: two slots of the path's largest chunk under
+/// the base/remainder split.
+std::size_t staging_bytes(const TransferGraph::Path& p) {
+  const auto k = static_cast<std::uint64_t>(p.chunks);
+  const std::uint64_t max_chunk = p.bytes / k + (p.bytes % k != 0 ? 1 : 0);
+  return 2 * static_cast<std::size_t>(max_chunk);
+}
+
 }  // namespace
 
 PipelineEngine::PipelineEngine(gpusim::GpuRuntime& runtime,
@@ -112,242 +143,96 @@ sim::Task<TransferOutcome> PipelineEngine::execute_monitored(
     throw std::invalid_argument(
         "PipelineEngine: watch must be empty or match the plan size");
   }
+  // Capture the plan into a transient graph. Staging comes from the
+  // suspending pool, in path order, before any watchdog is armed: waiting
+  // for a slot is charged to the transfer, not to its deadlines.
+  if (spare_graphs_.empty()) {
+    spare_graphs_.push_back(std::make_unique<TransferGraph>());
+  }
+  std::unique_ptr<TransferGraph> g = std::move(spare_graphs_.back());
+  spare_graphs_.pop_back();
+  g->transient_ = true;
+  g->config_.paths.clear();
+  for (const ExecPath& p : plan) {
+    g->config_.paths.push_back(
+        model::PathShare{p.plan, 0.0, p.bytes, p.chunks, 0.0, {}});
+  }
   // Validate the *whole* plan before issuing anything: a malformed plan
   // must not leak staging-slot reservations or partially issued operations.
-  // The sum is overflow-checked so a wrapped total cannot slip past the
-  // region bounds check and then throw mid-issuance.
-  std::uint64_t total = 0;
-  for (const ExecPath& p : plan) {
-    if (p.chunks < 1) {
-      throw std::invalid_argument("PipelineEngine: chunks must be >= 1");
-    }
-    if (p.plan.kind != topo::PathKind::Direct &&
-        p.plan.stage == topo::kInvalidDevice) {
-      throw std::invalid_argument("PipelineEngine: staged path without stage");
-    }
-    if (p.bytes > std::numeric_limits<std::uint64_t>::max() - total) {
-      throw std::invalid_argument("PipelineEngine: plan byte total overflows");
-    }
-    total += p.bytes;
-  }
+  const std::uint64_t total = checked_total(g->config_.paths, /*all=*/true);
   src.check_region(src_offset, total);
   dst.check_region(dst_offset, total);
-
-  const topo::DeviceId src_dev = src.device();
-  const topo::DeviceId dst_dev = dst.device();
-  const auto& costs = runtime_->costs();
-
-  bool any_watch = false;
-  for (const PathWatch& w : watch) any_watch |= w.deadline_s > 0.0;
-  std::shared_ptr<MonitorState> mon;
-  if (any_watch) {
-    mon = sim::make_pooled<MonitorState>();
-    mon->rt = runtime_;
-    mon->entries.resize(plan.size());
-  }
-
-  // -- prepare per-path issue state -----------------------------------------
-  util::SmallVec<PathIssue, 4> paths;
+  begin_graph(*g, src.device(), dst.device());
   std::size_t offset = 0;
   for (std::size_t i = 0; i < plan.size(); ++i) {
-    const ExecPath& spec = plan[i];
-    if (spec.bytes == 0) continue;
-    PathIssue pi;
-    pi.spec = spec;
-    pi.offset = offset;
-    pi.plan_index = i;
-    pi.monitored = mon != nullptr && watch[i].deadline_s > 0.0;
-    offset += spec.bytes;
-    // Never more chunks than bytes.
-    const int k = static_cast<int>(std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(spec.chunks), spec.bytes));
-    pi.spec.chunks = k;
-    const std::uint64_t base = spec.bytes / static_cast<std::uint64_t>(k);
-    const std::uint64_t rem = spec.bytes % static_cast<std::uint64_t>(k);
-    std::size_t chunk_off = 0;
-    for (int c = 0; c < k; ++c) {
-      const std::size_t sz =
-          base + (static_cast<std::uint64_t>(c) < rem ? 1 : 0);
-      pi.chunk_offsets.push_back(chunk_off);
-      pi.chunk_sizes.push_back(sz);
-      chunk_off += sz;
+    if (plan[i].bytes == 0) continue;
+    TransferGraph::Path& p = add_path(*g, i, offset);
+    offset += p.bytes;
+    if (p.staged) {
+      p.lease = co_await staging_.acquire(p.plan.stage, staging_bytes(p),
+                                          src.device());
+      p.slot_bytes = p.lease.buffer().size() / 2;
+      reserve_events(p);
     }
-    pi.staged = spec.plan.kind != topo::PathKind::Direct;
-    if (pi.staged) {
-      pi.first_stream = stream_for({src_dev, dst_dev, i, 0}, src_dev);
-      pi.second_stream =
-          stream_for({src_dev, dst_dev, i, 1}, spec.plan.stage);
-      pi.extra_sync_s = spec.plan.kind == topo::PathKind::HostStaged
-                            ? costs.host_stage_sync_s
-                            : costs.stage_sync_s;
-      const std::size_t max_chunk =
-          *std::max_element(pi.chunk_sizes.begin(), pi.chunk_sizes.end());
-      // Double-buffered staging: two slots of the largest chunk.
-      pi.lease =
-          co_await staging_.acquire(spec.plan.stage, 2 * max_chunk, src_dev);
-      for (int c = 0; c < k; ++c) {
-        pi.fwd_events.push_back(runtime_->acquire_event());
-        pi.bwd_events.push_back(runtime_->acquire_event());
-      }
-    } else {
-      pi.first_stream = stream_for({src_dev, dst_dev, i, 0}, src_dev);
-    }
-    if (pi.monitored) {
-      MonitorState::Entry& e = mon->entries[i];
-      e.token = runtime_->make_cancel_token();
-      e.bytes = spec.bytes;
-      e.chunk_sizes = pi.chunk_sizes;
-      e.staged = pi.staged;
-      if (pi.staged) {
-        // The backward record of chunk c fires once the chunk left the
-        // staging device, i.e. the chunk is visible at the destination.
-        e.done_events = pi.bwd_events;
-      }
-      // Direct paths need no events at all: each chunk's copy reports its
-      // own completion through a DoneHook (see the issue loop below).
-    }
-    bytes_by_kind_[spec.plan.kind] += spec.bytes;
-    paths.push_back(std::move(pi));
   }
+  g->rebuild_ops();
 
-  // -- arm watchdogs ----------------------------------------------------------
-  // Deadlines are relative to issue start (staging acquisition included in
-  // the prepare loop above is charged to the transfer, not the deadline).
-  // The callback holds the shared MonitorState, not the coroutine frame, so
-  // a timer firing after the transfer completed is a harmless no-op.
-  if (mon != nullptr) {
-    sim::Engine& engine = runtime_->engine();
-    for (const PathIssue& pi : paths) {
-      if (!pi.monitored) continue;
-      const std::size_t i = pi.plan_index;
-      engine.schedule_callback(engine.now() + watch[i].deadline_s,
-                               [mon, i] { mon->on_deadline(i); });
-    }
-  }
-
-  // -- interleaved issue loop -------------------------------------------------
-  // One host loop issues chunk r of every path before chunk r+1 of any, so
-  // all paths begin flowing early while later paths still start strictly
-  // after earlier ones (sequential initiation).
-  int max_rounds = 0;
-  for (const PathIssue& pi : paths) {
-    max_rounds = std::max(max_rounds, pi.spec.chunks);
-  }
-  for (int r = 0; r < max_rounds; ++r) {
-    for (PathIssue& pi : paths) {
-      if (r >= pi.spec.chunks) continue;
-      // Stop feeding a path whose watchdog already gave up on it.
-      if (pi.monitored && mon->entries[pi.plan_index].timed_out) continue;
-      gpusim::CancelTokenPtr token =
-          pi.monitored ? mon->entries[pi.plan_index].token : nullptr;
-      const std::size_t c = static_cast<std::size_t>(r);
-      const std::size_t sz = pi.chunk_sizes[c];
-      const std::size_t src_at = src_offset + pi.offset + pi.chunk_offsets[c];
-      const std::size_t dst_at = dst_offset + pi.offset + pi.chunk_offsets[c];
-      if (!pi.staged) {
-        // Progress accounting rides the copy's own completion instead of an
-        // extra per-chunk event record: monitoring a direct path is free.
-        gpusim::GpuRuntime::DoneHook hook;
-        if (pi.monitored) {
-          hook = [mon, i = pi.plan_index, sz](bool delivered) {
-            if (delivered) mon->entries[i].delivered += sz;
-          };
-        }
-        runtime_->memcpy_async(dst, dst_at, src, src_at, sz, pi.first_stream,
-                               token, std::move(hook));
-        co_await issue_cost();
-        continue;
-      }
-      gpusim::DeviceBuffer& stage = pi.lease.buffer();
-      const std::size_t slot_off = (c % 2) * (stage.size() / 2);
-      if (r >= 2) {
-        // The slot is free once chunk c-2 left the staging device.
-        runtime_->wait_event(pi.first_stream, pi.bwd_events[c - 2]);
-        co_await issue_cost();
-      }
-      runtime_->memcpy_async(stage, slot_off, src, src_at, sz,
-                             pi.first_stream, token);
-      co_await issue_cost();
-      runtime_->record_event(pi.fwd_events[c], pi.first_stream);
-      co_await issue_cost();
-      runtime_->wait_event(pi.second_stream, pi.fwd_events[c]);
-      co_await issue_cost();
-      if (pi.extra_sync_s > 0.0) {
-        runtime_->stream_delay(pi.second_stream, pi.extra_sync_s);
-        co_await issue_cost();
-      }
-      runtime_->memcpy_async(dst, dst_at, stage, slot_off, sz,
-                             pi.second_stream, token);
-      co_await issue_cost();
-      runtime_->record_event(pi.bwd_events[c], pi.second_stream);
-      if (pi.monitored) ++mon->entries[pi.plan_index].records_issued;
-      co_await issue_cost();
-    }
-  }
-
-  // -- completion ---------------------------------------------------------------
-  // Staged paths first: their staging lease returns to the pool the moment
-  // their own streams drain, so windowed transfers never hold buffers
-  // hostage while waiting for an unrelated (direct) slice to finish. A
-  // timed-out path's streams drain too: its cancelled copies skip the data
-  // movement, so the synchronize below returns promptly instead of hanging.
-  for (PathIssue& pi : paths) {
-    if (!pi.staged) continue;
-    co_await runtime_->synchronize(pi.second_stream);
-    const bool timed_out =
-        pi.monitored && mon->entries[pi.plan_index].timed_out;
-    if (src.materialized() && dst.materialized() &&
-        !pi.lease.buffer().materialized()) {
-      // Simulated staging buffer between materialized endpoints: land the
-      // payload in bulk — but only the delivered prefix of a path that was
-      // aborted mid-flight.
-      const std::size_t land =
-          timed_out
-              ? static_cast<std::size_t>(mon->entries[pi.plan_index].delivered)
-              : static_cast<std::size_t>(pi.spec.bytes);
-      if (land > 0) {
-        std::memcpy(dst.region(dst_offset + pi.offset, land).data(),
-                    src.region(src_offset + pi.offset, land).data(), land);
-      }
-    }
-    pi.lease.release();
-  }
-  for (PathIssue& pi : paths) {
-    if (pi.staged) continue;
-    co_await runtime_->synchronize(pi.first_stream);
-  }
-  ++transfers_;
-
-  // Recycle this transfer's events. All records have fired (streams are
-  // drained above), every waiter captured its latch at enqueue time, and
-  // late watchdog timers bail out on finished/timed-out entries before
-  // consulting events — so a reused id can never alias stale state.
-  for (PathIssue& pi : paths) {
-    for (gpusim::EventId ev : pi.fwd_events) runtime_->release_event(ev);
-    for (gpusim::EventId ev : pi.bwd_events) runtime_->release_event(ev);
-  }
-
-  // -- assemble the outcome ---------------------------------------------------
-  TransferOutcome out;
-  out.paths.resize(plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    out.paths[i].bytes = plan[i].bytes;
-    out.paths[i].bytes_delivered = plan[i].bytes;  // default: fully delivered
-  }
-  if (mon != nullptr) {
-    for (std::size_t i = 0; i < plan.size(); ++i) {
-      MonitorState::Entry& e = mon->entries[i];
-      if (e.timed_out) {
-        out.paths[i].timed_out = true;
-        out.paths[i].bytes_delivered = e.delivered;
-        out.complete = false;
-      } else {
-        e.finished = true;  // disarm any still-pending watchdog timer
-      }
-    }
-  }
+  TransferOutcome out = co_await issue(*g, dst, dst_offset, src, src_offset,
+                                       std::move(watch));
+  // Every record has fired (the streams drained), every waiter captured
+  // its latch at enqueue time, and late watchdog timers bail out on
+  // finished/timed-out entries before consulting events — so recycling the
+  // events can never alias stale state.
+  g->release();
+  spare_graphs_.push_back(std::move(g));
   co_return out;
-  // Leases release on scope exit, returning staging buffers to the pool.
+}
+
+void PipelineEngine::begin_graph(TransferGraph& g, topo::DeviceId src_dev,
+                                 topo::DeviceId dst_dev) {
+  g.runtime_ = runtime_;
+  g.src_dev_ = src_dev;
+  g.dst_dev_ = dst_dev;
+  g.key_paths_.clear();
+  g.total_bytes_ = 0;
+  for (const model::PathShare& share : g.config_.paths) {
+    g.key_paths_.push_back(share.plan);
+    g.total_bytes_ += share.bytes;
+  }
+}
+
+TransferGraph::Path& PipelineEngine::add_path(TransferGraph& g,
+                                              std::size_t index,
+                                              std::size_t offset) {
+  const model::PathShare& share = g.config_.paths[index];
+  const topo::DeviceId src_dev = g.src_dev_;
+  const topo::DeviceId dst_dev = g.dst_dev_;
+  TransferGraph::Path& p = g.paths_.emplace_back();
+  p.plan = share.plan;
+  p.bytes = share.bytes;
+  p.offset = offset;
+  p.plan_index = index;
+  // Never more chunks than bytes.
+  p.chunks = static_cast<int>(std::min<std::uint64_t>(
+      static_cast<std::uint64_t>(share.chunks), share.bytes));
+  p.staged = share.plan.kind != topo::PathKind::Direct;
+  p.first_stream = stream_for({src_dev, dst_dev, index, 0}, src_dev);
+  if (p.staged) {
+    p.second_stream =
+        stream_for({src_dev, dst_dev, index, 1}, share.plan.stage);
+    const auto& costs = runtime_->costs();
+    p.extra_sync_s = share.plan.kind == topo::PathKind::HostStaged
+                         ? costs.host_stage_sync_s
+                         : costs.stage_sync_s;
+  }
+  return p;
+}
+
+void PipelineEngine::reserve_events(TransferGraph::Path& p) {
+  for (int c = 0; c < p.chunks; ++c) {
+    p.fwd_events.push_back(runtime_->acquire_event());
+    p.bwd_events.push_back(runtime_->acquire_event());
+  }
 }
 
 std::shared_ptr<TransferGraph> PipelineEngine::compile_graph(
@@ -355,76 +240,28 @@ std::shared_ptr<TransferGraph> PipelineEngine::compile_graph(
     const model::TransferConfig& config) {
   // Validate the whole config first, mirroring execute_monitored: a
   // malformed config must not leak reserved events or staging slots.
-  std::uint64_t total = 0;
-  for (const model::PathShare& share : config.paths) {
-    if (share.bytes > 0 && share.chunks < 1) {
-      throw std::invalid_argument("PipelineEngine: chunks must be >= 1");
-    }
-    if (share.bytes > 0 && share.plan.kind != topo::PathKind::Direct &&
-        share.plan.stage == topo::kInvalidDevice) {
-      throw std::invalid_argument("PipelineEngine: staged path without stage");
-    }
-    if (share.bytes > std::numeric_limits<std::uint64_t>::max() - total) {
-      throw std::invalid_argument("PipelineEngine: plan byte total overflows");
-    }
-    total += share.bytes;
-  }
-  if (config.paths.empty() || total == 0) {
+  if (config.paths.empty() || checked_total(config.paths, false) == 0) {
     throw std::invalid_argument("PipelineEngine: cannot compile empty config");
   }
 
-  const auto& costs = runtime_->costs();
   auto graph = std::make_shared<TransferGraph>();
-  graph->runtime_ = runtime_;
-  graph->src_dev_ = src_dev;
-  graph->dst_dev_ = dst_dev;
-  graph->total_bytes_ = total;
   graph->config_ = config;
-  graph->key_paths_.reserve(config.paths.size());
-  for (const model::PathShare& share : config.paths) {
-    graph->key_paths_.push_back(share.plan);
-  }
-
+  begin_graph(*graph, src_dev, dst_dev);
   std::size_t offset = 0;
   for (std::size_t i = 0; i < config.paths.size(); ++i) {
-    const model::PathShare& share = config.paths[i];
-    if (share.bytes == 0) continue;
-    TransferGraph::Path p;
-    p.plan = share.plan;
-    p.bytes = share.bytes;
-    p.offset = offset;
-    p.plan_index = i;
-    offset += share.bytes;
-    const int k = static_cast<int>(std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(share.chunks), share.bytes));
-    p.chunks = k;
-    p.staged = share.plan.kind != topo::PathKind::Direct;
+    if (config.paths[i].bytes == 0) continue;
+    TransferGraph::Path& p = add_path(*graph, i, offset);
+    offset += p.bytes;
     if (p.staged) {
-      p.first_stream = stream_for({src_dev, dst_dev, i, 0}, src_dev);
-      p.second_stream = stream_for({src_dev, dst_dev, i, 1}, share.plan.stage);
-      p.extra_sync_s = share.plan.kind == topo::PathKind::HostStaged
-                           ? costs.host_stage_sync_s
-                           : costs.stage_sync_s;
-      // Largest chunk under the base/remainder split; double-buffered slot.
-      const std::uint64_t base = share.bytes / static_cast<std::uint64_t>(k);
-      const std::uint64_t max_chunk =
-          base + (share.bytes % static_cast<std::uint64_t>(k) != 0 ? 1 : 0);
-      p.lease = staging_.try_acquire(
-          share.plan.stage, 2 * static_cast<std::size_t>(max_chunk), src_dev);
+      p.lease = staging_.try_acquire(p.plan.stage, staging_bytes(p), src_dev);
       if (!p.lease.valid()) {
         // Pool exhausted: refuse to compile rather than block. The partial
         // graph's destructor returns any already-reserved resources.
         return nullptr;
       }
       p.slot_bytes = p.lease.buffer().size() / 2;
-      for (int c = 0; c < k; ++c) {
-        p.fwd_events.push_back(runtime_->acquire_event());
-        p.bwd_events.push_back(runtime_->acquire_event());
-      }
-    } else {
-      p.first_stream = stream_for({src_dev, dst_dev, i, 0}, src_dev);
+      reserve_events(p);
     }
-    graph->paths_.push_back(std::move(p));
   }
   graph->rebuild_ops();
   return graph;
@@ -463,7 +300,14 @@ sim::Task<TransferOutcome> PipelineEngine::replay(
     TransferGraph* g;
     ~BusyReset() { g->busy_ = false; }
   } busy_reset{&g};
+  co_return co_await issue(g, dst, dst_offset, src, src_offset,
+                           std::move(watch));
+}
 
+sim::Task<TransferOutcome> PipelineEngine::issue(
+    TransferGraph& g, gpusim::DeviceBuffer& dst, std::size_t dst_offset,
+    const gpusim::DeviceBuffer& src, std::size_t src_offset,
+    PathWatchList watch) {
   const std::size_t plan_size = g.config_.paths.size();
   bool any_watch = false;
   for (const PathWatch& w : watch) any_watch |= w.deadline_s > 0.0;
@@ -474,54 +318,46 @@ sim::Task<TransferOutcome> PipelineEngine::replay(
     mon->entries.resize(plan_size);
   }
 
-  // -- prepare monitor entries + accounting (no issue state to build) -------
-  util::SmallVec<std::uint8_t, 4> monitored;
-  monitored.resize(g.paths_.size());
-  for (std::size_t pidx = 0; pidx < g.paths_.size(); ++pidx) {
-    const TransferGraph::Path& pi = g.paths_[pidx];
-    const bool m =
-        mon != nullptr && watch[pi.plan_index].deadline_s > 0.0;
-    monitored[pidx] = m ? 1 : 0;
-    if (m) {
-      MonitorState::Entry& e = mon->entries[pi.plan_index];
-      e.token = runtime_->make_cancel_token();
-      e.bytes = pi.bytes;
-      e.chunk_sizes = pi.chunk_sizes;
-      e.staged = pi.staged;
-      if (pi.staged) e.done_events = pi.bwd_events;
-    }
+  // -- accounting, monitor entries and watchdogs ------------------------------
+  // Only watched paths get a cancel token, so only they can time out.
+  // Deadlines are relative to issue start. The callback holds the shared
+  // MonitorState, not the coroutine frame, so a timer firing after the
+  // transfer completed is a harmless no-op.
+  sim::Engine& engine = runtime_->engine();
+  for (const TransferGraph::Path& pi : g.paths_) {
     bytes_by_kind_[pi.plan.kind] += pi.bytes;
+    const std::size_t i = pi.plan_index;
+    if (mon == nullptr || watch[i].deadline_s <= 0.0) continue;
+    MonitorState::Entry& e = mon->entries[i];
+    e.token = runtime_->make_cancel_token();
+    e.bytes = pi.bytes;
+    e.chunk_sizes = pi.chunk_sizes;
+    e.staged = pi.staged;
+    // The backward record of chunk c fires once the chunk left the staging
+    // device, i.e. the chunk is visible at the destination. Direct paths
+    // need no events at all: each chunk's copy reports its own completion
+    // through a DoneHook (see kCopyDirect below).
+    if (pi.staged) e.done_events = pi.bwd_events;
+    engine.schedule_callback(engine.now() + watch[i].deadline_s,
+                             [mon, i] { mon->on_deadline(i); });
   }
 
-  // -- arm watchdogs (same relative-deadline semantics as the slow path) ----
-  if (mon != nullptr) {
-    sim::Engine& engine = runtime_->engine();
-    for (std::size_t pidx = 0; pidx < g.paths_.size(); ++pidx) {
-      if (monitored[pidx] == 0) continue;
-      const std::size_t i = g.paths_[pidx].plan_index;
-      engine.schedule_callback(engine.now() + watch[i].deadline_s,
-                               [mon, i] { mon->on_deadline(i); });
-    }
-  }
-
-  // -- replay the precompiled op list ---------------------------------------
+  // -- issue the op list ------------------------------------------------------
   // One flat walk; every op issues exactly one runtime call followed by one
-  // issue-cost await, in the same order the uncompiled loop would. Chunk
-  // heads re-check the watchdog (the once-per-(path, round) check of the
-  // uncompiled loop) and skip the rest of a timed-out chunk group.
+  // issue-cost await. Chunk heads re-check the watchdog once per (path,
+  // round) and skip the rest of a timed-out chunk group: no further chunks
+  // are fed to a path its watchdog already gave up on.
   bool skipping = false;
   for (const GraphOp& op : g.ops_) {
+    TransferGraph::Path& pi = g.paths_[op.path];
     if (op.chunk_head) {
       // Each (path, chunk) group's ops are contiguous, so one flag carries
       // the skip decision to the end of the group.
-      skipping = monitored[op.path] != 0 &&
-                 mon->entries[g.paths_[op.path].plan_index].timed_out;
+      skipping = mon != nullptr && mon->entries[pi.plan_index].timed_out;
     }
     if (skipping) continue;
-    TransferGraph::Path& pi = g.paths_[op.path];
-    const bool m = monitored[op.path] != 0;
     gpusim::CancelTokenPtr token =
-        m ? mon->entries[pi.plan_index].token : nullptr;
+        mon != nullptr ? mon->entries[pi.plan_index].token : nullptr;
     const std::size_t c = op.chunk;
     switch (op.kind) {
       case GraphOp::Kind::kCopyDirect: {
@@ -530,8 +366,10 @@ sim::Task<TransferOutcome> PipelineEngine::replay(
             src_offset + pi.offset + pi.chunk_offsets[c];
         const std::size_t dst_at =
             dst_offset + pi.offset + pi.chunk_offsets[c];
+        // Progress accounting rides the copy's own completion instead of an
+        // extra per-chunk event record: monitoring a direct path is free.
         gpusim::GpuRuntime::DoneHook hook;
-        if (m) {
+        if (token != nullptr) {
           hook = [mon, i = pi.plan_index, sz](bool delivered) {
             if (delivered) mon->entries[i].delivered += sz;
           };
@@ -541,6 +379,7 @@ sim::Task<TransferOutcome> PipelineEngine::replay(
         break;
       }
       case GraphOp::Kind::kWaitSlot:
+        // The slot is free once chunk c-2 left the staging device.
         runtime_->wait_event(pi.first_stream, pi.bwd_events[c - 2]);
         break;
       case GraphOp::Kind::kCopyToStage: {
@@ -572,21 +411,29 @@ sim::Task<TransferOutcome> PipelineEngine::replay(
       }
       case GraphOp::Kind::kRecordBwd:
         runtime_->record_event(pi.bwd_events[c], pi.second_stream);
-        if (m) ++mon->entries[pi.plan_index].records_issued;
+        if (token != nullptr) ++mon->entries[pi.plan_index].records_issued;
         break;
     }
     co_await issue_cost();
   }
 
-  // -- completion (same order as the slow path; leases are RETAINED) --------
-  for (std::size_t pidx = 0; pidx < g.paths_.size(); ++pidx) {
-    TransferGraph::Path& pi = g.paths_[pidx];
+  // -- completion -------------------------------------------------------------
+  // Staged paths first, so a transient graph's staging lease returns to the
+  // pool the moment its own streams drain: windowed transfers never hold
+  // buffers hostage while waiting for an unrelated (direct) slice. A
+  // compiled template keeps its lease — the persistent reservation is the
+  // point of compiling. A timed-out path's streams drain too: its cancelled
+  // copies skip the data movement, so the synchronize returns promptly.
+  for (TransferGraph::Path& pi : g.paths_) {
     if (!pi.staged) continue;
     co_await runtime_->synchronize(pi.second_stream);
     const bool timed_out =
-        monitored[pidx] != 0 && mon->entries[pi.plan_index].timed_out;
+        mon != nullptr && mon->entries[pi.plan_index].timed_out;
     if (src.materialized() && dst.materialized() &&
         !pi.lease.buffer().materialized()) {
+      // Simulated staging buffer between materialized endpoints: land the
+      // payload in bulk — but only the delivered prefix of a path that was
+      // aborted mid-flight.
       const std::size_t land =
           timed_out
               ? static_cast<std::size_t>(mon->entries[pi.plan_index].delivered)
@@ -596,33 +443,28 @@ sim::Task<TransferOutcome> PipelineEngine::replay(
                     src.region(src_offset + pi.offset, land).data(), land);
       }
     }
-    // The staging lease stays with the template — that is the point of the
-    // compiled graph (persistent reservation, no per-transfer acquire).
+    if (g.transient_) pi.lease.release();
   }
   for (const TransferGraph::Path& pi : g.paths_) {
     if (pi.staged) continue;
     co_await runtime_->synchronize(pi.first_stream);
   }
   ++transfers_;
-  // No event recycling either: the template keeps its reserved events.
 
-  // -- assemble the outcome -------------------------------------------------
+  // -- assemble the outcome ---------------------------------------------------
   TransferOutcome out;
   out.paths.resize(plan_size);
   for (std::size_t i = 0; i < plan_size; ++i) {
-    out.paths[i].bytes = g.config_.paths[i].bytes;
-    out.paths[i].bytes_delivered = g.config_.paths[i].bytes;
-  }
-  if (mon != nullptr) {
-    for (std::size_t i = 0; i < plan_size; ++i) {
-      MonitorState::Entry& e = mon->entries[i];
-      if (e.timed_out) {
-        out.paths[i].timed_out = true;
-        out.paths[i].bytes_delivered = e.delivered;
-        out.complete = false;
-      } else {
-        e.finished = true;  // disarm any still-pending watchdog timer
-      }
+    PathOutcome& po = out.paths[i];
+    po.bytes = po.bytes_delivered = g.config_.paths[i].bytes;
+    if (mon == nullptr) continue;
+    MonitorState::Entry& e = mon->entries[i];
+    if (e.timed_out) {
+      po.timed_out = true;
+      po.bytes_delivered = e.delivered;
+      out.complete = false;
+    } else {
+      e.finished = true;  // disarm any still-pending watchdog timer
     }
   }
   co_return out;

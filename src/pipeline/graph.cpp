@@ -6,15 +6,19 @@
 namespace mpath::pipeline {
 
 TransferGraph::~TransferGraph() {
-  // Return reserved events to the runtime free list; staging leases release
-  // through their own destructors. Safe mid-replay only because replays
-  // hold the graph by shared_ptr — destruction here means no frame is
-  // walking the ops.
-  if (runtime_ == nullptr) return;
+  // Safe mid-replay only because replays hold the graph by shared_ptr —
+  // destruction here means no frame is walking the ops.
+  if (runtime_ != nullptr) release();
+}
+
+void TransferGraph::release() {
+  // Events go back to the runtime free list; staging leases release
+  // through their own destructors.
   for (Path& p : paths_) {
     for (gpusim::EventId ev : p.fwd_events) runtime_->release_event(ev);
     for (gpusim::EventId ev : p.bwd_events) runtime_->release_event(ev);
   }
+  paths_.clear();
 }
 
 bool TransferGraph::patch(std::uint64_t new_bytes) {
@@ -112,17 +116,19 @@ void TransferGraph::rebuild_ops() {
     }
     max_rounds = std::max(max_rounds, p.chunks);
   }
-  // Flatten the interleaved issue loop: chunk r of every path before chunk
-  // r+1 of any. The first op of each (path, chunk) group is the chunk head
-  // — the replay driver's watchdog check point.
+  // Flatten the interleaved issue order: chunk r of every path before chunk
+  // r+1 of any, so all paths begin flowing early while later paths still
+  // start strictly after earlier ones (sequential initiation). The first op
+  // of each (path, chunk) group is the chunk head — the issue loop's
+  // watchdog check point.
   for (int r = 0; r < max_rounds; ++r) {
     for (std::size_t pidx = 0; pidx < paths_.size(); ++pidx) {
       const Path& p = paths_[pidx];
       if (static_cast<std::size_t>(r) >= p.chunk_sizes.size()) continue;
       const auto path16 = static_cast<std::uint16_t>(pidx);
-      const auto chunk16 = static_cast<std::uint16_t>(r);
-      auto push = [this, path16, chunk16](GraphOp::Kind kind, bool head) {
-        ops_.push_back(GraphOp{kind, head, path16, chunk16});
+      const auto chunk = static_cast<std::uint32_t>(r);
+      auto push = [this, path16, chunk](GraphOp::Kind kind, bool head) {
+        ops_.push_back(GraphOp{kind, head, path16, chunk});
       };
       if (!p.staged) {
         push(GraphOp::Kind::kCopyDirect, true);
@@ -139,131 +145,46 @@ void TransferGraph::rebuild_ops() {
   }
 }
 
-GraphCache::GraphCache(GraphCacheOptions options) : options_(options) {}
-
-std::uint64_t GraphCache::cache_key(
-    topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-    std::span<const topo::PathPlan> paths) const {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(src);
-  mix(dst);
-  mix(bytes);
-  for (const auto& p : paths) {
-    mix(static_cast<std::uint64_t>(p.kind) + 1);
-    mix(p.stage);
-  }
-  if (options_.key_bits < 64) {
-    const int bits = std::max(options_.key_bits, 1);
-    h &= (1ull << bits) - 1ull;
-  }
-  return h;
-}
-
-bool GraphCache::entry_matches(const Entry& e, topo::DeviceId src,
-                               topo::DeviceId dst, std::uint64_t bytes,
-                               std::span<const topo::PathPlan> paths) {
-  const TransferGraph& g = *e.graph;
-  const std::span<const topo::PathPlan> have = g.key_paths();
-  return g.src_device() == src && g.dst_device() == dst &&
-         g.total_bytes() == bytes &&
-         std::equal(have.begin(), have.end(), paths.begin(), paths.end());
-}
+GraphCache::GraphCache(GraphCacheOptions options)
+    : cache_(options.capacity, options.key_bits) {}
 
 GraphPtr GraphCache::lookup(topo::DeviceId src, topo::DeviceId dst,
                             std::uint64_t bytes,
                             std::span<const topo::PathPlan> paths,
                             std::uint64_t cal_version) {
-  const std::uint64_t key = cache_key(src, dst, bytes, paths);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = map_.find(key);
-  if (it == map_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  if (!entry_matches(it->second, src, dst, bytes, paths)) {
-    // A different tuple hashed here; the resident template is someone
-    // else's transfer. Miss (the caller's insert will replace it).
-    ++stats_.collisions;
-    ++stats_.misses;
-    return nullptr;
-  }
-  if (it->second.cal_version != cal_version) {
-    // Compiled under a superseded calibration snapshot: its theta split
-    // reflects old alpha/beta. Drop so the caller recompiles.
-    ++stats_.invalidations;
-    ++stats_.misses;
-    lru_.erase(it->second.recency);
-    map_.erase(it);
-    return nullptr;
-  }
-  ++stats_.hits;
-  lru_.splice(lru_.begin(), lru_, it->second.recency);
-  return it->second.graph;
+  const GraphPtr* hit = cache_.find(src, dst, bytes, paths, cal_version);
+  return hit != nullptr ? *hit : nullptr;
 }
 
 void GraphCache::insert(GraphPtr graph, std::uint64_t cal_version) {
   if (graph == nullptr) return;
-  const std::uint64_t key = cache_key(graph->src_device(),
-                                      graph->dst_device(),
-                                      graph->total_bytes(),
-                                      graph->key_paths());
+  const TransferGraph& g = *graph;
   std::lock_guard<std::mutex> lock(mutex_);
-  Entry fresh;
-  fresh.graph = std::move(graph);
-  fresh.cal_version = cal_version;
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    // Replace in place (collision or re-insert): the key already owns an
-    // LRU node — keep its iterator across the assignment.
-    const auto node = it->second.recency;
-    lru_.splice(lru_.begin(), lru_, node);
-    it->second = std::move(fresh);
-    it->second.recency = node;
-  } else {
-    lru_.push_front(key);
-    it = map_.emplace(key, std::move(fresh)).first;
-    it->second.recency = lru_.begin();
-  }
-  ++stats_.inserts;
-  while (options_.capacity > 0 && map_.size() > options_.capacity) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
+  cache_.insert(g.src_device(), g.dst_device(), g.total_bytes(),
+                g.key_paths(), cal_version, std::move(graph));
 }
 
 bool GraphCache::remove(topo::DeviceId src, topo::DeviceId dst,
                         std::uint64_t bytes,
                         std::span<const topo::PathPlan> paths) {
-  const std::uint64_t key = cache_key(src, dst, bytes, paths);
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = map_.find(key);
-  if (it == map_.end() || !entry_matches(it->second, src, dst, bytes, paths)) {
-    return false;
-  }
-  lru_.erase(it->second.recency);
-  map_.erase(it);
-  return true;
+  return cache_.erase(src, dst, bytes, paths);
 }
 
 void GraphCache::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  map_.clear();
-  lru_.clear();
+  cache_.clear();
 }
 
 std::size_t GraphCache::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return map_.size();
+  return cache_.size();
 }
 
 GraphCacheStats GraphCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  return cache_.stats();
 }
 
 }  // namespace mpath::pipeline

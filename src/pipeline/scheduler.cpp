@@ -7,6 +7,41 @@
 
 namespace mpath::pipeline {
 
+namespace {
+
+/// `prepared` with every path the joint water-fill squeezed below its solo
+/// cap carrying its effective Omega, so predicted times — and the recovery
+/// watchdog deadlines derived from them — are contention-aware instead of
+/// optimistic. `*squeezed` (when given) is set if any path was.
+model::PreparedTransfer effective(const model::PreparedTransfer& prepared,
+                                  std::span<const double> rates,
+                                  bool* squeezed) {
+  model::PreparedTransfer eff = prepared;
+  for (std::size_t i = 0; i < eff.terms.size(); ++i) {
+    const double cap = 1.0 / prepared.terms[i].omega;
+    if (rates[i] > 0.0 && rates[i] < cap) {
+      eff.terms[i].omega = 1.0 / rates[i];
+      if (squeezed != nullptr) *squeezed = true;
+    }
+  }
+  return eff;
+}
+
+/// Template integrity: the compiled config must describe exactly this
+/// request, or replaying it would execute a stale split.
+bool describes(const model::TransferConfig& compiled, std::uint64_t bytes,
+               std::span<const topo::PathPlan> paths) {
+  return compiled.total_bytes == bytes &&
+         std::equal(compiled.paths.begin(), compiled.paths.end(),
+                    paths.begin(), paths.end(),
+                    [](const model::PathShare& share,
+                       const topo::PathPlan& plan) {
+                      return share.plan == plan;
+                    });
+}
+
+}  // namespace
+
 TransferScheduler::TransferScheduler(PipelineEngine& engine,
                                      model::PathConfigurator& configurator,
                                      SchedulerOptions options)
@@ -143,11 +178,7 @@ void TransferScheduler::refresh_predictions(
 TransferScheduler::Admission TransferScheduler::admit(
     topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
     std::span<const topo::PathPlan> paths) {
-  Request r;
-  r.src = src;
-  r.dst = dst;
-  r.bytes = bytes;
-  r.paths = paths;
+  const Request r{src, dst, bytes, paths};
   auto batch = admit_batch(std::span<const Request>(&r, 1));
   return std::move(batch.front());
 }
@@ -166,105 +197,73 @@ std::vector<TransferScheduler::Admission> TransferScheduler::admit_batch(
     }
   }
 
-  struct PendingPlan {
-    model::PreparedTransfer prepared;
-    std::vector<model::JointPath> jpaths;
-  };
-  std::vector<PendingPlan> pending(requests.size());
+  std::vector<Planned> plans = plan_requests(requests);
+  std::vector<Admission> out(requests.size());
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    // Replay eligibility: the split depended on nothing but the tuple and
+    // calibration. Solo planning never looks at contention; a joint plan
+    // qualifies only for a lone request that nothing squeezed and no other
+    // flow touches (checked before its own ticket is registered).
+    out[k].uncontended = !options_.joint;
+    if (options_.joint && requests.size() == 1 && !plans[k].squeezed) {
+      util::SmallVec<std::uint32_t, 8> cand;
+      for (const model::JointPath& jp : plans[k].jpaths) {
+        for (std::uint32_t l : jp.links) cand.push_back(l);
+      }
+      std::sort(cand.begin(), cand.end());
+      out[k].uncontended = !links_contended({cand.data(), cand.size()});
+    }
+    out[k].ticket =
+        register_ticket(requests[k].src, requests[k].dst, requests[k].bytes,
+                        plans[k].config, plans[k].jpaths, now);
+    out[k].config = std::move(plans[k].config);
+  }
+  return out;
+}
+
+std::vector<TransferScheduler::Planned> TransferScheduler::plan_requests(
+    std::span<const Request> requests) {
+  std::vector<Planned> out(requests.size());
+  std::vector<model::PreparedTransfer> prepared(requests.size());
   for (std::size_t k = 0; k < requests.size(); ++k) {
     const Request& r = requests[k];
-    pending[k].prepared = configurator_->prepare(r.src, r.dst, r.bytes,
-                                                 r.paths);
-    pending[k].jpaths.resize(r.paths.size());
+    prepared[k] = configurator_->prepare(r.src, r.dst, r.bytes, r.paths);
+    out[k].jpaths.resize(r.paths.size());
     for (std::size_t i = 0; i < r.paths.size(); ++i) {
-      pending[k].jpaths[i].terms = pending[k].prepared.terms[i];
-      pending[k].jpaths[i].links = plan_links(r.src, r.dst, r.paths[i]);
+      out[k].jpaths[i].terms = prepared[k].terms[i];
+      out[k].jpaths[i].links = plan_links(r.src, r.dst, r.paths[i]);
     }
   }
-
-  std::vector<Admission> out(requests.size());
-  if (options_.joint) {
-    const auto links = snapshot_links();
-    std::vector<std::pair<std::size_t, std::size_t>> owners;
-    const auto fixed = live_flows(&owners);
-    std::vector<model::JointTransfer> jts(requests.size());
-    for (std::size_t k = 0; k < requests.size(); ++k) {
-      jts[k].n_bytes = static_cast<double>(requests[k].bytes);
-      jts[k].paths = pending[k].jpaths;
-    }
-    const model::JointSolution jsol =
-        model::JointThetaSolver::solve(jts, fixed, links);
-    stats_.joint_iterations += static_cast<std::uint64_t>(jsol.iterations);
-    for (std::size_t k = 0; k < requests.size(); ++k) {
-      // Contended paths carry their water-filled effective Omega into the
-      // config, so predicted times — and the recovery watchdog deadlines
-      // derived from them — are contention-aware instead of optimistic.
-      model::PreparedTransfer eff = pending[k].prepared;
-      bool overridden = false;
-      for (std::size_t i = 0; i < eff.terms.size(); ++i) {
-        const double rate = jsol.path_rates[k][i];
-        const double cap = 1.0 / pending[k].prepared.terms[i].omega;
-        if (rate > 0.0 && rate < cap) {
-          eff.terms[i].omega = 1.0 / rate;
-          overridden = true;
-        }
-      }
-      out[k].config = configurator_->config_from_theta(
-          eff, requests[k].bytes, requests[k].paths, jsol.transfers[k]);
-      // Replay eligibility: the split depended on nothing but the tuple
-      // and calibration. Checked against the pre-admission state (this
-      // batch's own tickets are not registered yet).
-      if (requests.size() == 1 && !overridden) {
-        util::SmallVec<std::uint32_t, 8> cand;
-        for (const model::JointPath& jp : pending[k].jpaths) {
-          for (std::uint32_t l : jp.links) cand.push_back(l);
-        }
-        std::sort(cand.begin(), cand.end());
-        out[k].uncontended =
-            !links_contended({cand.data(), cand.size()});
-      }
-    }
-    // In-flight (and same-instant, still unfrozen) transfers now share
-    // links with the arrivals: refresh their recorded predictions.
-    refresh_predictions(jsol.fixed_rates, owners);
-  } else {
+  if (!options_.joint) {
     for (std::size_t k = 0; k < requests.size(); ++k) {
       const model::ThetaSolution sol = model::ThetaSolver::solve(
-          pending[k].prepared.terms, static_cast<double>(requests[k].bytes));
+          prepared[k].terms, static_cast<double>(requests[k].bytes));
       out[k].config = configurator_->config_from_theta(
-          pending[k].prepared, requests[k].bytes, requests[k].paths, sol);
-      // Solo planning never looks at contention: always reproducible.
-      out[k].uncontended = true;
+          prepared[k], requests[k].bytes, requests[k].paths, sol);
     }
+    return out;
   }
-
+  const auto links = snapshot_links();
+  std::vector<std::pair<std::size_t, std::size_t>> owners;
+  const auto fixed = live_flows(&owners);
+  std::vector<model::JointTransfer> jts(requests.size());
   for (std::size_t k = 0; k < requests.size(); ++k) {
-    Ticket t;
-    t.id = next_id_++;
-    t.record = records_.size();
-    t.t_admit = now;
-    t.src = requests[k].src;
-    t.dst = requests[k].dst;
-    for (std::size_t i = 0; i < requests[k].paths.size(); ++i) {
-      if (out[k].config.paths[i].bytes == 0) continue;
-      LivePath p;
-      p.links = pending[k].jpaths[i].links;
-      p.cap_bps = 1.0 / pending[k].prepared.terms[i].omega;
-      p.remaining_delta = pending[k].prepared.terms[i].delta;
-      p.remaining_bytes =
-          static_cast<double>(out[k].config.paths[i].bytes);
-      t.paths.push_back(std::move(p));
-    }
-    t.charged = footprint_of(t);
-    out[k].ticket = t.id;
-    Record rec;
-    rec.t_admit = now;
-    rec.predicted_s = out[k].config.predicted_time;
-    rec.bytes = requests[k].bytes;
-    records_.push_back(rec);
-    live_.push_back(std::move(t));
-    ++stats_.admitted;
+    jts[k].n_bytes = static_cast<double>(requests[k].bytes);
+    jts[k].paths = out[k].jpaths;
   }
+  const model::JointSolution jsol =
+      model::JointThetaSolver::solve(jts, fixed, links);
+  stats_.joint_iterations += static_cast<std::uint64_t>(jsol.iterations);
+  for (std::size_t k = 0; k < requests.size(); ++k) {
+    const util::SmallVec<double, 4>& rates = jsol.path_rates[k];
+    out[k].config = configurator_->config_from_theta(
+        effective(prepared[k], {rates.data(), rates.size()},
+                  &out[k].squeezed),
+        requests[k].bytes, requests[k].paths, jsol.transfers[k]);
+  }
+  // In-flight (and same-instant, still unfrozen) transfers now share links
+  // with the arrivals: refresh their recorded predictions.
+  refresh_predictions(jsol.fixed_rates, owners);
   return out;
 }
 
@@ -283,78 +282,29 @@ model::TransferConfig TransferScheduler::replan(
   // The old footprint is gone: timed-out paths were cancelled, healthy ones
   // completed their slices. The remainder gets a fresh joint plan.
   t.paths.clear();
-
-  const model::PreparedTransfer prepared =
-      configurator_->prepare(t.src, t.dst, bytes, survivors);
-  std::vector<model::JointPath> jpaths(survivors.size());
-  for (std::size_t i = 0; i < survivors.size(); ++i) {
-    jpaths[i].terms = prepared.terms[i];
-    jpaths[i].links = plan_links(t.src, t.dst, survivors[i]);
-  }
-
-  model::TransferConfig config;
-  if (options_.joint) {
-    const auto links = snapshot_links();
-    std::vector<std::pair<std::size_t, std::size_t>> owners;
-    const auto fixed = live_flows(&owners);
-    model::JointTransfer jt;
-    jt.n_bytes = static_cast<double>(bytes);
-    jt.paths = jpaths;
-    const model::JointSolution jsol = model::JointThetaSolver::solve(
-        std::span<const model::JointTransfer>(&jt, 1), fixed, links);
-    stats_.joint_iterations += static_cast<std::uint64_t>(jsol.iterations);
-    model::PreparedTransfer eff = prepared;
-    for (std::size_t i = 0; i < eff.terms.size(); ++i) {
-      const double rate = jsol.path_rates[0][i];
-      const double cap = 1.0 / prepared.terms[i].omega;
-      if (rate > 0.0 && rate < cap) eff.terms[i].omega = 1.0 / rate;
-    }
-    config = configurator_->config_from_theta(eff, bytes, survivors,
-                                              jsol.transfers[0]);
-    refresh_predictions(jsol.fixed_rates, owners);
-  } else {
-    const model::ThetaSolution sol = model::ThetaSolver::solve(
-        prepared.terms, static_cast<double>(bytes));
-    config = configurator_->config_from_theta(prepared, bytes, survivors, sol);
-  }
-
-  for (std::size_t i = 0; i < survivors.size(); ++i) {
-    if (config.paths[i].bytes == 0) continue;
-    LivePath p;
-    p.links = jpaths[i].links;
-    p.cap_bps = 1.0 / prepared.terms[i].omega;
-    p.remaining_delta = prepared.terms[i].delta;
-    p.remaining_bytes = static_cast<double>(config.paths[i].bytes);
-    t.paths.push_back(std::move(p));
-  }
+  const Request r{t.src, t.dst, bytes, survivors};
+  std::vector<Planned> plans = plan_requests({&r, 1});
+  t.paths = live_paths(plans[0].config, plans[0].jpaths);
   // Re-plans replace the footprint: the charge the departure check expects
   // is the latest one.
   t.charged = footprint_of(t);
   ++records_[t.record].replans;
   ++stats_.replans;
-  return config;
+  return std::move(plans[0].config);
 }
 
 void TransferScheduler::depart(TicketId ticket) {
   const double now = engine_->runtime().engine().now();
   integrate_to(now);
-  const std::size_t idx = find(ticket);
-  verify_footprint(idx);
-  records_[live_[idx].record].t_depart = now;
+  retire(find(ticket), now, /*failed=*/false);
   ++stats_.departed;
-  release(idx);
 }
 
 void TransferScheduler::fail(TicketId ticket) {
   const double now = engine_->runtime().engine().now();
   integrate_to(now);
-  const std::size_t idx = find(ticket);
-  verify_footprint(idx);
-  Record& rec = records_[live_[idx].record];
-  rec.t_depart = now;
-  rec.failed = true;
+  retire(find(ticket), now, /*failed=*/true);
   ++stats_.failed;
-  release(idx);
 }
 
 util::SmallVec<std::uint32_t, 8> TransferScheduler::footprint_of(
@@ -415,25 +365,21 @@ TransferScheduler::Admission TransferScheduler::admit_replay(
     throw std::invalid_argument("TransferScheduler: zero-byte transfer");
   }
 
-  // Template integrity: the compiled config must describe exactly this
-  // request, or replaying it would execute a stale split.
-  bool matches = compiled.total_bytes == bytes &&
-                 compiled.paths.size() == paths.size();
-  for (std::size_t i = 0; matches && i < paths.size(); ++i) {
-    matches = compiled.paths[i].plan == paths[i];
-  }
-  if (!matches) {
+  if (!describes(compiled, bytes, paths)) {
     ++stats_.replay_plan_mismatches;
     return {};
   }
 
   // Resolve the candidate footprint once; it doubles as the contention
   // probe and (filtered to carrying paths) the ticket registration.
-  util::SmallVec<util::SmallVec<std::uint32_t, 4>, 4> path_links;
+  // Uncontended templates carry solo terms (no omega override), so the
+  // ticket registers the identical cap/residue a fresh admission would.
+  util::SmallVec<model::JointPath, 4> solo;
   util::SmallVec<std::uint32_t, 8> cand;
-  for (const topo::PathPlan& plan : paths) {
-    path_links.push_back(plan_links(src, dst, plan));
-    for (std::uint32_t l : path_links.back()) cand.push_back(l);
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    solo.push_back(model::JointPath{compiled.paths[i].terms,
+                                    plan_links(src, dst, paths[i])});
+    for (std::uint32_t l : solo.back().links) cand.push_back(l);
   }
   std::sort(cand.begin(), cand.end());
 
@@ -447,33 +393,8 @@ TransferScheduler::Admission TransferScheduler::admit_replay(
   Admission out;
   out.config = compiled;
   out.uncontended = true;
-  Ticket t;
-  t.id = next_id_++;
-  t.record = records_.size();
-  t.t_admit = now;
-  t.src = src;
-  t.dst = dst;
-  for (std::size_t i = 0; i < compiled.paths.size(); ++i) {
-    const model::PathShare& share = compiled.paths[i];
-    if (share.bytes == 0) continue;
-    LivePath p;
-    p.links = path_links[i];
-    // Uncontended templates carry solo terms (no omega override), so this
-    // registers the identical cap/residue a fresh admission would.
-    p.cap_bps = 1.0 / share.terms.omega;
-    p.remaining_delta = share.terms.delta;
-    p.remaining_bytes = static_cast<double>(share.bytes);
-    t.paths.push_back(std::move(p));
-  }
-  t.charged = footprint_of(t);
-  out.ticket = t.id;
-  Record rec;
-  rec.t_admit = now;
-  rec.predicted_s = compiled.predicted_time;
-  rec.bytes = bytes;
-  records_.push_back(rec);
-  live_.push_back(std::move(t));
-  ++stats_.admitted;
+  out.ticket = register_ticket(src, dst, bytes, compiled,
+                               {solo.data(), solo.size()}, now);
   ++stats_.replay_admits;
   return out;
 }
@@ -490,12 +411,7 @@ std::vector<TransferScheduler::TicketId> TransferScheduler::admit_chain(
     if (s.paths.empty() || s.bytes == 0 || s.compiled == nullptr) {
       throw std::invalid_argument("TransferScheduler: malformed chain step");
     }
-    bool matches = s.compiled->total_bytes == s.bytes &&
-                   s.compiled->paths.size() == s.paths.size();
-    for (std::size_t i = 0; matches && i < s.paths.size(); ++i) {
-      matches = s.compiled->paths[i].plan == s.paths[i];
-    }
-    if (!matches) {
+    if (!describes(*s.compiled, s.bytes, s.paths)) {
       ++stats_.chain_plan_mismatches;
       ++stats_.chain_round_rejects;
       return {};
@@ -504,26 +420,25 @@ std::vector<TransferScheduler::TicketId> TransferScheduler::admit_chain(
 
   // Resolve the carrying-path links once; they are the round's water-fill
   // flows and, on acceptance, the per-step ticket registrations.
-  std::vector<util::SmallVec<util::SmallVec<std::uint32_t, 4>, 4>> step_links(
-      steps.size());
+  std::vector<util::SmallVec<model::JointPath, 4>> step_paths(steps.size());
   std::vector<model::FixedFlow> flows;
   util::SmallVec<std::uint32_t, 8> round_links;
   for (std::size_t k = 0; k < steps.size(); ++k) {
     const ChainStepRequest& s = steps[k];
     for (std::size_t i = 0; i < s.compiled->paths.size(); ++i) {
       const model::PathShare& share = s.compiled->paths[i];
-      if (share.bytes == 0) {
-        step_links[k].push_back({});
-        continue;
-      }
-      step_links[k].push_back(plan_links(s.src, s.dst, s.paths[i]));
+      step_paths[k].push_back(model::JointPath{share.terms, {}});
+      if (share.bytes == 0) continue;
+      step_paths[k].back().links = plan_links(s.src, s.dst, s.paths[i]);
       model::FixedFlow f;
-      f.links = step_links[k].back();
+      f.links = step_paths[k].back().links;
       // Compiled templates carry solo terms (uncontended at compile time),
       // so the cap is the solo path bandwidth — same as admit_replay.
       f.cap_bps = 1.0 / share.terms.omega;
       flows.push_back(std::move(f));
-      for (std::uint32_t l : step_links[k].back()) round_links.push_back(l);
+      for (std::uint32_t l : step_paths[k].back().links) {
+        round_links.push_back(l);
+      }
     }
   }
 
@@ -560,31 +475,9 @@ std::vector<TransferScheduler::TicketId> TransferScheduler::admit_chain(
   out.reserve(steps.size());
   for (std::size_t k = 0; k < steps.size(); ++k) {
     const ChainStepRequest& s = steps[k];
-    Ticket t;
-    t.id = next_id_++;
-    t.record = records_.size();
-    t.t_admit = now;
-    t.src = s.src;
-    t.dst = s.dst;
-    for (std::size_t i = 0; i < s.compiled->paths.size(); ++i) {
-      const model::PathShare& share = s.compiled->paths[i];
-      if (share.bytes == 0) continue;
-      LivePath p;
-      p.links = step_links[k][i];
-      p.cap_bps = 1.0 / share.terms.omega;
-      p.remaining_delta = share.terms.delta;
-      p.remaining_bytes = static_cast<double>(share.bytes);
-      t.paths.push_back(std::move(p));
-    }
-    t.charged = footprint_of(t);
-    out.push_back(t.id);
-    Record rec;
-    rec.t_admit = now;
-    rec.predicted_s = s.compiled->predicted_time;
-    rec.bytes = s.bytes;
-    records_.push_back(rec);
-    live_.push_back(std::move(t));
-    ++stats_.admitted;
+    out.push_back(register_ticket(
+        s.src, s.dst, s.bytes, *s.compiled,
+        {step_paths[k].data(), step_paths[k].size()}, now));
     ++stats_.chain_step_admits;
   }
   ++stats_.chain_round_admits;
@@ -604,13 +497,48 @@ void TransferScheduler::depart_chain(std::span<const TicketId> tickets) {
       }
     }
     if (idx == live_.size()) continue;  // already claimed and departed
-    verify_footprint(idx);
-    Record& rec = records_[live_[idx].record];
-    rec.t_depart = now;
-    rec.failed = true;  // never carried a transfer; keep history honest
+    // Never carried a transfer: keep the history honest.
+    retire(idx, now, /*failed=*/true);
     ++stats_.chain_unwound;
-    release(idx);
   }
+}
+
+util::SmallVec<TransferScheduler::LivePath, 4> TransferScheduler::live_paths(
+    const model::TransferConfig& config,
+    std::span<const model::JointPath> solo) {
+  util::SmallVec<LivePath, 4> out;
+  for (std::size_t i = 0; i < config.paths.size(); ++i) {
+    if (config.paths[i].bytes == 0) continue;
+    LivePath p;
+    p.links = solo[i].links;
+    p.cap_bps = 1.0 / solo[i].terms.omega;
+    p.remaining_delta = solo[i].terms.delta;
+    p.remaining_bytes = static_cast<double>(config.paths[i].bytes);
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+TransferScheduler::TicketId TransferScheduler::register_ticket(
+    topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
+    const model::TransferConfig& config,
+    std::span<const model::JointPath> solo, double now) {
+  Ticket t;
+  t.id = next_id_++;
+  t.record = records_.size();
+  t.t_admit = now;
+  t.src = src;
+  t.dst = dst;
+  t.paths = live_paths(config, solo);
+  t.charged = footprint_of(t);
+  Record rec;
+  rec.t_admit = now;
+  rec.predicted_s = config.predicted_time;
+  rec.bytes = bytes;
+  records_.push_back(rec);
+  live_.push_back(std::move(t));
+  ++stats_.admitted;
+  return live_.back().id;
 }
 
 std::size_t TransferScheduler::find(TicketId ticket) {
@@ -620,7 +548,11 @@ std::size_t TransferScheduler::find(TicketId ticket) {
   throw std::invalid_argument("TransferScheduler: unknown ticket");
 }
 
-void TransferScheduler::release(std::size_t index) {
+void TransferScheduler::retire(std::size_t index, double now, bool failed) {
+  verify_footprint(index);
+  Record& rec = records_[live_[index].record];
+  rec.t_depart = now;
+  rec.failed = failed;
   live_[index] = std::move(live_.back());
   live_.pop_back();
 }

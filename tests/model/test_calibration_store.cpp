@@ -1,7 +1,7 @@
 // CalibrationStore snapshot semantics (copy-on-write versioning, shared
-// snapshot lifetime, identity-by-absence), the serial configurator's
-// version-stamped cache invalidation, and the sharded ConcurrentConfigurator
-// — including the multi-threaded races the TSan CI job replays.
+// snapshot lifetime, identity-by-absence), the configurator's
+// version-stamped cache invalidation, and the multi-threaded reader race
+// the TSan CI job replays.
 #include "mpath/model/calibration_store.hpp"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "mpath/model/concurrent_configurator.hpp"
 #include "mpath/model/configurator.hpp"
 #include "mpath/topo/system.hpp"
 
@@ -215,36 +214,6 @@ TEST(CalibrationStore, InvalidationThenEvictionKeepsLruConsistent) {
   EXPECT_GE(cfg.cache_hits(), 16u);
 }
 
-// Same shape through the sharded concurrent cache: single shard, bounded
-// capacity, publications interleaved with lookups so replaced entries get
-// evicted and re-hit.
-TEST(ConcurrentConfigurator, InvalidationThenEvictionKeepsShardLruConsistent) {
-  Fixture f;
-  const auto paths = f.paths(mt::PathPolicy::three_gpus());
-  mm::CalibrationStore store;
-  mm::ConfiguratorOptions opts;
-  opts.cache_capacity = 2;
-  mm::ConcurrentConfigurator cc(f.reg, opts, &store, 1);
-  const auto g0 = f.gpus[0], g1 = f.gpus[1];
-  const auto key = mm::PathCalKey::of(g0, g1, direct());
-  const std::uint64_t a = 4u << 20, b = 8u << 20, c = 16u << 20;
-  for (int round = 0; round < 8; ++round) {
-    (void)cc.configure(g0, g1, a, paths);
-    (void)cc.configure(g0, g1, b, paths);
-    store.publish(key, {1.0, 0.9 - 0.01 * round, 1});
-    (void)cc.configure(g0, g1, a, paths);
-    (void)cc.configure(g0, g1, b, paths);
-    EXPECT_EQ(cc.configure(g0, g1, b, paths).total_bytes, b);
-    (void)cc.configure(g0, g1, c, paths);
-    EXPECT_EQ(cc.configure(g0, g1, b, paths).total_bytes, b);
-    EXPECT_LE(cc.cache_size(), 2u);
-  }
-  const auto st = cc.stats();
-  EXPECT_GE(st.invalidations, 8u);
-  EXPECT_GE(st.evictions, 8u);
-  EXPECT_GE(st.hits, 16u);
-}
-
 // Readers racing a publisher: snapshot() never blocks on the writer mutex,
 // any snapshot observed is internally consistent (and stays alive while
 // held), and versions never go backwards. This suite runs under TSan in CI.
@@ -288,139 +257,4 @@ TEST(CalibrationStore, ConcurrentReadersNeverSeeTornSnapshots) {
   EXPECT_EQ(store.version(), static_cast<std::uint64_t>(kPublications));
   EXPECT_EQ(store.snapshot_count(),
             static_cast<std::size_t>(kPublications) + 1);
-}
-
-// ---------------------------------------------------------------------------
-// ConcurrentConfigurator
-// ---------------------------------------------------------------------------
-
-TEST(ConcurrentConfigurator, MatchesSerialComputeExactly) {
-  Fixture f;
-  const auto paths = f.paths(mt::PathPolicy::three_gpus_with_host());
-  mm::ConcurrentConfigurator cc(f.reg);
-  for (std::uint64_t n : {2u << 20, 17u << 20, 64u << 20, 512u << 20}) {
-    const auto got = cc.configure(f.gpus[0], f.gpus[1], n, paths);
-    const auto want = cc.core().compute_config(f.gpus[0], f.gpus[1], n, paths);
-    EXPECT_TRUE(same_config(got, want)) << "n=" << n;
-    EXPECT_EQ(got.total_bytes, n);
-  }
-}
-
-TEST(ConcurrentConfigurator, CountsHitsAndMisses) {
-  Fixture f;
-  const auto paths = f.paths(mt::PathPolicy::three_gpus());
-  mm::ConcurrentConfigurator cc(f.reg);
-  (void)cc.configure(f.gpus[0], f.gpus[1], 8u << 20, paths);
-  (void)cc.configure(f.gpus[0], f.gpus[1], 8u << 20, paths);
-  (void)cc.configure(f.gpus[0], f.gpus[1], 16u << 20, paths);
-  const auto st = cc.stats();
-  EXPECT_EQ(st.misses, 2u);
-  EXPECT_EQ(st.hits, 1u);
-  EXPECT_EQ(st.collisions, 0u);
-  EXPECT_EQ(cc.cache_size(), 2u);
-}
-
-TEST(ConcurrentConfigurator, ShardCountRoundsUpToPowerOfTwo) {
-  Fixture f;
-  mm::ConcurrentConfigurator a(f.reg, {}, nullptr, 1);
-  mm::ConcurrentConfigurator b(f.reg, {}, nullptr, 5);
-  mm::ConcurrentConfigurator c(f.reg, {}, nullptr, 8);
-  EXPECT_EQ(a.shard_count(), 1u);
-  EXPECT_EQ(b.shard_count(), 8u);
-  EXPECT_EQ(c.shard_count(), 8u);
-}
-
-// cache_key_bits narrows the shared FNV key, forcing distinct request
-// tuples onto the same bucket: the full-tuple check must recompute (a
-// collision), never alias another request's configuration.
-TEST(ConcurrentConfigurator, CollisionsDetectedNotAliased) {
-  Fixture f;
-  const auto paths = f.paths(mt::PathPolicy::three_gpus());
-  mm::ConfiguratorOptions opts;
-  opts.cache_key_bits = 1;  // at most two buckets: collisions guaranteed
-  mm::ConcurrentConfigurator cc(f.reg, opts, nullptr, 1);
-  const std::vector<std::uint64_t> sizes{4u << 20, 8u << 20, 16u << 20,
-                                         32u << 20};
-  for (std::uint64_t n : sizes) {
-    const auto got = cc.configure(f.gpus[0], f.gpus[1], n, paths);
-    EXPECT_EQ(got.total_bytes, n);
-    EXPECT_TRUE(same_config(
-        got, cc.core().compute_config(f.gpus[0], f.gpus[1], n, paths)));
-  }
-  EXPECT_GE(cc.stats().collisions, 2u);  // 4 tuples into <= 2 buckets
-}
-
-TEST(ConcurrentConfigurator, EvictsLeastRecentlyUsedPastCapacity) {
-  Fixture f;
-  const auto paths = f.paths(mt::PathPolicy::three_gpus());
-  mm::ConfiguratorOptions opts;
-  opts.cache_capacity = 2;
-  mm::ConcurrentConfigurator cc(f.reg, opts, nullptr, 1);
-  for (std::uint64_t n : {1u << 20, 2u << 20, 4u << 20, 8u << 20}) {
-    (void)cc.configure(f.gpus[0], f.gpus[1], n, paths);
-  }
-  EXPECT_LE(cc.cache_size(), 2u);
-  EXPECT_GE(cc.stats().evictions, 2u);
-}
-
-TEST(ConcurrentConfigurator, PublicationInvalidatesAcrossShards) {
-  Fixture f;
-  const auto paths = f.paths(mt::PathPolicy::three_gpus());
-  mm::CalibrationStore store;
-  mm::ConcurrentConfigurator cc(f.reg, {}, &store, 4);
-  const auto g0 = f.gpus[0], g1 = f.gpus[1];
-  const auto before = cc.configure(g0, g1, 64u << 20, paths);
-  store.publish(mm::PathCalKey::of(g0, g1, direct()), {1.0, 0.5, 1});
-  const auto after = cc.configure(g0, g1, 64u << 20, paths);
-  EXPECT_EQ(cc.stats().invalidations, 1u);
-  EXPECT_FALSE(same_config(before, after));
-  // Re-stamped under the new version: the next lookup is a plain hit.
-  (void)cc.configure(g0, g1, 64u << 20, paths);
-  EXPECT_EQ(cc.stats().hits, 1u);
-  EXPECT_EQ(cc.stats().invalidations, 1u);
-}
-
-// Many threads resolving a small working set while a publisher keeps
-// bumping the calibration version: every returned configuration must be
-// self-consistent (shares sum to the request) whichever snapshot it was
-// computed under. This suite runs under TSan in CI.
-TEST(ConcurrentConfigurator, ParallelLookupsRaceWithPublications) {
-  Fixture f;
-  const auto paths = f.paths(mt::PathPolicy::three_gpus());
-  mm::CalibrationStore store;
-  mm::ConfiguratorOptions opts;
-  opts.cache_capacity = 16;
-  mm::ConcurrentConfigurator cc(f.reg, opts, &store, 4);
-  const auto g0 = f.gpus[0], g1 = f.gpus[1];
-  const std::vector<std::uint64_t> sizes{4u << 20, 8u << 20, 16u << 20,
-                                         64u << 20};
-  constexpr int kThreads = 4;
-  constexpr int kIters = 200;
-  std::atomic<bool> ok{true};
-
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int i = 0; i < kIters; ++i) {
-        const std::uint64_t n = sizes[(t + i) % sizes.size()];
-        const auto c = cc.configure(g0, g1, n, paths);
-        std::uint64_t sum = 0;
-        for (const auto& p : c.paths) sum += p.bytes;
-        if (sum != n || c.total_bytes != n || c.predicted_time <= 0.0) {
-          ok.store(false, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  const auto key = mm::PathCalKey::of(g0, g1, direct());
-  for (int i = 0; i < 50; ++i) {
-    store.publish(key, {1.0, 0.8 + 0.001 * i, static_cast<std::uint64_t>(i)});
-  }
-  for (auto& t : workers) t.join();
-  EXPECT_TRUE(ok.load());
-  const auto st = cc.stats();
-  EXPECT_EQ(st.hits + st.misses,
-            static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_LE(cc.cache_size(), 16u);
 }

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "mpath/pipeline/graph.hpp"
+#include "mpath/pipeline/scheduler.hpp"
 #include "mpath/topo/system.hpp"
 #include "mpath/tuning/calibration.hpp"
 #include "mpath/util/units.hpp"
@@ -139,4 +146,126 @@ TEST(Channels, StaticPlanSmallMessagesGoDirect) {
   f.run_transfer(ch, dst, src, 32_KiB);
   EXPECT_TRUE(dst.same_content(src));
   EXPECT_EQ(f.pipe.bytes_on(mt::PathKind::GpuStaged), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Option matrix: every plan source and option combination must complete at
+// the same simulated instants as the plain channel it decorates. Graph
+// replay, recovery watchdogs and path health are all designed to be
+// invisible on a fault-free run; this pins that for solo and scheduled
+// channels under jitter and concurrent closed-loop workers.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+enum class Variant {
+  kPlain,
+  kGraphs,
+  kRecovery,
+  kRecoveryHealth,
+  kRecoveryGraphs,
+  kRecoveryHealthGraphs,
+};
+
+/// Completion instants of `workers` closed-loop workers sharing one
+/// model-driven channel on beluga (3_GPUs policy, jitter 0.02, default
+/// staging pool). Worker w moves gpu[w % 4] -> gpu[(w + 1) % 4] and runs
+/// three transfers of each size in turn.
+std::vector<double> matrix_fingerprint(Variant v, bool scheduled,
+                                       int workers) {
+  mt::System sys = mt::make_beluga();
+  sys.costs.jitter_rel = 0.02;
+  ms::Engine engine;
+  ms::FluidNetwork net{engine};
+  mg::GpuRuntime rt{sys, engine, net};
+  mp::PipelineEngine pipe{rt, 4, mg::Payload::Simulated};
+  const mm::ModelRegistry reg = mpath::tuning::registry_from_topology(sys);
+  mm::PathConfigurator cfg{reg};
+  mp::TransferScheduler sched(pipe, cfg);
+  mp::GraphCache cache;
+  mp::ModelDrivenOptions opts;
+  opts.graphs = v == Variant::kGraphs || v == Variant::kRecoveryGraphs ||
+                        v == Variant::kRecoveryHealthGraphs
+                    ? &cache
+                    : nullptr;
+  opts.recovery.enabled = v != Variant::kPlain && v != Variant::kGraphs;
+  opts.health.enabled = v == Variant::kRecoveryHealth ||
+                        v == Variant::kRecoveryHealthGraphs;
+  std::optional<mp::ModelDrivenChannel> ch;
+  if (scheduled) {
+    ch.emplace(pipe, sched, cfg, mt::PathPolicy::three_gpus(), opts);
+  } else {
+    ch.emplace(pipe, cfg, mt::PathPolicy::three_gpus(), opts);
+  }
+
+  const std::vector<mt::DeviceId> gpus = sys.topology.gpus();
+  const std::size_t sizes[] = {128_KiB, 1_MiB, 8_MiB, 48_MiB};
+  std::vector<std::vector<double>> finish(static_cast<std::size_t>(workers));
+  std::vector<std::unique_ptr<mg::DeviceBuffer>> bufs;
+  for (int w = 0; w < workers; ++w) {
+    const std::size_t n = gpus.size();
+    bufs.push_back(std::make_unique<mg::DeviceBuffer>(
+        gpus[static_cast<std::size_t>(w) % n], 48_MiB,
+        mg::Payload::Simulated));
+    bufs.push_back(std::make_unique<mg::DeviceBuffer>(
+        gpus[static_cast<std::size_t>(w + 1) % n], 48_MiB,
+        mg::Payload::Simulated));
+    engine.spawn(
+        [](ms::Engine& eng, mg::DataChannel& c, mg::DeviceBuffer& d,
+           const mg::DeviceBuffer& s, std::span<const std::size_t> ns,
+           std::vector<double>& out) -> ms::Task<void> {
+          for (const std::size_t bytes : ns) {
+            for (int rep = 0; rep < 3; ++rep) {
+              co_await c.transfer(d, 0, s, 0, bytes);
+              out.push_back(eng.now());
+            }
+          }
+        }(engine, *ch, *bufs.back(), *bufs[bufs.size() - 2], sizes,
+          finish[static_cast<std::size_t>(w)]),
+        "worker");
+  }
+  engine.run();
+  // A variant that silently disengaged its fast path would match trivially.
+  EXPECT_EQ(ch->recovery_stats().path_timeouts, 0u);
+  if (opts.graphs != nullptr) {
+    EXPECT_GE(ch->graph_stats().compiles, 1u);
+    if (!scheduled || workers == 1) {
+      EXPECT_GE(ch->graph_stats().replays, 1u);
+    } else {
+      // Concurrent scheduled workers contend, so templates are refused.
+      EXPECT_GE(ch->graph_stats().contended_rejects, 1u);
+    }
+  }
+  if (scheduled) {
+    EXPECT_EQ(sched.live_count(), 0u);
+  }
+  std::vector<double> flat;
+  for (const auto& f : finish) flat.insert(flat.end(), f.begin(), f.end());
+  return flat;
+}
+
+}  // namespace
+
+TEST(ChannelMatrix, EveryOptionVariantMatchesItsPlainTwin) {
+  const Variant variants[] = {Variant::kGraphs, Variant::kRecovery,
+                              Variant::kRecoveryHealth,
+                              Variant::kRecoveryGraphs,
+                              Variant::kRecoveryHealthGraphs};
+  for (const bool scheduled : {false, true}) {
+    for (const int workers : {1, 4, 8}) {
+      const std::vector<double> plain =
+          matrix_fingerprint(Variant::kPlain, scheduled, workers);
+      ASSERT_EQ(plain.size(), static_cast<std::size_t>(12 * workers));
+      for (const Variant v : variants) {
+        const std::vector<double> got =
+            matrix_fingerprint(v, scheduled, workers);
+        ASSERT_EQ(got.size(), plain.size());
+        for (std::size_t i = 0; i < plain.size(); ++i) {
+          EXPECT_EQ(got[i], plain[i])
+              << "variant " << static_cast<int>(v) << " scheduled "
+              << scheduled << " workers " << workers << " transfer " << i;
+        }
+      }
+    }
+  }
 }

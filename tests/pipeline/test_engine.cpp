@@ -173,6 +173,17 @@ TEST(PipelineEngine, ChunksAreCappedByBytes) {
   EXPECT_TRUE(dst.same_content(src));
 }
 
+// A plan is issued through a transient graph whose ops index chunks; a
+// chunk count past 16 bits must still address every chunk of the slice.
+TEST(PipelineEngine, ChunkCountsBeyondSixteenBitsDeliver) {
+  Fixture f;
+  constexpr std::size_t kChunks = 70000;
+  mg::DeviceBuffer src(f.gpus[0], kChunks), dst(f.gpus[1], kChunks);
+  src.fill_pattern(8);
+  f.run(dst, src, {mp::ExecPath{direct(), kChunks, kChunks}});
+  EXPECT_TRUE(dst.same_content(src));
+}
+
 TEST(PipelineEngine, MalformedPlansThrow) {
   Fixture f;
   mg::DeviceBuffer src(f.gpus[0], 1_MiB), dst(f.gpus[1], 1_MiB);

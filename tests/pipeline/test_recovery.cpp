@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "mpath/model/calibration_store.hpp"
+#include "mpath/model/recalibrator.hpp"
 #include "mpath/pipeline/channels.hpp"
 #include "mpath/sim/fault.hpp"
 #include "mpath/topo/system.hpp"
@@ -318,4 +320,49 @@ TEST(Recovery, ReplanBudgetIsBounded) {
   f.engine.run();
   ASSERT_TRUE(run.error.has_value());
   EXPECT_LE(run.error->retries, 2 + 1);  // bounded by max_replans (+ final)
+}
+
+// Concurrent transfers on one recovery channel must each feed the
+// recalibrator their own configuration. The two workers use disjoint
+// direct links, so every prediction is exact and nothing may publish; a
+// transfer that reported another transfer's plan (read back from shared
+// channel state after its co_await) would look like drift.
+TEST(Recovery, ConcurrentTransfersFeedTheRecalibratorTheirOwnConfig) {
+  Fixture f;
+  mm::CalibrationStore store;
+  f.cfg.set_calibration(&store);
+  mm::Recalibrator recal(store);
+  auto opts = recovery_opts();
+  opts.recalibrator = &recal;
+  mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::direct_only(),
+                            opts);
+  const auto sim = mg::Payload::Simulated;
+  mg::DeviceBuffer src_a(f.gpus[0], 64_MiB, sim), dst_a(f.gpus[1], 64_MiB, sim);
+  mg::DeviceBuffer src_b(f.gpus[2], 8_MiB, sim), dst_b(f.gpus[3], 8_MiB, sim);
+  const auto loop = [](mg::DataChannel& c, mg::DeviceBuffer& d,
+                       const mg::DeviceBuffer& s,
+                       std::size_t n) -> ms::Task<void> {
+    for (int i = 0; i < 6; ++i) co_await c.transfer(d, 0, s, 0, n);
+  };
+  f.engine.spawn(loop(ch, dst_a, src_a, 64_MiB), "large");
+  f.engine.spawn(loop(ch, dst_b, src_b, 8_MiB), "small");
+  f.engine.run();
+  EXPECT_EQ(recal.stats().observations, 12u);
+  EXPECT_EQ(store.version(), 0u);
+}
+
+// Host planning time is accounted on recovery channels too: the
+// admission, configure and watchdog set-up of a multi-path transfer is
+// the channel's planning cost whichever plan source ran it.
+TEST(Recovery, PlanTimeIsAccountedWithRecovery) {
+  Fixture f;
+  mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::three_gpus(),
+                            recovery_opts());
+  mg::DeviceBuffer src(f.gpus[0], 32_MiB), dst(f.gpus[1], 32_MiB);
+  ChannelRun run;
+  f.engine.spawn(guarded_transfer(ch, dst, src, 32_MiB, run), "xfer");
+  f.engine.run();
+  ASSERT_FALSE(run.error.has_value());
+  EXPECT_GT(f.pipe.bytes_on(mt::PathKind::GpuStaged), 0u);
+  EXPECT_GT(ch.graph_stats().plan_ns, 0u);
 }
