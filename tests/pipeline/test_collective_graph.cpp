@@ -108,21 +108,21 @@ struct ChainFixture {
   }
 };
 
-/// A fresh chained *scheduled* 2-rank stack (directed-disjoint allreduce
-/// rounds, so batched admission can accept them).
+/// A fresh *scheduled* 2-rank stack, chained unless `chained` is false
+/// (directed-disjoint allreduce rounds, so replayed steps admit).
 struct SchedFixture {
   mt::System sys;
   mm::ModelRegistry reg;
   mm::PathConfigurator cfg;
   bc::SimStack stack;
 
-  SchedFixture()
-      : sys(beluga(0.0)),
+  explicit SchedFixture(bool chained = true, double jitter_rel = 0.0)
+      : sys(beluga(jitter_rel)),
         reg(mpath::tuning::registry_from_topology(sys)),
         cfg(reg),
         stack([&] {
           bc::StackOptions opt;
-          opt.collective_graphs = true;
+          opt.collective_graphs = chained;
           opt.nranks = 2;
           return bc::SimStack::model_driven_scheduled(
               sys, cfg, mt::PathPolicy::two_gpus(), {}, opt);
@@ -294,6 +294,27 @@ TEST(ChainScheduled, BatchAdmitsRoundsWithCleanLedger) {
   EXPECT_GE(ss.chain_step_admits, 2u * ss.chain_round_admits);
   EXPECT_EQ(ss.footprint_mismatches, 0u);
   EXPECT_EQ(cs.mismatch_kills, 0u);
+}
+
+// Scheduled replay identity: chained steps on a scheduled stack must be
+// invisible in simulated time next to an identically seeded scheduled
+// stack without chaining, with jitter on. A replayed step registers the
+// ticket a fresh admission would, so the ledger stays balanced too.
+TEST(ChainScheduled, ReplayBitIdenticalToUnchainedScheduledTwin) {
+  const double jitter = mt::make_beluga().costs.jitter_rel;
+  SchedFixture on(/*chained=*/true, jitter);
+  SchedFixture off(/*chained=*/false, jitter);
+  std::vector<double> t_on, t_off;
+  for (int i = 0; i < 8; ++i) {
+    on.iterate(Coll::AllreduceRhd, 32_MiB, 1);
+    off.iterate(Coll::AllreduceRhd, 32_MiB, 1);
+    t_on.push_back(on.stack.engine().now());
+    t_off.push_back(off.stack.engine().now());
+  }
+  EXPECT_EQ(t_on, t_off);
+  EXPECT_GT(on.stack.chain()->stats().replayed_steps, 0u);
+  EXPECT_EQ(on.stack.scheduler()->stats().footprint_mismatches, 0u);
+  EXPECT_EQ(on.stack.scheduler()->live_count(), 0u);
 }
 
 TEST(ChainScheduled, CapacityEpochChangeKillsThenRecaptures) {
