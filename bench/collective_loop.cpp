@@ -16,11 +16,13 @@
 // instants must match the chained run bit for bit (the replay fast path
 // must be invisible in simulated time).
 //
-// Part 3 (batched admission gate, hard): a 2-rank *scheduled* stack — whose
-// allreduce rounds use directed-disjoint links, so batched admission can
-// accept them — replays through TransferScheduler::admit_chain. Requires at
-// least one admitted round, at least one chain-registered ticket, and a
-// clean departure ledger (footprint_mismatches == 0).
+// Part 3 (scheduled replay gate, hard): a 2-rank *scheduled* stack — whose
+// allreduce rounds use directed-disjoint links, so replayed steps admit —
+// admits each replayed step through TransferScheduler::admit_replay, like
+// any cached template. Requires at least one admitted replay, replayed
+// chain steps, a clean departure ledger (footprint_mismatches == 0), and
+// per-iteration engine clocks equal to an identically seeded scheduled
+// stack without chaining.
 //
 // Part 4 (fault soak, MPATH_NIGHTLY_SOAK=1 only): chained replay while a
 // seeded FaultInjector degradation plan (sever_probability = 0) churns the
@@ -268,7 +270,6 @@ int main(int argc, char** argv) {
          << ", \"iterations\": " << iters
          << ", \"replayed_steps\": " << st.replayed_steps
          << ", \"passthrough_steps\": " << st.passthrough_steps
-         << ", \"patches\": " << st.patches
          << ", \"timeline_identical\": " << (diverged == 0 ? "true" : "false")
          << ", \"passed\": "
          << (ratio_ok && chained_ok && diverged == 0 ? "true" : "false")
@@ -278,49 +279,67 @@ int main(int argc, char** argv) {
        << "  \"timeline_identical\": " << (identity_ok ? "true" : "false")
        << ",\n";
 
-  // -- Part 3: batched admission on a scheduled 2-rank stack --------------
+  // -- Part 3: per-step replay admission on a scheduled 2-rank stack ------
   {
+    const auto scheduled = [&](bool chained, mm::PathConfigurator& cfg) {
+      bc::StackOptions opt;
+      opt.collective_graphs = chained;
+      opt.nranks = 2;
+      return bc::SimStack::model_driven_scheduled(
+          cal.system, cfg, mt::PathPolicy::two_gpus(), {}, opt);
+    };
     mm::PathConfigurator cfg(cal.registry);
-    bc::StackOptions opt;
-    opt.collective_graphs = true;
-    opt.nranks = 2;
-    auto stack = bc::SimStack::model_driven_scheduled(
-        cal.system, cfg, mt::PathPolicy::two_gpus(), {}, opt);
+    mm::PathConfigurator cfg_twin(cal.registry);
+    auto stack = scheduled(true, cfg);
+    auto twin = scheduled(false, cfg_twin);
     const int sched_iters = quick ? 8 : 16;
-    (void)run_loop(stack, Coll::AllreduceRhd, bytes, sched_iters);
+    const LoopRun chained =
+        run_loop(stack, Coll::AllreduceRhd, bytes, sched_iters);
+    const LoopRun unchained =
+        run_loop(twin, Coll::AllreduceRhd, bytes, sched_iters);
     const auto& ss = stack.scheduler()->stats();
     const mp::ChainStats cs = stack.chain()->stats();
-    const bool admitted = ss.chain_round_admits >= 1 &&
-                          ss.chain_step_admits >= 1 && cs.replayed_steps > 0;
+    std::size_t diverged = 0;
+    for (std::size_t i = 0; i < chained.sim_t.size(); ++i) {
+      if (chained.sim_t[i] != unchained.sim_t[i]) ++diverged;
+    }
+    const bool admitted = ss.replay_admits >= 1 && cs.replayed_steps > 0;
     const bool ledger_ok = ss.footprint_mismatches == 0;
     std::printf(
-        "\nscheduled p=2: %llu rounds admitted (%llu tickets), %llu refused, "
-        "%llu contended fallbacks, %llu unwound, footprint mismatches %llu\n",
-        static_cast<unsigned long long>(ss.chain_round_admits),
-        static_cast<unsigned long long>(ss.chain_step_admits),
-        static_cast<unsigned long long>(ss.chain_round_rejects),
-        static_cast<unsigned long long>(cs.contended_rounds),
-        static_cast<unsigned long long>(ss.chain_unwound),
-        static_cast<unsigned long long>(ss.footprint_mismatches));
+        "\nscheduled p=2: %llu replays admitted, %llu refused, %llu "
+        "replayed steps, %llu contended fallbacks, footprint mismatches "
+        "%llu%s\n",
+        static_cast<unsigned long long>(ss.replay_admits),
+        static_cast<unsigned long long>(ss.replay_rejects),
+        static_cast<unsigned long long>(cs.replayed_steps),
+        static_cast<unsigned long long>(cs.contended_steps),
+        static_cast<unsigned long long>(ss.footprint_mismatches),
+        diverged == 0 ? "" : "  [TIMELINE DIVERGED]");
     if (!admitted) {
-      std::printf("::error::scheduled: batched admission never accepted a "
-                  "round — admit_chain is not engaging\n");
+      std::printf("::error::scheduled: no chain step replayed through "
+                  "admit_replay\n");
       gate_failed = true;
     }
     if (!ledger_ok) {
-      std::printf("::error::scheduled: %llu footprint mismatches — chain "
-                  "tickets and fresh admissions disagree on link charges\n",
+      std::printf("::error::scheduled: %llu footprint mismatches — replayed "
+                  "and fresh admissions disagree on link charges\n",
                   static_cast<unsigned long long>(ss.footprint_mismatches));
       gate_failed = true;
     }
-    json << "  \"scheduled\": {\"chain_round_admits\": "
-         << ss.chain_round_admits
-         << ", \"chain_step_admits\": " << ss.chain_step_admits
-         << ", \"chain_round_rejects\": " << ss.chain_round_rejects
-         << ", \"contended_rounds\": " << cs.contended_rounds
-         << ", \"chain_unwound\": " << ss.chain_unwound
+    if (diverged != 0) {
+      std::printf("::error::scheduled: %zu of %d chained iterations "
+                  "diverged from the unchained scheduled timeline\n",
+                  diverged, sched_iters);
+      gate_failed = true;
+    }
+    json << "  \"scheduled\": {\"replay_admits\": " << ss.replay_admits
+         << ", \"replay_rejects\": " << ss.replay_rejects
+         << ", \"replayed_steps\": " << cs.replayed_steps
+         << ", \"contended_steps\": " << cs.contended_steps
          << ", \"footprint_mismatches\": " << ss.footprint_mismatches
-         << ", \"passed\": " << (admitted && ledger_ok ? "true" : "false")
+         << ", \"timeline_identical\": " << (diverged == 0 ? "true" : "false")
+         << ", \"passed\": "
+         << (admitted && ledger_ok && diverged == 0 ? "true" : "false")
          << "},\n";
   }
 
@@ -369,16 +388,15 @@ int main(int argc, char** argv) {
     const mp::ChainStats cs = stack.chain()->stats();
     const auto& ss = stack.scheduler()->stats();
     const bool accounted = completed == churn_iters;
-    const bool invalidated = cs.epoch_kills + cs.contended_rounds > 0;
+    const bool invalidated = cs.epoch_kills + cs.contended_steps > 0;
     const bool converged = cs.replayed_steps > replayed_mid;
     std::printf(
         "\nsoak: %d/%d iterations, %llu captures, %llu epoch kills, "
-        "%llu contended fallbacks, %llu unwound, %llu replayed steps, "
+        "%llu contended fallbacks, %llu replayed steps, "
         "footprint mismatches %llu — %s\n",
         completed, churn_iters, static_cast<unsigned long long>(cs.captures),
         static_cast<unsigned long long>(cs.epoch_kills),
-        static_cast<unsigned long long>(cs.contended_rounds),
-        static_cast<unsigned long long>(cs.unwound_tickets),
+        static_cast<unsigned long long>(cs.contended_steps),
         static_cast<unsigned long long>(cs.replayed_steps),
         static_cast<unsigned long long>(ss.footprint_mismatches),
         accounted ? "all accounted" : "LOST ITERATIONS");
@@ -395,8 +413,7 @@ int main(int argc, char** argv) {
          << ", \"completed\": " << completed
          << ", \"captures\": " << cs.captures
          << ", \"epoch_kills\": " << cs.epoch_kills
-         << ", \"contended_rounds\": " << cs.contended_rounds
-         << ", \"unwound_tickets\": " << cs.unwound_tickets
+         << ", \"contended_steps\": " << cs.contended_steps
          << ", \"footprint_mismatches\": " << ss.footprint_mismatches
          << ", \"reconverged\": " << (converged ? "true" : "false")
          << ", \"passed\": " << (soak_ok ? "true" : "false") << "},\n";
@@ -413,7 +430,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("gate passed: steady-state chained replay <= %.0f%% of capture "
-              "cost; timelines bit-identical; batched admission clean\n",
+              "cost; timelines bit-identical; scheduled replay clean\n",
               100.0 * kMaxSteadyFraction);
   return 0;
 }

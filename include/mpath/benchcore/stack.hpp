@@ -20,11 +20,10 @@ struct StackOptions {
   mpisim::WorldOptions world;
   int nranks = 0;  ///< 0 = one rank per GPU
   /// Collective graph chaining: capture each collective's whole transfer
-  /// DAG on first invocation, replay it (with batched joint-theta
-  /// admission on scheduled stacks) on later ones. Model-driven stacks
-  /// only; ignored (with recovery enabled: rejected) elsewhere.
+  /// DAG on first invocation, replay it (each step admitted like any
+  /// cached template on scheduled stacks) on later ones. Model-driven
+  /// stacks only; ignored (with recovery enabled: rejected) elsewhere.
   bool collective_graphs = false;
-  pipeline::ChainOptions chain;
 };
 
 class SimStack {

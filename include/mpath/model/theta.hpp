@@ -137,23 +137,6 @@ class JointThetaSolver {
   /// flows. Matches FluidNetwork::reference_rates on cap-free inputs.
   [[nodiscard]] static std::vector<double> maxmin_rates(
       std::span<const FixedFlow> flows, std::span<const JointLink> links);
-
-  /// Batched replay admission check (collective graph chaining): one
-  /// water-fill over `flows` — an arriving round's compiled carrying paths
-  /// plus every already-live flow — against `links`. `at_cap` is true iff
-  /// every flow water-fills to its own cap_bps (within `tolerance`
-  /// relative): then no flow is squeezed anywhere, a fresh joint solve of
-  /// any of them would apply no omega override, and the compiled solo
-  /// configs replay the exact split a fresh admission would produce. One
-  /// solve answers the whole round — this is PR 6's same-instant storm
-  /// machinery inverted into a yes/no gate.
-  struct RoundValidation {
-    bool at_cap = false;
-    std::vector<double> rates;  ///< water-fill rates, aligned with flows
-  };
-  [[nodiscard]] static RoundValidation validate_round(
-      std::span<const FixedFlow> flows, std::span<const JointLink> links,
-      double tolerance = 1e-9);
 };
 
 }  // namespace mpath::model

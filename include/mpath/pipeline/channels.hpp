@@ -185,12 +185,32 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
   /// Calibration version templates are stamped with (0 = no store).
   [[nodiscard]] std::uint64_t graph_cal_version() const;
 
+  /// The replay gate's verdict on a template: kReplay, or why not.
+  enum class Gate : std::uint8_t {
+    kReplay,
+    kBusy,        ///< mid-replay (templates are not reentrant)
+    kUnhealthy,   ///< a candidate path is not healthy
+    kStaleEpoch,  ///< compiled under superseded link capacities
+    kContended,   ///< admit_replay refused it
+  };
+  /// The one replay gate, for GraphCache hits and chain claims alike: `g`
+  /// may replay for (src, dst, bytes) over `paths` when it is not busy,
+  /// every path is healthy, it was compiled under the current capacity
+  /// epoch, and — on a scheduled channel — admit_replay accepts it. On
+  /// kReplay the ticket and config land in `plan`; otherwise `plan` is
+  /// untouched and the caller counts the cause.
+  [[nodiscard]] Gate replay_gate(const TransferGraph& g, topo::DeviceId src,
+                                 topo::DeviceId dst, std::uint64_t bytes,
+                                 std::span<const topo::PathPlan> paths,
+                                 Plan& plan);
+
   // -- plan sources -----------------------------------------------------------
   // Each fills {graph, ticket, config, reproducible} without suspending. In
-  // order: chain claim (transfer()), cached template, admission or solo.
-  /// A cached template that passes every replay-safety gate — not busy,
-  /// every path healthy, compiled under the current capacity epoch — and,
-  /// on scheduled channels, admit_replay. False: take the next source.
+  // order: chain claim (ChainController::claim_step), cached template,
+  // admission or solo.
+  /// A cached template that passes the replay gate; evicts it when one of
+  /// its paths is unhealthy or its capacity epoch is stale. False: take the
+  /// next source.
   [[nodiscard]] bool plan_cached(topo::DeviceId src, topo::DeviceId dst,
                                  std::uint64_t bytes,
                                  const std::vector<topo::PathPlan>& paths,

@@ -2,42 +2,35 @@
 // every iteration.
 //
 // PR 9 made single transfers replayable (TransferGraph); a collective still
-// paid per-round, per-iteration admission + lookup + theta churn. This
-// module captures the *entire* collective — every per-rank transfer of
-// every round, identified by (tag, src_rank, dst_rank) at the transport
-// tap — into one CollectiveGraph: a chained template of TransferGraph
-// steps grouped into rounds. The first invocation records the transfer DAG
-// (capture), the seal compiles one private graph per step, and later
-// invocations replay step graphs as each message reaches the channel, with
-// only parameter patching (TransferGraph::patch per step) when the payload
-// size changes.
+// paid per-step, per-iteration lookup + theta churn. This module captures
+// the *entire* collective — every per-rank transfer of every round,
+// identified by (tag, src_rank, dst_rank) at the transport tap — into one
+// chain of TransferGraph steps. The first invocation records the transfer
+// DAG (capture), the seal compiles one private graph per step, and later
+// invocations replay step graphs as each message reaches the channel. The
+// payload is part of the chain's identity: a new payload captures its own
+// chain.
 //
-// Scheduled stacks admit a replayed round through
-// TransferScheduler::admit_chain: ONE JointThetaSolver water-fill over the
-// round's compiled carrying paths plus every live flow (PR 6's same-instant
-// storm machinery inverted into a gate) instead of K independent
-// admit_replay probes. Acceptance requires every flow at its solo cap — the
-// exact condition under which any fresh solve during the round would
-// reproduce the compiled splits — and registers the K tickets from the
-// compiled shares, so departures are ledger-indistinguishable from fresh
-// admissions. Tickets a dying chain never claims are unwound through
-// depart_chain before any fallback admission can water-fill against them.
+// A chain step is an ordinary compiled template: its claim passes the
+// channel's one replay gate, exactly like a GraphCache hit — not busy,
+// every path healthy, compiled under the current capacity epoch, and on
+// scheduled channels admitted through TransferScheduler::admit_replay on
+// arrival. The controller holds no scheduler tickets; a replayed step's
+// ticket belongs to the channel's plan, as for any replay.
 //
-// Replay is bit-identical to the uncaptured collective by construction on
-// unscheduled channels: each step replay issues the same runtime-call /
-// issue-cost sequence (same rng draws under jitter) as the uncompiled
-// channel path, and capture/claim bookkeeping takes no simulated time. On
-// scheduled channels the same holds whenever rounds admit (nothing is
-// squeezed, so fresh solves equal compiled solos); refused rounds fall back
-// to per-step fresh admission with per-cause stats.
+// Replay is bit-identical to the uncaptured collective by construction:
+// each step replay issues the same runtime-call / issue-cost sequence
+// (same rng draws under jitter) as the uncompiled channel path, and
+// capture/claim bookkeeping takes no simulated time. On scheduled channels
+// an admitted replay registers the ticket a fresh admission would, and a
+// refused one falls back to that fresh admission.
 //
 // Invalidation causes (per-cause counters in ChainStats): a step template
 // mid-replay (busy — step falls back, chain survives), link-capacity epoch
 // superseded, calibration version superseded, step-key/size mismatch
-// (algorithm drift), contended round (admit_chain refusal — round falls
-// back, chain survives), and patch failure (step dropped to passthrough).
-// A killed chain is removed from the cache and recaptured on the next
-// invocation.
+// (algorithm drift), and a contended step (admit_replay refusal — step
+// falls back, chain survives). A killed chain is removed from the cache
+// and recaptured on the next invocation.
 //
 // Lifetime: chains hold TransferGraphs, which borrow events/staging from
 // the runtime — destroy the controller (or clear() it) before the runtime,
@@ -49,24 +42,21 @@
 #include <list>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
+#include "mpath/pipeline/channels.hpp"
 #include "mpath/pipeline/graph.hpp"
-#include "mpath/pipeline/scheduler.hpp"
 #include "mpath/transport/fabric.hpp"
 
 namespace mpath::pipeline {
 
-class ModelDrivenChannel;
-class ChainController;
+/// One captured collective; the controller's private record.
+class CollectiveGraph;
 
-/// Identity of a captured collective: one cache entry per tuple. The
-/// payload is an attribute, not part of the key — a lookup with a new
-/// payload re-patches the resident chain in place (the whole point of
-/// parameter patching) instead of growing a second template.
+/// Identity of a captured collective: one cache entry per tuple.
 struct ChainKey {
   std::string name;           ///< collective name ("allreduce-rhd", ...)
   int world = 0;              ///< communicator size
+  std::uint64_t payload = 0;  ///< the collective's byte size
   int algo = 0;               ///< algorithm id (disambiguates same name)
   int variant = 0;            ///< extra identity (e.g. broadcast root)
   friend bool operator==(const ChainKey&, const ChainKey&) = default;
@@ -80,100 +70,13 @@ struct ChainStats {
   std::uint64_t bypasses = 0;            ///< enter() during another chain
   std::uint64_t replayed_steps = 0;      ///< steps run via chain fast path
   std::uint64_t passthrough_steps = 0;   ///< chain steps with no template
-  std::uint64_t patches = 0;             ///< payload re-patches applied
-  std::uint64_t patch_failures = 0;      ///< steps dropped on patch
   std::uint64_t compile_failures = 0;    ///< seal-time compile soft-fails
   // -- invalidation causes --------------------------------------------------
   std::uint64_t busy_fallbacks = 0;      ///< step template mid-replay
   std::uint64_t epoch_kills = 0;         ///< link capacities changed
   std::uint64_t stale_cal_kills = 0;     ///< calibration superseded
   std::uint64_t mismatch_kills = 0;      ///< step key/size drifted
-  std::uint64_t contended_rounds = 0;    ///< admit_chain refused a round
-  std::uint64_t unwound_tickets = 0;     ///< pre-admitted, never claimed
-};
-
-/// One captured collective: steps keyed by (rel_tag, src_rank, dst_rank),
-/// rounds grouped by relative tag. Owned by the ChainController's cache and
-/// shared with in-flight iterations.
-class CollectiveGraph {
- public:
-  enum class State : std::uint8_t { kCapturing, kReady, kDead };
-
-  struct Step {
-    std::uint64_t key = 0;  ///< packed (rel_tag, src_rank, dst_rank)
-    topo::DeviceId src_dev = topo::kInvalidDevice;
-    topo::DeviceId dst_dev = topo::kInvalidDevice;
-    std::uint64_t bytes = 0;
-    int rel_tag = 0;
-    std::uint32_t round = 0;  ///< index into rounds() (assigned at seal)
-    /// Compiled template; null = passthrough (small message, compile
-    /// failure, non-reproducible capture, or homogeneity drop). Steps with
-    /// identical (src_dev, dst_dev, bytes) share one template.
-    GraphPtr graph;
-    model::TransferConfig config;  ///< recorded at capture (if has_config)
-    bool has_config = false;
-    /// A payload re-patch dropped this step's template (below the
-    /// multipath threshold, or the template refused the new size). A later
-    /// re-patch that would lift the step back above the threshold kills
-    /// the chain instead of patching, so recapture restores the lost
-    /// template rather than replaying passthrough forever.
-    bool patch_dropped = false;
-  };
-
-  /// One round (relative tag) of the collective, with its per-iteration
-  /// batched-admission state. `steps` lists only template-carrying steps.
-  struct Round {
-    int rel_tag = 0;
-    util::SmallVec<std::uint32_t, 8> steps;
-    // Per-iteration admission state (reset by begin_iteration):
-    bool attempted = false;
-    bool admitted = false;
-    util::SmallVec<TransferScheduler::TicketId, 8> tickets;
-    util::SmallVec<std::uint8_t, 8> claimed;
-  };
-
-  [[nodiscard]] static std::uint64_t step_key(int rel_tag, int src_rank,
-                                              int dst_rank) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rel_tag))
-            << 40) |
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_rank) &
-                                       0xfffffu)
-            << 20) |
-           (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst_rank) &
-                                       0xfffffu));
-  }
-
-  [[nodiscard]] const ChainKey& key() const { return key_; }
-  [[nodiscard]] std::uint64_t payload() const { return payload_; }
-  [[nodiscard]] State state() const { return state_; }
-  [[nodiscard]] std::size_t step_count() const { return steps_.size(); }
-  [[nodiscard]] std::size_t round_count() const { return rounds_.size(); }
-  [[nodiscard]] const std::vector<Step>& steps() const { return steps_; }
-  [[nodiscard]] const std::vector<Round>& rounds() const { return rounds_; }
-  /// Distinct compiled templates (shared steps counted once).
-  [[nodiscard]] std::size_t template_count() const;
-  [[nodiscard]] std::uint64_t capacity_epoch() const {
-    return capacity_epoch_;
-  }
-  [[nodiscard]] std::uint64_t cal_version() const { return cal_version_; }
-
- private:
-  friend class ChainController;
-
-  ChainKey key_;
-  std::uint64_t payload_ = 0;  ///< the collective's byte-size identity
-  State state_ = State::kCapturing;
-  std::vector<Step> steps_;
-  std::vector<Round> rounds_;
-  std::unordered_map<std::uint64_t, std::uint32_t> index_;  ///< key -> step
-  std::uint64_t capacity_epoch_ = 0;  ///< scheduler epoch at seal/patch
-  std::uint64_t cal_version_ = 0;     ///< calibration version at seal
-  bool aborted_ = false;              ///< capture overflow / duplicate key
-};
-
-struct ChainOptions {
-  std::size_t cache_capacity = 8;  ///< cached chains (LRU)
-  std::size_t max_steps = 4096;    ///< capture safety valve per chain
+  std::uint64_t contended_steps = 0;     ///< admit_replay refused a step
 };
 
 /// Capture/replay orchestrator. Owns the chain cache, observes every
@@ -190,16 +93,8 @@ class ChainController {
     bool capture = false;  ///< record the step's config after the transfer
     bool replay = false;   ///< try the chain fast path first
   };
-  /// A successfully claimed replay step: the template to replay and (on
-  /// scheduled channels) the round-admission ticket the channel must
-  /// depart (or fail) exactly like a fresh admission's.
-  struct Claim {
-    GraphPtr graph;
-    TransferScheduler::TicketId ticket = TransferScheduler::kInvalidTicket;
-  };
 
-  explicit ChainController(ModelDrivenChannel& channel,
-                           ChainOptions options = {});
+  explicit ChainController(ModelDrivenChannel& channel);
   ChainController(const ChainController&) = delete;
   ChainController& operator=(const ChainController&) = delete;
   ~ChainController();
@@ -207,15 +102,13 @@ class ChainController {
   // -- collective scope (called by the collectives via ChainScope) ---------
   /// A rank is entering the named collective whose tags start at
   /// `base_tag`. The first rank in resolves the chain (cached -> replay
-  /// iteration, possibly re-patched to `payload`; otherwise a fresh
-  /// capture); later ranks join. Returns false — an inert scope — when a
-  /// different collective invocation is already active (overlap is not
-  /// chainable) or chaining is disabled for this channel shape.
+  /// iteration; otherwise a fresh capture); later ranks join. Returns
+  /// false — an inert scope — when a different collective invocation is
+  /// already active (overlap is not chainable).
   [[nodiscard]] bool enter(const char* name, int world, std::uint64_t payload,
                            int algo, int variant, int base_tag);
   /// The matching rank left. The last rank out seals a capture (compiles
-  /// the step templates) or closes a replay iteration (unwinding any
-  /// pre-admitted tickets no replay claimed).
+  /// the step templates).
   void leave();
 
   // -- transport tap --------------------------------------------------------
@@ -226,11 +119,12 @@ class ChainController {
   /// Consume the pending step staged by the tap for the transfer that is
   /// now executing (empty when no chain invocation is active).
   [[nodiscard]] Pending take_pending();
-  /// Gate + claim a replay step: checks busy/epoch, and on scheduled
-  /// channels admits the step's whole round through admit_chain on first
-  /// touch. A null graph means the caller takes the normal path (cause
-  /// already counted; the chain may have been killed).
-  [[nodiscard]] Claim claim_step(const Pending& p);
+  /// The step's template when it passes the channel's replay gate, which
+  /// fills `plan`'s ticket and config as for any replay. Null means the
+  /// caller takes the normal path (cause already counted; the chain may
+  /// have been killed).
+  [[nodiscard]] GraphPtr claim_step(const Pending& p,
+                                    ModelDrivenChannel::Plan& plan);
   /// Record the capture-iteration outcome of a step: `config` is the
   /// reproducible compiled-eligible configuration, or null when the step
   /// must stay passthrough (small, contended, or otherwise unreproducible).
@@ -239,44 +133,24 @@ class ChainController {
   // -- introspection --------------------------------------------------------
   [[nodiscard]] const ChainStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
-  [[nodiscard]] const ChainOptions& options() const { return options_; }
   /// Drop every cached chain (releases their templates' events/staging).
   void clear();
 
  private:
   using ChainPtr = std::shared_ptr<CollectiveGraph>;
 
-  /// Resolve the cache entry for (key, payload): exact hit, a payload
-  /// re-patch of the resident entry, or null (capture needed). Stale
+  /// The cached chain for `key`, or null (capture needed). Stale
   /// calibration / superseded capacity epochs kill the resident entry.
-  [[nodiscard]] ChainPtr resolve(const ChainKey& key, std::uint64_t payload);
-  /// Compile per-step templates, group rounds, enforce round homogeneity
-  /// (scheduled), stamp versions, and publish the chain as Ready.
+  [[nodiscard]] ChainPtr resolve(const ChainKey& key);
+  /// Compile per-step templates, stamp versions, and publish the chain as
+  /// Ready.
   void seal(const ChainPtr& chain);
-  /// Group template-carrying steps into rounds by relative tag.
-  void build_rounds(CollectiveGraph& chain);
-  /// Depart the (admitted, unclaimed) ticket of one step that is falling
-  /// back to the fresh path, so its phantom does not distort the ledger
-  /// while the fresh admission runs.
-  void release_step_ticket(CollectiveGraph& chain, std::uint32_t step_idx);
-  /// Proportionally re-split every step for a new payload; steps whose
-  /// template cannot patch drop to passthrough. False = not patchable at
-  /// all (caller recaptures).
-  [[nodiscard]] bool repatch(const ChainPtr& chain, std::uint64_t payload);
-  /// Mark the chain dead for `cause` (a ChainStats member), unwind every
-  /// pre-admitted unclaimed ticket, and drop it from the cache.
+  /// Mark the chain dead for `cause` (a ChainStats member) and drop it
+  /// from the cache.
   void kill(CollectiveGraph& chain, std::uint64_t ChainStats::* cause);
-  /// Unwind the unclaimed tickets of every admitted round (chain death or
-  /// iteration end).
-  void unwind_unclaimed(CollectiveGraph& chain);
-  /// Drop templates from rounds where not every multipath step compiled,
-  /// so a scheduled round is never half chain-admitted, half fresh.
-  void enforce_round_homogeneity(CollectiveGraph& chain);
-  void reset_iteration(CollectiveGraph& chain);
   [[nodiscard]] std::uint64_t scheduler_epoch() const;
 
   ModelDrivenChannel* channel_;
-  ChainOptions options_;
   ChainStats stats_;
   /// LRU chain cache, most-recently-used first (linear scan: a handful of
   /// collectives per workload).
@@ -287,7 +161,6 @@ class ChainController {
   bool capturing_ = false;
   int base_tag_ = 0;
   int refcount_ = 0;
-  ChainKey inv_key_;
   ChainPtr inv_chain_;
   Pending pending_;
 };

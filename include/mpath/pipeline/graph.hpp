@@ -46,8 +46,7 @@ namespace mpath::pipeline {
 class PipelineEngine;
 
 /// One precompiled operation. Ops store indices, not sizes: chunk offsets
-/// and lengths live in the per-path arrays, so patching a new message size
-/// rewrites those arrays without touching the op list structure.
+/// and lengths live in the per-path arrays.
 struct GraphOp {
   enum class Kind : std::uint8_t {
     kCopyDirect,     ///< direct path: memcpy src -> dst on the first stream
@@ -86,8 +85,7 @@ class TransferGraph {
     double extra_sync_s = 0.0;
     gpusim::StreamId first_stream = 0;
     gpusim::StreamId second_stream = 0;
-    std::size_t slot_bytes = 0;  ///< staging slot capacity (half the buffer)
-    StagingPool::Lease lease;    ///< persistent staging reservation
+    StagingPool::Lease lease;  ///< persistent staging reservation
     util::SmallVec<gpusim::EventId, 16> fwd_events;
     util::SmallVec<gpusim::EventId, 16> bwd_events;
     util::SmallVec<std::size_t, 16> chunk_offsets;
@@ -108,8 +106,7 @@ class TransferGraph {
   [[nodiscard]] std::span<const topo::PathPlan> key_paths() const {
     return key_paths_;
   }
-  /// The compiled configuration (by-value snapshot; patch() keeps its byte
-  /// shares, thetas, and predicted times in sync with the template).
+  /// The compiled configuration (by-value snapshot).
   [[nodiscard]] const model::TransferConfig& config() const { return config_; }
   [[nodiscard]] std::span<const Path> paths() const {
     return {paths_.data(), paths_.size()};
@@ -129,17 +126,6 @@ class TransferGraph {
     return capacity_epoch_;
   }
   void set_capacity_epoch(std::uint64_t epoch) { capacity_epoch_ = epoch; }
-
-  /// Re-split the template for a new total size, keeping the compiled theta
-  /// split points and chunk counts: per-path bytes are re-derived exactly
-  /// as config_from_theta would (floor(theta_i * n), remainder to the
-  /// anchor), chunk arrays are rebuilt, and the config's byte shares and
-  /// predicted times are refreshed. Returns false — leaving the template
-  /// untouched — when the new size does not fit the compiled resources
-  /// (a staged chunk would overflow its staging slot, or a share that
-  /// compiled to zero bytes would need resources it never acquired);
-  /// callers then recompile. patch(total_bytes()) is a no-op.
-  [[nodiscard]] bool patch(std::uint64_t new_bytes);
 
  private:
   friend class PipelineEngine;
@@ -186,8 +172,7 @@ using GraphCacheStats = model::PlanCacheStats;
 /// the full (src, dst, bytes, path-set) tuple, LRU-bounded and
 /// calibration-version-stamped. Mutex-protected: the replay hot path is
 /// engine-single-threaded (the lock is uncontended), but sweep tooling may
-/// build/inspect caches from multiple threads. A cached template must not
-/// be patched: it stays filed under the tuple it was inserted with.
+/// build/inspect caches from multiple threads.
 class GraphCache {
  public:
   explicit GraphCache(GraphCacheOptions options = {});

@@ -7,10 +7,9 @@
 // transfer is admitted through it, so planning sees the live contention
 // state —
 //
-//   * admission plans the arriving transfer (or a whole batch, e.g. an
-//     allreduce storm) with model::JointThetaSolver: a capped max-min
-//     water-fill over the fluid links' capacities, with every in-flight
-//     transfer's paths as fixed flows and (optionally) non-scheduler
+//   * admission plans the arriving transfer with model::JointThetaSolver:
+//     a capped max-min water-fill over the fluid links' capacities, with
+//     every in-flight transfer's paths as fixed flows and non-scheduler
 //     traffic folded in as per-link background weight snapshotted from
 //     FluidNetwork::link_flow_weight;
 //   * the resulting per-path rates replace the solo Omegas in the Eq. 24
@@ -18,7 +17,10 @@
 //     contention-aware (recovery watchdog deadlines inherit the slack
 //     automatically);
 //   * departures / failures / recovery re-plans update the footprint, so
-//     later admissions water-fill against reality.
+//     later admissions water-fill against reality;
+//   * link-capacity changes (sever/degrade/restore) close the residue
+//     integration window at the instant they happen, so the elapsed window
+//     integrates at the capacities that governed it.
 //
 // Prediction accounting: each admission records a predicted duration. The
 // record stays live ("unfrozen") while the simulated clock has not advanced
@@ -48,31 +50,12 @@ struct SchedulerOptions {
   /// ModelDrivenChannel — same admission bookkeeping, same history records.
   /// This is the ablation baseline the joint gate compares against.
   bool joint = true;
-  /// Fold fluid flows the scheduler does not own (per-link flow weight
-  /// minus the scheduler's own live paths) into the water-fill as
-  /// background load.
-  bool network_snapshot = true;
-  /// Subscribe to FluidNetwork capacity-change notifications: the modeled
-  /// residue of in-flight transfers is integrated up to the instant of
-  /// every sever/degrade/restore at the rates that actually governed the
-  /// elapsed window. Without it a restore mid-transfer is applied
-  /// retroactively across the whole window at the next admission, so
-  /// readmission probes plan against capacities that never existed. No
-  /// effect on fault-free runs (the listener never fires).
-  bool observe_capacity = true;
 };
 
 class TransferScheduler {
  public:
   using TicketId = std::uint64_t;
   static constexpr TicketId kInvalidTicket = 0;
-
-  struct Request {
-    topo::DeviceId src = 0;
-    topo::DeviceId dst = 0;
-    std::uint64_t bytes = 0;
-    std::span<const topo::PathPlan> paths;  ///< paths[0] = anchor
-  };
 
   struct Admission {
     TicketId ticket = kInvalidTicket;
@@ -115,19 +98,6 @@ class TransferScheduler {
     /// link footprint and checks it against what admission charged.
     std::uint64_t footprint_checks = 0;
     std::uint64_t footprint_mismatches = 0;  ///< should stay 0
-    /// Collective-round batch admissions (admit_chain): rounds accepted,
-    /// rounds refused (a flow would be squeezed below its solo cap, or
-    /// background traffic sits on a round link), and per-step tickets
-    /// registered by accepted rounds.
-    std::uint64_t chain_round_admits = 0;
-    std::uint64_t chain_round_rejects = 0;
-    std::uint64_t chain_step_admits = 0;
-    /// admit_chain: a step's compiled config no longer describes its
-    /// request (size/path-set drift) — the whole round is refused.
-    std::uint64_t chain_plan_mismatches = 0;
-    /// Tickets released by depart_chain without ever carrying a replay
-    /// (chain died mid-round; the pre-admitted remainder is unwound).
-    std::uint64_t chain_unwound = 0;
   };
 
   /// Both references must outlive the scheduler. The configurator supplies
@@ -145,11 +115,6 @@ class TransferScheduler {
                                 std::uint64_t bytes,
                                 std::span<const topo::PathPlan> paths);
 
-  /// Jointly plan a batch of simultaneous transfers (the K-transfer solve):
-  /// every request's split accounts for all the others plus live traffic.
-  [[nodiscard]] std::vector<Admission> admit_batch(
-      std::span<const Request> requests);
-
   /// Admit a transfer that will *replay* a compiled template instead of
   /// being freshly planned. Accepts only when the compiled split is still
   /// exactly what a fresh admission would produce: the template must
@@ -165,41 +130,6 @@ class TransferScheduler {
                                        std::uint64_t bytes,
                                        std::span<const topo::PathPlan> paths,
                                        const model::TransferConfig& compiled);
-
-  /// One step of a chained collective round offered for batched replay
-  /// admission. `compiled` is the step's template config (solo terms — the
-  /// graph was compiled from an uncontended admission) and must outlive the
-  /// admit_chain call.
-  struct ChainStepRequest {
-    topo::DeviceId src = 0;
-    topo::DeviceId dst = 0;
-    std::uint64_t bytes = 0;
-    std::span<const topo::PathPlan> paths;  ///< full candidate set
-    const model::TransferConfig* compiled = nullptr;
-  };
-
-  /// Batched replay admission for one chained collective round: all K steps
-  /// are validated with ONE JointThetaSolver water-fill (the PR 6 storm
-  /// solve inverted into a gate) instead of K independent admit_replay
-  /// probes. The round is accepted iff every compiled config still
-  /// describes its request AND the joint water-fill of the round's carrying
-  /// paths plus every live flow leaves *all* of them at their solo caps
-  /// with no background traffic on a round link — exactly the condition
-  /// under which a fresh joint solve of any step, at any instant while the
-  /// round is in flight, would reproduce the compiled solo split. On
-  /// acceptance each step gets a ticket registered from its compiled
-  /// shares (admit_replay ledger semantics — departures are
-  /// indistinguishable from fresh admissions); the returned ids align with
-  /// `steps`. An empty vector means the round was refused and the caller
-  /// must fall back to per-step fresh admission.
-  [[nodiscard]] std::vector<TicketId> admit_chain(
-      std::span<const ChainStepRequest> steps);
-
-  /// Unwind tickets pre-registered by admit_chain that no replay ever
-  /// claimed (the chain died mid-round): verify and release each footprint
-  /// and mark the records failed so the history never confuses them with
-  /// transfers that ran. Invalid ids are skipped.
-  void depart_chain(std::span<const TicketId> tickets);
 
   /// Recovery re-plan: replace the ticket's footprint with a fresh joint
   /// plan for the undelivered `bytes` over the `survivors` subset
@@ -253,11 +183,13 @@ class TransferScheduler {
     std::vector<model::JointPath> jpaths;
     bool squeezed = false;  ///< the water-fill capped a path below solo
   };
-  /// Plan `requests` without registering them — one joint water-fill with
-  /// every live flow (refreshing their predictions), or a solo solve each.
-  /// Admission and recovery re-plans share it.
-  [[nodiscard]] std::vector<Planned> plan_requests(
-      std::span<const Request> requests);
+  /// Plan one transfer over `paths` (paths[0] = anchor) without
+  /// registering it — a joint water-fill with every live flow (refreshing
+  /// their predictions), or a solo solve. Admission and recovery re-plans
+  /// share it.
+  [[nodiscard]] Planned plan_request(topo::DeviceId src, topo::DeviceId dst,
+                                     std::uint64_t bytes,
+                                     std::span<const topo::PathPlan> paths);
   /// Advance every live path's modeled residue to `now` at the current
   /// water-fill rates and freeze predictions whose admit instant has
   /// passed. Called at the top of every public mutation.
@@ -283,8 +215,7 @@ class TransferScheduler {
       const model::TransferConfig& config,
       std::span<const model::JointPath> solo);
   /// Register a live ticket and its history record for an admitted
-  /// config: the one place admission, replay and chain rounds charge the
-  /// ledger.
+  /// config: the one place admission and replay charge the ledger.
   [[nodiscard]] TicketId register_ticket(
       topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
       const model::TransferConfig& config,
@@ -299,14 +230,14 @@ class TransferScheduler {
   /// Check the satellite invariant before releasing `index`: the footprint
   /// being released is the one admission charged.
   void verify_footprint(std::size_t index);
-  /// True when any live scheduled flow or (if snapshotting) background
-  /// traffic touches one of `cand` (sorted link ids).
+  /// True when any live scheduled flow or background traffic touches one
+  /// of `cand` (sorted link ids).
   [[nodiscard]] bool links_contended(std::span<const std::uint32_t> cand);
 
   PipelineEngine* engine_;
   model::PathConfigurator* configurator_;
   SchedulerOptions options_;
-  sim::FluidNetwork* net_ = nullptr;   ///< set iff observe_capacity
+  sim::FluidNetwork* net_;
   std::uint64_t capacity_listener_ = 0;
   std::vector<Ticket> live_;
   std::vector<Record> records_;

@@ -18,8 +18,7 @@ void SimStack::finish(std::unique_ptr<gpusim::DataChannel> channel,
   if (options.collective_graphs) {
     if (auto* mdc = dynamic_cast<pipeline::ModelDrivenChannel*>(
             channel_.get())) {
-      chain_ = std::make_unique<pipeline::ChainController>(*mdc,
-                                                           options.chain);
+      chain_ = std::make_unique<pipeline::ChainController>(*mdc);
     }
   }
   world_ = std::make_unique<mpisim::World>(*runtime_, *channel_,

@@ -291,21 +291,6 @@ JointSolution JointThetaSolver::solve(std::span<const JointTransfer> transfers,
   return sol;
 }
 
-JointThetaSolver::RoundValidation JointThetaSolver::validate_round(
-    std::span<const FixedFlow> flows, std::span<const JointLink> links,
-    double tolerance) {
-  RoundValidation out;
-  out.rates = maxmin_rates(flows, links);
-  out.at_cap = true;
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    if (out.rates[f] < flows[f].cap_bps * (1.0 - tolerance)) {
-      out.at_cap = false;
-      break;
-    }
-  }
-  return out;
-}
-
 double ThetaSolver::time_spread(std::span<const PathTerms> paths,
                                 std::span<const double> theta,
                                 double n_bytes) {

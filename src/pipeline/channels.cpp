@@ -153,29 +153,26 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
   }
   // Collective chain interplay: the transport tap staged what this message
   // is — a capture-iteration step (record its config afterwards) or a
-  // replayable step of a sealed chain (claim its template + batch ticket
-  // and skip configuration entirely).
+  // replayable step of a sealed chain (claim its template through the
+  // replay gate and skip configuration entirely).
   const PlanClock::time_point plan_t0 = PlanClock::now();
   ChainController::Pending pend;
   if (chain_ != nullptr) pend = chain_->take_pending();
-  ChainController::Claim claim;
-  if (pend.replay) claim = chain_->claim_step(pend);
   // The plan sources in order. An unclaimable step (busy template,
-  // contended round, passthrough, or the chain just died) plans like any
+  // contended step, passthrough, or the chain just died) plans like any
   // other transfer.
   const topo::DeviceId sdev = src.device();
   const topo::DeviceId ddev = dst.device();
   Plan plan(scheduler_);
-  if (claim.graph != nullptr) {
-    plan.config = claim.graph->config();
-    plan.graph = std::move(claim.graph);
-    plan.ticket = claim.ticket;
-  } else if (bytes < options_.min_multipath_bytes) {
-    plan.exec = direct_plan(bytes);  // no multipath config to reproduce
-  } else if (!plan_cached(sdev, ddev, bytes, candidate_paths(sdev, ddev),
-                          plan)) {
-    plan_fresh(sdev, ddev, bytes, candidate_paths(sdev, ddev),
-               options_.graphs != nullptr, plan);
+  if (pend.replay) plan.graph = chain_->claim_step(pend, plan);
+  if (plan.graph == nullptr) {
+    if (bytes < options_.min_multipath_bytes) {
+      plan.exec = direct_plan(bytes);  // no multipath config to reproduce
+    } else if (!plan_cached(sdev, ddev, bytes, candidate_paths(sdev, ddev),
+                            plan)) {
+      plan_fresh(sdev, ddev, bytes, candidate_paths(sdev, ddev),
+                 options_.graphs != nullptr, plan);
+    }
   }
   (void)co_await settle(plan, plan_t0, dst, dst_offset, src, src_offset, {},
                         /*finishes=*/true, /*clean=*/true);
@@ -189,6 +186,43 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
   }
 }
 
+ModelDrivenChannel::Gate ModelDrivenChannel::replay_gate(
+    const TransferGraph& g, topo::DeviceId src, topo::DeviceId dst,
+    std::uint64_t bytes, std::span<const topo::PathPlan> paths, Plan& plan) {
+  // Templates are not reentrant (shared events + staging slot); a second
+  // identical transfer in flight takes the uncompiled path.
+  if (g.busy()) return Gate::kBusy;
+  if (options_.health.enabled) {
+    // A candidate on probation: the classic path would plan around it, so
+    // the compiled split is stale.
+    for (const topo::PathPlan& p : g.key_paths()) {
+      if (health_.state(src, dst, p) != PathHealth::kHealthy) {
+        return Gate::kUnhealthy;
+      }
+    }
+  }
+  if (scheduler_ == nullptr) {
+    plan.config = g.config();
+  } else {
+    // Link capacities changed since compile (sever/degrade/restore): the
+    // joint solve could pick a different split now.
+    if (g.capacity_epoch() != scheduler_->stats().capacity_events) {
+      return Gate::kStaleEpoch;
+    }
+    // An admitted replay skips the joint solve and plan construction
+    // entirely.
+    TransferScheduler::Admission adm =
+        scheduler_->admit_replay(src, dst, bytes, paths, g.config());
+    if (adm.ticket == TransferScheduler::kInvalidTicket) {
+      return Gate::kContended;
+    }
+    plan.ticket = adm.ticket;
+    plan.config = std::move(adm.config);
+  }
+  plan.reproducible = true;
+  return Gate::kReplay;
+}
+
 bool ModelDrivenChannel::plan_cached(topo::DeviceId src, topo::DeviceId dst,
                                      std::uint64_t bytes,
                                      const std::vector<topo::PathPlan>& paths,
@@ -197,50 +231,29 @@ bool ModelDrivenChannel::plan_cached(topo::DeviceId src, topo::DeviceId dst,
   std::shared_ptr<TransferGraph> g =
       options_.graphs->lookup(src, dst, bytes, paths, graph_cal_version());
   if (g == nullptr) return false;
-  if (g->busy()) {
-    // Templates are not reentrant (shared events + staging slot); a second
-    // identical transfer in flight takes the uncompiled path.
-    ++graph_stats_.busy_fallbacks;
-    return false;
-  }
-  if (options_.health.enabled) {
-    for (const topo::PathPlan& p : g->key_paths()) {
-      if (health_.state(src, dst, p) != PathHealth::kHealthy) {
-        // One of the template's candidates is on probation: the classic
-        // path would plan around it, so the compiled split is stale. Drop
-        // the template; a healthy one is compiled once the path recovers
-        // (or the split without it gets compiled fresh).
-        ++graph_stats_.health_fallbacks;
-        (void)options_.graphs->remove(src, dst, bytes, g->key_paths());
-        return false;
-      }
-    }
-  }
-  if (scheduler_ != nullptr) {
-    if (g->capacity_epoch() != scheduler_->stats().capacity_events) {
-      // Link capacities changed since compile (sever/degrade/restore): the
-      // joint solve could pick a different split now. Recompile.
-      ++graph_stats_.epoch_fallbacks;
-      (void)options_.graphs->remove(src, dst, bytes, g->key_paths());
+  switch (replay_gate(*g, src, dst, bytes, paths, plan)) {
+    case Gate::kReplay:
+      ++graph_stats_.replays;
+      plan.graph = std::move(g);
+      return true;
+    case Gate::kBusy:
+      ++graph_stats_.busy_fallbacks;
       return false;
-    }
-    // A cached template admitted as a replay skips the joint solve and plan
-    // construction entirely.
-    TransferScheduler::Admission adm =
-        scheduler_->admit_replay(src, dst, bytes, paths, g->config());
-    if (adm.ticket == TransferScheduler::kInvalidTicket) {
+    case Gate::kUnhealthy:
+      // Drop the template; a healthy one is compiled once the path
+      // recovers (or the split without it gets compiled fresh).
+      ++graph_stats_.health_fallbacks;
+      (void)options_.graphs->remove(src, dst, bytes, paths);
+      return false;
+    case Gate::kStaleEpoch:
+      ++graph_stats_.epoch_fallbacks;  // recompile under the new capacities
+      (void)options_.graphs->remove(src, dst, bytes, paths);
+      return false;
+    case Gate::kContended:
       ++graph_stats_.contended_rejects;
       return false;
-    }
-    plan.ticket = adm.ticket;
-    plan.config = std::move(adm.config);
-  } else {
-    plan.config = g->config();
   }
-  ++graph_stats_.replays;
-  plan.graph = std::move(g);
-  plan.reproducible = true;
-  return true;
+  return false;
 }
 
 void ModelDrivenChannel::plan_fresh(topo::DeviceId src, topo::DeviceId dst,

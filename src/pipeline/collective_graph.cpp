@@ -1,36 +1,69 @@
 #include "mpath/pipeline/collective_graph.hpp"
 
 #include <map>
-#include <set>
-#include <span>
 #include <stdexcept>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "mpath/pipeline/channels.hpp"
+#include "mpath/pipeline/scheduler.hpp"
 
 namespace mpath::pipeline {
 
-std::size_t CollectiveGraph::template_count() const {
-  std::set<const TransferGraph*> uniq;
-  for (const Step& s : steps_) {
-    if (s.graph != nullptr) uniq.insert(s.graph.get());
-  }
-  return uniq.size();
+namespace {
+
+/// Cached chains (LRU).
+constexpr std::size_t kChainCacheCapacity = 8;
+/// Capture safety valve per chain.
+constexpr std::size_t kMaxChainSteps = 4096;
+
+/// Packed (rel_tag, src_rank, dst_rank): a step's identity in its chain.
+std::uint64_t step_key(int rel_tag, int src_rank, int dst_rank) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rel_tag))
+          << 40) |
+         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(src_rank) &
+                                     0xfffffu)
+          << 20) |
+         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(dst_rank) &
+                                     0xfffffu));
 }
 
-ChainController::ChainController(ModelDrivenChannel& channel,
-                                 ChainOptions options)
-    : channel_(&channel), options_(options) {
+}  // namespace
+
+/// One captured collective: steps keyed by (rel_tag, src_rank, dst_rank).
+/// Owned by the controller's cache and shared with in-flight iterations.
+class CollectiveGraph {
+ public:
+  enum class State : std::uint8_t { kCapturing, kReady, kDead };
+
+  struct Step {
+    topo::DeviceId src_dev = topo::kInvalidDevice;
+    topo::DeviceId dst_dev = topo::kInvalidDevice;
+    std::uint64_t bytes = 0;
+    /// Compiled template; null = passthrough (small message, compile
+    /// failure, or non-reproducible capture). Steps with identical
+    /// (src_dev, dst_dev, bytes) share one template.
+    GraphPtr graph;
+    model::TransferConfig config;  ///< recorded at capture (if has_config)
+    bool has_config = false;
+  };
+
+  ChainKey key;
+  State state = State::kCapturing;
+  std::vector<Step> steps;
+  std::unordered_map<std::uint64_t, std::uint32_t> index;  ///< key -> step
+  std::uint64_t capacity_epoch = 0;  ///< scheduler epoch at seal
+  std::uint64_t cal_version = 0;     ///< calibration version at seal
+  bool aborted = false;              ///< capture overflow / duplicate key
+};
+
+ChainController::ChainController(ModelDrivenChannel& channel)
+    : channel_(&channel) {
   if (channel.options().recovery.enabled) {
     throw std::invalid_argument(
         "ChainController: recovery-enabled channels cannot chain (partial "
         "re-plans are not expressible as a frozen template)");
-  }
-  if (options_.cache_capacity == 0) {
-    throw std::invalid_argument(
-        "ChainController: cache_capacity must be positive");
   }
 }
 
@@ -54,17 +87,14 @@ bool ChainController::enter(const char* name, int world, std::uint64_t payload,
     ++stats_.bypasses;
     return false;
   }
-  ChainKey key{name, world, algo, variant};
-  ChainPtr chain = resolve(key, payload);
+  ChainKey key{name, world, payload, algo, variant};
+  ChainPtr chain = resolve(key);
   if (chain != nullptr) {
-    reset_iteration(*chain);
     capturing_ = false;
     ++stats_.iterations_replayed;
   } else {
     chain = std::make_shared<CollectiveGraph>();
-    chain->key_ = std::move(key);
-    chain->payload_ = payload;
-    chain->state_ = CollectiveGraph::State::kCapturing;
+    chain->key = std::move(key);
     capturing_ = true;
     ++stats_.iterations_captured;
   }
@@ -78,41 +108,25 @@ bool ChainController::enter(const char* name, int world, std::uint64_t payload,
 
 void ChainController::leave() {
   if (!active_ || --refcount_ > 0) return;
-  if (inv_chain_ != nullptr) {
-    if (capturing_) {
-      seal(inv_chain_);
-    } else {
-      // Close the replay iteration: depart every pre-admitted ticket no
-      // replay claimed (round fell back mid-way, or a step stayed
-      // passthrough after its round was batch-admitted).
-      unwind_unclaimed(*inv_chain_);
-    }
-  }
+  if (inv_chain_ != nullptr && capturing_) seal(inv_chain_);
   active_ = false;
   capturing_ = false;
   inv_chain_ = nullptr;
   pending_ = {};
 }
 
-ChainController::ChainPtr ChainController::resolve(const ChainKey& key,
-                                                   std::uint64_t payload) {
+ChainController::ChainPtr ChainController::resolve(const ChainKey& key) {
   for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-    if ((*it)->key_ != key) continue;
+    if ((*it)->key != key) continue;
     ChainPtr chain = *it;
-    if (chain->cal_version_ != channel_->graph_cal_version()) {
+    if (chain->cal_version != channel_->graph_cal_version()) {
       // Calibration superseded: every compiled split is stale.
       kill(*chain, &ChainStats::stale_cal_kills);
       return nullptr;
     }
     if (channel_->scheduler() != nullptr &&
-        chain->capacity_epoch_ != scheduler_epoch()) {
+        chain->capacity_epoch != scheduler_epoch()) {
       kill(*chain, &ChainStats::epoch_kills);
-      return nullptr;
-    }
-    if (chain->payload_ != payload && !repatch(chain, payload)) {
-      // The new payload does not scale the captured structure linearly;
-      // recapture from scratch.
-      kill(*chain, &ChainStats::mismatch_kills);
       return nullptr;
     }
     cache_.splice(cache_.begin(), cache_, it);
@@ -123,15 +137,14 @@ ChainController::ChainPtr ChainController::resolve(const ChainKey& key,
 
 void ChainController::seal(const ChainPtr& chain) {
   CollectiveGraph& c = *chain;
-  if (c.aborted_ || c.steps_.empty()) return;  // nothing usable; discard
+  if (c.aborted || c.steps.empty()) return;  // nothing usable; discard
   // One private template per distinct (src, dst, bytes) among the
   // reproducible steps; identical steps share it (a same-instant collision
   // at replay falls back via busy()). Templates are chain-owned — never
-  // shared with the channel's GraphCache, whose keys a payload re-patch
-  // would silently desynchronize.
+  // shared with the channel's GraphCache.
   std::map<std::tuple<topo::DeviceId, topo::DeviceId, std::uint64_t>, GraphPtr>
       dedupe;
-  for (CollectiveGraph::Step& step : c.steps_) {
+  for (CollectiveGraph::Step& step : c.steps) {
     if (!step.has_config) continue;
     const auto key = std::make_tuple(step.src_dev, step.dst_dev, step.bytes);
     auto it = dedupe.find(key);
@@ -150,172 +163,29 @@ void ChainController::seal(const ChainPtr& chain) {
       // Staging pool exhausted (or a degenerate config): the step stays
       // passthrough; the rest of the chain is still worth keeping.
       ++stats_.compile_failures;
-    } else if (channel_->scheduler() != nullptr) {
-      g->set_capacity_epoch(channel_->scheduler()->stats().capacity_events);
+    } else {
+      g->set_capacity_epoch(scheduler_epoch());
     }
     dedupe.emplace(key, g);
     step.graph = std::move(g);
   }
-  if (channel_->scheduler() != nullptr) enforce_round_homogeneity(c);
-  build_rounds(c);
-  c.cal_version_ = channel_->graph_cal_version();
-  c.capacity_epoch_ = scheduler_epoch();
-  c.state_ = CollectiveGraph::State::kReady;
+  c.cal_version = channel_->graph_cal_version();
+  c.capacity_epoch = scheduler_epoch();
+  c.state = CollectiveGraph::State::kReady;
   ++stats_.captures;
   cache_.push_front(chain);
-  while (cache_.size() > options_.cache_capacity) cache_.pop_back();
-}
-
-void ChainController::build_rounds(CollectiveGraph& chain) {
-  chain.rounds_.clear();
-  std::map<int, std::uint32_t> round_of;
-  for (std::uint32_t i = 0;
-       i < static_cast<std::uint32_t>(chain.steps_.size()); ++i) {
-    CollectiveGraph::Step& step = chain.steps_[i];
-    if (step.graph == nullptr) continue;
-    const auto [it, fresh] = round_of.emplace(
-        step.rel_tag, static_cast<std::uint32_t>(chain.rounds_.size()));
-    if (fresh) {
-      chain.rounds_.emplace_back();
-      chain.rounds_.back().rel_tag = step.rel_tag;
-    }
-    step.round = it->second;
-    chain.rounds_[it->second].steps.push_back(i);
-  }
-}
-
-void ChainController::enforce_round_homogeneity(CollectiveGraph& chain) {
-  // A scheduled round is batch-admitted as a whole; a sibling multipath
-  // step going through *fresh* admission would water-fill against its
-  // round's pre-registered tickets. So a round either carries every one of
-  // its multipath steps as templates, or none.
-  std::set<int> bad_tags;
-  for (const CollectiveGraph::Step& step : chain.steps_) {
-    if (step.has_config && step.graph == nullptr) bad_tags.insert(step.rel_tag);
-  }
-  if (bad_tags.empty()) return;
-  for (CollectiveGraph::Step& step : chain.steps_) {
-    if (step.graph != nullptr && bad_tags.contains(step.rel_tag)) {
-      step.graph = nullptr;
-    }
-  }
-}
-
-bool ChainController::repatch(const ChainPtr& chain, std::uint64_t payload) {
-  CollectiveGraph& c = *chain;
-  const std::uint64_t old = c.payload_;
-  if (old == 0 || payload == 0) return false;
-  // Proportional rescale with exact divisibility: every step's size must
-  // scale by payload/old with no remainder, or the new payload would have
-  // produced a structurally different capture (different splits/rounds).
-  std::vector<std::uint64_t> scaled(c.steps_.size());
-  for (std::size_t i = 0; i < c.steps_.size(); ++i) {
-    const std::uint64_t b = c.steps_[i].bytes;
-    const std::uint64_t prod = b * payload;
-    if (b != 0 && prod / b != payload) return false;  // overflow
-    if (prod % old != 0) return false;
-    scaled[i] = prod / old;
-    if (b != 0 && scaled[i] == 0) return false;
-    if (c.steps_[i].patch_dropped &&
-        scaled[i] >= channel_->options().min_multipath_bytes) {
-      // An earlier re-patch dropped this step's template; the new payload
-      // wants it multipath again. Only a recapture can rebuild it.
-      return false;
-    }
-  }
-  std::map<TransferGraph*, bool> patched;
-  for (std::size_t i = 0; i < c.steps_.size(); ++i) {
-    CollectiveGraph::Step& step = c.steps_[i];
-    if (step.graph != nullptr) {
-      if (scaled[i] < channel_->options().min_multipath_bytes) {
-        // The uncaptured channel would go direct at this size; a multipath
-        // replay would diverge from it. Drop to passthrough.
-        step.graph = nullptr;
-        step.patch_dropped = true;
-        ++stats_.patch_failures;
-      } else {
-        // Shared templates (same src/dst/bytes tuple) patch once; the
-        // verdict applies to every sharer identically.
-        const auto [it, fresh] = patched.emplace(step.graph.get(), false);
-        if (fresh) it->second = step.graph->patch(scaled[i]);
-        if (!it->second) {
-          step.graph = nullptr;
-          step.patch_dropped = true;
-          ++stats_.patch_failures;
-        }
-      }
-    }
-    step.bytes = scaled[i];
-  }
-  c.payload_ = payload;
-  if (channel_->scheduler() != nullptr) enforce_round_homogeneity(c);
-  build_rounds(c);
-  ++stats_.patches;
-  return true;
+  while (cache_.size() > kChainCacheCapacity) cache_.pop_back();
 }
 
 void ChainController::kill(CollectiveGraph& chain,
                            std::uint64_t ChainStats::* cause) {
   ++(stats_.*cause);
-  // Unwind *synchronously*, before any fallback fresh admission can
-  // water-fill against tickets no replay will ever claim.
-  unwind_unclaimed(chain);
-  chain.state_ = CollectiveGraph::State::kDead;
+  chain.state = CollectiveGraph::State::kDead;
   for (auto it = cache_.begin(); it != cache_.end(); ++it) {
     if (it->get() == &chain) {
       cache_.erase(it);
       break;
     }
-  }
-}
-
-void ChainController::unwind_unclaimed(CollectiveGraph& chain) {
-  TransferScheduler* sched = channel_->scheduler();
-  if (sched == nullptr) return;
-  std::vector<TransferScheduler::TicketId> victims;
-  for (CollectiveGraph::Round& round : chain.rounds_) {
-    if (!round.admitted) continue;
-    for (std::size_t i = 0; i < round.tickets.size(); ++i) {
-      if (round.claimed[i] == 0 &&
-          round.tickets[i] != TransferScheduler::kInvalidTicket) {
-        victims.push_back(round.tickets[i]);
-        round.claimed[i] = 1;
-      }
-    }
-    round.admitted = false;
-  }
-  if (!victims.empty()) {
-    sched->depart_chain(
-        std::span<const TransferScheduler::TicketId>(victims));
-    stats_.unwound_tickets += victims.size();
-  }
-}
-
-void ChainController::release_step_ticket(CollectiveGraph& chain,
-                                          std::uint32_t step_idx) {
-  TransferScheduler* sched = channel_->scheduler();
-  if (sched == nullptr) return;
-  CollectiveGraph::Round& round = chain.rounds_[chain.steps_[step_idx].round];
-  if (!round.admitted) return;
-  for (std::size_t i = 0; i < round.steps.size(); ++i) {
-    if (round.steps[i] == step_idx && round.claimed[i] == 0) {
-      const TransferScheduler::TicketId t = round.tickets[i];
-      round.claimed[i] = 1;
-      if (t != TransferScheduler::kInvalidTicket) {
-        sched->depart_chain(std::span<const TransferScheduler::TicketId>(&t, 1));
-        ++stats_.unwound_tickets;
-      }
-      return;
-    }
-  }
-}
-
-void ChainController::reset_iteration(CollectiveGraph& chain) {
-  for (CollectiveGraph::Round& round : chain.rounds_) {
-    round.attempted = false;
-    round.admitted = false;
-    round.tickets.clear();
-    round.claimed.clear();
   }
 }
 
@@ -325,42 +195,39 @@ void ChainController::on_transfer(const transport::TransferSite& site) {
   const int rel = site.tag - base_tag_;
   if (rel < 0 || rel >= 64) return;  // not this collective's message
   CollectiveGraph& chain = *inv_chain_;
-  const std::uint64_t key =
-      CollectiveGraph::step_key(rel, site.src_rank, site.dst_rank);
+  const std::uint64_t key = step_key(rel, site.src_rank, site.dst_rank);
   if (capturing_) {
-    if (chain.aborted_) return;
-    if (chain.steps_.size() >= options_.max_steps ||
-        !chain.index_
-             .emplace(key, static_cast<std::uint32_t>(chain.steps_.size()))
+    if (chain.aborted) return;
+    if (chain.steps.size() >= kMaxChainSteps ||
+        !chain.index
+             .emplace(key, static_cast<std::uint32_t>(chain.steps.size()))
              .second) {
       // Overflow, or two messages with identical (tag, src, dst) in one
       // invocation — replay could not tell them apart. Give up; the
       // collective keeps running uncaptured.
-      chain.aborted_ = true;
+      chain.aborted = true;
       ++stats_.capture_aborts;
       return;
     }
     CollectiveGraph::Step step;
-    step.key = key;
     step.src_dev = site.src_device;
     step.dst_dev = site.dst_device;
     step.bytes = site.bytes;
-    step.rel_tag = rel;
-    chain.steps_.push_back(std::move(step));
+    chain.steps.push_back(std::move(step));
     pending_.chain = &chain;
-    pending_.step = static_cast<std::uint32_t>(chain.steps_.size() - 1);
+    pending_.step = static_cast<std::uint32_t>(chain.steps.size() - 1);
     pending_.capture = true;
     return;
   }
-  if (chain.state_ != CollectiveGraph::State::kReady) return;
-  const auto it = chain.index_.find(key);
-  if (it == chain.index_.end()) {
+  if (chain.state != CollectiveGraph::State::kReady) return;
+  const auto it = chain.index.find(key);
+  if (it == chain.index.end()) {
     // The algorithm produced a message the capture never saw: the chain no
     // longer describes this collective.
     kill(chain, &ChainStats::mismatch_kills);
     return;
   }
-  const CollectiveGraph::Step& step = chain.steps_[it->second];
+  const CollectiveGraph::Step& step = chain.steps[it->second];
   if (step.bytes != site.bytes || step.src_dev != site.src_device ||
       step.dst_dev != site.dst_device) {
     kill(chain, &ChainStats::mismatch_kills);
@@ -379,88 +246,46 @@ void ChainController::record_step(const Pending& p,
                                   const model::TransferConfig* config) {
   if (p.chain == nullptr || !p.capture) return;
   CollectiveGraph& chain = *p.chain;
-  if (chain.aborted_ || p.step >= chain.steps_.size()) return;
+  if (chain.aborted || p.step >= chain.steps.size()) return;
   if (config != nullptr) {
-    chain.steps_[p.step].config = *config;
-    chain.steps_[p.step].has_config = true;
+    chain.steps[p.step].config = *config;
+    chain.steps[p.step].has_config = true;
   }
 }
 
-ChainController::Claim ChainController::claim_step(const Pending& p) {
-  Claim claim;
-  if (p.chain == nullptr || !p.replay) return claim;
+GraphPtr ChainController::claim_step(const Pending& p,
+                                     ModelDrivenChannel::Plan& plan) {
+  if (p.chain == nullptr || !p.replay) return nullptr;
   CollectiveGraph& chain = *p.chain;
-  if (chain.state_ != CollectiveGraph::State::kReady) return claim;
-  CollectiveGraph::Step& step = chain.steps_[p.step];
+  if (chain.state != CollectiveGraph::State::kReady) return nullptr;
+  const CollectiveGraph::Step& step = chain.steps[p.step];
   if (step.graph == nullptr) {
     ++stats_.passthrough_steps;
-    return claim;
+    return nullptr;
   }
-  if (step.graph->busy()) {
-    // The shared template is mid-replay (identical concurrent step): this
-    // step alone falls back to the fresh path; the chain survives. Its
-    // pre-admitted ticket (if its round already batch-admitted) departs
-    // now so the fresh admission does not see its own phantom.
-    ++stats_.busy_fallbacks;
-    release_step_ticket(chain, p.step);
-    return claim;
-  }
-  TransferScheduler* sched = channel_->scheduler();
-  if (sched != nullptr) {
-    if (chain.capacity_epoch_ != sched->stats().capacity_events) {
+  switch (channel_->replay_gate(*step.graph, step.src_dev, step.dst_dev,
+                                step.bytes, step.graph->key_paths(), plan)) {
+    case ModelDrivenChannel::Gate::kReplay:
+      ++stats_.replayed_steps;
+      return step.graph;
+    case ModelDrivenChannel::Gate::kBusy:
+      // The shared template is mid-replay (identical concurrent step):
+      // this step alone falls back to the fresh path; the chain survives.
+      ++stats_.busy_fallbacks;
+      break;
+    case ModelDrivenChannel::Gate::kStaleEpoch:
       kill(chain, &ChainStats::epoch_kills);
-      return claim;
-    }
-    CollectiveGraph::Round& round = chain.rounds_[step.round];
-    if (!round.attempted) {
-      // First touch of this round this iteration: admit the whole round as
-      // one batch — a single joint water-fill over every compiled carrying
-      // path plus all live flows, accepted only if nothing is squeezed.
-      round.attempted = true;
-      std::vector<TransferScheduler::ChainStepRequest> reqs;
-      reqs.reserve(round.steps.size());
-      for (const std::uint32_t si : round.steps) {
-        const CollectiveGraph::Step& s = chain.steps_[si];
-        TransferScheduler::ChainStepRequest req;
-        req.src = s.src_dev;
-        req.dst = s.dst_dev;
-        req.bytes = s.bytes;
-        req.paths = std::span<const topo::PathPlan>(s.graph->key_paths());
-        req.compiled = &s.graph->config();
-        reqs.push_back(req);
-      }
-      std::vector<TransferScheduler::TicketId> tickets =
-          sched->admit_chain(reqs);
-      if (tickets.empty()) {
-        ++stats_.contended_rounds;
-      } else {
-        round.admitted = true;
-        round.tickets.clear();
-        round.claimed.clear();
-        for (const TransferScheduler::TicketId t : tickets) {
-          round.tickets.push_back(t);
-          round.claimed.push_back(0);
-        }
-      }
-    }
-    if (!round.admitted) return claim;  // contended round: fresh per step
-    for (std::size_t i = 0; i < round.steps.size(); ++i) {
-      if (round.steps[i] == p.step) {
-        round.claimed[i] = 1;
-        claim.ticket = round.tickets[i];
-        break;
-      }
-    }
-    if (claim.ticket == TransferScheduler::kInvalidTicket) return claim;
+      break;
+    case ModelDrivenChannel::Gate::kContended:
+      ++stats_.contended_steps;
+      break;
+    case ModelDrivenChannel::Gate::kUnhealthy:
+      break;  // health tracking needs recovery, which chains refuse
   }
-  ++stats_.replayed_steps;
-  claim.graph = step.graph;
-  return claim;
+  return nullptr;
 }
 
 void ChainController::clear() {
-  if (inv_chain_ != nullptr) unwind_unclaimed(*inv_chain_);
-  for (const ChainPtr& c : cache_) unwind_unclaimed(*c);
   cache_.clear();
   inv_chain_ = nullptr;
   capturing_ = false;

@@ -171,7 +171,6 @@ sim::Task<TransferOutcome> PipelineEngine::execute_monitored(
     if (p.staged) {
       p.lease = co_await staging_.acquire(p.plan.stage, staging_bytes(p),
                                           src.device());
-      p.slot_bytes = p.lease.buffer().size() / 2;
       reserve_events(p);
     }
   }
@@ -259,7 +258,6 @@ std::shared_ptr<TransferGraph> PipelineEngine::compile_graph(
         // graph's destructor returns any already-reserved resources.
         return nullptr;
       }
-      p.slot_bytes = p.lease.buffer().size() / 2;
       reserve_events(p);
     }
   }

@@ -1,7 +1,6 @@
 #include "mpath/pipeline/graph.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace mpath::pipeline {
 
@@ -19,81 +18,6 @@ void TransferGraph::release() {
     for (gpusim::EventId ev : p.bwd_events) runtime_->release_event(ev);
   }
   paths_.clear();
-}
-
-bool TransferGraph::patch(std::uint64_t new_bytes) {
-  if (!valid() || new_bytes == 0) return false;
-  if (new_bytes == total_bytes_) return true;
-  const double n = static_cast<double>(new_bytes);
-  const std::size_t p = config_.paths.size();
-
-  // Re-derive integer byte shares from the compiled thetas, exactly as
-  // config_from_theta does: floor for every non-anchor path, remainder to
-  // the anchor.
-  util::SmallVec<std::uint64_t, 4> share_bytes;
-  share_bytes.resize(p);
-  std::uint64_t assigned = 0;
-  for (std::size_t i = 1; i < p; ++i) {
-    share_bytes[i] = static_cast<std::uint64_t>(
-        std::floor(config_.paths[i].theta * n));
-    assigned += share_bytes[i];
-  }
-  if (assigned > new_bytes) return false;  // thetas cannot over-assign
-  share_bytes[0] = new_bytes - assigned;
-
-  // Feasibility against the compiled resources: every share that now
-  // carries bytes must have compiled issue state, and no staged chunk may
-  // outgrow its staging slot.
-  util::SmallVec<Path*, 4> by_plan_index;
-  by_plan_index.resize(p);
-  for (std::size_t i = 0; i < p; ++i) by_plan_index[i] = nullptr;
-  for (Path& path : paths_) by_plan_index[path.plan_index] = &path;
-  for (std::size_t i = 0; i < p; ++i) {
-    if (share_bytes[i] == 0) continue;
-    const Path* path = by_plan_index[i];
-    if (path == nullptr) return false;
-    if (path->staged) {
-      const std::uint64_t k = std::min<std::uint64_t>(
-          static_cast<std::uint64_t>(std::max(config_.paths[i].chunks, 1)),
-          share_bytes[i]);
-      const std::uint64_t max_chunk =
-          share_bytes[i] / k + (share_bytes[i] % k != 0 ? 1 : 0);
-      if (max_chunk > path->slot_bytes) return false;
-      if (k > 16 && k > static_cast<std::uint64_t>(path->chunks)) {
-        // Would need more events than were reserved at compile time.
-        if (k > path->fwd_events.size()) return false;
-      }
-    }
-  }
-
-  // Commit: refresh the config's shares and predicted times, then the
-  // per-path issue state and the op list.
-  std::size_t offset = 0;
-  config_.total_bytes = new_bytes;
-  config_.predicted_time = 0.0;
-  for (std::size_t i = 0; i < p; ++i) {
-    model::PathShare& share = config_.paths[i];
-    share.bytes = share_bytes[i];
-    if (i == 0) share.theta = static_cast<double>(share.bytes) / n;
-    share.predicted_time =
-        share.bytes > 0 ? share.terms.time(share.theta, n) : 0.0;
-    config_.predicted_time =
-        std::max(config_.predicted_time, share.predicted_time);
-    if (Path* path = by_plan_index[i]; path != nullptr) {
-      path->bytes = share.bytes;
-      path->offset = offset;
-      path->chunks =
-          share.bytes > 0
-              ? static_cast<int>(std::min<std::uint64_t>(
-                    static_cast<std::uint64_t>(std::max(share.chunks, 1)),
-                    share.bytes))
-              : 0;
-    }
-    offset += share.bytes;
-  }
-  total_bytes_ = new_bytes;
-  rebuild_ops();
-  return true;
 }
 
 void TransferGraph::rebuild_ops() {

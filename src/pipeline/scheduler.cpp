@@ -45,27 +45,26 @@ bool describes(const model::TransferConfig& compiled, std::uint64_t bytes,
 TransferScheduler::TransferScheduler(PipelineEngine& engine,
                                      model::PathConfigurator& configurator,
                                      SchedulerOptions options)
-    : engine_(&engine), configurator_(&configurator), options_(options) {
-  if (options_.observe_capacity) {
-    net_ = &engine_->runtime().binding().network();
-    // Close the residue-integration window at the instant of every
-    // capacity change, while the *old* rates still hold (the network
-    // notifies pre-mutation): the elapsed window integrates at the
-    // capacities that governed it, and the very next plan or query
-    // water-fills against the new ones. Fixes the restore blind spot where
-    // snapshot_links() only saw post-restore capacity retroactively.
-    capacity_listener_ = net_->add_capacity_listener(
-        [this](sim::LinkId, double, double) {
-          integrate_to(engine_->runtime().engine().now());
-          ++stats_.capacity_events;
-        });
-  }
+    : engine_(&engine),
+      configurator_(&configurator),
+      options_(options),
+      net_(&engine.runtime().binding().network()) {
+  // Close the residue-integration window at the instant of every capacity
+  // change, while the *old* rates still hold (the network notifies
+  // pre-mutation): the elapsed window integrates at the capacities that
+  // governed it, and the very next plan or query water-fills against the
+  // new ones. Otherwise a restore mid-transfer would apply retroactively
+  // across the whole window, and readmission probes would plan against
+  // capacities that never existed.
+  capacity_listener_ = net_->add_capacity_listener(
+      [this](sim::LinkId, double, double) {
+        integrate_to(engine_->runtime().engine().now());
+        ++stats_.capacity_events;
+      });
 }
 
 TransferScheduler::~TransferScheduler() {
-  if (net_ != nullptr && capacity_listener_ != 0) {
-    net_->remove_capacity_listener(capacity_listener_);
-  }
+  net_->remove_capacity_listener(capacity_listener_);
 }
 
 util::SmallVec<std::uint32_t, 4> TransferScheduler::plan_links(
@@ -99,9 +98,7 @@ std::vector<model::JointLink> TransferScheduler::snapshot_links() {
     // (per-chunk flows are attributed to their owning path, not double
     // counted) is background traffic that still takes max-min shares.
     links[l].background_flows =
-        options_.network_snapshot
-            ? std::max(0.0, net.link_flow_weight(l) - own[l])
-            : 0.0;
+        std::max(0.0, net.link_flow_weight(l) - own[l]);
   }
   return links;
 }
@@ -178,91 +175,68 @@ void TransferScheduler::refresh_predictions(
 TransferScheduler::Admission TransferScheduler::admit(
     topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
     std::span<const topo::PathPlan> paths) {
-  const Request r{src, dst, bytes, paths};
-  auto batch = admit_batch(std::span<const Request>(&r, 1));
-  return std::move(batch.front());
-}
-
-std::vector<TransferScheduler::Admission> TransferScheduler::admit_batch(
-    std::span<const Request> requests) {
   const double now = engine_->runtime().engine().now();
   integrate_to(now);
-  if (requests.empty()) return {};
-  for (const Request& r : requests) {
-    if (r.paths.empty()) {
-      throw std::invalid_argument("TransferScheduler: no candidate paths");
-    }
-    if (r.bytes == 0) {
-      throw std::invalid_argument("TransferScheduler: zero-byte transfer");
-    }
+  if (paths.empty()) {
+    throw std::invalid_argument("TransferScheduler: no candidate paths");
+  }
+  if (bytes == 0) {
+    throw std::invalid_argument("TransferScheduler: zero-byte transfer");
   }
 
-  std::vector<Planned> plans = plan_requests(requests);
-  std::vector<Admission> out(requests.size());
-  for (std::size_t k = 0; k < requests.size(); ++k) {
-    // Replay eligibility: the split depended on nothing but the tuple and
-    // calibration. Solo planning never looks at contention; a joint plan
-    // qualifies only for a lone request that nothing squeezed and no other
-    // flow touches (checked before its own ticket is registered).
-    out[k].uncontended = !options_.joint;
-    if (options_.joint && requests.size() == 1 && !plans[k].squeezed) {
-      util::SmallVec<std::uint32_t, 8> cand;
-      for (const model::JointPath& jp : plans[k].jpaths) {
-        for (std::uint32_t l : jp.links) cand.push_back(l);
-      }
-      std::sort(cand.begin(), cand.end());
-      out[k].uncontended = !links_contended({cand.data(), cand.size()});
+  Planned planned = plan_request(src, dst, bytes, paths);
+  Admission out;
+  // Replay eligibility: the split depended on nothing but the tuple and
+  // calibration. Solo planning never looks at contention; a joint plan
+  // qualifies only when nothing squeezed it and no other flow touches its
+  // candidates (checked before its own ticket is registered).
+  out.uncontended = !options_.joint;
+  if (options_.joint && !planned.squeezed) {
+    util::SmallVec<std::uint32_t, 8> cand;
+    for (const model::JointPath& jp : planned.jpaths) {
+      for (std::uint32_t l : jp.links) cand.push_back(l);
     }
-    out[k].ticket =
-        register_ticket(requests[k].src, requests[k].dst, requests[k].bytes,
-                        plans[k].config, plans[k].jpaths, now);
-    out[k].config = std::move(plans[k].config);
+    std::sort(cand.begin(), cand.end());
+    out.uncontended = !links_contended({cand.data(), cand.size()});
   }
+  out.ticket =
+      register_ticket(src, dst, bytes, planned.config, planned.jpaths, now);
+  out.config = std::move(planned.config);
   return out;
 }
 
-std::vector<TransferScheduler::Planned> TransferScheduler::plan_requests(
-    std::span<const Request> requests) {
-  std::vector<Planned> out(requests.size());
-  std::vector<model::PreparedTransfer> prepared(requests.size());
-  for (std::size_t k = 0; k < requests.size(); ++k) {
-    const Request& r = requests[k];
-    prepared[k] = configurator_->prepare(r.src, r.dst, r.bytes, r.paths);
-    out[k].jpaths.resize(r.paths.size());
-    for (std::size_t i = 0; i < r.paths.size(); ++i) {
-      out[k].jpaths[i].terms = prepared[k].terms[i];
-      out[k].jpaths[i].links = plan_links(r.src, r.dst, r.paths[i]);
-    }
+TransferScheduler::Planned TransferScheduler::plan_request(
+    topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
+    std::span<const topo::PathPlan> paths) {
+  Planned out;
+  const model::PreparedTransfer prepared =
+      configurator_->prepare(src, dst, bytes, paths);
+  out.jpaths.resize(paths.size());
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    out.jpaths[i].terms = prepared.terms[i];
+    out.jpaths[i].links = plan_links(src, dst, paths[i]);
   }
   if (!options_.joint) {
-    for (std::size_t k = 0; k < requests.size(); ++k) {
-      const model::ThetaSolution sol = model::ThetaSolver::solve(
-          prepared[k].terms, static_cast<double>(requests[k].bytes));
-      out[k].config = configurator_->config_from_theta(
-          prepared[k], requests[k].bytes, requests[k].paths, sol);
-    }
+    const model::ThetaSolution sol =
+        model::ThetaSolver::solve(prepared.terms, static_cast<double>(bytes));
+    out.config = configurator_->config_from_theta(prepared, bytes, paths, sol);
     return out;
   }
   const auto links = snapshot_links();
   std::vector<std::pair<std::size_t, std::size_t>> owners;
   const auto fixed = live_flows(&owners);
-  std::vector<model::JointTransfer> jts(requests.size());
-  for (std::size_t k = 0; k < requests.size(); ++k) {
-    jts[k].n_bytes = static_cast<double>(requests[k].bytes);
-    jts[k].paths = out[k].jpaths;
-  }
+  model::JointTransfer jt;
+  jt.n_bytes = static_cast<double>(bytes);
+  jt.paths = out.jpaths;
   const model::JointSolution jsol =
-      model::JointThetaSolver::solve(jts, fixed, links);
+      model::JointThetaSolver::solve({&jt, 1}, fixed, links);
   stats_.joint_iterations += static_cast<std::uint64_t>(jsol.iterations);
-  for (std::size_t k = 0; k < requests.size(); ++k) {
-    const util::SmallVec<double, 4>& rates = jsol.path_rates[k];
-    out[k].config = configurator_->config_from_theta(
-        effective(prepared[k], {rates.data(), rates.size()},
-                  &out[k].squeezed),
-        requests[k].bytes, requests[k].paths, jsol.transfers[k]);
-  }
+  const util::SmallVec<double, 4>& rates = jsol.path_rates[0];
+  out.config = configurator_->config_from_theta(
+      effective(prepared, {rates.data(), rates.size()}, &out.squeezed), bytes,
+      paths, jsol.transfers[0]);
   // In-flight (and same-instant, still unfrozen) transfers now share links
-  // with the arrivals: refresh their recorded predictions.
+  // with the arrival: refresh their recorded predictions.
   refresh_predictions(jsol.fixed_rates, owners);
   return out;
 }
@@ -282,15 +256,14 @@ model::TransferConfig TransferScheduler::replan(
   // The old footprint is gone: timed-out paths were cancelled, healthy ones
   // completed their slices. The remainder gets a fresh joint plan.
   t.paths.clear();
-  const Request r{t.src, t.dst, bytes, survivors};
-  std::vector<Planned> plans = plan_requests({&r, 1});
-  t.paths = live_paths(plans[0].config, plans[0].jpaths);
+  Planned planned = plan_request(t.src, t.dst, bytes, survivors);
+  t.paths = live_paths(planned.config, planned.jpaths);
   // Re-plans replace the footprint: the charge the departure check expects
   // is the latest one.
   t.charged = footprint_of(t);
   ++records_[t.record].replans;
   ++stats_.replans;
-  return std::move(plans[0].config);
+  return std::move(planned.config);
 }
 
 void TransferScheduler::depart(TicketId ticket) {
@@ -343,11 +316,9 @@ bool TransferScheduler::links_contended(std::span<const std::uint32_t> cand) {
       }
     }
   }
-  if (options_.network_snapshot) {
-    const auto links = snapshot_links();
-    for (std::uint32_t l : cand) {
-      if (links[l].background_flows > 0.0) return true;
-    }
+  const auto links = snapshot_links();
+  for (std::uint32_t l : cand) {
+    if (links[l].background_flows > 0.0) return true;
   }
   return false;
 }
@@ -397,110 +368,6 @@ TransferScheduler::Admission TransferScheduler::admit_replay(
                                {solo.data(), solo.size()}, now);
   ++stats_.replay_admits;
   return out;
-}
-
-std::vector<TransferScheduler::TicketId> TransferScheduler::admit_chain(
-    std::span<const ChainStepRequest> steps) {
-  if (steps.empty()) return {};
-  const double now = engine_->runtime().engine().now();
-  integrate_to(now);
-
-  // Step integrity first: every compiled config must still describe its
-  // request, or replaying the round would execute stale splits.
-  for (const ChainStepRequest& s : steps) {
-    if (s.paths.empty() || s.bytes == 0 || s.compiled == nullptr) {
-      throw std::invalid_argument("TransferScheduler: malformed chain step");
-    }
-    if (!describes(*s.compiled, s.bytes, s.paths)) {
-      ++stats_.chain_plan_mismatches;
-      ++stats_.chain_round_rejects;
-      return {};
-    }
-  }
-
-  // Resolve the carrying-path links once; they are the round's water-fill
-  // flows and, on acceptance, the per-step ticket registrations.
-  std::vector<util::SmallVec<model::JointPath, 4>> step_paths(steps.size());
-  std::vector<model::FixedFlow> flows;
-  util::SmallVec<std::uint32_t, 8> round_links;
-  for (std::size_t k = 0; k < steps.size(); ++k) {
-    const ChainStepRequest& s = steps[k];
-    for (std::size_t i = 0; i < s.compiled->paths.size(); ++i) {
-      const model::PathShare& share = s.compiled->paths[i];
-      step_paths[k].push_back(model::JointPath{share.terms, {}});
-      if (share.bytes == 0) continue;
-      step_paths[k].back().links = plan_links(s.src, s.dst, s.paths[i]);
-      model::FixedFlow f;
-      f.links = step_paths[k].back().links;
-      // Compiled templates carry solo terms (uncontended at compile time),
-      // so the cap is the solo path bandwidth — same as admit_replay.
-      f.cap_bps = 1.0 / share.terms.omega;
-      flows.push_back(std::move(f));
-      for (std::uint32_t l : step_paths[k].back().links) {
-        round_links.push_back(l);
-      }
-    }
-  }
-
-  if (options_.joint) {
-    const auto links = snapshot_links();
-    if (options_.network_snapshot) {
-      for (std::uint32_t l : round_links) {
-        if (links[l].background_flows > 0.0) {
-          // Unscheduled traffic shares a round link: its max-min share is
-          // not ours to bound, so the compiled splits are not guaranteed.
-          ++stats_.chain_round_rejects;
-          return {};
-        }
-      }
-    }
-    // ONE water-fill answers the whole round: the round's carrying paths
-    // join every live flow, and acceptance requires *all* of them at their
-    // solo caps. Then nothing is squeezed anywhere — inductively every live
-    // scheduled flow keeps running at cap — and a fresh joint solve of any
-    // step at any instant inside the round would apply no omega override,
-    // i.e. would reproduce exactly the compiled split being replayed.
-    for (model::FixedFlow& f : live_flows(nullptr)) {
-      flows.push_back(std::move(f));
-    }
-    const model::JointThetaSolver::RoundValidation v =
-        model::JointThetaSolver::validate_round(flows, links);
-    if (!v.at_cap) {
-      ++stats_.chain_round_rejects;
-      return {};
-    }
-  }
-
-  std::vector<TicketId> out;
-  out.reserve(steps.size());
-  for (std::size_t k = 0; k < steps.size(); ++k) {
-    const ChainStepRequest& s = steps[k];
-    out.push_back(register_ticket(
-        s.src, s.dst, s.bytes, *s.compiled,
-        {step_paths[k].data(), step_paths[k].size()}, now));
-    ++stats_.chain_step_admits;
-  }
-  ++stats_.chain_round_admits;
-  return out;
-}
-
-void TransferScheduler::depart_chain(std::span<const TicketId> tickets) {
-  const double now = engine_->runtime().engine().now();
-  integrate_to(now);
-  for (const TicketId id : tickets) {
-    if (id == kInvalidTicket) continue;
-    std::size_t idx = live_.size();
-    for (std::size_t i = 0; i < live_.size(); ++i) {
-      if (live_[i].id == id) {
-        idx = i;
-        break;
-      }
-    }
-    if (idx == live_.size()) continue;  // already claimed and departed
-    // Never carried a transfer: keep the history honest.
-    retire(idx, now, /*failed=*/true);
-    ++stats_.chain_unwound;
-  }
 }
 
 util::SmallVec<TransferScheduler::LivePath, 4> TransferScheduler::live_paths(

@@ -1,15 +1,17 @@
 // Collective graph chaining (PR 10): capture/seal/replay lifecycle of
-// CollectiveGraph across the four chained collectives, bit-identical
-// replay timelines under jitter, payload re-patching (including the
-// below-multipath-threshold passthrough degradation), batched joint-theta
-// round admission on scheduled stacks, capacity-epoch invalidation with
-// recapture, and event-reservation accounting across chain destruction and
-// mid-chain compile failure. A nightly fault-churn soak rides along behind
+// chains across the four chained collectives, bit-identical replay
+// timelines under jitter on unscheduled and scheduled stacks, one chain
+// per payload, per-step replay admission with a clean ledger on scheduled
+// stacks, capacity-epoch invalidation with recapture, and
+// event-reservation accounting across chain destruction and mid-chain
+// compile failure. A nightly fault-churn soak rides along behind
 // MPATH_NIGHTLY_SOAK=1.
 #include "mpath/pipeline/collective_graph.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdlib>
 #include <memory>
 #include <vector>
@@ -214,70 +216,57 @@ TEST(ChainReplay, TimelineBitIdenticalToUncapturedUnderJitter) {
 }
 
 // ---------------------------------------------------------------------------
-// Payload patching
+// Payload identity
 // ---------------------------------------------------------------------------
 
-TEST(ChainPatch, PayloadRescaleReplaysWithoutRecapture) {
-  ChainFixture f;
-  f.iterate(Coll::BcastBinomial, 8_MiB, 2);
-  ASSERT_EQ(f.stack.chain()->stats().captures, 1u);
-  const std::uint64_t replayed_before =
-      f.stack.chain()->stats().replayed_steps;
+// The payload is part of a chain's key: a new payload captures its own
+// chain, and returning to an earlier payload replays that chain. 512 KiB
+// gives 128 KiB ring blocks, below min_multipath_bytes, so its chain is all
+// passthrough — exactly what the unchained channel does at that size.
+TEST(ChainPayload, EachPayloadCapturesItsOwnChain) {
+  const double jitter = mt::make_beluga().costs.jitter_rel;
+  ChainFixture on(jitter, /*graphs=*/true);
+  ChainFixture off(jitter, /*graphs=*/false);
+  std::vector<double> t_on, t_off;
+  std::vector<std::uint64_t> replayed;
+  for (const std::size_t bytes : {8_MiB, 512_KiB, 8_MiB}) {
+    on.iterate(Coll::AllgatherRing, bytes, 1);
+    off.iterate(Coll::AllgatherRing, bytes, 1);
+    t_on.push_back(on.stack.engine().now());
+    t_off.push_back(off.stack.engine().now());
+    replayed.push_back(on.stack.chain()->stats().replayed_steps);
+  }
+  EXPECT_EQ(t_on, t_off);
+  const mp::ChainStats st = on.stack.chain()->stats();
+  EXPECT_EQ(st.captures, 2u);
+  EXPECT_EQ(st.iterations_replayed, 1u);
+  EXPECT_EQ(st.mismatch_kills + st.epoch_kills + st.stale_cal_kills, 0u);
+  EXPECT_EQ(replayed[1], 0u);
+  EXPECT_EQ(replayed[2], 12u);  // 3 rounds of 4 ring messages
+  EXPECT_EQ(on.stack.chain()->cache_size(), 2u);
 
-  // Halve the payload: every step's bytes scale exactly, so the resident
-  // chain re-patches in place and keeps replaying. Verify the patched
-  // replay still moves the right bytes: after the broadcast every rank's
-  // buffer must equal the root's pattern.
-  f.stack.world().run([&](mi::Communicator& comm) -> ms::Task<void> {
-    mg::DeviceBuffer data(comm.device(), 4_MiB);
-    data.fill_pattern(comm.rank() == 0 ? 7u : 200u + comm.rank());
-    co_await mi::broadcast(comm, data, 4_MiB, 0);
-    mg::DeviceBuffer want(comm.device(), 4_MiB);
-    want.fill_pattern(7u);
-    EXPECT_TRUE(data.same_content(want)) << "rank " << comm.rank();
+  // The replayed chain moves the right bytes: with materialized buffers,
+  // every rank ends up holding every rank's block.
+  const std::size_t blk = 2_MiB;  // the 8 MiB chain's block size
+  on.stack.world().run([&](mi::Communicator& comm) -> ms::Task<void> {
+    const auto p = static_cast<std::size_t>(comm.size());
+    const auto me = static_cast<std::size_t>(comm.rank());
+    mg::DeviceBuffer data(comm.device(), p * blk);
+    std::ranges::fill(data.region(me * blk, blk),
+                      static_cast<std::byte>(me + 1));
+    co_await mi::allgather(comm, data, blk);
+    for (std::size_t r = 0; r < p; ++r) {
+      EXPECT_EQ(std::ranges::count(data.region(r * blk, blk),
+                                   static_cast<std::byte>(r + 1)),
+                static_cast<std::ptrdiff_t>(blk))
+          << "rank " << me << " block " << r;
+    }
   });
-  const mp::ChainStats st = f.stack.chain()->stats();
-  EXPECT_EQ(st.captures, 1u);
-  EXPECT_GE(st.patches, 1u);
-  EXPECT_EQ(st.patch_failures, 0u);
-  EXPECT_EQ(st.mismatch_kills, 0u);
-  EXPECT_GT(st.replayed_steps, replayed_before);
-}
-
-TEST(ChainPatch, BelowMultipathThresholdDegradesToPassthrough) {
-  ChainFixture f;
-  f.iterate(Coll::AllgatherRing, 8_MiB, 2);
-  ASSERT_EQ(f.stack.chain()->stats().captures, 1u);
-  const std::uint64_t replayed_before =
-      f.stack.chain()->stats().replayed_steps;
-
-  // 512 KiB total -> 128 KiB per ring block, below min_multipath_bytes
-  // (256 KiB): the uncaptured channel would go direct at this size, so the
-  // re-patch must drop every step to passthrough instead of replaying a
-  // multipath split the fresh path would never produce. The chain survives
-  // (no kill, no recapture).
-  f.iterate(Coll::AllgatherRing, 512_KiB, 1);
-  const mp::ChainStats st = f.stack.chain()->stats();
-  EXPECT_EQ(st.captures, 1u);
-  EXPECT_GE(st.patches, 1u);
-  EXPECT_GT(st.patch_failures, 0u);
-  EXPECT_EQ(st.mismatch_kills, 0u);
-  EXPECT_EQ(st.replayed_steps, replayed_before);
-  EXPECT_GT(st.passthrough_steps, 0u);
-  EXPECT_EQ(f.stack.chain()->cache_size(), 1u);
-
-  // Patching back up cannot resurrect the dropped templates in place, so
-  // the resident chain is killed and recaptured — and the recapture
-  // restores the multipath replay fast path on the following iteration.
-  f.iterate(Coll::AllgatherRing, 8_MiB, 2);
-  const mp::ChainStats st2 = f.stack.chain()->stats();
-  EXPECT_EQ(st2.captures, 2u);
-  EXPECT_GE(st2.mismatch_kills, 1u);
-  EXPECT_GT(st2.replayed_steps, replayed_before);
+  EXPECT_EQ(on.stack.chain()->stats().replayed_steps, replayed[2] + 12u);
 }
 
 // ---------------------------------------------------------------------------
-// Scheduled stacks: batched joint-theta admission
+// Scheduled stacks: each replayed step admits through admit_replay
 // ---------------------------------------------------------------------------
 
 TEST(ChainScheduled, BatchAdmitsRoundsWithCleanLedger) {
@@ -287,12 +276,11 @@ TEST(ChainScheduled, BatchAdmitsRoundsWithCleanLedger) {
   const mp::ChainStats cs = f.stack.chain()->stats();
   EXPECT_EQ(cs.captures, 1u);
   EXPECT_GT(cs.replayed_steps, 0u);
-  // Whole rounds admit through admit_chain: one joint solve registering
-  // one ticket per step, and every departure reconciles against the exact
-  // footprint the batch registered.
-  EXPECT_GE(ss.chain_round_admits, 1u);
-  EXPECT_GE(ss.chain_step_admits, 2u * ss.chain_round_admits);
+  // Every replayed step registered its ticket through admit_replay, and
+  // every departure reconciles against the exact footprint it charged.
+  EXPECT_GE(ss.replay_admits, cs.replayed_steps);
   EXPECT_EQ(ss.footprint_mismatches, 0u);
+  EXPECT_EQ(f.stack.scheduler()->live_count(), 0u);
   EXPECT_EQ(cs.mismatch_kills, 0u);
 }
 
@@ -481,7 +469,7 @@ TEST(ChainFaultSoak, NightlyChurnKillsRecapturesAndReconverges) {
   });
   EXPECT_EQ(completed, churn_iters);
   EXPECT_GT(f.stack.chain()->stats().epoch_kills +
-                f.stack.chain()->stats().contended_rounds,
+                f.stack.chain()->stats().contended_steps,
             0u);
   // Plan exhausted: replay must re-engage.
   const std::uint64_t replayed_mid = f.stack.chain()->stats().replayed_steps;

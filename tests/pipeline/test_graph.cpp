@@ -1,5 +1,5 @@
 // Compiled transfer graphs (PR 9): compile/replay timing identity with the
-// uncompiled path, TransferGraph patching, the GraphCache (LRU, collision,
+// uncompiled path, the chunk-op list, the GraphCache (LRU, collision,
 // calibration-version invalidation), the ModelDrivenChannel fast path with
 // its fallback gates, admit_replay ledger equivalence, and the invalidation
 // edge cases (calibration publish mid-flight, health probation of a
@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cmath>
 #include <memory>
 #include <optional>
 #include <span>
@@ -107,7 +106,6 @@ TEST(GraphCompile, ResolvesResourcesWithoutSimulatedTime) {
     covered += p.bytes;
     if (p.staged) {
       EXPECT_TRUE(p.lease.valid());
-      EXPECT_GT(p.slot_bytes, 0u);
       EXPECT_EQ(p.fwd_events.size(), static_cast<std::size_t>(p.chunks));
       EXPECT_EQ(p.bwd_events.size(), static_cast<std::size_t>(p.chunks));
     }
@@ -337,172 +335,31 @@ TEST(GraphReplay, BusyTemplateIsRejected) {
   EXPECT_FALSE(g->busy());
 }
 
-// ---------------------------------------------------------------------------
-// Patch
-// ---------------------------------------------------------------------------
-
-TEST(GraphPatch, ResplitsKeepingThetaAndDelivers) {
+// A staged share carrying a single byte: its chunk count clamps to
+// min(chunks, bytes) == 1, so the op list holds one chunk and none of the
+// in-flight pipelining ops (no kWaitSlot, which only exists from chunk
+// index 2 on). Replay must still deliver.
+TEST(GraphCompile, SingleChunkStagedShareIssuesNoWaitSlot) {
   Fixture f;
   const auto paths = f.candidates(mt::PathPolicy::three_gpus());
-  const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
-  auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  ASSERT_NE(g, nullptr);
-  const std::vector<double> thetas = [&] {
-    std::vector<double> t;
-    for (const auto& s : g->config().paths) t.push_back(s.theta);
-    return t;
-  }();
-
-  ASSERT_TRUE(g->patch(48_MiB));
-  EXPECT_EQ(g->total_bytes(), 48_MiB);
-  EXPECT_EQ(g->config().total_bytes, 48_MiB);
-  std::uint64_t covered = 0;
-  for (const auto& s : g->config().paths) covered += s.bytes;
-  EXPECT_EQ(covered, 48_MiB);
-  // Non-anchor shares follow the compiled theta exactly.
-  for (std::size_t i = 1; i < g->config().paths.size(); ++i) {
-    EXPECT_EQ(g->config().paths[i].bytes,
-              static_cast<std::uint64_t>(
-                  std::floor(thetas[i] * static_cast<double>(48_MiB))));
-  }
-
-  mg::DeviceBuffer src(f.gpus[0], 48_MiB), dst(f.gpus[1], 48_MiB);
-  src.fill_pattern(25);
-  f.engine.spawn(
-      [](Fixture& fx, std::shared_ptr<mp::TransferGraph> gr,
-         mg::DeviceBuffer& d, const mg::DeviceBuffer& s) -> ms::Task<void> {
-        const auto out = co_await fx.pipe.replay(gr, d, 0, s, 0, {});
-        EXPECT_TRUE(out.complete);
-      }(f, g, dst, src),
-      "patched");
-  f.engine.run();
-  EXPECT_TRUE(dst.same_content(src));
-
-  // patch(total_bytes()) is a no-op; zero bytes is rejected.
-  EXPECT_TRUE(g->patch(48_MiB));
-  EXPECT_FALSE(g->patch(0));
-  EXPECT_EQ(g->total_bytes(), 48_MiB);
-}
-
-TEST(GraphPatch, OneBytePatchCollapsesOntoTheAnchor) {
-  // The smallest legal patch: every non-anchor share floors to zero bytes
-  // (floor(theta * 1) == 0 for theta < 1), the remainder — the whole byte —
-  // lands on the anchor, and the op list degenerates to the anchor's path
-  // alone. The graph must still replay and deliver that byte.
-  Fixture f;
-  const auto paths = f.candidates(mt::PathPolicy::three_gpus());
-  const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
-  auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  ASSERT_NE(g, nullptr);
-  ASSERT_GT(g->config().paths.size(), 1u);
-
-  ASSERT_TRUE(g->patch(1));
-  EXPECT_EQ(g->total_bytes(), 1u);
-  EXPECT_EQ(g->config().paths[0].bytes, 1u);
-  EXPECT_EQ(g->config().paths[0].theta, 1.0);
-  for (std::size_t i = 1; i < g->config().paths.size(); ++i) {
-    EXPECT_EQ(g->config().paths[i].bytes, 0u);
-  }
-  // Zero-byte paths contribute no chunks and no ops.
-  std::size_t carrying = 0;
-  for (const auto& p : g->paths()) {
-    if (p.bytes == 0) {
-      EXPECT_EQ(p.chunks, 0);
-      EXPECT_TRUE(p.chunk_sizes.empty());
-    } else {
-      ++carrying;
-      EXPECT_EQ(p.chunks, 1);
-      ASSERT_EQ(p.chunk_sizes.size(), 1u);
-      EXPECT_EQ(p.chunk_sizes[0], 1u);
-    }
-  }
-  EXPECT_EQ(carrying, 1u);
-
-  mg::DeviceBuffer src(f.gpus[0], 1), dst(f.gpus[1], 1);
-  src.fill_pattern(31);
-  f.engine.spawn(
-      [](Fixture& fx, std::shared_ptr<mp::TransferGraph> gr,
-         mg::DeviceBuffer& d, const mg::DeviceBuffer& s) -> ms::Task<void> {
-        const auto out = co_await fx.pipe.replay(gr, d, 0, s, 0, {});
-        EXPECT_TRUE(out.complete);
-      }(f, g, dst, src),
-      "one-byte");
-  f.engine.run();
-  EXPECT_TRUE(dst.same_content(src));
-}
-
-TEST(GraphPatch, PatchingBackToCompiledBytesRestoresExactShares) {
-  // Non-anchor thetas are never rewritten by patch, and the share bytes are
-  // re-derived with the same floor/anchor-remainder arithmetic the original
-  // compile used — so patching away and back must reproduce the compiled
-  // split bit for bit, including the per-chunk splits.
-  Fixture f;
-  const auto paths = f.candidates(mt::PathPolicy::three_gpus());
-  const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
-  auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  ASSERT_NE(g, nullptr);
-
-  struct Snap {
-    std::vector<std::uint64_t> share_bytes;
-    std::vector<double> thetas;
-    std::vector<std::vector<std::size_t>> chunk_sizes;
-    std::size_t ops = 0;
-  };
-  const auto snapshot = [&] {
-    Snap s;
-    for (const auto& share : g->config().paths) {
-      s.share_bytes.push_back(share.bytes);
-      s.thetas.push_back(share.theta);
-    }
-    for (const auto& p : g->paths()) {
-      s.chunk_sizes.emplace_back(p.chunk_sizes.begin(), p.chunk_sizes.end());
-    }
-    s.ops = g->ops().size();
-    return s;
-  };
-  const Snap before = snapshot();
-
-  ASSERT_TRUE(g->patch(48_MiB));
-  ASSERT_TRUE(g->patch(1));
-  ASSERT_TRUE(g->patch(64_MiB));
-
-  const Snap after = snapshot();
-  EXPECT_EQ(after.share_bytes, before.share_bytes);
-  EXPECT_EQ(after.thetas, before.thetas);
-  EXPECT_EQ(after.chunk_sizes, before.chunk_sizes);
-  EXPECT_EQ(after.ops, before.ops);
-  EXPECT_EQ(g->total_bytes(), 64_MiB);
-}
-
-TEST(GraphPatch, StagedShareDegeneratesToSingleChunk) {
-  // Shrink until a staged share carries exactly one byte: its chunk count
-  // clamps to min(compiled chunks, bytes) == 1, so the re-split emits a
-  // single chunk and none of the in-flight pipelining ops (no kWaitSlot,
-  // which only exists from chunk index 2 on). Replay must still deliver.
-  Fixture f;
-  const auto paths = f.candidates(mt::PathPolicy::three_gpus());
-  const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
-  auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  ASSERT_NE(g, nullptr);
-
-  // Find a non-anchor staged share and the size at which it gets 1 byte.
+  mm::TransferConfig config =
+      f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
   std::size_t staged_idx = 0;
-  for (std::size_t i = 1; i < g->config().paths.size(); ++i) {
-    if (g->config().paths[i].plan.kind == mt::PathKind::GpuStaged) {
+  for (std::size_t i = 1; i < config.paths.size(); ++i) {
+    if (config.paths[i].plan.kind == mt::PathKind::GpuStaged) {
       staged_idx = i;
       break;
     }
   }
   ASSERT_GT(staged_idx, 0u) << "topology offers no non-anchor staged path";
-  ASSERT_GT(g->config().paths[staged_idx].chunks, 1);
-  const double theta = g->config().paths[staged_idx].theta;
-  const auto new_bytes =
-      static_cast<std::uint64_t>(std::ceil(1.0 / theta));
-  ASSERT_EQ(static_cast<std::uint64_t>(
-                std::floor(theta * static_cast<double>(new_bytes))),
-            1u);
+  ASSERT_GT(config.paths[staged_idx].chunks, 1);
+  // Move all but one of the staged share's bytes onto the anchor.
+  config.paths[0].bytes += config.paths[staged_idx].bytes - 1;
+  config.paths[staged_idx].bytes = 1;
+  const std::uint64_t total = config.total_bytes;
+  auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
+  ASSERT_NE(g, nullptr);
 
-  ASSERT_TRUE(g->patch(new_bytes));
   std::size_t staged_pidx = g->paths().size();
   for (std::size_t i = 0; i < g->paths().size(); ++i) {
     if (g->paths()[i].staged && g->paths()[i].plan_index == staged_idx) {
@@ -522,7 +379,7 @@ TEST(GraphPatch, StagedShareDegeneratesToSingleChunk) {
     }
   }
 
-  mg::DeviceBuffer src(f.gpus[0], new_bytes), dst(f.gpus[1], new_bytes);
+  mg::DeviceBuffer src(f.gpus[0], total), dst(f.gpus[1], total);
   src.fill_pattern(87);
   f.engine.spawn(
       [](Fixture& fx, std::shared_ptr<mp::TransferGraph> gr,
@@ -533,21 +390,6 @@ TEST(GraphPatch, StagedShareDegeneratesToSingleChunk) {
       "single-chunk");
   f.engine.run();
   EXPECT_TRUE(dst.same_content(src));
-}
-
-TEST(GraphPatch, RejectsSizesThatOverflowCompiledResources) {
-  Fixture f;
-  const auto paths = f.candidates(mt::PathPolicy::two_gpus());
-  const auto config = f.cfg.compute_config(f.gpus[0], f.gpus[1], 8_MiB, paths);
-  auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  ASSERT_NE(g, nullptr);
-  const std::uint64_t before = g->total_bytes();
-  // 64x the compiled size: a staged chunk would exceed its staging slot (the
-  // slot was sized for the compile-time chunk), so the patch must refuse and
-  // leave the template untouched.
-  EXPECT_FALSE(g->patch(512_MiB));
-  EXPECT_EQ(g->total_bytes(), before);
-  EXPECT_EQ(g->config().total_bytes, before);
 }
 
 // ---------------------------------------------------------------------------

@@ -162,36 +162,9 @@ TEST(Scheduler, IdleNetworkAdmissionMatchesSoloConfig) {
   }
 }
 
-// A batch admission is the K-transfer joint solve: two identical transfers
-// squeezing through one link each get half the bandwidth, so both configs
-// predict ~2x the solo time already at admission.
-TEST(Scheduler, BatchAdmissionIsContentionAware) {
-  Fixture f;
-  mp::TransferScheduler sched(f.pipe, f.cfg);
-  const auto paths = mt::enumerate_paths(f.sys.topology, f.gpus[0], f.gpus[1],
-                                         mt::PathPolicy::direct_only());
-  const double solo =
-      f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths)
-          .predicted_time;
-  std::vector<mp::TransferScheduler::Request> reqs(2);
-  for (auto& r : reqs) {
-    r.src = f.gpus[0];
-    r.dst = f.gpus[1];
-    r.bytes = 64_MiB;
-    r.paths = paths;
-  }
-  const auto adms = sched.admit_batch(reqs);
-  ASSERT_EQ(adms.size(), 2u);
-  for (const auto& adm : adms) {
-    EXPECT_GT(adm.config.predicted_time, 1.8 * solo);
-    EXPECT_LT(adm.config.predicted_time, 2.2 * solo);
-  }
-  EXPECT_EQ(sched.live_count(), 2u);
-}
-
-// Sequential same-instant admissions must converge to the same predictions
-// as a batch: the second admission refreshes the first's still-unfrozen
-// record.
+// Same-instant admissions refresh each other: the second admission
+// re-solves the first's still-unfrozen record against the shared link, so
+// a storm's predictions all end up contention-aware.
 TEST(Scheduler, SameInstantArrivalsRefreshEachOther) {
   Fixture f;
   mp::TransferScheduler sched(f.pipe, f.cfg);
