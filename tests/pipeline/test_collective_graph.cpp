@@ -110,22 +110,24 @@ struct ChainFixture {
   }
 };
 
-/// A fresh *scheduled* 2-rank stack, chained unless `chained` is false
-/// (directed-disjoint allreduce rounds, so replayed steps admit).
+/// A fresh *scheduled* stack, chained unless `chained` is false. With the
+/// default 2 ranks, allreduce rounds use directed-disjoint links, so
+/// replayed steps admit; with 4, steps contend for links.
 struct SchedFixture {
   mt::System sys;
   mm::ModelRegistry reg;
   mm::PathConfigurator cfg;
   bc::SimStack stack;
 
-  explicit SchedFixture(bool chained = true, double jitter_rel = 0.0)
+  explicit SchedFixture(bool chained = true, double jitter_rel = 0.0,
+                        int nranks = 2)
       : sys(beluga(jitter_rel)),
         reg(mpath::tuning::registry_from_topology(sys)),
         cfg(reg),
         stack([&] {
           bc::StackOptions opt;
           opt.collective_graphs = chained;
-          opt.nranks = 2;
+          opt.nranks = nranks;
           return bc::SimStack::model_driven_scheduled(
               sys, cfg, mt::PathPolicy::two_gpus(), {}, opt);
         }()) {}
@@ -303,6 +305,29 @@ TEST(ChainScheduled, ReplayBitIdenticalToUnchainedScheduledTwin) {
   EXPECT_GT(on.stack.chain()->stats().replayed_steps, 0u);
   EXPECT_EQ(on.stack.scheduler()->stats().footprint_mismatches, 0u);
   EXPECT_EQ(on.stack.scheduler()->live_count(), 0u);
+}
+
+// With 4 ranks the steps contend for links: admit_replay refuses some of
+// them, and each refused step falls back to the fresh admission the
+// unchained twin makes, so the timelines still match.
+TEST(ChainScheduled, ContendedStepsStayBitIdenticalToUnchainedTwin) {
+  const double jitter = mt::make_beluga().costs.jitter_rel;
+  for (const Coll c : {Coll::AllreduceRhd, Coll::AllgatherRing}) {
+    SchedFixture on(/*chained=*/true, jitter, /*nranks=*/4);
+    SchedFixture off(/*chained=*/false, jitter, /*nranks=*/4);
+    std::vector<double> t_on, t_off;
+    for (int i = 0; i < 6; ++i) {
+      on.iterate(c, 32_MiB, 1);
+      off.iterate(c, 32_MiB, 1);
+      t_on.push_back(on.stack.engine().now());
+      t_off.push_back(off.stack.engine().now());
+    }
+    EXPECT_EQ(t_on, t_off);
+    const mp::ChainStats cs = on.stack.chain()->stats();
+    EXPECT_GT(cs.replayed_steps, 0u);
+    EXPECT_GT(cs.contended_steps, 0u);
+    EXPECT_EQ(on.stack.scheduler()->stats().footprint_mismatches, 0u);
+  }
 }
 
 TEST(ChainScheduled, CapacityEpochChangeKillsThenRecaptures) {
