@@ -21,8 +21,9 @@ struct StackOptions {
   int nranks = 0;  ///< 0 = one rank per GPU
   /// Collective graph chaining: capture each collective's whole transfer
   /// DAG on first invocation, replay it (each step admitted like any
-  /// cached template on scheduled stacks) on later ones. Model-driven
-  /// stacks only; ignored (with recovery enabled: rejected) elsewhere.
+  /// cached template on scheduled stacks, and watched like one with
+  /// recovery on) on later ones. Model-driven stacks only; ignored
+  /// elsewhere.
   bool collective_graphs = false;
 };
 

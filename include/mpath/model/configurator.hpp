@@ -32,17 +32,9 @@ struct ConfiguratorOptions {
   /// (default), phi is refit at each request's message size — the tangent
   /// construction phi(n) = 1/sqrt(X(theta_hint, n)), which keeps Eq. 19
   /// exact at the operating point while remaining linear in theta. When
-  /// false, one global phi is least-squares fit over
-  /// [phi_fit_n_min, phi_fit_n_max] (ablation: substantially less accurate).
+  /// false, one global phi is least-squares fit over the 2 MiB..512 MiB
+  /// operating range (ablation: substantially less accurate).
   bool phi_per_message = true;
-  /// Operating range used to fit global phi constants (Eq. 19) when
-  /// phi_per_message is false.
-  double phi_fit_n_min = 2.0 * (1 << 20);
-  double phi_fit_n_max = 512.0 * (1 << 20);
-  /// Contention factors are measured in the large-message regime; below
-  /// this size the per-hop composition is more faithful, so factors are
-  /// ignored.
-  std::uint64_t omega_override_min_bytes = 16u << 20;
   /// When false every configure() recomputes, and the reference it returns
   /// stays valid only until the next call.
   bool cache_enabled = true;

@@ -15,7 +15,9 @@
 // Observation policy: callers should only feed transfers that completed
 // without watchdog timeouts — a severed path's stall is a fault (the
 // PathHealthManager's job), not parameter drift, and folding it in would
-// slam the guard rails for no benefit.
+// slam the guard rails for no benefit — and that ran the config they
+// report: an attempt that carried probe slices had its anchor's share cut
+// short, so its measured time belongs to a different split.
 #pragma once
 
 #include <cstdint>
@@ -28,12 +30,8 @@
 namespace mpath::model {
 
 struct RecalibratorOptions {
-  /// EWMA gain per unit theta: a path carrying the whole message moves its
-  /// smoothed ratio by `gain` of the residual per observation.
-  double gain = 0.25;
-  /// Publish once |smoothed ratio - 1| exceeds this (and min_samples met).
-  double drift_threshold = 0.05;
-  /// Observations required on a path before its first publication.
+  /// Observations required on a path before its first publication (which
+  /// also needs |smoothed ratio - 1| above 5%).
   int min_samples = 3;
   /// Guard rails: cumulative scales are clamped into
   /// [min_scale, max_scale] relative to the base (registry) parameters.

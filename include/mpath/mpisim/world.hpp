@@ -19,9 +19,6 @@ class ChainController;
 namespace mpath::mpisim {
 
 struct WorldOptions {
-  /// Local reduction throughput (bytes/s) used to model the compute part
-  /// of Allreduce (paper Observation 3: compute overhead caps its gains).
-  double reduce_bps = 75e9;
   transport::TransportOptions transport;
 };
 
@@ -121,7 +118,9 @@ class Communicator {
                                            const gpusim::DeviceBuffer& src,
                                            std::size_t src_off,
                                            std::size_t bytes);
-  /// Model a local reduction over `bytes` of data (time = bytes/reduce_bps).
+  /// Model a local reduction over `bytes` of data at 75 GB/s, the compute
+  /// part of Allreduce (paper Observation 3: compute overhead caps its
+  /// gains).
   [[nodiscard]] sim::Task<void> reduce_compute(std::size_t bytes);
 
   /// Per-communicator collective sequence number; every rank calling the

@@ -46,15 +46,16 @@ class SinglePathChannel final : public gpusim::DataChannel {
 
 /// Degradation-aware recovery policy: every path of a transfer runs under a
 /// watchdog whose deadline is the model-predicted per-path time T_i times
-/// `slack`; on timeout the failed path is dropped from the candidate set,
-/// theta is re-solved over the survivors for the undelivered remainder, and
-/// the remainder is re-issued as a fresh ExecPlan. After `max_replans`
-/// failed attempts (or when no path survives) the transfer throws
-/// gpusim::TransferError with partial-progress accounting.
+/// `slack` (floored at 1 ms, so noise cannot trip tiny shares); on timeout
+/// the failed path is dropped from the candidate set, theta is re-solved
+/// over the survivors for the undelivered remainder, and the remainder is
+/// re-issued as a fresh ExecPlan. After `max_replans` failed attempts (or
+/// when no path survives) the transfer throws gpusim::TransferError with
+/// partial-progress accounting. Disabled, a transfer runs once with no
+/// watchdog.
 struct RecoveryOptions {
   bool enabled = false;
   double slack = 4.0;          ///< deadline = slack * predicted T_i
-  double min_deadline_s = 1e-3;  ///< floor so noise cannot trip tiny shares
   int max_replans = 3;
   /// Per-retry watchdog slack escalation: re-plan r of one transfer uses
   /// slack * min(retry_backoff^r, max_slack_factor). A flapping path then
@@ -81,12 +82,15 @@ struct RecoveryStats {
 struct ModelDrivenOptions {
   /// Transfers below this size skip the model and go direct (matching the
   /// runtime integration, which leaves small messages on the default path).
+  /// With recovery on they still take a single-path model plan, whose
+  /// prediction sets their watchdog deadline.
   std::size_t min_multipath_bytes = 256 * 1024;
   RecoveryOptions recovery;
   /// Path probation/readmission policy. Requires recovery.enabled (health
   /// is driven by the watchdog outcomes); ignored otherwise.
   HealthOptions health;
-  /// When set, every cleanly completed model-driven transfer feeds its
+  /// When set, every model-driven transfer whose first attempt ran its plan
+  /// as configured (no watchdog fired, no probe slice carved out) feeds its
   /// (predicted, actual) pair back for online alpha/beta refinement. The
   /// recalibrator must outlive the channel. Null (default) keeps the model
   /// static — paper-faithful mode.
@@ -138,6 +142,10 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
                      model::PathConfigurator& configurator,
                      topo::PathPolicy policy, ModelDrivenOptions options = {});
 
+  /// One loop per transfer: plan (chain claim, cached template, admission
+  /// or solo), then replay or execute. With recovery on every path runs
+  /// under a watchdog, and a timed-out remainder is re-planned over the
+  /// surviving paths; with it off the loop runs once, unwatched.
   [[nodiscard]] sim::Task<void> transfer(gpusim::DeviceBuffer& dst,
                                          std::size_t dst_offset,
                                          const gpusim::DeviceBuffer& src,
@@ -169,15 +177,15 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
   /// transfer then consumes the controller's pending step — replaying a
   /// chained template when one is claimable, and reporting its
   /// configuration back during capture. The controller must outlive the
-  /// attachment and requires recovery disabled on this channel.
-  void attach_chain(ChainController* chain);
+  /// attachment.
+  void attach_chain(ChainController* chain) { chain_ = chain; }
   /// The attached chain controller (null when collective chaining is off).
   [[nodiscard]] ChainController* chain() const { return chain_; }
 
  private:
   friend class ChainController;
   using PlanClock = std::chrono::steady_clock;
-  /// One planned execution: what a plan source hands the settle tail.
+  /// One planned execution: what a plan source hands the transfer loop.
   struct Plan;
 
   [[nodiscard]] const std::vector<topo::PathPlan>& candidate_paths(
@@ -206,8 +214,8 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
 
   // -- plan sources -----------------------------------------------------------
   // Each fills {graph, ticket, config, reproducible} without suspending. In
-  // order: chain claim (ChainController::claim_step), cached template,
-  // admission or solo.
+  // order on a transfer's first attempt: chain claim
+  // (ChainController::claim_step), cached template, admission or solo.
   /// A cached template that passes the replay gate; evicts it when one of
   /// its paths is unhealthy or its capacity epoch is stale. False: take the
   /// next source.
@@ -216,10 +224,13 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
                                  const std::vector<topo::PathPlan>& paths,
                                  Plan& plan);
   /// Scheduler admission (a re-plan once `plan` holds a ticket) or solo
-  /// Algorithm 1 over `paths`, whose first entry is the anchor. Compiles a
-  /// template when `compile` and the plan is reproducible.
+  /// Algorithm 1 over `paths`, whose first entry is the anchor. The plan is
+  /// reproducible only for a `canonical` request — the whole message over
+  /// the full candidate set with no probe pending — that admission (if
+  /// any) found uncontended; a reproducible plan compiles a template when
+  /// the channel has a GraphCache.
   void plan_fresh(topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-                  std::span<const topo::PathPlan> paths, bool compile,
+                  std::span<const topo::PathPlan> paths, bool canonical,
                   Plan& plan);
   /// Compile `config` into a template, stamp it with the current capacity
   /// epoch, and insert it into the cache. Returns nullptr (and counts a
@@ -227,23 +238,6 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
   [[nodiscard]] std::shared_ptr<TransferGraph> compile_template(
       topo::DeviceId src, topo::DeviceId dst,
       const model::TransferConfig& config);
-
-  /// The one execute-and-settle tail: report the plan as last_config(),
-  /// close its plan_ns section, replay or execute it, and when a complete
-  /// run `finishes` the transfer, depart its ticket and (for a `clean`
-  /// single-attempt transfer) feed the recalibrator. After its co_await it
-  /// reads only the caller-owned `plan`: concurrent transfers interleave.
-  [[nodiscard]] sim::Task<TransferOutcome> settle(
-      Plan& plan, PlanClock::time_point plan_t0, gpusim::DeviceBuffer& dst,
-      std::size_t dst_offset, const gpusim::DeviceBuffer& src,
-      std::size_t src_offset, PathWatchList watch, bool finishes,
-      bool clean);
-  /// Recovery: a loop of planned attempts around the settle tail, each
-  /// re-planning the undelivered remainder over the surviving paths.
-  [[nodiscard]] sim::Task<void> transfer_with_recovery(
-      gpusim::DeviceBuffer& dst, std::size_t dst_offset,
-      const gpusim::DeviceBuffer& src, std::size_t src_offset,
-      std::size_t bytes);
 
   PipelineEngine* engine_;
   ChainController* chain_ = nullptr;

@@ -26,11 +26,14 @@
 // refused one falls back to that fresh admission.
 //
 // Invalidation causes (per-cause counters in ChainStats): a step template
-// mid-replay (busy — step falls back, chain survives), link-capacity epoch
-// superseded, calibration version superseded, step-key/size mismatch
+// mid-replay (busy — step falls back, chain survives), a step template path
+// on probation (unhealthy — step falls back, chain survives), link-capacity
+// epoch superseded, calibration version superseded, step-key/size mismatch
 // (algorithm drift), and a contended step (admit_replay refusal — step
 // falls back, chain survives). A killed chain is removed from the cache
 // and recaptured on the next invocation.
+// Under recovery a claimed step is watched like any replayed template, and
+// a step whose capture attempt re-planned stays passthrough.
 //
 // Lifetime: chains hold TransferGraphs, which borrow events/staging from
 // the runtime — destroy the controller (or clear() it) before the runtime,
@@ -73,6 +76,7 @@ struct ChainStats {
   std::uint64_t compile_failures = 0;    ///< seal-time compile soft-fails
   // -- invalidation causes --------------------------------------------------
   std::uint64_t busy_fallbacks = 0;      ///< step template mid-replay
+  std::uint64_t unhealthy_steps = 0;     ///< a step template path unhealthy
   std::uint64_t epoch_kills = 0;         ///< link capacities changed
   std::uint64_t stale_cal_kills = 0;     ///< calibration superseded
   std::uint64_t mismatch_kills = 0;      ///< step key/size drifted
@@ -82,8 +86,7 @@ struct ChainStats {
 /// Capture/replay orchestrator. Owns the chain cache, observes every
 /// matched message through the transport tap (World::set_chain_controller
 /// installs it), and hands the attached ModelDrivenChannel pending replay
-/// steps. One controller per channel; requires recovery disabled (chained
-/// replay cannot express partial-segment re-plans).
+/// steps. One controller per channel.
 class ChainController {
  public:
   /// What the tap staged for the channel transfer that is about to run.
@@ -94,7 +97,8 @@ class ChainController {
     bool replay = false;   ///< try the chain fast path first
   };
 
-  explicit ChainController(ModelDrivenChannel& channel);
+  explicit ChainController(ModelDrivenChannel& channel)
+      : channel_(&channel) {}
   ChainController(const ChainController&) = delete;
   ChainController& operator=(const ChainController&) = delete;
   ~ChainController();
@@ -127,7 +131,8 @@ class ChainController {
                                     ModelDrivenChannel::Plan& plan);
   /// Record the capture-iteration outcome of a step: `config` is the
   /// reproducible compiled-eligible configuration, or null when the step
-  /// must stay passthrough (small, contended, or otherwise unreproducible).
+  /// must stay passthrough (small, contended, re-planned, or otherwise
+  /// unreproducible).
   void record_step(const Pending& p, const model::TransferConfig* config);
 
   // -- introspection --------------------------------------------------------

@@ -1,15 +1,11 @@
 // Coroutine synchronization primitives layered on the Engine:
 //   * Semaphore — counting permits (stream slots, staging-buffer pools),
-//   * Mailbox<T> — FIFO channel with awaitable receive (op queues, tag
-//     matching),
 //   * Barrier — N-party rendezvous (MPI_Barrier building block).
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
 #include <deque>
-#include <optional>
-#include <utility>
 
 #include "mpath/sim/engine.hpp"
 
@@ -67,76 +63,6 @@ class Semaphore {
   Engine* engine_;
   std::size_t count_;
   std::deque<std::coroutine_handle<>> waiters_;
-};
-
-/// RAII permit for Semaphore; use `co_await sem.acquire()` then construct a
-/// Permit, or use the `with_permit` helper pattern in call sites.
-class Permit {
- public:
-  explicit Permit(Semaphore& sem) : sem_(&sem) {}
-  Permit(Permit&& o) noexcept : sem_(std::exchange(o.sem_, nullptr)) {}
-  Permit(const Permit&) = delete;
-  Permit& operator=(const Permit&) = delete;
-  Permit& operator=(Permit&&) = delete;
-  ~Permit() {
-    if (sem_) sem_->release();
-  }
-
- private:
-  Semaphore* sem_;
-};
-
-/// Unbounded FIFO channel. Multiple receivers are served in FIFO order.
-/// Items are handed to a specific waiter at push time, so a later receiver
-/// can never steal an item already promised to an earlier one.
-template <typename T>
-class Mailbox {
- public:
-  explicit Mailbox(Engine& engine) : engine_(&engine) {}
-  Mailbox(const Mailbox&) = delete;
-  Mailbox& operator=(const Mailbox&) = delete;
-
-  struct Receiver {
-    Mailbox* box;
-    std::optional<T> slot;
-    std::coroutine_handle<> handle;
-
-    bool await_ready() {
-      if (!box->items_.empty() && box->waiters_.empty()) {
-        slot = std::move(box->items_.front());
-        box->items_.pop_front();
-        return true;
-      }
-      return false;
-    }
-    void await_suspend(std::coroutine_handle<> h) {
-      handle = h;
-      box->waiters_.push_back(this);
-    }
-    T await_resume() { return std::move(*slot); }
-  };
-
-  void push(T value) {
-    if (!waiters_.empty()) {
-      Receiver* r = waiters_.front();
-      waiters_.pop_front();
-      r->slot = std::move(value);
-      engine_->schedule_handle(engine_->now(), r->handle);
-    } else {
-      items_.push_back(std::move(value));
-    }
-  }
-
-  [[nodiscard]] Receiver receive() { return Receiver{this, std::nullopt, {}}; }
-
-  [[nodiscard]] bool empty() const { return items_.empty(); }
-  [[nodiscard]] std::size_t size() const { return items_.size(); }
-  [[nodiscard]] std::size_t waiting() const { return waiters_.size(); }
-
- private:
-  Engine* engine_;
-  std::deque<T> items_;
-  std::deque<Receiver*> waiters_;
 };
 
 /// N-party reusable barrier: the Nth arrival releases everyone.

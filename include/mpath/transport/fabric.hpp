@@ -20,13 +20,13 @@ namespace mpath::transport {
 
 inline constexpr int kAnySource = -1;
 inline constexpr int kAnyTag = -1;
+/// Messages at or below this size use the eager protocol (no rendezvous
+/// handshake, no IPC mapping).
+inline constexpr std::size_t kEagerThresholdBytes = 64 * 1024;
+/// Host-side overhead of an eager message.
+inline constexpr double kEagerOverheadS = 1.0e-6;
 
 struct TransportOptions {
-  /// Messages at or below this size use the eager protocol (no rendezvous
-  /// handshake, no IPC mapping).
-  std::size_t eager_threshold = 64 * 1024;
-  /// Host-side overhead of an eager message.
-  double eager_overhead_s = 1.0e-6;
   /// Rendezvous-sized send/recv operations that find no match within this
   /// window are aborted with gpusim::TransferError instead of waiting
   /// forever (a dead peer otherwise deadlocks the whole simulation).

@@ -11,6 +11,15 @@
 
 namespace mpath::model {
 
+/// Operating range used to fit global phi constants (Eq. 19) when
+/// phi_per_message is false.
+constexpr double kPhiFitNMin = 2.0 * (1 << 20);
+constexpr double kPhiFitNMax = 512.0 * (1 << 20);
+/// Contention factors are measured in the large-message regime; below
+/// this size the per-hop composition is more faithful, so factors are
+/// ignored.
+constexpr std::uint64_t kOmegaOverrideMinBytes = 16u << 20;
+
 PathConfigurator::PathConfigurator(const ModelRegistry& registry,
                                    ConfiguratorOptions options)
     : registry_(&registry),
@@ -147,8 +156,8 @@ PreparedTransfer PathConfigurator::prepare(
   const double theta_hint = 1.0 / static_cast<double>(p);
   for (std::size_t i = 0; i < p; ++i) {
     if (options_.pipelining) {
-      const double fit_lo = options_.phi_per_message ? n : options_.phi_fit_n_min;
-      const double fit_hi = options_.phi_per_message ? n : options_.phi_fit_n_max;
+      const double fit_lo = options_.phi_per_message ? n : kPhiFitNMin;
+      const double fit_hi = options_.phi_per_message ? n : kPhiFitNMax;
       out.phis[i] =
           PhiFitter::fit_for_path(out.params[i], fit_lo, fit_hi, theta_hint);
       out.terms[i] = terms_pipelined(out.params[i], out.phis[i]);
@@ -158,7 +167,7 @@ PreparedTransfer PathConfigurator::prepare(
     // Contention-aware extension: derate this path's effective bandwidth
     // by the measured intra-path contention factor (>= 1). Applied only in
     // the large-message regime where the factor was measured.
-    if (bytes >= options_.omega_override_min_bytes) {
+    if (bytes >= kOmegaOverrideMinBytes) {
       if (const auto f = registry_->contention_factor(src, dst, paths[i])) {
         out.terms[i].omega *= *f;
       }

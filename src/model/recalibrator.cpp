@@ -7,6 +7,12 @@
 
 namespace mpath::model {
 
+/// EWMA gain per unit theta: a path carrying the whole message moves its
+/// smoothed ratio by this fraction of the residual per observation.
+constexpr double kGain = 0.25;
+/// Publish once |smoothed ratio - 1| exceeds this (and min_samples met).
+constexpr double kDriftThreshold = 0.05;
+
 Recalibrator::Recalibrator(CalibrationStore& store,
                            RecalibratorOptions options)
     : store_(&store), options_(options) {}
@@ -30,11 +36,11 @@ void Recalibrator::observe(topo::DeviceId src, topo::DeviceId dst,
       if (share.bytes == 0 || share.predicted_time <= 0.0) continue;
       const PathCalKey key = PathCalKey::of(src, dst, share.plan);
       Ewma& e = ewma_[key];
-      const double g = std::min(1.0, options_.gain * share.theta);
+      const double g = std::min(1.0, kGain * share.theta);
       e.ratio += g * (ratio - e.ratio);
       ++e.samples;
       if (e.samples < options_.min_samples ||
-          std::abs(e.ratio - 1.0) <= options_.drift_threshold) {
+          std::abs(e.ratio - 1.0) <= kDriftThreshold) {
         continue;
       }
       // Attribute the residual between the bandwidth and latency terms by

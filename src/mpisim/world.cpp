@@ -7,6 +7,9 @@
 
 namespace mpath::mpisim {
 
+/// Local reduction throughput (bytes/s) of reduce_compute.
+constexpr double kReduceBps = 75e9;
+
 World::World(gpusim::GpuRuntime& runtime, gpusim::DataChannel& channel,
              int nranks, WorldOptions options)
     : runtime_(&runtime),
@@ -140,8 +143,7 @@ sim::Task<void> Communicator::local_copy(gpusim::DeviceBuffer& dst,
 }
 
 sim::Task<void> Communicator::reduce_compute(std::size_t bytes) {
-  co_await world_->engine().delay(static_cast<double>(bytes) /
-                                  world_->options().reduce_bps);
+  co_await world_->engine().delay(static_cast<double>(bytes) / kReduceBps);
 }
 
 int Communicator::next_collective_tag() {

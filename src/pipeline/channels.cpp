@@ -13,6 +13,7 @@
 #include "mpath/pipeline/collective_graph.hpp"
 #include "mpath/pipeline/graph.hpp"
 #include "mpath/pipeline/scheduler.hpp"
+#include "mpath/util/small_vec.hpp"
 
 namespace mpath::pipeline {
 
@@ -54,14 +55,19 @@ std::span<const topo::PathPlan> small_segment_path(
   return {alive.data(), 1};
 }
 
+/// Watchdog deadline floor, so that noise on tiny shares cannot trip a
+/// healthy path.
+constexpr double kMinDeadlineS = 1e-3;
+
 }  // namespace
 
 /// The template to replay (or, when null, the uncompiled plan to execute),
-/// the ticket the settle tail departs, a by-value snapshot of the chosen
-/// configuration (empty for a sub-threshold direct transfer), and whether a
-/// later identical transfer would pick it again — the bar a captured chain
-/// step must meet to compile. A transfer that unwinds before departing
-/// fails its ticket, so the scheduler stops water-filling against it.
+/// the ticket the transfer departs when it finishes, a by-value snapshot of
+/// the chosen configuration (empty for a sub-threshold direct transfer),
+/// and whether a later identical transfer would pick it again — the bar a
+/// template or a captured chain step must meet to compile. A transfer that
+/// unwinds before departing fails its ticket, so the scheduler stops
+/// water-filling against it.
 struct ModelDrivenChannel::Plan {
   explicit Plan(TransferScheduler* s) : sched(s) {}
   Plan(const Plan&) = delete;
@@ -133,53 +139,265 @@ std::uint64_t ModelDrivenChannel::graph_cal_version() const {
   return cal != nullptr ? cal->version() : 0;
 }
 
-void ModelDrivenChannel::attach_chain(ChainController* chain) {
-  if (chain != nullptr && options_.recovery.enabled) {
-    throw std::invalid_argument(
-        "ModelDrivenChannel: cannot attach a chain controller with recovery "
-        "enabled");
-  }
-  chain_ = chain;
-}
-
 sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
                                              std::size_t dst_offset,
                                              const gpusim::DeviceBuffer& src,
                                              std::size_t src_offset,
                                              std::size_t bytes) {
-  if (options_.recovery.enabled) {
-    co_await transfer_with_recovery(dst, dst_offset, src, src_offset, bytes);
-    co_return;
-  }
   // Collective chain interplay: the transport tap staged what this message
   // is — a capture-iteration step (record its config afterwards) or a
   // replayable step of a sealed chain (claim its template through the
-  // replay gate and skip configuration entirely).
-  const PlanClock::time_point plan_t0 = PlanClock::now();
+  // replay gate and skip configuration entirely). Taken before the first
+  // co_await, while the staged step still describes this message.
   ChainController::Pending pend;
   if (chain_ != nullptr) pend = chain_->take_pending();
-  // The plan sources in order. An unclaimable step (busy template,
-  // contended step, passthrough, or the chain just died) plans like any
-  // other transfer.
+  sim::Engine& eng = engine_->runtime().engine();
+  const double t0 = eng.now();
+  const RecoveryOptions& rec = options_.recovery;
+  const bool use_health = rec.enabled && options_.health.enabled;
   const topo::DeviceId sdev = src.device();
   const topo::DeviceId ddev = dst.device();
+
+  // Without health tracking, `alive` is the PR 2 survivor set: paths whose
+  // watchdog fires are removed for the rest of this transfer. It is copied
+  // from the candidates on the first timeout, so a fault-free transfer
+  // allocates nothing. With health tracking, the candidate set is
+  // re-partitioned per attempt from the channel-lifetime state machine, so
+  // a path can come back within (and across) transfers.
+  std::vector<topo::PathPlan> alive;
+  std::vector<topo::PathPlan> active;
+  std::vector<topo::PathPlan> probe_due;
+  std::vector<topo::PathPlan> probes_issued;
+  std::vector<std::string> dead_names;
+
+  // Undelivered message segments (offsets relative to the transfer). The
+  // initial segment is the whole message; a partially delivered path
+  // contributes its undelivered suffix back to the queue.
+  struct Seg {
+    std::size_t off;
+    std::uint64_t bytes;
+  };
+  util::SmallVec<Seg, 4> todo{Seg{0, bytes}};
+  int replans = 0;
+  double first_timeout = -1.0;
+  // One plan across attempts: re-plans keep the first admission's ticket.
   Plan plan(scheduler_);
-  if (pend.replay) plan.graph = chain_->claim_step(pend, plan);
-  if (plan.graph == nullptr) {
-    if (bytes < options_.min_multipath_bytes) {
-      plan.exec = direct_plan(bytes);  // no multipath config to reproduce
-    } else if (!plan_cached(sdev, ddev, bytes, candidate_paths(sdev, ddev),
-                            plan)) {
-      plan_fresh(sdev, ddev, bytes, candidate_paths(sdev, ddev),
-                 options_.graphs != nullptr, plan);
+
+  // With recovery off nothing is watched, so no attempt can time out and
+  // the loop runs exactly once.
+  while (!todo.empty()) {
+    const PlanClock::time_point plan_t0 = PlanClock::now();
+    const Seg seg = todo.back();
+    todo.pop_back();
+    // The plan sources in order: chain claim (first attempt only), cached
+    // template, fresh planning. An unclaimable step (busy template, unhealthy
+    // path, contended step, passthrough, or the chain just died) plans like
+    // any other transfer.
+    if (replans == 0 && pend.replay) {
+      plan.graph = chain_->claim_step(pend, plan);
     }
+    if (plan.graph != nullptr) {
+      // Claimed chain step: no configuration to do.
+    } else if (!rec.enabled && bytes < options_.min_multipath_bytes) {
+      // No watchdog needs a prediction: a small message skips the model.
+      plan.exec = direct_plan(bytes);
+    } else {
+      const std::vector<topo::PathPlan>& candidates =
+          candidate_paths(sdev, ddev);
+      const std::vector<topo::PathPlan>* pool =
+          replans == 0 ? &candidates : &alive;
+      if (use_health) {
+        health_.partition(sdev, ddev, candidates, eng.now(), &active,
+                          &probe_due);
+        if (active.empty()) {
+          // Nothing healthy. Plan over whatever is due a probe; if even
+          // those are cooling down, force the full candidate set rather
+          // than stall — the attempt stays bounded by max_replans.
+          active = probe_due.empty() ? candidates : std::move(probe_due);
+          probe_due.clear();
+        }
+        pool = &active;
+      }
+      // Small segments stay single-path (on the Direct survivor when
+      // alive, else the first survivor): their watchdog still needs the
+      // model's prediction.
+      const bool multipath = seg.bytes >= options_.min_multipath_bytes;
+      const std::span<const topo::PathPlan> use =
+          multipath ? std::span<const topo::PathPlan>(*pool)
+                    : small_segment_path(*pool);
+      // Compiled fast path, first whole-message attempt only: replans have
+      // shrunken candidate sets and partial segments, which a frozen
+      // template cannot express. The lookup runs whenever the request shape
+      // fits — plan_cached vetoes (and evicts) templates with any
+      // non-healthy candidate, so a hit guarantees the health-partitioned
+      // pool IS the full candidate set and no probe carving is pending.
+      const bool whole = replans == 0 && multipath;
+      if (!(whole && plan_cached(sdev, ddev, seg.bytes, candidates, plan))) {
+        // Only a plan over the whole candidate set with no probe slices is
+        // what a later identical transfer would pick: a template is keyed
+        // under (and replays) the full-tuple plan only — a subset config
+        // would compile an unfindable template and strand its staging slot.
+        plan_fresh(sdev, ddev, seg.bytes, use,
+                   whole && probe_due.empty() &&
+                       pool->size() == candidates.size(),
+                   plan);
+      }
+    }
+    PathWatchList watch;
+    probes_issued.clear();
+    if (rec.enabled) {
+      // Watchdog deadline: the model-predicted completion time of a share
+      // times this attempt's slack, whose base factor escalates per re-plan
+      // (bounded exponential backoff); with health tracking each path
+      // compounds its own failure-streak multiplier on top.
+      const double slack = escalated_slack(rec, replans);
+      const auto deadline = [&](const topo::PathPlan& p, double predicted) {
+        const double mult =
+            use_health ? health_.slack_multiplier(sdev, ddev, p) : 1.0;
+        return PathWatch{std::max(kMinDeadlineS, slack * mult * predicted)};
+      };
+      watch.reserve(plan.config.paths.size());
+      for (const model::PathShare& share : plan.config.paths) {
+        watch.push_back(share.bytes > 0
+                            ? deadline(share.plan, share.predicted_time)
+                            : PathWatch{});
+      }
+      // Probe slices: paths on probation ride along with a small cut of
+      // the anchor's share. A probe that delivers readmits its path into
+      // the planned set from the next attempt on; one that times out only
+      // costs its own (floored) deadline, never the planned paths' bytes.
+      // (Never reached on a replayed attempt: the replay gate requires
+      // every template path healthy.)
+      if (plan.graph == nullptr && use_health &&
+          seg.bytes >= options_.min_multipath_bytes) {
+        const std::uint64_t pb = health_.probe_bytes(seg.bytes);
+        for (const topo::PathPlan& pp : probe_due) {
+          // Keep the anchor meaningfully larger than what it donates.
+          if (plan.exec.empty() || plan.exec.front().bytes < 2 * pb) break;
+          plan.exec.front().bytes -= pb;
+          const model::TransferConfig probe_cfg =
+              configurator_->compute_config(
+                  sdev, ddev, pb, std::span<const topo::PathPlan>(&pp, 1));
+          plan.exec.push_back(ExecPath{pp, pb, probe_cfg.paths[0].chunks});
+          watch.push_back(deadline(pp, probe_cfg.predicted_time));
+          probes_issued.push_back(pp);
+          health_.on_probe_issued(sdev, ddev, pp);
+        }
+      }
+    }
+    if (!plan.config.paths.empty()) last_config_ = plan.config;
+    graph_stats_.plan_ns += plan_ns_since(plan_t0);
+    // Concurrent transfers interleave at the co_await: afterwards read this
+    // transfer's own plan, never last_config_ or the configurator's cache.
+    TransferOutcome out;
+    if (plan.graph != nullptr) {
+      out = co_await engine_->replay(std::move(plan.graph), dst,
+                                     dst_offset + seg.off, src,
+                                     src_offset + seg.off, std::move(watch));
+    } else {
+      out = co_await engine_->execute_monitored(
+          dst, dst_offset + seg.off, src, src_offset + seg.off,
+          std::move(plan.exec), std::move(watch));
+    }
+    if (out.complete) {
+      if (todo.empty() && plan.ticket != TransferScheduler::kInvalidTicket) {
+        const PlanClock::time_point depart_t0 = PlanClock::now();
+        scheduler_->depart(
+            std::exchange(plan.ticket, TransferScheduler::kInvalidTicket));
+        graph_stats_.plan_ns += plan_ns_since(depart_t0);
+      }
+      if (replans == 0 && probes_issued.empty() &&
+          options_.recalibrator != nullptr && !plan.config.paths.empty()) {
+        // Feed (predicted, actual) back for online alpha/beta refinement.
+        // Only a first attempt that ran its config as planned counts: one
+        // that tripped a watchdog stalled on a fault (the health machine's
+        // job, not drift), and one that carried probe slices ran with its
+        // anchor's share cut short.
+        options_.recalibrator->observe(sdev, ddev, plan.config,
+                                       eng.now() - t0);
+      }
+      if (use_health) {
+        for (const model::PathShare& share : plan.config.paths) {
+          if (share.bytes > 0) health_.on_success(sdev, ddev, share.plan,
+                                                  eng.now());
+        }
+        for (const topo::PathPlan& pp : probes_issued) {
+          health_.on_success(sdev, ddev, pp, eng.now());
+        }
+      }
+      continue;
+    }
+
+    if (first_timeout < 0.0) {
+      first_timeout = eng.now();
+      if (!use_health) alive = candidate_paths(sdev, ddev);
+    }
+    // Mark timed-out paths (dropped from `alive`, or demoted in the health
+    // state machine) and queue the undelivered remainder of every slice —
+    // including probe slices, whose bytes came out of the anchor's share.
+    std::size_t path_off = seg.off;
+    for (std::size_t i = 0; i < out.paths.size(); ++i) {
+      const PathOutcome& po = out.paths[i];
+      const topo::PathPlan dead =
+          i < plan.config.paths.size()
+              ? plan.config.paths[i].plan
+              : probes_issued[i - plan.config.paths.size()];
+      if (po.timed_out) {
+        ++stats_.path_timeouts;
+        dead_names.push_back(
+            topo::describe(dead, engine_->runtime().topology()));
+        if (use_health) {
+          health_.on_timeout(sdev, ddev, dead, eng.now());
+        } else {
+          std::erase_if(alive, [&dead](const topo::PathPlan& p) {
+            return p.kind == dead.kind && p.stage == dead.stage;
+          });
+        }
+      } else if (use_health && po.bytes > 0 &&
+                 po.bytes_delivered >= po.bytes) {
+        // Fully delivered its slice even though the transfer as a whole
+        // needs a re-plan: that path is healthy (probes readmit here). A
+        // slice cancelled mid-flight by the abort proves nothing and
+        // changes no state.
+        health_.on_success(sdev, ddev, dead, eng.now());
+      }
+      if (po.bytes_delivered < po.bytes) {
+        todo.push_back(Seg{path_off + po.bytes_delivered,
+                           po.bytes - po.bytes_delivered});
+      }
+      path_off += po.bytes;
+    }
+    ++replans;
+    if ((!use_health && alive.empty()) || replans > rec.max_replans) {
+      ++stats_.transfers_failed;
+      std::uint64_t undelivered = 0;
+      for (const Seg& s : todo) undelivered += s.bytes;
+      std::string detail = "dead paths:";
+      for (const std::string& n : dead_names) detail += " " + n;
+      gpusim::TransferError::Info info;
+      info.detail = detail;
+      info.bytes_requested = bytes;
+      info.bytes_delivered = bytes - static_cast<std::size_t>(undelivered);
+      info.elapsed_s = eng.now() - t0;
+      info.retries = replans;
+      throw gpusim::TransferError(
+          "ModelDrivenChannel: transfer failed (" + detail + "; " +
+              std::to_string(info.bytes_delivered) + "/" +
+              std::to_string(bytes) + " bytes delivered)",
+          std::move(info));
+    }
+    ++stats_.replans;
   }
-  (void)co_await settle(plan, plan_t0, dst, dst_offset, src, src_offset, {},
-                        /*finishes=*/true, /*clean=*/true);
+  if (first_timeout >= 0.0) {
+    ++stats_.transfers_recovered;
+    stats_.recovery_time_s += eng.now() - first_timeout;
+  }
   if (pend.capture) {
     // Capture bookkeeping — the last leave seals the chain and compiles
     // every step's template, so this section carries the one-off capture
-    // cost the steady-state claim path amortises away.
+    // cost the steady-state claim path amortises away. A step compiles
+    // only when GraphCache would compile the same plan; a re-plan leaves
+    // the plan unreproducible.
     const PlanClock::time_point record_t0 = PlanClock::now();
     chain_->record_step(pend, plan.reproducible ? &plan.config : nullptr);
     graph_stats_.plan_ns += plan_ns_since(record_t0);
@@ -259,12 +477,12 @@ bool ModelDrivenChannel::plan_cached(topo::DeviceId src, topo::DeviceId dst,
 void ModelDrivenChannel::plan_fresh(topo::DeviceId src, topo::DeviceId dst,
                                     std::uint64_t bytes,
                                     std::span<const topo::PathPlan> paths,
-                                    bool compile, Plan& plan) {
+                                    bool canonical, Plan& plan) {
   if (scheduler_ == nullptr) {
     // Solo configure. Copy out of the configurator's cache: an LRU eviction
     // during the transfer must not invalidate what it executes (or reports).
     plan.config = configurator_->configure_over(src, dst, bytes, paths);
-    plan.reproducible = true;  // deterministic given calibration
+    plan.reproducible = canonical;  // deterministic given calibration
   } else if (plan.ticket == TransferScheduler::kInvalidTicket) {
     // Scheduler admission. An uncontended joint solve is the solo
     // configuration — reproducible; a contended one depends on the live
@@ -273,7 +491,7 @@ void ModelDrivenChannel::plan_fresh(topo::DeviceId src, topo::DeviceId dst,
         scheduler_->admit(src, dst, bytes, paths);
     plan.ticket = adm.ticket;
     plan.config = std::move(adm.config);
-    plan.reproducible = adm.uncontended;
+    plan.reproducible = canonical && adm.uncontended;
   } else {
     // A recovery re-plan keeps the first admission's ticket.
     plan.config = scheduler_->replan(plan.ticket, bytes, paths);
@@ -281,7 +499,7 @@ void ModelDrivenChannel::plan_fresh(topo::DeviceId src, topo::DeviceId dst,
   }
   // Only reproducible plans compile: a later lookup (and admit_replay) then
   // registers exactly what a fresh plan would.
-  if (compile && plan.reproducible) {
+  if (plan.reproducible && options_.graphs != nullptr) {
     plan.graph = compile_template(src, dst, plan.config);
   }
   if (plan.graph == nullptr) plan.exec = exec_plan(plan.config);
@@ -303,243 +521,6 @@ std::shared_ptr<TransferGraph> ModelDrivenChannel::compile_template(
   }
   options_.graphs->insert(g, graph_cal_version());
   return g;
-}
-
-sim::Task<TransferOutcome> ModelDrivenChannel::settle(
-    Plan& plan, PlanClock::time_point plan_t0, gpusim::DeviceBuffer& dst,
-    std::size_t dst_offset, const gpusim::DeviceBuffer& src,
-    std::size_t src_offset, PathWatchList watch, bool finishes, bool clean) {
-  if (!plan.config.paths.empty()) last_config_ = plan.config;
-  graph_stats_.plan_ns += plan_ns_since(plan_t0);
-  sim::Engine& eng = engine_->runtime().engine();
-  const double t0 = eng.now();
-  TransferOutcome out;
-  if (plan.graph != nullptr) {
-    out = co_await engine_->replay(std::move(plan.graph), dst, dst_offset,
-                                   src, src_offset, std::move(watch));
-  } else {
-    out = co_await engine_->execute_monitored(dst, dst_offset, src,
-                                              src_offset, std::move(plan.exec),
-                                              std::move(watch));
-  }
-  if (!out.complete || !finishes) co_return out;
-  if (plan.ticket != TransferScheduler::kInvalidTicket) {
-    const PlanClock::time_point depart_t0 = PlanClock::now();
-    scheduler_->depart(
-        std::exchange(plan.ticket, TransferScheduler::kInvalidTicket));
-    graph_stats_.plan_ns += plan_ns_since(depart_t0);
-  }
-  if (clean && options_.recalibrator != nullptr &&
-      !plan.config.paths.empty()) {
-    // Feed (predicted, actual) back for online alpha/beta refinement.
-    // Transfers that tripped a watchdog are excluded — a stall is a fault
-    // for the health machine, not drift.
-    options_.recalibrator->observe(src.device(), dst.device(), plan.config,
-                                   eng.now() - t0);
-  }
-  co_return out;
-}
-
-sim::Task<void> ModelDrivenChannel::transfer_with_recovery(
-    gpusim::DeviceBuffer& dst, std::size_t dst_offset,
-    const gpusim::DeviceBuffer& src, std::size_t src_offset,
-    std::size_t bytes) {
-  sim::Engine& eng = engine_->runtime().engine();
-  const topo::Topology& topo = engine_->runtime().topology();
-  const double t0 = eng.now();
-  const RecoveryOptions& rec = options_.recovery;
-  const bool use_health = options_.health.enabled;
-  const topo::DeviceId sdev = src.device();
-  const topo::DeviceId ddev = dst.device();
-
-  // Full candidate set for this pair. Without health tracking, `alive` is
-  // the PR 2 survivor set: paths whose watchdog fires are removed for the
-  // rest of this transfer. With health tracking, the candidate set is
-  // re-partitioned per attempt from the channel-lifetime state machine, so
-  // a path can come back within (and across) transfers.
-  const std::vector<topo::PathPlan>& candidates =
-      candidate_paths(sdev, ddev);
-  std::vector<topo::PathPlan> alive = candidates;
-  std::vector<topo::PathPlan> active;
-  std::vector<topo::PathPlan> probe_due;
-  std::vector<topo::PathPlan> probes_issued;
-  std::vector<std::string> dead_names;
-
-  // Undelivered message segments (offsets relative to the transfer). The
-  // initial segment is the whole message; a partially delivered path
-  // contributes its undelivered suffix back to the queue.
-  struct Seg {
-    std::size_t off;
-    std::uint64_t bytes;
-  };
-  std::vector<Seg> todo{{0, bytes}};
-  int replans = 0;
-  double first_timeout = -1.0;
-  // One plan across attempts: re-plans keep the first admission's ticket.
-  Plan plan(scheduler_);
-
-  while (!todo.empty()) {
-    const PlanClock::time_point plan_t0 = PlanClock::now();
-    const Seg seg = todo.back();
-    todo.pop_back();
-    const std::vector<topo::PathPlan>* pool = &alive;
-    if (use_health) {
-      health_.partition(sdev, ddev, candidates, eng.now(), &active,
-                        &probe_due);
-      if (active.empty()) {
-        // Nothing healthy. Plan over whatever is due a probe; if even
-        // those are cooling down, force the full candidate set rather
-        // than stall — the attempt stays bounded by max_replans.
-        active = probe_due.empty() ? candidates : std::move(probe_due);
-        probe_due.clear();
-      }
-      pool = &active;
-    }
-    // Small segments stay single-path (on the Direct survivor when alive,
-    // else the first survivor), matching the non-recovery channel's
-    // min_multipath threshold.
-    const std::span<const topo::PathPlan> use =
-        seg.bytes >= options_.min_multipath_bytes
-            ? std::span<const topo::PathPlan>(*pool)
-            : small_segment_path(*pool);
-    // Compiled fast path, first whole-message attempt only: replans have
-    // shrunken candidate sets and partial segments, which a frozen template
-    // cannot express. The lookup runs whenever the request shape fits —
-    // plan_cached vetoes (and evicts) templates with any non-healthy
-    // candidate, so a hit guarantees the health-partitioned pool IS the
-    // full candidate set and no probe carving is pending.
-    const bool replay_shape =
-        replans == 0 && bytes >= options_.min_multipath_bytes;
-    // Compiling additionally requires the planned pool to be the whole
-    // candidate set with no probe slices: a template is keyed under (and
-    // replays) the full-tuple plan only — a subset config would compile an
-    // unfindable template and strand its staging slot.
-    const bool compile = replay_shape && options_.graphs != nullptr &&
-                         probe_due.empty() &&
-                         pool->size() == candidates.size();
-    if (!(replay_shape && plan_cached(sdev, ddev, seg.bytes, candidates,
-                                      plan))) {
-      plan_fresh(sdev, ddev, seg.bytes, use, compile, plan);
-    }
-    // Watchdog slack for this attempt: the base factor escalates per
-    // re-plan (bounded exponential backoff), and with health tracking each
-    // path compounds its own failure-streak multiplier on top.
-    const double slack = escalated_slack(rec, replans);
-    PathWatchList watch;
-    watch.reserve(plan.config.paths.size());
-    for (const model::PathShare& share : plan.config.paths) {
-      // Watchdog deadline: model-predicted completion time of this share
-      // times the slack factor, floored so that noise on tiny shares
-      // cannot trip a healthy path.
-      const double mult =
-          use_health ? health_.slack_multiplier(sdev, ddev, share.plan) : 1.0;
-      watch.push_back(PathWatch{
-          share.bytes > 0
-              ? std::max(rec.min_deadline_s,
-                         slack * mult * share.predicted_time)
-              : 0.0});
-    }
-    // Probe slices: paths on probation ride along with a small cut of the
-    // anchor's share. A probe that delivers readmits its path into the
-    // planned set from the next attempt on; one that times out only costs
-    // its own (floored) deadline, never the planned paths' bytes. (Never
-    // reached on a graph attempt: eligibility requires no pending probes.)
-    probes_issued.clear();
-    if (plan.graph == nullptr && use_health &&
-        seg.bytes >= options_.min_multipath_bytes) {
-      const std::uint64_t pb = health_.probe_bytes(seg.bytes);
-      for (const topo::PathPlan& pp : probe_due) {
-        // Keep the anchor meaningfully larger than what it donates.
-        if (plan.exec.empty() || plan.exec.front().bytes < 2 * pb) break;
-        plan.exec.front().bytes -= pb;
-        const model::TransferConfig probe_cfg = configurator_->compute_config(
-            sdev, ddev, pb, std::span<const topo::PathPlan>(&pp, 1));
-        const double mult = health_.slack_multiplier(sdev, ddev, pp);
-        plan.exec.push_back(ExecPath{pp, pb, probe_cfg.paths[0].chunks});
-        watch.push_back(PathWatch{
-            std::max(rec.min_deadline_s,
-                     slack * mult * probe_cfg.predicted_time)});
-        probes_issued.push_back(pp);
-        health_.on_probe_issued(sdev, ddev, pp);
-      }
-    }
-    const TransferOutcome out =
-        co_await settle(plan, plan_t0, dst, dst_offset + seg.off, src,
-                        src_offset + seg.off, std::move(watch),
-                        /*finishes=*/todo.empty(), /*clean=*/replans == 0);
-    if (out.complete) {
-      if (use_health) {
-        for (const model::PathShare& share : plan.config.paths) {
-          if (share.bytes > 0) health_.on_success(sdev, ddev, share.plan,
-                                                  eng.now());
-        }
-        for (const topo::PathPlan& pp : probes_issued) {
-          health_.on_success(sdev, ddev, pp, eng.now());
-        }
-      }
-      continue;
-    }
-
-    if (first_timeout < 0.0) first_timeout = eng.now();
-    // Mark timed-out paths (dropped from `alive`, or demoted in the health
-    // state machine) and queue the undelivered remainder of every slice —
-    // including probe slices, whose bytes came out of the anchor's share.
-    std::size_t path_off = seg.off;
-    for (std::size_t i = 0; i < out.paths.size(); ++i) {
-      const PathOutcome& po = out.paths[i];
-      const topo::PathPlan dead =
-          i < plan.config.paths.size()
-              ? plan.config.paths[i].plan
-              : probes_issued[i - plan.config.paths.size()];
-      if (po.timed_out) {
-        ++stats_.path_timeouts;
-        dead_names.push_back(topo::describe(dead, topo));
-        if (use_health) {
-          health_.on_timeout(sdev, ddev, dead, eng.now());
-        } else {
-          std::erase_if(alive, [&dead](const topo::PathPlan& p) {
-            return p.kind == dead.kind && p.stage == dead.stage;
-          });
-        }
-      } else if (use_health && po.bytes > 0 &&
-                 po.bytes_delivered >= po.bytes) {
-        // Fully delivered its slice even though the transfer as a whole
-        // needs a re-plan: that path is healthy (probes readmit here). A
-        // slice cancelled mid-flight by the abort proves nothing and
-        // changes no state.
-        health_.on_success(sdev, ddev, dead, eng.now());
-      }
-      if (po.bytes_delivered < po.bytes) {
-        todo.push_back(Seg{path_off + po.bytes_delivered,
-                           po.bytes - po.bytes_delivered});
-      }
-      path_off += po.bytes;
-    }
-    ++replans;
-    if ((!use_health && alive.empty()) || replans > rec.max_replans) {
-      ++stats_.transfers_failed;
-      std::uint64_t undelivered = 0;
-      for (const Seg& s : todo) undelivered += s.bytes;
-      std::string detail = "dead paths:";
-      for (const std::string& n : dead_names) detail += " " + n;
-      gpusim::TransferError::Info info;
-      info.detail = detail;
-      info.bytes_requested = bytes;
-      info.bytes_delivered = bytes - static_cast<std::size_t>(undelivered);
-      info.elapsed_s = eng.now() - t0;
-      info.retries = replans;
-      throw gpusim::TransferError(
-          "ModelDrivenChannel: transfer failed (" + detail + "; " +
-              std::to_string(info.bytes_delivered) + "/" +
-              std::to_string(bytes) + " bytes delivered)",
-          std::move(info));
-    }
-    ++stats_.replans;
-  }
-  if (first_timeout >= 0.0) {
-    ++stats_.transfers_recovered;
-    stats_.recovery_time_s += eng.now() - first_timeout;
-  }
 }
 
 StaticPlanChannel::StaticPlanChannel(PipelineEngine& engine, StaticPlan plan,

@@ -58,15 +58,6 @@ class CollectiveGraph {
   bool aborted = false;              ///< capture overflow / duplicate key
 };
 
-ChainController::ChainController(ModelDrivenChannel& channel)
-    : channel_(&channel) {
-  if (channel.options().recovery.enabled) {
-    throw std::invalid_argument(
-        "ChainController: recovery-enabled channels cannot chain (partial "
-        "re-plans are not expressible as a frozen template)");
-  }
-}
-
 ChainController::~ChainController() { clear(); }
 
 std::uint64_t ChainController::scheduler_epoch() const {
@@ -280,7 +271,11 @@ GraphPtr ChainController::claim_step(const Pending& p,
       ++stats_.contended_steps;
       break;
     case ModelDrivenChannel::Gate::kUnhealthy:
-      break;  // health tracking needs recovery, which chains refuse
+      // A template path is on probation: this step plans around it and
+      // the chain survives to replay it once the path is readmitted.
+      // Killing the chain would recapture with the path still excluded.
+      ++stats_.unhealthy_steps;
+      break;
   }
   return nullptr;
 }

@@ -179,7 +179,7 @@ sim::Task<void> Worker::send(int dst_rank, const gpusim::DeviceBuffer& buf,
   const double timeout = fabric_->options_.rendezvous_timeout_s;
   const double t0 = engine.now();
   bool timed_out = false;
-  if (timeout > 0.0 && bytes > fabric_->options_.eager_threshold) {
+  if (timeout > 0.0 && bytes > kEagerThresholdBytes) {
     Worker* r = &receiver;
     Fabric* fabric = fabric_;
     const std::uint64_t seq = entry.seq;
@@ -193,7 +193,7 @@ sim::Task<void> Worker::send(int dst_rank, const gpusim::DeviceBuffer& buf,
         timed_out = true;
         ++fabric->nacks_sent_;
         fabric->call_at(
-            fabric->runtime_->engine().now() + fabric->options_.eager_overhead_s,
+            fabric->runtime_->engine().now() + kEagerOverheadS,
             [r, n = Nack{src, tag, seq, /*from_send=*/true}] {
               r->deliver_nack(n);
             });
@@ -259,7 +259,7 @@ sim::Task<void> Worker::recv(int src_rank, gpusim::DeviceBuffer& buf,
   const double timeout = fabric_->options_.rendezvous_timeout_s;
   const double t0 = engine.now();
   bool timed_out = false;
-  if (timeout > 0.0 && bytes > fabric_->options_.eager_threshold) {
+  if (timeout > 0.0 && bytes > kEagerThresholdBytes) {
     Fabric* fabric = fabric_;
     const std::uint64_t seq = entry.seq;
     fabric_->call_at(engine.now() + timeout,
@@ -273,7 +273,7 @@ sim::Task<void> Worker::recv(int src_rank, gpusim::DeviceBuffer& buf,
         if (src_rank != kAnySource && tag != kAnyTag) {
           ++fabric->nacks_sent_;
           fabric->call_at(fabric->runtime_->engine().now() +
-                              fabric->options_.eager_overhead_s,
+                              kEagerOverheadS,
                           [w = this, n = Nack{src_rank, tag, seq,
                                               /*from_send=*/false}] {
                             w->deliver_nack(n);
@@ -305,12 +305,11 @@ sim::Task<void> Worker::recv(int src_rank, gpusim::DeviceBuffer& buf,
 sim::Task<void> Worker::do_transfer(const SendEntry& send,
                                     const RecvEntry& recv) {
   gpusim::GpuRuntime& rt = *fabric_->runtime_;
-  const TransportOptions& opt = fabric_->options_;
-  if (send.bytes <= opt.eager_threshold) {
+  if (send.bytes <= kEagerThresholdBytes) {
     ++fabric_->eager_;
     // Same-deadline eager deliveries share one engine event (a burst of k
     // small messages matched at one instant previously cost k timers).
-    co_await fabric_->wake_at(rt.engine().now() + opt.eager_overhead_s);
+    co_await fabric_->wake_at(rt.engine().now() + kEagerOverheadS);
   } else {
     ++fabric_->rendezvous_;
     // RTS/CTS handshake, then the sender maps the receiver's buffer via

@@ -1,11 +1,11 @@
 // Collective graph chaining (PR 10): capture/seal/replay lifecycle of
 // chains across the four chained collectives, bit-identical replay
-// timelines under jitter on unscheduled and scheduled stacks, one chain
-// per payload, per-step replay admission with a clean ledger on scheduled
-// stacks, capacity-epoch invalidation with recapture, and
-// event-reservation accounting across chain destruction and mid-chain
-// compile failure. A nightly fault-churn soak rides along behind
-// MPATH_NIGHTLY_SOAK=1.
+// timelines under jitter on unscheduled, scheduled and recovery stacks, one
+// chain per payload, per-step replay admission with a clean ledger on
+// scheduled stacks, capacity-epoch invalidation with recapture, recovery
+// of chained steps across a severed link, and event-reservation accounting
+// across chain destruction and mid-chain compile failure. Nightly
+// fault-churn soaks ride along behind MPATH_NIGHTLY_SOAK=1.
 #include "mpath/pipeline/collective_graph.hpp"
 
 #include <gtest/gtest.h>
@@ -370,6 +370,103 @@ TEST(ChainScheduled, CapacityEpochChangeKillsThenRecaptures) {
 }
 
 // ---------------------------------------------------------------------------
+// Recovery stacks: a claimed step is watched like any replayed template
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bc::StackOptions recovery_opts(bool health) {
+  bc::StackOptions o;
+  o.model.recovery.enabled = true;
+  o.model.health.enabled = health;
+  return o;
+}
+
+const mp::RecoveryStats& recovery_stats(bc::SimStack& stack) {
+  return dynamic_cast<mp::ModelDrivenChannel&>(stack.channel())
+      .recovery_stats();
+}
+
+/// `iters` barrier-separated invocations inside ONE engine drain, so fault
+/// events overlap the loop instead of being fast-forwarded through.
+/// Returns how many iterations completed on rank 0.
+int iterate_in_one_run(bc::SimStack& stack, Coll c, std::size_t bytes,
+                       int iters) {
+  int completed = 0;
+  stack.world().run([&](mi::Communicator& comm) -> ms::Task<void> {
+    for (int i = 0; i < iters; ++i) {
+      co_await comm.barrier();
+      co_await run_once(comm, c, bytes);
+      co_await comm.barrier();
+      if (comm.rank() == 0) ++completed;
+    }
+  });
+  return completed;
+}
+
+}  // namespace
+
+// Chain + recovery, fault-free: a claimed step arms the watchdogs its
+// unchained twin arms and none fires, so with jitter on every iteration's
+// clock matches the unchained recovery twin's, with health tracking off
+// and on.
+TEST(ChainRecovery, FaultFreeReplayBitIdenticalToUnchainedTwin) {
+  const double jitter = mt::make_beluga().costs.jitter_rel;
+  for (const bool health : {false, true}) {
+    for (const Coll c :
+         {Coll::AllreduceRhd, Coll::AllgatherRing, Coll::BcastBinomial}) {
+      SCOPED_TRACE(::testing::Message() << "health " << health << " coll "
+                                        << static_cast<int>(c));
+      ChainFixture on(jitter, /*graphs=*/true, recovery_opts(health));
+      ChainFixture off(jitter, /*graphs=*/false, recovery_opts(health));
+      std::vector<double> t_on, t_off;
+      for (int i = 0; i < 4; ++i) {
+        on.iterate(c, 8_MiB, 1);
+        off.iterate(c, 8_MiB, 1);
+        t_on.push_back(on.stack.engine().now());
+        t_off.push_back(off.stack.engine().now());
+      }
+      EXPECT_EQ(t_on, t_off);
+      EXPECT_GT(on.stack.chain()->stats().replayed_steps, 0u);
+      EXPECT_EQ(recovery_stats(on.stack).path_timeouts, 0u);
+    }
+  }
+}
+
+// A severed link under a chained collective: replayed steps over it time
+// out and their remainders re-plan over the surviving paths, like any
+// GraphCache hit's, so every iteration completes; once the link is back,
+// replay resumes on the same chain and clearing it returns every event.
+TEST(ChainRecovery, SeveredLinkRecoversThenReplayResumes) {
+  for (const bool health : {false, true}) {
+    SCOPED_TRACE(health ? "health on" : "health off");
+    ChainFixture f(/*jitter_rel=*/0.0, /*graphs=*/true, recovery_opts(health));
+    f.iterate(Coll::AllreduceRhd, 8_MiB, 2);
+    const mt::Topology& topo = f.stack.system().topology;
+    const std::vector<mt::DeviceId> gpus = topo.gpus();
+    const ms::LinkId link = f.stack.runtime().binding().link_for_edge(
+        *topo.direct_edge(gpus[0], gpus[1]));
+    ms::FaultInjector inj(f.stack.engine(), f.stack.network());
+    const double now = f.stack.engine().now();
+    inj.sever_at(now + 0.2e-3, link);
+    inj.restore_at(now + 6.2e-3, link);
+
+    EXPECT_EQ(iterate_in_one_run(f.stack, Coll::AllreduceRhd, 8_MiB, 12), 12);
+    EXPECT_GT(recovery_stats(f.stack).path_timeouts, 0u);
+    EXPECT_EQ(recovery_stats(f.stack).transfers_failed, 0u);
+    // With health tracking, steps over the suspect path fall back without
+    // killing the chain.
+    EXPECT_EQ(f.stack.chain()->stats().unhealthy_steps > 0, health);
+
+    const std::uint64_t replayed_mid = f.stack.chain()->stats().replayed_steps;
+    f.iterate(Coll::AllreduceRhd, 8_MiB, 4);
+    EXPECT_GT(f.stack.chain()->stats().replayed_steps, replayed_mid);
+    f.stack.chain()->clear();
+    EXPECT_EQ(f.stack.runtime().events_outstanding(), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Event-reservation accounting (chained steps hold compiled templates)
 // ---------------------------------------------------------------------------
 
@@ -480,19 +577,10 @@ TEST(ChainFaultSoak, NightlyChurnKillsRecapturesAndReconverges) {
   fopt.max_duration = 5e-3;
   inj.random_plan(links, fopt, 83);
 
-  // Barrier-separated iterations inside ONE engine drain, so the churn
-  // overlaps the loop instead of being fast-forwarded through.
   const int churn_iters = 24;
-  int completed = 0;
-  f.stack.world().run([&](mi::Communicator& comm) -> ms::Task<void> {
-    for (int i = 0; i < churn_iters; ++i) {
-      co_await comm.barrier();
-      co_await run_once(comm, Coll::AllreduceRhd, 8_MiB);
-      co_await comm.barrier();
-      if (comm.rank() == 0) ++completed;
-    }
-  });
-  EXPECT_EQ(completed, churn_iters);
+  EXPECT_EQ(
+      iterate_in_one_run(f.stack, Coll::AllreduceRhd, 8_MiB, churn_iters),
+      churn_iters);
   EXPECT_GT(f.stack.chain()->stats().epoch_kills +
                 f.stack.chain()->stats().contended_steps,
             0u);
@@ -501,4 +589,54 @@ TEST(ChainFaultSoak, NightlyChurnKillsRecapturesAndReconverges) {
   f.iterate(Coll::AllreduceRhd, 8_MiB, 4);
   EXPECT_GT(f.stack.chain()->stats().replayed_steps, replayed_mid);
   EXPECT_EQ(f.stack.scheduler()->stats().footprint_mismatches, 0u);
+}
+
+// Chained replay on a recovery + health stack under seeded random faults
+// that include full severs: steps over a severed link time out and
+// re-plan, so every iteration completes with no failed transfer, and once
+// every fault is undone replay re-engages.
+TEST(ChainFaultSoak, RecoveryRidesThroughRandomSevers) {
+  const char* gate = std::getenv("MPATH_NIGHTLY_SOAK");
+  if (gate == nullptr || std::string_view(gate) != "1") {
+    GTEST_SKIP() << "set MPATH_NIGHTLY_SOAK=1 to run the chain sever soak";
+  }
+  bc::StackOptions opt = recovery_opts(/*health=*/true);
+  opt.model.recovery.max_replans = 32;
+  ChainFixture f(/*jitter_rel=*/0.0, /*graphs=*/true, opt);
+  std::vector<ms::LinkId> links;
+  const auto& topo = f.stack.system().topology;
+  for (const auto& e : topo.edges()) {
+    if (topo.device(e.from).kind == mt::DeviceKind::Gpu &&
+        topo.device(e.to).kind == mt::DeviceKind::Gpu &&
+        !e.is_memory_channel) {
+      links.push_back(f.stack.runtime().binding().link_for_edge(e.id));
+    }
+  }
+  ASSERT_FALSE(links.empty());
+  f.iterate(Coll::AllreduceRhd, 8_MiB, 2);
+  ms::FaultInjector inj(f.stack.engine(), f.stack.network());
+  ms::FaultInjector::RandomPlanOptions fopt;
+  fopt.start = f.stack.engine().now();
+  fopt.horizon = 20e-3;
+  fopt.faults = 8;
+  fopt.sever_probability = 0.5;
+  fopt.restore_probability = 1.0;  // the plan ends with every link back
+  fopt.min_duration = 1e-3;
+  fopt.max_duration = 5e-3;
+  inj.random_plan(links, fopt, 89);
+
+  const int iters = 24;
+  EXPECT_EQ(iterate_in_one_run(f.stack, Coll::AllreduceRhd, 8_MiB, iters),
+            iters);
+  EXPECT_TRUE(std::ranges::any_of(inj.applied(), [](const auto& a) {
+    return a.capacity_bps == 0.0;
+  }));
+  EXPECT_GT(recovery_stats(f.stack).path_timeouts, 0u);
+  EXPECT_EQ(recovery_stats(f.stack).transfers_failed, 0u);
+  // Plan exhausted: replay must re-engage.
+  const std::uint64_t replayed_mid = f.stack.chain()->stats().replayed_steps;
+  f.iterate(Coll::AllreduceRhd, 8_MiB, 4);
+  EXPECT_GT(f.stack.chain()->stats().replayed_steps, replayed_mid);
+  f.stack.chain()->clear();
+  EXPECT_EQ(f.stack.runtime().events_outstanding(), 0u);
 }

@@ -2,7 +2,8 @@
 // escalation, and the end-to-end flap scenarios: a severed-then-restored
 // path is readmitted via probe slices instead of staying dead forever,
 // bytes stay conserved under injected faults, and online recalibration
-// shrinks the model error on a drifted link. The fluid-network self-check
+// shrinks the model error on a drifted link without learning from attempts
+// that carried probe slices. The fluid-network self-check
 // (kFull whole-network oracle) is armed for every simulation test here.
 #include <gtest/gtest.h>
 
@@ -409,6 +410,59 @@ TEST(DriftConvergence, RecalibratedPredictionsConvergeOnDriftedLink) {
   const auto* cal = store.snapshot()->find(f.gpus[0], f.gpus[1], direct());
   ASSERT_NE(cal, nullptr);
   EXPECT_LT(cal->beta_scale, 1.0);
+}
+
+// A probe slice is carved out of the anchor's share, so an attempt that
+// carried one did not run the config it planned: feeding that config to
+// the recalibrator against the measured time would fold a wrong ratio in.
+// A: 64 MiB with the direct link severed mid-flight (re-planned, not
+// observed); restore and wait out the suspect delay; C: 32 MiB whose only
+// attempt probes the direct path (not observed); D: 16 MiB, clean.
+TEST(Recalibration, ProbeCarryingAttemptIsNotObserved) {
+  Fixture f;
+  mm::CalibrationStore store;
+  f.cfg.set_calibration(&store);
+  mm::Recalibrator recal(store);
+  auto opts = recovery_health_opts();
+  opts.health.suspect_delay_s = 2e-3;
+  opts.recalibrator = &recal;
+  mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::three_gpus(),
+                            opts);
+  const auto link = f.direct_link(f.gpus[0], f.gpus[1]);
+  const double base = f.net.link(link).capacity_bps;
+  f.engine.schedule_callback(100e-6,
+                             [&] { f.net.set_link_capacity(link, 0.0); });
+
+  std::vector<RunRecord> recs(3);
+  std::vector<std::uint64_t> observed, probes;
+  f.engine.spawn(
+      [](Fixture& fx, mp::ModelDrivenChannel& c, ms::LinkId l, double cap,
+         const mm::Recalibrator& r, std::vector<RunRecord>& out,
+         std::vector<std::uint64_t>& obs,
+         std::vector<std::uint64_t>& pr) -> ms::Task<void> {
+        const auto g0 = fx.gpus[0], g1 = fx.gpus[1];
+        const std::size_t sizes[] = {64_MiB, 32_MiB, 16_MiB};
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          co_await one_transfer(fx, c, g0, g1, sizes[i],
+                                static_cast<std::uint8_t>(60 + i), out[i]);
+          obs.push_back(r.stats().observations);
+          pr.push_back(c.health().stats().probes_launched);
+          if (i == 0) {
+            fx.net.set_link_capacity(l, cap);  // restore
+            co_await fx.engine.delay(3e-3);    // past the suspect delay
+          }
+        }
+      }(f, ch, link, base, recal, recs, observed, probes),
+      "probe-observe");
+  f.engine.run();
+
+  for (const RunRecord& rr : recs) {
+    EXPECT_TRUE(rr.ok);
+    EXPECT_TRUE(rr.content_ok);
+  }
+  EXPECT_GE(ch.recovery_stats().replans, 1u);             // A re-planned
+  EXPECT_EQ(probes, (std::vector<std::uint64_t>{0, 1, 1}));  // C probed
+  EXPECT_EQ(observed, (std::vector<std::uint64_t>{0, 0, 1}));
 }
 
 // Paper-faithful guard: with health and recalibration both left disabled

@@ -200,7 +200,7 @@ TEST(Scheduler, JointPredictionsTrackSimulatedContention) {
   }
 }
 
-// Regression (use-after-free): transfer_with_recovery used to hold a
+// Regression (use-after-free): the channel's recovery loop used to hold a
 // reference into the shared configurator's LRU cache across co_await.
 // With cache_capacity = 1, a second recovering transfer on the same
 // configurator evicts the first's entry mid-await; when the first

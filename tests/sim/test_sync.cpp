@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 namespace ms = mpath::sim;
@@ -59,74 +58,6 @@ TEST(Semaphore, AvailableAndWaitingCounts) {
   e.run();
   EXPECT_EQ(sem.available(), 2u);
   EXPECT_EQ(sem.waiting(), 0u);
-}
-
-TEST(Permit, ReleasesOnScopeExit) {
-  ms::Engine e;
-  ms::Semaphore sem(e, 1);
-  e.spawn([](ms::Engine& eng, ms::Semaphore& s) -> ms::Task<void> {
-    {
-      co_await s.acquire();
-      ms::Permit permit(s);
-      co_await eng.delay(1.0);
-    }
-    EXPECT_EQ(s.available(), 1u);
-  }(e, sem));
-  e.run();
-  EXPECT_EQ(sem.available(), 1u);
-}
-
-TEST(Mailbox, DeliversInFifoOrder) {
-  ms::Engine e;
-  ms::Mailbox<int> box(e);
-  std::vector<int> got;
-  e.spawn([](ms::Mailbox<int>& b, std::vector<int>& out) -> ms::Task<void> {
-    for (int i = 0; i < 3; ++i) {
-      out.push_back(co_await b.receive());
-    }
-  }(box, got));
-  e.spawn([](ms::Engine& eng, ms::Mailbox<int>& b) -> ms::Task<void> {
-    b.push(1);
-    co_await eng.delay(1.0);
-    b.push(2);
-    b.push(3);
-  }(e, box));
-  e.run();
-  EXPECT_EQ(got, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(Mailbox, LateReceiverCannotStealPromisedItem) {
-  // Receiver A waits; a push promises it the item; receiver B arriving in
-  // the same timestep must queue behind, not steal.
-  ms::Engine e;
-  ms::Mailbox<std::string> box(e);
-  std::string got_a, got_b;
-  e.spawn([](ms::Mailbox<std::string>& b, std::string& out) -> ms::Task<void> {
-    out = co_await b.receive();
-  }(box, got_a), "A");
-  e.spawn([](ms::Engine& eng, ms::Mailbox<std::string>& b,
-             std::string& out) -> ms::Task<void> {
-    co_await eng.delay(1.0);
-    b.push("first");
-    // B starts receiving in the same timestep as the push.
-    out = co_await b.receive();
-  }(e, box, got_b), "B");
-  e.spawn([](ms::Engine& eng, ms::Mailbox<std::string>& b) -> ms::Task<void> {
-    co_await eng.delay(2.0);
-    b.push("second");
-  }(e, box), "C");
-  e.run();
-  EXPECT_EQ(got_a, "first");
-  EXPECT_EQ(got_b, "second");
-}
-
-TEST(Mailbox, SizeAccounting) {
-  ms::Engine e;
-  ms::Mailbox<int> box(e);
-  box.push(7);
-  box.push(8);
-  EXPECT_EQ(box.size(), 2u);
-  EXPECT_FALSE(box.empty());
 }
 
 TEST(Barrier, ReleasesAllAtLastArrival) {

@@ -74,8 +74,7 @@ TEST(Timeouts, UnmatchedRendezvousSendAborts) {
   // The abort NACKs the peer: the clock runs until the control message
   // lands at the receiver (one eager overhead past the deadline), where it
   // is recorded for any future matching recv.
-  EXPECT_NEAR(f.engine.now(), 0.01 + f.fabric.options().eager_overhead_s,
-              1e-9);
+  EXPECT_NEAR(f.engine.now(), 0.01 + mx::kEagerOverheadS, 1e-9);
   EXPECT_EQ(f.fabric.nacks_sent(), 1u);
   EXPECT_EQ(f.fabric.worker(1).pending_nack_count(), 1u);
 }
