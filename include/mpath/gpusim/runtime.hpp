@@ -13,6 +13,11 @@
 // simulated instant); host-side issue overhead is modeled by the callers
 // (pipeline engine) so that sequential path initiation shows up exactly
 // where the paper's Algorithm 1 accounts for it (line 18).
+//
+// A stream is a FIFO the device drains, not a thread per operation: each
+// enqueued op is one pooled record that engine callbacks advance step by
+// step (no coroutine, no spawned process), and its completion latch is the
+// stream's tail, which the next op waits on.
 #pragma once
 
 #include <cstdint>
@@ -108,6 +113,13 @@ class GpuRuntime {
   [[nodiscard]] CancelTokenPtr make_cancel_token() const;
 
   // -- stream operations (enqueue, non-blocking) ----------------------------
+  // Each call appends one op record to the stream. An op on an idle stream
+  // starts at an event queued at the current instant. An op on a busy
+  // stream queues no event: it parks on its predecessor's completion latch
+  // and starts when that fires, but in the place an event queued at enqueue
+  // would have held if the predecessor finishes later in the same instant
+  // before the engine reaches that place. Ties between streams therefore
+  // resolve, and jitter is drawn, in enqueue order.
   /// Completion hook for memcpy_async: runs at the simulated instant the
   /// copy finishes, with `delivered == false` when the copy was cancelled
   /// (drained without moving data). Lets callers observe per-chunk progress
@@ -136,6 +148,7 @@ class GpuRuntime {
   void wait_event(StreamId stream, EventId event);
   /// Enqueue a fixed on-stream delay (models per-chunk staging work that is
   /// not a data movement, e.g. host-side synchronization in host staging).
+  /// Throws std::invalid_argument on a negative or NaN `seconds`.
   void stream_delay(StreamId stream, double seconds);
 
   // -- synchronization (awaitable) ------------------------------------------
@@ -193,23 +206,22 @@ class GpuRuntime {
  private:
   struct Stream {
     topo::DeviceId device;
-    // Completion latch of the last enqueued op; ops chain on it.
+    // Completion latch of the last enqueued op (aliasing its record); ops
+    // chain on it.
     std::shared_ptr<sim::Latch> tail;
   };
   struct Event {
     // Latch of the most recent record; starts pre-fired (CUDA semantics).
     std::shared_ptr<sim::Latch> latch;
   };
+  struct Op;  // one enqueued stream operation (runtime.cpp)
+  using OpStep = void (*)(Op&);
 
-  /// Chain `op` after the current tail of `stream`; returns the new tail.
-  template <typename MakeOp>
-  void enqueue(StreamId stream, MakeOp&& make_op);
-
-  [[nodiscard]] sim::Task<void> run_copy(
-      std::shared_ptr<sim::Latch> prev, std::shared_ptr<sim::Latch> done,
-      DeviceBuffer& dst, std::size_t dst_offset, const DeviceBuffer& src,
-      std::size_t src_offset, std::size_t len, StreamId stream,
-      CancelTokenPtr token, DoneHook on_done);
+  /// Append a record to `stream` whose first step is `start`: queued at
+  /// the current instant on an idle stream, parked on the tail of a busy
+  /// one. The caller fills in the op's fields; `start` cannot run before
+  /// the engine dispatches another event.
+  Op& enqueue(StreamId stream, OpStep start);
 
   [[nodiscard]] std::string stream_track(StreamId stream) const;
 

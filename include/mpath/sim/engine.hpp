@@ -1,7 +1,8 @@
 // Discrete-event simulation engine with a virtual clock.
 //
-// All simulated activity (GPU streams, link transfers, MPI ranks) runs as
-// coroutines over one Engine. Time only advances between events, so a whole
+// All simulated activity runs over one Engine: link transfers and MPI ranks
+// as coroutines, GPU stream operations as pooled records that event
+// callbacks advance. Time only advances between events, so a whole
 // OSU-style bandwidth sweep executes deterministically in milliseconds of
 // wall time.
 //
@@ -54,8 +55,8 @@ class Latch {
   Latch(const Latch&) = delete;
   Latch& operator=(const Latch&) = delete;
 
-  // Latches are created per stream-op / transfer on the hot path; recycle
-  // their storage through the simulator pool.
+  // Latches are created per fluid flow and per recorded GPU event on the
+  // hot path; recycle their storage through the simulator pool.
   static void* operator new(std::size_t n) { return detail::pool_alloc(n); }
   static void operator delete(void* p, std::size_t n) noexcept {
     detail::pool_free(p, n);
@@ -74,27 +75,59 @@ class Latch {
 
   /// Waiters form an intrusive FIFO list threaded through the awaiters
   /// themselves. A suspended awaiter lives in its coroutine's frame, which
-  /// stays alive until the handle is resumed — so any number of waiters
-  /// park on a latch without the latch allocating node storage.
+  /// stays alive until the handle is resumed (a callback waiter lives in
+  /// its owner's record) — so any number of waiters park on a latch
+  /// without the latch allocating node storage.
   struct Awaiter {
     Latch* latch = nullptr;
     std::coroutine_handle<> handle{};
     Awaiter* next = nullptr;
+    /// Callback waiter (see add_waiter): woken by fn(ctx) instead of a
+    /// coroutine resume.
+    void (*fn)(void*) = nullptr;
+    void* ctx = nullptr;
+    /// Optional place in the same-time order, taken with
+    /// Engine::reserve_seq() at instant `at` (0 = none). If the latch fires
+    /// at `at` before the engine has dispatched that place, the waiter wakes
+    /// there instead of after every event already queued.
+    std::uint64_t seq = 0;
+    Time at = 0.0;
     bool await_ready() const noexcept { return latch->fired_; }
     void await_suspend(std::coroutine_handle<> h) noexcept {
       handle = h;
-      if (latch->tail_ != nullptr) {
-        latch->tail_->next = this;
-      } else {
-        latch->head_ = this;
-      }
-      latch->tail_ = this;
+      latch->append(this);
     }
     void await_resume() const noexcept {}
+    void wake() const {
+      if (fn != nullptr) {
+        fn(ctx);
+      } else {
+        handle.resume();
+      }
+    }
   };
   Awaiter wait() { return Awaiter{this}; }
 
+  /// Park a callback waiter on an unfired latch: fire() wakes it through
+  /// the event queue like a coroutine waiter, by calling node.fn(node.ctx).
+  /// Lets a plain record wait without a coroutine frame; `node` must stay
+  /// alive and unmoved until it is woken.
+  void add_waiter(Awaiter& node) {
+    node.latch = this;
+    append(&node);
+  }
+
  private:
+  void append(Awaiter* node) {
+    node->next = nullptr;
+    if (tail_ != nullptr) {
+      tail_->next = node;
+    } else {
+      head_ = node;
+    }
+    tail_ = node;
+  }
+
   Engine* engine_;
   bool fired_ = false;
   Awaiter* head_ = nullptr;
@@ -241,6 +274,19 @@ class Engine {
   /// same-time updates (e.g. k chunk completions) into one pass.
   void defer(EventFn fn);
 
+  /// Take the sequence number the next queued event would get, without
+  /// queueing one. Same-time events run in sequence order, so this holds a
+  /// place for work that may start at the current instant (see
+  /// Latch::Awaiter::seq); an unused number leaves no trace.
+  [[nodiscard]] std::uint64_t reserve_seq();
+  /// Sequence number of the event being dispatched, or of the last one
+  /// dispatched (0 before the first). A number reserved at the current
+  /// instant is still ahead iff it is greater.
+  [[nodiscard]] std::uint64_t current_seq() const { return current_seq_; }
+  /// Invoke `fn` at the current instant in the place of `seq`, a number
+  /// reserved at this instant that is still ahead.
+  void schedule_reserved(std::uint64_t seq, EventFn fn);
+
   struct DelayAwaiter {
     Engine* engine;
     Time wake_at;
@@ -315,7 +361,8 @@ class Engine {
     std::string name;
   };
 
-  void push_event(Time t, std::coroutine_handle<> h, EventFn fn);
+  void push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
+                  EventFn fn);
   std::uint64_t run_impl(Time t_limit, bool bounded);
   void sweep_completed_roots();
   void check_quiescence() const;
@@ -327,7 +374,8 @@ class Engine {
   std::vector<Root> roots_;
   detail::ProcSlab* proc_slab_ = nullptr;
   Time now_ = 0.0;
-  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_seq_ = 1;  ///< 0 means "no event" (current_seq_)
+  std::uint64_t current_seq_ = 0;
   std::size_t live_roots_ = 0;
   std::size_t sweep_watermark_ = 1024;
   Tracer* tracer_ = nullptr;

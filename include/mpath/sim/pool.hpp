@@ -1,9 +1,9 @@
 // Size-bucketed free-list recycler for hot-path heap objects: coroutine
-// frames (Task promises), latches, and the shared control blocks of
-// gpusim's per-op completion latches. Freed blocks are cached in
-// thread-local buckets and handed back on the next same-size allocation, so
-// a steady-state workload stops calling the global allocator entirely after
-// its first few transfers warm the pools.
+// frames (Task promises), latches, and make_pooled records such as gpusim's
+// stream-op records (one per enqueued op, with its completion latch inside).
+// Freed blocks are cached in thread-local buckets and handed back on the
+// next same-size allocation, so a steady-state workload stops calling the
+// global allocator entirely after its first few transfers warm the pools.
 //
 // Under AddressSanitizer the pool is compiled as a passthrough to the
 // global allocator: recycling would mask use-after-free on pooled objects
@@ -42,7 +42,7 @@ struct PoolCounters {
 
 /// std::allocator-compatible adapter so std::allocate_shared control blocks
 /// recycle through the pool (make_shared would hit the global allocator on
-/// every latch).
+/// every stream op).
 template <typename T>
 struct PoolAllocator {
   using value_type = T;

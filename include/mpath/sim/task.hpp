@@ -27,8 +27,8 @@ struct TaskPromiseBase {
   std::coroutine_handle<> continuation = std::noop_coroutine();
   std::exception_ptr exception;
 
-  // Coroutine frames are the dominant steady-state allocation (one per
-  // stream op / transfer); recycle them through the simulator pool.
+  // Coroutine frames are a steady-state allocation (several per transfer,
+  // message and collective); recycle them through the simulator pool.
   static void* operator new(std::size_t n) { return pool_alloc(n); }
   static void operator delete(void* p, std::size_t n) noexcept {
     pool_free(p, n);

@@ -3,7 +3,6 @@
 // benchmark runs are exactly reproducible.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <random>
 
@@ -32,12 +31,11 @@ class Rng {
   }
 
   /// Multiplicative jitter: 1 + gaussian(0, rel_sigma), clamped positive.
-  /// `rel_sigma` must be >= 0. At 0 the result is exactly 1, and the
+  /// A `rel_sigma` <= 0 means no jitter: the result is exactly 1, and the
   /// generator still advances as it does for any positive sigma, so turning
   /// jitter off never shifts later draws.
   double jitter(double rel_sigma) {
-    assert(rel_sigma >= 0.0);
-    if (rel_sigma == 0.0) {
+    if (rel_sigma <= 0.0) {
       // normal_distribution requires sigma > 0. A standard normal consumes
       // the generator exactly as N(1, sigma) does.
       (void)gaussian(0.0, 1.0);

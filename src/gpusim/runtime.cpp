@@ -84,13 +84,161 @@ bool GpuRuntime::event_fired(EventId event) const {
   return events_.at(event).latch->fired();
 }
 
-template <typename MakeOp>
-void GpuRuntime::enqueue(StreamId stream, MakeOp&& make_op) {
+/// One enqueued stream operation: a pooled record that engine callbacks
+/// advance step by step, one event per delay (at `now + dt`), with no
+/// coroutine frame and no process. The completion latch `done` is the
+/// stream tail, and the record lives as long as anyone holds that latch:
+/// the stream, the next op until it finishes, or a synchronize(). While
+/// the op runs, the stream or the next op always does.
+struct GpuRuntime::Op {
+  explicit Op(GpuRuntime& runtime) : rt(&runtime), done(*runtime.engine_) {
+    waiter.fn = [](void* self) {
+      Op& op = *static_cast<Op*>(self);
+      op.next(op);
+    };
+    waiter.ctx = this;
+  }
+
+  /// Run `step` `dt` simulated seconds from now.
+  void after(double dt, OpStep step) {
+    sim::Engine& e = *rt->engine_;
+    e.schedule_callback(e.now() + dt, [this, step] { step(*this); });
+  }
+  /// Run `step` after `cost` scaled by one jitter draw, taken now.
+  void after_jittered(double cost, OpStep step) {
+    after(cost * rt->rng_.jitter(rt->costs().jitter_rel), step);
+  }
+  /// Run `step` from the event `latch`'s fire() queues. The waiter node
+  /// lives here, not in the latch: FluidNetwork destroys a flow's latch
+  /// right after firing it. A nonzero `seq` holds a same-time place (see
+  /// sim::Latch::Awaiter::seq).
+  void park(sim::Latch& latch, OpStep step, std::uint64_t seq = 0) {
+    next = step;
+    waiter.seq = seq;
+    waiter.at = rt->engine_->now();
+    latch.add_waiter(waiter);
+  }
+  /// Complete: fire the stream-order latch and drop what the op held.
+  static void finish(Op& op) {
+    op.done.fire();
+    op.prev.reset();
+    op.event.reset();
+    op.token.reset();
+    op.on_done.reset();
+  }
+
+  static void start_copy(Op& op);
+  static void copy_launched(Op& op);
+  static void copy_start_flow(Op& op);
+  static void copy_done(Op& op);
+
+  GpuRuntime* rt;
+  sim::Latch done;
+  sim::Latch::Awaiter waiter;  ///< node on the latch the op waits on now
+  OpStep next = nullptr;       ///< what a wakeup of `waiter` runs
+  std::shared_ptr<sim::Latch> prev;   ///< predecessor on a busy stream
+  std::shared_ptr<sim::Latch> event;  ///< record: fires it; wait: awaits it
+  StreamId stream = 0;
+  double seconds = 0.0;  ///< delay length; copy: trace span start
+  // Copy only.
+  DeviceBuffer* dst = nullptr;
+  const DeviceBuffer* src = nullptr;
+  std::size_t dst_offset = 0;
+  std::size_t src_offset = 0;
+  std::size_t len = 0;
+  CancelTokenPtr token;
+  DoneHook on_done;
+  sim::Route route;
+  sim::FlowId flow = sim::kInvalidFlow;
+  bool delivered = true;
+};
+
+void GpuRuntime::Op::start_copy(Op& op) {
+  if (op.token && op.token->cancelled()) {
+    // Drain without moving data or paying dispatch latency.
+    if (op.on_done) op.on_done(false);
+    return finish(op);
+  }
+  op.seconds = op.rt->engine_->now();
+  // Device-side dispatch latency for the copy engine.
+  op.after_jittered(op.rt->costs().op_launch_s, copy_launched);
+}
+
+void GpuRuntime::Op::copy_launched(Op& op) {
+  if (op.len == 0) return copy_done(op);
+  GpuRuntime& rt = *op.rt;
+  const topo::DeviceId from = op.src->device();
+  const topo::DeviceId to = op.dst->device();
+  if (from == to) {
+    return op.after(static_cast<double>(op.len) / rt.costs().local_copy_bps,
+                    copy_done);
+  }
+  // The route's startup latency, then the bytes stream as a fluid flow.
+  op.route = rt.binding_.route_links(from, to);
+  double latency = 0.0;
+  for (sim::LinkId l : op.route) latency += rt.network_->link(l).latency_s;
+  if (latency > 0.0) return op.after(latency, copy_start_flow);
+  copy_start_flow(op);
+}
+
+void GpuRuntime::Op::copy_start_flow(Op& op) {
+  if (op.token && op.token->cancelled()) {
+    op.delivered = false;
+    return copy_done(op);
+  }
+  if (op.route.empty()) return copy_done(op);
+  auto* latch = new sim::Latch(*op.rt->engine_);  // owned by the flow
+  op.flow = op.rt->network_->start_flow(op.route, static_cast<double>(op.len),
+                                        latch);
+  // Registered with the token while the bytes stream, so token->cancel()
+  // can abort the flow mid-flight.
+  if (op.token) op.token->in_flight_.push_back(op.flow);
+  op.park(*latch, copy_done);
+}
+
+void GpuRuntime::Op::copy_done(Op& op) {
+  GpuRuntime& rt = *op.rt;
+  if (op.token && op.flow != sim::kInvalidFlow) {
+    erase_flow(op.token->in_flight_, op.flow);
+    op.delivered = !op.token->was_cancelled(op.flow);
+  }
+  if (op.len > 0 && op.delivered) {
+    // Payload lands at completion time; simulated buffers carry none.
+    if (op.dst->materialized() && op.src->materialized()) {
+      std::memcpy(op.dst->region(op.dst_offset, op.len).data(),
+                  op.src->region(op.src_offset, op.len).data(), op.len);
+    }
+    rt.bytes_copied_ += op.len;
+  }
+  if (rt.tracer_ != nullptr) {
+    rt.tracer_->add_span(
+        rt.stream_track(op.stream),
+        std::string(op.delivered ? "copy " : "copy(cancelled) ") +
+            util::format_bytes(op.len) + " " +
+            rt.topology().device(op.src->device()).name + "->" +
+            rt.topology().device(op.dst->device()).name,
+        op.seconds, rt.engine_->now());
+  }
+  if (op.on_done) op.on_done(op.delivered);
+  finish(op);
+}
+
+GpuRuntime::Op& GpuRuntime::enqueue(StreamId stream, OpStep start) {
   MPATH_ASSERT_OWNER(owner_, "gpusim::GpuRuntime (stream enqueue)");
   Stream& s = streams_.at(stream);
-  auto done = sim::make_pooled<sim::Latch>(*engine_);
-  engine_->spawn(make_op(s.tail, done), "gpusim-op");
-  s.tail = std::move(done);
+  auto record = sim::make_pooled<Op>(*this);
+  Op& op = *record;
+  op.stream = stream;
+  if (s.tail->fired()) {
+    engine_->schedule_callback(engine_->now(),
+                               [o = &op, start] { start(*o); });
+  } else {
+    // Busy stream: no start event, but keep the place one would have had.
+    const std::uint64_t seq = engine_->reserve_seq();
+    op.prev = std::move(s.tail);
+    op.park(*op.prev, start, seq);
+  }
+  s.tail = std::shared_ptr<sim::Latch>(std::move(record), &op.done);
   ++ops_issued_;
   if (tracer_ != nullptr && --ops_until_sample_ == 0) {
     ops_until_sample_ = counter_stride_;
@@ -101,74 +249,7 @@ void GpuRuntime::enqueue(StreamId stream, MakeOp&& make_op) {
     tracer_->add_counter("gpusim", "streams_busy", engine_->now(),
                          static_cast<double>(busy));
   }
-}
-
-sim::Task<void> GpuRuntime::run_copy(std::shared_ptr<sim::Latch> prev,
-                                     std::shared_ptr<sim::Latch> done,
-                                     DeviceBuffer& dst, std::size_t dst_offset,
-                                     const DeviceBuffer& src,
-                                     std::size_t src_offset, std::size_t len,
-                                     StreamId stream, CancelTokenPtr token,
-                                     DoneHook on_done) {
-  co_await prev->wait();
-  if (token && token->cancelled()) {
-    if (on_done) on_done(false);
-    done->fire();  // drain without moving data or paying dispatch latency
-    co_return;
-  }
-  const double trace_start = engine_->now();
-  // Device-side dispatch latency for the copy engine.
-  co_await engine_->delay(costs().op_launch_s *
-                          rng_.jitter(costs().jitter_rel));
-  bool delivered = true;
-  if (len > 0) {
-    if (src.device() == dst.device()) {
-      co_await engine_->delay(static_cast<double>(len) /
-                              costs().local_copy_bps);
-    } else if (!token) {
-      co_await network_->transfer(
-          binding_.route_links(src.device(), dst.device()),
-          static_cast<double>(len));
-    } else {
-      // Cancellable variant of FluidNetwork::transfer: the flow id is
-      // registered with the token while the bytes stream so that
-      // token->cancel() can abort it mid-flight.
-      const sim::Route route = binding_.route_links(src.device(), dst.device());
-      double latency = 0.0;
-      for (sim::LinkId l : route) latency += network_->link(l).latency_s;
-      if (latency > 0.0) co_await engine_->delay(latency);
-      if (token->cancelled()) {
-        delivered = false;
-      } else {
-        auto latch = std::make_unique<sim::Latch>(*engine_);
-        sim::Latch* lp = latch.get();
-        const sim::FlowId fid = network_->start_flow(
-            route, static_cast<double>(len), latch.release());
-        token->in_flight_.push_back(fid);
-        co_await lp->wait();
-        erase_flow(token->in_flight_, fid);
-        delivered = !token->was_cancelled(fid);
-      }
-    }
-    if (delivered) {
-      // Payload lands at completion time; simulated buffers carry none.
-      if (dst.materialized() && src.materialized()) {
-        std::memcpy(dst.region(dst_offset, len).data(),
-                    src.region(src_offset, len).data(), len);
-      }
-      bytes_copied_ += len;
-    }
-  }
-  if (tracer_ != nullptr) {
-    tracer_->add_span(stream_track(stream),
-                      std::string(delivered ? "copy " : "copy(cancelled) ") +
-                          util::format_bytes(len) + " " +
-                          topology().device(src.device()).name + "->" +
-                          topology().device(dst.device()).name,
-                      trace_start, engine_->now());
-  }
-  if (on_done) on_done(delivered);
-  done->fire();
+  return op;
 }
 
 std::string GpuRuntime::stream_track(StreamId stream) const {
@@ -184,62 +265,48 @@ void GpuRuntime::memcpy_async(DeviceBuffer& dst, std::size_t dst_offset,
   // some later simulated instant.
   dst.check_region(dst_offset, len);
   src.check_region(src_offset, len);
-  enqueue(stream, [&, dst_offset, src_offset, len, stream](
-                      std::shared_ptr<sim::Latch> prev,
-                      std::shared_ptr<sim::Latch> done) {
-    return run_copy(std::move(prev), std::move(done), dst, dst_offset, src,
-                    src_offset, len, stream, std::move(token),
-                    std::move(on_done));
-  });
+  Op& op = enqueue(stream, &Op::start_copy);
+  op.dst = &dst;
+  op.src = &src;
+  op.dst_offset = dst_offset;
+  op.src_offset = src_offset;
+  op.len = len;
+  op.token = std::move(token);
+  op.on_done = std::move(on_done);
 }
 
 void GpuRuntime::record_event(EventId event, StreamId stream) {
   auto recorded = sim::make_pooled<sim::Latch>(*engine_);
   events_.at(event).latch = recorded;
-  enqueue(stream, [this, recorded](std::shared_ptr<sim::Latch> prev,
-                                   std::shared_ptr<sim::Latch> done)
-                      -> sim::Task<void> {
-    return [](GpuRuntime* rt, std::shared_ptr<sim::Latch> p,
-              std::shared_ptr<sim::Latch> rec,
-              std::shared_ptr<sim::Latch> d) -> sim::Task<void> {
-      co_await p->wait();
-      co_await rt->engine_->delay(rt->costs().event_record_s *
-                                  rt->rng_.jitter(rt->costs().jitter_rel));
-      rec->fire();
-      d->fire();
-    }(this, std::move(prev), recorded, std::move(done));
+  Op& op = enqueue(stream, [](Op& o) {
+    o.after_jittered(o.rt->costs().event_record_s, [](Op& r) {
+      r.event->fire();
+      Op::finish(r);
+    });
   });
+  op.event = std::move(recorded);
 }
 
 void GpuRuntime::wait_event(StreamId stream, EventId event) {
   // CUDA captures the event state at enqueue time.
   auto latch = events_.at(event).latch;
-  enqueue(stream, [this, latch](std::shared_ptr<sim::Latch> prev,
-                                std::shared_ptr<sim::Latch> done)
-                      -> sim::Task<void> {
-    return [](GpuRuntime* rt, std::shared_ptr<sim::Latch> p,
-              std::shared_ptr<sim::Latch> ev,
-              std::shared_ptr<sim::Latch> d) -> sim::Task<void> {
-      co_await p->wait();
-      co_await ev->wait();
-      co_await rt->engine_->delay(rt->costs().event_wait_s *
-                                  rt->rng_.jitter(rt->costs().jitter_rel));
-      d->fire();
-    }(this, std::move(prev), std::move(latch), std::move(done));
+  Op& op = enqueue(stream, [](Op& o) {
+    const OpStep waited = [](Op& w) {
+      w.after_jittered(w.rt->costs().event_wait_s, &Op::finish);
+    };
+    if (o.event->fired()) return waited(o);
+    o.park(*o.event, waited);
   });
+  op.event = std::move(latch);
 }
 
 void GpuRuntime::stream_delay(StreamId stream, double seconds) {
-  enqueue(stream, [this, seconds](std::shared_ptr<sim::Latch> prev,
-                                  std::shared_ptr<sim::Latch> done)
-                      -> sim::Task<void> {
-    return [](GpuRuntime* rt, double dt, std::shared_ptr<sim::Latch> p,
-              std::shared_ptr<sim::Latch> d) -> sim::Task<void> {
-      co_await p->wait();
-      co_await rt->engine_->delay(dt);
-      d->fire();
-    }(this, seconds, std::move(prev), std::move(done));
-  });
+  if (!(seconds >= 0.0)) {  // also catches NaN
+    throw std::invalid_argument(
+        "GpuRuntime::stream_delay: seconds must be >= 0 and not NaN");
+  }
+  Op& op = enqueue(stream, [](Op& o) { o.after(o.seconds, &Op::finish); });
+  op.seconds = seconds;
 }
 
 sim::Task<void> GpuRuntime::synchronize(StreamId stream) {

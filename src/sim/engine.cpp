@@ -17,23 +17,36 @@ void Latch::fire() {
   Awaiter* head = head_;
   head_ = nullptr;
   tail_ = nullptr;
+  // A waiter that reserved a place at this instant which the engine has not
+  // dispatched yet wakes in that place: where an event queued at its
+  // reservation would have run.
+  for (Awaiter** link = &head; *link != nullptr;) {
+    Awaiter* w = *link;
+    if (w->seq != 0 && w->at == engine_->now() &&
+        w->seq > engine_->current_seq()) {
+      *link = w->next;
+      engine_->schedule_reserved(w->seq, [w] { w->wake(); });
+    } else {
+      link = &w->next;
+    }
+  }
   if (head == nullptr) return;
-  if (head->next == nullptr) {
+  if (head->next == nullptr && head->fn == nullptr) {
     engine_->schedule_handle(engine_->now(), head->handle);
     return;
   }
   // Batch multi-waiter wakeups into one queue event. Scheduling the
   // waiters individually would hand them consecutive sequence numbers, so
-  // nothing could interleave between their resumptions anyway — resuming
-  // them back-to-back from a single event is observably identical while
-  // costing one queue operation instead of k. The chain nodes are the
-  // suspended awaiters themselves, so read `next` before resuming: resume
-  // may destroy the node's coroutine frame.
+  // nothing could interleave between their wakeups anyway — waking them
+  // back-to-back from a single event is observably identical while costing
+  // one queue operation instead of k. The chain nodes are the waiters
+  // themselves (awaiters in coroutine frames, or callback nodes in their
+  // records), so read `next` before waking: a wakeup may destroy its node.
   engine_->schedule_callback(engine_->now(), [head]() {
     Awaiter* p = head;
     while (p != nullptr) {
       Awaiter* n = p->next;
-      p->handle.resume();
+      p->wake();
       p = n;
     }
   });
@@ -56,7 +69,8 @@ Engine::~Engine() {
   }
 }
 
-void Engine::push_event(Time t, std::coroutine_handle<> h, EventFn fn) {
+void Engine::push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
+                        EventFn fn) {
   MPATH_ASSERT_OWNER(owner_, "sim::Engine (event scheduling)");
   assert(t >= now_ && "cannot schedule in the past");
   if (t < now_) t = now_;
@@ -73,26 +87,36 @@ void Engine::push_event(Time t, std::coroutine_handle<> h, EventFn fn) {
     }
     slots_.push_back(EventSlot{h, std::move(fn)});
   }
-  const std::uint64_t seq = next_seq_++;
-  if (seq >= (1ull << (64 - kSlotBits))) {
-    throw SimError("Engine: event sequence numbers exhausted");
-  }
   heap_.push_back(HeapEntry{t, (seq << kSlotBits) | slot});
   std::push_heap(heap_.begin(), heap_.end(), EventLater{});
 }
 
+std::uint64_t Engine::reserve_seq() {
+  MPATH_ASSERT_OWNER(owner_, "sim::Engine (event scheduling)");
+  if (next_seq_ >= (1ull << (64 - kSlotBits))) {
+    throw SimError("Engine: event sequence numbers exhausted");
+  }
+  return next_seq_++;
+}
+
 void Engine::schedule_handle(Time t, std::coroutine_handle<> h) {
-  push_event(t, h, EventFn{});
+  push_event(t, reserve_seq(), h, EventFn{});
 }
 
 void Engine::schedule_callback(Time t, EventFn fn) {
-  push_event(t, nullptr, std::move(fn));
+  push_event(t, reserve_seq(), nullptr, std::move(fn));
 }
 
 void Engine::defer(EventFn fn) {
   // Monotone sequence numbers order same-time events FIFO, so this runs
   // after everything already queued at now() and before later arrivals.
-  push_event(now_, nullptr, std::move(fn));
+  push_event(now_, reserve_seq(), nullptr, std::move(fn));
+}
+
+void Engine::schedule_reserved(std::uint64_t seq, EventFn fn) {
+  assert(seq > current_seq_ && seq < next_seq_ &&
+         "schedule_reserved: place already dispatched or never reserved");
+  push_event(now_, seq, nullptr, std::move(fn));
 }
 
 namespace {
@@ -110,7 +134,8 @@ Process Engine::spawn(Task<void> task, std::string name) {
   MPATH_ASSERT_OWNER(owner_, "sim::Engine (spawn)");
   // Amortized reclamation: sweeping on a doubling watermark keeps spawn
   // O(1) amortized even when millions of short-lived processes are created
-  // (every GPU stream operation is one).
+  // (isend/irecv spawn one per message, open-loop traffic one per arrival).
+  // GPU stream operations are pooled records, not processes.
   if (roots_.size() >= sweep_watermark_) {
     sweep_completed_roots();
     sweep_watermark_ = std::max<std::size_t>(1024, 2 * roots_.size());
@@ -181,6 +206,7 @@ std::uint64_t Engine::run_impl(Time t_limit, bool bounded) {
     const HeapEntry ev = heap_.back();
     heap_.pop_back();
     now_ = ev.t;
+    current_seq_ = ev.key >> kSlotBits;
     const auto slot = static_cast<std::uint32_t>(ev.key & kSlotMask);
     // Move the payload out and recycle the slot *before* invoking: the
     // event may schedule new work, which can then reuse this slot.

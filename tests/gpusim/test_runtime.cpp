@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "mpath/topo/system.hpp"
 #include "mpath/util/units.hpp"
 
@@ -64,6 +67,52 @@ TEST(GpuRuntime, StreamOpsExecuteInOrder) {
   }(f.rt, s));
   f.engine.run();
   EXPECT_TRUE(c.same_content(a));
+}
+
+// An op enqueued onto a busy stream queues no start event. If its
+// predecessor finishes later in the same instant, but before the place an
+// event queued at enqueue would have held, the op still starts in that
+// place: it draws its launch jitter before an op enqueued after it on an
+// idle stream, exactly as if it had been given a start event.
+TEST(GpuRuntime, BusyStreamOpKeepsItsSameInstantStartPlace) {
+  auto sys = mt::make_beluga();
+  sys.costs.op_launch_s = 1e-6;
+  sys.costs.jitter_rel = 0.05;
+  constexpr std::uint64_t kSeed = 3;
+  ms::Engine engine;
+  ms::FluidNetwork net{engine};
+  mg::GpuRuntime rt{sys, engine, net, kSeed};
+  const auto gpus = sys.topology.gpus();
+  mg::DeviceBuffer a(gpus[0], 64), b(gpus[1], 64);
+  const auto busy = rt.create_stream(gpus[0]);
+  const auto idle = rt.create_stream(gpus[1]);
+  constexpr double kDelay = 1e-5;
+  rt.stream_delay(busy, kDelay);  // ends at kDelay; draws nothing
+  double busy_done = -1.0;
+  double idle_done = -1.0;
+  // Queued before the delay's end event exists, so it runs first at kDelay.
+  engine.schedule_callback(kDelay, [&] {
+    rt.memcpy_async(b, 0, a, 0, 0, busy, nullptr,
+                    [&](bool) { busy_done = engine.now(); });
+    rt.memcpy_async(b, 0, a, 0, 0, idle, nullptr,
+                    [&](bool) { idle_done = engine.now(); });
+  });
+  engine.run();
+  mpath::util::Rng twin(kSeed);
+  const double first = twin.jitter(sys.costs.jitter_rel);
+  const double second = twin.jitter(sys.costs.jitter_rel);
+  ASSERT_NE(first, second);
+  EXPECT_EQ(busy_done, kDelay + sys.costs.op_launch_s * first);
+  EXPECT_EQ(idle_done, kDelay + sys.costs.op_launch_s * second);
+}
+
+TEST(GpuRuntime, StreamDelayRejectsNegativeAndNaN) {
+  CleanFixture f;
+  const auto s = f.rt.create_stream(f.gpus[0]);
+  EXPECT_THROW(f.rt.stream_delay(s, -1e-6), std::invalid_argument);
+  EXPECT_THROW(f.rt.stream_delay(s, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_EQ(f.rt.ops_issued(), 0u);
 }
 
 TEST(GpuRuntime, IndependentStreamsOverlap) {

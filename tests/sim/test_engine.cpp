@@ -156,6 +156,74 @@ TEST(Engine, LatchFireBatchesWaitersIntoOneEvent) {
   EXPECT_LE(events, static_cast<std::uint64_t>(n) + 4);
 }
 
+// A callback waiter (no coroutine) sits in the same FIFO chain as coroutine
+// waiters and is woken in chain order from the one batched event.
+TEST(Engine, LatchWakesCallbackWaitersInChainOrder) {
+  ms::Engine e;
+  ms::Latch latch(e);
+  std::vector<int> order;
+  struct Node {
+    ms::Latch::Awaiter aw;
+    std::vector<int>* order;
+    int id;
+  };
+  const auto wake = [](void* ctx) {
+    auto* n = static_cast<Node*>(ctx);
+    n->order->push_back(n->id);
+  };
+  Node first{{}, &order, 0};
+  first.aw.fn = wake;
+  first.aw.ctx = &first;
+  latch.add_waiter(first.aw);
+  e.spawn([](ms::Latch& l, std::vector<int>& ord) -> ms::Task<void> {
+    co_await l.wait();
+    ord.push_back(1);
+  }(latch, order));
+  Node last{{}, &order, 2};
+  last.aw.fn = wake;
+  last.aw.ctx = &last;
+  e.schedule_callback(1.0, [&] {  // the coroutine is parked by now
+    latch.add_waiter(last.aw);
+    latch.fire();
+    EXPECT_TRUE(order.empty()) << "fire() wakes through the queue";
+  });
+  // Spawn, callback, and ONE batched wakeup.
+  EXPECT_EQ(e.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+// A waiter that reserved a place at an instant wakes in that place when the
+// latch fires at that instant before the engine reaches it, and after the
+// events already queued when the place has passed.
+TEST(Engine, ReservedWaiterWakesInItsSameInstantPlace) {
+  for (bool fire_before_place : {true, false}) {
+    ms::Engine e;
+    ms::Latch latch(e);
+    std::vector<int> order;
+    ms::Latch::Awaiter node;
+    node.fn = [](void* ctx) {
+      static_cast<std::vector<int>*>(ctx)->push_back(2);
+    };
+    node.ctx = &order;
+    e.schedule_callback(1.0, [&] {
+      node.seq = e.reserve_seq();
+      node.at = e.now();
+      latch.add_waiter(node);
+      e.schedule_callback(1.0, [&] {  // queued after the reserved place
+        if (!fire_before_place) latch.fire();
+        order.push_back(3);
+      });
+    });
+    e.schedule_callback(1.0, [&] {  // queued before the reserved place
+      if (fire_before_place) latch.fire();
+      order.push_back(1);
+    });
+    e.run();
+    EXPECT_EQ(order, fire_before_place ? (std::vector<int>{1, 2, 3})
+                                       : (std::vector<int>{1, 3, 2}));
+  }
+}
+
 TEST(Engine, DeadlockDetected) {
   ms::Engine e;
   auto latch = std::make_unique<ms::Latch>(e);

@@ -6,17 +6,19 @@
 
 namespace mu = mpath::util;
 
-TEST(Rng, ZeroSigmaJitterIsOneAndAdvancesLikeAnyDraw) {
+TEST(Rng, NoJitterIsOneAndAdvancesLikeAnyDraw) {
   // A twin generator drawing standard normals stays in step with
-  // jitter(0): same engine state after every draw, so a run with jitter
-  // off consumes the generator exactly like a run with jitter on.
-  mu::Rng rng(11);
-  std::mt19937_64 twin(11);
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_EQ(rng.jitter(0.0), 1.0) << "draw " << i;
-    std::normal_distribution<double> d(0.0, 1.0);
-    (void)d(twin);
-    ASSERT_EQ(rng.engine(), twin) << "draw " << i;
+  // jitter(sigma <= 0): same engine state after every draw, so a run with
+  // jitter off consumes the generator exactly like a run with jitter on.
+  for (const double sigma : {0.0, -0.01}) {
+    mu::Rng rng(11);
+    std::mt19937_64 twin(11);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(rng.jitter(sigma), 1.0) << "sigma " << sigma << " draw " << i;
+      std::normal_distribution<double> d(0.0, 1.0);
+      (void)d(twin);
+      ASSERT_EQ(rng.engine(), twin) << "sigma " << sigma << " draw " << i;
+    }
   }
 }
 
