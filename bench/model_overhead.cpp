@@ -9,7 +9,9 @@
 // per-transfer CPU path a cache miss pays (theta solve + config + template
 // compile), BM_GraphReplay is what a cache hit pays instead (the keyed
 // lookup). CI's replay-cost gate holds replay to <= 20% of the cold build
-// at the same message size.
+// at the same message size. BM_SchedulerAdmitDepart is the host cost of
+// one joint admission plus one departure on a scheduler carrying about 50,
+// 110 or 170 live paths (informational, no threshold).
 #include <benchmark/benchmark.h>
 
 #include <span>
@@ -18,8 +20,10 @@
 #include "mpath/model/configurator.hpp"
 #include "mpath/pipeline/engine.hpp"
 #include "mpath/pipeline/graph.hpp"
+#include "mpath/pipeline/scheduler.hpp"
 #include "mpath/topo/system.hpp"
 #include "mpath/tuning/calibration.hpp"
+#include "mpath/util/rng.hpp"
 
 namespace mg = mpath::gpusim;
 namespace mm = mpath::model;
@@ -161,6 +165,94 @@ static void BM_GraphReplay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GraphReplay)->Arg(2 << 20)->Arg(64 << 20);
+
+namespace {
+
+// A scheduler that plans but never executes: no fluid flow is ever
+// started, so admissions water-fill against the scheduler's own live paths
+// only, and the simulated clock moves only when the bench advances it.
+struct SchedulerSetup {
+  mt::System system = [] {
+    auto s = mt::make_beluga();
+    s.costs.jitter_rel = 0;
+    return s;
+  }();
+  ms::Engine engine;
+  ms::FluidNetwork net{engine};
+  mg::GpuRuntime rt{system, engine, net};
+  mp::PipelineEngine pipe{rt, /*staging_buffers_per_device=*/16,
+                          mg::Payload::Simulated};
+  mm::ModelRegistry registry = mpath::tuning::registry_from_topology(system);
+  mm::PathConfigurator cfg{registry};
+  mp::TransferScheduler sched{pipe, cfg};
+  struct Pair {
+    mt::DeviceId src;
+    mt::DeviceId dst;
+    std::vector<mt::PathPlan> paths;
+  };
+  std::vector<Pair> pairs = [this] {
+    std::vector<Pair> out;
+    for (mt::DeviceId s : system.topology.gpus()) {
+      for (mt::DeviceId d : system.topology.gpus()) {
+        if (s == d) continue;
+        out.push_back(
+            {s, d,
+             mt::enumerate_paths(system.topology, s, d,
+                                 mt::PathPolicy::three_gpus())});
+      }
+    }
+    return out;
+  }();
+};
+
+}  // namespace
+
+// Joint admission + departure: each iteration advances the clock 1 us,
+// departs the oldest of range(0) live tickets (a water-fill) and admits a
+// seeded 8-64 MiB transfer between a random GPU pair (a water-fill inside
+// the joint Eq. 24 solve). At 1 us per iteration no path drains, so the
+// water-fill sees every live ticket's carrying paths: about 3 per ticket,
+// reported as live_flows.
+static void BM_SchedulerAdmitDepart(benchmark::State& state) {
+  SchedulerSetup s;
+  mpath::util::Rng rng(42);
+  struct Live {
+    mp::TransferScheduler::TicketId id = mp::TransferScheduler::kInvalidTicket;
+    std::size_t flows = 0;
+  };
+  std::size_t flows = 0;
+  const auto admit = [&] {
+    const auto& p = s.pairs[static_cast<std::size_t>(rng.uniform_int(
+        0, static_cast<std::int64_t>(s.pairs.size()) - 1))];
+    const auto bytes = std::uint64_t{8} << (20 + rng.uniform_int(0, 3));
+    const auto adm = s.sched.admit(p.src, p.dst, bytes, p.paths);
+    benchmark::DoNotOptimize(adm.config.predicted_time);
+    Live out{adm.ticket, 0};
+    for (const auto& share : adm.config.paths) out.flows += share.bytes > 0;
+    flows += out.flows;
+    return out;
+  };
+  std::vector<Live> ring(static_cast<std::size_t>(state.range(0)));
+  for (Live& l : ring) l = admit();
+  std::size_t oldest = 0;
+  double seen = 0.0;
+  for (auto _ : state) {
+    s.engine.schedule_callback(s.engine.now() + 1e-6, [&] {
+      s.sched.depart(ring[oldest].id);
+      flows -= ring[oldest].flows;
+      seen += static_cast<double>(flows);
+      ring[oldest] = admit();
+      oldest = (oldest + 1) % ring.size();
+    });
+    s.engine.run();
+  }
+  const auto iters = static_cast<double>(state.iterations());
+  state.counters["live_flows"] = seen / iters;
+  state.counters["joint_iters_per_admit"] =
+      static_cast<double>(s.sched.stats().joint_iterations) /
+      static_cast<double>(s.sched.stats().admitted);
+}
+BENCHMARK(BM_SchedulerAdmitDepart)->Arg(17)->Arg(37)->Arg(57);
 
 static void BM_PredictedBandwidth(benchmark::State& state) {
   auto& s = setup();

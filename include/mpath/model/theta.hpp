@@ -120,23 +120,55 @@ struct JointSolution {
   int iterations = 0;  ///< water-fill / re-solve rounds until stable
 };
 
+/// The joint solver keeps its working buffers between calls, so a caller
+/// that owns one instance (the scheduler) water-fills without allocating
+/// once the buffers have grown to the largest input seen; a solve still
+/// allocates the JointSolution it returns. One instance must not be used
+/// from two threads at once.
 class JointThetaSolver {
  public:
   /// Jointly solve K transfers sharing `links`, with `fixed` in-flight
-  /// flows as unmovable contention. Requires every transfer to satisfy the
-  /// single-transfer preconditions (non-empty paths, positive Omega and
-  /// n_bytes) and every link capacity to be positive. Deterministic:
-  /// bottleneck ties break on the lowest link index.
-  [[nodiscard]] static JointSolution solve(
-      std::span<const JointTransfer> transfers,
-      std::span<const FixedFlow> fixed, std::span<const JointLink> links);
+  /// flows as unmovable contention (held by pointer, so a caller can pass
+  /// flows it keeps elsewhere without copying them). Requires every
+  /// transfer to satisfy the single-transfer preconditions (non-empty
+  /// paths, positive Omega and n_bytes) and every link capacity to be
+  /// positive. Deterministic: bottleneck ties break on the lowest link
+  /// index.
+  [[nodiscard]] JointSolution solve(std::span<const JointTransfer> transfers,
+                                    std::span<const FixedFlow* const> fixed,
+                                    std::span<const JointLink> links);
 
   /// The capped max-min water-fill alone (exposed for tests and for
   /// departure-time rate refreshes): rates for `flows`, each capped at its
   /// cap_bps, sharing `links` max-min fairly with the links' background
-  /// flows. Matches FluidNetwork::reference_rates on cap-free inputs.
-  [[nodiscard]] static std::vector<double> maxmin_rates(
-      std::span<const FixedFlow> flows, std::span<const JointLink> links);
+  /// flows. Matches FluidNetwork::reference_rates on cap-free inputs. The
+  /// result views this solver's buffers and is valid until its next call.
+  [[nodiscard]] std::span<const double> maxmin_rates(
+      std::span<const FixedFlow* const> flows,
+      std::span<const JointLink> links);
+
+ private:
+  // Water-fill state over real links [0, nl) and one virtual cap link per
+  // flow [nl, nl + nf).
+  std::vector<double> residual_;
+  std::vector<double> unfrozen_;
+  std::vector<double> share_;  ///< residual_ / unfrozen_, kept current
+  std::vector<double> background_;
+  std::vector<double> rates_;
+  std::vector<char> frozen_;
+  /// Links that may still bottleneck (unfrozen weight left), ascending.
+  std::vector<std::uint32_t> candidates_;
+  /// Flows crossing each real link, ascending, one entry per traversal:
+  /// link l's members are members_[member_begin_[l] .. member_begin_[l+1]).
+  std::vector<std::uint32_t> member_begin_;
+  std::vector<std::uint32_t> member_fill_;
+  std::vector<std::uint32_t> members_;
+  // solve() state.
+  std::vector<FixedFlow> path_flows_;  ///< every candidate path as a flow
+  std::vector<const FixedFlow*> round_flows_;
+  std::vector<util::SmallVec<char, 4>> active_;
+  std::vector<PathTerms> reduced_;
+  std::vector<std::size_t> reduced_idx_;
 };
 
 }  // namespace mpath::model

@@ -22,6 +22,15 @@
 //     integration window at the instant they happen, so the elapsed window
 //     integrates at the capacities that governed it.
 //
+// The contention state is kept current, not rebuilt per call: the per-link
+// own weights (the ledger that separates this scheduler's paths from
+// background traffic) and the live-flow view change only on register,
+// re-plan, retire and when a path's modeled residue drains, and the
+// water-fill reads each live path's FixedFlow in place. The view's order —
+// live-ticket order x path order, drained paths skipped — is the
+// water-fill's flow order and so part of every result: retire keeps its
+// swap-remove. audit() recounts the ledger.
+//
 // Prediction accounting: each admission records a predicted duration. The
 // record stays live ("unfrozen") while the simulated clock has not advanced
 // past the admit instant, and same-timestamp admissions refresh each
@@ -36,7 +45,11 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <span>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "mpath/model/configurator.hpp"
@@ -145,6 +158,14 @@ class TransferScheduler {
   /// its footprint so later plans stop water-filling against it.
   void fail(TicketId ticket);
 
+  /// Invariant check, empty when consistent. Reports a violation when the
+  /// per-link own-weight ledger differs from a recount over the live
+  /// tickets, when the live-flow view (if current) is not exactly the
+  /// undrained paths in ticket x path order, when an in-flight record has
+  /// no live ticket or a live ticket's record is closed, or when a
+  /// departure footprint mismatched.
+  [[nodiscard]] std::vector<std::string> audit() const;
+
   [[nodiscard]] std::size_t live_count() const { return live_.size(); }
   [[nodiscard]] const std::vector<Record>& history() const { return records_; }
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -154,11 +175,13 @@ class TransferScheduler {
   }
 
  private:
-  /// One live path's modeled residue: which fluid links it occupies, its
-  /// solo rate cap, and how much latency/payload is still ahead of it.
+  /// One live path's modeled residue: the water-fill flow it contributes
+  /// (its fluid links and solo rate cap) and how much latency/payload is
+  /// still ahead of it. A path whose remaining bytes reach 0 is drained: it
+  /// stays in its ticket (the departure footprint check counts it) but no
+  /// longer water-fills or weighs on its links.
   struct LivePath {
-    util::SmallVec<std::uint32_t, 4> links;
-    double cap_bps = 0.0;
+    model::FixedFlow flow;
     double remaining_delta = 0.0;
     double remaining_bytes = 0.0;
   };
@@ -180,7 +203,7 @@ class TransferScheduler {
   /// One request's fresh plan and its candidates' solo terms and links.
   struct Planned {
     model::TransferConfig config;
-    std::vector<model::JointPath> jpaths;
+    util::SmallVec<model::JointPath, 4> jpaths;
     bool squeezed = false;  ///< the water-fill capped a path below solo
   };
   /// Plan one transfer over `paths` (paths[0] = anchor) without
@@ -194,26 +217,30 @@ class TransferScheduler {
   /// water-fill rates and freeze predictions whose admit instant has
   /// passed. Called at the top of every public mutation.
   void integrate_to(double now);
-  /// Current per-link capacities + non-scheduler background weight.
-  [[nodiscard]] std::vector<model::JointLink> snapshot_links();
-  /// All live paths still moving data, as water-fill flows. `owners`
-  /// receives (ticket index, path index) per flow, aligned with the result.
-  [[nodiscard]] std::vector<model::FixedFlow> live_flows(
-      std::vector<std::pair<std::size_t, std::size_t>>* owners) const;
+  /// Current per-link capacities + non-scheduler background weight (the
+  /// network's flow weight minus the ledger's own weight).
+  [[nodiscard]] std::span<const model::JointLink> snapshot_links();
+  /// Every undrained live path's flow, in live-ticket order x path order;
+  /// owners_ holds (ticket index, path index) per flow. Rebuilt only after
+  /// a register, re-plan, retire or drain changed it. The order is part of
+  /// the result: it is the water-fill's flow order, so ties freeze in it.
+  [[nodiscard]] std::span<const model::FixedFlow* const> live_flows();
   /// Fluid links occupied by `plan` while streaming (both hops of a staged
-  /// path — they are pipelined, so they are concurrently loaded).
-  [[nodiscard]] util::SmallVec<std::uint32_t, 4> plan_links(
+  /// path — they are pipelined, so they are concurrently loaded). Cached:
+  /// routes are fixed for the runtime's lifetime.
+  [[nodiscard]] const util::SmallVec<std::uint32_t, 4>& plan_links(
       topo::DeviceId src, topo::DeviceId dst, const topo::PathPlan& plan);
   /// Refresh the prediction of every unfrozen ticket from its residue and
-  /// the given per-flow rates (same alignment as live_flows).
-  void refresh_predictions(
-      std::span<const double> rates,
-      std::span<const std::pair<std::size_t, std::size_t>> owners);
+  /// the given per-flow rates (aligned with owners_).
+  void refresh_predictions(std::span<const double> rates);
   /// Live residues for the carrying shares of `config`, charged at the
   /// links and solo terms `solo` gives each path (parallel to the shares).
   [[nodiscard]] static util::SmallVec<LivePath, 4> live_paths(
       const model::TransferConfig& config,
       std::span<const model::JointPath> solo);
+  /// Add `weight` (+1 or -1) per traversal of each of the ticket's
+  /// undrained paths to the own-weight ledger.
+  void charge(const Ticket& t, double weight);
   /// Register a live ticket and its history record for an admitted
   /// config: the one place admission and replay charge the ledger.
   [[nodiscard]] TicketId register_ticket(
@@ -222,7 +249,9 @@ class TransferScheduler {
       std::span<const model::JointPath> solo, double now);
   [[nodiscard]] std::size_t find(TicketId ticket);
   /// Verify and release the live ticket at `index`, stamping its record
-  /// departed (or failed) at `now`: the one place a ticket leaves.
+  /// departed (or failed) at `now`: the one place a ticket leaves. The
+  /// last ticket moves into its slot (swap-remove), which is what fixes
+  /// the live-flow order.
   void retire(std::size_t index, double now, bool failed);
   /// Sorted union (with multiplicity) of the ticket's live-path links.
   [[nodiscard]] static util::SmallVec<std::uint32_t, 8> footprint_of(
@@ -230,9 +259,10 @@ class TransferScheduler {
   /// Check the satellite invariant before releasing `index`: the footprint
   /// being released is the one admission charged.
   void verify_footprint(std::size_t index);
-  /// True when any live scheduled flow or background traffic touches one
-  /// of `cand` (sorted link ids).
-  [[nodiscard]] bool links_contended(std::span<const std::uint32_t> cand);
+  /// True when any live scheduled flow or background traffic touches a
+  /// link of one of `paths`.
+  [[nodiscard]] bool links_contended(
+      std::span<const model::JointPath> paths) const;
 
   PipelineEngine* engine_;
   model::PathConfigurator* configurator_;
@@ -244,6 +274,19 @@ class TransferScheduler {
   Stats stats_;
   TicketId next_id_ = 1;
   double last_event_ = 0.0;
+  /// Per fluid link, the scheduler's own weight: one per traversal by an
+  /// undrained live path. Kept current on register, re-plan, retire and
+  /// drain; audit() recounts it.
+  std::vector<double> own_;
+  std::vector<const model::FixedFlow*> flows_;
+  std::vector<std::pair<std::size_t, std::size_t>> owners_;
+  bool flows_stale_ = false;
+  std::vector<model::JointLink> links_;
+  model::JointThetaSolver solver_;
+  std::map<std::tuple<topo::DeviceId, topo::DeviceId, topo::PathKind,
+                      topo::DeviceId>,
+           util::SmallVec<std::uint32_t, 4>>
+      plan_links_;
 };
 
 }  // namespace mpath::pipeline

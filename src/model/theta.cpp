@@ -103,16 +103,18 @@ double ThetaSolver::evaluate(std::span<const PathTerms> paths,
   return worst;
 }
 
-std::vector<double> JointThetaSolver::maxmin_rates(
-    std::span<const FixedFlow> flows, std::span<const JointLink> links) {
+std::span<const double> JointThetaSolver::maxmin_rates(
+    std::span<const FixedFlow* const> flows, std::span<const JointLink> links) {
   const std::size_t nl = links.size();
   const std::size_t nf = flows.size();
   // Per-flow rate caps are modeled as one private virtual link per flow
   // (capacity = cap, one traversal); the water-fill then only ever reasons
   // about links. Virtual links live at indices [nl, nl + nf).
-  std::vector<double> residual(nl + nf);
-  std::vector<double> unfrozen(nl + nf, 0.0);
-  std::vector<double> background(nl, 0.0);
+  residual_.resize(nl + nf);
+  unfrozen_.resize(nl + nf);
+  share_.resize(nl + nf);
+  background_.resize(nl);
+  member_begin_.assign(nl + 1, 0);
   for (std::size_t l = 0; l < nl; ++l) {
     if (links[l].capacity_bps <= 0.0) {
       throw std::invalid_argument(
@@ -122,74 +124,100 @@ std::vector<double> JointThetaSolver::maxmin_rates(
       throw std::invalid_argument(
           "JointThetaSolver: negative background flows");
     }
-    residual[l] = links[l].capacity_bps;
-    background[l] = links[l].background_flows;
-    unfrozen[l] = background[l];
+    residual_[l] = links[l].capacity_bps;
+    background_[l] = links[l].background_flows;
+    unfrozen_[l] = background_[l];
   }
   for (std::size_t f = 0; f < nf; ++f) {
-    if (flows[f].cap_bps <= 0.0) {
+    if (flows[f]->cap_bps <= 0.0) {
       throw std::invalid_argument("JointThetaSolver: flow cap must be positive");
     }
-    for (std::uint32_t l : flows[f].links) {
+    for (std::uint32_t l : flows[f]->links) {
       if (l >= nl) {
         throw std::invalid_argument("JointThetaSolver: link index out of range");
       }
-      unfrozen[l] += 1.0;
+      unfrozen_[l] += 1.0;
+      ++member_begin_[l + 1];
     }
-    residual[nl + f] = flows[f].cap_bps;
-    unfrozen[nl + f] = 1.0;
+    residual_[nl + f] = flows[f]->cap_bps;
+    unfrozen_[nl + f] = 1.0;
+  }
+  // Member lists, filled in flow order so each link's list is ascending:
+  // freezing a bottleneck's members then subtracts from every residual in
+  // the same order as a scan over all flows would.
+  for (std::size_t l = 0; l < nl; ++l) member_begin_[l + 1] += member_begin_[l];
+  member_fill_.assign(member_begin_.begin(), member_begin_.end() - 1);
+  members_.resize(member_begin_[nl]);
+  for (std::size_t f = 0; f < nf; ++f) {
+    for (std::uint32_t l : flows[f]->links) {
+      members_[member_fill_[l]++] = static_cast<std::uint32_t>(f);
+    }
+  }
+  candidates_.clear();
+  for (std::size_t l = 0; l < nl + nf; ++l) {
+    if (unfrozen_[l] <= 0.0) continue;
+    share_[l] = residual_[l] / unfrozen_[l];
+    candidates_.push_back(static_cast<std::uint32_t>(l));
   }
 
-  std::vector<double> rates(nf, 0.0);
-  std::vector<char> frozen(nf, 0);
+  rates_.assign(nf, 0.0);
+  frozen_.assign(nf, 0);
   std::size_t left = nf;
+  const auto freeze = [&](std::size_t f, double share) {
+    frozen_[f] = 1;
+    rates_[f] = share;
+    for (std::uint32_t l : flows[f]->links) {
+      residual_[l] -= share;
+      unfrozen_[l] -= 1.0;
+      share_[l] = residual_[l] / unfrozen_[l];
+    }
+    residual_[nl + f] -= share;
+    unfrozen_[nl + f] -= 1.0;
+    --left;
+  };
   while (left > 0) {
     // Bottleneck link: smallest fair share, ties to the lowest index (the
     // same scan order as FluidNetwork::reference_rates, so cap-free inputs
-    // agree with the fluid oracle bit for bit).
+    // agree with the fluid oracle bit for bit). Links whose weight is all
+    // frozen leave the candidate list for good; the rest keep their order.
     double best_share = std::numeric_limits<double>::infinity();
-    std::size_t best = residual.size();
-    for (std::size_t l = 0; l < residual.size(); ++l) {
-      if (unfrozen[l] <= 0.0) continue;
-      const double share = residual[l] / unfrozen[l];
-      if (share < best_share) {
-        best_share = share;
+    std::size_t best = nl + nf;
+    std::size_t kept = 0;
+    for (const std::uint32_t l : candidates_) {
+      if (unfrozen_[l] <= 0.0) continue;
+      candidates_[kept++] = l;
+      if (share_[l] < best_share) {
+        best_share = share_[l];
         best = l;
       }
     }
-    if (best == residual.size()) break;  // only frozen weight left
+    candidates_.resize(kept);
+    if (best == nl + nf) break;  // only frozen weight left
     best_share = std::max(best_share, 0.0);
-    for (std::size_t f = 0; f < nf; ++f) {
-      if (frozen[f]) continue;
-      const bool crosses =
-          (best == nl + f) ||
-          (best < nl &&
-           std::find(flows[f].links.begin(), flows[f].links.end(),
-                     static_cast<std::uint32_t>(best)) != flows[f].links.end());
-      if (!crosses) continue;
-      frozen[f] = 1;
-      rates[f] = best_share;
-      for (std::uint32_t l : flows[f].links) {
-        residual[l] -= best_share;
-        unfrozen[l] -= 1.0;
-      }
-      residual[nl + f] -= best_share;
-      unfrozen[nl + f] -= 1.0;
-      --left;
+    if (best >= nl) {
+      freeze(best - nl, best_share);
+      continue;
     }
-    if (best < nl && background[best] > 0.0) {
+    for (std::uint32_t m = member_begin_[best]; m < member_begin_[best + 1];
+         ++m) {
+      const std::uint32_t f = members_[m];
+      if (frozen_[f]) continue;  // a repeated traversal, or frozen earlier
+      freeze(f, best_share);
+    }
+    if (background_[best] > 0.0) {
       // The link's background flows freeze at the same share; they traverse
       // only this link, so their whole footprint settles here.
-      residual[best] -= best_share * background[best];
-      unfrozen[best] -= background[best];
-      background[best] = 0.0;
+      residual_[best] -= best_share * background_[best];
+      unfrozen_[best] -= background_[best];
+      background_[best] = 0.0;
+      share_[best] = residual_[best] / unfrozen_[best];
     }
   }
-  return rates;
+  return rates_;
 }
 
 JointSolution JointThetaSolver::solve(std::span<const JointTransfer> transfers,
-                                      std::span<const FixedFlow> fixed,
+                                      std::span<const FixedFlow* const> fixed,
                                       std::span<const JointLink> links) {
   std::size_t total_paths = 0;
   for (const JointTransfer& t : transfers) {
@@ -215,32 +243,35 @@ JointSolution JointThetaSolver::solve(std::span<const JointTransfer> transfers,
   // Active set per (transfer, path): starts full, shrinks monotonically as
   // per-transfer solves exclude paths (mirroring Algorithm 1's drop-only
   // exclusion), so the loop converges in at most total_paths + 1 rounds.
-  std::vector<util::SmallVec<char, 4>> active(transfers.size());
+  // Every candidate path water-fills as a flow capped at its solo
+  // bandwidth 1/Omega.
+  active_.resize(transfers.size());
+  path_flows_.resize(total_paths);
+  std::size_t flow_index = 0;
   for (std::size_t k = 0; k < transfers.size(); ++k) {
-    active[k].resize(transfers[k].paths.size());
-    for (char& a : active[k]) a = 1;
+    active_[k].clear();
+    for (const JointPath& p : transfers[k].paths) {
+      active_[k].push_back(1);
+      FixedFlow& f = path_flows_[flow_index++];
+      f.links = p.links;
+      f.cap_bps = 1.0 / p.terms.omega;
+    }
   }
 
-  std::vector<FixedFlow> flows(fixed.begin(), fixed.end());
-  std::vector<PathTerms> reduced;
-  std::vector<std::size_t> reduced_idx;
   const int max_rounds = static_cast<int>(total_paths) + 1;
-  std::vector<double> rates;
+  std::span<const double> rates;
   for (int round = 0; round < max_rounds; ++round) {
     ++sol.iterations;
-    // 1. Water-fill: fixed flows first, then every active candidate path
-    //    (capped at its solo bandwidth 1/Omega).
-    flows.resize(fixed.size());
+    // 1. Water-fill: fixed flows first, then every active candidate path.
+    round_flows_.assign(fixed.begin(), fixed.end());
+    flow_index = 0;
     for (std::size_t k = 0; k < transfers.size(); ++k) {
       for (std::size_t i = 0; i < transfers[k].paths.size(); ++i) {
-        if (!active[k][i]) continue;
-        FixedFlow f;
-        f.links = transfers[k].paths[i].links;
-        f.cap_bps = 1.0 / transfers[k].paths[i].terms.omega;
-        flows.push_back(std::move(f));
+        if (active_[k][i]) round_flows_.push_back(&path_flows_[flow_index]);
+        ++flow_index;
       }
     }
-    rates = maxmin_rates(flows, links);
+    rates = maxmin_rates(round_flows_, links);
 
     // 2. Per-transfer equal-time solve with the water-filled effective
     //    inverse bandwidths.
@@ -248,12 +279,12 @@ JointSolution JointThetaSolver::solve(std::span<const JointTransfer> transfers,
     std::size_t cursor = fixed.size();
     for (std::size_t k = 0; k < transfers.size(); ++k) {
       const JointTransfer& t = transfers[k];
-      reduced.clear();
-      reduced_idx.clear();
+      reduced_.clear();
+      reduced_idx_.clear();
       sol.path_rates[k].clear();
       sol.path_rates[k].resize(t.paths.size());
       for (std::size_t i = 0; i < t.paths.size(); ++i) {
-        if (!active[k][i]) continue;
+        if (!active_[k][i]) continue;
         const double cap = 1.0 / t.paths[i].terms.omega;
         const double rate = rates[cursor++];
         sol.path_rates[k][i] = rate;
@@ -261,23 +292,23 @@ JointSolution JointThetaSolver::solve(std::span<const JointTransfer> transfers,
         // Uncontended paths keep their solo Omega verbatim (not the
         // double-rounded 1/(1/Omega)), so K=1 reproduces Eq. 24 exactly.
         if (rate < cap && rate > 0.0) eff.omega = 1.0 / rate;
-        reduced.push_back(eff);
-        reduced_idx.push_back(i);
+        reduced_.push_back(eff);
+        reduced_idx_.push_back(i);
       }
-      const ThetaSolution rsol = ThetaSolver::solve(reduced, t.n_bytes);
+      const ThetaSolution rsol = ThetaSolver::solve(reduced_, t.n_bytes);
       ThetaSolution& out = sol.transfers[k];
       out.theta.assign(t.paths.size(), 0.0);
       out.active.clear();
       out.predicted_time = rsol.predicted_time;
-      for (std::size_t j = 0; j < reduced_idx.size(); ++j) {
-        const std::size_t i = reduced_idx[j];
+      for (std::size_t j = 0; j < reduced_idx_.size(); ++j) {
+        const std::size_t i = reduced_idx_[j];
         out.theta[i] = rsol.theta[j];
         if (rsol.theta[j] > 0.0) {
           out.active.push_back(i);
-        } else if (i != 0 && active[k][i]) {
+        } else if (i != 0 && active_[k][i]) {
           // Excluded under contention: the path frees its link shares for
           // everyone else. The anchor (index 0) is never dropped.
-          active[k][i] = 0;
+          active_[k][i] = 0;
           changed = true;
         }
         if (rsol.theta[j] <= 0.0) sol.path_rates[k][i] = 0.0;

@@ -48,7 +48,8 @@ TransferScheduler::TransferScheduler(PipelineEngine& engine,
     : engine_(&engine),
       configurator_(&configurator),
       options_(options),
-      net_(&engine.runtime().binding().network()) {
+      net_(&engine.runtime().binding().network()),
+      own_(net_->link_count(), 0.0) {
   // Close the residue-integration window at the instant of every capacity
   // change, while the *old* rates still hold (the network notifies
   // pre-mutation): the elapsed window integrates at the capacities that
@@ -67,76 +68,75 @@ TransferScheduler::~TransferScheduler() {
   net_->remove_capacity_listener(capacity_listener_);
 }
 
-util::SmallVec<std::uint32_t, 4> TransferScheduler::plan_links(
+const util::SmallVec<std::uint32_t, 4>& TransferScheduler::plan_links(
     topo::DeviceId src, topo::DeviceId dst, const topo::PathPlan& plan) {
-  const gpusim::GpuRuntime& rt = engine_->runtime();
-  const auto hops = topo::path_hop_routes(rt.topology(), src, dst, plan);
-  util::SmallVec<std::uint32_t, 4> out;
-  // Both hops of a staged path are pipelined — concurrently loaded — so the
-  // footprint is the union of all hop edges.
-  for (const auto& hop : hops) {
-    for (topo::EdgeId e : hop) out.push_back(rt.binding().link_for_edge(e));
-  }
-  return out;
-}
-
-std::vector<model::JointLink> TransferScheduler::snapshot_links() {
-  const sim::FluidNetwork& net = engine_->runtime().binding().network();
-  std::vector<double> own(net.link_count(), 0.0);
-  for (const Ticket& t : live_) {
-    for (const LivePath& p : t.paths) {
-      if (p.remaining_bytes <= 0.0) continue;
-      for (std::uint32_t l : p.links) own[l] += 1.0;
+  const auto [it, inserted] =
+      plan_links_.try_emplace({src, dst, plan.kind, plan.stage});
+  if (inserted) {
+    const gpusim::GpuRuntime& rt = engine_->runtime();
+    // Both hops of a staged path are pipelined — concurrently loaded — so
+    // the footprint is the union of all hop edges.
+    for (const auto& hop : topo::path_hop_routes(rt.topology(), src, dst,
+                                                 plan)) {
+      for (topo::EdgeId e : hop) {
+        it->second.push_back(rt.binding().link_for_edge(e));
+      }
     }
   }
-  std::vector<model::JointLink> links(net.link_count());
-  for (std::uint32_t l = 0; l < net.link_count(); ++l) {
+  return it->second;
+}
+
+std::span<const model::JointLink> TransferScheduler::snapshot_links() {
+  links_.resize(net_->link_count());
+  for (std::uint32_t l = 0; l < links_.size(); ++l) {
     // Severed links (capacity 0, fault injection) are floored at 1 B/s so
     // the solver stays defined; paths over them plan as effectively dead.
-    links[l].capacity_bps = std::max(net.link(l).capacity_bps, 1.0);
+    links_[l].capacity_bps = std::max(net_->link(l).capacity_bps, 1.0);
     // Whatever streams on the link beyond this scheduler's own live paths
     // (per-chunk flows are attributed to their owning path, not double
     // counted) is background traffic that still takes max-min shares.
-    links[l].background_flows =
-        std::max(0.0, net.link_flow_weight(l) - own[l]);
+    links_[l].background_flows =
+        std::max(0.0, net_->link_flow_weight(l) - own_[l]);
   }
-  return links;
+  return links_;
 }
 
-std::vector<model::FixedFlow> TransferScheduler::live_flows(
-    std::vector<std::pair<std::size_t, std::size_t>>* owners) const {
-  std::vector<model::FixedFlow> flows;
-  if (owners) owners->clear();
-  for (std::size_t ti = 0; ti < live_.size(); ++ti) {
-    const Ticket& t = live_[ti];
-    for (std::size_t pi = 0; pi < t.paths.size(); ++pi) {
-      const LivePath& p = t.paths[pi];
-      if (p.remaining_bytes <= 0.0) continue;
-      model::FixedFlow f;
-      f.links = p.links;
-      f.cap_bps = p.cap_bps;
-      flows.push_back(std::move(f));
-      if (owners) owners->emplace_back(ti, pi);
+std::span<const model::FixedFlow* const> TransferScheduler::live_flows() {
+  if (flows_stale_) {
+    flows_.clear();
+    owners_.clear();
+    for (std::size_t ti = 0; ti < live_.size(); ++ti) {
+      const Ticket& t = live_[ti];
+      for (std::size_t pi = 0; pi < t.paths.size(); ++pi) {
+        if (t.paths[pi].remaining_bytes <= 0.0) continue;
+        flows_.push_back(&t.paths[pi].flow);
+        owners_.emplace_back(ti, pi);
+      }
     }
+    flows_stale_ = false;
   }
-  return flows;
+  return flows_;
 }
 
 void TransferScheduler::integrate_to(double now) {
   if (now > last_event_ && !live_.empty()) {
-    std::vector<std::pair<std::size_t, std::size_t>> owners;
-    const auto flows = live_flows(&owners);
+    const auto flows = live_flows();
     if (!flows.empty()) {
-      const auto links = snapshot_links();
-      const auto rates = model::JointThetaSolver::maxmin_rates(flows, links);
+      const auto rates = solver_.maxmin_rates(flows, snapshot_links());
       const double dt = now - last_event_;
       for (std::size_t j = 0; j < flows.size(); ++j) {
-        LivePath& p = live_[owners[j].first].paths[owners[j].second];
+        LivePath& p = live_[owners_[j].first].paths[owners_[j].second];
         // A path spends its latency prefix first, then streams.
         const double lat = std::min(p.remaining_delta, dt);
         p.remaining_delta -= lat;
         p.remaining_bytes =
             std::max(0.0, p.remaining_bytes - rates[j] * (dt - lat));
+        if (p.remaining_bytes <= 0.0) {
+          // Drained: the path leaves the water-fill and its links' own
+          // weight (the ticket keeps it for the footprint check).
+          for (std::uint32_t l : p.flow.links) own_[l] -= 1.0;
+          flows_stale_ = true;
+        }
       }
     }
     // The clock moved past these tickets' admit instant: their recorded
@@ -148,19 +148,17 @@ void TransferScheduler::integrate_to(double now) {
   last_event_ = std::max(last_event_, now);
 }
 
-void TransferScheduler::refresh_predictions(
-    std::span<const double> rates,
-    std::span<const std::pair<std::size_t, std::size_t>> owners) {
+void TransferScheduler::refresh_predictions(std::span<const double> rates) {
   // Reset the estimate of every unfrozen ticket that still has live flows;
   // the stale admission prediction is superseded by this refresh.
-  for (const auto& [ti, pi] : owners) {
+  for (const auto& [ti, pi] : owners_) {
     Ticket& t = live_[ti];
     if (!t.frozen) records_[t.record].predicted_s = 0.0;
   }
-  for (std::size_t j = 0; j < owners.size(); ++j) {
-    Ticket& t = live_[owners[j].first];
+  for (std::size_t j = 0; j < owners_.size(); ++j) {
+    Ticket& t = live_[owners_[j].first];
     if (t.frozen) continue;
-    const LivePath& p = t.paths[owners[j].second];
+    const LivePath& p = t.paths[owners_[j].second];
     const double path_time =
         rates[j] > 0.0
             ? p.remaining_delta + p.remaining_bytes / rates[j]
@@ -190,15 +188,8 @@ TransferScheduler::Admission TransferScheduler::admit(
   // calibration. Solo planning never looks at contention; a joint plan
   // qualifies only when nothing squeezed it and no other flow touches its
   // candidates (checked before its own ticket is registered).
-  out.uncontended = !options_.joint;
-  if (options_.joint && !planned.squeezed) {
-    util::SmallVec<std::uint32_t, 8> cand;
-    for (const model::JointPath& jp : planned.jpaths) {
-      for (std::uint32_t l : jp.links) cand.push_back(l);
-    }
-    std::sort(cand.begin(), cand.end());
-    out.uncontended = !links_contended({cand.data(), cand.size()});
-  }
+  out.uncontended = !options_.joint ||
+                    (!planned.squeezed && !links_contended(planned.jpaths));
   out.ticket =
       register_ticket(src, dst, bytes, planned.config, planned.jpaths, now);
   out.config = std::move(planned.config);
@@ -222,14 +213,11 @@ TransferScheduler::Planned TransferScheduler::plan_request(
     out.config = configurator_->config_from_theta(prepared, bytes, paths, sol);
     return out;
   }
-  const auto links = snapshot_links();
-  std::vector<std::pair<std::size_t, std::size_t>> owners;
-  const auto fixed = live_flows(&owners);
   model::JointTransfer jt;
   jt.n_bytes = static_cast<double>(bytes);
   jt.paths = out.jpaths;
   const model::JointSolution jsol =
-      model::JointThetaSolver::solve({&jt, 1}, fixed, links);
+      solver_.solve({&jt, 1}, live_flows(), snapshot_links());
   stats_.joint_iterations += static_cast<std::uint64_t>(jsol.iterations);
   const util::SmallVec<double, 4>& rates = jsol.path_rates[0];
   out.config = configurator_->config_from_theta(
@@ -237,7 +225,7 @@ TransferScheduler::Planned TransferScheduler::plan_request(
       paths, jsol.transfers[0]);
   // In-flight (and same-instant, still unfrozen) transfers now share links
   // with the arrival: refresh their recorded predictions.
-  refresh_predictions(jsol.fixed_rates, owners);
+  refresh_predictions(jsol.fixed_rates);
   return out;
 }
 
@@ -255,9 +243,11 @@ model::TransferConfig TransferScheduler::replan(
   Ticket& t = live_[find(ticket)];
   // The old footprint is gone: timed-out paths were cancelled, healthy ones
   // completed their slices. The remainder gets a fresh joint plan.
+  charge(t, -1.0);
   t.paths.clear();
   Planned planned = plan_request(t.src, t.dst, bytes, survivors);
   t.paths = live_paths(planned.config, planned.jpaths);
+  charge(t, 1.0);
   // Re-plans replace the footprint: the charge the departure check expects
   // is the latest one.
   t.charged = footprint_of(t);
@@ -284,7 +274,7 @@ util::SmallVec<std::uint32_t, 8> TransferScheduler::footprint_of(
     const Ticket& t) {
   util::SmallVec<std::uint32_t, 8> out;
   for (const LivePath& p : t.paths) {
-    for (std::uint32_t l : p.links) out.push_back(l);
+    for (std::uint32_t l : p.flow.links) out.push_back(l);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -296,29 +286,21 @@ void TransferScheduler::verify_footprint(std::size_t index) {
   // must not depart with a footprint its template never registered.
   ++stats_.footprint_checks;
   const Ticket& t = live_[index];
-  const util::SmallVec<std::uint32_t, 8> current = footprint_of(t);
-  bool equal = current.size() == t.charged.size();
-  for (std::size_t i = 0; equal && i < current.size(); ++i) {
-    equal = current[i] == t.charged[i];
-  }
-  if (!equal) {
+  if (footprint_of(t) != t.charged) {
     ++stats_.footprint_mismatches;
     assert(false && "TransferScheduler: departure footprint mismatch");
   }
 }
 
-bool TransferScheduler::links_contended(std::span<const std::uint32_t> cand) {
-  for (const Ticket& t : live_) {
-    for (const LivePath& p : t.paths) {
-      if (p.remaining_bytes <= 0.0) continue;
-      for (std::uint32_t l : p.links) {
-        if (std::binary_search(cand.begin(), cand.end(), l)) return true;
+bool TransferScheduler::links_contended(
+    std::span<const model::JointPath> paths) const {
+  for (const model::JointPath& jp : paths) {
+    for (std::uint32_t l : jp.links) {
+      // A live scheduled flow, or traffic that bypasses the scheduler.
+      if (own_[l] > 0.0 || net_->link_flow_weight(l) - own_[l] > 0.0) {
+        return true;
       }
     }
-  }
-  const auto links = snapshot_links();
-  for (std::uint32_t l : cand) {
-    if (links[l].background_flows > 0.0) return true;
   }
   return false;
 }
@@ -346,15 +328,12 @@ TransferScheduler::Admission TransferScheduler::admit_replay(
   // Uncontended templates carry solo terms (no omega override), so the
   // ticket registers the identical cap/residue a fresh admission would.
   util::SmallVec<model::JointPath, 4> solo;
-  util::SmallVec<std::uint32_t, 8> cand;
   for (std::size_t i = 0; i < paths.size(); ++i) {
     solo.push_back(model::JointPath{compiled.paths[i].terms,
                                     plan_links(src, dst, paths[i])});
-    for (std::uint32_t l : solo.back().links) cand.push_back(l);
   }
-  std::sort(cand.begin(), cand.end());
 
-  if (options_.joint && links_contended({cand.data(), cand.size()})) {
+  if (options_.joint && links_contended(solo)) {
     // Contention changed since compile: a fresh joint solve could pick a
     // different split, so the template is not admissible as-is.
     ++stats_.replay_rejects;
@@ -364,8 +343,7 @@ TransferScheduler::Admission TransferScheduler::admit_replay(
   Admission out;
   out.config = compiled;
   out.uncontended = true;
-  out.ticket = register_ticket(src, dst, bytes, compiled,
-                               {solo.data(), solo.size()}, now);
+  out.ticket = register_ticket(src, dst, bytes, compiled, solo, now);
   ++stats_.replay_admits;
   return out;
 }
@@ -377,13 +355,21 @@ util::SmallVec<TransferScheduler::LivePath, 4> TransferScheduler::live_paths(
   for (std::size_t i = 0; i < config.paths.size(); ++i) {
     if (config.paths[i].bytes == 0) continue;
     LivePath p;
-    p.links = solo[i].links;
-    p.cap_bps = 1.0 / solo[i].terms.omega;
+    p.flow.links = solo[i].links;
+    p.flow.cap_bps = 1.0 / solo[i].terms.omega;
     p.remaining_delta = solo[i].terms.delta;
     p.remaining_bytes = static_cast<double>(config.paths[i].bytes);
     out.push_back(std::move(p));
   }
   return out;
+}
+
+void TransferScheduler::charge(const Ticket& t, double weight) {
+  for (const LivePath& p : t.paths) {
+    if (p.remaining_bytes <= 0.0) continue;  // released when it drained
+    for (std::uint32_t l : p.flow.links) own_[l] += weight;
+  }
+  flows_stale_ = true;
 }
 
 TransferScheduler::TicketId TransferScheduler::register_ticket(
@@ -398,6 +384,7 @@ TransferScheduler::TicketId TransferScheduler::register_ticket(
   t.dst = dst;
   t.paths = live_paths(config, solo);
   t.charged = footprint_of(t);
+  charge(t, 1.0);
   Record rec;
   rec.t_admit = now;
   rec.predicted_s = config.predicted_time;
@@ -417,11 +404,56 @@ std::size_t TransferScheduler::find(TicketId ticket) {
 
 void TransferScheduler::retire(std::size_t index, double now, bool failed) {
   verify_footprint(index);
+  charge(live_[index], -1.0);
   Record& rec = records_[live_[index].record];
   rec.t_depart = now;
   rec.failed = failed;
   live_[index] = std::move(live_.back());
   live_.pop_back();
+}
+
+std::vector<std::string> TransferScheduler::audit() const {
+  std::vector<std::string> out;
+  std::vector<double> recount(own_.size(), 0.0);
+  std::vector<const model::FixedFlow*> flows;
+  std::vector<char> ticketed(records_.size(), 0);
+  for (const Ticket& t : live_) {
+    for (const LivePath& p : t.paths) {
+      if (p.remaining_bytes <= 0.0) continue;
+      for (std::uint32_t l : p.flow.links) recount[l] += 1.0;
+      flows.push_back(&p.flow);
+    }
+    if (t.record >= records_.size()) {
+      out.push_back("ticket " + std::to_string(t.id) + " has no record");
+      continue;
+    }
+    ticketed[t.record] = 1;
+    if (records_[t.record].t_depart >= 0.0) {
+      out.push_back("ticket " + std::to_string(t.id) +
+                    " is live but its record is closed");
+    }
+  }
+  for (std::size_t l = 0; l < own_.size(); ++l) {
+    if (own_[l] != recount[l]) {
+      out.push_back("link " + std::to_string(l) + ": own weight " +
+                    std::to_string(own_[l]) + ", recount " +
+                    std::to_string(recount[l]));
+    }
+  }
+  if (!flows_stale_ && flows != flows_) {
+    out.push_back("live-flow view is not the undrained paths in order");
+  }
+  for (std::size_t r = 0; r < records_.size(); ++r) {
+    if (records_[r].t_depart < 0.0 && !ticketed[r]) {
+      out.push_back("record " + std::to_string(r) +
+                    " is in flight with no live ticket");
+    }
+  }
+  if (stats_.footprint_mismatches != 0) {
+    out.push_back(std::to_string(stats_.footprint_mismatches) +
+                  " departure footprint mismatches");
+  }
+  return out;
 }
 
 }  // namespace mpath::pipeline

@@ -1,7 +1,10 @@
 // Regression guard for the zero-allocation steady state: after one warmup
 // round fills the event/flow/frame pools and container high-water marks, a
 // second identical round of full-stack pipeline transfers must perform zero
-// global operator-new calls.
+// global operator-new calls. The same holds for the scheduler's departure
+// side: once its ledger and solver buffers have grown, a departure or a
+// link-capacity change (each a water-fill over every live path) allocates
+// nothing.
 //
 // This binary deliberately lives in its own test target: it links
 // mpath_alloc_hook, which replaces the global operator new/delete with
@@ -15,11 +18,14 @@
 
 #include "mpath/benchcore/alloc_hook.hpp"
 #include "mpath/pipeline/engine.hpp"
+#include "mpath/pipeline/scheduler.hpp"
 #include "mpath/sim/pool.hpp"
 #include "mpath/topo/system.hpp"
+#include "mpath/tuning/calibration.hpp"
 #include "mpath/util/units.hpp"
 
 namespace mg = mpath::gpusim;
+namespace mm = mpath::model;
 namespace mp = mpath::pipeline;
 namespace ms = mpath::sim;
 namespace mt = mpath::topo;
@@ -75,6 +81,77 @@ std::uint64_t steady_state_allocs(int workers, int repeats, bool monitored) {
   return scope.delta();
 }
 
+/// Two identical cycles on a beluga scheduler: `tickets` admissions at one
+/// instant over every GPU pair (3_GPUs candidates), then one departure every
+/// 5 us with one link-capacity change halfway. Each departure and the
+/// capacity change first water-fill every live path to the current instant.
+/// Returns the allocations those calls made in the second cycle; admissions
+/// are not counted.
+std::uint64_t scheduled_departure_allocs(int tickets) {
+  mt::System sys = mt::make_beluga();
+  sys.costs.jitter_rel = 0;
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  mg::GpuRuntime rt(sys, engine, net);
+  mp::PipelineEngine pipe(rt, /*staging_buffers_per_device=*/64,
+                          mg::Payload::Simulated);
+  const mm::ModelRegistry reg = mpath::tuning::registry_from_topology(sys);
+  mm::PathConfigurator cfg(reg);
+  mp::TransferScheduler sched(pipe, cfg);
+  const std::vector<mt::DeviceId> gpus = sys.topology.gpus();
+  struct Pair {
+    mt::DeviceId src;
+    mt::DeviceId dst;
+    std::vector<mt::PathPlan> paths;
+  };
+  std::vector<Pair> pairs;
+  for (mt::DeviceId s : gpus) {
+    for (mt::DeviceId d : gpus) {
+      if (s == d) continue;
+      pairs.push_back(
+          {s, d,
+           mt::enumerate_paths(sys.topology, s, d,
+                               mt::PathPolicy::three_gpus())});
+    }
+  }
+  const ms::LinkId link = rt.binding().link_for_edge(
+      *sys.topology.direct_edge(gpus[0], gpus[1]));
+  const double nominal = net.link(link).capacity_bps;
+
+  std::vector<mp::TransferScheduler::TicketId> ids(
+      static_cast<std::size_t>(tickets));
+  std::uint64_t allocs = 0;
+  const auto cycle = [&](double capacity) {
+    for (int i = 0; i < tickets; ++i) {
+      const Pair& p = pairs[static_cast<std::size_t>(i) % pairs.size()];
+      // Sizes 1-32 MiB keep most paths streaming across all departures.
+      ids[static_cast<std::size_t>(i)] =
+          sched.admit(p.src, p.dst, 1_MiB << (i % 6), p.paths).ticket;
+    }
+    const double t0 = engine.now();
+    for (int i = 0; i < tickets; ++i) {
+      engine.schedule_callback(t0 + 5e-6 * (i + 1), [&, i] {
+        const mpath::benchcore::AllocScope scope;
+        sched.depart(ids[static_cast<std::size_t>(i)]);
+        allocs += scope.delta();
+      });
+    }
+    engine.schedule_callback(t0 + 5e-6 * (tickets / 2) + 2.5e-6, [&] {
+      const mpath::benchcore::AllocScope scope;
+      net.set_link_capacity(link, capacity);
+      allocs += scope.delta();
+    });
+    engine.run();
+  };
+  cycle(0.5 * nominal);  // warmup: ledger and solver buffers reach size
+  allocs = 0;
+  cycle(nominal);
+  EXPECT_EQ(sched.live_count(), 0u);
+  EXPECT_EQ(sched.stats().capacity_events, 2u);
+  EXPECT_TRUE(sched.audit().empty());
+  return allocs;
+}
+
 }  // namespace
 
 TEST(AllocRegression, SteadyStateRoundIsAllocationFree) {
@@ -96,5 +173,13 @@ TEST(AllocRegression, MonitoredSteadyStateRoundIsAllocationFree) {
   EXPECT_EQ(steady_state_allocs(/*workers=*/8, /*repeats=*/4,
                                 /*monitored=*/true),
             0u);
+#endif
+}
+
+TEST(AllocRegression, ScheduledDeparturesAreAllocationFree) {
+#if defined(MPATH_POOL_PASSTHROUGH)
+  GTEST_SKIP() << "size-bucketed pool is pass-through under sanitizers";
+#else
+  EXPECT_EQ(scheduled_departure_allocs(/*tickets=*/64), 0u);
 #endif
 }

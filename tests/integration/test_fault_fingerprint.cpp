@@ -10,6 +10,7 @@
 // written at 9 significant digits (the golden CSVs' precision) and compared
 // with tests/integration/data/fault_fingerprint.txt. A change that reorders
 // same-instant events or RNG draws anywhere in the stack moves some of them.
+// Each replay also ends with a clean TransferScheduler::audit().
 //
 // On a mismatch the actual fingerprint is written to
 // fault_fingerprint.actual.txt in the working directory. A change that
@@ -156,6 +157,9 @@ std::vector<std::string> replay(const mt::System& system,
   EXPECT_EQ(stack.network().active_flow_count(), 0u) << tag;
   EXPECT_EQ(stack.runtime().events_outstanding(), 0u) << tag;
   EXPECT_EQ(stack.scheduler()->live_count(), 0u) << tag;
+  for (const std::string& violation : stack.scheduler()->audit()) {
+    ADD_FAILURE() << tag << ": " << violation;
+  }
   std::vector<std::string> lines;
   for (std::size_t i = 0; i < done.size(); ++i) {
     char buf[96];

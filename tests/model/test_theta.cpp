@@ -194,6 +194,16 @@ mm::FixedFlow flow(std::initializer_list<std::uint32_t> links, double cap) {
   return f;
 }
 
+/// The water-fill over `flows`, copied out of a fresh solver's buffers.
+std::vector<double> maxmin(const std::vector<mm::FixedFlow>& flows,
+                           const std::vector<mm::JointLink>& links) {
+  std::vector<const mm::FixedFlow*> in;
+  for (const mm::FixedFlow& f : flows) in.push_back(&f);
+  mm::JointThetaSolver solver;
+  const auto rates = solver.maxmin_rates(in, links);
+  return {rates.begin(), rates.end()};
+}
+
 mm::JointPath jpath(double omega, double delta,
                     std::initializer_list<std::uint32_t> links) {
   mm::JointPath p;
@@ -207,7 +217,7 @@ mm::JointPath jpath(double omega, double delta,
 TEST(JointMaxMin, UncontendedFlowsHitTheirCaps) {
   std::vector<mm::JointLink> links{{100e9, 0.0}};
   std::vector<mm::FixedFlow> flows{flow({0}, 40e9), flow({0}, 50e9)};
-  const auto rates = mm::JointThetaSolver::maxmin_rates(flows, links);
+  const auto rates = maxmin(flows, links);
   EXPECT_DOUBLE_EQ(rates[0], 40e9);
   EXPECT_DOUBLE_EQ(rates[1], 50e9);
 }
@@ -215,7 +225,7 @@ TEST(JointMaxMin, UncontendedFlowsHitTheirCaps) {
 TEST(JointMaxMin, SharedBottleneckSplitsEqually) {
   std::vector<mm::JointLink> links{{46e9, 0.0}};
   std::vector<mm::FixedFlow> flows{flow({0}, 46e9), flow({0}, 46e9)};
-  const auto rates = mm::JointThetaSolver::maxmin_rates(flows, links);
+  const auto rates = maxmin(flows, links);
   EXPECT_DOUBLE_EQ(rates[0], 23e9);
   EXPECT_DOUBLE_EQ(rates[1], 23e9);
 }
@@ -225,7 +235,7 @@ TEST(JointMaxMin, FrozenSlowFlowFreesResidualForFastFlow) {
   // picks up the residual 100 - 10 = 90.
   std::vector<mm::JointLink> links{{100e9, 0.0}};
   std::vector<mm::FixedFlow> flows{flow({0}, 10e9), flow({0}, 1e12)};
-  const auto rates = mm::JointThetaSolver::maxmin_rates(flows, links);
+  const auto rates = maxmin(flows, links);
   EXPECT_DOUBLE_EQ(rates[0], 10e9);
   EXPECT_DOUBLE_EQ(rates[1], 90e9);
 }
@@ -235,14 +245,14 @@ TEST(JointMaxMin, BackgroundFlowsConsumeShares) {
   // gets 30.
   std::vector<mm::JointLink> links{{90e9, 2.0}};
   std::vector<mm::FixedFlow> flows{flow({0}, 1e12)};
-  const auto rates = mm::JointThetaSolver::maxmin_rates(flows, links);
+  const auto rates = maxmin(flows, links);
   EXPECT_DOUBLE_EQ(rates[0], 30e9);
 }
 
 TEST(JointMaxMin, MultiHopFlowBottlenecksOnTightestLink) {
   std::vector<mm::JointLink> links{{100e9, 0.0}, {20e9, 0.0}};
   std::vector<mm::FixedFlow> flows{flow({0, 1}, 1e12), flow({0}, 1e12)};
-  const auto rates = mm::JointThetaSolver::maxmin_rates(flows, links);
+  const auto rates = maxmin(flows, links);
   EXPECT_DOUBLE_EQ(rates[0], 20e9);  // pinned by link 1
   EXPECT_DOUBLE_EQ(rates[1], 80e9);  // residual of link 0
 }
@@ -251,7 +261,7 @@ TEST(JointMaxMin, RepeatedLinkCountsAsTwoTraversals) {
   // A flow that crosses the same link twice consumes double share there.
   std::vector<mm::JointLink> links{{60e9, 0.0}};
   std::vector<mm::FixedFlow> flows{flow({0, 0}, 1e12), flow({0}, 1e12)};
-  const auto rates = mm::JointThetaSolver::maxmin_rates(flows, links);
+  const auto rates = maxmin(flows, links);
   // Three traversals on a 60 GB/s link -> a 20 GB/s fair share per
   // traversal; both flows freeze at the shared bottleneck rate, with the
   // double-traversal flow consuming 40 of the 60.
@@ -262,14 +272,14 @@ TEST(JointMaxMin, RepeatedLinkCountsAsTwoTraversals) {
 TEST(JointMaxMin, InputValidation) {
   std::vector<mm::JointLink> links{{46e9, 0.0}};
   std::vector<mm::FixedFlow> bad_cap{flow({0}, 0.0)};
-  EXPECT_THROW((void)mm::JointThetaSolver::maxmin_rates(bad_cap, links),
+  EXPECT_THROW((void)maxmin(bad_cap, links),
                std::invalid_argument);
   std::vector<mm::FixedFlow> bad_link{flow({7}, 10e9)};
-  EXPECT_THROW((void)mm::JointThetaSolver::maxmin_rates(bad_link, links),
+  EXPECT_THROW((void)maxmin(bad_link, links),
                std::invalid_argument);
   std::vector<mm::JointLink> bad_cap_link{{0.0, 0.0}};
   std::vector<mm::FixedFlow> ok{flow({0}, 10e9)};
-  EXPECT_THROW((void)mm::JointThetaSolver::maxmin_rates(ok, bad_cap_link),
+  EXPECT_THROW((void)maxmin(ok, bad_cap_link),
                std::invalid_argument);
 }
 
@@ -280,7 +290,7 @@ TEST(JointTheta, SingleTransferReducesToClosedFormExactly) {
                                    jpath(1.0 / 40e9, 8e-6, {1}),
                                    jpath(1.0 / 11e9, 20e-6, {0, 1})};
   std::vector<mm::JointTransfer> transfers{{256e6, paths}};
-  const auto joint = mm::JointThetaSolver::solve(transfers, {}, links);
+  const auto joint = mm::JointThetaSolver().solve(transfers, {}, links);
   std::vector<mm::PathTerms> terms;
   for (const auto& p : paths) terms.push_back(p.terms);
   const auto solo = mm::ThetaSolver::solve(terms, 256e6);
@@ -301,7 +311,7 @@ TEST(JointTheta, TwoTransfersOnSharedLinkDoublePredictedTime) {
   std::vector<mm::JointLink> links{{46e9, 0.0}};
   std::vector<mm::JointPath> paths{jpath(omega, 2e-6, {0})};
   std::vector<mm::JointTransfer> transfers{{64e6, paths}, {64e6, paths}};
-  const auto joint = mm::JointThetaSolver::solve(transfers, {}, links);
+  const auto joint = mm::JointThetaSolver().solve(transfers, {}, links);
   const double expected = 2e-6 + 64e6 / 23e9;
   for (const auto& t : joint.transfers) {
     ASSERT_EQ(t.theta.size(), 1u);
@@ -321,7 +331,7 @@ TEST(JointTheta, ContentionShiftsShareToUncontestedPath) {
                                jpath(1.0 / 46e9, 2e-6, {0})};
   std::vector<mm::JointPath> b{jpath(1.0 / 46e9, 2e-6, {0})};
   std::vector<mm::JointTransfer> transfers{{128e6, a}, {128e6, b}};
-  const auto joint = mm::JointThetaSolver::solve(transfers, {}, links);
+  const auto joint = mm::JointThetaSolver().solve(transfers, {}, links);
 
   std::vector<mm::PathTerms> solo_terms{a[0].terms, a[1].terms};
   const auto solo = mm::ThetaSolver::solve(solo_terms, 128e6);
@@ -336,8 +346,9 @@ TEST(JointTheta, FixedFlowsActAsContention) {
   std::vector<mm::JointLink> links{{46e9, 0.0}};
   std::vector<mm::JointPath> paths{jpath(1.0 / 46e9, 2e-6, {0})};
   std::vector<mm::JointTransfer> transfers{{64e6, paths}};
-  std::vector<mm::FixedFlow> fixed{flow({0}, 46e9)};
-  const auto joint = mm::JointThetaSolver::solve(transfers, fixed, links);
+  const mm::FixedFlow fixed = flow({0}, 46e9);
+  const std::vector<const mm::FixedFlow*> in_flight{&fixed};
+  const auto joint = mm::JointThetaSolver().solve(transfers, in_flight, links);
   EXPECT_NEAR(joint.transfers[0].predicted_time, 2e-6 + 64e6 / 23e9, 1e-12);
   ASSERT_EQ(joint.fixed_rates.size(), 1u);
   EXPECT_DOUBLE_EQ(joint.fixed_rates[0], 23e9);
@@ -351,7 +362,7 @@ TEST(JointTheta, ContendedStagedPathDroppedForSmallMessage) {
   std::vector<mm::JointPath> paths{jpath(1.0 / 46e9, 2e-6, {0}),
                                    jpath(1.0 / 40e9, 60e-6, {1})};
   std::vector<mm::JointTransfer> transfers{{1e6, paths}};
-  const auto joint = mm::JointThetaSolver::solve(transfers, {}, links);
+  const auto joint = mm::JointThetaSolver().solve(transfers, {}, links);
   EXPECT_DOUBLE_EQ(joint.transfers[0].theta[0], 1.0);
   EXPECT_DOUBLE_EQ(joint.transfers[0].theta[1], 0.0);
   EXPECT_DOUBLE_EQ(joint.path_rates[0][1], 0.0);
@@ -365,8 +376,10 @@ TEST(JointTheta, DeterministicAcrossRepeatedSolves) {
   std::vector<mm::JointPath> b{jpath(1.0 / 30e9, 3e-6, {1}),
                                jpath(1.0 / 46e9, 6e-6, {0, 2})};
   std::vector<mm::JointTransfer> transfers{{96e6, a}, {32e6, b}};
-  const auto first = mm::JointThetaSolver::solve(transfers, {}, links);
-  const auto second = mm::JointThetaSolver::solve(transfers, {}, links);
+  // One solver instance: the second solve reuses the first's buffers.
+  mm::JointThetaSolver solver;
+  const auto first = solver.solve(transfers, {}, links);
+  const auto second = solver.solve(transfers, {}, links);
   ASSERT_EQ(first.transfers.size(), second.transfers.size());
   for (std::size_t k = 0; k < first.transfers.size(); ++k) {
     for (std::size_t i = 0; i < first.transfers[k].theta.size(); ++i) {
@@ -382,14 +395,14 @@ TEST(JointTheta, InputValidation) {
   std::vector<mm::JointLink> links{{46e9, 0.0}};
   std::vector<mm::JointPath> none;
   std::vector<mm::JointTransfer> empty_paths{{64e6, none}};
-  EXPECT_THROW((void)mm::JointThetaSolver::solve(empty_paths, {}, links),
+  EXPECT_THROW((void)mm::JointThetaSolver().solve(empty_paths, {}, links),
                std::invalid_argument);
   std::vector<mm::JointPath> ok{jpath(1.0 / 46e9, 2e-6, {0})};
   std::vector<mm::JointTransfer> bad_bytes{{0.0, ok}};
-  EXPECT_THROW((void)mm::JointThetaSolver::solve(bad_bytes, {}, links),
+  EXPECT_THROW((void)mm::JointThetaSolver().solve(bad_bytes, {}, links),
                std::invalid_argument);
   std::vector<mm::JointPath> bad_omega{jpath(0.0, 2e-6, {0})};
   std::vector<mm::JointTransfer> bad{{64e6, bad_omega}};
-  EXPECT_THROW((void)mm::JointThetaSolver::solve(bad, {}, links),
+  EXPECT_THROW((void)mm::JointThetaSolver().solve(bad, {}, links),
                std::invalid_argument);
 }

@@ -612,6 +612,7 @@ TEST(Scheduler, AdmitReplayRegistersTheCompiledLedgerEntry) {
   EXPECT_EQ(sched.stats().replay_admits, 1u);
   EXPECT_GE(sched.stats().footprint_checks, 2u);
   EXPECT_EQ(sched.stats().footprint_mismatches, 0u);
+  EXPECT_TRUE(sched.audit().empty());
 }
 
 TEST(Scheduler, AdmitReplayRejectsMismatchedTemplate) {
@@ -629,6 +630,7 @@ TEST(Scheduler, AdmitReplayRejectsMismatchedTemplate) {
   EXPECT_EQ(rep.ticket, mp::TransferScheduler::kInvalidTicket);
   EXPECT_EQ(sched.stats().replay_plan_mismatches, 1u);
   EXPECT_EQ(sched.live_count(), 0u);
+  EXPECT_TRUE(sched.audit().empty());
 }
 
 TEST(Scheduler, AdmitReplayRejectsWhenLinksAreContended) {
@@ -659,6 +661,7 @@ TEST(Scheduler, AdmitReplayRejectsWhenLinksAreContended) {
   ASSERT_NE(again.ticket, mp::TransferScheduler::kInvalidTicket);
   sched.depart(again.ticket);
   EXPECT_EQ(sched.stats().footprint_mismatches, 0u);
+  EXPECT_TRUE(sched.audit().empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@
 #include "mpath/pipeline/scheduler.hpp"
 #include "mpath/topo/system.hpp"
 #include "mpath/tuning/calibration.hpp"
+#include "mpath/util/rng.hpp"
 #include "mpath/util/units.hpp"
 
 namespace mg = mpath::gpusim;
@@ -64,6 +65,11 @@ ms::Task<void> guarded_transfer(mg::DataChannel& ch, mg::DeviceBuffer& dst,
   }
 }
 
+/// One failure per violation the scheduler's audit reports.
+void expect_clean_audit(const mp::TransferScheduler& sched) {
+  for (const std::string& violation : sched.audit()) ADD_FAILURE() << violation;
+}
+
 /// Mean |predicted - simulated| / simulated over completed records.
 double mean_rel_error(const std::vector<mp::TransferScheduler::Record>& recs) {
   double sum = 0.0;
@@ -101,6 +107,7 @@ double contention_error(bool joint, int k, std::size_t bytes) {
   EXPECT_EQ(sched.history().size(), static_cast<std::size_t>(k));
   EXPECT_EQ(sched.live_count(), 0u);
   for (const auto& r : sched.history()) EXPECT_TRUE(r.completed());
+  expect_clean_audit(sched);
   return mean_rel_error(sched.history());
 }
 
@@ -125,6 +132,7 @@ TEST(Scheduler, AdmitDepartBookkeeping) {
   EXPECT_TRUE(sched.history()[0].completed());
   // Departing twice (stale ticket) is a caller bug and throws.
   EXPECT_THROW(sched.depart(adm.ticket), std::invalid_argument);
+  expect_clean_audit(sched);
 }
 
 TEST(Scheduler, FailedTransferRecordedAndReleased) {
@@ -139,6 +147,7 @@ TEST(Scheduler, FailedTransferRecordedAndReleased) {
   ASSERT_EQ(sched.history().size(), 1u);
   EXPECT_TRUE(sched.history()[0].failed);
   EXPECT_FALSE(sched.history()[0].completed());
+  expect_clean_audit(sched);
 }
 
 // On an idle network the joint solve must reduce to the single-transfer
@@ -160,6 +169,7 @@ TEST(Scheduler, IdleNetworkAdmissionMatchesSoloConfig) {
     }
     sched.depart(adm.ticket);
   }
+  expect_clean_audit(sched);
 }
 
 // Same-instant admissions refresh each other: the second admission
@@ -182,6 +192,7 @@ TEST(Scheduler, SameInstantArrivalsRefreshEachOther) {
   EXPECT_GT(sched.history()[1].predicted_s, 1.7 * solo);
   sched.depart(a.ticket);
   sched.depart(b.ticket);
+  expect_clean_audit(sched);
 }
 
 // The contention-misprediction regression (tentpole acceptance): K
@@ -304,6 +315,7 @@ TEST(Scheduler, RecoveryReplansThroughScheduler) {
   ASSERT_EQ(sched.history().size(), 1u);
   EXPECT_TRUE(sched.history()[0].completed());
   EXPECT_GE(sched.history()[0].replans, 1);
+  expect_clean_audit(sched);
 }
 
 // A transfer that exhausts every path fails through the scheduler: the
@@ -335,4 +347,141 @@ TEST(Scheduler, FailedTransferReleasesTicket) {
   EXPECT_EQ(sched.stats().failed, 1u);
   ASSERT_EQ(sched.history().size(), 1u);
   EXPECT_TRUE(sched.history()[0].failed);
+  expect_clean_audit(sched);
+}
+
+namespace {
+
+/// Seeded scheduler traffic without a pipeline: admissions, recovery
+/// re-plans, departures, failures and link-capacity changes at random
+/// instants, auditing the ledger after every call.
+struct LedgerDriver {
+  Fixture& f;
+  mp::TransferScheduler& sched;
+  mpath::util::Rng rng;
+  struct Live {
+    mp::TransferScheduler::TicketId id;
+    mt::DeviceId src;
+    mt::DeviceId dst;
+  };
+  std::vector<Live> live;
+  std::vector<ms::LinkId> gpu_links;
+  std::vector<double> nominal;
+  int audits = 0;
+
+  void audit(const char* call) {
+    ++audits;
+    for (const std::string& violation : sched.audit()) {
+      ADD_FAILURE() << "after " << call << " at t=" << f.engine.now() << ": "
+                    << violation;
+    }
+  }
+
+  std::vector<mt::PathPlan> paths(mt::DeviceId src, mt::DeviceId dst) {
+    return mt::enumerate_paths(f.sys.topology, src, dst,
+                               mt::PathPolicy::three_gpus());
+  }
+
+  std::size_t pick(std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  }
+
+  void admit() {
+    const std::size_t s = pick(f.gpus.size());
+    std::size_t d = pick(f.gpus.size() - 1);
+    if (d >= s) ++d;
+    const auto bytes = std::uint64_t{1} << rng.uniform_int(19, 26);
+    live.push_back(
+        {sched.admit(f.gpus[s], f.gpus[d], bytes, paths(f.gpus[s], f.gpus[d]))
+             .ticket,
+         f.gpus[s], f.gpus[d]});
+    audit("admit");
+  }
+
+  void replan() {
+    // Survivors: the candidates with a random subset dropped (never all).
+    const Live& t = live[pick(live.size())];
+    std::vector<mt::PathPlan> survivors;
+    for (const mt::PathPlan& p : paths(t.src, t.dst)) {
+      if (rng.uniform(0.0, 1.0) < 0.6) survivors.push_back(p);
+    }
+    if (survivors.empty()) survivors = paths(t.src, t.dst);
+    (void)sched.replan(t.id, std::uint64_t{1} << rng.uniform_int(18, 25),
+                       survivors);
+    audit("replan");
+  }
+
+  void retire(bool failed) {
+    const std::size_t i = pick(live.size());
+    if (failed) {
+      sched.fail(live[i].id);
+    } else {
+      sched.depart(live[i].id);
+    }
+    live[i] = live.back();
+    live.pop_back();
+    audit(failed ? "fail" : "depart");
+  }
+
+  void change_capacity() {
+    const std::size_t i = pick(gpu_links.size());
+    static constexpr double kFactors[] = {0.0, 0.25, 0.5, 1.0, 1.0};
+    f.net.set_link_capacity(gpu_links[i], nominal[i] * kFactors[pick(5)]);
+    audit("set_link_capacity");
+  }
+};
+
+ms::Task<void> drive_ledger(LedgerDriver& drv, int calls) {
+  for (int c = 0; c < calls; ++c) {
+    // A third of the calls land at the same instant as the previous one.
+    if (drv.rng.uniform(0.0, 1.0) < 0.67) {
+      co_await drv.f.engine.delay(drv.rng.uniform(0.0, 400e-6));
+    }
+    const auto op = drv.rng.uniform_int(0, 9);
+    if (drv.live.empty() || (op < 4 && drv.live.size() < 48)) {
+      drv.admit();
+    } else if (op < 5) {
+      drv.replan();
+    } else if (op < 7) {
+      drv.retire(/*failed=*/false);
+    } else if (op < 8) {
+      drv.retire(/*failed=*/true);
+    } else {
+      drv.change_capacity();
+    }
+  }
+  while (!drv.live.empty()) {
+    co_await drv.f.engine.delay(drv.rng.uniform(0.0, 400e-6));
+    drv.retire(/*failed=*/false);
+  }
+}
+
+}  // namespace
+
+// The scheduler keeps its per-link own weights and its live-flow view
+// current instead of recounting them per call. Random traffic (paths drain
+// in the model while their tickets are still live, re-plans replace
+// footprints, links are severed and restored) must leave the ledger equal
+// to a recount after every call.
+TEST(Scheduler, LedgerAuditHoldsUnderRandomizedTraffic) {
+  for (std::uint64_t seed : {11u, 12u, 13u}) {
+    Fixture f;
+    mp::TransferScheduler sched(f.pipe, f.cfg);
+    LedgerDriver drv{f, sched, mpath::util::Rng(seed), {}, {}, {}};
+    for (std::size_t a = 0; a < f.gpus.size(); ++a) {
+      for (std::size_t b = 0; b < f.gpus.size(); ++b) {
+        if (a == b) continue;
+        drv.gpu_links.push_back(f.direct_link(f.gpus[a], f.gpus[b]));
+        drv.nominal.push_back(f.net.link(drv.gpu_links.back()).capacity_bps);
+      }
+    }
+    f.engine.spawn(drive_ledger(drv, 600), "ledger-driver");
+    f.engine.run();
+    EXPECT_GE(drv.audits, 600) << "seed " << seed;
+    EXPECT_EQ(sched.live_count(), 0u) << "seed " << seed;
+    EXPECT_GT(sched.stats().replans, 0u) << "seed " << seed;
+    EXPECT_GT(sched.stats().capacity_events, 0u) << "seed " << seed;
+    expect_clean_audit(sched);
+  }
 }
