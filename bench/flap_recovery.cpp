@@ -110,7 +110,6 @@ ReadmissionRun run_readmission(bool health_on) {
   Stack s;
   mp::ModelDrivenOptions opts;
   opts.recovery.enabled = true;
-  opts.recovery.slack = 4.0;
   opts.recovery.max_replans = 3;
   opts.health.enabled = health_on;
   // Bound the readmission window: a path killed by failed probes while the
@@ -298,7 +297,6 @@ int main(int argc, char** argv) {
     const auto arrivals = bc::make_arrivals(cal.system.topology, topt);
     bc::StackOptions sopt;
     sopt.model.recovery.enabled = true;
-    sopt.model.recovery.slack = 4.0;
     sopt.model.health.enabled = true;
     auto stack = bc::SimStack::model_driven(
         cal.system, *cal.configurator, mt::PathPolicy::three_gpus(), sopt);

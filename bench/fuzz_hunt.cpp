@@ -64,6 +64,7 @@ int main(int argc, char** argv) {
   const bool quick = mb::quick_mode(argc, argv);
 
   mf::HuntOptions opt;
+  const mf::EvalOptions eval{};  // what run_hunt evaluates with
   opt.seed = u64_flag(argc, argv, "--seed", 1);
   opt.count = u64_flag(argc, argv, "--count", quick ? 8 : 48);
   opt.jobs = mb::jobs_mode(argc, argv);
@@ -75,8 +76,7 @@ int main(int argc, char** argv) {
       "FUZZ-HUNT: %zu seeded scenarios from seed %llu (full-solver oracle, "
       "thresholds: error > %.0f%%, regret > %.0f%%)\n\n",
       opt.count, static_cast<unsigned long long>(opt.seed),
-      100.0 * opt.eval.thresholds.max_error,
-      100.0 * opt.eval.thresholds.max_regret);
+      100.0 * eval.thresholds.max_error, 100.0 * eval.thresholds.max_regret);
 
   const mf::HuntResult hunt = mf::run_hunt(opt);
 
@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
     std::size_t frozen = 0;
     for (const mf::ScenarioReport& rep : hunt.reports) {
       if (!rep.flagged()) continue;
-      mf::Scenario min = mf::minimize_scenario(rep.scenario, opt.eval);
+      mf::Scenario min = mf::minimize_scenario(rep.scenario, eval);
       min.note = "minimized fuzz_hunt find (seed " +
                  std::to_string(rep.scenario.seed) + ")";
       const std::string path =

@@ -80,7 +80,6 @@ RunResult run_scenario(const mb::CalibratedSystem& cal,
   bc::StackOptions stack_opt;
   if (recovery) {
     stack_opt.model.recovery.enabled = true;
-    stack_opt.model.recovery.slack = 4.0;
   }
   auto stack = bc::SimStack::model_driven_scheduled(cal.system, cfg, policy,
                                                     sopt, stack_opt);

@@ -54,7 +54,6 @@ struct Node {
 pipeline::ModelDrivenOptions recovery_options() {
   pipeline::ModelDrivenOptions opt;
   opt.recovery.enabled = true;
-  opt.recovery.slack = 4.0;
   opt.recovery.max_replans = 3;
   return opt;
 }

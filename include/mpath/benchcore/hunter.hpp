@@ -53,9 +53,8 @@ struct Scenario {
 
 /// Random scenario: generated topology + 1-2 random transfers (distinct
 /// GPU endpoints, power-of-two-ish sizes in the paper's 2-256 MB sweep
-/// range, random path policy). Pure in (seed, options).
-[[nodiscard]] Scenario generate_scenario(std::uint64_t seed,
-                                         const GeneratorOptions& options = {});
+/// range, random path policy). Pure in the seed.
+[[nodiscard]] Scenario generate_scenario(std::uint64_t seed);
 
 /// Atomic (tmp + rename) pretty-printed JSON dump / parse / directory load.
 void save_scenario(const Scenario& scenario, const std::string& path);
@@ -75,11 +74,6 @@ struct EvalOptions {
   sim::FluidNetwork::SolverMode solver =
       sim::FluidNetwork::SolverMode::kFull;
   model::AccuracyThresholds thresholds;
-  /// false (default): the model is parameterized analytically from link
-  /// ground truth (tuning::registry_from_topology) so that flagged error
-  /// is structural, not calibration noise. true: run the measurement-based
-  /// tuning::calibrate per scenario (slower, noisier, closer to hardware).
-  bool measured_calibration = false;
 };
 
 struct CaseOutcome {
@@ -110,17 +104,18 @@ struct ScenarioReport {
 [[nodiscard]] const std::vector<topo::PathPolicy>& enumerated_policies();
 
 /// Evaluate every transfer of one scenario on private simulation stacks.
-/// Throws std::invalid_argument for malformed scenarios (non-GPU or equal
-/// endpoints, zero bytes, unroutable topology).
+/// The model is parameterized analytically from link ground truth
+/// (tuning::registry_from_topology), so flagged error is structural, not
+/// calibration noise. Throws std::invalid_argument for malformed scenarios
+/// (non-GPU or equal endpoints, zero bytes, unroutable topology).
 [[nodiscard]] ScenarioReport evaluate_scenario(const Scenario& scenario,
                                                const EvalOptions& options = {});
 
+/// A hunt evaluates every scenario with the default EvalOptions.
 struct HuntOptions {
   std::uint64_t seed = 1;
   std::size_t count = 32;
   int jobs = 0;  ///< SweepOptions.jobs: 0 = hardware concurrency
-  GeneratorOptions generator;
-  EvalOptions eval;
 };
 
 struct HuntResult {

@@ -35,17 +35,15 @@ struct TrafficOptions {
   /// Mean gap between arrivals (kStorm: between bursts).
   double mean_interarrival_s = 200e-6;
   int storm_width = 4;  ///< same-instant transfers per kStorm burst
-  /// Pareto shape for kHeavyTail; must be > 1 so the mean exists. Smaller
-  /// alpha = heavier tail.
-  double pareto_alpha = 1.5;
   /// Message sizes, sampled uniformly per arrival (mixed tenants). Must be
-  /// non-empty.
+  /// non-empty. The src/dst GPU pair is drawn uniformly (src != dst).
   std::vector<std::uint64_t> sizes = {4ull << 20, 16ull << 20, 64ull << 20};
-  /// true: src/dst GPU pair drawn uniformly (src != dst); false: cycle
-  /// through all ordered GPU pairs round-robin.
-  bool random_pairs = true;
   std::uint64_t seed = 1;
 };
+
+/// Pareto shape of kHeavyTail gaps (> 1, so the mean exists; smaller =
+/// heavier tail).
+inline constexpr double kParetoAlpha = 1.5;
 
 struct Arrival {
   double t = 0.0;
@@ -55,7 +53,7 @@ struct Arrival {
 };
 
 /// Build the arrival trace. Throws std::invalid_argument on nonsensical
-/// options (no transfers, empty sizes, < 2 GPUs, alpha <= 1, ...).
+/// options (no transfers, empty sizes, < 2 GPUs, ...).
 [[nodiscard]] std::vector<Arrival> make_arrivals(const topo::Topology& topo,
                                                  const TrafficOptions& options);
 

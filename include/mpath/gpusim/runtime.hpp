@@ -154,8 +154,6 @@ class GpuRuntime {
   // -- synchronization (awaitable) ------------------------------------------
   /// Complete when every operation currently enqueued on `stream` is done.
   [[nodiscard]] sim::Task<void> synchronize(StreamId stream);
-  /// Complete when the most recent record of `event` has fired.
-  [[nodiscard]] sim::Task<void> synchronize_event(EventId event);
   /// True if the most recent record of `event` has fired (non-blocking
   /// query, cudaEventQuery semantics). Never-recorded events read as fired.
   [[nodiscard]] bool event_fired(EventId event) const;

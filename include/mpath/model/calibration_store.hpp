@@ -5,18 +5,17 @@
 // traffic). The CalibrationStore closes that gap without perturbing the
 // paper-faithful arithmetic: it holds immutable snapshots of per-path
 // multiplicative corrections {alpha_scale, beta_scale}, published
-// copy-on-write under a writer mutex while readers take an atomic
-// reference-counted copy of the current snapshot pointer. A monotonically
-// increasing version number travels with every snapshot so configuration
-// caches can stamp entries and invalidate them on publication instead of
-// being flushed.
+// copy-on-write under a mutex; readers copy the reference-counted current
+// snapshot pointer under the same mutex and then read the snapshot without
+// holding it. A monotonically increasing version number travels with every
+// snapshot so configuration caches can stamp entries and invalidate them on
+// publication instead of being flushed.
 //
 // A path with no entry in the current snapshot gets *no* correction applied
 // — not a multiply by 1.0 — so an empty store is bit-identical to running
 // without one (the paper-faithful mode the benches gate on).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -81,14 +80,14 @@ class CalibrationSnapshot {
   std::map<PathCalKey, PathCalibration> entries_;
 };
 
-/// Read-mostly store of calibration snapshots. Readers (`snapshot()`,
-/// `version()`) take an atomic copy of the current shared snapshot pointer;
-/// writers (`publish()`) serialize on a mutex, copy the current entry map,
-/// apply their updates and install the copy as version N+1. A snapshot
-/// lives exactly as long as the store or an outstanding reader still
-/// references it, so a reader holding a snapshot across a publication never
-/// races reclamation, and superseded snapshots are reclaimed instead of
-/// accumulating for the store's lifetime.
+/// Read-mostly store of calibration snapshots. One mutex guards the current
+/// shared snapshot pointer: readers (`snapshot()`, `version()`) hold it only
+/// to copy the pointer (or read the version); writers (`publish()`) hold it
+/// to copy the current entry map, apply their updates and install the copy
+/// as version N+1. A snapshot lives exactly as long as the store or an
+/// outstanding reader still references it, so a reader holding a snapshot
+/// across a publication never races reclamation, and superseded snapshots
+/// are reclaimed instead of accumulating for the store's lifetime.
 class CalibrationStore {
  public:
   using SnapshotPtr = std::shared_ptr<const CalibrationSnapshot>;
@@ -100,12 +99,14 @@ class CalibrationStore {
   /// The current snapshot. The returned pointer keeps it alive even if
   /// newer versions are published (and reclaim older ones) meanwhile.
   [[nodiscard]] SnapshotPtr snapshot() const {
-    return current_.load(std::memory_order_acquire);
+    const std::lock_guard<std::mutex> lock(mu_);
+    return current_;
   }
 
   /// Version of the current snapshot (0 = pristine identity store).
   [[nodiscard]] std::uint64_t version() const {
-    return current_.load(std::memory_order_acquire)->version();
+    const std::lock_guard<std::mutex> lock(mu_);
+    return current_->version();
   }
 
   /// Publish one updated entry. Returns the new snapshot's version.
@@ -119,15 +120,13 @@ class CalibrationStore {
   /// not mentioned carry over from the current snapshot).
   std::uint64_t publish(
       std::span<const std::pair<PathCalKey, PathCalibration>> updates) {
-    const std::lock_guard<std::mutex> lock(write_mu_);
-    const SnapshotPtr cur = current_.load(std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(mu_);
     auto next = std::make_shared<CalibrationSnapshot>();
-    next->entries_ = cur->entries_;
+    next->entries_ = current_->entries_;
     for (const auto& [key, cal] : updates) next->entries_[key] = cal;
-    next->version_ = cur->version_ + 1;
-    const std::uint64_t version = next->version_;
-    current_.store(std::move(next), std::memory_order_release);
-    return version;
+    next->version_ = current_->version_ + 1;
+    current_ = std::move(next);
+    return current_->version_;
   }
 
   /// Snapshots published so far, including the initial identity snapshot.
@@ -137,8 +136,8 @@ class CalibrationStore {
   }
 
  private:
-  mutable std::mutex write_mu_;
-  std::atomic<SnapshotPtr> current_;
+  mutable std::mutex mu_;
+  SnapshotPtr current_;
 };
 
 }  // namespace mpath::model

@@ -17,17 +17,16 @@
 
 namespace mpath::model {
 
+/// Upper bound on a staged path's pipeline chunk count.
+inline constexpr int kMaxChunks = 64;
+
 struct ConfiguratorOptions {
   /// Model pipelined staged transfers (Section 3.4). When false, staged
   /// paths are modeled as two sequential transfers (Section 3.3) and always
   /// use one chunk.
   bool pipelining = true;
-  /// How chunk counts are derived for staged paths.
+  /// How chunk counts are derived for staged paths (at most kMaxChunks).
   ChunkMode chunk_mode = ChunkMode::LinearPhi;
-  int max_chunks = 64;
-  /// Accumulate host-side issue latency of earlier paths into Delta of
-  /// later paths (Algorithm 1, line 18).
-  bool sequential_initiation = true;
   /// The paper's topology constants have the form c*f(n). When true
   /// (default), phi is refit at each request's message size — the tangent
   /// construction phi(n) = 1/sqrt(X(theta_hint, n)), which keeps Eq. 19

@@ -29,15 +29,11 @@
 
 namespace mpath::model {
 
-struct RecalibratorOptions {
-  /// Observations required on a path before its first publication (which
-  /// also needs |smoothed ratio - 1| above 5%).
-  int min_samples = 3;
-  /// Guard rails: cumulative scales are clamped into
-  /// [min_scale, max_scale] relative to the base (registry) parameters.
-  double min_scale = 0.25;
-  double max_scale = 4.0;
-};
+/// Guard rails: cumulative scales are clamped into
+/// [kMinCalibrationScale, kMaxCalibrationScale] relative to the base
+/// (registry) parameters.
+inline constexpr double kMinCalibrationScale = 0.25;
+inline constexpr double kMaxCalibrationScale = 4.0;
 
 struct RecalibratorStats {
   std::uint64_t observations = 0;  ///< transfers folded in
@@ -48,8 +44,7 @@ struct RecalibratorStats {
 class Recalibrator {
  public:
   /// The store must outlive the recalibrator.
-  explicit Recalibrator(CalibrationStore& store,
-                        RecalibratorOptions options = {});
+  explicit Recalibrator(CalibrationStore& store) : store_(&store) {}
   Recalibrator(const Recalibrator&) = delete;
   Recalibrator& operator=(const Recalibrator&) = delete;
 
@@ -61,9 +56,6 @@ class Recalibrator {
                const TransferConfig& config, double actual_s);
 
   [[nodiscard]] RecalibratorStats stats() const;
-  [[nodiscard]] const RecalibratorOptions& options() const {
-    return options_;
-  }
 
  private:
   struct Ewma {
@@ -72,7 +64,6 @@ class Recalibrator {
   };
 
   CalibrationStore* store_;
-  RecalibratorOptions options_;
   mutable std::mutex mu_;
   std::map<PathCalKey, Ewma> ewma_;
   RecalibratorStats stats_;

@@ -46,29 +46,30 @@ class SinglePathChannel final : public gpusim::DataChannel {
 
 /// Degradation-aware recovery policy: every path of a transfer runs under a
 /// watchdog whose deadline is the model-predicted per-path time T_i times
-/// `slack` (floored at 1 ms, so noise cannot trip tiny shares); on timeout
-/// the failed path is dropped from the candidate set, theta is re-solved
-/// over the survivors for the undelivered remainder, and the remainder is
-/// re-issued as a fresh ExecPlan. After `max_replans` failed attempts (or
-/// when no path survives) the transfer throws gpusim::TransferError with
-/// partial-progress accounting. Disabled, a transfer runs once with no
-/// watchdog.
+/// escalated_slack() (floored at 1 ms, so noise cannot trip tiny shares);
+/// on timeout the failed path is dropped from the candidate set, theta is
+/// re-solved over the survivors for the undelivered remainder, and the
+/// remainder is re-issued as a fresh ExecPlan. After `max_replans` failed
+/// attempts (or when no path survives) the transfer throws
+/// gpusim::TransferError with partial-progress accounting. Disabled, a
+/// transfer runs once with no watchdog.
 struct RecoveryOptions {
   bool enabled = false;
-  double slack = 4.0;          ///< deadline = slack * predicted T_i
   int max_replans = 3;
-  /// Per-retry watchdog slack escalation: re-plan r of one transfer uses
-  /// slack * min(retry_backoff^r, max_slack_factor). A flapping path then
-  /// has to misbehave for exponentially longer to burn each remaining
-  /// re-plan, instead of tripping max_replans in one burst. retry_backoff
-  /// of 1 restores the fixed-slack PR 2 behaviour.
-  double retry_backoff = 2.0;
-  double max_slack_factor = 8.0;
 };
 
+/// Watchdog slack of a transfer's first attempt: deadline = slack * T_i.
+inline constexpr double kWatchdogSlack = 4.0;
+/// Per-retry slack escalation: re-plan r of one transfer uses
+/// kWatchdogSlack * min(kRetryBackoff^r, kMaxRetrySlackFactor). A flapping
+/// path then has to misbehave for exponentially longer to burn each
+/// remaining re-plan, instead of tripping max_replans in one burst.
+inline constexpr double kRetryBackoff = 2.0;
+inline constexpr double kMaxRetrySlackFactor = 8.0;
+
 /// Watchdog slack for re-plan number `replans` (0 = the initial plan, so
-/// the first attempt always runs at exactly `rec.slack`).
-[[nodiscard]] double escalated_slack(const RecoveryOptions& rec, int replans);
+/// the first attempt always runs at exactly kWatchdogSlack).
+[[nodiscard]] double escalated_slack(int replans);
 
 /// Monotonic counters describing recovery activity on a channel.
 struct RecoveryStats {

@@ -12,18 +12,18 @@
 //          │                    └───probe failed───┘ │
 //          └────── probe ok (readmission) ◀──────────┘
 //                               │
-//            dead ◀── dead_after consecutive failures
+//            dead ◀── kDeadAfter consecutive failures
 //             │  ▲
 //             └──┴── readmission probes on an exponentially
 //                    backed-off cooldown
 //
 // Suspect/dead paths are excluded from the theta solve; instead they get a
 // small probe slice carved out of the anchor path's share on subsequent
-// transfers. A probe that delivers its slice readmits the path into the
-// active set (state erased — pristine healthy); failures escalate an
-// extra per-path watchdog-slack multiplier and, past `dead_after`
-// consecutive failures, an exponential probe cooldown bounded by
-// `max_cooldown_s`. Single-threaded like the channel that owns it.
+// transfers (a suspect path is due a probe at once). A probe that delivers
+// its slice readmits the path into the active set (state erased — pristine
+// healthy); failures escalate an extra per-path watchdog-slack multiplier
+// and, past kDeadAfter consecutive failures, an exponential probe cooldown
+// bounded by kMaxCooldownS. Single-threaded like the channel that owns it.
 #pragma once
 
 #include <cstdint>
@@ -40,27 +40,27 @@ struct HealthOptions {
   /// Master switch. Off (default) preserves the PR 2 drop-for-the-transfer
   /// behaviour exactly — paper-faithful mode.
   bool enabled = false;
-  /// Probe slice as a fraction of the segment, clamped to
-  /// [min_probe_bytes, max_probe_bytes].
-  double probe_fraction = 0.05;
-  std::uint64_t min_probe_bytes = 256 * 1024;
-  std::uint64_t max_probe_bytes = 8ull << 20;
-  /// Consecutive failures (initial timeout + failed probes) before a path
-  /// is declared dead and moves to the cooldown schedule.
-  int dead_after = 3;
-  /// Per-failure growth of the path's extra watchdog-slack multiplier and
-  /// of the dead-path probe cooldown.
-  double backoff = 2.0;
-  /// Bound on the extra slack multiplier (composes with the transfer-level
-  /// retry escalation in RecoveryOptions).
-  double max_slack_factor = 8.0;
-  /// Delay before a suspect path's next probe (0 = next transfer).
-  double suspect_delay_s = 0.0;
-  /// First readmission-probe cooldown once dead; doubles (by `backoff`)
-  /// per further failure up to max_cooldown_s.
+  /// First readmission-probe cooldown once dead; grows by kHealthBackoff
+  /// per further failure up to kMaxCooldownS.
   double dead_cooldown_s = 20e-3;
-  double max_cooldown_s = 500e-3;
 };
+
+/// Probe slice: this fraction of the segment, clamped to
+/// [kMinProbeBytes, kMaxProbeBytes] and never more than the segment.
+inline constexpr double kProbeFraction = 0.05;
+inline constexpr std::uint64_t kMinProbeBytes = 256 * 1024;
+inline constexpr std::uint64_t kMaxProbeBytes = 8ull << 20;
+/// Consecutive failures (initial timeout + failed probes) before a path is
+/// declared dead and moves to the cooldown schedule.
+inline constexpr int kDeadAfter = 3;
+/// Per-failure growth of a path's extra watchdog-slack multiplier and of
+/// the dead-path probe cooldown.
+inline constexpr double kHealthBackoff = 2.0;
+/// Bound on the extra slack multiplier (composes with the transfer-level
+/// retry escalation, escalated_slack()).
+inline constexpr double kMaxPathSlackFactor = 8.0;
+/// Bound on the dead-path probe cooldown.
+inline constexpr double kMaxCooldownS = 500e-3;
 
 struct HealthStats {
   std::uint64_t timeouts = 0;         ///< failures reported (any state)
@@ -79,9 +79,8 @@ struct HealthStats {
 
 class PathHealthManager {
  public:
-  /// Throws std::invalid_argument when the options are inconsistent (e.g.
-  /// min_probe_bytes > max_probe_bytes, which would make the probe-size
-  /// clamp undefined behaviour, or backoff factors below 1).
+  /// Throws std::invalid_argument unless 0 <= dead_cooldown_s <=
+  /// kMaxCooldownS.
   explicit PathHealthManager(HealthOptions options = {})
       : options_(validated(options)) {}
 

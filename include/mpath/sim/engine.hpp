@@ -315,11 +315,6 @@ class Engine {
   /// or if a spawned process failed and was never joined.
   std::uint64_t run();
 
-  /// Run until the event queue drains or `t_limit` is reached; events
-  /// scheduled exactly at `t_limit` are processed, and the clock stops at
-  /// min(t_limit, last event time). Returns events processed.
-  std::uint64_t run_until(Time t_limit);
-
   [[nodiscard]] std::size_t live_process_count() const { return live_roots_; }
   [[nodiscard]] std::size_t queued_event_count() const { return heap_.size(); }
 
@@ -363,7 +358,6 @@ class Engine {
 
   void push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
                   EventFn fn);
-  std::uint64_t run_impl(Time t_limit, bool bounded);
   void sweep_completed_roots();
   void check_quiescence() const;
 
@@ -382,9 +376,5 @@ class Engine {
   std::uint64_t trace_stride_ = 256;
   std::uint64_t trace_countdown_ = 256;
 };
-
-/// Spawn all tasks concurrently and await their completion. The first
-/// exception (by completion order) is rethrown after all tasks finish.
-Task<void> when_all(Engine& engine, std::vector<Task<void>> tasks);
 
 }  // namespace mpath::sim

@@ -44,12 +44,6 @@ class FaultInjector {
     double restore_probability = 0.9;  ///< chance the fault is later undone
     Time min_duration = 0.05;     ///< fault length before restore
     Time max_duration = 0.5;
-    /// Target-selection weight of a fully idle link relative to the
-    /// utilization term. Each fault picks its link with probability
-    /// proportional to idle_weight + allocated/capacity at fire time, so
-    /// soaks stress the links actually carrying traffic while idle links
-    /// remain reachable. Must be > 0.
-    double idle_weight = 0.25;
   };
 
   FaultInjector(Engine& engine, FluidNetwork& net)
@@ -85,8 +79,9 @@ class FaultInjector {
   /// sever events at uniform times, most followed by a restore. Fault times
   /// are fixed by the seed up front; each fault's target link is chosen at
   /// fire time, weighted by current utilization (allocated/capacity) plus
-  /// `opts.idle_weight`. The same seed always yields the same schedule for
-  /// the same workload.
+  /// a fixed idle floor, so soaks stress the links actually carrying
+  /// traffic while idle links remain reachable. The same seed always yields
+  /// the same schedule for the same workload.
   void random_plan(std::span<const LinkId> links, const RandomPlanOptions& opts,
                    std::uint64_t seed);
 

@@ -12,11 +12,12 @@
 //     hosts are chained by inter-socket fabric, and every GPU has a PCIe
 //     connection to its domain's host — so the topology is connected and
 //     every ordered GPU pair is routable before any fabric is added;
-//   * link capacities and latencies stay inside the configured ranges;
+//   * link capacities and latencies stay inside [kMinGbps, kMaxGbps] and
+//     [kMinLatencyUs, kMaxLatencyUs];
 //   * device ids equal spec indices, with real hosts first (so
 //     Topology::nearest_host never picks an NVSwitch pseudo-host);
-//   * generation is a pure function of (seed, options): the same inputs
-//     yield the same spec on every run and at any fuzzing job count.
+//   * generation is a pure function of the seed: the same seed yields the
+//     same spec on every run and at any fuzzing job count.
 #pragma once
 
 #include <cstdint>
@@ -74,29 +75,19 @@ struct TopoSpec {
 /// the minimizer uses it to reject over-aggressive cuts early.)
 [[nodiscard]] bool fully_routable(const topo::Topology& topo);
 
-struct GeneratorOptions {
-  int min_gpus = 2;
-  int max_gpus = 8;
-  int max_numa_domains = 4;
-  /// Fabric families the generator may draw. With everything disabled the
-  /// result is a PCIe-only box (still valid).
-  bool allow_nvlink = true;
-  bool allow_nvswitch = true;
-  bool allow_xgmi = true;
-  /// Draw each direction of a duplex link independently (asymmetric
-  /// capacities), with some probability per link class.
-  bool allow_asymmetric = true;
-  /// Link-capacity range (GB/s, log-uniform) and latency range (us,
-  /// uniform) that every generated link respects.
-  double min_gbps = 4.0;
-  double max_gbps = 300.0;
-  double min_latency_us = 0.15;
-  double max_latency_us = 2.5;
-};
+/// Generated GPU count range, and the link-capacity (GB/s, log-uniform) and
+/// latency (us, uniform) ranges every generated link respects.
+inline constexpr int kMinGpus = 2;
+inline constexpr int kMaxGpus = 8;
+inline constexpr double kMinGbps = 4.0;
+inline constexpr double kMaxGbps = 300.0;
+inline constexpr double kMinLatencyUs = 0.15;
+inline constexpr double kMaxLatencyUs = 2.5;
 
-/// Generate one random topology. Pure in (seed, options).
-[[nodiscard]] TopoSpec generate_topology(std::uint64_t seed,
-                                         const GeneratorOptions& options = {});
+/// Generate one random topology: one to four NUMA domains, a fabric drawn
+/// from {PCIe-only, NVLink mesh/partial, NVSwitch, XGMI ring, mixed}, and
+/// some asymmetric duplex capacities. Pure in the seed.
+[[nodiscard]] TopoSpec generate_topology(std::uint64_t seed);
 
 /// splitmix64 — the per-index seed derivation used everywhere in the fuzz
 /// subsystem, so scenario i of a hunt is identical no matter which worker

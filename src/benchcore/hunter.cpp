@@ -128,11 +128,10 @@ std::vector<CorpusEntry> load_corpus(const std::string& dir) {
 // Generation
 // ---------------------------------------------------------------------------
 
-Scenario generate_scenario(std::uint64_t seed,
-                           const GeneratorOptions& options) {
+Scenario generate_scenario(std::uint64_t seed) {
   Scenario sc;
   sc.seed = seed;
-  sc.topo = generate_topology(seed, options);
+  sc.topo = generate_topology(seed);
   util::Rng rng(mix_seed(seed, 0x5CE7A210ull));
   std::vector<topo::DeviceId> gpus;
   for (std::size_t i = 0; i < sc.topo.devices.size(); ++i) {
@@ -224,9 +223,7 @@ ScenarioReport evaluate_scenario(const Scenario& scenario,
   topo::System system = scenario.topo.build();
   // Pre-compute routes once; sweep workers then only read the cache.
   system.topology.warm_route_cache();
-  const model::ModelRegistry registry =
-      options.measured_calibration ? tuning::calibrate(system)
-                                   : tuning::registry_from_topology(system);
+  const model::ModelRegistry registry = tuning::registry_from_topology(system);
   for (const TransferCase& tc : scenario.transfers) {
     if (tc.src == tc.dst || tc.bytes == 0) {
       throw std::invalid_argument("fuzz scenario: bad transfer case");
@@ -261,9 +258,7 @@ HuntResult run_hunt(const HuntOptions& options) {
   benchcore::SweepRunner runner(benchcore::SweepOptions{options.jobs});
   HuntResult result;
   result.reports = runner.run(options.count, [&](std::size_t i) {
-    return evaluate_scenario(
-        generate_scenario(mix_seed(options.seed, i), options.generator),
-        options.eval);
+    return evaluate_scenario(generate_scenario(mix_seed(options.seed, i)));
   });
   result.sweep = runner.stats();
   return result;

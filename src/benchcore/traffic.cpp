@@ -40,11 +40,6 @@ std::vector<Arrival> make_arrivals(const topo::Topology& topo,
   if (options.pattern == ArrivalPattern::kStorm && options.storm_width < 1) {
     throw std::invalid_argument("make_arrivals: storm_width must be >= 1");
   }
-  if (options.pattern == ArrivalPattern::kHeavyTail &&
-      !(options.pareto_alpha > 1.0)) {
-    throw std::invalid_argument(
-        "make_arrivals: pareto_alpha must be > 1 (finite mean)");
-  }
   const std::vector<topo::DeviceId> gpus = topo.gpus();
   if (gpus.size() < 2) {
     throw std::invalid_argument("make_arrivals: need at least 2 GPUs");
@@ -53,14 +48,11 @@ std::vector<Arrival> make_arrivals(const topo::Topology& topo,
   util::Rng rng(options.seed);
   const double mean = options.mean_interarrival_s;
   // Pareto scale so the gap mean equals `mean`.
-  const double pareto_xm =
-      mean * (options.pareto_alpha - 1.0) / options.pareto_alpha;
+  const double pareto_xm = mean * (kParetoAlpha - 1.0) / kParetoAlpha;
 
   std::vector<Arrival> out;
   out.reserve(static_cast<std::size_t>(options.transfers));
   double clock = 0.0;
-  std::size_t rr = 0;  // round-robin ordered-pair cursor
-  const std::size_t npairs = gpus.size() * (gpus.size() - 1);
   for (int i = 0; i < options.transfers; ++i) {
     Arrival a;
     switch (options.pattern) {
@@ -73,28 +65,18 @@ std::vector<Arrival> make_arrivals(const topo::Topology& topo,
         a.t = clock;
         break;
       case ArrivalPattern::kHeavyTail:
-        clock += pareto_xm *
-                 std::pow(1.0 - rng.uniform(0.0, 1.0),
-                          -1.0 / options.pareto_alpha);
+        clock += pareto_xm * std::pow(1.0 - rng.uniform(0.0, 1.0),
+                                      -1.0 / kParetoAlpha);
         a.t = clock;
         break;
     }
-    if (options.random_pairs) {
-      const auto si = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(gpus.size()) - 1));
-      auto di = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(gpus.size()) - 2));
-      if (di >= si) ++di;
-      a.src = gpus[si];
-      a.dst = gpus[di];
-    } else {
-      const std::size_t p = rr++ % npairs;
-      const std::size_t si = p / (gpus.size() - 1);
-      std::size_t di = p % (gpus.size() - 1);
-      if (di >= si) ++di;
-      a.src = gpus[si];
-      a.dst = gpus[di];
-    }
+    const auto si = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(gpus.size()) - 1));
+    auto di = static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(gpus.size()) - 2));
+    if (di >= si) ++di;
+    a.src = gpus[si];
+    a.dst = gpus[di];
     a.bytes = options.sizes[static_cast<std::size_t>(rng.uniform_int(
         0, static_cast<std::int64_t>(options.sizes.size()) - 1))];
     out.push_back(a);

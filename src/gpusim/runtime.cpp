@@ -314,11 +314,6 @@ sim::Task<void> GpuRuntime::synchronize(StreamId stream) {
   co_await tail->wait();
 }
 
-sim::Task<void> GpuRuntime::synchronize_event(EventId event) {
-  auto latch = events_.at(event).latch;
-  co_await latch->wait();
-}
-
 sim::Task<void> GpuRuntime::device_synchronize() {
   // Snapshot tails first: ops enqueued after this call are not covered.
   std::vector<std::shared_ptr<sim::Latch>> tails;

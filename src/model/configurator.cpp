@@ -183,10 +183,7 @@ PreparedTransfer PathConfigurator::prepare(
     out.terms[i].delta += registry_->protocol_alpha();
     // Line 18: paths are initiated sequentially by the host; later paths
     // inherit the accumulated issue latency of earlier ones.
-    if (options_.sequential_initiation) {
-      out.terms[i].delta +=
-          static_cast<double>(i) * registry_->issue_alpha();
-    }
+    out.terms[i].delta += static_cast<double>(i) * registry_->issue_alpha();
   }
   return out;
 }
@@ -244,7 +241,7 @@ TransferConfig PathConfigurator::config_from_theta(
               ? ChunkOptimizer::exact_chunks(params[i], share.theta, n)
               : ChunkOptimizer::linear_chunks(params[i], phis[i],
                                               share.theta, n);
-      share.chunks = ChunkOptimizer::clamp_chunks(k, options_.max_chunks);
+      share.chunks = ChunkOptimizer::clamp_chunks(k, kMaxChunks);
     }
     share.predicted_time =
         share.bytes > 0 ? terms[i].time(share.theta, n) : 0.0;

@@ -10,12 +10,10 @@ namespace mpath::model {
 /// EWMA gain per unit theta: a path carrying the whole message moves its
 /// smoothed ratio by this fraction of the residual per observation.
 constexpr double kGain = 0.25;
-/// Publish once |smoothed ratio - 1| exceeds this (and min_samples met).
+/// Publish once |smoothed ratio - 1| exceeds this (and kMinSamples met).
 constexpr double kDriftThreshold = 0.05;
-
-Recalibrator::Recalibrator(CalibrationStore& store,
-                           RecalibratorOptions options)
-    : store_(&store), options_(options) {}
+/// Observations required on a path before its first publication.
+constexpr int kMinSamples = 3;
 
 void Recalibrator::observe(topo::DeviceId src, topo::DeviceId dst,
                            const TransferConfig& config, double actual_s) {
@@ -39,7 +37,7 @@ void Recalibrator::observe(topo::DeviceId src, topo::DeviceId dst,
       const double g = std::min(1.0, kGain * share.theta);
       e.ratio += g * (ratio - e.ratio);
       ++e.samples;
-      if (e.samples < options_.min_samples ||
+      if (e.samples < kMinSamples ||
           std::abs(e.ratio - 1.0) <= kDriftThreshold) {
         continue;
       }
@@ -58,13 +56,13 @@ void Recalibrator::observe(topo::DeviceId src, topo::DeviceId dst,
       // (beta_scale shrinks) and more startup latency (alpha_scale grows).
       // A non-positive bw_corr would flip the correction's sign, so it is
       // pinned to the guard-rail floor (and counted as clamped below).
-      const double raw_beta =
-          bw_corr > 0.0 ? base.beta_scale / bw_corr : options_.min_scale;
+      const double raw_beta = bw_corr > 0.0 ? base.beta_scale / bw_corr
+                                            : kMinCalibrationScale;
       const double raw_alpha = base.alpha_scale * lat_corr;
       next.beta_scale =
-          std::clamp(raw_beta, options_.min_scale, options_.max_scale);
+          std::clamp(raw_beta, kMinCalibrationScale, kMaxCalibrationScale);
       next.alpha_scale =
-          std::clamp(raw_alpha, options_.min_scale, options_.max_scale);
+          std::clamp(raw_alpha, kMinCalibrationScale, kMaxCalibrationScale);
       next.samples = base.samples + static_cast<std::uint64_t>(e.samples);
       // Detect guard-rail hits against the pre-clamp values directly: a
       // multiply/divide round-trip comparison can misfire on FP rounding.

@@ -212,6 +212,10 @@ std::span<const double> JointThetaSolver::maxmin_rates(
       background_[best] = 0.0;
       share_[best] = residual_[best] / unfrozen_[best];
     }
+    // All of the link's weight is frozen now. A non-dyadic background
+    // (say 0.3) can leave a rounding residue in unfrozen_ instead of 0,
+    // which would keep the link a candidate with nothing left to freeze.
+    unfrozen_[best] = 0.0;
   }
   return rates_;
 }

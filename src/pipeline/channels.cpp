@@ -84,10 +84,9 @@ struct ModelDrivenChannel::Plan {
   bool reproducible = false;
 };
 
-double escalated_slack(const RecoveryOptions& rec, int replans) {
-  const double esc = std::min(std::pow(rec.retry_backoff, replans),
-                              rec.max_slack_factor);
-  return rec.slack * std::max(esc, 1.0);
+double escalated_slack(int replans) {
+  return kWatchdogSlack *
+         std::min(std::pow(kRetryBackoff, replans), kMaxRetrySlackFactor);
 }
 
 sim::Task<void> SinglePathChannel::transfer(gpusim::DeviceBuffer& dst,
@@ -250,7 +249,7 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
       // times this attempt's slack, whose base factor escalates per re-plan
       // (bounded exponential backoff); with health tracking each path
       // compounds its own failure-streak multiplier on top.
-      const double slack = escalated_slack(rec, replans);
+      const double slack = escalated_slack(replans);
       const auto deadline = [&](const topo::PathPlan& p, double predicted) {
         const double mult =
             use_health ? health_.slack_multiplier(sdev, ddev, p) : 1.0;

@@ -2,37 +2,17 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <string>
 
 namespace mpath::pipeline {
 
 HealthOptions PathHealthManager::validated(const HealthOptions& options) {
-  const auto fail = [](const std::string& what) {
-    throw std::invalid_argument("PathHealthManager: " + what);
-  };
-  if (options.min_probe_bytes > options.max_probe_bytes) {
-    // std::clamp(x, lo, hi) with lo > hi is undefined behaviour; reject it
-    // here instead of letting probe_bytes() hit it on the hot path.
-    fail("min_probe_bytes (" + std::to_string(options.min_probe_bytes) +
-         ") > max_probe_bytes (" + std::to_string(options.max_probe_bytes) +
-         ")");
-  }
-  if (!(options.probe_fraction >= 0.0 && options.probe_fraction <= 1.0)) {
-    fail("probe_fraction must be in [0, 1]");
-  }
-  if (options.dead_after < 1) fail("dead_after must be >= 1");
-  if (!(options.backoff >= 1.0)) fail("backoff must be >= 1");
-  if (!(options.max_slack_factor >= 1.0)) {
-    fail("max_slack_factor must be >= 1");
-  }
-  if (!(options.suspect_delay_s >= 0.0)) {
-    fail("suspect_delay_s must be >= 0");
-  }
   if (!(options.dead_cooldown_s >= 0.0)) {
-    fail("dead_cooldown_s must be >= 0");
+    throw std::invalid_argument(
+        "PathHealthManager: dead_cooldown_s must be >= 0");
   }
-  if (!(options.max_cooldown_s >= options.dead_cooldown_s)) {
-    fail("max_cooldown_s must be >= dead_cooldown_s");
+  if (!(options.dead_cooldown_s <= kMaxCooldownS)) {
+    throw std::invalid_argument(
+        "PathHealthManager: dead_cooldown_s must be <= kMaxCooldownS");
   }
   return options;
 }
@@ -69,21 +49,19 @@ void PathHealthManager::on_timeout(topo::DeviceId src, topo::DeviceId dst,
   Entry& e = entries_[key_of(src, dst, plan)];
   if (e.state == PathHealth::kProbation) ++stats_.probes_failed;
   ++e.fail_streak;
-  e.slack_mult =
-      std::min(e.slack_mult * options_.backoff, options_.max_slack_factor);
-  if (e.fail_streak >= options_.dead_after) {
+  e.slack_mult = std::min(e.slack_mult * kHealthBackoff, kMaxPathSlackFactor);
+  if (e.fail_streak >= kDeadAfter) {
     if (e.state != PathHealth::kDead) ++stats_.deaths;
     e.state = PathHealth::kDead;
     // Exponential readmission cooldown: first death waits dead_cooldown_s,
     // each further failed readmission probe doubles it (bounded).
     e.cooldown_s = e.cooldown_s <= 0.0
                        ? options_.dead_cooldown_s
-                       : std::min(e.cooldown_s * options_.backoff,
-                                  options_.max_cooldown_s);
+                       : std::min(e.cooldown_s * kHealthBackoff, kMaxCooldownS);
     e.next_probe_t = now + e.cooldown_s;
   } else {
     e.state = PathHealth::kSuspect;
-    e.next_probe_t = now + options_.suspect_delay_s;
+    e.next_probe_t = now;  // due a probe at the next partition
   }
 }
 
@@ -117,10 +95,8 @@ double PathHealthManager::slack_multiplier(topo::DeviceId src,
 
 std::uint64_t PathHealthManager::probe_bytes(std::uint64_t total) const {
   const auto want = static_cast<std::uint64_t>(
-      options_.probe_fraction * static_cast<double>(total));
-  return std::min(total,
-                  std::clamp(want, options_.min_probe_bytes,
-                             options_.max_probe_bytes));
+      kProbeFraction * static_cast<double>(total));
+  return std::min(total, std::clamp(want, kMinProbeBytes, kMaxProbeBytes));
 }
 
 PathHealth PathHealthManager::state(topo::DeviceId src, topo::DeviceId dst,

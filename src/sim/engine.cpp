@@ -192,16 +192,10 @@ void Engine::check_quiescence() const {
   }
 }
 
-std::uint64_t Engine::run_impl(Time t_limit, bool bounded) {
+std::uint64_t Engine::run() {
   MPATH_ASSERT_OWNER(owner_, "sim::Engine (run)");
   std::uint64_t processed = 0;
   while (!heap_.empty()) {
-    if (bounded && heap_.front().t > t_limit) {
-      // Advance to the bound, but never move the clock backwards (a limit
-      // in the past of the clock is a no-op).
-      if (t_limit > now_) now_ = t_limit;
-      return processed;
-    }
     std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
     const HeapEntry ev = heap_.back();
     heap_.pop_back();
@@ -231,31 +225,6 @@ std::uint64_t Engine::run_impl(Time t_limit, bool bounded) {
   check_quiescence();
   roots_.clear();
   return processed;
-}
-
-std::uint64_t Engine::run() {
-  return run_impl(0.0, /*bounded=*/false);
-}
-
-std::uint64_t Engine::run_until(Time t_limit) {
-  return run_impl(t_limit, /*bounded=*/true);
-}
-
-Task<void> when_all(Engine& engine, std::vector<Task<void>> tasks) {
-  std::vector<Process> procs;
-  procs.reserve(tasks.size());
-  for (auto& t : tasks) {
-    procs.push_back(engine.spawn(std::move(t)));
-  }
-  std::exception_ptr first_error;
-  for (auto& p : procs) {
-    try {
-      co_await p.join();
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace mpath::sim

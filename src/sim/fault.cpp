@@ -10,6 +10,10 @@
 
 namespace mpath::sim {
 
+/// Target-selection weight of a fully idle link in random plans, relative
+/// to the utilization term allocated/capacity.
+constexpr double kIdleWeight = 0.25;
+
 double FaultInjector::capture_baseline(LinkId link) {
   const auto it = baseline_.find(link);
   if (it != baseline_.end()) return it->second;
@@ -84,9 +88,6 @@ void FaultInjector::random_plan(std::span<const LinkId> links,
   if (links.empty()) {
     throw std::invalid_argument("FaultInjector: random plan needs links");
   }
-  if (opts.idle_weight <= 0.0) {
-    throw std::invalid_argument("FaultInjector: idle_weight must be > 0");
-  }
   if (opts.min_factor < 0.0 || opts.max_factor < opts.min_factor) {
     throw std::invalid_argument("FaultInjector: bad degrade factor range");
   }
@@ -96,7 +97,7 @@ void FaultInjector::random_plan(std::span<const LinkId> links,
   for (LinkId l : links) capture_baseline(l);  // validates ids at call time
   // Fault *times* are fixed up front by the seed, but each fault's *target*
   // is drawn only when it fires, weighted by the links' utilization
-  // (allocated/capacity) at that instant plus a floor of idle_weight — so
+  // (allocated/capacity) at that instant plus a floor of kIdleWeight — so
   // soaks preferentially stress the links actually carrying traffic while
   // idle links stay reachable. The RNG is shared across the plan's
   // callbacks and consumed in deterministic event order, so one seed still
@@ -125,7 +126,7 @@ void FaultInjector::random_plan(std::span<const LinkId> links,
         const double cap = net_->link(l).capacity_bps;
         const double util =
             cap > 0.0 ? net_->link_allocated_rate(l) / cap : 0.0;
-        total += ctx->opts.idle_weight + util;
+        total += kIdleWeight + util;
         ctx->cumulative.push_back(total);
       }
       const double draw = ctx->rng.uniform(0.0, total);

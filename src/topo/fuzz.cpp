@@ -192,13 +192,15 @@ namespace {
 enum class Fabric { kPcieOnly, kNvlinkMesh, kNvlinkPartial, kNvswitch,
                     kXgmiRing, kMixed };
 
+/// NUMA domains drawn per topology: 1..kMaxNumaDomains.
+constexpr std::int64_t kMaxNumaDomains = 4;
+
 struct Gen {
   util::Rng rng;
-  const GeneratorOptions& opt;
   TopoSpec spec;
 
-  double clamp_gbps(double g) const {
-    return std::clamp(g, opt.min_gbps, opt.max_gbps);
+  static double clamp_gbps(double g) {
+    return std::clamp(g, kMinGbps, kMaxGbps);
   }
   /// Log-uniform capacity draw inside [lo, hi] GB/s (intersected with the
   /// configured range), in bytes/s.
@@ -209,18 +211,18 @@ struct Gen {
     return util::gbps(g);
   }
   double draw_latency() {
-    return usec(rng.uniform(opt.min_latency_us, opt.max_latency_us));
+    return usec(rng.uniform(kMinLatencyUs, kMaxLatencyUs));
   }
   bool chance(double p) { return rng.uniform(0.0, 1.0) < p; }
 
-  /// Duplex link; with asymmetry enabled the reverse direction may get an
+  /// Duplex link; when `may_skew` the reverse direction may get an
   /// independently drawn capacity (same latency — wire length is shared).
   void connect(DeviceId a, DeviceId b, LinkKind kind, double lo_gbps,
                double hi_gbps, bool may_skew) {
     const double fwd = draw_bps(lo_gbps, hi_gbps);
     const double lat = draw_latency();
     double rev = fwd;
-    if (may_skew && opt.allow_asymmetric && chance(0.3)) {
+    if (may_skew && chance(0.3)) {
       rev = draw_bps(lo_gbps, hi_gbps);
     }
     spec.edges.push_back({a, b, kind, fwd, lat});
@@ -230,21 +232,12 @@ struct Gen {
 
 }  // namespace
 
-TopoSpec generate_topology(std::uint64_t seed,
-                           const GeneratorOptions& options) {
-  if (options.min_gpus < 2 || options.max_gpus < options.min_gpus) {
-    throw std::invalid_argument("generate_topology: bad GPU count range");
-  }
-  if (!(options.min_gbps > 0.0) || options.max_gbps < options.min_gbps) {
-    throw std::invalid_argument("generate_topology: bad capacity range");
-  }
-  Gen g{util::Rng(mix_seed(seed, 0x0F0F0F0Full)), options, {}};
+TopoSpec generate_topology(std::uint64_t seed) {
+  Gen g{util::Rng(mix_seed(seed, 0x0F0F0F0Full)), {}};
   g.spec.name = "fuzz-" + std::to_string(seed);
 
-  const int n_numa = static_cast<int>(
-      g.rng.uniform_int(1, std::max(1, options.max_numa_domains)));
-  const int n_gpus = static_cast<int>(
-      g.rng.uniform_int(options.min_gpus, options.max_gpus));
+  const int n_numa = static_cast<int>(g.rng.uniform_int(1, kMaxNumaDomains));
+  const int n_gpus = static_cast<int>(g.rng.uniform_int(kMinGpus, kMaxGpus));
 
   // Hosts first (device ids 0..n_numa-1): one per NUMA domain, each with a
   // DRAM channel. Chained by inter-socket fabric so hosts always form a
@@ -290,14 +283,10 @@ TopoSpec generate_topology(std::uint64_t seed,
   }
 
   // Fabric family.
-  std::vector<Fabric> fabrics{Fabric::kPcieOnly};
-  if (options.allow_nvlink) {
-    fabrics.push_back(Fabric::kNvlinkMesh);
-    fabrics.push_back(Fabric::kNvlinkPartial);
-  }
-  if (options.allow_nvswitch) fabrics.push_back(Fabric::kNvswitch);
-  if (options.allow_xgmi && n_gpus >= 3) fabrics.push_back(Fabric::kXgmiRing);
-  if (options.allow_nvlink && options.allow_xgmi && n_gpus >= 3) {
+  std::vector<Fabric> fabrics{Fabric::kPcieOnly, Fabric::kNvlinkMesh,
+                              Fabric::kNvlinkPartial, Fabric::kNvswitch};
+  if (n_gpus >= 3) {
+    fabrics.push_back(Fabric::kXgmiRing);
     fabrics.push_back(Fabric::kMixed);
   }
   const Fabric fabric = fabrics[static_cast<std::size_t>(

@@ -89,7 +89,6 @@ TEST(Traffic, HeavyTailMatchesMeanWithLargerSpread) {
   opt.pattern = bc::ArrivalPattern::kPoisson;
   const auto poisson = bc::make_arrivals(sys.topology, opt);
   opt.pattern = bc::ArrivalPattern::kHeavyTail;
-  opt.pareto_alpha = 1.5;
   const auto pareto = bc::make_arrivals(sys.topology, opt);
 
   auto max_gap = [](const std::vector<bc::Arrival>& v) {
@@ -104,7 +103,7 @@ TEST(Traffic, HeavyTailMatchesMeanWithLargerSpread) {
   // exponential's.
   for (std::size_t i = 1; i < pareto.size(); ++i) {
     EXPECT_GE(pareto[i].t - pareto[i - 1].t,
-              100e-6 * (1.5 - 1.0) / 1.5 - 1e-12);
+              100e-6 * (bc::kParetoAlpha - 1.0) / bc::kParetoAlpha - 1e-12);
   }
   EXPECT_GT(max_gap(pareto), max_gap(poisson));
 }
@@ -122,14 +121,6 @@ TEST(Traffic, PairsAndSizesComeFromTheConfiguredSets) {
     EXPECT_NE(std::find(gpus.begin(), gpus.end(), a.dst), gpus.end());
     EXPECT_TRUE(a.bytes == (1ull << 20) || a.bytes == (2ull << 20));
   }
-  // Round-robin mode cycles through every ordered pair.
-  opt.random_pairs = false;
-  opt.transfers = static_cast<int>(gpus.size() * (gpus.size() - 1));
-  const auto rr = bc::make_arrivals(sys.topology, opt);
-  std::vector<std::pair<mt::DeviceId, mt::DeviceId>> seen;
-  for (const auto& a : rr) seen.emplace_back(a.src, a.dst);
-  std::sort(seen.begin(), seen.end());
-  EXPECT_EQ(std::unique(seen.begin(), seen.end()), seen.end());
 }
 
 TEST(Traffic, RejectsNonsense) {
@@ -139,10 +130,6 @@ TEST(Traffic, RejectsNonsense) {
   EXPECT_THROW(bc::make_arrivals(sys.topology, opt), std::invalid_argument);
   opt.transfers = 4;
   opt.sizes.clear();
-  EXPECT_THROW(bc::make_arrivals(sys.topology, opt), std::invalid_argument);
-  opt = {};
-  opt.pattern = bc::ArrivalPattern::kHeavyTail;
-  opt.pareto_alpha = 1.0;
   EXPECT_THROW(bc::make_arrivals(sys.topology, opt), std::invalid_argument);
   opt = {};
   opt.pattern = bc::ArrivalPattern::kStorm;

@@ -99,7 +99,7 @@ TEST(Configurator, StagedPathsGetMultipleChunks) {
   for (std::size_t i = 1; i < c.paths.size(); ++i) {
     EXPECT_GT(c.paths[i].chunks, 1)
         << mt::describe(c.paths[i].plan, f.sys.topology);
-    EXPECT_LE(c.paths[i].chunks, cfg.options().max_chunks);
+    EXPECT_LE(c.paths[i].chunks, mm::kMaxChunks);
   }
 }
 
@@ -145,20 +145,33 @@ TEST(Configurator, CacheCanBeDisabled) {
   EXPECT_EQ(cfg.cache_misses(), 2u);
 }
 
+// Algorithm 1 line 18: path i is issued after the i paths before it, so
+// its Delta carries i * issue_alpha on top of the same path's terms under a
+// zero issue cost.
 TEST(Configurator, SequentialInitiationPenalizesLaterPaths) {
   Fixture f;
-  mm::ConfiguratorOptions with;
-  mm::ConfiguratorOptions without;
-  without.sequential_initiation = false;
-  mm::PathConfigurator cfg_with(f.reg, with);
-  mm::PathConfigurator cfg_without(f.reg, without);
+  mm::ModelRegistry free_issue = f.reg;
+  free_issue.set_issue_alpha(0.0);
+  mm::PathConfigurator cfg_with(f.reg);
+  mm::PathConfigurator cfg_without(free_issue);
   const auto paths = f.paths(mt::PathPolicy::three_gpus());
-  const auto& a = cfg_with.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
-  const auto& b =
-      cfg_without.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
+  ASSERT_EQ(paths.size(), 3u);
+  const mm::PreparedTransfer a =
+      cfg_with.prepare(f.gpus[0], f.gpus[1], 64u << 20, paths);
+  const mm::PreparedTransfer b =
+      cfg_without.prepare(f.gpus[0], f.gpus[1], 64u << 20, paths);
+  for (std::size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_EQ(a.terms[i].omega, b.terms[i].omega) << "path " << i;
+    EXPECT_NEAR(a.terms[i].delta - b.terms[i].delta,
+                static_cast<double>(i) * f.reg.issue_alpha(), 1e-15)
+        << "path " << i;
+  }
   // With accumulation, later paths carry extra Delta and receive less.
-  EXPECT_LT(a.paths[2].bytes, b.paths[2].bytes);
-  EXPECT_GT(a.paths[0].bytes, b.paths[0].bytes);
+  const auto& ca = cfg_with.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
+  const auto& cb =
+      cfg_without.configure(f.gpus[0], f.gpus[1], 64u << 20, paths);
+  EXPECT_LT(ca.paths[2].bytes, cb.paths[2].bytes);
+  EXPECT_GT(ca.paths[0].bytes, cb.paths[0].bytes);
 }
 
 TEST(Configurator, UnpipelinedModeUsesSection33Terms) {

@@ -76,11 +76,11 @@ TEST(Recalibrator, PublishesOnlyAfterMinSamplesAndThreshold) {
   const auto config =
       cfg.compute_config(f.gpus[0], f.gpus[1], 64u << 20, direct_only());
   mm::CalibrationStore store;
-  mm::Recalibrator rec(store);  // defaults: min_samples 3, threshold 0.05
+  mm::Recalibrator rec(store);  // publishes after 3 samples past 5% drift
   const double slow = 1.5 * config.predicted_time;
   rec.observe(f.gpus[0], f.gpus[1], config, slow);
   rec.observe(f.gpus[0], f.gpus[1], config, slow);
-  EXPECT_EQ(store.version(), 0u);  // drifted but below min_samples
+  EXPECT_EQ(store.version(), 0u);  // drifted but below 3 samples
   rec.observe(f.gpus[0], f.gpus[1], config, slow);
   EXPECT_EQ(store.version(), 1u);
   EXPECT_EQ(rec.stats().publications, 1u);
@@ -124,24 +124,22 @@ TEST(Recalibrator, SmallMessageDriftLandsOnAlpha) {
 }
 
 // Guard rails: an absurd, sustained mismatch saturates the scales at
-// [min_scale, max_scale] relative to the base model instead of running away.
+// [kMinCalibrationScale, kMaxCalibrationScale] relative to the base model
+// instead of running away.
 TEST(Recalibrator, GuardRailsClampRunawayCorrections) {
   Fixture f;
   mm::PathConfigurator cfg(f.reg);
   const auto config =
       cfg.compute_config(f.gpus[0], f.gpus[1], 256u << 20, direct_only());
   mm::CalibrationStore store;
-  mm::RecalibratorOptions opts;
-  opts.min_scale = 0.25;
-  opts.max_scale = 4.0;
-  mm::Recalibrator rec(store, opts);
+  mm::Recalibrator rec(store);
   for (int i = 0; i < 60; ++i) {
     rec.observe(f.gpus[0], f.gpus[1], config, 100.0 * config.predicted_time);
   }
   const auto* cal = store.snapshot()->find(f.gpus[0], f.gpus[1], direct());
   ASSERT_NE(cal, nullptr);
-  EXPECT_GE(cal->beta_scale, 0.25);
-  EXPECT_LE(cal->alpha_scale, 4.0);
+  EXPECT_GE(cal->beta_scale, mm::kMinCalibrationScale);
+  EXPECT_LE(cal->alpha_scale, mm::kMaxCalibrationScale);
   EXPECT_GE(rec.stats().clamped, 1u);
 }
 
@@ -212,5 +210,5 @@ TEST(Recalibrator, ConcurrentObserversAreRaceFree) {
   const auto* cal = store.snapshot()->find(f.gpus[0], f.gpus[1], direct());
   ASSERT_NE(cal, nullptr);
   EXPECT_LT(cal->beta_scale, 1.0);
-  EXPECT_GE(cal->beta_scale, rec.options().min_scale);
+  EXPECT_GE(cal->beta_scale, mm::kMinCalibrationScale);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <tuple>
 #include <vector>
@@ -281,6 +282,52 @@ TEST(JointMaxMin, InputValidation) {
   std::vector<mm::FixedFlow> ok{flow({0}, 10e9)};
   EXPECT_THROW((void)maxmin(ok, bad_cap_link),
                std::invalid_argument);
+}
+
+// Background weights need not be dyadic. With weights in tenths, freezing a
+// bottleneck's flows and background can leave a rounding residue of
+// unfrozen weight on the link; the water-fill must still retire the link
+// and return, with every rate within its cap and every link within its
+// capacity.
+TEST(JointMaxMin, FractionalBackgroundTerminatesWithinCaps) {
+  mm::JointThetaSolver solver;
+  for (const std::uint64_t seed : {7ull, 19ull, 31ull}) {
+    mpath::util::Rng rng(seed);
+    for (int call = 0; call < 2000; ++call) {
+      const std::int64_t nl = rng.uniform_int(1, 16);
+      std::vector<mm::JointLink> links;
+      for (std::int64_t l = 0; l < nl; ++l) {
+        links.push_back({rng.uniform(1e9, 120e9),
+                         static_cast<double>(rng.uniform_int(0, 30)) / 10.0});
+      }
+      std::vector<mm::FixedFlow> flows(
+          static_cast<std::size_t>(rng.uniform_int(0, 64)));
+      for (mm::FixedFlow& f : flows) {
+        const std::int64_t hops = rng.uniform_int(0, 3);
+        for (std::int64_t h = 0; h < hops; ++h) {
+          f.links.push_back(
+              static_cast<std::uint32_t>(rng.uniform_int(0, nl - 1)));
+        }
+        f.cap_bps = rng.uniform(0.5e9, 200e9);
+      }
+      std::vector<const mm::FixedFlow*> in;
+      for (const mm::FixedFlow& f : flows) in.push_back(&f);
+
+      const auto rates = solver.maxmin_rates(in, links);
+      ASSERT_EQ(rates.size(), flows.size());
+      std::vector<double> load(links.size(), 0.0);
+      for (std::size_t f = 0; f < flows.size(); ++f) {
+        ASSERT_GE(rates[f], 0.0) << "seed " << seed << " call " << call;
+        ASSERT_LE(rates[f], flows[f].cap_bps)
+            << "seed " << seed << " call " << call;
+        for (std::uint32_t l : flows[f].links) load[l] += rates[f];
+      }
+      for (std::size_t l = 0; l < links.size(); ++l) {
+        ASSERT_LE(load[l], links[l].capacity_bps * (1.0 + 1e-9))
+            << "seed " << seed << " call " << call << " link " << l;
+      }
+    }
+  }
 }
 
 TEST(JointTheta, SingleTransferReducesToClosedFormExactly) {

@@ -817,7 +817,6 @@ TEST(ChannelGraphs, HealthProbationBlocksReplayOfTemplatePath) {
   mp::ModelDrivenOptions opts;
   opts.graphs = &cache;
   opts.recovery.enabled = true;
-  opts.recovery.slack = 4.0;
   opts.health.enabled = true;
   mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::three_gpus(),
                             opts);

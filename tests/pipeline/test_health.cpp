@@ -7,6 +7,7 @@
 // (kFull whole-network oracle) is armed for every simulation test here.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <optional>
@@ -64,7 +65,7 @@ TEST(Health, TimeoutMakesSuspectAndProbeDue) {
   mp::PathHealthManager hm(health_opts());
   hm.on_timeout(0, 1, direct(), 1.0);
   EXPECT_EQ(hm.state(0, 1, direct()), mp::PathHealth::kSuspect);
-  // Excluded from the solve, offered as a probe (suspect_delay_s == 0).
+  // Excluded from the solve, offered as a probe at once.
   std::vector<mt::PathPlan> active, probes;
   hm.partition(0, 1, {direct(), staged(2)}, 1.0, &active, &probes);
   ASSERT_EQ(active.size(), 1u);
@@ -90,11 +91,11 @@ TEST(Health, ProbeSuccessReadmitsToPristine) {
 }
 
 TEST(Health, ConsecutiveFailuresKillWithExponentialCooldown) {
+  static_assert(mp::kDeadAfter == 3 && mp::kHealthBackoff == 2.0);
   auto opts = health_opts();
-  opts.dead_after = 3;
-  opts.backoff = 2.0;
-  opts.dead_cooldown_s = 0.020;
-  opts.max_cooldown_s = 0.050;
+  // 0.2 s doubles to 0.4 s, and the next doubling hits the cap.
+  opts.dead_cooldown_s = 0.2;
+  static_assert(mp::kMaxCooldownS > 0.4 && mp::kMaxCooldownS < 0.8);
   mp::PathHealthManager hm(opts);
   hm.on_timeout(0, 1, direct(), 1.0);
   hm.on_probe_issued(0, 1, direct());
@@ -111,61 +112,57 @@ TEST(Health, ConsecutiveFailuresKillWithExponentialCooldown) {
   hm.partition(0, 1, {direct()}, 1.21, &active, &probes);
   EXPECT_TRUE(active.empty());
   EXPECT_TRUE(probes.empty());
-  hm.partition(0, 1, {direct()}, 1.2 + 0.021, &active, &probes);
+  hm.partition(0, 1, {direct()}, 1.2 + 0.201, &active, &probes);
   ASSERT_EQ(probes.size(), 1u);
 
   // Further failures stretch the cooldown x2 up to the bound, and deaths
   // is a transition counter, not a failure counter.
-  hm.on_timeout(0, 1, direct(), 2.0);  // cooldown 40 ms
-  hm.partition(0, 1, {direct()}, 2.0 + 0.039, &active, &probes);
+  hm.on_timeout(0, 1, direct(), 2.0);  // cooldown 0.4 s
+  hm.partition(0, 1, {direct()}, 2.0 + 0.399, &active, &probes);
   EXPECT_TRUE(probes.empty());
-  hm.partition(0, 1, {direct()}, 2.0 + 0.041, &active, &probes);
+  hm.partition(0, 1, {direct()}, 2.0 + 0.401, &active, &probes);
   EXPECT_EQ(probes.size(), 1u);
-  hm.on_timeout(0, 1, direct(), 3.0);  // would be 80 ms, capped at 50 ms
-  hm.partition(0, 1, {direct()}, 3.0 + 0.051, &active, &probes);
+  hm.on_timeout(0, 1, direct(), 3.0);  // would be 0.8 s, capped
+  hm.partition(0, 1, {direct()}, 3.0 + mp::kMaxCooldownS - 0.001, &active,
+               &probes);
+  EXPECT_TRUE(probes.empty());
+  hm.partition(0, 1, {direct()}, 3.0 + mp::kMaxCooldownS + 0.001, &active,
+               &probes);
   EXPECT_EQ(probes.size(), 1u);
   EXPECT_EQ(hm.stats().deaths, 1u);
 }
 
 TEST(Health, SlackMultiplierEscalatesBounded) {
-  auto opts = health_opts();
-  opts.backoff = 2.0;
-  opts.max_slack_factor = 8.0;
-  mp::PathHealthManager hm(opts);
+  mp::PathHealthManager hm(health_opts());
   double expected = 1.0;
   for (int i = 0; i < 6; ++i) {
     hm.on_timeout(0, 1, direct(), 0.1 * i);
-    expected = std::min(expected * 2.0, 8.0);
+    expected = std::min(expected * mp::kHealthBackoff, mp::kMaxPathSlackFactor);
     EXPECT_DOUBLE_EQ(hm.slack_multiplier(0, 1, direct()), expected);
   }
-  EXPECT_DOUBLE_EQ(hm.slack_multiplier(0, 1, direct()), 8.0);
+  EXPECT_DOUBLE_EQ(hm.slack_multiplier(0, 1, direct()),
+                   mp::kMaxPathSlackFactor);
 }
 
 TEST(Health, ProbeBytesClampedToSegment) {
-  auto opts = health_opts();
-  opts.probe_fraction = 0.05;
-  opts.min_probe_bytes = 256 * 1024;
-  opts.max_probe_bytes = 8_MiB;
-  mp::PathHealthManager hm(opts);
+  mp::PathHealthManager hm(health_opts());
   EXPECT_EQ(hm.probe_bytes(64_MiB),
-            static_cast<std::uint64_t>(0.05 * (64.0 * 1024 * 1024)));
-  EXPECT_EQ(hm.probe_bytes(1_MiB), 256_KiB);   // floor
-  EXPECT_EQ(hm.probe_bytes(1_GiB), 8_MiB);     // ceiling
-  EXPECT_EQ(hm.probe_bytes(64_KiB), 64_KiB);   // never exceeds the segment
+            static_cast<std::uint64_t>(mp::kProbeFraction *
+                                       (64.0 * 1024 * 1024)));
+  EXPECT_EQ(hm.probe_bytes(1_MiB), mp::kMinProbeBytes);  // floor
+  EXPECT_EQ(hm.probe_bytes(1_GiB), mp::kMaxProbeBytes);  // ceiling
+  EXPECT_EQ(hm.probe_bytes(64_KiB), 64_KiB);  // never exceeds the segment
 }
 
 TEST(Health, EscalatedSlackGrowsPerReplanBounded) {
-  mp::RecoveryOptions rec;
-  rec.slack = 4.0;
-  rec.retry_backoff = 2.0;
-  rec.max_slack_factor = 8.0;
-  EXPECT_DOUBLE_EQ(mp::escalated_slack(rec, 0), 4.0);
-  EXPECT_DOUBLE_EQ(mp::escalated_slack(rec, 1), 8.0);
-  EXPECT_DOUBLE_EQ(mp::escalated_slack(rec, 2), 16.0);
-  EXPECT_DOUBLE_EQ(mp::escalated_slack(rec, 3), 32.0);  // capped: 4 * 8
-  EXPECT_DOUBLE_EQ(mp::escalated_slack(rec, 10), 32.0);
-  rec.retry_backoff = 1.0;  // PR 2 behaviour: fixed slack
-  EXPECT_DOUBLE_EQ(mp::escalated_slack(rec, 5), 4.0);
+  const double cap = mp::kWatchdogSlack * mp::kMaxRetrySlackFactor;
+  double expected = mp::kWatchdogSlack;
+  EXPECT_DOUBLE_EQ(mp::escalated_slack(0), mp::kWatchdogSlack);
+  for (int r = 1; r <= 10; ++r) {
+    expected = std::min(expected * mp::kRetryBackoff, cap);
+    EXPECT_DOUBLE_EQ(mp::escalated_slack(r), expected) << "re-plan " << r;
+  }
+  EXPECT_DOUBLE_EQ(mp::escalated_slack(10), cap);
 }
 
 // ---------------------------------------------------------------------------
@@ -198,7 +195,6 @@ struct Fixture {
 mp::ModelDrivenOptions recovery_health_opts() {
   mp::ModelDrivenOptions o;
   o.recovery.enabled = true;
-  o.recovery.slack = 4.0;
   o.recovery.max_replans = 3;
   o.health.enabled = true;
   return o;
@@ -416,7 +412,8 @@ TEST(DriftConvergence, RecalibratedPredictionsConvergeOnDriftedLink) {
 // carried one did not run the config it planned: feeding that config to
 // the recalibrator against the measured time would fold a wrong ratio in.
 // A: 64 MiB with the direct link severed mid-flight (re-planned, not
-// observed); restore and wait out the suspect delay; C: 32 MiB whose only
+// observed; its re-plans probe the still-severed path twice, which kills
+// it); restore and wait out the dead-path cooldown; C: 32 MiB whose only
 // attempt probes the direct path (not observed); D: 16 MiB, clean.
 TEST(Recalibration, ProbeCarryingAttemptIsNotObserved) {
   Fixture f;
@@ -424,7 +421,9 @@ TEST(Recalibration, ProbeCarryingAttemptIsNotObserved) {
   f.cfg.set_calibration(&store);
   mm::Recalibrator recal(store);
   auto opts = recovery_health_opts();
-  opts.health.suspect_delay_s = 2e-3;
+  // A's failed probes may kill the direct path; keep the readmission
+  // cooldown inside the gap before C, so C carries a probe either way.
+  opts.health.dead_cooldown_s = 0.5e-3;
   opts.recalibrator = &recal;
   mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::three_gpus(),
                             opts);
@@ -449,7 +448,7 @@ TEST(Recalibration, ProbeCarryingAttemptIsNotObserved) {
           pr.push_back(c.health().stats().probes_launched);
           if (i == 0) {
             fx.net.set_link_capacity(l, cap);  // restore
-            co_await fx.engine.delay(3e-3);    // past the suspect delay
+            co_await fx.engine.delay(3e-3);    // past the cooldown
           }
         }
       }(f, ch, link, base, recal, recs, observed, probes),
@@ -461,7 +460,8 @@ TEST(Recalibration, ProbeCarryingAttemptIsNotObserved) {
     EXPECT_TRUE(rr.content_ok);
   }
   EXPECT_GE(ch.recovery_stats().replans, 1u);             // A re-planned
-  EXPECT_EQ(probes, (std::vector<std::uint64_t>{0, 1, 1}));  // C probed
+  EXPECT_EQ(probes, (std::vector<std::uint64_t>{2, 3, 3}));  // C probed
+  EXPECT_EQ(ch.health().stats().deaths, 1u);
   EXPECT_EQ(observed, (std::vector<std::uint64_t>{0, 0, 1}));
 }
 
@@ -471,7 +471,6 @@ TEST(FlapRecovery, DisabledPoliciesStayInert) {
   Fixture f;
   mp::ModelDrivenOptions opts;
   opts.recovery.enabled = true;
-  opts.recovery.slack = 4.0;
   mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::three_gpus(),
                             opts);
   RunRecord rr;
@@ -491,58 +490,20 @@ TEST(FlapRecovery, DisabledPoliciesStayInert) {
 // ---------------------------------------------------------------------------
 
 TEST(Health, RejectsInconsistentOptions) {
-  // min > max probe bytes would make the probe-size std::clamp UB.
   auto opts = health_opts();
-  opts.min_probe_bytes = 8_MiB;
-  opts.max_probe_bytes = 1_MiB;
-  EXPECT_THROW(mp::PathHealthManager{opts}, std::invalid_argument);
-
-  opts = health_opts();
-  opts.probe_fraction = 1.5;
-  EXPECT_THROW(mp::PathHealthManager{opts}, std::invalid_argument);
-  opts.probe_fraction = -0.1;
-  EXPECT_THROW(mp::PathHealthManager{opts}, std::invalid_argument);
-
-  opts = health_opts();
-  opts.dead_after = 0;
-  EXPECT_THROW(mp::PathHealthManager{opts}, std::invalid_argument);
-
-  opts = health_opts();
-  opts.backoff = 0.5;
-  EXPECT_THROW(mp::PathHealthManager{opts}, std::invalid_argument);
-
-  opts = health_opts();
-  opts.max_slack_factor = 0.9;
-  EXPECT_THROW(mp::PathHealthManager{opts}, std::invalid_argument);
-
-  opts = health_opts();
-  opts.suspect_delay_s = -1.0;
-  EXPECT_THROW(mp::PathHealthManager{opts}, std::invalid_argument);
-
-  opts = health_opts();
   opts.dead_cooldown_s = -1e-3;
   EXPECT_THROW(mp::PathHealthManager{opts}, std::invalid_argument);
 
   opts = health_opts();
-  opts.max_cooldown_s = opts.dead_cooldown_s / 2;
+  opts.dead_cooldown_s = 2 * mp::kMaxCooldownS;  // above its own cap
   EXPECT_THROW(mp::PathHealthManager{opts}, std::invalid_argument);
 
-  // Defaults (and the boundary probe_fraction values) are valid.
+  // Defaults and both boundary cooldowns are valid.
   EXPECT_NO_THROW(mp::PathHealthManager{health_opts()});
-  opts = health_opts();
-  opts.probe_fraction = 0.0;
+  opts.dead_cooldown_s = 0.0;
   EXPECT_NO_THROW(mp::PathHealthManager{opts});
-  opts.probe_fraction = 1.0;
+  opts.dead_cooldown_s = mp::kMaxCooldownS;
   EXPECT_NO_THROW(mp::PathHealthManager{opts});
-}
-
-TEST(Health, EqualProbeBoundsAreValidAndDegenerate) {
-  auto opts = health_opts();
-  opts.min_probe_bytes = 1_MiB;
-  opts.max_probe_bytes = 1_MiB;
-  mp::PathHealthManager hm(opts);
-  EXPECT_EQ(hm.probe_bytes(64_MiB), 1_MiB);
-  EXPECT_EQ(hm.probe_bytes(512_KiB), 512_KiB);  // still capped by segment
 }
 
 TEST(Health, SuspectClearedByRegularShareIsNotAReadmission) {

@@ -191,7 +191,6 @@ namespace {
 mp::ModelDrivenOptions recovery_opts() {
   mp::ModelDrivenOptions o;
   o.recovery.enabled = true;
-  o.recovery.slack = 4.0;
   o.recovery.max_replans = 3;
   return o;
 }

@@ -225,7 +225,6 @@ TEST(Scheduler, RecoveringTransfersSurviveSharedCacheEviction) {
   mm::PathConfigurator shared_cfg(f.reg, copt);
   mp::ModelDrivenOptions mopt;
   mopt.recovery.enabled = true;
-  mopt.recovery.slack = 4.0;
   mp::ModelDrivenChannel ch(f.pipe, shared_cfg, mt::PathPolicy::three_gpus(),
                             mopt);
 
@@ -262,7 +261,6 @@ TEST(Scheduler, SmallRemainderPrefersDirectSurvivor) {
   Fixture f;
   mp::ModelDrivenOptions mopt;
   mopt.recovery.enabled = true;
-  mopt.recovery.slack = 4.0;
   // A large threshold forces every re-planned remainder through the
   // single-path branch.
   mopt.min_multipath_bytes = 256_MiB;
@@ -296,7 +294,6 @@ TEST(Scheduler, RecoveryReplansThroughScheduler) {
   mp::TransferScheduler sched(f.pipe, f.cfg, sopt);
   mp::ModelDrivenOptions mopt;
   mopt.recovery.enabled = true;
-  mopt.recovery.slack = 4.0;
   mp::ModelDrivenChannel ch(f.pipe, sched, f.cfg,
                             mt::PathPolicy::three_gpus(), mopt);
   constexpr std::size_t kBytes = 64_MiB;
@@ -325,7 +322,6 @@ TEST(Scheduler, FailedTransferReleasesTicket) {
   mp::TransferScheduler sched(f.pipe, f.cfg);
   mp::ModelDrivenOptions mopt;
   mopt.recovery.enabled = true;
-  mopt.recovery.slack = 4.0;
   mp::ModelDrivenChannel ch(f.pipe, sched, f.cfg, mt::PathPolicy::two_gpus(),
                             mopt);
   constexpr std::size_t kBytes = 16_MiB;

@@ -233,18 +233,6 @@ TEST(Engine, DeadlockDetected) {
   EXPECT_THROW(e.run(), ms::SimError);
 }
 
-TEST(Engine, RunUntilStopsClock) {
-  ms::Engine e;
-  std::vector<double> log;
-  e.spawn(record_at(e, 10.0, log));
-  e.run_until(4.0);
-  EXPECT_TRUE(log.empty());
-  EXPECT_DOUBLE_EQ(e.now(), 4.0);
-  e.run_until(20.0);
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_DOUBLE_EQ(log[0], 10.0);
-}
-
 TEST(Engine, CallbacksInterleaveWithCoroutines) {
   ms::Engine e;
   std::vector<int> order;
@@ -279,49 +267,6 @@ TEST(Engine, DeferRunsAfterQueuedSameTimeEventsAndBeforeLaterOnes) {
   EXPECT_DOUBLE_EQ(e.now(), 2.0);
 }
 
-TEST(Engine, WhenAllWaitsForEverything) {
-  ms::Engine e;
-  std::vector<double> log;
-  std::vector<ms::Task<void>> tasks;
-  tasks.push_back(record_at(e, 3.0, log));
-  tasks.push_back(record_at(e, 1.0, log));
-  bool after = false;
-  e.spawn([](ms::Engine& eng, std::vector<ms::Task<void>> ts,
-             bool& done) -> ms::Task<void> {
-    co_await ms::when_all(eng, std::move(ts));
-    done = true;
-    EXPECT_DOUBLE_EQ(eng.now(), 3.0);
-  }(e, std::move(tasks), after));
-  e.run();
-  EXPECT_TRUE(after);
-  EXPECT_EQ(log.size(), 2u);
-}
-
-TEST(Engine, WhenAllPropagatesFirstError) {
-  ms::Engine e;
-  std::vector<ms::Task<void>> tasks;
-  tasks.push_back([](ms::Engine& eng) -> ms::Task<void> {
-    co_await eng.delay(1.0);
-  }(e));
-  tasks.push_back([](ms::Engine& eng) -> ms::Task<void> {
-    co_await eng.delay(0.5);
-    throw std::runtime_error("first");
-  }(e));
-  bool caught = false;
-  e.spawn([](ms::Engine& eng, std::vector<ms::Task<void>> ts,
-             bool& flag) -> ms::Task<void> {
-    try {
-      co_await ms::when_all(eng, std::move(ts));
-    } catch (const std::runtime_error& err) {
-      flag = std::string(err.what()) == "first";
-      // All tasks completed before the rethrow.
-      EXPECT_DOUBLE_EQ(eng.now(), 1.0);
-    }
-  }(e, std::move(tasks), caught));
-  e.run();
-  EXPECT_TRUE(caught);
-}
-
 TEST(Engine, ManySpawnsSweepCleanly) {
   ms::Engine e;
   // More processes than the sweep threshold to exercise root reclamation.
@@ -333,54 +278,6 @@ TEST(Engine, ManySpawnsSweepCleanly) {
   }
   EXPECT_NO_THROW(e.run());
   EXPECT_EQ(e.live_process_count(), 0u);
-}
-
-TEST(Engine, RunUntilRunsEventExactlyAtLimit) {
-  ms::Engine e;
-  std::vector<double> log;
-  e.spawn(record_at(e, 5.0, log));
-  e.spawn(record_at(e, 5.0 + 1e-9, log));
-  e.run_until(5.0);
-  // The boundary is inclusive: an event at exactly t_limit runs; the one
-  // just past it stays queued.
-  ASSERT_EQ(log.size(), 1u);
-  EXPECT_DOUBLE_EQ(log[0], 5.0);
-  EXPECT_DOUBLE_EQ(e.now(), 5.0);
-  e.run();
-  EXPECT_EQ(log.size(), 2u);
-}
-
-TEST(Engine, RunUntilClockStopsAtLastEventWhenQueueDrainsEarly) {
-  ms::Engine e;
-  std::vector<double> log;
-  e.spawn(record_at(e, 3.0, log));
-  e.run_until(10.0);
-  // Queue drained before the limit: the clock reads the last event time,
-  // not the bound (min(t_limit, last event)).
-  EXPECT_DOUBLE_EQ(e.now(), 3.0);
-  ASSERT_EQ(log.size(), 1u);
-}
-
-TEST(Engine, RunUntilIsReentrantAfterBoundedStop) {
-  ms::Engine e;
-  std::vector<double> log;
-  e.spawn(record_at(e, 2.0, log));
-  e.spawn(record_at(e, 6.0, log));
-  e.run_until(4.0);
-  EXPECT_DOUBLE_EQ(e.now(), 4.0);
-  ASSERT_EQ(log.size(), 1u);
-  // New work scheduled after a bounded stop interleaves with the leftover
-  // queue on the next bounded run.
-  e.spawn(record_at(e, 1.0, log));  // 4.0 + 1.0 = 5.0 < 6.0
-  e.run_until(6.0);
-  ASSERT_EQ(log.size(), 3u);
-  EXPECT_DOUBLE_EQ(log[1], 5.0);
-  EXPECT_DOUBLE_EQ(log[2], 6.0);
-  EXPECT_DOUBLE_EQ(e.now(), 6.0);
-  // Limit in the past of the clock: nothing to do, clock does not move
-  // backwards.
-  e.run_until(1.0);
-  EXPECT_DOUBLE_EQ(e.now(), 6.0);
 }
 
 TEST(Engine, DelayRejectsNegativeAndNaN) {

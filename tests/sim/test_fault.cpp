@@ -280,8 +280,8 @@ TEST(FaultInjector, RandomPlanIsDeterministicPerSeed) {
 }
 
 // Target selection is utilization-weighted: with one link saturated and the
-// rest idle, the busy link (weight idle_weight + 1) must draw far more
-// faults than any idle link (weight idle_weight).
+// rest idle, the busy link (weight 0.25 idle floor + 1) must draw far more
+// faults than any idle link (weight 0.25).
 TEST(FaultInjector, RandomPlanPrefersUtilizedLinks) {
   ms::Engine engine;
   ms::FluidNetwork net(engine);
