@@ -36,6 +36,28 @@ static void BM_EngineEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineEventThroughput)->Arg(1000)->Arg(100000);
 
+// Same-instant work: eight interleaved chains in which every event defers
+// the next, so all of it runs at t = 0 through the engine's FIFO lane.
+static void BM_EngineDeferChain(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  struct Link {
+    ms::Engine* engine;
+    int* left;
+    void operator()() const {
+      if (--*left > 0) engine->defer(*this);
+    }
+  };
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    ms::Engine engine;
+    int left = n;
+    for (int c = 0; c < 8; ++c) engine.defer(Link{&engine, &left});
+    events += engine.run();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EngineDeferChain)->Arg(1000)->Arg(100000);
+
 static void BM_CoroutineSpawnJoin(benchmark::State& state) {
   for (auto _ : state) {
     ms::Engine engine;

@@ -6,11 +6,19 @@
 // OSU-style bandwidth sweep executes deterministically in milliseconds of
 // wall time.
 //
-// The hot path is allocation-free in steady state: events are a compact
-// 16-byte {time, seq|slot} binary heap over a recycled slab of payloads
-// (coroutine handle or inline-storage callback — no std::function), and
-// spawned-process state comes from an intrusive free-list slab instead of
-// make_shared. See DESIGN.md, "Allocation & pooling".
+// Every event has a (time, seq) place and runs in that order. Events due at
+// the current instant go to a FIFO lane while that keeps it sorted by seq
+// (a fresh seq is the largest yet, so they always do, and cost no sift);
+// later events, and reserved places behind the lane's last entry, go to a
+// compact 16-byte {time, seq|slot} binary heap; re-armable Timers sit
+// outside both, so a superseded deadline never becomes an event. run()
+// dispatches the least of the three fronts.
+//
+// The hot path is allocation-free in steady state: lane and heap entries
+// address a recycled slab of payloads (coroutine handle or inline-storage
+// callback — no std::function), and spawned-process state comes from an
+// intrusive free-list slab instead of make_shared. See DESIGN.md,
+// "Allocation & pooling" and "Same-instant lane & re-armable timers".
 #pragma once
 
 #include <coroutine>
@@ -33,10 +41,12 @@ namespace mpath::sim {
 using Time = double;  ///< simulated seconds
 
 class Engine;
+class Timer;
 class Tracer;
 
 /// Error thrown by Engine::run on deadlock or unobserved process failure,
-/// and by Engine::delay on invalid (NaN/negative) durations.
+/// by Engine::delay on invalid (NaN/negative) durations, and by the
+/// scheduling calls and Timer::arm on a NaN time.
 class SimError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -264,9 +274,11 @@ class Engine {
 
   [[nodiscard]] Time now() const { return now_; }
 
-  /// Resume `h` at absolute simulated time `t` (>= now).
+  /// Resume `h` at absolute simulated time `t` (>= now). Throws SimError on
+  /// a NaN `t`.
   void schedule_handle(Time t, std::coroutine_handle<> h);
-  /// Invoke `fn` at absolute simulated time `t` (>= now).
+  /// Invoke `fn` at absolute simulated time `t` (>= now). Throws SimError
+  /// on a NaN `t`.
   void schedule_callback(Time t, EventFn fn);
   /// Same-time batching: invoke `fn` at the *current* timestamp, after
   /// every event already queued at this time (FIFO by sequence) but before
@@ -278,7 +290,13 @@ class Engine {
   /// queueing one. Same-time events run in sequence order, so this holds a
   /// place for work that may start at the current instant (see
   /// Latch::Awaiter::seq); an unused number leaves no trace.
-  [[nodiscard]] std::uint64_t reserve_seq();
+  [[nodiscard]] std::uint64_t reserve_seq() {
+    MPATH_ASSERT_OWNER(owner_, "sim::Engine (event scheduling)");
+    if (next_seq_ >= (1ull << (64 - kSlotBits))) {
+      throw SimError("Engine: event sequence numbers exhausted");
+    }
+    return next_seq_++;
+  }
   /// Sequence number of the event being dispatched, or of the last one
   /// dispatched (0 before the first). A number reserved at the current
   /// instant is still ahead iff it is greater.
@@ -310,16 +328,21 @@ class Engine {
   /// completes. `name` is used in error reports only.
   Process spawn(Task<void> task, std::string name = {});
 
-  /// Run until the event queue drains. Returns the number of events
-  /// processed. Throws SimError if live processes remain blocked (deadlock)
-  /// or if a spawned process failed and was never joined.
+  /// Run until the event queue drains and no timer is armed. Returns the
+  /// number of events processed, timer firings included. Throws SimError if
+  /// live processes remain blocked (deadlock) or if a spawned process failed
+  /// and was never joined.
   std::uint64_t run();
 
   [[nodiscard]] std::size_t live_process_count() const { return live_roots_; }
-  [[nodiscard]] std::size_t queued_event_count() const { return heap_.size(); }
+  /// Pending firings: heap and lane entries plus armed timers.
+  [[nodiscard]] std::size_t queued_event_count() const {
+    return heap_.size() + lane_size_ + armed_timers_;
+  }
 
   /// Emit "event_queue_depth" counter samples on tracer track "engine",
-  /// one every `sample_stride` processed events (nullptr detaches).
+  /// one every `sample_stride` processed events, timer firings included
+  /// (nullptr detaches).
   void set_tracer(Tracer* tracer, std::uint64_t sample_stride = 256) {
     tracer_ = tracer;
     trace_stride_ = sample_stride > 0 ? sample_stride : 1;
@@ -327,13 +350,13 @@ class Engine {
   }
 
  private:
-  // The priority queue is split into a compact binary heap of
-  // {t, seq|slot} records and a slab of payloads addressed by slot, so
-  // sift operations move 16 bytes instead of a ~72-byte struct with a
-  // std::function, and payload storage is recycled. `seq` keeps the upper
-  // 40 bits of the key: same-time events compare by it alone (slot bits
-  // can never tie-break since seq is unique), preserving the exact FIFO
-  // ordering of the previous single-struct queue.
+  friend class Timer;
+
+  // Queued events are compact {t, seq|slot} records over a slab of
+  // payloads addressed by slot, so heap sifts move 16 bytes and payload
+  // storage is recycled. `seq` keeps the upper 40 bits of the key:
+  // same-time events compare by it alone (slot bits can never tie-break
+  // since seq is unique). The lane holds keys only; its time is now_.
   static constexpr int kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
   struct HeapEntry {
@@ -356,13 +379,28 @@ class Engine {
     std::string name;
   };
 
+  /// `t` itself, or now_ for a past `t` (asserted in debug builds).
+  /// Throws SimError on NaN.
+  Time checked_time(Time t) const;
   void push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
-                  EventFn fn);
+                  EventFn&& fn);
+  void grow_lane();
+  void arm_timer(Timer& timer, Time t);
+  void disarm_timer(Timer& timer);
+  void update_next_timer();
   void sweep_completed_roots();
   void check_quiescence() const;
 
   [[no_unique_address]] ThreadOwner owner_;
   std::vector<HeapEntry> heap_;
+  /// Same-instant lane: a power-of-two ring of keys, every one due at now_
+  /// and in ascending seq order.
+  std::vector<std::uint64_t> lane_;
+  std::size_t lane_head_ = 0;
+  std::size_t lane_size_ = 0;
+  Timer* timers_ = nullptr;      ///< intrusive list of armed timers
+  std::size_t armed_timers_ = 0;
+  Timer* next_timer_ = nullptr;  ///< least armed (t, seq), or null
   std::vector<EventSlot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<Root> roots_;
@@ -375,6 +413,39 @@ class Engine {
   Tracer* tracer_ = nullptr;
   std::uint64_t trace_stride_ = 256;
   std::uint64_t trace_countdown_ = 256;
+};
+
+/// Re-armable one-shot event kept outside the event queue. arm(t) takes a
+/// fresh sequence number, as scheduling a callback at `t` would, and
+/// replaces any pending firing; disarm() drops it. A firing therefore runs
+/// in the (t, seq) place a queued callback would have had, while a
+/// superseded deadline never becomes an event at all. Destroying an armed
+/// timer disarms it. `fn` may re-arm the timer but must not destroy it.
+class Timer {
+ public:
+  Timer(Engine& engine, EventFn fn) : engine_(&engine), fn_(std::move(fn)) {}
+  Timer(const Timer&) = delete;
+  Timer& operator=(const Timer&) = delete;
+  ~Timer() { disarm(); }
+
+  /// Fire at absolute simulated time `t` (>= now) instead of any pending
+  /// time. Throws SimError on a NaN `t`.
+  void arm(Time t) { engine_->arm_timer(*this, t); }
+  void disarm() {
+    if (armed_) engine_->disarm_timer(*this);
+  }
+  [[nodiscard]] bool armed() const { return armed_; }
+
+ private:
+  friend class Engine;
+
+  Engine* engine_;
+  EventFn fn_;
+  Time t_ = 0.0;
+  std::uint64_t seq_ = 0;
+  Timer* prev_ = nullptr;  ///< links in the engine's armed list
+  Timer* next_ = nullptr;
+  bool armed_ = false;
 };
 
 }  // namespace mpath::sim

@@ -3,7 +3,8 @@
 // Each transfer ("flow") occupies a set of directed links simultaneously
 // (cut-through). Active flows share every link max-min fairly: whenever a
 // flow starts, finishes, or is cancelled, allocations are re-solved by
-// water-filling and the next completion event is (re)scheduled. This
+// water-filling and the network's one completion timer is re-armed at the
+// earliest finish (or disarmed when no flow can finish). This
 // reproduces the contention phenomena behind the paper's evaluation —
 // saturated NVLink, shared PCIe/UPI on host-staged paths, and
 // bidirectional interference — without packet-level simulation.
@@ -74,12 +75,17 @@ class FluidNetwork {
     std::uint64_t heap_pushes = 0;   ///< bottleneck-heap entries pushed
     std::uint64_t heap_reinserts = 0;  ///< stale keys re-queued on pop
     std::uint64_t timers_fired = 0;      ///< completion timers processed
-    std::uint64_t timers_stale = 0;      ///< superseded timers discarded
+    /// Superseded timers discarded: stays 0, since re-arming the completion
+    /// timer replaces its pending firing instead of queueing another.
+    std::uint64_t timers_stale = 0;
     std::uint64_t cancelled_flows = 0;   ///< flows aborted via cancel_flow
     std::uint64_t capacity_changes = 0;  ///< set_link_capacity calls
   };
 
-  explicit FluidNetwork(Engine& engine) : engine_(&engine) {}
+  explicit FluidNetwork(Engine& engine)
+      : engine_(&engine),
+        resolve_timer_(engine, [this] { resolve_and_reschedule(); }),
+        completion_timer_(engine, [this] { on_completion_timer(); }) {}
   FluidNetwork(const FluidNetwork&) = delete;
   FluidNetwork& operator=(const FluidNetwork&) = delete;
 
@@ -117,7 +123,8 @@ class FluidNetwork {
   /// Move `bytes` across `route`. Pays the sum of the route's latencies
   /// once, then streams at the flow's max-min fair rate until done. A
   /// route may traverse the same link more than once (each traversal
-  /// consumes a share). An empty route completes after zero time.
+  /// consumes a share). An empty route completes after zero time. Throws
+  /// std::invalid_argument (when awaited) on NaN bytes.
   [[nodiscard]] Task<void> transfer(Route route, double bytes);
   /// Convenience overload for contiguous containers (vectors, arrays): the
   /// route is copied into inline Route storage, so it stays allocation-free
@@ -131,7 +138,7 @@ class FluidNetwork {
   /// copied into the flow's (inline-capacity, slot-recycled) storage.
   /// Ownership of `done` (may be null) transfers to the network; it fires
   /// on completion or cancellation. Throws std::invalid_argument on an
-  /// empty route, non-positive bytes, or a bad link id.
+  /// empty route, non-positive or NaN bytes, or a bad link id.
   FlowId start_flow(std::span<const LinkId> route, double bytes,
                     Latch* done = nullptr);
   FlowId start_flow(std::initializer_list<LinkId> route, double bytes,
@@ -229,8 +236,10 @@ class FluidNetwork {
   void resolve_and_reschedule();
   void resolve_dirty();
   void run_self_check() const;
+  /// Re-arm the completion timer at the earliest finish of a flow with
+  /// positive rate, or disarm it if there is none.
   void schedule_next_completion();
-  void on_completion_timer(std::uint64_t generation);
+  void on_completion_timer();
   /// Detach `slot` from links/active lists and release its slot. Marks the
   /// flow's links dirty. Does not fire the latch.
   void detach_flow(std::uint32_t slot);
@@ -259,13 +268,16 @@ class FluidNetwork {
   std::vector<std::uint32_t> completed_scratch_;  ///< timer-drain scratch
   std::uint64_t dirty_epoch_ = 1;  ///< bumps when dirty_links_ drains
   std::uint64_t visit_epoch_ = 0;  ///< bumps per resolve pass
-  bool resolve_pending_ = false;
   bool self_check_ = false;
   SolverMode mode_ = SolverMode::kIncremental;
   SolverStats stats_;
   Tracer* tracer_ = nullptr;
   Time last_progress_ = 0.0;
-  std::uint64_t timer_generation_ = 0;
+  // Declared last, so they are disarmed before anything they read is torn
+  // down. The resolve timer is the one same-instant deferred solve that
+  // request_resolve() coalesces into.
+  Timer resolve_timer_;
+  Timer completion_timer_;
 };
 
 }  // namespace mpath::sim

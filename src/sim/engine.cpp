@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "mpath/sim/trace.hpp"
 #include "mpath/util/log.hpp"
@@ -55,8 +56,16 @@ void Latch::fire() {
 Engine::~Engine() {
   // Destroy any still-suspended root frames. Their Task destructors handle
   // frame destruction; the queue may still hold handles into those frames,
-  // but it is destroyed without resuming anything.
+  // but it is destroyed without resuming anything. Armed timers are
+  // detached first, so a timer destroyed later (or by a frame below) does
+  // not reach back into this engine.
+  for (Timer* timer = timers_; timer != nullptr; timer = timer->next_) {
+    timer->armed_ = false;
+  }
+  timers_ = nullptr;
+  next_timer_ = nullptr;
   heap_.clear();
+  lane_size_ = 0;
   slots_.clear();
   roots_.clear();
   if (proc_slab_ != nullptr) {
@@ -69,11 +78,19 @@ Engine::~Engine() {
   }
 }
 
+Time Engine::checked_time(Time t) const {
+  if (t >= now_) return t;
+  if (std::isnan(t)) {
+    throw SimError("Engine: event time is NaN at t=" + std::to_string(now_));
+  }
+  assert(false && "cannot schedule in the past");
+  return now_;
+}
+
 void Engine::push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
-                        EventFn fn) {
+                        EventFn&& fn) {
   MPATH_ASSERT_OWNER(owner_, "sim::Engine (event scheduling)");
-  assert(t >= now_ && "cannot schedule in the past");
-  if (t < now_) t = now_;
+  if (!(t >= now_)) t = checked_time(t);
   std::uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -87,16 +104,32 @@ void Engine::push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
     }
     slots_.push_back(EventSlot{h, std::move(fn)});
   }
-  heap_.push_back(HeapEntry{t, (seq << kSlotBits) | slot});
-  std::push_heap(heap_.begin(), heap_.end(), EventLater{});
+  const std::uint64_t key = (seq << kSlotBits) | slot;
+  // An event due now joins the lane if that keeps the lane sorted by seq:
+  // always for a fresh seq, which is larger than every queued one, and for
+  // a reserved place behind the lane's last entry. Anything else takes its
+  // place in the heap, and run() orders the two by (t, seq).
+  const std::size_t mask = lane_.size() - 1;
+  if (t == now_ &&
+      (lane_size_ == 0 || key > lane_[(lane_head_ + lane_size_ - 1) & mask])) {
+    if (lane_size_ == lane_.size()) grow_lane();
+    lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = key;
+    ++lane_size_;
+  } else {
+    heap_.push_back(HeapEntry{t, key});
+    std::push_heap(heap_.begin(), heap_.end(), EventLater{});
+  }
 }
 
-std::uint64_t Engine::reserve_seq() {
-  MPATH_ASSERT_OWNER(owner_, "sim::Engine (event scheduling)");
-  if (next_seq_ >= (1ull << (64 - kSlotBits))) {
-    throw SimError("Engine: event sequence numbers exhausted");
+void Engine::grow_lane() {
+  // Double the ring, unrolling it so the oldest entry lands at index 0.
+  std::vector<std::uint64_t> grown(
+      std::max<std::size_t>(64, 2 * lane_.size()));
+  for (std::size_t i = 0; i < lane_size_; ++i) {
+    grown[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
   }
-  return next_seq_++;
+  lane_ = std::move(grown);
+  lane_head_ = 0;
 }
 
 void Engine::schedule_handle(Time t, std::coroutine_handle<> h) {
@@ -117,6 +150,43 @@ void Engine::schedule_reserved(std::uint64_t seq, EventFn fn) {
   assert(seq > current_seq_ && seq < next_seq_ &&
          "schedule_reserved: place already dispatched or never reserved");
   push_event(now_, seq, nullptr, std::move(fn));
+}
+
+void Engine::arm_timer(Timer& timer, Time t) {
+  timer.t_ = checked_time(t);
+  timer.seq_ = reserve_seq();
+  if (!timer.armed_) {
+    timer.armed_ = true;
+    timer.prev_ = nullptr;
+    timer.next_ = timers_;
+    if (timers_ != nullptr) timers_->prev_ = &timer;
+    timers_ = &timer;
+    ++armed_timers_;
+  }
+  update_next_timer();
+}
+
+void Engine::disarm_timer(Timer& timer) {
+  MPATH_ASSERT_OWNER(owner_, "sim::Engine (timer)");
+  if (timer.prev_ != nullptr) {
+    timer.prev_->next_ = timer.next_;
+  } else {
+    timers_ = timer.next_;
+  }
+  if (timer.next_ != nullptr) timer.next_->prev_ = timer.prev_;
+  timer.armed_ = false;
+  --armed_timers_;
+  update_next_timer();
+}
+
+void Engine::update_next_timer() {
+  next_timer_ = nullptr;
+  for (Timer* timer = timers_; timer != nullptr; timer = timer->next_) {
+    if (next_timer_ == nullptr || timer->t_ < next_timer_->t_ ||
+        (timer->t_ == next_timer_->t_ && timer->seq_ < next_timer_->seq_)) {
+      next_timer_ = timer;
+    }
+  }
 }
 
 namespace {
@@ -195,30 +265,63 @@ void Engine::check_quiescence() const {
 std::uint64_t Engine::run() {
   MPATH_ASSERT_OWNER(owner_, "sim::Engine (run)");
   std::uint64_t processed = 0;
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-    const HeapEntry ev = heap_.back();
-    heap_.pop_back();
-    now_ = ev.t;
-    current_seq_ = ev.key >> kSlotBits;
-    const auto slot = static_cast<std::uint32_t>(ev.key & kSlotMask);
-    // Move the payload out and recycle the slot *before* invoking: the
-    // event may schedule new work, which can then reuse this slot.
-    const std::coroutine_handle<> handle = slots_[slot].handle;
-    EventFn callback = std::move(slots_[slot].callback);
-    slots_[slot].handle = nullptr;
-    slots_[slot].callback.reset();
-    free_slots_.push_back(slot);
-    if (handle) {
-      handle.resume();
+  for (;;) {
+    // The queue's front is the lane's, unless an equal-time heap entry (a
+    // reserved place, or one queued before this instant) holds an earlier
+    // seq. Lane entries are all due at now_, and now_ only advances once
+    // the lane is empty.
+    const bool lane = lane_size_ > 0;
+    const bool from_lane =
+        lane && !(!heap_.empty() && heap_.front().t == now_ &&
+                  heap_.front().key < lane_[lane_head_]);
+    const bool queued = lane || !heap_.empty();
+    if (!queued && next_timer_ == nullptr) break;
+    Time t = now_;
+    std::uint64_t key = 0;
+    if (from_lane) {
+      key = lane_[lane_head_];
+    } else if (queued) {
+      t = heap_.front().t;
+      key = heap_.front().key;
+    }
+    Timer* timer = next_timer_;
+    if (timer != nullptr &&
+        (!queued || timer->t_ < t ||
+         (timer->t_ == t && timer->seq_ < (key >> kSlotBits)))) {
+      // Disarm before firing, so the callback may re-arm.
+      now_ = timer->t_;
+      current_seq_ = timer->seq_;
+      disarm_timer(*timer);
+      timer->fn_();
     } else {
-      callback();
+      if (from_lane) {
+        lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
+        --lane_size_;
+      } else {
+        std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
+        heap_.pop_back();
+        now_ = t;
+      }
+      current_seq_ = key >> kSlotBits;
+      const auto slot = static_cast<std::uint32_t>(key & kSlotMask);
+      // Move the payload out and recycle the slot *before* invoking: the
+      // event may schedule new work, which can then reuse this slot.
+      const std::coroutine_handle<> handle = slots_[slot].handle;
+      EventFn callback = std::move(slots_[slot].callback);
+      slots_[slot].handle = nullptr;
+      slots_[slot].callback.reset();
+      free_slots_.push_back(slot);
+      if (handle) {
+        handle.resume();
+      } else {
+        callback();
+      }
     }
     ++processed;
     if (tracer_ != nullptr && --trace_countdown_ == 0) {
       trace_countdown_ = trace_stride_;
       tracer_->add_counter("engine", "event_queue_depth", now_,
-                           static_cast<double>(heap_.size()));
+                           static_cast<double>(queued_event_count()));
     }
   }
   sweep_completed_roots();

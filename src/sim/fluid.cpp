@@ -153,15 +153,14 @@ void FluidNetwork::request_resolve() {
     resolve_and_reschedule();
     return;
   }
-  if (resolve_pending_) {
+  if (resolve_timer_.armed()) {
     ++stats_.coalesced;
     return;
   }
-  resolve_pending_ = true;
-  engine_->defer([this] {
-    resolve_pending_ = false;
-    resolve_and_reschedule();
-  });
+  // Armed at now() it takes a fresh seq, the place defer() would give it:
+  // after everything already queued at this instant. The timer dies with
+  // the network, so nothing can fire into a destroyed one.
+  resolve_timer_.arm(engine_->now());
 }
 
 void FluidNetwork::resolve_and_reschedule() {
@@ -360,7 +359,6 @@ void FluidNetwork::run_self_check() const {
 }
 
 void FluidNetwork::schedule_next_completion() {
-  if (active_.empty()) return;
   double min_dt = std::numeric_limits<double>::infinity();
   for (std::uint32_t slot : active_) {
     const Flow& f = flows_[slot];
@@ -378,17 +376,18 @@ void FluidNetwork::schedule_next_completion() {
     }
     min_dt = std::min(min_dt, std::max(0.0, f.remaining) / f.rate);
   }
-  if (!std::isfinite(min_dt)) return;  // every live flow is stalled
-  const std::uint64_t gen = ++timer_generation_;
-  engine_->schedule_callback(engine_->now() + min_dt,
-                             [this, gen] { on_completion_timer(gen); });
-}
-
-void FluidNetwork::on_completion_timer(std::uint64_t generation) {
-  if (generation != timer_generation_) {
-    ++stats_.timers_stale;  // superseded by a newer event
+  if (!std::isfinite(min_dt)) {
+    // No flow can complete (none live, or every one stalled): nothing to
+    // wait for until a flow starts or a link is restored, which re-solves.
+    completion_timer_.disarm();
     return;
   }
+  // Re-arming replaces the pending deadline, so a superseded completion
+  // never reaches the event queue.
+  completion_timer_.arm(engine_->now() + min_dt);
+}
+
+void FluidNetwork::on_completion_timer() {
   ++stats_.timers_fired;
   progress_to_now();
   bool any_completed = false;
@@ -416,7 +415,7 @@ void FluidNetwork::on_completion_timer(std::uint64_t generation) {
   }
   if (any_completed) {
     request_resolve();
-  } else if (!resolve_pending_) {
+  } else if (!resolve_timer_.armed()) {
     // Defensive re-arm: rounding pushed the nearest completion past this
     // timer. Rates are unchanged, so just schedule the next event.
     schedule_next_completion();
@@ -506,7 +505,7 @@ std::uint32_t FluidNetwork::allocate_flow(std::span<const LinkId> route,
 
 FlowId FluidNetwork::start_flow(std::span<const LinkId> route, double bytes,
                                 Latch* done) {
-  if (route.empty() || bytes <= 0.0) {
+  if (route.empty() || !(bytes > 0.0)) {  // also catches NaN
     std::unique_ptr<Latch> owned(done);
     throw std::invalid_argument(
         "FluidNetwork::start_flow: route must be non-empty and bytes > 0");
@@ -542,6 +541,9 @@ bool FluidNetwork::cancel_flow(FlowId id) {
 }
 
 Task<void> FluidNetwork::transfer(Route route, double bytes) {
+  if (std::isnan(bytes)) {
+    throw std::invalid_argument("FluidNetwork::transfer: bytes is NaN");
+  }
   double latency = 0.0;
   for (LinkId l : route) {
     latency += links_.at(l).spec.latency_s;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -288,4 +289,30 @@ TEST(Engine, DelayRejectsNegativeAndNaN) {
   // Zero and positive delays are fine.
   EXPECT_NO_THROW((void)e.delay(0.0));
   EXPECT_NO_THROW((void)e.delay(1.0));
+}
+
+// A NaN time would be dispatched first and turn now() into NaN, breaking
+// the (t, seq) order for everything after it; the schedule calls refuse it
+// the way delay() does.
+TEST(Engine, ScheduleHandleRejectsNaNTime) {
+  ms::Engine e;
+  EXPECT_THROW(e.schedule_handle(std::numeric_limits<double>::quiet_NaN(),
+                                 std::noop_coroutine()),
+               ms::SimError);
+  EXPECT_EQ(e.queued_event_count(), 0u);
+}
+
+TEST(Engine, ScheduleCallbackRejectsNaNTime) {
+  ms::Engine e;
+  bool threw = false;
+  e.schedule_callback(1.0, [&] {
+    try {
+      e.schedule_callback(std::numeric_limits<double>::quiet_NaN(), [] {});
+    } catch (const ms::SimError&) {
+      threw = true;
+    }
+  });
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(e.now(), 1.0);
 }

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "mpath/sim/fault.hpp"
@@ -87,6 +90,7 @@ TEST(FluidChurn, RandomChurnMatchesOracleAndConservesBytes) {
   engine.run();
 
   EXPECT_EQ(net.active_flow_count(), 0u);
+  EXPECT_EQ(net.stats().timers_stale, 0u);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     ASSERT_GT(finishes[i], 0.0) << "flow " << i << " never finished";
     double cap = 1e18;
@@ -141,6 +145,7 @@ TEST(FluidChurn, CancelChurnMatchesOracle) {
   engine.run();
 
   EXPECT_EQ(net.active_flow_count(), 0u);
+  EXPECT_EQ(net.stats().timers_stale, 0u);
   EXPECT_GT(cancels_attempted, 10);
   // Cancelled flows deliver at most their size; totals cannot exceed the
   // all-completed sum.
@@ -178,6 +183,7 @@ TEST(FluidChurn, ModesProduceIdenticalCompletionTimes) {
                                     finishes[i]));
     }
     engine.run();
+    EXPECT_EQ(net.stats().timers_stale, 0u);
     return finishes;
   };
   const auto full = run_mode(ms::FluidNetwork::SolverMode::kFull);
@@ -224,6 +230,7 @@ TEST(FluidChurn, ExactTiesResolveIdenticallyAcrossModes) {
                                                3 * i + 2)]));
     }
     engine.run();
+    EXPECT_EQ(net.stats().timers_stale, 0u);
     return finishes;
   };
   const auto full = run_mode(ms::FluidNetwork::SolverMode::kFull);
@@ -270,6 +277,7 @@ TEST(FluidChurn, ModesAgreeUnderFaultPlan) {
     }
     engine.run();
     stats_out = net.stats();
+    EXPECT_EQ(stats_out.timers_stale, 0u);
     return finishes;
   };
   ms::FluidNetwork::SolverStats full_stats{}, incr_stats{};
@@ -308,6 +316,7 @@ TEST(FluidChurn, SameTimestampBurstsCoalesceIntoOneResolve) {
   EXPECT_LE(net.stats().resolves, 3u);
   EXPECT_GE(net.stats().coalesced, static_cast<std::uint64_t>(n) - 2);
   EXPECT_EQ(net.stats().resolve_requests, static_cast<std::uint64_t>(n) + 1);
+  EXPECT_EQ(net.stats().timers_stale, 0u);
 }
 
 // Disjoint components: churn on one pair of links must not grow the
@@ -329,6 +338,7 @@ TEST(FluidChurn, DisjointComponentsStayLocal) {
   const auto& st = net.stats();
   EXPECT_EQ(st.full_resolves, 0u);
   EXPECT_LE(st.links_resolved, 2 * st.resolves);
+  EXPECT_EQ(st.timers_stale, 0u);
 }
 
 // start_flow/cancel_flow basics: partial delivery is accounted, the latch
@@ -351,6 +361,7 @@ TEST(FluidChurn, CancelReleasesBandwidthAndAccountsPartialBytes) {
   // Link moved 400 (completed) + 100 (cancelled partial) bytes.
   EXPECT_NEAR(net.link_bytes_transferred(link), 500.0, 1e-6);
   EXPECT_EQ(net.active_flow_count(), 0u);
+  EXPECT_EQ(net.stats().timers_stale, 0u);
 }
 
 TEST(FluidChurn, StartFlowValidatesArguments) {
@@ -359,7 +370,63 @@ TEST(FluidChurn, StartFlowValidatesArguments) {
   const auto link = net.add_link({"l", 100.0, 0.0});
   EXPECT_THROW((void)net.start_flow({}, 10.0), std::invalid_argument);
   EXPECT_THROW((void)net.start_flow({link}, 0.0), std::invalid_argument);
+  // NaN passes a `bytes <= 0` check; such a flow never completes and its
+  // network would re-arm a zero-delay completion timer forever.
+  EXPECT_THROW((void)net.start_flow({link},
+                                    std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
   EXPECT_THROW((void)net.start_flow({static_cast<ms::LinkId>(99)}, 10.0),
                std::invalid_argument);
   EXPECT_FALSE(net.cancel_flow(ms::kInvalidFlow));
+  EXPECT_EQ(net.active_flow_count(), 0u);
+}
+
+TEST(FluidChurn, TransferRejectsNaNBytes) {
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  const auto link = net.add_link({"l", 100.0, 1.0});
+  bool threw = false;
+  engine.spawn([](ms::FluidNetwork& n, ms::LinkId l,
+                  bool& flag) -> ms::Task<void> {
+    const ms::LinkId route[] = {l};
+    try {
+      co_await n.transfer(route, std::numeric_limits<double>::quiet_NaN());
+    } catch (const std::invalid_argument&) {
+      flag = true;
+    }
+  }(net, link, threw));
+  engine.run();
+  EXPECT_TRUE(threw);
+  EXPECT_EQ(engine.now(), 0.0);  // refused before the latency leg
+  EXPECT_EQ(net.active_flow_count(), 0u);
+}
+
+// A network destroyed while its completion timer is armed, or while its
+// same-instant rate solve is pending, takes the timers with it: nothing is
+// left to fire into freed memory (the sanitizer build runs these under
+// ASan).
+TEST(FluidChurn, DestroyedWhileTimerArmedLeavesNothingToFire) {
+  ms::Engine engine;
+  auto net = std::make_unique<ms::FluidNetwork>(engine);
+  const auto link = net->add_link({"l", 100.0, 0.0});
+  (void)net->start_flow({link}, 1000.0);  // would complete at t = 10
+  engine.schedule_callback(5.0, [&] {
+    EXPECT_EQ(engine.queued_event_count(), 1u);  // the armed timer
+    net.reset();
+    EXPECT_EQ(engine.queued_event_count(), 0u);
+  });
+  // The deferred rate solve at t = 0 and the callback; no timer firing.
+  EXPECT_EQ(engine.run(), 2u);
+  EXPECT_EQ(engine.now(), 5.0);
+}
+
+TEST(FluidChurn, DestroyedWhileResolvePendingLeavesNothingToFire) {
+  ms::Engine engine;
+  auto net = std::make_unique<ms::FluidNetwork>(engine);
+  const auto link = net->add_link({"l", 100.0, 0.0});
+  (void)net->start_flow({link}, 1000.0);  // requests a same-instant solve
+  EXPECT_EQ(engine.queued_event_count(), 1u);
+  net.reset();
+  EXPECT_EQ(engine.queued_event_count(), 0u);
+  EXPECT_EQ(engine.run(), 0u);
 }
