@@ -1,7 +1,7 @@
 // Infrastructure microbenchmark: event throughput of the discrete-event
-// engine and the cost of fluid-network rate recomputation. Not a paper
-// figure — it documents that the substrate is fast enough for the
-// exhaustive static-tuning baseline to be practical.
+// engine, the cost of fluid-network rate recomputation and of one jitter
+// draw. Not a paper figure — it documents that the substrate is fast
+// enough for the exhaustive static-tuning baseline to be practical.
 //
 // The fluid benchmarks run twice: once with the legacy eager whole-network
 // solver (SolverMode::kFull, "mode:full") and once with the incremental
@@ -11,6 +11,7 @@
 
 #include "mpath/sim/fluid.hpp"
 #include "mpath/sim/sync.hpp"
+#include "mpath/util/rng.hpp"
 
 namespace ms = mpath::sim;
 
@@ -57,6 +58,17 @@ static void BM_EngineDeferChain(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EngineDeferChain)->Arg(1000)->Arg(100000);
+
+// One jitter draw at sigma 0.02: every modeled op (copy launch, event record
+// and wait, host chunk issue) scales its cost by one.
+static void BM_RngJitter(benchmark::State& state) {
+  mpath::util::Rng rng(7);
+  double sigma = 0.02;
+  benchmark::DoNotOptimize(sigma);
+  for (auto _ : state) benchmark::DoNotOptimize(rng.jitter(sigma));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngJitter);
 
 static void BM_CoroutineSpawnJoin(benchmark::State& state) {
   for (auto _ : state) {

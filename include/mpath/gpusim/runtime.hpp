@@ -183,7 +183,14 @@ class GpuRuntime {
   [[nodiscard]] const topo::NetworkBinding& binding() const {
     return binding_;
   }
-  [[nodiscard]] util::Rng& rng() { return rng_; }
+  /// One jitter factor for a modeled op's cost: a draw from the runtime's
+  /// stream at the system's `jitter_rel`, or exactly 1 without a draw when
+  /// `jitter_rel` <= 0. Skipping is safe because nothing else reads the
+  /// stream and `jitter_rel` is fixed per system.
+  [[nodiscard]] double jitter() {
+    const double sigma = costs().jitter_rel;
+    return sigma <= 0.0 ? 1.0 : rng_.jitter(sigma);
+  }
 
   /// Total simulated bytes copied through memcpy_async so far.
   [[nodiscard]] std::uint64_t bytes_copied() const { return bytes_copied_; }

@@ -104,9 +104,9 @@ struct GpuRuntime::Op {
     sim::Engine& e = *rt->engine_;
     e.schedule_callback(e.now() + dt, [this, step] { step(*this); });
   }
-  /// Run `step` after `cost` scaled by one jitter draw, taken now.
+  /// Run `step` after `cost` scaled by the runtime's jitter, drawn now.
   void after_jittered(double cost, OpStep step) {
-    after(cost * rt->rng_.jitter(rt->costs().jitter_rel), step);
+    after(cost * rt->jitter(), step);
   }
   /// Run `step` from the event `latch`'s fire() queues. The waiter node
   /// lives here, not in the latch: FluidNetwork destroys a flow's latch
@@ -326,8 +326,7 @@ sim::Task<void> GpuRuntime::ipc_open(topo::DeviceId opener,
                                      const DeviceBuffer& buffer) {
   const auto key = std::make_pair(opener, buffer.id());
   if (ipc_cache_.contains(key)) co_return;
-  co_await engine_->delay(costs().ipc_open_s *
-                          rng_.jitter(costs().jitter_rel));
+  co_await engine_->delay(costs().ipc_open_s * jitter());
   ipc_cache_.insert(key);
 }
 

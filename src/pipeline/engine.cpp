@@ -116,9 +116,8 @@ gpusim::StreamId PipelineEngine::stream_for(const StreamKey& key,
 }
 
 sim::Engine::DelayAwaiter PipelineEngine::issue_cost() {
-  const auto& costs = runtime_->costs();
-  return runtime_->engine().delay(costs.op_launch_s *
-                                  runtime_->rng().jitter(costs.jitter_rel));
+  return runtime_->engine().delay(runtime_->costs().op_launch_s *
+                                  runtime_->jitter());
 }
 
 std::uint64_t PipelineEngine::bytes_on(topo::PathKind kind) const {
