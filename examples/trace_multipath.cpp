@@ -5,6 +5,7 @@
 //
 // Build & run:  ./build/examples/trace_multipath
 #include <cstdio>
+#include <filesystem>
 
 #include "mpath/model/configurator.hpp"
 #include "mpath/pipeline/channels.hpp"
@@ -48,6 +49,7 @@ int main() {
   engine.run();
 
   const std::string path = "results/multipath_trace.json";
+  std::filesystem::create_directories("results");
   tracer.write_chrome_trace(path);
   std::printf("transferred %s in %s across %zu copy operations\n",
               util::format_bytes(src.size()).c_str(),

@@ -17,7 +17,6 @@ struct StackOptions {
   std::uint64_t seed = 7;
   std::size_t staging_buffers_per_device = 16;
   pipeline::ModelDrivenOptions model;
-  mpisim::WorldOptions world;
   int nranks = 0;  ///< 0 = one rank per GPU
   /// Collective graph chaining: capture each collective's whole transfer
   /// DAG on first invocation, replay it (each step admitted like any

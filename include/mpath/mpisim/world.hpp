@@ -18,10 +18,6 @@ class ChainController;
 
 namespace mpath::mpisim {
 
-struct WorldOptions {
-  transport::TransportOptions transport;
-};
-
 class Communicator;
 
 class World {
@@ -29,7 +25,7 @@ class World {
   /// One rank per GPU by default (nranks = 0); otherwise ranks bind to
   /// GPUs round-robin.
   World(gpusim::GpuRuntime& runtime, gpusim::DataChannel& channel,
-        int nranks = 0, WorldOptions options = {});
+        int nranks = 0);
   World(const World&) = delete;
   World& operator=(const World&) = delete;
   ~World();
@@ -55,7 +51,6 @@ class World {
   [[nodiscard]] gpusim::GpuRuntime& runtime() { return *runtime_; }
   [[nodiscard]] transport::Fabric& fabric() { return fabric_; }
   [[nodiscard]] sim::Barrier& barrier() { return barrier_; }
-  [[nodiscard]] const WorldOptions& options() const { return options_; }
 
   /// Enable collective graph chaining: installs the fabric's transfer tap
   /// pointing at `ctl` (also attaching it to the channel) so the
@@ -69,7 +64,6 @@ class World {
 
  private:
   gpusim::GpuRuntime* runtime_;
-  WorldOptions options_;
   transport::Fabric fabric_;
   sim::Barrier barrier_;
   pipeline::ChainController* chain_ctl_ = nullptr;

@@ -2,7 +2,9 @@
 // protocol for small messages and a rendezvous protocol (RTS/CTS + CUDA-IPC
 // mapping) for large ones. Bulk data moves through a pluggable DataChannel —
 // the seam where the paper integrates its model-driven multi-path engine
-// into the cuda_ipc code path (Fig. 2a Step 3).
+// into the cuda_ipc code path (Fig. 2a Step 3). A send or recv whose peer
+// never arrives parks until the engine drains; Engine::run then throws
+// sim::SimError naming the blocked process.
 #pragma once
 
 #include <cstdint>
@@ -25,14 +27,6 @@ inline constexpr int kAnyTag = -1;
 inline constexpr std::size_t kEagerThresholdBytes = 64 * 1024;
 /// Host-side overhead of an eager message.
 inline constexpr double kEagerOverheadS = 1.0e-6;
-
-struct TransportOptions {
-  /// Rendezvous-sized send/recv operations that find no match within this
-  /// window are aborted with gpusim::TransferError instead of waiting
-  /// forever (a dead peer otherwise deadlocks the whole simulation).
-  /// 0 disables the timeout (legacy behaviour).
-  double rendezvous_timeout_s = 0.0;
-};
 
 class Worker;
 
@@ -57,8 +51,7 @@ using TransferTap = sim::InlineFn<void(const TransferSite&), 32>;
 
 class Fabric {
  public:
-  Fabric(gpusim::GpuRuntime& runtime, gpusim::DataChannel& channel,
-         TransportOptions options = {});
+  Fabric(gpusim::GpuRuntime& runtime, gpusim::DataChannel& channel);
   Fabric(const Fabric&) = delete;
   Fabric& operator=(const Fabric&) = delete;
   ~Fabric();
@@ -72,7 +65,6 @@ class Fabric {
 
   [[nodiscard]] gpusim::GpuRuntime& runtime() { return *runtime_; }
   [[nodiscard]] gpusim::DataChannel& channel() { return *channel_; }
-  [[nodiscard]] const TransportOptions& options() const { return options_; }
 
   /// Install (or clear, with a default-constructed tap) the transfer
   /// observer. At most one; the caller owns the observed controller's
@@ -84,14 +76,6 @@ class Fabric {
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
   [[nodiscard]] std::uint64_t rendezvous_count() const { return rendezvous_; }
   [[nodiscard]] std::uint64_t eager_count() const { return eager_; }
-  /// Send/recv operations aborted by the rendezvous timeout.
-  [[nodiscard]] std::uint64_t rendezvous_timeouts() const {
-    return rendezvous_timeouts_;
-  }
-  /// NACK control messages emitted by timed-out rendezvous operations.
-  [[nodiscard]] std::uint64_t nacks_sent() const { return nacks_sent_; }
-  /// NACKs that arrived after their channel already re-matched (no-ops).
-  [[nodiscard]] std::uint64_t nacks_stale() const { return nacks_stale_; }
   /// Distinct wakeup deadlines that got their own engine event.
   [[nodiscard]] std::uint64_t wakeups_scheduled() const {
     return wakeups_scheduled_;
@@ -104,34 +88,20 @@ class Fabric {
  private:
   friend class Worker;
 
-  /// Same-deadline coalescing slot: every eager delivery, rendezvous
-  /// handshake delay, and watchdog deadline that lands on the same absolute
-  /// time shares one engine event. Waiters park on the (lazily created)
-  /// latch; callbacks queue in `fns`.
-  struct Wake {
-    std::shared_ptr<sim::Latch> latch;
-    util::SmallVec<sim::EventFn, 2> fns;
-  };
-  Wake& wake_slot(double t);
-  /// Suspend until absolute time `t`, sharing the event with every other
-  /// waiter on the same deadline.
+  /// Suspend until absolute time `t`. Every eager delivery and rendezvous
+  /// handshake delay that lands on the same absolute time parks on one
+  /// pooled latch, fired by a single engine event for that deadline.
   [[nodiscard]] sim::Task<void> wake_at(double t);
-  /// Invoke `fn` at absolute time `t`, coalesced per distinct deadline.
-  void call_at(double t, sim::EventFn fn);
 
   gpusim::GpuRuntime* runtime_;
   gpusim::DataChannel* channel_;
-  TransportOptions options_;
   TransferTap tap_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::map<double, Wake> wakes_;
+  std::map<double, std::shared_ptr<sim::Latch>> wakes_;
   std::uint64_t messages_ = 0;
   std::uint64_t bytes_ = 0;
   std::uint64_t rendezvous_ = 0;
   std::uint64_t eager_ = 0;
-  std::uint64_t rendezvous_timeouts_ = 0;
-  std::uint64_t nacks_sent_ = 0;
-  std::uint64_t nacks_stale_ = 0;
   std::uint64_t wakeups_scheduled_ = 0;
   std::uint64_t wakeups_coalesced_ = 0;
 };
@@ -148,14 +118,19 @@ class Worker {
 
   /// Tagged send to `dst_rank`. Completes when the data is delivered into
   /// the matched receive buffer (synchronous-send semantics; buffered
-  /// sends are modeled by spawning this task).
+  /// sends are modeled by spawning this task). Throws std::out_of_range for
+  /// an unregistered `dst_rank` and std::invalid_argument for a negative
+  /// `tag`, before anything is queued.
   [[nodiscard]] sim::Task<void> send(int dst_rank, const gpusim::DeviceBuffer& buf,
                                      std::size_t offset, std::size_t bytes,
                                      int tag);
 
   /// Tagged receive. `src_rank` may be kAnySource and `tag` kAnyTag.
   /// The receive buffer region must be at least `bytes` long; the matched
-  /// send must not be longer (MPI truncation is an error).
+  /// send must not be longer (MPI truncation is an error). Throws
+  /// std::out_of_range for any other unregistered `src_rank` and
+  /// std::invalid_argument for a `tag` below kAnyTag, before anything is
+  /// queued.
   [[nodiscard]] sim::Task<void> recv(int src_rank, gpusim::DeviceBuffer& buf,
                                      std::size_t offset, std::size_t bytes,
                                      int tag);
@@ -164,10 +139,6 @@ class Worker {
     return unexpected_.size();
   }
   [[nodiscard]] std::size_t posted_count() const { return posted_.size(); }
-  /// NACK records currently waiting to fail a future matching operation.
-  [[nodiscard]] std::size_t pending_nack_count() const {
-    return nacks_.size();
-  }
 
  private:
   friend class Fabric;
@@ -180,8 +151,6 @@ class Worker {
     std::size_t offset;
     topo::DeviceId src_device;
     sim::Latch* done;
-    std::uint64_t seq = 0;    ///< unique id for timeout / NACK resolution
-    bool* nacked = nullptr;   ///< set before fire() when killed by a NACK
   };
   struct RecvEntry {
     int src_rank;  // kAnySource allowed
@@ -190,31 +159,7 @@ class Worker {
     gpusim::DeviceBuffer* buf;
     std::size_t offset;
     sim::Latch* done;
-    std::uint64_t seq = 0;    ///< unique id for timeout / NACK resolution
-    bool* nacked = nullptr;   ///< set before fire() when killed by a NACK
   };
-
-  /// Control message making a rendezvous timeout symmetric: when one side
-  /// of a channel aborts, the peer's side of the same (src, tag) channel
-  /// must observe the same failure. All state for the channel S->R lives at
-  /// the receiver-side worker R (both parked sends and parked recvs queue
-  /// there), so NACKs are delivered to R regardless of which side died.
-  struct Nack {
-    int src_rank;        ///< sender rank of the failed channel (concrete)
-    int tag;             ///< failed op's tag (concrete)
-    std::uint64_t seq;   ///< dead entry's id in this worker's seq space
-    bool from_send;      ///< true: a parked send died (fails the recv side);
-                         ///< false: a parked recv died (fails future sends)
-  };
-
-  /// A successful match on channel (src, tag) advances the high-water mark
-  /// and purges NACK records it supersedes: a NACK whose seq is at or below
-  /// the mark refers to an already-resolved exchange and must be a no-op.
-  void note_matched(int src, int tag, std::uint64_t seq);
-  [[nodiscard]] bool nack_is_stale(const Nack& n) const;
-  /// Deliver a NACK at this worker: kill a matching parked entry if one
-  /// exists, otherwise record it to fail the next matching operation.
-  void deliver_nack(Nack n);
 
   /// Move the payload for a matched (send, recv) pair; runs on whichever
   /// side arrived second.
@@ -224,12 +169,10 @@ class Worker {
   Fabric* fabric_;
   int rank_;
   topo::DeviceId device_;
+  // All matching state for messages S->R lives at the receiver R: parked
+  // sends and parked recvs both queue there, and nothing outlives a match.
   std::deque<SendEntry> unexpected_;  // sends awaiting a matching recv
   std::deque<RecvEntry> posted_;      // recvs awaiting a matching send
-  std::deque<Nack> nacks_;            // undelivered peer-failure records
-  // Highest parked-entry seq completed per concrete (src, tag) channel.
-  std::map<std::pair<int, int>, std::uint64_t> matched_hwm_;
-  std::uint64_t next_seq_ = 0;        // parked-entry ids (timeouts/NACKs)
 };
 
 }  // namespace mpath::transport

@@ -22,7 +22,7 @@ void SimStack::finish(std::unique_ptr<gpusim::DataChannel> channel,
     }
   }
   world_ = std::make_unique<mpisim::World>(*runtime_, *channel_,
-                                           options.nranks, options.world);
+                                           options.nranks);
   if (chain_ != nullptr) world_->set_chain_controller(chain_.get());
 }
 

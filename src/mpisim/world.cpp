@@ -11,10 +11,9 @@ namespace mpath::mpisim {
 constexpr double kReduceBps = 75e9;
 
 World::World(gpusim::GpuRuntime& runtime, gpusim::DataChannel& channel,
-             int nranks, WorldOptions options)
+             int nranks)
     : runtime_(&runtime),
-      options_(options),
-      fabric_(runtime, channel, options.transport),
+      fabric_(runtime, channel),
       barrier_(runtime.engine(),
                static_cast<std::size_t>(
                    nranks > 0

@@ -4,7 +4,8 @@
 // global operator-new calls. The same holds for the scheduler's departure
 // side: once its ledger and solver buffers have grown, a departure or a
 // link-capacity change (each a water-fill over every live path) allocates
-// nothing.
+// nothing. And the transport keeps no per-tag state: a round of messages on
+// tags it has never seen allocates no more than one on reused tags.
 //
 // This binary deliberately lives in its own test target: it links
 // mpath_alloc_hook, which replaces the global operator new/delete with
@@ -17,10 +18,12 @@
 #include <vector>
 
 #include "mpath/benchcore/alloc_hook.hpp"
+#include "mpath/pipeline/channels.hpp"
 #include "mpath/pipeline/engine.hpp"
 #include "mpath/pipeline/scheduler.hpp"
 #include "mpath/sim/pool.hpp"
 #include "mpath/topo/system.hpp"
+#include "mpath/transport/fabric.hpp"
 #include "mpath/tuning/calibration.hpp"
 #include "mpath/util/units.hpp"
 
@@ -29,6 +32,7 @@ namespace mm = mpath::model;
 namespace mp = mpath::pipeline;
 namespace ms = mpath::sim;
 namespace mt = mpath::topo;
+namespace mx = mpath::transport;
 using namespace mpath::util::literals;
 
 namespace {
@@ -182,4 +186,44 @@ TEST(AllocRegression, ScheduledDeparturesAreAllocationFree) {
 #else
   EXPECT_EQ(scheduled_departure_allocs(/*tickets=*/64), 0u);
 #endif
+}
+
+// One Fabric over a SinglePathChannel; a round is 32 rendezvous (1 MiB)
+// send/recv pairs on consecutive tags. After two warm-up rounds on tags
+// 0-31, a round on tags 1000-1031 must allocate what a round reusing 0-31
+// does. Each recv is spawned right after its send and matches it, so the
+// match queues never hold more than one entry and their block allocation
+// does not drift between rounds.
+TEST(AllocRegression, FreshTagsAllocateLikeReusedTags) {
+  constexpr int kPairs = 32;
+  mt::System sys = mt::make_beluga();
+  sys.costs.jitter_rel = 0;
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  mg::GpuRuntime rt(sys, engine, net);
+  mp::PipelineEngine pipe(rt, /*staging_buffers_per_device=*/64,
+                          mg::Payload::Simulated);
+  mp::SinglePathChannel channel(pipe);
+  mx::Fabric fabric(rt, channel);
+  const std::vector<mt::DeviceId> gpus = sys.topology.gpus();
+  fabric.add_worker(0, gpus[0]);
+  fabric.add_worker(1, gpus[1]);
+  mg::DeviceBuffer src(gpus[0], 1_MiB, mg::Payload::Simulated);
+  mg::DeviceBuffer dst(gpus[1], 1_MiB, mg::Payload::Simulated);
+  const auto round = [&](int first_tag) {
+    const mpath::benchcore::AllocScope scope;
+    for (int i = 0; i < kPairs; ++i) {
+      engine.spawn(fabric.worker(0).send(1, src, 0, 1_MiB, first_tag + i),
+                   "send");
+      engine.spawn(fabric.worker(1).recv(0, dst, 0, 1_MiB, first_tag + i),
+                   "recv");
+    }
+    engine.run();
+    return scope.delta();
+  };
+  round(0);
+  round(0);
+  const std::uint64_t reused = round(0);
+  EXPECT_EQ(round(1000), reused);
+  EXPECT_EQ(fabric.rendezvous_count(), 4u * kPairs);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "mpath/pipeline/channels.hpp"
@@ -273,4 +275,58 @@ TEST(Fabric, NegativeSendTagRejected) {
   }(f, src, threw), "send");
   f.engine.run();
   EXPECT_TRUE(threw);
+}
+
+TEST(Fabric, BadRecvArgumentsRejected) {
+  Fixture f;
+  mg::DeviceBuffer dst(f.gpus[1], 64);
+  int bad_ranks = 0, bad_tags = 0;
+  f.engine.spawn([](Fixture& fx, mg::DeviceBuffer& d, int& ranks,
+                    int& tags) -> ms::Task<void> {
+    for (const int src : {2, -2}) {
+      try {
+        co_await fx.fabric.worker(1).recv(src, d, 0, 64, 1);
+      } catch (const std::out_of_range&) {
+        ++ranks;
+      }
+    }
+    try {
+      co_await fx.fabric.worker(1).recv(0, d, 0, 64, -2);
+    } catch (const std::invalid_argument&) {
+      ++tags;
+    }
+  }(f, dst, bad_ranks, bad_tags), "recv");
+  f.engine.run();
+  EXPECT_EQ(bad_ranks, 2);
+  EXPECT_EQ(bad_tags, 1);
+  EXPECT_EQ(f.fabric.worker(1).posted_count(), 0u);
+}
+
+// A send whose peer never posts the matching recv parks, rendezvous and
+// eager sizes alike; Engine::run then reports the blocked process as a
+// deadlock, and the sender itself never sees a TransferError.
+TEST(Fabric, UnmatchedSendIsReportedAsDeadlock) {
+  for (const std::size_t bytes : {4_MiB, 1_KiB}) {
+    Fixture f;
+    mg::DeviceBuffer src(f.gpus[0], bytes);
+    bool transfer_error = false;
+    f.engine.spawn([](Fixture& fx, mg::DeviceBuffer& s, std::size_t n,
+                      bool& err) -> ms::Task<void> {
+      try {
+        co_await fx.fabric.worker(0).send(1, s, 0, n, 3);
+      } catch (const mg::TransferError&) {
+        err = true;
+      }
+    }(f, src, bytes, transfer_error), "unmatched-send");
+    try {
+      f.engine.run();
+      ADD_FAILURE() << bytes << " B: no deadlock reported";
+    } catch (const ms::SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("unmatched-send"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_FALSE(transfer_error) << bytes << " B";
+    EXPECT_EQ(f.fabric.worker(1).unexpected_count(), 1u) << bytes << " B";
+  }
 }
