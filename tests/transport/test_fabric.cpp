@@ -302,31 +302,50 @@ TEST(Fabric, BadRecvArgumentsRejected) {
   EXPECT_EQ(f.fabric.worker(1).posted_count(), 0u);
 }
 
+namespace {
+
 // A send whose peer never posts the matching recv parks, rendezvous and
 // eager sizes alike; Engine::run then reports the blocked process as a
 // deadlock, and the sender itself never sees a TransferError.
+void expect_unmatched_send_deadlock(std::size_t bytes) {
+  SCOPED_TRACE(testing::Message() << bytes << " B");
+  Fixture f;
+  mg::DeviceBuffer src(f.gpus[0], bytes);
+  bool transfer_error = false;
+  f.engine.spawn([](Fixture& fx, mg::DeviceBuffer& s, std::size_t n,
+                    bool& err) -> ms::Task<void> {
+    try {
+      co_await fx.fabric.worker(0).send(1, s, 0, n, 3);
+    } catch (const mg::TransferError&) {
+      err = true;
+    }
+  }(f, src, bytes, transfer_error), "unmatched-send");
+  try {
+    f.engine.run();
+    ADD_FAILURE() << "no deadlock reported";
+  } catch (const ms::SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("unmatched-send"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(transfer_error);
+  EXPECT_EQ(f.fabric.worker(1).unexpected_count(), 1u);
+}
+
+}  // namespace
+
 TEST(Fabric, UnmatchedSendIsReportedAsDeadlock) {
   for (const std::size_t bytes : {4_MiB, 1_KiB}) {
-    Fixture f;
-    mg::DeviceBuffer src(f.gpus[0], bytes);
-    bool transfer_error = false;
-    f.engine.spawn([](Fixture& fx, mg::DeviceBuffer& s, std::size_t n,
-                      bool& err) -> ms::Task<void> {
-      try {
-        co_await fx.fabric.worker(0).send(1, s, 0, n, 3);
-      } catch (const mg::TransferError&) {
-        err = true;
-      }
-    }(f, src, bytes, transfer_error), "unmatched-send");
-    try {
-      f.engine.run();
-      ADD_FAILURE() << bytes << " B: no deadlock reported";
-    } catch (const ms::SimError& e) {
-      EXPECT_NE(std::string(e.what()).find("unmatched-send"),
-                std::string::npos)
-          << e.what();
-    }
-    EXPECT_FALSE(transfer_error) << bytes << " B";
-    EXPECT_EQ(f.fabric.worker(1).unexpected_count(), 1u) << bytes << " B";
+    expect_unmatched_send_deadlock(bytes);
   }
+}
+
+// The same two cases under the names they had while the fabric had a
+// rendezvous timeout: eager sends were exempt from it, and a timeout of 0
+// (now the only behaviour) left an unmatched send to the deadlock report.
+TEST(Timeouts, EagerMessagesAreExempt) {
+  expect_unmatched_send_deadlock(1_KiB);
+}
+
+TEST(Timeouts, ZeroTimeoutKeepsLegacyBehaviour) {
+  expect_unmatched_send_deadlock(4_MiB);
 }
