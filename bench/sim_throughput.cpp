@@ -70,6 +70,20 @@ static void BM_RngJitter(benchmark::State& state) {
 }
 BENCHMARK(BM_RngJitter);
 
+// The same draws as GpuRuntime takes them, from a util::JitterStream: one
+// refill per 256 draws, then one scale and clamp per draw. Back to back, as
+// here, it reads slower per draw than BM_RngJitter; the batch pays off in
+// the simulator, where each draw sits between events (DESIGN.md, "Jitter
+// stream").
+static void BM_JitterStream(benchmark::State& state) {
+  mpath::util::JitterStream stream(7);
+  double sigma = 0.02;
+  benchmark::DoNotOptimize(sigma);
+  for (auto _ : state) benchmark::DoNotOptimize(stream.next(sigma));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_JitterStream);
+
 static void BM_CoroutineSpawnJoin(benchmark::State& state) {
   for (auto _ : state) {
     ms::Engine engine;

@@ -183,13 +183,15 @@ class GpuRuntime {
   [[nodiscard]] const topo::NetworkBinding& binding() const {
     return binding_;
   }
-  /// One jitter factor for a modeled op's cost: a draw from the runtime's
-  /// stream at the system's `jitter_rel`, or exactly 1 without a draw when
-  /// `jitter_rel` <= 0. Skipping is safe because nothing else reads the
-  /// stream and `jitter_rel` is fixed per system.
+  /// One jitter factor for a modeled op's cost: the next draw of the
+  /// runtime's util::JitterStream at the system's `jitter_rel`, equal bit
+  /// for bit to util::Rng::jitter on the same seed (the stream only draws
+  /// its σ-free factors in batches, ahead of use), or exactly 1 without a
+  /// draw when `jitter_rel` <= 0. Skipping is safe because nothing else
+  /// reads the stream and `jitter_rel` is fixed per system.
   [[nodiscard]] double jitter() {
     const double sigma = costs().jitter_rel;
-    return sigma <= 0.0 ? 1.0 : rng_.jitter(sigma);
+    return sigma <= 0.0 ? 1.0 : jitter_stream_.next(sigma);
   }
 
   /// Total simulated bytes copied through memcpy_async so far.
@@ -237,7 +239,7 @@ class GpuRuntime {
   sim::Engine* engine_;
   sim::FluidNetwork* network_;
   topo::NetworkBinding binding_;
-  util::Rng rng_;
+  util::JitterStream jitter_stream_;
   std::vector<Stream> streams_;
   std::vector<Event> events_;
   std::vector<EventId> event_free_list_;  ///< released ids, LIFO reuse

@@ -26,7 +26,10 @@ class InlineFn;
 template <typename R, typename... Args, std::size_t Cap>
 class InlineFn<R(Args...), Cap> {
  public:
-  InlineFn() noexcept = default;
+  // User-provided, not `= default`: value-initialization (`InlineFn{}`, a
+  // `= {}` default argument) would otherwise zero the whole inline buffer
+  // before running the constructor, on every empty event callback.
+  InlineFn() noexcept {}
 
   template <typename F>
     requires(!std::is_same_v<std::remove_cvref_t<F>, InlineFn>)

@@ -1,8 +1,10 @@
 // Lowers a Topology onto a sim::FluidNetwork: one fluid link per directed
 // edge (including memory channels). Routes resolved by the topology are
-// translated into fluid link sequences for simulated DMA.
+// translated into fluid link sequences for simulated DMA, once per device
+// pair.
 #pragma once
 
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -11,10 +13,16 @@
 
 namespace mpath::topo {
 
+/// A device-to-device route lowered onto the fluid network.
+struct LoweredRoute {
+  sim::Route links;
+  double latency_s = 0.0;  ///< the links' latencies summed in route order
+};
+
 class NetworkBinding {
  public:
   /// Creates one fluid link per topology edge. The topology must outlive
-  /// the binding and must not gain edges afterwards.
+  /// the binding and must not gain devices or edges afterwards.
   NetworkBinding(const Topology& topo, sim::FluidNetwork& net);
 
   [[nodiscard]] const Topology& topology() const { return *topo_; }
@@ -24,13 +32,20 @@ class NetworkBinding {
   /// Returned routes use sim::Route's inline storage — building one does
   /// not allocate for the ≤3-edge paths every shipped topology produces.
   [[nodiscard]] sim::Route links_for_route(std::span<const EdgeId> route) const;
-  /// Fluid links for a DMA from `from`'s memory to `to`'s memory.
-  [[nodiscard]] sim::Route route_links(DeviceId from, DeviceId to) const;
+  /// The route of a DMA from `from`'s memory to `to`'s memory, lowered on
+  /// the pair's first lookup and kept for the binding's lifetime: a repeat
+  /// lookup returns the same entry without touching the topology's route
+  /// cache or its lock. Throws as Topology::route does. An unreachable pair
+  /// is never stored, so it throws on every lookup. Like the runtime that
+  /// owns it, a binding is used from one thread.
+  [[nodiscard]] const LoweredRoute& route(DeviceId from, DeviceId to);
 
  private:
   const Topology* topo_;
   sim::FluidNetwork* net_;
   std::vector<sim::LinkId> edge_to_link_;
+  std::size_t devices_;  ///< the topology's device count at construction
+  std::vector<std::optional<LoweredRoute>> routes_;  ///< [from * devices_ + to]
 };
 
 }  // namespace mpath::topo

@@ -7,6 +7,8 @@
 // branches the library versions take: jitter draws are the simulator's
 // largest host cost (DESIGN.md, "Jitter stream"). uniform() and
 // uniform_int() run the standard distributions on the same engine.
+// JitterStream takes the same jitter draws in batches, on an engine of its
+// own.
 #pragma once
 
 #include <array>
@@ -81,23 +83,91 @@ inline double canonical(std::uint64_t x) {
   return u < 1.0 ? u : 0x1.fffffffffffffp-1;  // std::nextafter(1.0, 0.0)
 }
 
+/// One trial of Marsaglia's polar method on two words of a generator: the
+/// point (x, y) = 2u − 1 of two canonical draws, kept as y and r2 = x² + y².
+/// jitter_from and JitterStream take every draw through it.
+struct PolarPoint {
+  double y = 0.0;
+  double r2 = 0.0;
+
+  /// Inside the unit circle and not the origin, as libstdc++ accepts.
+  [[nodiscard]] bool accepted() const { return !(r2 > 1.0 || r2 == 0.0); }
+  /// The σ-free part of an accepted draw: libstdc++'s `y * mult`.
+  [[nodiscard]] double factor() const {
+    return y * std::sqrt(-2 * std::log(r2) / r2);
+  }
+};
+
+/// The next trial on `gen`. Keep `x * x + y * y` as written: a contracted
+/// (FMA) form rounds differently.
+template <class Gen>
+PolarPoint polar_point(Gen& gen) {
+  const double x = 2.0 * canonical(gen()) - 1.0;
+  const double y = 2.0 * canonical(gen()) - 1.0;
+  return {y, x * x + y * y};
+}
+
+/// A draw's jitter at `rel_sigma` > 0: N(1, σ) from its σ-free `factor`,
+/// clamped at 0.01. Keep `factor * rel_sigma + 1.0` unfused, as above.
+inline double jitter_at(double factor, double rel_sigma) {
+  const double j = factor * rel_sigma + 1.0;
+  return j > 0.01 ? j : 0.01;
+}
+
 /// Rng::jitter on the 64-bit words of `gen`: Marsaglia's polar method,
 /// step for step as a fresh std::normal_distribution<double>(1, rel_sigma)
 /// takes it in libstdc++, so the value and the words consumed equal the
-/// library's. Keep `x * x + y * y` and `... * rel_sigma + 1.0` as written:
-/// a contracted (FMA) form rounds differently.
+/// library's.
 template <class Gen>
 double jitter_from(Gen& gen, double rel_sigma) {
-  for (;;) {
-    const double x = 2.0 * canonical(gen()) - 1.0;
-    const double y = 2.0 * canonical(gen()) - 1.0;
-    const double r2 = x * x + y * y;
-    if (r2 > 1.0 || r2 == 0.0) continue;
-    if (rel_sigma <= 0.0) return 1.0;
-    const double j = y * std::sqrt(-2 * std::log(r2) / r2) * rel_sigma + 1.0;
-    return j > 0.01 ? j : 0.01;
-  }
+  PolarPoint p = polar_point(gen);
+  while (!p.accepted()) p = polar_point(gen);
+  if (rel_sigma <= 0.0) return 1.0;
+  return jitter_at(p.factor(), rel_sigma);
 }
+
+/// Rng::jitter's draws taken in batches: one refill draws the next
+/// kBatch accepted points, first the accept/reject scan over word pairs,
+/// then the log/sqrt/div pass that turns each into its σ-free factor, so
+/// the logs of a batch run back to back instead of one between every two
+/// simulator events. next(σ) scales one factor by σ and clamps it as
+/// jitter_from does, so the n-th value equals the n-th Rng::jitter(σ) of an
+/// Rng seeded alike, bit for bit, whatever σ > 0 each call passes.
+///
+/// The engine is the stream's own: a refill takes the words of kBatch draws
+/// ahead of use, so anything else reading that engine would see them out of
+/// order. (That is also why this is not a buffer inside Rng, whose
+/// uniform() and engine() share its engine.)
+class JitterStream {
+ public:
+  explicit JitterStream(std::uint64_t seed) : gen_(seed) {}
+
+  /// The next draw at `rel_sigma` > 0. A caller that wants no jitter at
+  /// σ <= 0 skips the call rather than passing σ.
+  double next(double rel_sigma) {
+    if (next_ == kBatch) refill();
+    return jitter_at(factors_[next_++], rel_sigma);
+  }
+
+ private:
+  static constexpr std::size_t kBatch = 256;
+
+  void refill() {
+    // A rejected trial is overwritten by the next one: n advances only on
+    // acceptance, without a branch on it.
+    std::array<PolarPoint, kBatch> points{};
+    for (std::size_t n = 0; n < kBatch;) {
+      points[n] = polar_point(gen_);
+      n += points[n].accepted();
+    }
+    for (std::size_t i = 0; i < kBatch; ++i) factors_[i] = points[i].factor();
+    next_ = 0;
+  }
+
+  Mt19937_64 gen_;
+  std::array<double, kBatch> factors_{};  ///< σ-free factors of this batch
+  std::size_t next_ = kBatch;             ///< first unused factor
+};
 
 class Rng {
  public:

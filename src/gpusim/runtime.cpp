@@ -39,7 +39,7 @@ GpuRuntime::GpuRuntime(const topo::System& system, sim::Engine& engine,
       engine_(&engine),
       network_(&network),
       binding_(system.topology, network),
-      rng_(seed) {}
+      jitter_stream_(seed) {}
 
 StreamId GpuRuntime::create_stream(topo::DeviceId device) {
   MPATH_ASSERT_OWNER(owner_, "gpusim::GpuRuntime (create_stream)");
@@ -148,7 +148,7 @@ struct GpuRuntime::Op {
   std::size_t len = 0;
   CancelTokenPtr token;
   DoneHook on_done;
-  sim::Route route;
+  const topo::LoweredRoute* route = nullptr;  ///< the binding's entry
   sim::FlowId flow = sim::kInvalidFlow;
   bool delivered = true;
 };
@@ -174,10 +174,10 @@ void GpuRuntime::Op::copy_launched(Op& op) {
                     copy_done);
   }
   // The route's startup latency, then the bytes stream as a fluid flow.
-  op.route = rt.binding_.route_links(from, to);
-  double latency = 0.0;
-  for (sim::LinkId l : op.route) latency += rt.network_->link(l).latency_s;
-  if (latency > 0.0) return op.after(latency, copy_start_flow);
+  op.route = &rt.binding_.route(from, to);
+  if (op.route->latency_s > 0.0) {
+    return op.after(op.route->latency_s, copy_start_flow);
+  }
   copy_start_flow(op);
 }
 
@@ -186,10 +186,10 @@ void GpuRuntime::Op::copy_start_flow(Op& op) {
     op.delivered = false;
     return copy_done(op);
   }
-  if (op.route.empty()) return copy_done(op);
+  if (op.route->links.empty()) return copy_done(op);
   auto* latch = new sim::Latch(*op.rt->engine_);  // owned by the flow
-  op.flow = op.rt->network_->start_flow(op.route, static_cast<double>(op.len),
-                                        latch);
+  op.flow = op.rt->network_->start_flow(op.route->links,
+                                        static_cast<double>(op.len), latch);
   // Registered with the token while the bytes stream, so token->cancel()
   // can abort the flow mid-flight.
   if (op.token) op.token->in_flight_.push_back(op.flow);

@@ -1,9 +1,14 @@
 #include "mpath/topo/binding.hpp"
 
+#include <stdexcept>
+
 namespace mpath::topo {
 
 NetworkBinding::NetworkBinding(const Topology& topo, sim::FluidNetwork& net)
-    : topo_(&topo), net_(&net) {
+    : topo_(&topo),
+      net_(&net),
+      devices_(topo.devices().size()),
+      routes_(devices_ * devices_) {
   edge_to_link_.reserve(topo.edges().size());
   for (const Edge& e : topo.edges()) {
     edge_to_link_.push_back(net.add_link(
@@ -25,8 +30,19 @@ sim::Route NetworkBinding::links_for_route(
   return out;
 }
 
-sim::Route NetworkBinding::route_links(DeviceId from, DeviceId to) const {
-  return links_for_route(topo_->route(from, to));
+const LoweredRoute& NetworkBinding::route(DeviceId from, DeviceId to) {
+  if (from >= devices_ || to >= devices_) {
+    throw std::out_of_range("NetworkBinding::route: bad DeviceId");
+  }
+  std::optional<LoweredRoute>& slot = routes_[from * devices_ + to];
+  if (!slot) {
+    LoweredRoute lowered{links_for_route(topo_->route(from, to))};
+    for (sim::LinkId l : lowered.links) {
+      lowered.latency_s += net_->link(l).latency_s;
+    }
+    slot = std::move(lowered);
+  }
+  return *slot;
 }
 
 }  // namespace mpath::topo

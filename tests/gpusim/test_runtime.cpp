@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "mpath/topo/system.hpp"
 #include "mpath/util/units.hpp"
@@ -104,6 +105,38 @@ TEST(GpuRuntime, BusyStreamOpKeepsItsSameInstantStartPlace) {
   ASSERT_NE(first, second);
   EXPECT_EQ(busy_done, kDelay + sys.costs.op_launch_s * first);
   EXPECT_EQ(idle_done, kDelay + sys.costs.op_launch_s * second);
+}
+
+// Modeled ops take their jitter from the runtime's batched stream. The
+// completion instants of zero-length copies in sequence on one stream are
+// the running sums of the launch cost scaled by a twin Rng's scalar draws,
+// across more than three of the stream's 256-draw batches.
+TEST(GpuRuntime, ModeledOpJitterMatchesScalarDrawsAcrossBatches) {
+  auto sys = mt::make_beluga();
+  sys.costs.op_launch_s = 1e-6;
+  sys.costs.jitter_rel = 0.05;
+  constexpr std::uint64_t kSeed = 11;
+  constexpr std::size_t kCopies = 800;
+  ms::Engine engine;
+  ms::FluidNetwork net{engine};
+  mg::GpuRuntime rt{sys, engine, net, kSeed};
+  const auto gpus = sys.topology.gpus();
+  mg::DeviceBuffer a(gpus[0], 64), b(gpus[1], 64);
+  const auto s = rt.create_stream(gpus[0]);
+  std::vector<double> done;
+  done.reserve(kCopies);
+  for (std::size_t i = 0; i < kCopies; ++i) {
+    rt.memcpy_async(b, 0, a, 0, 0, s, nullptr,
+                    [&](bool) { done.push_back(engine.now()); });
+  }
+  engine.run();
+  ASSERT_EQ(done.size(), kCopies);
+  mpath::util::Rng twin(kSeed);
+  double t = 0.0;
+  for (std::size_t i = 0; i < kCopies; ++i) {
+    t += sys.costs.op_launch_s * twin.jitter(sys.costs.jitter_rel);
+    ASSERT_EQ(done[i], t) << "copy " << i;
+  }
 }
 
 TEST(GpuRuntime, StreamDelayRejectsNegativeAndNaN) {

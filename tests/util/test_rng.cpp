@@ -53,6 +53,31 @@ TEST(Rng, ZeroAndPositiveSigmaConsumeTheGeneratorAlike) {
   EXPECT_EQ(off.uniform(0.0, 1.0), on.uniform(0.0, 1.0));
 }
 
+// GpuRuntime draws its jitter through a JitterStream, whose refills take
+// the draws of a whole batch ahead of use: each value must still equal the
+// scalar draw of a twin Rng, with sigma changing from one draw to the next.
+TEST(Rng, JitterStreamMatchesScalarJitterBitForBit) {
+  constexpr std::uint64_t kSeeds[] = {0, 1, 7, ~std::uint64_t{0}};
+  constexpr double kSigmas[] = {0.02, 0.05, 0.4};
+  constexpr int kDraws = 300'000;  // over 1,000 refills of 256 draws
+  for (const std::uint64_t seed : kSeeds) {
+    mu::JitterStream stream(seed);
+    mu::Rng twin(seed);
+    int clamped = 0;
+    for (int i = 0; i < kDraws; ++i) {
+      const double sigma = kSigmas[i % 3];
+      const double got = stream.next(sigma);
+      const double want = twin.jitter(sigma);
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0)
+          << "seed " << seed << " draw " << i << " sigma " << sigma << ": "
+          << got << " vs " << want;
+      if (got == 0.01) ++clamped;
+    }
+    EXPECT_GT(clamped, 0) << "seed " << seed
+                          << ": sigma 0.4 never reached the 0.01 clamp";
+  }
+}
+
 // The tests below compare against libstdc++'s own engine and distributions,
 // whose algorithms util::Rng reproduces.
 #if defined(__GLIBCXX__)
