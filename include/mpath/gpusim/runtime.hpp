@@ -15,9 +15,10 @@
 // where the paper's Algorithm 1 accounts for it (line 18).
 //
 // A stream is a FIFO the device drains, not a thread per operation: each
-// enqueued op is one pooled record that engine callbacks advance step by
-// step (no coroutine, no spawned process), and its completion latch is the
-// stream's tail, which the next op waits on.
+// stream keeps its queued ops as small entries in one ring, and the front
+// op runs through the stream's one reusable running record, which engine
+// callbacks advance step by step (no coroutine, no spawned process, no
+// record or latch per op). See DESIGN.md, "GPU stream ops".
 #pragma once
 
 #include <cstdint>
@@ -85,6 +86,7 @@ class GpuRuntime {
              sim::FluidNetwork& network, std::uint64_t seed = 1);
   GpuRuntime(const GpuRuntime&) = delete;
   GpuRuntime& operator=(const GpuRuntime&) = delete;
+  ~GpuRuntime();
 
   // -- object creation ------------------------------------------------------
   [[nodiscard]] StreamId create_stream(topo::DeviceId device);
@@ -113,12 +115,12 @@ class GpuRuntime {
   [[nodiscard]] CancelTokenPtr make_cancel_token() const;
 
   // -- stream operations (enqueue, non-blocking) ----------------------------
-  // Each call appends one op record to the stream. An op on an idle stream
-  // starts at an event queued at the current instant. An op on a busy
-  // stream queues no event: it parks on its predecessor's completion latch
-  // and starts when that fires, but in the place an event queued at enqueue
-  // would have held if the predecessor finishes later in the same instant
-  // before the engine reaches that place. Ties between streams therefore
+  // Each call appends one entry to the stream's ring. An op on an idle
+  // stream starts at an event queued at the current instant. An op on a
+  // busy stream queues no event: it reserves the place such an event would
+  // have held and starts when its predecessor finishes, in that place if
+  // the predecessor finishes later in the same instant before the engine
+  // reaches it, else at a fresh place. Ties between streams therefore
   // resolve, and jitter is drawn, in enqueue order.
   /// Completion hook for memcpy_async: runs at the simulated instant the
   /// copy finishes, with `delivered == false` when the copy was cancelled
@@ -153,12 +155,12 @@ class GpuRuntime {
 
   // -- synchronization (awaitable) ------------------------------------------
   /// Complete when every operation currently enqueued on `stream` is done.
+  /// Waiters on one op wake in the order they called, in one event; an op
+  /// someone waits on gets a latch for them, no other op does.
   [[nodiscard]] sim::Task<void> synchronize(StreamId stream);
   /// True if the most recent record of `event` has fired (non-blocking
   /// query, cudaEventQuery semantics). Never-recorded events read as fired.
   [[nodiscard]] bool event_fired(EventId event) const;
-  /// Complete when all streams are drained.
-  [[nodiscard]] sim::Task<void> device_synchronize();
 
   // -- CUDA IPC handle cache --------------------------------------------------
   /// Open `buffer` for access from `opener`. First open per (opener,
@@ -211,24 +213,19 @@ class GpuRuntime {
   }
 
  private:
-  struct Stream {
-    topo::DeviceId device;
-    // Completion latch of the last enqueued op (aliasing its record); ops
-    // chain on it.
-    std::shared_ptr<sim::Latch> tail;
-  };
   struct Event {
     // Latch of the most recent record; starts pre-fired (CUDA semantics).
     std::shared_ptr<sim::Latch> latch;
   };
-  struct Op;  // one enqueued stream operation (runtime.cpp)
-  using OpStep = void (*)(Op&);
+  enum class OpKind : std::uint8_t;  // copy, record, wait or delay
+  struct Entry;                       // one queued stream op (runtime.cpp)
+  struct Lane;  // one stream: its ring of entries and its running record
 
-  /// Append a record to `stream` whose first step is `start`: queued at
-  /// the current instant on an idle stream, parked on the tail of a busy
-  /// one. The caller fills in the op's fields; `start` cannot run before
-  /// the engine dispatches another event.
-  Op& enqueue(StreamId stream, OpStep start);
+  /// Append an entry of `kind` to `stream`: started by an event queued at
+  /// the current instant on an idle stream, holding a reserved place on a
+  /// busy one. The caller constructs the kind's payload; the op cannot
+  /// start before the engine dispatches another event.
+  Entry& enqueue(StreamId stream, OpKind kind);
 
   [[nodiscard]] std::string stream_track(StreamId stream) const;
 
@@ -240,7 +237,8 @@ class GpuRuntime {
   sim::FluidNetwork* network_;
   topo::NetworkBinding binding_;
   util::JitterStream jitter_stream_;
-  std::vector<Stream> streams_;
+  /// Sim-pool blocks, so a growing vector moves no running record.
+  std::vector<std::unique_ptr<Lane>> streams_;
   std::vector<Event> events_;
   std::vector<EventId> event_free_list_;  ///< released ids, LIFO reuse
   std::uint64_t events_acquired_ = 0;     ///< acquire_event calls

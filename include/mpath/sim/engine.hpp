@@ -1,10 +1,10 @@
 // Discrete-event simulation engine with a virtual clock.
 //
 // All simulated activity runs over one Engine: link transfers and MPI ranks
-// as coroutines, GPU stream operations as pooled records that event
-// callbacks advance. Time only advances between events, so a whole
-// OSU-style bandwidth sweep executes deterministically in milliseconds of
-// wall time.
+// as coroutines, GPU stream operations as ring entries that event callbacks
+// run through one record per stream. Time only advances between events, so
+// a whole OSU-style bandwidth sweep executes deterministically in
+// milliseconds of wall time.
 //
 // Every event has a (time, seq) place and runs in that order. Events due at
 // the current instant go to a FIFO lane while that keeps it sorted by seq
@@ -86,8 +86,9 @@ class Latch {
   /// Waiters form an intrusive FIFO list threaded through the awaiters
   /// themselves. A suspended awaiter lives in its coroutine's frame, which
   /// stays alive until the handle is resumed (a callback waiter lives in
-  /// its owner's record) — so any number of waiters park on a latch
-  /// without the latch allocating node storage.
+  /// its owner, such as a gpusim stream's running record) — so any number
+  /// of waiters park on a latch without the latch allocating node storage.
+  /// fire() wakes them all at one fresh place, in chain order.
   struct Awaiter {
     Latch* latch = nullptr;
     std::coroutine_handle<> handle{};
@@ -96,12 +97,6 @@ class Latch {
     /// coroutine resume.
     void (*fn)(void*) = nullptr;
     void* ctx = nullptr;
-    /// Optional place in the same-time order, taken with
-    /// Engine::reserve_seq() at instant `at` (0 = none). If the latch fires
-    /// at `at` before the engine has dispatched that place, the waiter wakes
-    /// there instead of after every event already queued.
-    std::uint64_t seq = 0;
-    Time at = 0.0;
     bool await_ready() const noexcept { return latch->fired_; }
     void await_suspend(std::coroutine_handle<> h) noexcept {
       handle = h;
@@ -288,8 +283,8 @@ class Engine {
 
   /// Take the sequence number the next queued event would get, without
   /// queueing one. Same-time events run in sequence order, so this holds a
-  /// place for work that may start at the current instant (see
-  /// Latch::Awaiter::seq); an unused number leaves no trace.
+  /// place for work that may start at the current instant (a gpusim op on
+  /// a busy stream, say); an unused number leaves no trace.
   [[nodiscard]] std::uint64_t reserve_seq() {
     MPATH_ASSERT_OWNER(owner_, "sim::Engine (event scheduling)");
     if (next_seq_ >= (1ull << (64 - kSlotBits))) {

@@ -28,7 +28,8 @@ struct StaticTunerOptions {
   int warmup = 1;
   std::uint64_t seed = 7;
   /// When non-empty, tuning results are cached as CSV files under this
-  /// directory and reused on repeat calls.
+  /// directory and reused on repeat calls. A file's name carries every
+  /// option above, so tuners that differ in any of them never share a plan.
   std::string cache_dir;
 };
 
@@ -53,6 +54,8 @@ class StaticTuner {
  private:
   [[nodiscard]] double measure(const pipeline::StaticPlan& plan,
                                std::size_t bytes) const;
+  /// Shares of the fraction grid: 1 / fraction_step, rounded, at least 1.
+  [[nodiscard]] int grid_steps() const;
   [[nodiscard]] std::string cache_path(std::size_t bytes) const;
   [[nodiscard]] bool load_cached(std::size_t bytes, StaticTuneResult& out) const;
   void store_cached(std::size_t bytes, const StaticTuneResult& result) const;

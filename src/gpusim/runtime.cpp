@@ -33,6 +33,301 @@ void erase_flow(util::SmallVec<sim::FlowId, 4>& v, sim::FlowId id) {
 }
 }  // namespace
 
+enum class GpuRuntime::OpKind : std::uint8_t { kCopy, kRecord, kWait, kDelay };
+
+/// One queued stream op: what it does, its payload, and the same-instant
+/// place it reserved at enqueue. Entries are constructed in a lane's raw
+/// ring storage without initialisation: an enqueue writes only the fields
+/// its kind needs, and the lane destroys the payload when the op finishes.
+struct GpuRuntime::Entry {
+  struct Copy {
+    DeviceBuffer* dst;
+    const DeviceBuffer* src;
+    std::size_t dst_offset;
+    std::size_t src_offset;
+    std::size_t len;
+    CancelTokenPtr token;
+    DoneHook on_done;
+  };
+
+  // User-provided and empty: constructing an entry writes nothing, and the
+  // lane destroys the payload of `kind`.
+  Entry() {}
+  ~Entry() {}
+
+  OpKind kind;
+  sim::Latch* waiters;  ///< synchronize() waiters: the first one's latch
+  std::uint64_t seq;    ///< busy stream: the place reserved at enqueue
+  sim::Time at;         ///< busy stream: the instant of that reservation
+  union {
+    Copy copy;
+    std::shared_ptr<sim::Latch> event;  ///< record: fires it; wait: awaits it
+    double seconds;                     ///< delay length
+  };
+};
+
+/// One stream: a ring of queued entries whose front op is running, and the
+/// running record that op runs through, one event per delay (at
+/// `now + dt`). Engine callbacks and latch waiter nodes point at the lane,
+/// never into the ring. The ring is a power-of-two map of chunks of
+/// kChunk entries; growth adds chunks and moves only chunk pointers, so no
+/// entry moves either. The lane, its map and its chunks are sim-pool blocks
+/// of at most 8 KiB (a map past 1,024 chunks falls through to the heap); a
+/// one-chunk map is the lane's own `first` slot.
+struct GpuRuntime::Lane {
+  using Step = void (*)(Lane&);
+  static constexpr std::uint64_t kChunk = 32;  ///< entries per chunk
+  static constexpr std::size_t kChunkBytes = kChunk * sizeof(Entry);
+  static_assert(kChunkBytes <= 8192, "a ring chunk must fit a pool block");
+
+  static void* operator new(std::size_t n) {
+    return sim::detail::pool_alloc(n);
+  }
+  static void operator delete(void* p, std::size_t n) noexcept {
+    sim::detail::pool_free(p, n);
+  }
+
+  Lane(GpuRuntime& runtime, StreamId stream, topo::DeviceId dev)
+      : rt(&runtime), id(stream), device(dev) {
+    waiter.fn = [](void* self) {
+      Lane& lane = *static_cast<Lane*>(self);
+      lane.next(lane);
+    };
+    waiter.ctx = this;
+  }
+  Lane(const Lane&) = delete;
+  Lane& operator=(const Lane&) = delete;
+  ~Lane() {
+    while (!idle()) pop();
+    for (std::size_t i = 0; i < slots; ++i) {
+      if (chunks[i] != nullptr) sim::detail::pool_free(chunks[i], kChunkBytes);
+    }
+    if (chunks != &first) {
+      sim::detail::pool_free(chunks, slots * sizeof(Entry*));
+    }
+  }
+
+  [[nodiscard]] bool idle() const { return head == tail; }
+  [[nodiscard]] Entry* slot(std::uint64_t i) const {
+    return chunks[(i / kChunk) & (slots - 1)] + i % kChunk;
+  }
+  [[nodiscard]] Entry& front() const { return *slot(head); }
+  [[nodiscard]] Entry& back() const { return *slot(tail - 1); }
+
+  /// Construct an entry at the back, unwritten.
+  Entry& push() {
+    if (tail % kChunk == 0) {
+      // Entering a chunk: its map slot may still hold the head's chunk.
+      if (tail / kChunk - head / kChunk >= slots) grow();
+      Entry*& chunk = chunks[(tail / kChunk) & (slots - 1)];
+      if (chunk == nullptr) {
+        chunk = static_cast<Entry*>(sim::detail::pool_alloc(kChunkBytes));
+      }
+    }
+    return *::new (slot(tail++)) Entry;
+  }
+  /// Destroy the front entry. An emptied ring restarts at its first slot,
+  /// so a stream that drains keeps reusing the same cache lines; it keeps
+  /// its chunks, so steady state allocates nothing.
+  void pop() {
+    Entry& e = front();
+    switch (e.kind) {
+      case OpKind::kCopy:
+        e.copy.~Copy();
+        break;
+      case OpKind::kRecord:
+      case OpKind::kWait:
+        e.event.~shared_ptr();
+        break;
+      case OpKind::kDelay:
+        break;
+    }
+    e.~Entry();
+    if (++head == tail) head = tail = 0;
+  }
+  /// Double the chunk map; the live chunks keep their entries and move to
+  /// their slots in the larger map.
+  void grow() {
+    const std::size_t grown = 2 * slots;
+    auto** map =
+        static_cast<Entry**>(sim::detail::pool_alloc(grown * sizeof(Entry*)));
+    std::fill(map, map + grown, nullptr);
+    for (std::uint64_t c = head / kChunk; c < tail / kChunk; ++c) {
+      map[c & (grown - 1)] = chunks[c & (slots - 1)];
+    }
+    if (chunks != &first) {
+      sim::detail::pool_free(chunks, slots * sizeof(Entry*));
+    }
+    chunks = map;
+    slots = grown;
+  }
+
+  /// Run `step` `dt` simulated seconds from now.
+  void after(double dt, Step step) {
+    sim::Engine& e = *rt->engine_;
+    e.schedule_callback(e.now() + dt, [this, step] { step(*this); });
+  }
+  /// Run `step` after `cost` scaled by the runtime's jitter, drawn now.
+  void after_jittered(double cost, Step step) {
+    after(cost * rt->jitter(), step);
+  }
+  /// Run `step` from the event `latch`'s fire() queues. The waiter node
+  /// lives here, not in the latch: FluidNetwork destroys a flow's latch
+  /// right after firing it.
+  void park(sim::Latch& latch, Step step) {
+    next = step;
+    latch.add_waiter(waiter);
+  }
+
+  static void start(Lane& lane);
+  static void finish(Lane& lane);
+  static void waited(Lane& lane);
+  static void recorded(Lane& lane);
+  static void start_copy(Lane& lane);
+  static void copy_launched(Lane& lane);
+  static void copy_start_flow(Lane& lane);
+  static void copy_done(Lane& lane);
+
+  GpuRuntime* rt;
+  StreamId id;
+  topo::DeviceId device;
+  // The running record: the front op's progress.
+  Step next = nullptr;         ///< what a wakeup of `waiter` runs
+  sim::Latch::Awaiter waiter;  ///< node on the latch the lane waits on now
+  const topo::LoweredRoute* route = nullptr;  ///< copy: the binding's entry
+  sim::FlowId flow = sim::kInvalidFlow;       ///< copy: its fluid flow
+  double started = 0.0;                       ///< copy: trace span start
+  bool delivered = true;                      ///< copy: not cancelled
+  // The ring.
+  Entry* first = nullptr;   ///< the map while it has one slot
+  Entry** chunks = &first;  ///< map of `slots` chunk pointers
+  std::size_t slots = 1;    ///< a power of two
+  std::uint64_t head = 0;   ///< index of the front entry
+  std::uint64_t tail = 0;   ///< index one past the back entry
+};
+
+void GpuRuntime::Lane::start(Lane& lane) {
+  Entry& op = lane.front();
+  switch (op.kind) {
+    case OpKind::kCopy:
+      return start_copy(lane);
+    case OpKind::kRecord:
+      return lane.after_jittered(lane.rt->costs().event_record_s, recorded);
+    case OpKind::kWait:
+      if (op.event->fired()) return waited(lane);
+      return lane.park(*op.event, waited);
+    case OpKind::kDelay:
+      return lane.after(op.seconds, finish);
+  }
+}
+
+void GpuRuntime::Lane::recorded(Lane& lane) {
+  lane.front().event->fire();
+  finish(lane);
+}
+
+void GpuRuntime::Lane::waited(Lane& lane) {
+  lane.after_jittered(lane.rt->costs().event_wait_s, finish);
+}
+
+/// Complete the front op and start its successor. A successor reserved its
+/// place at enqueue: it starts there if the place is at this instant and
+/// still ahead, before the op's synchronize() waiters wake. Otherwise it
+/// starts at a fresh place: after the waiters, in their one wakeup event,
+/// or in an event of its own when there are none.
+void GpuRuntime::Lane::finish(Lane& lane) {
+  sim::Engine& e = *lane.rt->engine_;
+  sim::Latch* waiters = lane.front().waiters;
+  lane.pop();
+  if (!lane.idle()) {
+    const Entry& next = lane.front();
+    if (next.at == e.now() && next.seq > e.current_seq()) {
+      e.schedule_reserved(next.seq, [l = &lane] { start(*l); });
+    } else if (waiters != nullptr) {
+      lane.park(*waiters, start);
+    } else {
+      e.schedule_callback(e.now(), [l = &lane] { start(*l); });
+    }
+  }
+  if (waiters != nullptr) waiters->fire();
+}
+
+void GpuRuntime::Lane::start_copy(Lane& lane) {
+  Entry::Copy& op = lane.front().copy;
+  if (op.token && op.token->cancelled()) {
+    // Drain without moving data or paying dispatch latency.
+    if (op.on_done) op.on_done(false);
+    return finish(lane);
+  }
+  lane.flow = sim::kInvalidFlow;
+  lane.delivered = true;
+  lane.started = lane.rt->engine_->now();
+  // Device-side dispatch latency for the copy engine.
+  lane.after_jittered(lane.rt->costs().op_launch_s, copy_launched);
+}
+
+void GpuRuntime::Lane::copy_launched(Lane& lane) {
+  const Entry::Copy& op = lane.front().copy;
+  if (op.len == 0) return copy_done(lane);
+  GpuRuntime& rt = *lane.rt;
+  const topo::DeviceId from = op.src->device();
+  const topo::DeviceId to = op.dst->device();
+  if (from == to) {
+    return lane.after(static_cast<double>(op.len) / rt.costs().local_copy_bps,
+                      copy_done);
+  }
+  // The route's startup latency, then the bytes stream as a fluid flow.
+  lane.route = &rt.binding_.route(from, to);
+  if (lane.route->latency_s > 0.0) {
+    return lane.after(lane.route->latency_s, copy_start_flow);
+  }
+  copy_start_flow(lane);
+}
+
+void GpuRuntime::Lane::copy_start_flow(Lane& lane) {
+  const Entry::Copy& op = lane.front().copy;
+  if (op.token && op.token->cancelled()) {
+    lane.delivered = false;
+    return copy_done(lane);
+  }
+  if (lane.route->links.empty()) return copy_done(lane);
+  auto* latch = new sim::Latch(*lane.rt->engine_);  // owned by the flow
+  lane.flow = lane.rt->network_->start_flow(
+      lane.route->links, static_cast<double>(op.len), latch);
+  // Registered with the token while the bytes stream, so token->cancel()
+  // can abort the flow mid-flight.
+  if (op.token) op.token->in_flight_.push_back(lane.flow);
+  lane.park(*latch, copy_done);
+}
+
+void GpuRuntime::Lane::copy_done(Lane& lane) {
+  GpuRuntime& rt = *lane.rt;
+  Entry::Copy& op = lane.front().copy;
+  if (op.token && lane.flow != sim::kInvalidFlow) {
+    erase_flow(op.token->in_flight_, lane.flow);
+    lane.delivered = !op.token->was_cancelled(lane.flow);
+  }
+  if (op.len > 0 && lane.delivered) {
+    // Payload lands at completion time; simulated buffers carry none.
+    if (op.dst->materialized() && op.src->materialized()) {
+      std::memcpy(op.dst->region(op.dst_offset, op.len).data(),
+                  op.src->region(op.src_offset, op.len).data(), op.len);
+    }
+    rt.bytes_copied_ += op.len;
+  }
+  if (rt.tracer_ != nullptr) {
+    rt.tracer_->add_span(
+        rt.stream_track(lane.id),
+        std::string(lane.delivered ? "copy " : "copy(cancelled) ") +
+            util::format_bytes(op.len) + " " +
+            rt.topology().device(op.src->device()).name + "->" +
+            rt.topology().device(op.dst->device()).name,
+        lane.started, rt.engine_->now());
+  }
+  if (op.on_done) op.on_done(lane.delivered);
+  finish(lane);
+}
+
 GpuRuntime::GpuRuntime(const topo::System& system, sim::Engine& engine,
                        sim::FluidNetwork& network, std::uint64_t seed)
     : system_(&system),
@@ -41,12 +336,13 @@ GpuRuntime::GpuRuntime(const topo::System& system, sim::Engine& engine,
       binding_(system.topology, network),
       jitter_stream_(seed) {}
 
+GpuRuntime::~GpuRuntime() = default;
+
 StreamId GpuRuntime::create_stream(topo::DeviceId device) {
   MPATH_ASSERT_OWNER(owner_, "gpusim::GpuRuntime (create_stream)");
-  auto tail = sim::make_pooled<sim::Latch>(*engine_);
-  tail->fire();  // empty stream is drained
-  streams_.push_back(Stream{device, std::move(tail)});
-  return static_cast<StreamId>(streams_.size() - 1);
+  const auto id = static_cast<StreamId>(streams_.size());
+  streams_.push_back(std::unique_ptr<Lane>(new Lane(*this, id, device)));
+  return id;
 }
 
 EventId GpuRuntime::create_event() {
@@ -84,167 +380,27 @@ bool GpuRuntime::event_fired(EventId event) const {
   return events_.at(event).latch->fired();
 }
 
-/// One enqueued stream operation: a pooled record that engine callbacks
-/// advance step by step, one event per delay (at `now + dt`), with no
-/// coroutine frame and no process. The completion latch `done` is the
-/// stream tail, and the record lives as long as anyone holds that latch:
-/// the stream, the next op until it finishes, or a synchronize(). While
-/// the op runs, the stream or the next op always does.
-struct GpuRuntime::Op {
-  explicit Op(GpuRuntime& runtime) : rt(&runtime), done(*runtime.engine_) {
-    waiter.fn = [](void* self) {
-      Op& op = *static_cast<Op*>(self);
-      op.next(op);
-    };
-    waiter.ctx = this;
-  }
-
-  /// Run `step` `dt` simulated seconds from now.
-  void after(double dt, OpStep step) {
-    sim::Engine& e = *rt->engine_;
-    e.schedule_callback(e.now() + dt, [this, step] { step(*this); });
-  }
-  /// Run `step` after `cost` scaled by the runtime's jitter, drawn now.
-  void after_jittered(double cost, OpStep step) {
-    after(cost * rt->jitter(), step);
-  }
-  /// Run `step` from the event `latch`'s fire() queues. The waiter node
-  /// lives here, not in the latch: FluidNetwork destroys a flow's latch
-  /// right after firing it. A nonzero `seq` holds a same-time place (see
-  /// sim::Latch::Awaiter::seq).
-  void park(sim::Latch& latch, OpStep step, std::uint64_t seq = 0) {
-    next = step;
-    waiter.seq = seq;
-    waiter.at = rt->engine_->now();
-    latch.add_waiter(waiter);
-  }
-  /// Complete: fire the stream-order latch and drop what the op held.
-  static void finish(Op& op) {
-    op.done.fire();
-    op.prev.reset();
-    op.event.reset();
-    op.token.reset();
-    op.on_done.reset();
-  }
-
-  static void start_copy(Op& op);
-  static void copy_launched(Op& op);
-  static void copy_start_flow(Op& op);
-  static void copy_done(Op& op);
-
-  GpuRuntime* rt;
-  sim::Latch done;
-  sim::Latch::Awaiter waiter;  ///< node on the latch the op waits on now
-  OpStep next = nullptr;       ///< what a wakeup of `waiter` runs
-  std::shared_ptr<sim::Latch> prev;   ///< predecessor on a busy stream
-  std::shared_ptr<sim::Latch> event;  ///< record: fires it; wait: awaits it
-  StreamId stream = 0;
-  double seconds = 0.0;  ///< delay length; copy: trace span start
-  // Copy only.
-  DeviceBuffer* dst = nullptr;
-  const DeviceBuffer* src = nullptr;
-  std::size_t dst_offset = 0;
-  std::size_t src_offset = 0;
-  std::size_t len = 0;
-  CancelTokenPtr token;
-  DoneHook on_done;
-  const topo::LoweredRoute* route = nullptr;  ///< the binding's entry
-  sim::FlowId flow = sim::kInvalidFlow;
-  bool delivered = true;
-};
-
-void GpuRuntime::Op::start_copy(Op& op) {
-  if (op.token && op.token->cancelled()) {
-    // Drain without moving data or paying dispatch latency.
-    if (op.on_done) op.on_done(false);
-    return finish(op);
-  }
-  op.seconds = op.rt->engine_->now();
-  // Device-side dispatch latency for the copy engine.
-  op.after_jittered(op.rt->costs().op_launch_s, copy_launched);
-}
-
-void GpuRuntime::Op::copy_launched(Op& op) {
-  if (op.len == 0) return copy_done(op);
-  GpuRuntime& rt = *op.rt;
-  const topo::DeviceId from = op.src->device();
-  const topo::DeviceId to = op.dst->device();
-  if (from == to) {
-    return op.after(static_cast<double>(op.len) / rt.costs().local_copy_bps,
-                    copy_done);
-  }
-  // The route's startup latency, then the bytes stream as a fluid flow.
-  op.route = &rt.binding_.route(from, to);
-  if (op.route->latency_s > 0.0) {
-    return op.after(op.route->latency_s, copy_start_flow);
-  }
-  copy_start_flow(op);
-}
-
-void GpuRuntime::Op::copy_start_flow(Op& op) {
-  if (op.token && op.token->cancelled()) {
-    op.delivered = false;
-    return copy_done(op);
-  }
-  if (op.route->links.empty()) return copy_done(op);
-  auto* latch = new sim::Latch(*op.rt->engine_);  // owned by the flow
-  op.flow = op.rt->network_->start_flow(op.route->links,
-                                        static_cast<double>(op.len), latch);
-  // Registered with the token while the bytes stream, so token->cancel()
-  // can abort the flow mid-flight.
-  if (op.token) op.token->in_flight_.push_back(op.flow);
-  op.park(*latch, copy_done);
-}
-
-void GpuRuntime::Op::copy_done(Op& op) {
-  GpuRuntime& rt = *op.rt;
-  if (op.token && op.flow != sim::kInvalidFlow) {
-    erase_flow(op.token->in_flight_, op.flow);
-    op.delivered = !op.token->was_cancelled(op.flow);
-  }
-  if (op.len > 0 && op.delivered) {
-    // Payload lands at completion time; simulated buffers carry none.
-    if (op.dst->materialized() && op.src->materialized()) {
-      std::memcpy(op.dst->region(op.dst_offset, op.len).data(),
-                  op.src->region(op.src_offset, op.len).data(), op.len);
-    }
-    rt.bytes_copied_ += op.len;
-  }
-  if (rt.tracer_ != nullptr) {
-    rt.tracer_->add_span(
-        rt.stream_track(op.stream),
-        std::string(op.delivered ? "copy " : "copy(cancelled) ") +
-            util::format_bytes(op.len) + " " +
-            rt.topology().device(op.src->device()).name + "->" +
-            rt.topology().device(op.dst->device()).name,
-        op.seconds, rt.engine_->now());
-  }
-  if (op.on_done) op.on_done(op.delivered);
-  finish(op);
-}
-
-GpuRuntime::Op& GpuRuntime::enqueue(StreamId stream, OpStep start) {
+GpuRuntime::Entry& GpuRuntime::enqueue(StreamId stream, OpKind kind) {
   MPATH_ASSERT_OWNER(owner_, "gpusim::GpuRuntime (stream enqueue)");
-  Stream& s = streams_.at(stream);
-  auto record = sim::make_pooled<Op>(*this);
-  Op& op = *record;
-  op.stream = stream;
-  if (s.tail->fired()) {
+  Lane& lane = *streams_.at(stream);
+  const bool idle = lane.idle();
+  Entry& op = lane.push();
+  op.kind = kind;
+  op.waiters = nullptr;
+  if (idle) {
     engine_->schedule_callback(engine_->now(),
-                               [o = &op, start] { start(*o); });
+                               [l = &lane] { Lane::start(*l); });
   } else {
     // Busy stream: no start event, but keep the place one would have had.
-    const std::uint64_t seq = engine_->reserve_seq();
-    op.prev = std::move(s.tail);
-    op.park(*op.prev, start, seq);
+    op.seq = engine_->reserve_seq();
+    op.at = engine_->now();
   }
-  s.tail = std::shared_ptr<sim::Latch>(std::move(record), &op.done);
   ++ops_issued_;
   if (tracer_ != nullptr && --ops_until_sample_ == 0) {
     ops_until_sample_ = counter_stride_;
     std::size_t busy = 0;
-    for (const Stream& st : streams_) {
-      if (!st.tail->fired()) ++busy;
+    for (const auto& l : streams_) {
+      if (!l->idle()) ++busy;
     }
     tracer_->add_counter("gpusim", "streams_busy", engine_->now(),
                          static_cast<double>(busy));
@@ -254,7 +410,7 @@ GpuRuntime::Op& GpuRuntime::enqueue(StreamId stream, OpStep start) {
 
 std::string GpuRuntime::stream_track(StreamId stream) const {
   return "stream" + std::to_string(stream) + " (" +
-         topology().device(streams_.at(stream).device).name + ")";
+         topology().device(streams_.at(stream)->device).name + ")";
 }
 
 void GpuRuntime::memcpy_async(DeviceBuffer& dst, std::size_t dst_offset,
@@ -265,39 +421,24 @@ void GpuRuntime::memcpy_async(DeviceBuffer& dst, std::size_t dst_offset,
   // some later simulated instant.
   dst.check_region(dst_offset, len);
   src.check_region(src_offset, len);
-  Op& op = enqueue(stream, &Op::start_copy);
-  op.dst = &dst;
-  op.src = &src;
-  op.dst_offset = dst_offset;
-  op.src_offset = src_offset;
-  op.len = len;
-  op.token = std::move(token);
-  op.on_done = std::move(on_done);
+  Entry& op = enqueue(stream, OpKind::kCopy);
+  ::new (&op.copy) Entry::Copy{&dst,       &src, dst_offset,
+                               src_offset, len,  std::move(token),
+                               std::move(on_done)};
 }
 
 void GpuRuntime::record_event(EventId event, StreamId stream) {
   auto recorded = sim::make_pooled<sim::Latch>(*engine_);
   events_.at(event).latch = recorded;
-  Op& op = enqueue(stream, [](Op& o) {
-    o.after_jittered(o.rt->costs().event_record_s, [](Op& r) {
-      r.event->fire();
-      Op::finish(r);
-    });
-  });
-  op.event = std::move(recorded);
+  Entry& op = enqueue(stream, OpKind::kRecord);
+  ::new (&op.event) std::shared_ptr<sim::Latch>(std::move(recorded));
 }
 
 void GpuRuntime::wait_event(StreamId stream, EventId event) {
   // CUDA captures the event state at enqueue time.
   auto latch = events_.at(event).latch;
-  Op& op = enqueue(stream, [](Op& o) {
-    const OpStep waited = [](Op& w) {
-      w.after_jittered(w.rt->costs().event_wait_s, &Op::finish);
-    };
-    if (o.event->fired()) return waited(o);
-    o.park(*o.event, waited);
-  });
-  op.event = std::move(latch);
+  Entry& op = enqueue(stream, OpKind::kWait);
+  ::new (&op.event) std::shared_ptr<sim::Latch>(std::move(latch));
 }
 
 void GpuRuntime::stream_delay(StreamId stream, double seconds) {
@@ -305,21 +446,20 @@ void GpuRuntime::stream_delay(StreamId stream, double seconds) {
     throw std::invalid_argument(
         "GpuRuntime::stream_delay: seconds must be >= 0 and not NaN");
   }
-  Op& op = enqueue(stream, [](Op& o) { o.after(o.seconds, &Op::finish); });
+  Entry& op = enqueue(stream, OpKind::kDelay);
   op.seconds = seconds;
 }
 
 sim::Task<void> GpuRuntime::synchronize(StreamId stream) {
-  auto tail = streams_.at(stream).tail;
-  co_await tail->wait();
-}
-
-sim::Task<void> GpuRuntime::device_synchronize() {
-  // Snapshot tails first: ops enqueued after this call are not covered.
-  std::vector<std::shared_ptr<sim::Latch>> tails;
-  tails.reserve(streams_.size());
-  for (const Stream& s : streams_) tails.push_back(s.tail);
-  for (auto& t : tails) co_await t->wait();
+  Lane& lane = *streams_.at(stream);
+  if (lane.idle()) co_return;
+  // The first waiter on the stream's last op lends it the latch in its own
+  // frame, which stays suspended until the op finishes and fires it; later
+  // waiters join it.
+  sim::Latch latch(*engine_);
+  Entry& last = lane.back();
+  if (last.waiters == nullptr) last.waiters = &latch;
+  co_await last.waiters->wait();
 }
 
 sim::Task<void> GpuRuntime::ipc_open(topo::DeviceId opener,

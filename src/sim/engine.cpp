@@ -18,19 +18,6 @@ void Latch::fire() {
   Awaiter* head = head_;
   head_ = nullptr;
   tail_ = nullptr;
-  // A waiter that reserved a place at this instant which the engine has not
-  // dispatched yet wakes in that place: where an event queued at its
-  // reservation would have run.
-  for (Awaiter** link = &head; *link != nullptr;) {
-    Awaiter* w = *link;
-    if (w->seq != 0 && w->at == engine_->now() &&
-        w->seq > engine_->current_seq()) {
-      *link = w->next;
-      engine_->schedule_reserved(w->seq, [w] { w->wake(); });
-    } else {
-      link = &w->next;
-    }
-  }
   if (head == nullptr) return;
   if (head->next == nullptr && head->fn == nullptr) {
     engine_->schedule_handle(engine_->now(), head->handle);
@@ -205,7 +192,7 @@ Process Engine::spawn(Task<void> task, std::string name) {
   // Amortized reclamation: sweeping on a doubling watermark keeps spawn
   // O(1) amortized even when millions of short-lived processes are created
   // (isend/irecv spawn one per message, open-loop traffic one per arrival).
-  // GPU stream operations are pooled records, not processes.
+  // GPU stream operations are ring entries, not processes.
   if (roots_.size() >= sweep_watermark_) {
     sweep_completed_roots();
     sweep_watermark_ = std::max<std::size_t>(1024, 2 * roots_.size());

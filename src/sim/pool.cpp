@@ -8,9 +8,10 @@ namespace mpath::sim::detail {
 namespace {
 
 // 64-byte size classes up to 8 KiB cover every pooled object in the stack:
-// InlineFn event payloads, Latch, ProcState, shared_ptr control blocks, and
-// all coroutine frame sizes the pipeline/gpusim layers produce. Anything
-// larger is rare enough to pass through.
+// InlineFn event payloads, Latch, ProcState, shared_ptr control blocks,
+// gpusim's stream lanes and ring chunks, and all coroutine frame sizes the
+// pipeline/gpusim layers produce. Anything larger is rare enough to pass
+// through.
 constexpr std::size_t kGranularity = 64;
 constexpr std::size_t kMaxPooled = 8192;
 constexpr std::size_t kNumBuckets = kMaxPooled / kGranularity;

@@ -50,14 +50,14 @@ struct Probe {
       : runtime(system, engine, network, seed) {}
 };
 
-/// Time one isolated copy a->b of `bytes` (median over `iters` runs).
-double time_copy(Probe& probe, topo::DeviceId a, topo::DeviceId b,
-                 std::size_t bytes, int iters) {
+/// Time one isolated copy a->b of `bytes` on `stream`, a stream of `a`
+/// that is idle between runs (median over `iters` runs).
+double time_copy(Probe& probe, gpusim::StreamId stream, topo::DeviceId a,
+                 topo::DeviceId b, std::size_t bytes, int iters) {
   std::vector<double> samples;
   for (int i = 0; i < iters; ++i) {
     gpusim::DeviceBuffer src(a, bytes, gpusim::Payload::Simulated);
     gpusim::DeviceBuffer dst(b, bytes, gpusim::Payload::Simulated);
-    const auto stream = probe.runtime.create_stream(a);
     const double start = probe.engine.now();
     double finish = start;
     probe.runtime.memcpy_async(dst, 0, src, 0, bytes, stream);
@@ -168,10 +168,13 @@ model::ModelRegistry calibrate(const topo::System& system,
 
   for (const auto& [a, b] : routes_to_measure(system.topology)) {
     model::HockneyFitter fitter;
+    // One stream per route: each copy runs on it alone and drains, so it
+    // times exactly what a fresh stream would.
+    const auto stream = probe.runtime.create_stream(a);
     for (std::size_t bytes : options.sizes) {
       fitter.add_sample(
           static_cast<double>(bytes),
-          time_copy(probe, a, b, bytes, options.iterations));
+          time_copy(probe, stream, a, b, bytes, options.iterations));
     }
     reg.set_route_params(a, b, fitter.fit());
   }

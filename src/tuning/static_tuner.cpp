@@ -61,8 +61,7 @@ StaticTuneResult StaticTuner::tune(std::size_t bytes) {
   }
 
   const std::size_t p = paths_.size();
-  const int steps = std::max(1, static_cast<int>(
-                                    std::lround(1.0 / options_.fraction_step)));
+  const int steps = grid_steps();
   // Enumerate all compositions (f_1, ..., f_{p-1}) of the staged shares on
   // the grid; the direct path takes the remainder (and must keep > 0).
   std::vector<std::vector<int>> compositions;
@@ -105,12 +104,25 @@ StaticTuneResult StaticTuner::tune(std::size_t bytes) {
   return best;
 }
 
+int StaticTuner::grid_steps() const {
+  return std::max(
+      1, static_cast<int>(std::lround(1.0 / options_.fraction_step)));
+}
+
 std::string StaticTuner::cache_path(std::size_t bytes) const {
+  // Every option that can change the winning plan is in the name, so a
+  // tuner with another grid or protocol never reads this one's plan.
   std::ostringstream name;
   name << "static_" << system_.topology.name() << "_" << policy_.label()
        << "_"
        << (options_.metric == TuneMetric::Unidirectional ? "bw" : "bibw")
-       << "_w" << options_.window << "_" << bytes << ".csv";
+       << "_w" << options_.window << "_it" << options_.iterations << "_wu"
+       << options_.warmup << "_seed" << options_.seed << "_f"
+       << grid_steps() << "_k";
+  for (std::size_t i = 0; i < options_.chunk_grid.size(); ++i) {
+    name << (i > 0 ? "-" : "") << options_.chunk_grid[i];
+  }
+  name << "_" << bytes << ".csv";
   return options_.cache_dir + "/" + name.str();
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <stdexcept>
 #include <vector>
@@ -33,6 +34,14 @@ struct CleanFixture {
   mg::GpuRuntime rt{sys, engine, net};
   std::vector<mt::DeviceId> gpus = sys.topology.gpus();
 };
+
+/// Synchronize each of `streams` in turn and record the instant after.
+ms::Task<void> sync_streams(mg::GpuRuntime& rt,
+                            std::vector<mg::StreamId> streams,
+                            double* done = nullptr) {
+  for (const mg::StreamId s : streams) co_await rt.synchronize(s);
+  if (done != nullptr) *done = rt.engine().now();
+}
 
 }  // namespace
 
@@ -107,6 +116,158 @@ TEST(GpuRuntime, BusyStreamOpKeepsItsSameInstantStartPlace) {
   EXPECT_EQ(idle_done, kDelay + sys.costs.op_launch_s * second);
 }
 
+// synchronize() waiters on an op that later gets a successor wake in a
+// fixed order and number of events. A successor that keeps its reserved
+// same-instant place starts there, before the waiters' wakeup event; one
+// that misses it starts in one event with the waiters, after them. The
+// successor drains at its start event (its token is cancelled), so its
+// hook marks the start.
+TEST(GpuRuntime, SyncWaitersAndSuccessorWakeInQueueOrder) {
+  for (bool keeps_place : {true, false}) {
+    for (int waiters : {1, 2}) {
+      CleanFixture f;
+      mg::DeviceBuffer a(f.gpus[0], 64), b(f.gpus[1], 64);
+      const auto s = f.rt.create_stream(f.gpus[0]);
+      auto token = f.rt.make_cancel_token();
+      token->cancel();
+      constexpr double kDelay = 1e-5;
+      std::vector<int> order;
+      f.rt.stream_delay(s, kDelay);
+      for (int w = 1; w <= waiters; ++w) {
+        f.engine.spawn([](mg::GpuRuntime& rt, mg::StreamId st,
+                          std::vector<int>& log, int id) -> ms::Task<void> {
+          co_await rt.synchronize(st);
+          log.push_back(id);
+        }(f.rt, s, order, w));
+      }
+      // At kDelay this runs before the delay's end event, which is queued
+      // later (when the delay starts), so the successor's place is ahead.
+      // At 0 the successor enqueues an instant before the delay ends.
+      f.engine.schedule_callback(keeps_place ? kDelay : 0.0, [&] {
+        f.rt.memcpy_async(b, 0, a, 0, 64, s, token, [&](bool delivered) {
+          EXPECT_FALSE(delivered);
+          EXPECT_EQ(f.engine.now(), kDelay);
+          order.push_back(0);
+        });
+      });
+      const std::uint64_t events = f.engine.run();
+      std::vector<int> want;
+      if (keeps_place) want.push_back(0);
+      for (int w = 1; w <= waiters; ++w) want.push_back(w);
+      if (!keeps_place) want.push_back(0);
+      EXPECT_EQ(order, want) << "keeps_place " << keeps_place << " waiters "
+                             << waiters;
+      // The delay's start and end, one start per waiter, the enqueueing
+      // callback, then two wakeup events or one.
+      const auto base = static_cast<std::uint64_t>(3 + waiters);
+      EXPECT_EQ(events, base + (keeps_place ? 2u : 1u))
+          << "keeps_place " << keeps_place << " waiters " << waiters;
+    }
+  }
+}
+
+// 4,096 ops queued on one stream while its front copy streams finish in
+// FIFO order, at pinned jitter-free instants: every copy's hook reports its
+// own index, in order, and the completion instants below are the ones a
+// queue of one pooled record per op produced. The queue outgrows any
+// initial ring while the front op runs.
+TEST(GpuRuntime, DeepQueueBehindRunningCopyFinishesInOrder) {
+  CleanFixture f;
+  mg::DeviceBuffer a(f.gpus[0], 1_MiB, mg::Payload::Simulated);
+  mg::DeviceBuffer b(f.gpus[1], 1_MiB, mg::Payload::Simulated);
+  const auto s = f.rt.create_stream(f.gpus[0]);
+  const auto ev = f.rt.create_event();
+  std::vector<int> ids;
+  std::vector<double> at;
+  const auto hook = [&](int id) {
+    return [&ids, &at, &engine = f.engine, id](bool delivered) {
+      EXPECT_TRUE(delivered);
+      ids.push_back(id);
+      at.push_back(engine.now());
+    };
+  };
+  f.rt.memcpy_async(b, 0, a, 0, 1_MiB, s, nullptr, hook(-1));
+  constexpr int kOps = 4096;
+  // 1 MiB at 46 GB/s streams from 1 us to ~23.8 us.
+  f.engine.schedule_callback(10e-6, [&] {
+    for (int i = 0; i < kOps; ++i) {
+      switch (i % 4) {
+        case 0: {
+          const auto len = static_cast<std::size_t>(1 + i % 7) * 1_KiB;
+          f.rt.memcpy_async(b, 0, a, 0, len, s, nullptr, hook(i));
+          break;
+        }
+        case 1:
+          f.rt.stream_delay(s, 1e-7 * (i % 5));
+          break;
+        case 2:
+          f.rt.record_event(ev, s);
+          break;
+        default:
+          f.rt.wait_event(s, ev);
+          break;
+      }
+    }
+  });
+  f.engine.run();
+  ASSERT_EQ(ids.size(), static_cast<std::size_t>(1 + kOps / 4));
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    ASSERT_EQ(ids[k], k == 0 ? -1 : 4 * (static_cast<int>(k) - 1))
+        << "copy " << k;
+  }
+  ASSERT_TRUE(std::is_sorted(at.begin(), at.end()));
+  double sum = 0.0;
+  for (double t : at) sum += t;
+  EXPECT_EQ(at[0], 0x1.8f374e98f51bep-16);
+  EXPECT_EQ(at[512], 0x1.664ee49731ebp-11);
+  EXPECT_EQ(at.back(), 0x1.602c23141dfeap-10);
+  EXPECT_EQ(sum, 0x1.66ab7d6572a39p-1);
+  EXPECT_EQ(f.rt.ops_issued(), static_cast<std::uint64_t>(1 + kOps));
+}
+
+// A cancelled token drains a deep queue of governed copies: the copy in
+// flight is aborted, every queued one drains at its start without moving
+// data or paying dispatch latency, and the stream ends idle (a later
+// synchronize() returns without waiting).
+TEST(GpuRuntime, CancelledTokenDrainsDeepQueueWithoutMovingData) {
+  CleanFixture f;
+  mg::DeviceBuffer src(f.gpus[0], 256_KiB), dst(f.gpus[1], 256_KiB);
+  src.fill_pattern(3);
+  dst.fill_pattern(4);
+  mg::DeviceBuffer ref(f.gpus[1], 256_KiB);
+  ref.fill_pattern(4);
+  const auto s = f.rt.create_stream(f.gpus[0]);
+  auto token = f.rt.make_cancel_token();
+  constexpr int kOps = 2048;
+  constexpr double kCancelAt = 2e-6;  // the first copy streams 1-2.4 us
+  int drained = 0;
+  for (int i = 0; i < kOps; ++i) {
+    const std::size_t off = static_cast<std::size_t>(i % 4) * 64_KiB;
+    f.rt.memcpy_async(dst, off, src, off, 64_KiB, s, token,
+                      [&](bool delivered) {
+                        EXPECT_FALSE(delivered);
+                        EXPECT_EQ(f.engine.now(), kCancelAt);
+                        ++drained;
+                      });
+  }
+  f.engine.schedule_callback(kCancelAt, [&] { token->cancel(); });
+  const std::uint64_t events = f.engine.run();
+  EXPECT_EQ(drained, kOps);
+  EXPECT_EQ(token->flows_cancelled(), 1u);
+  EXPECT_EQ(f.rt.bytes_copied(), 0u);
+  EXPECT_TRUE(dst.same_content(ref));
+  EXPECT_EQ(events, 2054u);  // as the pooled-record queue counted
+  bool synced = false;
+  f.engine.spawn([](mg::GpuRuntime& rt, mg::StreamId st,
+                    bool& out) -> ms::Task<void> {
+    co_await rt.synchronize(st);
+    out = true;
+  }(f.rt, s, synced));
+  EXPECT_EQ(f.engine.run(), 1u);  // the spawn's own start, no wait
+  EXPECT_TRUE(synced);
+  EXPECT_EQ(f.engine.now(), kCancelAt);
+}
+
 // Modeled ops take their jitter from the runtime's batched stream. The
 // completion instants of zero-length copies in sequence on one stream are
 // the running sums of the launch cost scaled by a twin Rng's scalar draws,
@@ -159,10 +320,7 @@ TEST(GpuRuntime, IndependentStreamsOverlap) {
   f.rt.memcpy_async(d0, 0, s0, 0, 46_MiB, st0);
   f.rt.memcpy_async(d1, 0, s1, 0, 46_MiB, st1);
   double finish = -1;
-  f.engine.spawn([](mg::GpuRuntime& rt, double& out) -> ms::Task<void> {
-    co_await rt.device_synchronize();
-    out = rt.engine().now();
-  }(f.rt, finish));
+  f.engine.spawn(sync_streams(f.rt, {st0, st1}, &finish));
   f.engine.run();
   const double one_copy = 1e-6 + static_cast<double>(46_MiB) / gbps(46);
   EXPECT_NEAR(finish, one_copy, 1e-6);
@@ -178,10 +336,7 @@ TEST(GpuRuntime, SameLinkCopiesContend) {
   f.rt.memcpy_async(da, 0, sa, 0, 46_MiB, st0);
   f.rt.memcpy_async(db, 0, sb, 0, 46_MiB, st1);
   double finish = -1;
-  f.engine.spawn([](mg::GpuRuntime& rt, double& out) -> ms::Task<void> {
-    co_await rt.device_synchronize();
-    out = rt.engine().now();
-  }(f.rt, finish));
+  f.engine.spawn(sync_streams(f.rt, {st0, st1}, &finish));
   f.engine.run();
   const double shared = 1e-6 + 2.0 * static_cast<double>(46_MiB) / gbps(46);
   EXPECT_NEAR(finish, shared, 1e-6);
@@ -199,9 +354,7 @@ TEST(GpuRuntime, EventsOrderAcrossStreams) {
   f.rt.record_event(ev, s0);
   f.rt.wait_event(s1, ev);
   f.rt.memcpy_async(c, 0, b, 0, 64, s1);
-  f.engine.spawn([](mg::GpuRuntime& rt) -> ms::Task<void> {
-    co_await rt.device_synchronize();
-  }(f.rt));
+  f.engine.spawn(sync_streams(f.rt, {s0, s1}));
   f.engine.run();
   EXPECT_TRUE(c.same_content(a));
 }
@@ -245,9 +398,7 @@ TEST(GpuRuntime, RegionOffsetsRespected) {
   dst.fill_pattern(6);
   const auto s = f.rt.create_stream(f.gpus[0]);
   f.rt.memcpy_async(dst, 128, src, 0, 64, s);
-  f.engine.spawn([](mg::GpuRuntime& rt) -> ms::Task<void> {
-    co_await rt.device_synchronize();
-  }(f.rt));
+  f.engine.spawn(sync_streams(f.rt, {s}));
   f.engine.run();
   // dst[128..192) == src[0..64); the rest of dst is untouched.
   EXPECT_TRUE(std::equal(dst.bytes().begin() + 128, dst.bytes().begin() + 192,
@@ -302,9 +453,7 @@ TEST(GpuRuntime, OpCountsTracked) {
   f.rt.record_event(ev, s);
   f.rt.wait_event(s, ev);
   EXPECT_EQ(f.rt.ops_issued(), 3u);
-  f.engine.spawn([](mg::GpuRuntime& rt) -> ms::Task<void> {
-    co_await rt.device_synchronize();
-  }(f.rt));
+  f.engine.spawn(sync_streams(f.rt, {s}));
   f.engine.run();
 }
 
@@ -339,9 +488,7 @@ TEST(GpuRuntime, ReacquiredEventRearmsAtRecord) {
   const auto ev = f.rt.acquire_event();
   f.rt.memcpy_async(b, 0, a, 0, 1_MiB, s0);
   f.rt.record_event(ev, s0);
-  f.engine.spawn([](mg::GpuRuntime& rt) -> ms::Task<void> {
-    co_await rt.device_synchronize();
-  }(f.rt));
+  f.engine.spawn(sync_streams(f.rt, {s0}));
   f.engine.run();
   f.rt.release_event(ev);
 
@@ -358,9 +505,7 @@ TEST(GpuRuntime, ReacquiredEventRearmsAtRecord) {
   f.rt.record_event(ev2, s2);
   f.rt.wait_event(s3, ev2);
   f.rt.memcpy_async(c, 0, b, 0, 1_MiB, s3);
-  f.engine.spawn([](mg::GpuRuntime& rt) -> ms::Task<void> {
-    co_await rt.device_synchronize();
-  }(f.rt));
+  f.engine.spawn(sync_streams(f.rt, {s2, s3}));
   f.engine.run();
   EXPECT_TRUE(c.same_content(d));
   f.rt.release_event(ev2);

@@ -1,11 +1,13 @@
 // Regression guard for the zero-allocation steady state: after one warmup
 // round fills the event/flow/frame pools and container high-water marks, a
 // second identical round of full-stack pipeline transfers must perform zero
-// global operator-new calls. The same holds for the scheduler's departure
-// side: once its ledger and solver buffers have grown, a departure or a
-// link-capacity change (each a water-fill over every live path) allocates
-// nothing. And the transport keeps no per-tag state: a round of messages on
-// tags it has never seen allocates no more than one on reused tags.
+// global operator-new calls. The same holds for a stream queue thousands of
+// ops deep, and for the scheduler's departure side: once its ledger and
+// solver buffers have grown, a departure or a link-capacity change (each a
+// water-fill over every live path) allocates nothing. A fresh stack built
+// on a warm pool allocates no more than the pooled-record stream queue did.
+// And the transport keeps no per-tag state: a round of messages on tags it
+// has never seen allocates no more than one on reused tags.
 //
 // This binary deliberately lives in its own test target: it links
 // mpath_alloc_hook, which replaces the global operator new/delete with
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "mpath/benchcore/alloc_hook.hpp"
+#include "mpath/benchcore/stack.hpp"
 #include "mpath/pipeline/channels.hpp"
 #include "mpath/pipeline/engine.hpp"
 #include "mpath/pipeline/scheduler.hpp"
@@ -82,6 +85,73 @@ std::uint64_t steady_state_allocs(int workers, int repeats, bool monitored) {
   const mpath::benchcore::AllocScope scope;
   spawn_round();
   engine.run();
+  return scope.delta();
+}
+
+/// Two identical rounds of `ops` stream ops enqueued at once on one stream
+/// (copies, delays, and record/wait pairs on one event) and drained.
+/// Returns the allocations of the second round.
+std::uint64_t deep_stream_round_allocs(int ops) {
+  mt::System sys = mt::make_beluga();
+  sys.costs.jitter_rel = 0;
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  mg::GpuRuntime rt(sys, engine, net);
+  const std::vector<mt::DeviceId> gpus = sys.topology.gpus();
+  mg::DeviceBuffer a(gpus[0], 64_KiB, mg::Payload::Simulated);
+  mg::DeviceBuffer b(gpus[1], 64_KiB, mg::Payload::Simulated);
+  const mg::StreamId s = rt.create_stream(gpus[0]);
+  const mg::EventId ev = rt.create_event();
+  std::uint64_t hooks = 0;
+  const auto round = [&] {
+    for (int i = 0; i < ops; ++i) {
+      switch (i % 4) {
+        case 0:
+          rt.memcpy_async(b, 0, a, 0, 4_KiB, s, nullptr,
+                          [&hooks](bool) { ++hooks; });
+          break;
+        case 1:
+          rt.stream_delay(s, 1e-7);
+          break;
+        case 2:
+          rt.record_event(ev, s);
+          break;
+        default:
+          rt.wait_event(s, ev);
+          break;
+      }
+    }
+    engine.run();
+  };
+  round();  // warmup: pools and the stream's queue reach their high-water marks
+  const mpath::benchcore::AllocScope scope;
+  round();
+  const std::uint64_t allocs = scope.delta();
+  EXPECT_EQ(hooks, 2u * static_cast<std::uint64_t>((ops + 3) / 4));
+  return allocs;
+}
+
+/// Build a fresh model-driven stack and run one 32 MiB transfer through
+/// its channel, three times; returns the allocations of the third, when
+/// the simulator pool has seen two stacks come and go.
+std::uint64_t fresh_stack_allocs() {
+  const mt::System sys = mt::make_beluga();
+  const mm::ModelRegistry reg = mpath::tuning::registry_from_topology(sys);
+  mm::PathConfigurator cfg(reg);
+  const std::vector<mt::DeviceId> gpus = sys.topology.gpus();
+  mg::DeviceBuffer src(gpus[0], 32_MiB, mg::Payload::Simulated);
+  mg::DeviceBuffer dst(gpus[1], 32_MiB, mg::Payload::Simulated);
+  const auto once = [&] {
+    auto stack = mpath::benchcore::SimStack::model_driven(
+        sys, cfg, mt::PathPolicy::three_gpus());
+    stack.engine().spawn(stack.channel().transfer(dst, 0, src, 0, 32_MiB),
+                         "transfer");
+    stack.engine().run();
+  };
+  once();
+  once();
+  const mpath::benchcore::AllocScope scope;
+  once();
   return scope.delta();
 }
 
@@ -177,6 +247,27 @@ TEST(AllocRegression, MonitoredSteadyStateRoundIsAllocationFree) {
   EXPECT_EQ(steady_state_allocs(/*workers=*/8, /*repeats=*/4,
                                 /*monitored=*/true),
             0u);
+#endif
+}
+
+TEST(AllocRegression, DeepStreamQueueRoundIsAllocationFree) {
+#if defined(MPATH_POOL_PASSTHROUGH)
+  GTEST_SKIP() << "size-bucketed pool is pass-through under sanitizers";
+#else
+  EXPECT_EQ(deep_stream_round_allocs(/*ops=*/4096), 0u);
+#endif
+}
+
+// A stack built on a warm pool, the way perfbench's osu-p2p and
+// tenants-faulted build one or two per unit, takes its stream lanes and
+// ring chunks from the pool. Building one and running a transfer allocates
+// no more than with one pooled record per stream op: the bound is that
+// design's count for this stack.
+TEST(AllocRegression, FreshStackOnWarmPoolAllocatesNoMoreThanBefore) {
+#if defined(MPATH_POOL_PASSTHROUGH)
+  GTEST_SKIP() << "size-bucketed pool is pass-through under sanitizers";
+#else
+  EXPECT_LE(fresh_stack_allocs(), 242u);
 #endif
 }
 

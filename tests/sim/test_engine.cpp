@@ -193,38 +193,6 @@ TEST(Engine, LatchWakesCallbackWaitersInChainOrder) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-// A waiter that reserved a place at an instant wakes in that place when the
-// latch fires at that instant before the engine reaches it, and after the
-// events already queued when the place has passed.
-TEST(Engine, ReservedWaiterWakesInItsSameInstantPlace) {
-  for (bool fire_before_place : {true, false}) {
-    ms::Engine e;
-    ms::Latch latch(e);
-    std::vector<int> order;
-    ms::Latch::Awaiter node;
-    node.fn = [](void* ctx) {
-      static_cast<std::vector<int>*>(ctx)->push_back(2);
-    };
-    node.ctx = &order;
-    e.schedule_callback(1.0, [&] {
-      node.seq = e.reserve_seq();
-      node.at = e.now();
-      latch.add_waiter(node);
-      e.schedule_callback(1.0, [&] {  // queued after the reserved place
-        if (!fire_before_place) latch.fire();
-        order.push_back(3);
-      });
-    });
-    e.schedule_callback(1.0, [&] {  // queued before the reserved place
-      if (fire_before_place) latch.fire();
-      order.push_back(1);
-    });
-    e.run();
-    EXPECT_EQ(order, fire_before_place ? (std::vector<int>{1, 2, 3})
-                                       : (std::vector<int>{1, 3, 2}));
-  }
-}
-
 TEST(Engine, DeadlockDetected) {
   ms::Engine e;
   auto latch = std::make_unique<ms::Latch>(e);

@@ -4,12 +4,11 @@
 // The differential test runs a seeded random program that queues work every
 // way the engine offers: schedule_handle, schedule_callback and defer (at
 // now() and later), reserve_seq + schedule_reserved, Latch::fire over
-// reserved and unreserved callback waiters, and Timer arm / re-arm /
-// disarm. Times sit on a 1/4 grid, so exact ties between lane, heap and
-// timer entries are common. Every queued firing is recorded with the
-// (t, seq) place it was given, and the dispatch log of (now(),
-// current_seq()) must equal those places sorted by (t, seq), with no
-// superseded or disarmed timer firing in it.
+// callback waiters, and Timer arm / re-arm / disarm. Times sit on a 1/4
+// grid, so exact ties between lane, heap and timer entries are common.
+// Every queued firing is recorded with the (t, seq) place it was given, and
+// the dispatch log of (now(), current_seq()) must equal those places sorted
+// by (t, seq), with no superseded or disarmed timer firing in it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,8 +102,7 @@ class Program {
   std::vector<Firing> log;
   /// How often each interesting path ran, so the test can insist on it.
   struct Counts {
-    int now_events = 0, later_events = 0, reserved = 0;
-    int waiters_in_place = 0, waiters_batched = 0;
+    int now_events = 0, later_events = 0, reserved = 0, waiters_batched = 0;
     int rearms = 0, disarms = 0, timer_firings = 0;
   } counts;
 
@@ -216,23 +214,16 @@ class Program {
           self->program->step(self->id);
         };
         w.node.ctx = &w;
-        if (rng_.uniform_int(0, 1) == 0) {
-          w.node.seq = engine_.reserve_seq();
-          w.node.at = now;
-        }
         latches_.back().add_waiter(w.node);
         waiting_.push_back(&w);
         break;
       }
       case 6: {
-        // A waiter whose reserved place at this instant is still ahead
-        // wakes there; the rest share one wakeup in chain order.
+        // The waiters share one wakeup, in chain order.
         const std::uint64_t batch = next_seq();
         for (Waiter* w : waiting_) {
-          const bool in_place = w->node.seq != 0 && w->node.at == now &&
-                                w->node.seq > engine_.current_seq();
-          w->id = record(now, in_place ? w->node.seq : batch);
-          ++(in_place ? counts.waiters_in_place : counts.waiters_batched);
+          w->id = record(now, batch);
+          ++counts.waiters_batched;
         }
         waiting_.clear();
         latches_.back().fire();
@@ -292,7 +283,6 @@ TEST(EngineOrder, MixedQueueingDispatchesInTimeSeqOrder) {
     total.now_events += c.now_events;
     total.later_events += c.later_events;
     total.reserved += c.reserved;
-    total.waiters_in_place += c.waiters_in_place;
     total.waiters_batched += c.waiters_batched;
     total.rearms += c.rearms;
     total.disarms += c.disarms;
@@ -302,7 +292,6 @@ TEST(EngineOrder, MixedQueueingDispatchesInTimeSeqOrder) {
   EXPECT_GT(total.now_events, 1000);
   EXPECT_GT(total.later_events, 1000);
   EXPECT_GT(total.reserved, 100);
-  EXPECT_GT(total.waiters_in_place, 100);
   EXPECT_GT(total.waiters_batched, 100);
   EXPECT_GT(total.rearms, 100);
   EXPECT_GT(total.disarms, 100);

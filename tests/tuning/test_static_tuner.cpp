@@ -72,6 +72,38 @@ TEST(StaticTuner, CacheRoundTrip) {
   std::filesystem::remove_all(cache);
 }
 
+// A cached plan is named by the grid and protocol that tuned it: a tuner
+// with another fraction step, chunk grid or iteration count tunes afresh
+// instead of reading it, and leaves it in place for its own tuner.
+TEST(StaticTuner, AnotherGridMissesACachedPlan) {
+  const std::string cache =
+      ::testing::TempDir() + "mpath_tuner_cache_grid_test";
+  std::filesystem::remove_all(cache);
+  auto opt = coarse_options();
+  opt.cache_dir = cache;
+  EXPECT_FALSE(tu::StaticTuner(mt::make_beluga(), mt::PathPolicy::two_gpus(),
+                               opt)
+                   .tune(4_MiB)
+                   .from_cache);
+  auto chunks = opt;
+  chunks.chunk_grid = {1, 16};
+  auto fractions = opt;
+  fractions.fraction_step = 0.5;
+  auto iterations = opt;
+  iterations.iterations = 3;
+  for (const tu::StaticTunerOptions& other : {chunks, fractions, iterations}) {
+    tu::StaticTuner tuner(mt::make_beluga(), mt::PathPolicy::two_gpus(),
+                          other);
+    EXPECT_FALSE(tuner.tune(4_MiB).from_cache);
+    EXPECT_TRUE(tuner.tune(4_MiB).from_cache);
+  }
+  EXPECT_TRUE(tu::StaticTuner(mt::make_beluga(), mt::PathPolicy::two_gpus(),
+                              opt)
+                  .tune(4_MiB)
+                  .from_cache);
+  std::filesystem::remove_all(cache);
+}
+
 TEST(StaticTuner, RequiresTwoGpus) {
   mt::System sys = mt::make_beluga();
   mt::Topology solo("solo");
