@@ -150,12 +150,11 @@ LoopRun run_loop(bc::SimStack& stack, Coll c, std::size_t bytes, int iters) {
       auto& ch = static_cast<mp::ModelDrivenChannel&>(stack.channel());
       const auto& gs = ch.graph_stats();
       std::printf("    iter %d: now=%.17g replays=%llu fresh=%llu "
-                  "busy=%llu compfail=%llu\n",
+                  "busy=%llu\n",
                   i, stack.engine().now(),
                   static_cast<unsigned long long>(gs.replays),
                   static_cast<unsigned long long>(gs.replays_fresh),
-                  static_cast<unsigned long long>(gs.busy_fallbacks),
-                  static_cast<unsigned long long>(gs.compile_failures));
+                  static_cast<unsigned long long>(gs.busy_fallbacks));
     }
   }
   return r;

@@ -103,7 +103,7 @@ BENCHMARK(BM_PhiFit);
 
 namespace {
 
-// Compile/replay need the pipeline stack (streams, events, staging slots);
+// Compile/replay need the pipeline stack (streams and events);
 // the engine never advances — both paths are host-side only.
 struct GraphSetup {
   mt::System system = [] {
@@ -130,8 +130,8 @@ GraphSetup& graph_setup() {
 }  // namespace
 
 // Cache-miss cost: theta solve + TransferConfig + template compile (stream
-// resolution, event reservation, staging lease, op-DAG flattening). The
-// graph is dropped each iteration so its staging slot recycles.
+// resolution, event reservation, op-DAG flattening). The graph is dropped
+// each iteration so its events recycle.
 static void BM_GraphColdBuild(benchmark::State& state) {
   auto& s = graph_setup();
   mm::ConfiguratorOptions opt;

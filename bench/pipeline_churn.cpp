@@ -216,7 +216,6 @@ static void BM_ChannelChurn(benchmark::State& state) {
     transfers += static_cast<std::uint64_t>(workers) * repeats;
     const auto& g = ch.graph_stats();
     gs.compiles += g.compiles;
-    gs.compile_failures += g.compile_failures;
     gs.replays += g.replays;
     gs.replays_fresh += g.replays_fresh;
     gs.busy_fallbacks += g.busy_fallbacks;
@@ -239,7 +238,6 @@ static void BM_ChannelChurn(benchmark::State& state) {
   state.counters["epoch_fallbacks_per_transfer"] = per(gs.epoch_fallbacks);
   state.counters["contended_rejects_per_transfer"] =
       per(gs.contended_rejects);
-  state.counters["compile_failures_per_transfer"] = per(gs.compile_failures);
 }
 BENCHMARK(BM_ChannelChurn)
     ->Args({8, 0})

@@ -7,6 +7,8 @@
 //     (Algorithm 1): which paths, what fraction each, how many chunks.
 //  4. Execute that exact configuration on the simulated node and compare
 //     measured against predicted time.
+//  5. Reload the persisted model and check that it configures the transfer
+//     exactly as the calibrated one does (exits 1 if it does not).
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>
@@ -30,7 +32,8 @@ int main() {
   //    staging overhead epsilon from microbenchmarks.
   model::ModelRegistry registry = tuning::calibrate(system);
   // Persist it exactly as the runtime integration would:
-  registry.save_csv("/tmp/mpath_quickstart_model.csv");
+  const char* const model_path = "/tmp/mpath_quickstart_model.csv";
+  registry.save_csv(model_path);
 
   // 3. Optimal configuration for a 64 MB transfer GPU0 -> GPU1 using the
   //    direct path, two GPU-staged paths, and the host-staged path.
@@ -86,5 +89,15 @@ int main() {
   std::printf("prediction error: %.1f%%\n",
               100.0 *
                   std::abs(measured - config.predicted_time) / measured);
-  return 0;
+
+  // 5. The persisted model must plan exactly like the one it came from.
+  const model::ModelRegistry reloaded =
+      model::ModelRegistry::load_csv(model_path);
+  model::PathConfigurator reloaded_configurator(reloaded);
+  const bool same =
+      reloaded_configurator.configure(gpus[0], gpus[1], bytes, paths) ==
+      config;
+  std::printf("reloaded model: %s\n",
+              same ? "same configuration" : "DIFFERENT configuration (bug!)");
+  return same ? 0 : 1;
 }

@@ -87,7 +87,7 @@ class SimStack {
   std::unique_ptr<gpusim::DataChannel> channel_;
   // Declared after channel_ and before world_: the World detaches the tap
   // first, then the controller's chains release their compiled templates
-  // (runtime events / staging leases) while the channel and runtime live.
+  // (runtime events) while the channel and runtime live.
   std::unique_ptr<pipeline::ChainController> chain_;
   std::unique_ptr<mpisim::World> world_;
 };

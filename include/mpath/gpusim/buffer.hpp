@@ -6,14 +6,18 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "mpath/topo/topology.hpp"
+#include "mpath/util/small_vec.hpp"
 
 namespace mpath::gpusim {
 
 using BufferId = std::uint64_t;
+
+class GpuRuntime;
 
 /// Whether a buffer carries real bytes. Benchmarks move hundreds of MB per
 /// simulated transfer; materializing (and copying) that payload costs real
@@ -67,10 +71,25 @@ class DeviceBuffer {
   }
 
  private:
+  friend class GpuRuntime;  // opens and looks up IPC handles
+
+  /// A CUDA IPC handle opened on this buffer by `opener` through the
+  /// runtime numbered `runtime`.
+  struct IpcHandle {
+    std::uint64_t runtime;
+    topo::DeviceId opener;
+  };
+
   BufferId id_;
   topo::DeviceId device_;
   std::size_t size_;
   std::vector<std::byte> bytes_;  // empty for Simulated buffers
+  /// Handles opened on the buffer die with it, as a registration cache
+  /// drops its entries when the memory is unmapped. Null until the first
+  /// open, so a buffer no peer opens carries one pointer for them. Opening
+  /// is a runtime-side act on a const buffer, hence mutable; like the
+  /// runtime, a buffer is used from one thread.
+  mutable std::unique_ptr<util::SmallVec<IpcHandle, 2>> ipc_handles_;
 };
 
 }  // namespace mpath::gpusim

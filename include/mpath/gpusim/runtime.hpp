@@ -6,8 +6,9 @@
 //   * async copies move bytes between device buffers along the topology
 //     route, sharing links with all concurrent traffic (fluid model),
 //   * opening a peer buffer for IPC pays a one-time cost per
-//     (opener device, buffer) pair, amortized by a handle cache —
-//     UCX's cuda_ipc registration cache.
+//     (runtime, opener device, buffer), amortized by handles the buffer
+//     keeps until it is destroyed — UCX's cuda_ipc registration cache,
+//     which drops an entry when its memory is unmapped.
 //
 // Enqueue calls are non-blocking (they return immediately at the current
 // simulated instant); host-side issue overhead is modeled by the callers
@@ -24,7 +25,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "mpath/gpusim/buffer.hpp"
@@ -162,16 +162,14 @@ class GpuRuntime {
   /// query, cudaEventQuery semantics). Never-recorded events read as fired.
   [[nodiscard]] bool event_fired(EventId event) const;
 
-  // -- CUDA IPC handle cache --------------------------------------------------
-  /// Open `buffer` for access from `opener`. First open per (opener,
-  /// buffer) pays the system's ipc_open cost; later opens are free.
+  // -- CUDA IPC handles -------------------------------------------------------
+  /// Open `buffer` for access from `opener`. This runtime's first open per
+  /// (opener, buffer) pays the system's ipc_open cost; later opens are free.
+  /// The handle lives in the buffer and dies with it.
   [[nodiscard]] sim::Task<void> ipc_open(topo::DeviceId opener,
                                          const DeviceBuffer& buffer);
   [[nodiscard]] bool ipc_cached(topo::DeviceId opener,
                                 const DeviceBuffer& buffer) const;
-  /// Drop all cached handles (tests / cache-behaviour benchmarks).
-  void ipc_cache_clear();
-  [[nodiscard]] std::size_t ipc_cache_size() const { return ipc_cache_.size(); }
 
   // -- accessors --------------------------------------------------------------
   [[nodiscard]] sim::Engine& engine() { return *engine_; }
@@ -243,7 +241,8 @@ class GpuRuntime {
   std::vector<EventId> event_free_list_;  ///< released ids, LIFO reuse
   std::uint64_t events_acquired_ = 0;     ///< acquire_event calls
   std::uint64_t events_released_ = 0;     ///< release_event calls
-  std::set<std::pair<topo::DeviceId, BufferId>> ipc_cache_;
+  /// Names this runtime's IPC handles; never shared by two runtimes.
+  std::uint64_t ipc_serial_;
   std::uint64_t bytes_copied_ = 0;
   std::uint64_t ops_issued_ = 0;
   sim::Tracer* tracer_ = nullptr;

@@ -68,6 +68,7 @@ struct PathShare {
   int chunks = 1;              ///< pipeline chunk count k_i
   double predicted_time = 0.0; ///< model time for this share
   PathTerms terms;             ///< (Omega, Delta) used for this path
+  friend bool operator==(const PathShare&, const PathShare&) = default;
 };
 
 struct TransferConfig {
@@ -80,6 +81,9 @@ struct TransferConfig {
                ? static_cast<double>(total_bytes) / predicted_time
                : 0.0;
   }
+  /// Exact, field by field (a persisted model must reproduce its configs).
+  friend bool operator==(const TransferConfig&,
+                         const TransferConfig&) = default;
 };
 
 class PathConfigurator {

@@ -49,6 +49,7 @@ struct PathTerms {
   [[nodiscard]] double time(double theta, double n_bytes) const {
     return theta * n_bytes * omega + delta;
   }
+  friend bool operator==(const PathTerms&, const PathTerms&) = default;
 };
 
 /// Topology constants phi for the chunk-count linearization (paper Eq. 19).

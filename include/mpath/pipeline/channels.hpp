@@ -112,7 +112,6 @@ struct ModelDrivenOptions {
 /// Monotonic counters describing compiled-graph usage on a channel.
 struct GraphUseStats {
   std::uint64_t compiles = 0;          ///< templates built (cache misses)
-  std::uint64_t compile_failures = 0;  ///< staging pool full; uncompiled
   std::uint64_t replays = 0;           ///< cache-hit fast-path executions
   std::uint64_t replays_fresh = 0;     ///< executions right after a compile
   std::uint64_t busy_fallbacks = 0;    ///< template mid-replay
@@ -234,8 +233,7 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
                   std::span<const topo::PathPlan> paths, bool canonical,
                   Plan& plan);
   /// Compile `config` into a template, stamp it with the current capacity
-  /// epoch, and insert it into the cache. Returns nullptr (and counts a
-  /// compile failure) when the staging pool has no free slot.
+  /// epoch, and insert it into the cache.
   [[nodiscard]] std::shared_ptr<TransferGraph> compile_template(
       topo::DeviceId src, topo::DeviceId dst,
       const model::TransferConfig& config);

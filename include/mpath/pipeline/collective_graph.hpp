@@ -35,10 +35,11 @@
 // Under recovery a claimed step is watched like any replayed template, and
 // a step whose capture attempt re-planned stays passthrough.
 //
-// Lifetime: chains hold TransferGraphs, which borrow events/staging from
-// the runtime — destroy the controller (or clear() it) before the runtime,
-// and clear the World's transfer tap (destroy the World) before the
-// controller. Single-threaded like the rest of the engine.
+// Lifetime: chains hold TransferGraphs, which borrow streams and events
+// from the runtime and lease staging only while a step replays — destroy
+// the controller (or clear() it) before the runtime, and clear the World's
+// transfer tap (destroy the World) before the controller. Single-threaded
+// like the rest of the engine.
 #pragma once
 
 #include <cstdint>
@@ -73,7 +74,6 @@ struct ChainStats {
   std::uint64_t bypasses = 0;            ///< enter() during another chain
   std::uint64_t replayed_steps = 0;      ///< steps run via chain fast path
   std::uint64_t passthrough_steps = 0;   ///< chain steps with no template
-  std::uint64_t compile_failures = 0;    ///< seal-time compile soft-fails
   // -- invalidation causes --------------------------------------------------
   std::uint64_t busy_fallbacks = 0;      ///< step template mid-replay
   std::uint64_t unhealthy_steps = 0;     ///< a step template path unhealthy
@@ -138,7 +138,7 @@ class ChainController {
   // -- introspection --------------------------------------------------------
   [[nodiscard]] const ChainStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t cache_size() const { return cache_.size(); }
-  /// Drop every cached chain (releases their templates' events/staging).
+  /// Drop every cached chain (releases their templates' events).
   void clear();
 
  private:

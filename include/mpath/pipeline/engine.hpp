@@ -16,7 +16,8 @@
 // path initiation sequential — the effect Algorithm 1 line 18 models.
 //
 // There is one issue loop: an uncompiled plan runs as a transient
-// TransferGraph (graph.hpp) through the loop that replays templates.
+// TransferGraph (graph.hpp) through the loop that replays templates, and
+// that loop leases each run's staging buffers from the engine's pool.
 #pragma once
 
 #include <cstdint>
@@ -104,13 +105,10 @@ class PipelineEngine {
       PathWatchList watch);
 
   /// Compile `config` into a reusable TransferGraph template: resolve
-  /// streams, reserve events, acquire a persistent staging slot per staged
-  /// share, and flatten the chunk-op issue order. Takes no simulated time
-  /// (staging uses the non-blocking try_acquire). Returns nullptr when a
-  /// staging slot is unavailable right now — callers fall back to the
-  /// uncompiled path rather than deadlocking the pool with persistent
-  /// leases. Throws std::invalid_argument on malformed configs, mirroring
-  /// execute_monitored's validation.
+  /// streams, reserve events and flatten the chunk-op issue order. Takes no
+  /// simulated time and no staging: each replay leases its own, as an
+  /// uncompiled run does. Throws std::invalid_argument on malformed
+  /// configs, mirroring execute_monitored's validation.
   [[nodiscard]] std::shared_ptr<TransferGraph> compile_graph(
       topo::DeviceId src_dev, topo::DeviceId dst_dev,
       const model::TransferConfig& config);
@@ -118,11 +116,11 @@ class PipelineEngine {
   /// Execute a compiled template: one driver frame walks the precompiled op
   /// list — no theta solve, no plan construction, no per-chunk setup. This
   /// is the issue loop execute_monitored runs its transient graph through,
-  /// so completion times (and rng draws under jitter) match the uncompiled
-  /// path bit for bit. `watch` must be empty or sized like
-  /// graph->config().paths. Throws std::logic_error if the graph is already
-  /// replaying (templates are not reentrant), std::invalid_argument on
-  /// endpoint/graph mismatches.
+  /// staging leases included, so completion times (and rng draws under
+  /// jitter) match the uncompiled path bit for bit. `watch` must be empty
+  /// or sized like graph->config().paths. Throws std::logic_error if the
+  /// graph is already replaying (templates are not reentrant),
+  /// std::invalid_argument on endpoint/graph mismatches.
   [[nodiscard]] sim::Task<TransferOutcome> replay(
       std::shared_ptr<TransferGraph> graph, gpusim::DeviceBuffer& dst,
       std::size_t dst_offset, const gpusim::DeviceBuffer& src,
@@ -147,18 +145,15 @@ class PipelineEngine {
   gpusim::StreamId stream_for(const StreamKey& key, topo::DeviceId device);
   [[nodiscard]] sim::Engine::DelayAwaiter issue_cost();
 
-  /// Start graph `g` over its config(): endpoints, key paths and total.
-  void begin_graph(TransferGraph& g, topo::DeviceId src_dev,
+  /// Lay `g` out over its config(): endpoints, key paths and total, then
+  /// each active share's streams, chunk count, host-sync cost and (staged)
+  /// events, and the flattened op list.
+  void build_graph(TransferGraph& g, topo::DeviceId src_dev,
                    topo::DeviceId dst_dev);
-  /// Append the issue state of share `index` (bytes > 0) at message offset
-  /// `offset`: streams, chunk count and host-sync cost. Staging is the
-  /// caller's: a lease for a staged path, then reserve_events().
-  TransferGraph::Path& add_path(TransferGraph& g, std::size_t index,
-                                std::size_t offset);
-  void reserve_events(TransferGraph::Path& p);
 
-  /// The one chunk-issue loop: arm the watchdogs, walk g's op list, drain
-  /// the streams and report per-path progress.
+  /// The one chunk-issue loop: lease staging for the staged paths, arm the
+  /// watchdogs, walk g's op list, drain the streams (each staged path
+  /// returning its lease) and report per-path progress.
   [[nodiscard]] sim::Task<TransferOutcome> issue(
       TransferGraph& g, gpusim::DeviceBuffer& dst, std::size_t dst_offset,
       const gpusim::DeviceBuffer& src, std::size_t src_offset,

@@ -5,23 +5,21 @@
 // mirrors that shape in the simulator: PipelineEngine::compile_graph bakes a
 // TransferConfig into a TransferGraph holding every host-side decision the
 // per-transfer path would otherwise redo (stream resolution, event
-// reservation, staging-slot acquisition, chunk splits, and the flattened
-// issue-order op list), and PipelineEngine::replay walks the precompiled op
-// list in one driver frame. A GraphCache keyed like the config cache makes
-// the steady state: lookup, replay, done — no theta solve, no plan
-// construction, no per-chunk setup.
+// reservation, chunk splits, and the flattened issue-order op list), and
+// PipelineEngine::replay walks the precompiled op list in one driver frame.
+// A GraphCache keyed like the config cache makes the steady state: lookup,
+// replay, done — no theta solve, no plan construction, no per-chunk setup.
 //
 // A graph is the captured form of the ordinary stream code, not a second
 // implementation of it: execute_monitored runs a *transient* graph of its
-// plan through the same issue loop, so replay issues the uncompiled path's
-// runtime-call/issue-cost sequence (same rng draws under jitter) by
-// construction, and compile takes no simulated time. The one divergence is
-// residency — a template keeps its staging lease and events across
-// replays, a transient graph waits for staging and returns it on drain —
-// so identity holds whenever the staging pool is uncontended (at least the
-// live template + transfer count per device).
+// plan through the same issue loop, and that loop leases every run's
+// staging from the pool, so replay issues the uncompiled path's
+// runtime-call/issue-cost sequence (same rng draws under jitter) and waits
+// for the same staging slots: the two are bit-identical by construction.
+// Compile takes no simulated time and no staging; a template holds only its
+// op list, streams and events.
 //
-// Lifetime: a graph borrows streams/events/staging from the runtime that
+// Lifetime: a graph borrows streams and events from the runtime that
 // compiled it; graphs (and any cache holding them) must be destroyed before
 // that runtime. Graphs are shared_ptr-held so LRU eviction while a replay
 // is executing is safe (the replay frame keeps its snapshot alive — the
@@ -37,7 +35,6 @@
 #include "mpath/gpusim/runtime.hpp"
 #include "mpath/model/configurator.hpp"
 #include "mpath/model/plan_cache.hpp"
-#include "mpath/pipeline/staging.hpp"
 #include "mpath/topo/paths.hpp"
 #include "mpath/util/small_vec.hpp"
 
@@ -85,7 +82,6 @@ class TransferGraph {
     double extra_sync_s = 0.0;
     gpusim::StreamId first_stream = 0;
     gpusim::StreamId second_stream = 0;
-    StagingPool::Lease lease;  ///< persistent staging reservation
     util::SmallVec<gpusim::EventId, 16> fwd_events;
     util::SmallVec<gpusim::EventId, 16> bwd_events;
     util::SmallVec<std::size_t, 16> chunk_offsets;
@@ -115,8 +111,8 @@ class TransferGraph {
     return {ops_.data(), ops_.size()};
   }
   /// A replay of this template is currently executing. Templates are not
-  /// reentrant (they share events and the staging slot); callers fall back
-  /// to the uncompiled path instead of queueing.
+  /// reentrant (a replay's records and waits share the template's events);
+  /// callers fall back to the uncompiled path instead of queueing.
   [[nodiscard]] bool busy() const { return busy_; }
   [[nodiscard]] std::uint64_t replays() const { return replays_; }
   /// Scheduler capacity-event count at compile time: a joint-theta channel
@@ -134,7 +130,7 @@ class TransferGraph {
   /// current per-path byte shares (interleaved round-robin issue order).
   void rebuild_ops();
   /// Return every reserved event to the runtime and drop the per-path
-  /// state (staging leases release with it).
+  /// state.
   void release();
 
   gpusim::GpuRuntime* runtime_ = nullptr;
@@ -146,9 +142,6 @@ class TransferGraph {
   util::SmallVec<Path, 4> paths_;  ///< active (bytes > 0) shares only
   std::vector<GraphOp> ops_;
   bool busy_ = false;
-  /// Built by execute_monitored for one run: each staged path hands its
-  /// lease back as soon as it drains, and the engine recycles the graph.
-  bool transient_ = false;
   std::uint64_t replays_ = 0;
   std::uint64_t capacity_epoch_ = 0;
 };
@@ -157,9 +150,8 @@ using GraphPtr = std::shared_ptr<TransferGraph>;
 
 struct GraphCacheOptions {
   /// Maximum cached templates; least-recently-used entries are evicted past
-  /// this (releasing their staging slot and events unless a replay still
-  /// holds the graph). 0 = unbounded. Size this at most as large as the
-  /// staging pool's buffers_per_device, or templates starve transfers.
+  /// this (releasing their events unless a replay still holds the graph).
+  /// 0 = unbounded.
   std::size_t capacity = 32;
   /// Key width test hook, exactly as ConfiguratorOptions::cache_key_bits:
   /// narrowing forces FNV collisions between distinct tuples.

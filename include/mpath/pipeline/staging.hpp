@@ -1,6 +1,9 @@
 // Staging buffer pool. Staged paths bounce chunks through an intermediate
 // device; the pool bounds concurrent staging buffers per device (as the
 // real engine pre-allocates them) and recycles buffers across transfers.
+// Every run of a transfer, compiled or not, leases its staging here and
+// returns it as each staged path drains; nothing holds a buffer between
+// runs.
 #pragma once
 
 #include <map>
@@ -60,14 +63,6 @@ class StagingPool {
   [[nodiscard]] sim::Task<Lease> acquire(topo::DeviceId device,
                                          std::size_t bytes,
                                          topo::DeviceId initiator);
-
-  /// Non-blocking acquire: returns an invalid Lease when the pool has no
-  /// free slot instead of waiting. Used by the graph compiler, which holds
-  /// a slot persistently and must never deadlock against per-transfer
-  /// acquisitions. When a slot is free this is indistinguishable from
-  /// acquire() (the uncontended path takes no engine events either way).
-  [[nodiscard]] Lease try_acquire(topo::DeviceId device, std::size_t bytes,
-                                  topo::DeviceId initiator);
 
   [[nodiscard]] std::size_t buffers_per_device() const { return capacity_; }
   /// Buffers currently leased on `device` by `initiator`.

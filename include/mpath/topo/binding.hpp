@@ -33,11 +33,12 @@ class NetworkBinding {
   /// not allocate for the ≤3-edge paths every shipped topology produces.
   [[nodiscard]] sim::Route links_for_route(std::span<const EdgeId> route) const;
   /// The route of a DMA from `from`'s memory to `to`'s memory, lowered on
-  /// the pair's first lookup and kept for the binding's lifetime: a repeat
-  /// lookup returns the same entry without touching the topology's route
-  /// cache or its lock. Throws as Topology::route does. An unreachable pair
-  /// is never stored, so it throws on every lookup. Like the runtime that
-  /// owns it, a binding is used from one thread.
+  /// the pair's first lookup and kept for the binding's lifetime: the
+  /// binding is the per-stack table of routes, so a repeat lookup returns
+  /// the same entry without searching the topology again. Throws as
+  /// Topology::route does. An unreachable pair is never stored, so it
+  /// throws on every lookup. Like the runtime that owns it, a binding is
+  /// used from one thread.
   [[nodiscard]] const LoweredRoute& route(DeviceId from, DeviceId to);
 
  private:

@@ -9,9 +9,7 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
-#include <shared_mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -63,16 +61,7 @@ struct Edge {
 
 class Topology {
  public:
-  explicit Topology(std::string system_name)
-      : name_(std::move(system_name)),
-        route_mutex_(std::make_unique<std::shared_mutex>()) {}
-
-  // Copies get their own lock and a snapshot of the source's route cache;
-  // moves transfer the lock (the moved-from topology must not be used).
-  Topology(const Topology& other);
-  Topology& operator=(const Topology& other);
-  Topology(Topology&&) noexcept = default;
-  Topology& operator=(Topology&&) noexcept = default;
+  explicit Topology(std::string system_name) : name_(std::move(system_name)) {}
 
   DeviceId add_device(DeviceKind kind, int numa_node, std::string name);
 
@@ -120,18 +109,11 @@ class Topology {
   /// never used in transit (PCIe peer-to-peer does not touch DRAM).
   /// Throws std::runtime_error if no route exists.
   ///
-  /// Thread safety: concurrent route() calls on one const Topology are safe
-  /// (the memoization cache is guarded by a shared mutex; sweep workers
-  /// share one topo::System snapshot). The returned reference stays valid
-  /// for the topology's lifetime — cache entries are never evicted, only
-  /// invalidated wholesale by the (non-concurrent) mutators above.
-  [[nodiscard]] const std::vector<EdgeId>& route(DeviceId from,
-                                                 DeviceId to) const;
-
-  /// Pre-compute every (device, device) route so that subsequent route()
-  /// calls are pure cache reads. Optional — route() is thread-safe either
-  /// way — but warming before a fan-out keeps workers off the mutex.
-  void warm_route_cache() const;
+  /// A pure function of the const topology: concurrent calls are safe
+  /// (sweep workers share one topo::System snapshot), and a copy carries
+  /// only devices and edges. Where routes are hot, NetworkBinding lowers
+  /// each device pair's route once per stack.
+  [[nodiscard]] std::vector<EdgeId> route(DeviceId from, DeviceId to) const;
 
   /// Bottleneck capacity along a route (min over edges), bytes/s.
   [[nodiscard]] double route_capacity(std::span<const EdgeId> route) const;
@@ -139,9 +121,6 @@ class Topology {
   [[nodiscard]] double route_latency(std::span<const EdgeId> route) const;
 
  private:
-  [[nodiscard]] std::vector<EdgeId> compute_route(DeviceId from,
-                                                  DeviceId to) const;
-
   std::string name_;
   std::vector<DeviceInfo> devices_;
   std::vector<Edge> edges_;
@@ -149,13 +128,6 @@ class Topology {
   std::vector<std::vector<EdgeId>> adjacency_;
   // Host device -> its memory channel edge
   std::map<DeviceId, EdgeId> memory_channels_;
-  // Route memoization. Guarded by route_mutex_ (shared for lookups,
-  // exclusive for fills and for the mutators' invalidation); node-based, so
-  // references handed out by route() survive later insertions. Behind a
-  // unique_ptr only to keep Topology movable.
-  std::unique_ptr<std::shared_mutex> route_mutex_;
-  mutable std::map<std::pair<DeviceId, DeviceId>, std::vector<EdgeId>>
-      route_cache_;
 };
 
 }  // namespace mpath::topo

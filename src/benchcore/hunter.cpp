@@ -220,9 +220,7 @@ ScenarioReport evaluate_scenario(const Scenario& scenario,
   if (scenario.transfers.empty()) {
     throw std::invalid_argument("fuzz scenario: no transfers");
   }
-  topo::System system = scenario.topo.build();
-  // Pre-compute routes once; sweep workers then only read the cache.
-  system.topology.warm_route_cache();
+  const topo::System system = scenario.topo.build();
   const model::ModelRegistry registry = tuning::registry_from_topology(system);
   for (const TransferCase& tc : scenario.transfers) {
     if (tc.src == tc.dst || tc.bytes == 0) {

@@ -1,6 +1,7 @@
 #include "mpath/gpusim/runtime.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstring>
 #include <stdexcept>
@@ -26,6 +27,8 @@ bool CancelToken::was_cancelled(sim::FlowId id) const {
 }
 
 namespace {
+std::atomic<std::uint64_t> g_next_ipc_serial{1};
+
 /// Order-stable removal (SmallVec analogue of std::erase on a vector).
 void erase_flow(util::SmallVec<sim::FlowId, 4>& v, sim::FlowId id) {
   const auto it = std::find(v.begin(), v.end(), id);
@@ -334,7 +337,9 @@ GpuRuntime::GpuRuntime(const topo::System& system, sim::Engine& engine,
       engine_(&engine),
       network_(&network),
       binding_(system.topology, network),
-      jitter_stream_(seed) {}
+      jitter_stream_(seed),
+      ipc_serial_(g_next_ipc_serial.fetch_add(1, std::memory_order_relaxed)) {
+}
 
 GpuRuntime::~GpuRuntime() = default;
 
@@ -464,17 +469,26 @@ sim::Task<void> GpuRuntime::synchronize(StreamId stream) {
 
 sim::Task<void> GpuRuntime::ipc_open(topo::DeviceId opener,
                                      const DeviceBuffer& buffer) {
-  const auto key = std::make_pair(opener, buffer.id());
-  if (ipc_cache_.contains(key)) co_return;
+  if (ipc_cached(opener, buffer)) co_return;
   co_await engine_->delay(costs().ipc_open_s * jitter());
-  ipc_cache_.insert(key);
+  // Two opens of one pair in flight together both pay, as before; the
+  // second stores nothing.
+  if (ipc_cached(opener, buffer)) co_return;
+  auto& handles = buffer.ipc_handles_;
+  if (handles == nullptr) {
+    handles = std::make_unique<util::SmallVec<DeviceBuffer::IpcHandle, 2>>();
+  }
+  handles->push_back(DeviceBuffer::IpcHandle{ipc_serial_, opener});
 }
 
 bool GpuRuntime::ipc_cached(topo::DeviceId opener,
                             const DeviceBuffer& buffer) const {
-  return ipc_cache_.contains(std::make_pair(opener, buffer.id()));
+  const auto& handles = buffer.ipc_handles_;
+  return handles != nullptr &&
+         std::any_of(handles->begin(), handles->end(),
+                     [&](const DeviceBuffer::IpcHandle& h) {
+                       return h.runtime == ipc_serial_ && h.opener == opener;
+                     });
 }
-
-void GpuRuntime::ipc_cache_clear() { ipc_cache_.clear(); }
 
 }  // namespace mpath::gpusim

@@ -1,6 +1,7 @@
 #include "mpath/model/registry.hpp"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -81,6 +82,9 @@ void ModelRegistry::save_csv(const std::string& path) const {
   if (!out) {
     throw std::runtime_error("ModelRegistry: cannot write " + path);
   }
+  // Every double at round-trip precision: load_csv(save_csv(r)) must
+  // configure every transfer exactly as r does.
+  out.precision(std::numeric_limits<double>::max_digits10);
   out << "record,key1,key2,alpha,beta\n";
   out << "system," << system_name_ << ",,,\n";
   out << "issue,,," << issue_alpha_ << ",\n";
@@ -89,7 +93,6 @@ void ModelRegistry::save_csv(const std::string& path) const {
     out << "epsilon," << std::string(topo::to_string(kind)) << ",," << eps
         << ",\n";
   }
-  out.precision(12);
   for (const auto& [key, lp] : routes_) {
     out << "route," << key.first << "," << key.second << "," << lp.alpha
         << "," << lp.beta << "\n";

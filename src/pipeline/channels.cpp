@@ -235,7 +235,7 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
         // Only a plan over the whole candidate set with no probe slices is
         // what a later identical transfer would pick: a template is keyed
         // under (and replays) the full-tuple plan only — a subset config
-        // would compile an unfindable template and strand its staging slot.
+        // would compile an unfindable template.
         plan_fresh(sdev, ddev, seg.bytes, use,
                    whole && probe_due.empty() &&
                        pool->size() == candidates.size(),
@@ -406,8 +406,9 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
 ModelDrivenChannel::Gate ModelDrivenChannel::replay_gate(
     const TransferGraph& g, topo::DeviceId src, topo::DeviceId dst,
     std::uint64_t bytes, std::span<const topo::PathPlan> paths, Plan& plan) {
-  // Templates are not reentrant (shared events + staging slot); a second
-  // identical transfer in flight takes the uncompiled path.
+  // Templates are not reentrant (a replay's ops share the template's
+  // events); a second identical transfer in flight takes the uncompiled
+  // path.
   if (g.busy()) return Gate::kBusy;
   if (options_.health.enabled) {
     // A candidate on probation: the classic path would plan around it, so
@@ -500,8 +501,9 @@ void ModelDrivenChannel::plan_fresh(topo::DeviceId src, topo::DeviceId dst,
   // registers exactly what a fresh plan would.
   if (plan.reproducible && options_.graphs != nullptr) {
     plan.graph = compile_template(src, dst, plan.config);
+  } else {
+    plan.exec = exec_plan(plan.config);
   }
-  if (plan.graph == nullptr) plan.exec = exec_plan(plan.config);
 }
 
 std::shared_ptr<TransferGraph> ModelDrivenChannel::compile_template(
@@ -509,10 +511,6 @@ std::shared_ptr<TransferGraph> ModelDrivenChannel::compile_template(
     const model::TransferConfig& config) {
   std::shared_ptr<TransferGraph> g =
       engine_->compile_graph(src, dst, config);
-  if (g == nullptr) {
-    ++graph_stats_.compile_failures;
-    return nullptr;
-  }
   ++graph_stats_.compiles;
   ++graph_stats_.replays_fresh;  // a fresh template runs right away
   if (scheduler_ != nullptr) {

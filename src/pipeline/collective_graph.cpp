@@ -1,7 +1,6 @@
 #include "mpath/pipeline/collective_graph.hpp"
 
 #include <map>
-#include <stdexcept>
 #include <tuple>
 #include <unordered_map>
 #include <utility>
@@ -41,9 +40,9 @@ class CollectiveGraph {
     topo::DeviceId src_dev = topo::kInvalidDevice;
     topo::DeviceId dst_dev = topo::kInvalidDevice;
     std::uint64_t bytes = 0;
-    /// Compiled template; null = passthrough (small message, compile
-    /// failure, or non-reproducible capture). Steps with identical
-    /// (src_dev, dst_dev, bytes) share one template.
+    /// Compiled template; null = passthrough (small message or
+    /// non-reproducible capture). Steps with identical (src_dev, dst_dev,
+    /// bytes) share one template.
     GraphPtr graph;
     model::TransferConfig config;  ///< recorded at capture (if has_config)
     bool has_config = false;
@@ -143,20 +142,11 @@ void ChainController::seal(const ChainPtr& chain) {
       step.graph = it->second;
       continue;
     }
-    GraphPtr g;
-    try {
-      g = channel_->engine_->compile_graph(step.src_dev, step.dst_dev,
-                                           step.config);
-    } catch (const std::invalid_argument&) {
-      g = nullptr;
-    }
-    if (g == nullptr) {
-      // Staging pool exhausted (or a degenerate config): the step stays
-      // passthrough; the rest of the chain is still worth keeping.
-      ++stats_.compile_failures;
-    } else {
-      g->set_capacity_epoch(scheduler_epoch());
-    }
+    // A recorded config already ran as planned, through the same
+    // validation, so compiling it cannot throw out of leave().
+    GraphPtr g = channel_->engine_->compile_graph(step.src_dev, step.dst_dev,
+                                                  step.config);
+    g->set_capacity_epoch(scheduler_epoch());
     dedupe.emplace(key, g);
     step.graph = std::move(g);
   }

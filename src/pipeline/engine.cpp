@@ -142,38 +142,23 @@ sim::Task<TransferOutcome> PipelineEngine::execute_monitored(
     throw std::invalid_argument(
         "PipelineEngine: watch must be empty or match the plan size");
   }
-  // Capture the plan into a transient graph. Staging comes from the
-  // suspending pool, in path order, before any watchdog is armed: waiting
-  // for a slot is charged to the transfer, not to its deadlines.
+  // Capture the plan into a transient graph, laid out like a template.
   if (spare_graphs_.empty()) {
     spare_graphs_.push_back(std::make_unique<TransferGraph>());
   }
   std::unique_ptr<TransferGraph> g = std::move(spare_graphs_.back());
   spare_graphs_.pop_back();
-  g->transient_ = true;
   g->config_.paths.clear();
   for (const ExecPath& p : plan) {
     g->config_.paths.push_back(
         model::PathShare{p.plan, 0.0, p.bytes, p.chunks, 0.0, {}});
   }
   // Validate the *whole* plan before issuing anything: a malformed plan
-  // must not leak staging-slot reservations or partially issued operations.
+  // must not leak event reservations or partially issued operations.
   const std::uint64_t total = checked_total(g->config_.paths, /*all=*/true);
   src.check_region(src_offset, total);
   dst.check_region(dst_offset, total);
-  begin_graph(*g, src.device(), dst.device());
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    if (plan[i].bytes == 0) continue;
-    TransferGraph::Path& p = add_path(*g, i, offset);
-    offset += p.bytes;
-    if (p.staged) {
-      p.lease = co_await staging_.acquire(p.plan.stage, staging_bytes(p),
-                                          src.device());
-      reserve_events(p);
-    }
-  }
-  g->rebuild_ops();
+  build_graph(*g, src.device(), dst.device());
 
   TransferOutcome out = co_await issue(*g, dst, dst_offset, src, src_offset,
                                        std::move(watch));
@@ -186,81 +171,57 @@ sim::Task<TransferOutcome> PipelineEngine::execute_monitored(
   co_return out;
 }
 
-void PipelineEngine::begin_graph(TransferGraph& g, topo::DeviceId src_dev,
+void PipelineEngine::build_graph(TransferGraph& g, topo::DeviceId src_dev,
                                  topo::DeviceId dst_dev) {
   g.runtime_ = runtime_;
   g.src_dev_ = src_dev;
   g.dst_dev_ = dst_dev;
   g.key_paths_.clear();
   g.total_bytes_ = 0;
-  for (const model::PathShare& share : g.config_.paths) {
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < g.config_.paths.size(); ++i) {
+    const model::PathShare& share = g.config_.paths[i];
     g.key_paths_.push_back(share.plan);
     g.total_bytes_ += share.bytes;
+    if (share.bytes == 0) continue;
+    TransferGraph::Path& p = g.paths_.emplace_back();
+    p.plan = share.plan;
+    p.bytes = share.bytes;
+    p.offset = offset;
+    p.plan_index = i;
+    // Never more chunks than bytes.
+    p.chunks = static_cast<int>(std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(share.chunks), share.bytes));
+    p.staged = share.plan.kind != topo::PathKind::Direct;
+    p.first_stream = stream_for({src_dev, dst_dev, i, 0}, src_dev);
+    if (p.staged) {
+      p.second_stream = stream_for({src_dev, dst_dev, i, 1}, share.plan.stage);
+      const auto& costs = runtime_->costs();
+      p.extra_sync_s = share.plan.kind == topo::PathKind::HostStaged
+                           ? costs.host_stage_sync_s
+                           : costs.stage_sync_s;
+      for (int c = 0; c < p.chunks; ++c) {
+        p.fwd_events.push_back(runtime_->acquire_event());
+        p.bwd_events.push_back(runtime_->acquire_event());
+      }
+    }
+    offset += p.bytes;
   }
-}
-
-TransferGraph::Path& PipelineEngine::add_path(TransferGraph& g,
-                                              std::size_t index,
-                                              std::size_t offset) {
-  const model::PathShare& share = g.config_.paths[index];
-  const topo::DeviceId src_dev = g.src_dev_;
-  const topo::DeviceId dst_dev = g.dst_dev_;
-  TransferGraph::Path& p = g.paths_.emplace_back();
-  p.plan = share.plan;
-  p.bytes = share.bytes;
-  p.offset = offset;
-  p.plan_index = index;
-  // Never more chunks than bytes.
-  p.chunks = static_cast<int>(std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(share.chunks), share.bytes));
-  p.staged = share.plan.kind != topo::PathKind::Direct;
-  p.first_stream = stream_for({src_dev, dst_dev, index, 0}, src_dev);
-  if (p.staged) {
-    p.second_stream =
-        stream_for({src_dev, dst_dev, index, 1}, share.plan.stage);
-    const auto& costs = runtime_->costs();
-    p.extra_sync_s = share.plan.kind == topo::PathKind::HostStaged
-                         ? costs.host_stage_sync_s
-                         : costs.stage_sync_s;
-  }
-  return p;
-}
-
-void PipelineEngine::reserve_events(TransferGraph::Path& p) {
-  for (int c = 0; c < p.chunks; ++c) {
-    p.fwd_events.push_back(runtime_->acquire_event());
-    p.bwd_events.push_back(runtime_->acquire_event());
-  }
+  g.rebuild_ops();
 }
 
 std::shared_ptr<TransferGraph> PipelineEngine::compile_graph(
     topo::DeviceId src_dev, topo::DeviceId dst_dev,
     const model::TransferConfig& config) {
   // Validate the whole config first, mirroring execute_monitored: a
-  // malformed config must not leak reserved events or staging slots.
+  // malformed config must not leak reserved events.
   if (config.paths.empty() || checked_total(config.paths, false) == 0) {
     throw std::invalid_argument("PipelineEngine: cannot compile empty config");
   }
 
   auto graph = std::make_shared<TransferGraph>();
   graph->config_ = config;
-  begin_graph(*graph, src_dev, dst_dev);
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < config.paths.size(); ++i) {
-    if (config.paths[i].bytes == 0) continue;
-    TransferGraph::Path& p = add_path(*graph, i, offset);
-    offset += p.bytes;
-    if (p.staged) {
-      p.lease = staging_.try_acquire(p.plan.stage, staging_bytes(p), src_dev);
-      if (!p.lease.valid()) {
-        // Pool exhausted: refuse to compile rather than block. The partial
-        // graph's destructor returns any already-reserved resources.
-        return nullptr;
-      }
-      reserve_events(p);
-    }
-  }
-  graph->rebuild_ops();
+  build_graph(*graph, src_dev, dst_dev);
   return graph;
 }
 
@@ -305,6 +266,20 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
     TransferGraph& g, gpusim::DeviceBuffer& dst, std::size_t dst_offset,
     const gpusim::DeviceBuffer& src, std::size_t src_offset,
     PathWatchList watch) {
+  // -- staging ----------------------------------------------------------------
+  // Every run, compiled or not, leases its staging from the suspending pool,
+  // in path order and before any watchdog is armed: waiting for a slot is
+  // charged to the transfer, not to its deadlines. Each lease returns as its
+  // staged path drains (below), so nothing holds a slot between runs.
+  util::SmallVec<StagingPool::Lease, 4> leases;
+  leases.resize(g.paths_.size());
+  for (std::size_t i = 0; i < g.paths_.size(); ++i) {
+    const TransferGraph::Path& p = g.paths_[i];
+    if (!p.staged) continue;
+    leases[i] = co_await staging_.acquire(p.plan.stage, staging_bytes(p),
+                                          g.src_dev_);
+  }
+
   const std::size_t plan_size = g.config_.paths.size();
   bool any_watch = false;
   for (const PathWatch& w : watch) any_watch |= w.deadline_s > 0.0;
@@ -380,7 +355,7 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
         runtime_->wait_event(pi.first_stream, pi.bwd_events[c - 2]);
         break;
       case GraphOp::Kind::kCopyToStage: {
-        gpusim::DeviceBuffer& stage = pi.lease.buffer();
+        gpusim::DeviceBuffer& stage = leases[op.path].buffer();
         const std::size_t slot_off = (c % 2) * (stage.size() / 2);
         runtime_->memcpy_async(stage, slot_off, src,
                                src_offset + pi.offset + pi.chunk_offsets[c],
@@ -398,7 +373,7 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
         runtime_->stream_delay(pi.second_stream, pi.extra_sync_s);
         break;
       case GraphOp::Kind::kCopyFromStage: {
-        gpusim::DeviceBuffer& stage = pi.lease.buffer();
+        gpusim::DeviceBuffer& stage = leases[op.path].buffer();
         const std::size_t slot_off = (c % 2) * (stage.size() / 2);
         runtime_->memcpy_async(dst,
                                dst_offset + pi.offset + pi.chunk_offsets[c],
@@ -415,19 +390,19 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
   }
 
   // -- completion -------------------------------------------------------------
-  // Staged paths first, so a transient graph's staging lease returns to the
-  // pool the moment its own streams drain: windowed transfers never hold
-  // buffers hostage while waiting for an unrelated (direct) slice. A
-  // compiled template keeps its lease — the persistent reservation is the
-  // point of compiling. A timed-out path's streams drain too: its cancelled
-  // copies skip the data movement, so the synchronize returns promptly.
-  for (TransferGraph::Path& pi : g.paths_) {
+  // Staged paths first, so each staging lease returns to the pool the moment
+  // its own streams drain: windowed transfers never hold buffers hostage
+  // while waiting for an unrelated (direct) slice. A timed-out path's
+  // streams drain too: its cancelled copies skip the data movement, so the
+  // synchronize returns promptly.
+  for (std::size_t pidx = 0; pidx < g.paths_.size(); ++pidx) {
+    const TransferGraph::Path& pi = g.paths_[pidx];
     if (!pi.staged) continue;
     co_await runtime_->synchronize(pi.second_stream);
     const bool timed_out =
         mon != nullptr && mon->entries[pi.plan_index].timed_out;
     if (src.materialized() && dst.materialized() &&
-        !pi.lease.buffer().materialized()) {
+        !leases[pidx].buffer().materialized()) {
       // Simulated staging buffer between materialized endpoints: land the
       // payload in bulk — but only the delivered prefix of a path that was
       // aborted mid-flight.
@@ -440,7 +415,7 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
                     src.region(src_offset + pi.offset, land).data(), land);
       }
     }
-    if (g.transient_) pi.lease.release();
+    leases[pidx].release();
   }
   for (const TransferGraph::Path& pi : g.paths_) {
     if (pi.staged) continue;

@@ -11,8 +11,7 @@ TransferGraph::~TransferGraph() {
 }
 
 void TransferGraph::release() {
-  // Events go back to the runtime free list; staging leases release
-  // through their own destructors.
+  // Events go back to the runtime free list.
   for (Path& p : paths_) {
     for (gpusim::EventId ev : p.fwd_events) runtime_->release_event(ev);
     for (gpusim::EventId ev : p.bwd_events) runtime_->release_event(ev);

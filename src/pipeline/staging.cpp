@@ -56,24 +56,6 @@ sim::Task<StagingPool::Lease> StagingPool::acquire(topo::DeviceId device,
   co_return Lease(this, key, std::move(buffer));
 }
 
-StagingPool::Lease StagingPool::try_acquire(topo::DeviceId device,
-                                            std::size_t bytes,
-                                            topo::DeviceId initiator) {
-  const PoolKey key{initiator, device};
-  PerDevice& pd = per_pool(key);
-  if (!pd.slots->try_acquire()) return Lease{};
-  std::unique_ptr<gpusim::DeviceBuffer> buffer;
-  if (!pd.free_buffers.empty()) {
-    buffer = std::move(pd.free_buffers.back());
-    pd.free_buffers.pop_back();
-  }
-  if (!buffer || buffer->size() < bytes) {
-    buffer = std::make_unique<gpusim::DeviceBuffer>(device, bytes, payload_);
-  }
-  ++pd.leased;
-  return Lease(this, key, std::move(buffer));
-}
-
 void StagingPool::give_back(PoolKey key,
                             std::unique_ptr<gpusim::DeviceBuffer> buffer) {
   PerDevice& pd = per_pool(key);

@@ -2,30 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <mutex>
 #include <queue>
 #include <stdexcept>
 
 namespace mpath::topo {
-
-Topology::Topology(const Topology& other)
-    : name_(other.name_),
-      devices_(other.devices_),
-      edges_(other.edges_),
-      adjacency_(other.adjacency_),
-      memory_channels_(other.memory_channels_),
-      route_mutex_(std::make_unique<std::shared_mutex>()) {
-  std::shared_lock lock(*other.route_mutex_);
-  route_cache_ = other.route_cache_;
-}
-
-Topology& Topology::operator=(const Topology& other) {
-  if (this != &other) {
-    Topology copy(other);
-    *this = std::move(copy);
-  }
-  return *this;
-}
 
 std::string_view to_string(LinkKind kind) {
   switch (kind) {
@@ -56,10 +36,6 @@ DeviceId Topology::add_device(DeviceKind kind, int numa_node,
   const auto id = static_cast<DeviceId>(devices_.size());
   devices_.push_back(DeviceInfo{id, kind, numa_node, std::move(name)});
   adjacency_.emplace_back();
-  {
-    std::unique_lock lock(*route_mutex_);
-    route_cache_.clear();
-  }
   return id;
 }
 
@@ -77,10 +53,6 @@ EdgeId Topology::connect(DeviceId from, DeviceId to, LinkKind kind,
   edges_.push_back(
       Edge{id, from, to, kind, capacity_bps, latency_s, std::move(name), false});
   adjacency_[from].push_back(id);
-  {
-    std::unique_lock lock(*route_mutex_);
-    route_cache_.clear();
-  }
   return id;
 }
 
@@ -107,10 +79,6 @@ EdgeId Topology::add_memory_channel(DeviceId host, double capacity_bps,
   edges_.push_back(Edge{id, host, host, LinkKind::MemChan, capacity_bps,
                         latency_s, devices_[host].name + ":MemChan", true});
   memory_channels_.emplace(host, id);
-  {
-    std::unique_lock lock(*route_mutex_);
-    route_cache_.clear();
-  }
   return id;
 }
 
@@ -167,36 +135,7 @@ std::optional<EdgeId> Topology::direct_edge(DeviceId a, DeviceId b) const {
   return best;
 }
 
-const std::vector<EdgeId>& Topology::route(DeviceId from, DeviceId to) const {
-  const auto key = std::make_pair(from, to);
-  {
-    std::shared_lock lock(*route_mutex_);
-    if (auto it = route_cache_.find(key); it != route_cache_.end()) {
-      return it->second;
-    }
-  }
-  // Cold lookup: compute outside any lock (Dijkstra is the expensive part),
-  // then insert. A racing thread may have filled the slot meanwhile;
-  // try_emplace keeps the first value so both callers observe one route.
-  std::vector<EdgeId> computed = compute_route(from, to);
-  std::unique_lock lock(*route_mutex_);
-  auto [it, inserted] = route_cache_.try_emplace(key, std::move(computed));
-  return it->second;
-}
-
-void Topology::warm_route_cache() const {
-  for (const DeviceInfo& a : devices_) {
-    for (const DeviceInfo& b : devices_) {
-      try {
-        (void)route(a.id, b.id);
-      } catch (const std::runtime_error&) {
-        // Unreachable pairs simply stay uncached.
-      }
-    }
-  }
-}
-
-std::vector<EdgeId> Topology::compute_route(DeviceId from, DeviceId to) const {
+std::vector<EdgeId> Topology::route(DeviceId from, DeviceId to) const {
   if (from >= devices_.size() || to >= devices_.size()) {
     throw std::out_of_range("Topology::route: bad DeviceId");
   }

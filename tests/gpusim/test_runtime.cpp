@@ -440,8 +440,11 @@ TEST(GpuRuntime, IpcOpenPaysOnceThenCached) {
   EXPECT_DOUBLE_EQ(second, first);  // cached: no extra time
   EXPECT_TRUE(rt.ipc_cached(gpus[0], buf));
   EXPECT_FALSE(rt.ipc_cached(gpus[2], buf));
-  rt.ipc_cache_clear();
-  EXPECT_EQ(rt.ipc_cache_size(), 0u);
+  // Handles are per runtime: another runtime's first open pays again.
+  ms::Engine engine2;
+  ms::FluidNetwork net2(engine2);
+  mg::GpuRuntime rt2(sys, engine2, net2);
+  EXPECT_FALSE(rt2.ipc_cached(gpus[0], buf));
 }
 
 TEST(GpuRuntime, OpCountsTracked) {

@@ -7,7 +7,8 @@
 // water-fill over every live path) allocates nothing. A fresh stack built
 // on a warm pool allocates no more than the pooled-record stream queue did.
 // And the transport keeps no per-tag state: a round of messages on tags it
-// has never seen allocates no more than one on reused tags.
+// has never seen allocates no more than one on reused tags, and the IPC
+// handle a rendezvous opens on a receive buffer dies with that buffer.
 //
 // This binary deliberately lives in its own test target: it links
 // mpath_alloc_hook, which replaces the global operator new/delete with
@@ -317,4 +318,47 @@ TEST(AllocRegression, FreshTagsAllocateLikeReusedTags) {
   const std::uint64_t reused = round(0);
   EXPECT_EQ(round(1000), reused);
   EXPECT_EQ(fabric.rendezvous_count(), 4u * kPairs);
+}
+
+// One Fabric over a SinglePathChannel; a round is 32 rendezvous (1 MiB)
+// messages, each into a receive buffer made for it and destroyed with the
+// round. The sender opens an IPC handle on every receive buffer; the handle
+// lives in the buffer, so after two warm-up rounds a third leaves live
+// allocations exactly where they were.
+TEST(AllocRegression, IpcHandlesDieWithTheirBuffers) {
+  constexpr int kPairs = 32;
+  mt::System sys = mt::make_beluga();
+  sys.costs.jitter_rel = 0;
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  mg::GpuRuntime rt(sys, engine, net);
+  mp::PipelineEngine pipe(rt, /*staging_buffers_per_device=*/64,
+                          mg::Payload::Simulated);
+  mp::SinglePathChannel channel(pipe);
+  mx::Fabric fabric(rt, channel);
+  const std::vector<mt::DeviceId> gpus = sys.topology.gpus();
+  fabric.add_worker(0, gpus[0]);
+  fabric.add_worker(1, gpus[1]);
+  mg::DeviceBuffer src(gpus[0], 1_MiB, mg::Payload::Simulated);
+  const auto round = [&] {
+    std::vector<std::unique_ptr<mg::DeviceBuffer>> dsts;
+    for (int i = 0; i < kPairs; ++i) {
+      dsts.push_back(std::make_unique<mg::DeviceBuffer>(
+          gpus[1], 1_MiB, mg::Payload::Simulated));
+      engine.spawn(fabric.worker(0).send(1, src, 0, 1_MiB, i), "send");
+      engine.spawn(fabric.worker(1).recv(0, *dsts.back(), 0, 1_MiB, i),
+                   "recv");
+    }
+    engine.run();
+    for (const auto& d : dsts) EXPECT_TRUE(rt.ipc_cached(gpus[0], *d));
+  };
+  const auto live = [] {
+    return mpath::benchcore::alloc_count() - mpath::benchcore::free_count();
+  };
+  round();
+  round();
+  const std::uint64_t before = live();
+  round();
+  EXPECT_EQ(live(), before);
+  EXPECT_EQ(fabric.rendezvous_count(), 3u * kPairs);
 }

@@ -58,13 +58,16 @@ TEST(Registry, MissingHopThrows) {
 }
 
 TEST(Registry, CsvRoundTrip) {
+  // Every value needs all 17 significant digits: a persisted model must
+  // read back bit for bit, issue, protocol and epsilon records included.
   mm::ModelRegistry reg("narval");
-  reg.set_route_params(0, 1, {2.5e-6, 92e9});
-  reg.set_route_params(1, 0, {2.5e-6, 91e9});
-  reg.set_route_params(4, 0, {6e-6, 16e9});
-  reg.set_epsilon(mt::PathKind::GpuStaged, 1.25e-6);
-  reg.set_epsilon(mt::PathKind::HostStaged, 5e-6);
-  reg.set_issue_alpha(1.2e-6);
+  reg.set_route_params(0, 1, {2.5e-6 / 3.0, 92e9 / 7.0});
+  reg.set_route_params(1, 0, {2.5e-6 / 7.0, 91e9 / 3.0});
+  reg.set_route_params(4, 0, {6e-6 / 3.0, 16e9 / 7.0});
+  reg.set_epsilon(mt::PathKind::GpuStaged, 1.25e-6 / 3.0);
+  reg.set_epsilon(mt::PathKind::HostStaged, 5e-6 / 7.0);
+  reg.set_issue_alpha(1.2e-6 / 7.0);
+  reg.set_protocol_alpha(4.1e-6 / 3.0);
 
   const std::string path = "/tmp/mpath_registry_test.csv";
   reg.save_csv(path);
@@ -73,10 +76,16 @@ TEST(Registry, CsvRoundTrip) {
 
   EXPECT_EQ(loaded.system_name(), "narval");
   EXPECT_EQ(loaded.route_count(), 3u);
-  EXPECT_NEAR(loaded.route_params(0, 1).beta, 92e9, 1.0);
-  EXPECT_NEAR(loaded.route_params(4, 0).alpha, 6e-6, 1e-12);
-  EXPECT_NEAR(loaded.epsilon(mt::PathKind::HostStaged), 5e-6, 1e-12);
-  EXPECT_NEAR(loaded.issue_alpha(), 1.2e-6, 1e-12);
+  for (const auto& [a, b] : {std::pair{0u, 1u}, {1u, 0u}, {4u, 0u}}) {
+    EXPECT_EQ(loaded.route_params(a, b).alpha, reg.route_params(a, b).alpha);
+    EXPECT_EQ(loaded.route_params(a, b).beta, reg.route_params(a, b).beta);
+  }
+  EXPECT_EQ(loaded.epsilon(mt::PathKind::GpuStaged),
+            reg.epsilon(mt::PathKind::GpuStaged));
+  EXPECT_EQ(loaded.epsilon(mt::PathKind::HostStaged),
+            reg.epsilon(mt::PathKind::HostStaged));
+  EXPECT_EQ(loaded.issue_alpha(), reg.issue_alpha());
+  EXPECT_EQ(loaded.protocol_alpha(), reg.protocol_alpha());
 }
 
 TEST(Registry, LoadMissingFileThrows) {

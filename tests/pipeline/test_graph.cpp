@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <span>
@@ -98,14 +99,13 @@ TEST(GraphCompile, ResolvesResourcesWithoutSimulatedTime) {
   ASSERT_EQ(g->key_paths().size(), paths.size());
   EXPECT_FALSE(g->busy());
   EXPECT_EQ(g->replays(), 0u);
-  // Active shares only; every staged path carries its reserved events and a
-  // persistent staging lease.
+  // Active shares only; every staged path carries its reserved events
+  // (staging is leased per replay, not at compile).
   std::uint64_t covered = 0;
   for (const auto& p : g->paths()) {
     EXPECT_GT(p.bytes, 0u);
     covered += p.bytes;
     if (p.staged) {
-      EXPECT_TRUE(p.lease.valid());
       EXPECT_EQ(p.fwd_events.size(), static_cast<std::size_t>(p.chunks));
       EXPECT_EQ(p.bwd_events.size(), static_cast<std::size_t>(p.chunks));
     }
@@ -115,18 +115,35 @@ TEST(GraphCompile, ResolvesResourcesWithoutSimulatedTime) {
   EXPECT_FALSE(g->ops().empty());
 }
 
-TEST(GraphCompile, NullWhenStagingPoolExhausted) {
-  // One staging buffer per device: the first template takes the slot on its
-  // stage GPU persistently, so a second template over the same stage must
-  // fail to compile (nullptr) instead of blocking inside compile.
+TEST(GraphCompile, TakesNoStagingFromThePool) {
+  // One staging buffer per device. Templates hold no slot, so two over the
+  // same stage both compile, and replaying them one after the other leases
+  // and returns that one slot each time.
   Fixture f(0.0, /*staging_buffers_per_device=*/1);
   const auto paths = f.candidates(mt::PathPolicy::two_gpus());
-  const mm::TransferConfig config =
-      f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
-  const auto g1 = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
+  const auto big = f.cfg.compute_config(f.gpus[0], f.gpus[1], 64_MiB, paths);
+  const auto small =
+      f.cfg.compute_config(f.gpus[0], f.gpus[1], 32_MiB, paths);
+  auto g1 = f.pipe.compile_graph(f.gpus[0], f.gpus[1], big);
+  auto g2 = f.pipe.compile_graph(f.gpus[0], f.gpus[1], small);
   ASSERT_NE(g1, nullptr);
-  const auto g2 = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-  EXPECT_EQ(g2, nullptr);
+  ASSERT_NE(g2, nullptr);
+  bool staged = false;
+  for (const auto& p : g1->paths()) staged |= p.staged;
+  ASSERT_TRUE(staged);
+  mg::DeviceBuffer src(f.gpus[0], 64_MiB), dst(f.gpus[1], 64_MiB);
+  src.fill_pattern(22);
+  int done = 0;
+  f.engine.spawn(
+      [](Fixture& fx, mp::GraphPtr a, mp::GraphPtr b, mg::DeviceBuffer& d,
+         const mg::DeviceBuffer& s, int& n) -> ms::Task<void> {
+        n += (co_await fx.pipe.replay(b, d, 0, s, 0, {})).complete ? 1 : 0;
+        n += (co_await fx.pipe.replay(a, d, 0, s, 0, {})).complete ? 1 : 0;
+      }(f, g1, g2, dst, src, done),
+      "replays");
+  f.engine.run();
+  EXPECT_EQ(done, 2);
+  EXPECT_TRUE(dst.same_content(src));
 }
 
 TEST(GraphCompile, MirrorsExecuteValidation) {
@@ -495,8 +512,7 @@ TEST(GraphCache, NarrowKeyCollisionsMissInsteadOfAliasing) {
 // strong reference to every graph so worker-side evictions never run a
 // TransferGraph destructor off the engine thread.
 TEST(GraphCacheConcurrent, ParallelLookupInsertRemoveAgree) {
-  // Enough staging slots for eight live templates per stage device.
-  Fixture f(/*jitter_rel=*/0.0, /*staging_buffers_per_device=*/16);
+  Fixture f;
   const auto paths = f.candidates(mt::PathPolicy::three_gpus());
   const std::span<const mt::PathPlan> key{paths.data(), paths.size()};
   std::vector<mp::GraphPtr> graphs;
@@ -725,6 +741,42 @@ TEST(ChannelGraphs, FastPathFingerprintsAreBitIdentical) {
   }
 }
 
+// More distinct staged sizes from one source than its staging pools hold
+// buffers (four): each template leases staging per replay, so no cached
+// template starves the next size's transfer, and two rounds over the sizes
+// complete at the instants of a no-graphs twin.
+TEST(ChannelGraphs, MoreDistinctSizesThanStagingSlotsMatchUncompiled) {
+  const std::uint64_t sizes[] = {4_MiB, 6_MiB, 8_MiB, 10_MiB, 12_MiB, 14_MiB};
+  const auto rounds = [&sizes](bool graphs) {
+    Fixture f(/*jitter_rel=*/0.02);
+    mp::GraphCache cache;
+    mp::ModelDrivenOptions opts;
+    if (graphs) opts.graphs = &cache;
+    mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::three_gpus(),
+                              opts);
+    std::vector<double> finish;
+    for (int round = 0; round < 2; ++round) {
+      for (const std::uint64_t n : sizes) {
+        const std::vector<double> t = run_series(f, ch, n, 1);
+        finish.insert(finish.end(), t.begin(), t.end());
+      }
+    }
+    EXPECT_GT(f.pipe.bytes_on(mt::PathKind::GpuStaged), 0u);
+    if (graphs) {
+      EXPECT_EQ(ch.graph_stats().compiles, std::size(sizes));
+      EXPECT_EQ(ch.graph_stats().replays, std::size(sizes));
+    }
+    return finish;
+  };
+  const std::vector<double> plain = rounds(false);
+  const std::vector<double> compiled = rounds(true);
+  ASSERT_EQ(plain.size(), 2 * std::size(sizes));
+  ASSERT_EQ(compiled.size(), plain.size());
+  for (std::size_t i = 0; i < plain.size(); ++i) {
+    EXPECT_EQ(compiled[i], plain[i]) << "transfer " << i;
+  }
+}
+
 TEST(ChannelGraphs, ScheduledFastPathAdmitsReplaysAndBalancesLedger) {
   Fixture f;
   mp::TransferScheduler sched(f.pipe, f.cfg);
@@ -848,8 +900,8 @@ TEST(ChannelGraphs, HealthProbationBlocksReplayOfTemplatePath) {
 
 // ASan coverage for the by-value snapshot semantics: evicting a template
 // from the cache while its replay is still executing must be safe — the
-// replay frame's shared_ptr keeps the graph (and its staging lease and
-// events) alive until the frame completes.
+// replay frame's shared_ptr keeps the graph (and its events) alive until
+// the frame completes.
 TEST(ChannelGraphs, LruEvictionDuringReplayIsSafe) {
   Fixture f;
   mp::GraphCacheOptions copt;

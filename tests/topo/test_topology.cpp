@@ -130,13 +130,6 @@ TEST(Topology, RouteCapacityAndLatency) {
   EXPECT_NEAR(n.topo.route_latency(r), usec(1.8), 1e-12);
 }
 
-TEST(Topology, RouteCacheIsStable) {
-  MiniNode n;
-  const auto* first = &n.topo.route(n.g0, n.g1);
-  const auto* second = &n.topo.route(n.g0, n.g1);
-  EXPECT_EQ(first, second);
-}
-
 TEST(Topology, LinkKindNames) {
   EXPECT_EQ(mt::to_string(mt::LinkKind::NVLink3), "NVLink3");
   EXPECT_EQ(mt::to_string(mt::LinkKind::MemChan), "MemChan");
@@ -207,9 +200,9 @@ TEST(Topology, NonXgmiGpuChainDoesNotTransit) {
 // ---------------------------------------------------------------------------
 // Concurrent route() lookups (regression; runs under TSan in CI).
 //
-// Sweep workers share one const topo::System snapshot and race cold route()
-// lookups. The memoization cache behind route() must tolerate that: shared
-// lock for hits, compute outside the lock, first-writer-wins fill.
+// Sweep workers share one const topo::System snapshot and call route() on
+// it concurrently. route() is a pure function of the const topology, so
+// every thread must see the serial answer.
 // ---------------------------------------------------------------------------
 
 TEST(ConcurrentRoute, ParallelColdLookupsAgreeWithSerial) {
@@ -239,7 +232,7 @@ TEST(ConcurrentRoute, ParallelColdLookupsAgreeWithSerial) {
     }
   }
 
-  // Cold shared instance, hammered from many threads.
+  // One shared instance, hammered from many threads.
   const mt::Topology shared = build();
   constexpr int kThreads = 8;
   std::atomic<int> mismatches{0};
@@ -259,16 +252,12 @@ TEST(ConcurrentRoute, ParallelColdLookupsAgreeWithSerial) {
   }
   for (auto& th : workers) th.join();
   EXPECT_EQ(mismatches.load(), 0);
-
-  // References handed out stay stable once the cache is warm.
-  const auto* first = &shared.route(1, 2);
-  EXPECT_EQ(first, &shared.route(1, 2));
 }
 
 TEST(ConcurrentRoute, CopyTakesCacheSnapshot) {
   MiniNode n;
   (void)n.topo.route(n.g0, n.g1);
-  const mt::Topology copy = n.topo;  // snapshots under the source's lock
+  const mt::Topology copy = n.topo;
   const auto& r = copy.route(n.g0, n.g1);
   ASSERT_EQ(r.size(), 1u);
   EXPECT_EQ(copy.edges()[r[0]].kind, mt::LinkKind::NVLink2);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "mpath/model/configurator.hpp"
 #include "mpath/util/units.hpp"
 
@@ -87,18 +91,35 @@ TEST(Calibration, JitterMakesFitsNoisyButClose) {
 }
 
 TEST(Calibration, RegistryRoundTripsThroughCsv) {
-  auto sys = mt::make_beluga();
-  sys.costs.jitter_rel = 0.0;
-  const auto reg = tu::calibrate(sys);
-  const std::string path = "/tmp/mpath_calibration_test.csv";
-  reg.save_csv(path);
-  const auto loaded = mm::ModelRegistry::load_csv(path);
-  std::remove(path.c_str());
-  EXPECT_EQ(loaded.system_name(), "beluga");
-  EXPECT_EQ(loaded.route_count(), reg.route_count());
-  const auto gpus = sys.topology.gpus();
-  EXPECT_DOUBLE_EQ(loaded.route_params(gpus[0], gpus[1]).beta,
-                   reg.route_params(gpus[0], gpus[1]).beta);
+  // A jittered calibration fits values that need every digit. The reloaded
+  // model must configure every transfer exactly as the calibrated one does,
+  // on both presets and over the paper's size range.
+  for (mt::System sys : {mt::make_beluga(), mt::make_narval()}) {
+    sys.costs.jitter_rel = 0.02;
+    tu::CalibrationOptions opt;
+    opt.seed = 77;
+    const auto reg = tu::calibrate(sys, opt);
+    const std::string path = "/tmp/mpath_calibration_test.csv";
+    reg.save_csv(path);
+    const auto loaded = mm::ModelRegistry::load_csv(path);
+    std::remove(path.c_str());
+    EXPECT_EQ(loaded.system_name(), reg.system_name());
+    EXPECT_EQ(loaded.route_count(), reg.route_count());
+
+    mm::ConfiguratorOptions copt;
+    copt.cache_enabled = false;
+    const mm::PathConfigurator before(reg, copt);
+    const mm::PathConfigurator after(loaded, copt);
+    const auto gpus = sys.topology.gpus();
+    const auto paths =
+        mt::enumerate_paths(sys.topology, gpus[0], gpus[1],
+                            mt::PathPolicy::three_gpus_with_host());
+    for (std::uint64_t n = 1ull << 20; n <= 512ull << 20; n *= 2) {
+      EXPECT_TRUE(before.compute_config(gpus[0], gpus[1], n, paths) ==
+                  after.compute_config(gpus[0], gpus[1], n, paths))
+          << sys.topology.name() << " " << n << " bytes";
+    }
+  }
 }
 
 TEST(Calibration, ContentionAwareFixesNarvalHostPath) {
