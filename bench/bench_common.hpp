@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -46,9 +47,17 @@ inline bool quick_mode(int argc, char** argv) {
   return std::getenv("MPATH_BENCH_QUICK") != nullptr;
 }
 
+/// Where the benches write their results: $MPATH_RESULTS_DIR, else
+/// results/ in the working directory. Created on first use, so a bench can
+/// be pointed at a directory that does not exist yet.
 inline std::string results_dir() {
-  if (const char* env = std::getenv("MPATH_RESULTS_DIR")) return env;
-  return "results";
+  static const std::string dir = [] {
+    const char* env = std::getenv("MPATH_RESULTS_DIR");
+    std::string d = env != nullptr ? env : "results";
+    std::filesystem::create_directories(d);
+    return d;
+  }();
+  return dir;
 }
 
 /// Worker count for the parallel sweep harness: --jobs N / --jobs=N on the

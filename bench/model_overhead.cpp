@@ -49,15 +49,15 @@ Setup& setup() {
 
 }  // namespace
 
+// Cache-miss cost of Algorithm 1: compute_config is exactly what
+// configure() computes before it inserts the result.
 static void BM_ConfigureColdCache(benchmark::State& state) {
   auto& s = setup();
-  mm::ConfiguratorOptions opt;
-  opt.cache_enabled = false;
-  mm::PathConfigurator cfg(s.registry, opt);
+  const mm::PathConfigurator cfg(s.registry);
   const auto bytes = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cfg.configure(s.gpus[0], s.gpus[1], bytes, s.paths));
+        cfg.compute_config(s.gpus[0], s.gpus[1], bytes, s.paths));
   }
   // For the <0.1% claim: compare the reported ns/op against this transfer
   // time (a 46 GB/s single-lane transfer of the same size).
@@ -134,9 +134,7 @@ GraphSetup& graph_setup() {
 // each iteration so its events recycle.
 static void BM_GraphColdBuild(benchmark::State& state) {
   auto& s = graph_setup();
-  mm::ConfiguratorOptions opt;
-  opt.cache_enabled = false;
-  mm::PathConfigurator cfg(s.registry, opt);
+  const mm::PathConfigurator cfg(s.registry);
   const auto bytes = static_cast<std::uint64_t>(state.range(0));
   for (auto _ : state) {
     const mm::TransferConfig config =
@@ -148,8 +146,8 @@ static void BM_GraphColdBuild(benchmark::State& state) {
 BENCHMARK(BM_GraphColdBuild)->Arg(2 << 20)->Arg(64 << 20);
 
 // Cache-hit cost: the entire CPU-side work the replay fast path performs
-// before issuing — keyed lookup (FNV + tuple verify + LRU splice). This is
-// the number the <= 20%-of-cold-build gate holds.
+// before issuing — keyed lookup (FNV hash + tuple compare + LRU splice).
+// This is the number the <= 20%-of-cold-build gate holds.
 static void BM_GraphReplay(benchmark::State& state) {
   auto& s = graph_setup();
   mm::PathConfigurator cfg(s.registry);

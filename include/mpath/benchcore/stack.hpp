@@ -14,8 +14,9 @@
 namespace mpath::benchcore {
 
 struct StackOptions {
+  /// Staging buffers each device's pool holds on every stack.
+  static constexpr std::size_t staging_buffers_per_device = 16;
   std::uint64_t seed = 7;
-  std::size_t staging_buffers_per_device = 16;
   pipeline::ModelDrivenOptions model;
   int nranks = 0;  ///< 0 = one rank per GPU
   /// Collective graph chaining: capture each collective's whole transfer

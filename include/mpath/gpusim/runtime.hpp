@@ -183,6 +183,8 @@ class GpuRuntime {
   [[nodiscard]] const topo::NetworkBinding& binding() const {
     return binding_;
   }
+  /// The per-pair route table itself (route() lowers on first lookup).
+  [[nodiscard]] topo::NetworkBinding& binding() { return binding_; }
   /// One jitter factor for a modeled op's cost: the next draw of the
   /// runtime's util::JitterStream at the system's `jitter_rel`, equal bit
   /// for bit to util::Rng::jitter on the same seed (the stream only draws

@@ -2,7 +2,10 @@
 //
 // Given (src, dst, message size, candidate paths), compute the optimal
 // multi-path configuration — per-path byte shares and chunk counts — from
-// the fitted model parameters, with a configuration cache in front.
+// the fitted model parameters, with a configuration cache in front. The
+// cache is a PlanCache keyed by the request tuple and unbounded: it holds
+// one entry per distinct request until clear_cache(), and every recovery
+// re-plan of a new remainder adds one.
 #pragma once
 
 #include <cstdint>
@@ -34,19 +37,6 @@ struct ConfiguratorOptions {
   /// false, one global phi is least-squares fit over the 2 MiB..512 MiB
   /// operating range (ablation: substantially less accurate).
   bool phi_per_message = true;
-  /// When false every configure() recomputes, and the reference it returns
-  /// stays valid only until the next call.
-  bool cache_enabled = true;
-  /// Maximum number of cached configurations; least-recently-used entries
-  /// are evicted past this. 0 (default) means unbounded — the legacy
-  /// behaviour, fine for steady workloads but a slow leak for long-running
-  /// processes with high request diversity (fault-driven re-plans).
-  std::size_t cache_capacity = 0;
-  /// Width of the cache key in bits (1..64). Test hook: narrowing it forces
-  /// hash collisions between distinct request tuples, exercising the
-  /// collision-detection path without hunting for real 64-bit FNV
-  /// collisions. Production code leaves this at 64.
-  int cache_key_bits = 64;
 };
 
 /// The model-side half of Algorithm 1 (lines 7-21): per-path link
@@ -118,6 +108,8 @@ class PathConfigurator {
 
   /// Algorithm 1: returns the cached or freshly computed optimal
   /// configuration. `paths` must be non-empty with the direct path first.
+  /// The reference stays valid until clear_cache(), or until the same
+  /// request is configured again under a newer calibration snapshot.
   [[nodiscard]] const TransferConfig& configure(
       topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
       std::span<const topo::PathPlan> paths);
@@ -132,7 +124,7 @@ class PathConfigurator {
       std::span<const topo::PathPlan> paths);
 
   /// Pure read path: compute the optimal configuration WITHOUT touching
-  /// the cache, LRU list, or hit counters. This is the snapshot-shareable
+  /// the cache or its hit counters. This is the snapshot-shareable
   /// entry point for parallel sweeps — many threads may call it
   /// concurrently on one const PathConfigurator over an immutable
   /// ModelRegistry, and it returns bit-identical results to configure()
@@ -159,16 +151,6 @@ class PathConfigurator {
   [[nodiscard]] std::uint64_t cache_hits() const { return cache_.stats().hits; }
   [[nodiscard]] std::uint64_t cache_misses() const {
     return cache_.stats().misses;
-  }
-  /// Distinct request tuples that hashed onto an occupied key. Each one
-  /// recomputes and replaces the entry instead of returning the colliding
-  /// config.
-  [[nodiscard]] std::uint64_t cache_collisions() const {
-    return cache_.stats().collisions;
-  }
-  /// Entries dropped by the LRU bound (always 0 with cache_capacity == 0).
-  [[nodiscard]] std::uint64_t cache_evictions() const {
-    return cache_.stats().evictions;
   }
   /// Cached entries that matched their tuple but were computed under an
   /// older calibration snapshot; each recomputes under the current one.

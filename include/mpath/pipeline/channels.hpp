@@ -80,12 +80,15 @@ struct RecoveryStats {
   double recovery_time_s = 0.0;  ///< sim time from first timeout to finish
 };
 
+/// Transfers below this size skip multi-path and go direct (matching the
+/// runtime integration, which leaves small messages on the default path).
+inline constexpr std::size_t kMinMultipathBytes = 256 * 1024;
+
 struct ModelDrivenOptions {
-  /// Transfers below this size skip the model and go direct (matching the
-  /// runtime integration, which leaves small messages on the default path).
-  /// With recovery on they still take a single-path model plan, whose
-  /// prediction sets their watchdog deadline.
-  std::size_t min_multipath_bytes = 256 * 1024;
+  /// Transfers below this size skip the model and go direct. With recovery
+  /// on they still take a single-path model plan, whose prediction sets
+  /// their watchdog deadline.
+  std::size_t min_multipath_bytes = kMinMultipathBytes;
   RecoveryOptions recovery;
   /// Path probation/readmission policy. Requires recovery.enabled (health
   /// is driven by the watchdog outcomes); ignored otherwise.
@@ -256,6 +259,7 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
 
 /// Offline-tuned fixed distribution: fraction[i] of every message rides
 /// plan paths[i] with chunks[i] pipeline depth. Fractions must sum to ~1.
+/// StaticPlanChannel sends messages below kMinMultipathBytes direct.
 struct StaticPlan {
   std::vector<topo::PathPlan> paths;
   std::vector<double> fractions;
@@ -264,8 +268,7 @@ struct StaticPlan {
 
 class StaticPlanChannel final : public gpusim::DataChannel {
  public:
-  StaticPlanChannel(PipelineEngine& engine, StaticPlan plan,
-                    std::size_t min_multipath_bytes = 256 * 1024);
+  StaticPlanChannel(PipelineEngine& engine, StaticPlan plan);
 
   [[nodiscard]] sim::Task<void> transfer(gpusim::DeviceBuffer& dst,
                                          std::size_t dst_offset,
@@ -278,7 +281,6 @@ class StaticPlanChannel final : public gpusim::DataChannel {
  private:
   PipelineEngine* engine_;
   StaticPlan plan_;
-  std::size_t min_multipath_bytes_;
 };
 
 }  // namespace mpath::pipeline

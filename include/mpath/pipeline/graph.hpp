@@ -21,9 +21,10 @@
 //
 // Lifetime: a graph borrows streams and events from the runtime that
 // compiled it; graphs (and any cache holding them) must be destroyed before
-// that runtime. Graphs are shared_ptr-held so LRU eviction while a replay
-// is executing is safe (the replay frame keeps its snapshot alive — the
-// same by-value discipline as the PR 6 config-cache fix).
+// that runtime. Graphs are shared_ptr-held, so dropping a cached template
+// (LRU eviction, remove, clear) while its replay is executing is safe: the
+// replay frame keeps the graph alive, the way channels hold configs by
+// value across co_await.
 #pragma once
 
 #include <cstdint>
@@ -148,31 +149,25 @@ class TransferGraph {
 
 using GraphPtr = std::shared_ptr<TransferGraph>;
 
-struct GraphCacheOptions {
-  /// Maximum cached templates; least-recently-used entries are evicted past
-  /// this (releasing their events unless a replay still holds the graph).
-  /// 0 = unbounded.
-  std::size_t capacity = 32;
-  /// Key width test hook, exactly as ConfiguratorOptions::cache_key_bits:
-  /// narrowing forces FNV collisions between distinct tuples.
-  int key_bits = 64;
-};
+/// Maximum cached templates; least-recently-used entries are evicted past
+/// this (releasing their events unless a replay still holds the graph).
+inline constexpr std::size_t kGraphCacheCapacity = 32;
 
 using GraphCacheStats = model::PlanCacheStats;
 
-/// The template cache: a model::PlanCache keyed, like the config cache, on
-/// the full (src, dst, bytes, path-set) tuple, LRU-bounded and
-/// calibration-version-stamped. Mutex-protected: the replay hot path is
-/// engine-single-threaded (the lock is uncontended), but sweep tooling may
-/// build/inspect caches from multiple threads.
+/// The template cache: a model::PlanCache keyed, like the config cache, by
+/// the (src, dst, bytes, path-set) request tuple, LRU-bounded at
+/// kGraphCacheCapacity and calibration-version-stamped. Mutex-protected:
+/// the replay hot path is engine-single-threaded (the lock is uncontended),
+/// but sweep tooling may build/inspect caches from multiple threads.
 class GraphCache {
  public:
-  explicit GraphCache(GraphCacheOptions options = {});
+  GraphCache() = default;
   GraphCache(const GraphCache&) = delete;
   GraphCache& operator=(const GraphCache&) = delete;
 
-  /// The cached template for the tuple, or nullptr (miss, collision, or a
-  /// stale calibration stamp — stale entries are dropped so the caller
+  /// The cached template for the tuple, or nullptr (a miss, or a stale
+  /// calibration stamp — stale entries are dropped so the caller
   /// recompiles under the current snapshot).
   [[nodiscard]] GraphPtr lookup(topo::DeviceId src, topo::DeviceId dst,
                                 std::uint64_t bytes,
@@ -194,7 +189,7 @@ class GraphCache {
 
  private:
   mutable std::mutex mutex_;
-  model::PlanCache<GraphPtr> cache_;
+  model::PlanCache<GraphPtr> cache_{kGraphCacheCapacity};
 };
 
 }  // namespace mpath::pipeline

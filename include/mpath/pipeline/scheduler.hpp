@@ -29,7 +29,9 @@
 // water-fill reads each live path's FixedFlow in place. The view's order —
 // live-ticket order x path order, drained paths skipped — is the
 // water-fill's flow order and so part of every result: retire keeps its
-// swap-remove. audit() recounts the ledger.
+// swap-remove. audit() recounts the ledger. A path's links come from the
+// runtime's route table (topo::NetworkBinding::route), the one the copies
+// themselves run over, so footprints and flows name the same links.
 //
 // Prediction accounting: each admission records a predicted duration. The
 // record stays live ("unfrozen") while the simulated clock has not advanced
@@ -45,10 +47,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -226,9 +226,9 @@ class TransferScheduler {
   /// the result: it is the water-fill's flow order, so ties freeze in it.
   [[nodiscard]] std::span<const model::FixedFlow* const> live_flows();
   /// Fluid links occupied by `plan` while streaming (both hops of a staged
-  /// path — they are pipelined, so they are concurrently loaded). Cached:
-  /// routes are fixed for the runtime's lifetime.
-  [[nodiscard]] const util::SmallVec<std::uint32_t, 4>& plan_links(
+  /// path — they are pipelined, so they are concurrently loaded), read from
+  /// the runtime's route table, which lowers each pair once.
+  [[nodiscard]] util::SmallVec<std::uint32_t, 4> plan_links(
       topo::DeviceId src, topo::DeviceId dst, const topo::PathPlan& plan);
   /// Refresh the prediction of every unfrozen ticket from its residue and
   /// the given per-flow rates (aligned with owners_).
@@ -283,10 +283,6 @@ class TransferScheduler {
   bool flows_stale_ = false;
   std::vector<model::JointLink> links_;
   model::JointThetaSolver solver_;
-  std::map<std::tuple<topo::DeviceId, topo::DeviceId, topo::PathKind,
-                      topo::DeviceId>,
-           util::SmallVec<std::uint32_t, 4>>
-      plan_links_;
 };
 
 }  // namespace mpath::pipeline

@@ -10,7 +10,9 @@
 //
 // All mutations go through FluidNetwork::set_link_capacity, which
 // re-solves only the affected component; injecting faults into one
-// component does not perturb solver cost elsewhere.
+// component does not perturb solver cost elsewhere. Code that reacts to a
+// capacity change listens on the network (add_capacity_listener), which
+// sees every mutation, injected or not.
 #pragma once
 
 #include <cstdint>
@@ -54,14 +56,6 @@ class FaultInjector {
   /// Emit an instant per applied fault on `tracer` track "faults".
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  /// Notification of every applied event, invoked right after the network
-  /// mutation lands. `restored` is true when the event returned the link
-  /// to its baseline capacity (a restore as opposed to a degrade/sever) —
-  /// the hook health/probing policies use to fast-path readmission probes
-  /// instead of waiting out a cooldown.
-  using EventListener = InlineFn<void(const Applied&, bool /*restored*/)>;
-  void set_listener(EventListener fn) { listener_ = std::move(fn); }
-
   /// Schedule an absolute capacity for `link` at time `t` (>= now).
   void set_capacity_at(Time t, LinkId link, double bps);
   /// Scale `link` to `factor` × its baseline capacity at time `t`.
@@ -101,7 +95,6 @@ class FaultInjector {
   Engine* engine_;
   FluidNetwork* net_;
   Tracer* tracer_ = nullptr;
-  EventListener listener_;
   std::unordered_map<LinkId, double> baseline_;
   std::vector<Applied> applied_;
   std::size_t scheduled_ = 0;

@@ -9,7 +9,7 @@ SimStack::SimStack(topo::System system, StackOptions options)
       runtime_(std::make_unique<gpusim::GpuRuntime>(*system_, *engine_,
                                                     *network_, options.seed)),
       pipeline_(std::make_unique<pipeline::PipelineEngine>(
-          *runtime_, options.staging_buffers_per_device,
+          *runtime_, StackOptions::staging_buffers_per_device,
           gpusim::Payload::Simulated)) {}
 
 void SimStack::finish(std::unique_ptr<gpusim::DataChannel> channel,

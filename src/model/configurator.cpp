@@ -22,9 +22,7 @@ constexpr std::uint64_t kOmegaOverrideMinBytes = 16u << 20;
 
 PathConfigurator::PathConfigurator(const ModelRegistry& registry,
                                    ConfiguratorOptions options)
-    : registry_(&registry),
-      options_(options),
-      cache_(options.cache_capacity, options.cache_key_bits) {}
+    : registry_(&registry), options_(options) {}
 
 const TransferConfig& PathConfigurator::configure(
     topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
@@ -47,8 +45,6 @@ const TransferConfig& PathConfigurator::configure_over(
   }
   const std::uint64_t cal_version =
       calibration_ != nullptr ? calibration_->version() : 0;
-  // A disabled cache never hits; it only holds the config just returned.
-  if (!options_.cache_enabled) cache_.clear();
   if (const TransferConfig* hit =
           cache_.find(src, dst, bytes, paths, cal_version)) {
     return *hit;

@@ -479,8 +479,9 @@ void ModelDrivenChannel::plan_fresh(topo::DeviceId src, topo::DeviceId dst,
                                     std::span<const topo::PathPlan> paths,
                                     bool canonical, Plan& plan) {
   if (scheduler_ == nullptr) {
-    // Solo configure. Copy out of the configurator's cache: an LRU eviction
-    // during the transfer must not invalidate what it executes (or reports).
+    // Solo configure. Copy out of the configurator's cache: a clear_cache()
+    // or a recalibrated re-plan during the transfer must not invalidate what
+    // it executes (or reports).
     plan.config = configurator_->configure_over(src, dst, bytes, paths);
     plan.reproducible = canonical;  // deterministic given calibration
   } else if (plan.ticket == TransferScheduler::kInvalidTicket) {
@@ -520,11 +521,8 @@ std::shared_ptr<TransferGraph> ModelDrivenChannel::compile_template(
   return g;
 }
 
-StaticPlanChannel::StaticPlanChannel(PipelineEngine& engine, StaticPlan plan,
-                                     std::size_t min_multipath_bytes)
-    : engine_(&engine),
-      plan_(std::move(plan)),
-      min_multipath_bytes_(min_multipath_bytes) {
+StaticPlanChannel::StaticPlanChannel(PipelineEngine& engine, StaticPlan plan)
+    : engine_(&engine), plan_(std::move(plan)) {
   if (plan_.paths.empty() ||
       plan_.paths.size() != plan_.fractions.size() ||
       plan_.paths.size() != plan_.chunks.size()) {
@@ -551,7 +549,7 @@ sim::Task<void> StaticPlanChannel::transfer(gpusim::DeviceBuffer& dst,
                                             const gpusim::DeviceBuffer& src,
                                             std::size_t src_offset,
                                             std::size_t bytes) {
-  if (bytes < min_multipath_bytes_) {
+  if (bytes < kMinMultipathBytes) {
     co_await engine_->execute(dst, dst_offset, src, src_offset,
                               direct_plan(bytes));
     co_return;

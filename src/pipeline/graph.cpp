@@ -68,9 +68,6 @@ void TransferGraph::rebuild_ops() {
   }
 }
 
-GraphCache::GraphCache(GraphCacheOptions options)
-    : cache_(options.capacity, options.key_bits) {}
-
 GraphPtr GraphCache::lookup(topo::DeviceId src, topo::DeviceId dst,
                             std::uint64_t bytes,
                             std::span<const topo::PathPlan> paths,

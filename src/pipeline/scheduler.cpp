@@ -68,22 +68,17 @@ TransferScheduler::~TransferScheduler() {
   net_->remove_capacity_listener(capacity_listener_);
 }
 
-const util::SmallVec<std::uint32_t, 4>& TransferScheduler::plan_links(
+util::SmallVec<std::uint32_t, 4> TransferScheduler::plan_links(
     topo::DeviceId src, topo::DeviceId dst, const topo::PathPlan& plan) {
-  const auto [it, inserted] =
-      plan_links_.try_emplace({src, dst, plan.kind, plan.stage});
-  if (inserted) {
-    const gpusim::GpuRuntime& rt = engine_->runtime();
-    // Both hops of a staged path are pipelined — concurrently loaded — so
-    // the footprint is the union of all hop edges.
-    for (const auto& hop : topo::path_hop_routes(rt.topology(), src, dst,
-                                                 plan)) {
-      for (topo::EdgeId e : hop) {
-        it->second.push_back(rt.binding().link_for_edge(e));
-      }
-    }
+  topo::NetworkBinding& routes = engine_->runtime().binding();
+  if (plan.kind == topo::PathKind::Direct) return routes.route(src, dst).links;
+  // Both hops of a staged path are pipelined — concurrently loaded — so
+  // the footprint is the union of both hops' links.
+  util::SmallVec<std::uint32_t, 4> links = routes.route(src, plan.stage).links;
+  for (const sim::LinkId l : routes.route(plan.stage, dst).links) {
+    links.push_back(l);
   }
-  return it->second;
+  return links;
 }
 
 std::span<const model::JointLink> TransferScheduler::snapshot_links() {

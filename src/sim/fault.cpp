@@ -45,9 +45,6 @@ void FaultInjector::schedule(Time t, LinkId link, double bps) {
                                std::to_string(bps) + " B/s",
                            engine_->now());
     }
-    if (listener_) {
-      listener_(applied_.back(), bps > 0.0 && bps == baseline(link));
-    }
   });
 }
 

@@ -162,13 +162,11 @@ TEST(PaperClaims, ModelRuntimeOverheadNegligible) {
   const auto paths = topo::enumerate_paths(
       cal.system.topology, gpus[0], gpus[1],
       topo::PathPolicy::three_gpus_with_host());
-  model::ConfiguratorOptions opt;
-  opt.cache_enabled = false;
-  model::PathConfigurator cfg(cal.registry, opt);
+  const model::PathConfigurator cfg(cal.registry);
   const auto start = std::chrono::steady_clock::now();
   constexpr int kIters = 10000;
   for (int i = 0; i < kIters; ++i) {
-    (void)cfg.configure(gpus[0], gpus[1], (64u << 20) + i, paths);
+    (void)cfg.compute_config(gpus[0], gpus[1], (64u << 20) + i, paths);
   }
   const double per_call =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

@@ -176,42 +176,47 @@ TEST(CalibrationStore, ConfiguratorCacheInvalidatedByPublication) {
 }
 
 // Regression: replacing a cached entry on calibration invalidation must
-// reuse the key's own LRU node. The bookkeeping once repointed the entry at
-// another key's node, so with a bounded cache an eviction after an
-// invalidation left a dangling recency iterator and the next hit spliced
+// keep the recency list consistent. The bookkeeping once repointed the
+// entry at another key's node, so with a bounded cache an eviction after
+// an invalidation left a dangling recency iterator and the next hit spliced
 // freed memory. Interleaving publications, hits, and evictions on a
-// capacity-2 cache walks exactly that path (ASan/UBSan CI replays this).
+// capacity-2 plan cache stamped with the store's versions walks exactly
+// that path (ASan/UBSan CI replays this).
 TEST(CalibrationStore, InvalidationThenEvictionKeepsLruConsistent) {
   Fixture f;
   const auto paths = f.paths(mt::PathPolicy::three_gpus());
-  mm::ConfiguratorOptions opts;
-  opts.cache_capacity = 2;
-  mm::PathConfigurator cfg(f.reg, opts);
+  mm::PlanCache<int> cache(2);
   mm::CalibrationStore store;
-  cfg.set_calibration(&store);
   const auto g0 = f.gpus[0], g1 = f.gpus[1];
   const auto key = mm::PathCalKey::of(g0, g1, direct());
+  // PathConfigurator::configure's protocol: a hit under the current
+  // version, else plan (here: the size in MiB) and insert.
+  const auto configure = [&](std::uint64_t bytes) {
+    if (const int* hit =
+            cache.find(g0, g1, bytes, paths, store.version())) {
+      return *hit;
+    }
+    return cache.insert(g0, g1, bytes, paths, store.version(),
+                        static_cast<int>(bytes >> 20));
+  };
   const std::uint64_t a = 4u << 20, b = 8u << 20, c = 16u << 20;
   for (int round = 0; round < 8; ++round) {
-    (void)cfg.configure(g0, g1, a, paths);
-    (void)cfg.configure(g0, g1, b, paths);
-    // Invalidate both residents, then refresh them in place (replace path)
-    // and hit the refreshed entries.
+    configure(a);
+    configure(b);
+    // Invalidate both residents, then re-plan them and hit the new entry.
     store.publish(key, {1.0, 0.9 - 0.01 * round, 1});
-    (void)cfg.configure(g0, g1, a, paths);
-    (void)cfg.configure(g0, g1, b, paths);
-    const auto& hit = cfg.configure(g0, g1, b, paths);
-    EXPECT_EQ(hit.total_bytes, b);
-    // A third tuple evicts the LRU resident; the survivor must still hit
-    // through a valid recency iterator.
-    (void)cfg.configure(g0, g1, c, paths);
-    const auto& survivor = cfg.configure(g0, g1, b, paths);
-    EXPECT_EQ(survivor.total_bytes, b);
-    EXPECT_LE(cfg.cache_size(), 2u);
+    configure(a);
+    configure(b);
+    EXPECT_EQ(configure(b), 8);
+    // A third request evicts the LRU resident; the survivor must still hit
+    // through a valid recency node.
+    configure(c);
+    EXPECT_EQ(configure(b), 8);
+    EXPECT_LE(cache.size(), 2u);
   }
-  EXPECT_GE(cfg.cache_invalidations(), 8u);
-  EXPECT_GE(cfg.cache_evictions(), 8u);
-  EXPECT_GE(cfg.cache_hits(), 16u);
+  EXPECT_GE(cache.stats().invalidations, 8u);
+  EXPECT_GE(cache.stats().evictions, 8u);
+  EXPECT_GE(cache.stats().hits, 16u);
 }
 
 // Readers racing a publisher: snapshot() never blocks on the writer mutex,

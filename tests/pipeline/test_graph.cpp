@@ -413,12 +413,24 @@ TEST(GraphCompile, SingleChunkStagedShareIssuesNoWaitSlot) {
 // GraphCache
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Events a compiled template holds reserved from the runtime.
+std::size_t template_events(const mp::TransferGraph& g) {
+  std::size_t n = 0;
+  for (const auto& p : g.paths()) {
+    n += p.fwd_events.size() + p.bwd_events.size();
+  }
+  return n;
+}
+
+}  // namespace
+
 TEST(GraphCache, HitMissLruEvictionAndRemove) {
   Fixture f;
   const auto paths = f.candidates(mt::PathPolicy::three_gpus());
-  mp::GraphCacheOptions opt;
-  opt.capacity = 2;
-  mp::GraphCache cache(opt);
+  const std::uint64_t baseline = f.rt.events_outstanding();
+  mp::GraphCache cache;
 
   const auto compile_for = [&](std::uint64_t bytes) {
     const auto config =
@@ -428,34 +440,47 @@ TEST(GraphCache, HitMissLruEvictionAndRemove) {
     return g;
   };
   const std::span<const mt::PathPlan> key{paths.data(), paths.size()};
+  const auto size_of = [](std::uint64_t i) { return (i + 1) << 20; };
 
-  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], 8_MiB, key, 0), nullptr);
+  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], size_of(0), key, 0), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
 
-  auto g8 = compile_for(8_MiB);
-  cache.insert(g8, 0);
+  auto first = compile_for(size_of(0));
+  cache.insert(first, 0);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], 8_MiB, key, 0), g8);
+  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], size_of(0), key, 0), first);
   EXPECT_EQ(cache.stats().hits, 1u);
   // Different bytes = different tuple = miss.
-  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], 16_MiB, key, 0), nullptr);
+  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], size_of(1), key, 0), nullptr);
+  first.reset();  // the cache holds the only reference from here on
 
-  auto g16 = compile_for(16_MiB);
-  cache.insert(g16, 0);
-  // Touch 8 MiB so 16 MiB is the LRU victim when a third template arrives.
-  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], 8_MiB, key, 0), g8);
-  auto g32 = compile_for(32_MiB);
-  cache.insert(g32, 0);
-  EXPECT_EQ(cache.size(), 2u);
+  // Fill the cache; the templates from size_of(1) on are held by it alone.
+  std::size_t victim_events = 0;
+  for (std::uint64_t i = 1; i < mp::kGraphCacheCapacity; ++i) {
+    auto g = compile_for(size_of(i));
+    if (i == 1) victim_events = template_events(*g);
+    cache.insert(std::move(g), 0);
+  }
+  ASSERT_EQ(cache.size(), mp::kGraphCacheCapacity);
+  ASSERT_GT(victim_events, 0u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  // Touch size_of(0) so size_of(1) is the LRU victim of the 33rd template.
+  EXPECT_NE(cache.lookup(f.gpus[0], f.gpus[1], size_of(0), key, 0), nullptr);
+  auto last = compile_for(size_of(mp::kGraphCacheCapacity));
+  const std::uint64_t before = f.rt.events_outstanding();
+  cache.insert(std::move(last), 0);
+  EXPECT_EQ(cache.size(), mp::kGraphCacheCapacity);
   EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], 16_MiB, key, 0), nullptr);
-  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], 8_MiB, key, 0), g8);
-  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], 32_MiB, key, 0), g32);
+  // The evicted template returned its events to the runtime.
+  EXPECT_EQ(f.rt.events_outstanding(), before - victim_events);
+  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], size_of(1), key, 0), nullptr);
+  EXPECT_NE(cache.lookup(f.gpus[0], f.gpus[1], size_of(0), key, 0), nullptr);
 
-  EXPECT_TRUE(cache.remove(f.gpus[0], f.gpus[1], 8_MiB, key));
-  EXPECT_FALSE(cache.remove(f.gpus[0], f.gpus[1], 8_MiB, key));
+  EXPECT_TRUE(cache.remove(f.gpus[0], f.gpus[1], size_of(0), key));
+  EXPECT_FALSE(cache.remove(f.gpus[0], f.gpus[1], size_of(0), key));
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(f.rt.events_outstanding(), baseline);
 }
 
 TEST(GraphCache, StaleCalibrationVersionInvalidates) {
@@ -475,33 +500,6 @@ TEST(GraphCache, StaleCalibrationVersionInvalidates) {
   EXPECT_EQ(cache.size(), 0u);
 }
 
-TEST(GraphCache, NarrowKeyCollisionsMissInsteadOfAliasing) {
-  Fixture f;
-  const auto paths = f.candidates(mt::PathPolicy::three_gpus());
-  const std::span<const mt::PathPlan> key{paths.data(), paths.size()};
-  mp::GraphCacheOptions opt;
-  opt.key_bits = 1;  // every tuple lands on one of two buckets
-  mp::GraphCache cache(opt);
-  for (std::uint64_t i = 1; i <= 6; ++i) {
-    const auto config =
-        f.cfg.compute_config(f.gpus[0], f.gpus[1], i << 20, paths);
-    auto g = f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
-    ASSERT_NE(g, nullptr);
-    cache.insert(std::move(g), 0);
-    // Whatever is resident, a lookup must only ever return ITS tuple.
-    const auto hit = cache.lookup(f.gpus[0], f.gpus[1], i << 20, key, 0);
-    if (hit != nullptr) EXPECT_EQ(hit->total_bytes(), i << 20);
-  }
-  EXPECT_LE(cache.size(), 2u);
-  // Probe every tuple again: displaced ones land on a bucket owned by a
-  // later collider and must miss (never alias), bumping the counter.
-  for (std::uint64_t i = 1; i <= 6; ++i) {
-    const auto hit = cache.lookup(f.gpus[0], f.gpus[1], i << 20, key, 0);
-    if (hit != nullptr) EXPECT_EQ(hit->total_bytes(), i << 20);
-  }
-  EXPECT_GE(cache.stats().collisions, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // GraphCache under threads (TSan-covered via the CI concurrency regex)
 // ---------------------------------------------------------------------------
@@ -516,7 +514,12 @@ TEST(GraphCacheConcurrent, ParallelLookupInsertRemoveAgree) {
   const auto paths = f.candidates(mt::PathPolicy::three_gpus());
   const std::span<const mt::PathPlan> key{paths.data(), paths.size()};
   std::vector<mp::GraphPtr> graphs;
-  constexpr std::uint64_t kSizes = 8;
+  // More sizes than the cache holds, in a count coprime to the op cycle so
+  // every size meets every op. Only the first kRemovable sizes are ever
+  // removed: the other kGraphCacheCapacity fill the cache, so inserting a
+  // removable size evicts, racing the other threads' lookups.
+  constexpr std::uint64_t kSizes = mp::kGraphCacheCapacity + 9;
+  constexpr std::uint64_t kRemovable = kSizes - mp::kGraphCacheCapacity;
   for (std::uint64_t i = 1; i <= kSizes; ++i) {
     const auto config =
         f.cfg.compute_config(f.gpus[0], f.gpus[1], i << 20, paths);
@@ -525,9 +528,7 @@ TEST(GraphCacheConcurrent, ParallelLookupInsertRemoveAgree) {
     graphs.push_back(std::move(g));
   }
 
-  mp::GraphCacheOptions opt;
-  opt.capacity = 4;  // smaller than the working set: eviction races too
-  mp::GraphCache cache(opt);
+  mp::GraphCache cache;
   std::atomic<bool> aliased{false};
   constexpr int kThreads = 4;
   constexpr int kIters = 2000;
@@ -543,7 +544,9 @@ TEST(GraphCacheConcurrent, ParallelLookupInsertRemoveAgree) {
             cache.insert(graphs[i - 1], /*cal_version=*/0);
             break;
           case 1:
-            cache.remove(f.gpus[0], f.gpus[1], bytes, key);
+            if (i <= kRemovable) {
+              cache.remove(f.gpus[0], f.gpus[1], bytes, key);
+            }
             break;
           default: {
             const auto hit =
@@ -559,8 +562,9 @@ TEST(GraphCacheConcurrent, ParallelLookupInsertRemoveAgree) {
   }
   for (auto& w : workers) w.join();
   EXPECT_FALSE(aliased.load());
-  EXPECT_LE(cache.size(), 4u);
+  EXPECT_LE(cache.size(), mp::kGraphCacheCapacity);
   const auto s = cache.stats();
+  EXPECT_GT(s.evictions, 0u);
   EXPECT_EQ(s.hits + s.misses,
             static_cast<std::uint64_t>(kThreads) * kIters / 2);
 }
@@ -898,46 +902,48 @@ TEST(ChannelGraphs, HealthProbationBlocksReplayOfTemplatePath) {
   EXPECT_EQ(ch.graph_stats().compiles, 1u);
 }
 
-// ASan coverage for the by-value snapshot semantics: evicting a template
+// ASan coverage for the by-value snapshot semantics: dropping a template
 // from the cache while its replay is still executing must be safe — the
 // replay frame's shared_ptr keeps the graph (and its events) alive until
 // the frame completes.
 TEST(ChannelGraphs, LruEvictionDuringReplayIsSafe) {
   Fixture f;
-  mp::GraphCacheOptions copt;
-  copt.capacity = 1;  // any second tuple evicts the first
-  mp::GraphCache cache(copt);
+  mp::GraphCache cache;
   mp::ModelDrivenOptions opts;
   opts.graphs = &cache;
   mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::three_gpus(),
                             opts);
 
-  // Warm the 48 MiB template.
+  // Warm the 48 MiB template; watch it without keeping it alive.
   run_series(f, ch, 48_MiB, 1);
   ASSERT_EQ(cache.size(), 1u);
+  const auto paths = f.candidates(mt::PathPolicy::three_gpus());
+  const std::span<const mt::PathPlan> key{paths.data(), paths.size()};
+  const std::weak_ptr<mp::TransferGraph> watched =
+      cache.lookup(f.gpus[0], f.gpus[1], 48_MiB, key, 0);
+  ASSERT_FALSE(watched.expired());
 
-  mg::DeviceBuffer src_a(f.gpus[0], 48_MiB), dst_a(f.gpus[1], 48_MiB);
-  mg::DeviceBuffer src_b(f.gpus[0], 32_MiB), dst_b(f.gpus[1], 32_MiB);
-  src_a.fill_pattern(35);
-  src_b.fill_pattern(36);
-  // Task 1 replays the 48 MiB template; task 2 (same instant) compiles a
-  // 32 MiB template whose insert evicts the 48 MiB entry mid-replay.
+  mg::DeviceBuffer src(f.gpus[0], 48_MiB), dst(f.gpus[1], 48_MiB);
+  src.fill_pattern(35);
+  // The transfer replays the template; 50 us in, the cache drops it.
   f.engine.spawn(
       [](mg::DataChannel& c, mg::DeviceBuffer& d,
          const mg::DeviceBuffer& s) -> ms::Task<void> {
         co_await c.transfer(d, 0, s, 0, 48_MiB);
-      }(ch, dst_a, src_a),
+      }(ch, dst, src),
       "replaying");
-  f.engine.spawn(
-      [](mg::DataChannel& c, mg::DeviceBuffer& d,
-         const mg::DeviceBuffer& s) -> ms::Task<void> {
-        co_await c.transfer(d, 0, s, 0, 32_MiB);
-      }(ch, dst_b, src_b),
-      "evictor");
+  bool busy_at_remove = false;
+  bool removed = false;
+  f.engine.schedule_callback(f.engine.now() + 50e-6, [&] {
+    busy_at_remove = watched.lock()->busy();
+    removed = cache.remove(f.gpus[0], f.gpus[1], 48_MiB, key);
+  });
   f.engine.run();
-  EXPECT_TRUE(dst_a.same_content(src_a));
-  EXPECT_TRUE(dst_b.same_content(src_b));
-  EXPECT_GE(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_GE(ch.graph_stats().replays, 1u);
+  EXPECT_TRUE(busy_at_remove);
+  EXPECT_TRUE(removed);
+  EXPECT_TRUE(dst.same_content(src));
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(ch.graph_stats().replays, 1u);
+  // The replay frame held the last reference; the template died with it.
+  EXPECT_TRUE(watched.expired());
 }

@@ -212,17 +212,13 @@ TEST(Scheduler, JointPredictionsTrackSimulatedContention) {
 }
 
 // Regression (use-after-free): the channel's recovery loop used to hold a
-// reference into the shared configurator's LRU cache across co_await.
-// With cache_capacity = 1, a second recovering transfer on the same
-// configurator evicts the first's entry mid-await; when the first
-// transfer's watchdog then fires, it re-reads its (freed) config to build
-// the re-plan. The by-value snapshot makes this safe; under ASan the old
-// code dies here.
+// reference into the shared configurator's cache across co_await. Here the
+// cache drops both transfers' entries mid-await; when the first transfer's
+// watchdog then fires, it re-reads its config to build the re-plan. The
+// by-value snapshot makes this safe; under ASan the old code dies here.
 TEST(Scheduler, RecoveringTransfersSurviveSharedCacheEviction) {
   Fixture f;
-  mm::ConfiguratorOptions copt;
-  copt.cache_capacity = 1;
-  mm::PathConfigurator shared_cfg(f.reg, copt);
+  mm::PathConfigurator shared_cfg(f.reg);
   mp::ModelDrivenOptions mopt;
   mopt.recovery.enabled = true;
   mp::ModelDrivenChannel ch(f.pipe, shared_cfg, mt::PathPolicy::three_gpus(),
@@ -235,11 +231,15 @@ TEST(Scheduler, RecoveringTransfersSurviveSharedCacheEviction) {
   src_b.fill_pattern(72);
 
   // Sever the first transfer's direct link mid-flight: its watchdog fires
-  // (~1 ms) long after the second transfer's configure_over evicted the
-  // first's cache entry (at t = 0).
+  // (~1 ms) long after the cache dropped both entries (at 100 us).
   const auto link = f.direct_link(f.gpus[0], f.gpus[1]);
   f.engine.schedule_callback(60e-6,
                              [&] { f.net.set_link_capacity(link, 0.0); });
+  std::size_t dropped = 0;
+  f.engine.schedule_callback(100e-6, [&] {
+    dropped = shared_cfg.cache_size();
+    shared_cfg.clear_cache();
+  });
 
   ChannelRun run_a, run_b;
   f.engine.spawn(guarded_transfer(ch, dst_a, src_a, kBytes, run_a), "a");
@@ -251,7 +251,7 @@ TEST(Scheduler, RecoveringTransfersSurviveSharedCacheEviction) {
   EXPECT_TRUE(dst_a.same_content(src_a));
   EXPECT_TRUE(dst_b.same_content(src_b));
   EXPECT_GE(ch.recovery_stats().replans, 1u);
-  EXPECT_GT(shared_cfg.cache_evictions(), 0u);
+  EXPECT_EQ(dropped, 2u);
 }
 
 // The small-remainder branch prefers the Direct survivor. When the direct

@@ -106,10 +106,8 @@ TEST(Calibration, RegistryRoundTripsThroughCsv) {
     EXPECT_EQ(loaded.system_name(), reg.system_name());
     EXPECT_EQ(loaded.route_count(), reg.route_count());
 
-    mm::ConfiguratorOptions copt;
-    copt.cache_enabled = false;
-    const mm::PathConfigurator before(reg, copt);
-    const mm::PathConfigurator after(loaded, copt);
+    const mm::PathConfigurator before(reg);
+    const mm::PathConfigurator after(loaded);
     const auto gpus = sys.topology.gpus();
     const auto paths =
         mt::enumerate_paths(sys.topology, gpus[0], gpus[1],
