@@ -2,11 +2,11 @@
 // cache (PathConfigurator) and the compiled-template cache (GraphCache).
 //
 // An entry is keyed by its request tuple (src, dst, bytes, candidate
-// paths). FNV-1a only hashes the tuple; the index compares whole tuples, so
-// two distinct requests never share an entry. Each entry is stamped with
-// the calibration-snapshot version it was planned under; a lookup under a
-// newer version drops it so the caller re-plans against the current
-// alpha/beta. Entries live in a recency list, most recently used first,
+// paths). FNV-1a (request_hash) only hashes the tuple; the index compares
+// whole tuples, so two distinct requests never share an entry. Each entry
+// is stamped with the calibration-snapshot version it was planned under; a
+// lookup under a newer version drops it so the caller re-plans against the
+// current alpha/beta. Entries live in a recency list, most recently used first,
 // bounded by `capacity` (0 = unbounded). Not thread-safe: GraphCache wraps
 // every call in its mutex.
 #pragma once
@@ -22,6 +22,24 @@
 #include "mpath/topo/paths.hpp"
 
 namespace mpath::model {
+
+/// FNV-1a over the request tuple, one 64-bit word per field: the hash a
+/// PlanCache index buckets its requests by. Equal hashes never merge two
+/// requests, since the index then compares whole tuples.
+[[nodiscard]] inline std::uint64_t request_hash(
+    topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
+    std::span<const topo::PathPlan> paths) noexcept {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto mix = [&h](std::uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  mix(src);
+  mix(dst);
+  mix(bytes);
+  for (const topo::PathPlan& p : paths) {
+    mix(static_cast<std::uint64_t>(p.kind) + 1);
+    mix(p.stage);
+  }
+  return h;
+}
 
 struct PlanCacheStats {
   std::uint64_t hits = 0;
@@ -121,18 +139,8 @@ class PlanCache {
 
   struct Fnv1a {
     std::size_t operator()(const Request& r) const noexcept {
-      std::uint64_t h = 1469598103934665603ull;
-      const auto mix = [&h](std::uint64_t v) {
-        h = (h ^ v) * 1099511628211ull;
-      };
-      mix(r.src);
-      mix(r.dst);
-      mix(r.bytes);
-      for (const topo::PathPlan& p : r.paths) {
-        mix(static_cast<std::uint64_t>(p.kind) + 1);
-        mix(p.stage);
-      }
-      return static_cast<std::size_t>(h);
+      return static_cast<std::size_t>(
+          request_hash(r.src, r.dst, r.bytes, r.paths));
     }
   };
 

@@ -4,6 +4,7 @@
 
 #include <numeric>
 
+#include "mpath/model/plan_cache.hpp"
 #include "mpath/topo/system.hpp"
 
 namespace mm = mpath::model;
@@ -288,6 +289,43 @@ TEST(Configurator, ZeroCapacityMeansUnbounded) {
     (void)cfg.configure(f.gpus[0], f.gpus[1], i << 20, paths);
   }
   EXPECT_EQ(cfg.cache_hits(), 32u);
+}
+
+// Two gpu1 -> gpu2 requests on Beluga whose request hashes are equal in all
+// 64 bits (found by a brute-force search over sizes): 1.27 GiB over the
+// two-GPU candidates and 6.1 GiB over the three-GPU ones. They share a
+// bucket in the config cache's index at any table size, and each must still
+// get its own config.
+TEST(Configurator, HashCollisionDoesNotAliasConfigs) {
+  Fixture f;
+  mm::PathConfigurator cfg(f.reg);
+  const auto two = f.paths(mt::PathPolicy::two_gpus());
+  const auto three = f.paths(mt::PathPolicy::three_gpus());
+  constexpr std::uint64_t kTwoBytes = 1358470200;
+  constexpr std::uint64_t kThreeBytes = 6565944290;
+  ASSERT_EQ(mm::request_hash(f.gpus[0], f.gpus[1], kTwoBytes, two),
+            mm::request_hash(f.gpus[0], f.gpus[1], kThreeBytes, three));
+
+  const auto& a = cfg.configure(f.gpus[0], f.gpus[1], kTwoBytes, two);
+  const auto& b = cfg.configure(f.gpus[0], f.gpus[1], kThreeBytes, three);
+  EXPECT_EQ(cfg.cache_hits(), 0u);
+  EXPECT_EQ(cfg.cache_size(), 2u);
+  EXPECT_NE(&a, &b);
+  const auto expect_own = [](const mm::TransferConfig& c, std::uint64_t bytes,
+                             const std::vector<mt::PathPlan>& paths) {
+    EXPECT_EQ(c.total_bytes, bytes);
+    EXPECT_EQ(sum_bytes(c), bytes);
+    ASSERT_EQ(c.paths.size(), paths.size());
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+      EXPECT_EQ(c.paths[i].plan, paths[i]);
+    }
+  };
+  expect_own(a, kTwoBytes, two);
+  expect_own(b, kThreeBytes, three);
+  // A genuine repeat of either still hits its own entry.
+  EXPECT_EQ(&cfg.configure(f.gpus[0], f.gpus[1], kTwoBytes, two), &a);
+  EXPECT_EQ(&cfg.configure(f.gpus[0], f.gpus[1], kThreeBytes, three), &b);
+  EXPECT_EQ(cfg.cache_hits(), 2u);
 }
 
 // compute_config == config_from_theta(prepare(...), ThetaSolver::solve) —

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "mpath/model/calibration_store.hpp"
+#include "mpath/model/plan_cache.hpp"
 #include "mpath/pipeline/channels.hpp"
 #include "mpath/pipeline/scheduler.hpp"
 #include "mpath/topo/system.hpp"
@@ -498,6 +499,47 @@ TEST(GraphCache, StaleCalibrationVersionInvalidates) {
   EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], 8_MiB, key, 2), nullptr);
   EXPECT_EQ(cache.stats().invalidations, 1u);
   EXPECT_EQ(cache.size(), 0u);
+}
+
+// Two gpu1 -> gpu2 requests whose request hashes are equal in all 64 bits
+// (found by a brute-force search over sizes), so a key narrowed to any width
+// collides: 1.27 GiB over the two-GPU candidates and 6.1 GiB over the
+// three-GPU ones. Looking up one while only the other is resident misses;
+// once both are resident each finds its own template.
+TEST(GraphCache, NarrowKeyCollisionsMissInsteadOfAliasing) {
+  Fixture f;
+  const auto two = f.candidates(mt::PathPolicy::two_gpus());
+  const auto three = f.candidates(mt::PathPolicy::three_gpus());
+  constexpr std::uint64_t kTwoBytes = 1358470200;
+  constexpr std::uint64_t kThreeBytes = 6565944290;
+  ASSERT_EQ(mm::request_hash(f.gpus[0], f.gpus[1], kTwoBytes, two),
+            mm::request_hash(f.gpus[0], f.gpus[1], kThreeBytes, three));
+  const auto compile_for = [&](std::uint64_t bytes,
+                               const std::vector<mt::PathPlan>& paths) {
+    const auto config =
+        f.cfg.compute_config(f.gpus[0], f.gpus[1], bytes, paths);
+    return f.pipe.compile_graph(f.gpus[0], f.gpus[1], config);
+  };
+
+  mp::GraphCache cache;
+  const auto g_two = compile_for(kTwoBytes, two);
+  cache.insert(g_two, 0);
+  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], kThreeBytes, three, 0),
+            nullptr);
+  EXPECT_EQ(cache.stats().misses, 1u);
+
+  const auto g_three = compile_for(kThreeBytes, three);
+  cache.insert(g_three, 0);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], kTwoBytes, two, 0), g_two);
+  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], kThreeBytes, three, 0),
+            g_three);
+  // Removing one leaves the other in place.
+  EXPECT_TRUE(cache.remove(f.gpus[0], f.gpus[1], kThreeBytes, three));
+  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], kThreeBytes, three, 0),
+            nullptr);
+  EXPECT_EQ(cache.lookup(f.gpus[0], f.gpus[1], kTwoBytes, two, 0), g_two);
+  EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 // ---------------------------------------------------------------------------
