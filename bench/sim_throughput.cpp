@@ -9,6 +9,9 @@
 // speedup of the incremental path is measured in-tree.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <vector>
+
 #include "mpath/sim/fluid.hpp"
 #include "mpath/sim/sync.hpp"
 #include "mpath/util/rng.hpp"
@@ -38,7 +41,7 @@ static void BM_EngineEventThroughput(benchmark::State& state) {
 BENCHMARK(BM_EngineEventThroughput)->Arg(1000)->Arg(100000);
 
 // Same-instant work: eight interleaved chains in which every event defers
-// the next, so all of it runs at t = 0 through the engine's FIFO lane.
+// the next, so all of it runs at t = 0 and every insert appends.
 static void BM_EngineDeferChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   struct Link {
@@ -58,6 +61,48 @@ static void BM_EngineDeferChain(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_EngineDeferChain)->Arg(1000)->Arg(100000);
+
+// The hold model: `depth` events stay queued, and each one, when it runs,
+// queues its successor an exponentially distributed time ahead (mean 1), so
+// inserts land at random ranks of the sorted ring and shift up to half of
+// it. Increments come from a precomputed table, keeping the RNG out of the
+// timing. Depth 16 is near the mean queue of most end-to-end workloads and
+// 256 near the deepest any reached (295, perfbench tenants-faulted, while
+// finished runs' watchdogs still stayed queued); 4,096 shows the cost
+// where a ring's linear shifts lose to a heap's log-depth sifts.
+static void BM_EngineRandomHold(benchmark::State& state) {
+  const auto depth = static_cast<int>(state.range(0));
+  constexpr int kHolds = 100000;  ///< successors queued per iteration
+  std::vector<double> steps(4096);
+  mpath::util::Rng rng(11);
+  for (double& dt : steps) dt = -std::log(1.0 - rng.uniform(0.0, 1.0));
+  struct Hold {
+    ms::Engine* engine;
+    const std::vector<double>* steps;
+    std::size_t* next;
+    int* left;
+    void operator()() const {
+      if (--*left < 0) return;
+      const double dt = (*steps)[(*next)++ & (steps->size() - 1)];
+      engine->schedule_callback(engine->now() + dt, *this);
+    }
+  };
+  ms::Engine engine;
+  std::size_t next = 0;
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    int left = kHolds;
+    const Hold hold{&engine, &steps, &next, &left};
+    for (int i = 0; i < depth; ++i) {
+      const double dt = steps[next++ & (steps.size() - 1)];
+      engine.schedule_callback(engine.now() + dt, hold);
+    }
+    events += engine.run();
+    benchmark::DoNotOptimize(events);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_EngineRandomHold)->Arg(16)->Arg(256)->Arg(4096);
 
 // One jitter draw at sigma 0.02: every modeled op (copy launch, event record
 // and wait, host chunk issue) scales its cost by one.

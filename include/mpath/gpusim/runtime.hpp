@@ -20,6 +20,10 @@
 // op runs through the stream's one reusable running record, which engine
 // callbacks advance step by step (no coroutine, no spawned process, no
 // record or latch per op). See DESIGN.md, "GPU stream ops".
+//
+// A copy may be governed by a CancelToken that its issuer owns and passes
+// by address, as it passes the buffers: the token, like the buffers, must
+// outlive the ops it governs.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +48,13 @@ namespace mpath::gpusim {
 using StreamId = std::uint32_t;
 using EventId = std::uint32_t;
 
-/// Cooperative cancellation handle for in-flight copies. A token is shared
-/// between the issuer (e.g. a pipeline watchdog) and every memcpy_async it
-/// governs: cancel() aborts the governed copies' live fluid flows via
-/// FluidNetwork::cancel_flow and marks the token, after which governed ops
-/// that have not yet started drain without moving data. Single-simulation
-/// use only (no thread safety needed — the engine is single-threaded).
+/// Cooperative cancellation handle for in-flight copies. The issuer (e.g. a
+/// pipeline watchdog) owns the token and passes its address to every
+/// memcpy_async it governs: cancel() aborts the governed copies' live fluid
+/// flows via FluidNetwork::cancel_flow and marks the token, after which
+/// governed ops that have not yet started drain without moving data. Like
+/// a buffer, a token must outlive the ops it governs. Single-simulation use
+/// only (no thread safety needed — the engine is single-threaded).
 class CancelToken {
  public:
   explicit CancelToken(sim::FluidNetwork& net) : net_(&net) {}
@@ -76,7 +81,6 @@ class CancelToken {
   util::SmallVec<sim::FlowId, 4> in_flight_;      ///< flows streaming now
   util::SmallVec<sim::FlowId, 4> cancelled_ids_;  ///< aborted by cancel()
 };
-using CancelTokenPtr = std::shared_ptr<CancelToken>;
 
 class GpuRuntime {
  public:
@@ -111,8 +115,6 @@ class GpuRuntime {
   [[nodiscard]] std::uint64_t events_outstanding() const {
     return events_acquired_ - events_released_;
   }
-  /// Make a cancellation token bound to this runtime's fluid network.
-  [[nodiscard]] CancelTokenPtr make_cancel_token() const;
 
   // -- stream operations (enqueue, non-blocking) ----------------------------
   // Each call appends one entry to the stream's ring. An op on an idle
@@ -132,16 +134,17 @@ class GpuRuntime {
 
   /// Copy `len` bytes between buffer regions along the topology route from
   /// src.device() to dst.device(). Payload bytes are copied at completion
-  /// time. Both buffers must outlive the operation. A non-null `token`
-  /// makes the copy abortable: token->cancel() kills the in-flight fluid
-  /// flow (partial link bytes stay accounted, payload is not copied) and
-  /// turns not-yet-started governed copies into no-ops, so a stream backed
-  /// by a severed link drains instead of stalling forever. A non-null
-  /// `on_done` is invoked once at copy completion (delivered or drained).
+  /// time. Both buffers, and a non-null `token`, must outlive the
+  /// operation. A token makes the copy abortable: token->cancel() kills the
+  /// in-flight fluid flow (partial link bytes stay accounted, payload is
+  /// not copied) and turns not-yet-started governed copies into no-ops, so
+  /// a stream backed by a severed link drains instead of stalling forever.
+  /// A non-null `on_done` is invoked once at copy completion (delivered or
+  /// drained).
   void memcpy_async(DeviceBuffer& dst, std::size_t dst_offset,
                     const DeviceBuffer& src, std::size_t src_offset,
                     std::size_t len, StreamId stream,
-                    CancelTokenPtr token = nullptr, DoneHook on_done = {});
+                    CancelToken* token = nullptr, DoneHook on_done = {});
   /// Record `event` at the current tail of `stream` (CUDA semantics: a
   /// later wait_event observes this record).
   void record_event(EventId event, StreamId stream);

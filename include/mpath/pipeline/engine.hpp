@@ -18,11 +18,20 @@
 // There is one issue loop: an uncompiled plan runs as a transient
 // TransferGraph (graph.hpp) through the loop that replays templates, and
 // that loop leases each run's staging buffers from the engine's pool.
+//
+// A monitored run's watchdog state lives in that loop's frame: one entry
+// per path, holding the path's cancel token and its pending watchdog
+// event. The run cancels every watchdog still queued when it finishes
+// (the frame's destructor does so if it unwinds early), so none fires
+// after its transfer or holds the engine's clock, and nothing of a run
+// outlives its frame. Leases and watchdog entries take sim-pool blocks
+// sized to the plan, so a plan of any width runs allocation-free.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mpath/gpusim/runtime.hpp"
@@ -65,7 +74,10 @@ struct PathOutcome {
 
 struct TransferOutcome {
   bool complete = true;  ///< no path timed out; all bytes delivered
-  util::SmallVec<PathOutcome, 4> paths;  ///< parallel to the input plan
+  /// Parallel to the input plan. Eight inline slots hold a plan over an
+  /// eight-GPU node (direct, six GPU-staged paths and a host-staged one)
+  /// without allocating.
+  util::SmallVec<PathOutcome, 8> paths;
   [[nodiscard]] std::uint64_t delivered() const {
     std::uint64_t sum = 0;
     for (const PathOutcome& p : paths) sum += p.bytes_delivered;
@@ -98,7 +110,9 @@ class PipelineEngine {
   /// instead of hanging. `watch` must be empty (no monitoring) or the same
   /// length as `plan`. Progress accounting is passive (per-chunk completion
   /// hooks on direct paths, the existing backward event records on staged
-  /// paths), so monitoring does not change a path's completion time.
+  /// paths), so monitoring does not change a path's completion time; and
+  /// the run cancels its pending watchdogs when it finishes, so a run whose
+  /// watchdogs never fire dispatches the events of an unmonitored one.
   [[nodiscard]] sim::Task<TransferOutcome> execute_monitored(
       gpusim::DeviceBuffer& dst, std::size_t dst_offset,
       const gpusim::DeviceBuffer& src, std::size_t src_offset, ExecPlan plan,
@@ -153,11 +167,12 @@ class PipelineEngine {
 
   /// The one chunk-issue loop: lease staging for the staged paths, arm the
   /// watchdogs, walk g's op list, drain the streams (each staged path
-  /// returning its lease) and report per-path progress.
+  /// returning its lease), cancel the watchdogs still pending and report
+  /// per-path progress. `watch` stays in the caller's frame.
   [[nodiscard]] sim::Task<TransferOutcome> issue(
       TransferGraph& g, gpusim::DeviceBuffer& dst, std::size_t dst_offset,
       const gpusim::DeviceBuffer& src, std::size_t src_offset,
-      PathWatchList watch);
+      std::span<const PathWatch> watch);
 
   gpusim::GpuRuntime* runtime_;
   StagingPool staging_;

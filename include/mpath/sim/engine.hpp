@@ -6,19 +6,22 @@
 // a whole OSU-style bandwidth sweep executes deterministically in
 // milliseconds of wall time.
 //
-// Every event has a (time, seq) place and runs in that order. Events due at
-// the current instant go to a FIFO lane while that keeps it sorted by seq
-// (a fresh seq is the largest yet, so they always do, and cost no sift);
-// later events, and reserved places behind the lane's last entry, go to a
-// compact 16-byte {time, seq|slot} binary heap; re-armable Timers sit
-// outside both, so a superseded deadline never becomes an event. run()
-// dispatches the least of the three fronts.
+// Every event has a (time, seq) place and runs in that order. Queued events
+// are 16-byte {time, seq|slot} entries in one power-of-two ring kept sorted
+// by that place: run() pops the front, an event not earlier than the back
+// appends, and an earlier one finds its rank by a short scan from the front
+// (then a binary search) and shifts the shorter side of the ring, so a
+// near-future insert costs the same however much is queued far ahead. A
+// queued callback can be cancelled, which drops its entry and destroys its
+// captures at once. Re-armable Timers sit outside the ring, so a superseded
+// deadline never becomes an event; run() dispatches the lesser of the ring's
+// front and the earliest armed timer.
 //
-// The hot path is allocation-free in steady state: lane and heap entries
-// address a recycled slab of payloads (coroutine handle or inline-storage
-// callback — no std::function), and spawned-process state comes from an
-// intrusive free-list slab instead of make_shared. See DESIGN.md,
-// "Allocation & pooling" and "Same-instant lane & re-armable timers".
+// The hot path is allocation-free in steady state: ring entries address a
+// recycled slab of payloads (coroutine handle or inline-storage callback —
+// no std::function), and spawned-process state comes from an intrusive
+// free-list slab instead of make_shared. See DESIGN.md, "Allocation &
+// pooling" and "Sorted event ring, cancel & re-armable timers".
 #pragma once
 
 #include <coroutine>
@@ -56,6 +59,15 @@ class SimError : public std::runtime_error {
 /// heap-allocate. Captures larger than the SBO budget fail to compile —
 /// bundle state behind a single pointer instead.
 using EventFn = InlineFn<void()>;
+
+/// A queued callback's place, returned by Engine::schedule_callback for
+/// Engine::cancel. Its key holds the event's unique seq, so a ref never
+/// names a later event that reuses the payload slot. A default ref names
+/// no event.
+struct EventRef {
+  Time t = 0.0;
+  std::uint64_t key = 0;
+};
 
 /// One-shot broadcast event. fire() releases every current and future
 /// waiter; waiting on an already-fired latch does not suspend.
@@ -273,8 +285,13 @@ class Engine {
   /// a NaN `t`.
   void schedule_handle(Time t, std::coroutine_handle<> h);
   /// Invoke `fn` at absolute simulated time `t` (>= now). Throws SimError
-  /// on a NaN `t`.
-  void schedule_callback(Time t, EventFn fn);
+  /// on a NaN `t`. The returned ref can cancel() the event until it runs.
+  EventRef schedule_callback(Time t, EventFn fn);
+  /// Drop a queued callback without running it, destroying its captures
+  /// now. A no-op when the event already ran or was cancelled (its slot
+  /// may since carry another event, which is left alone) and when engine
+  /// teardown has cleared the queue.
+  void cancel(EventRef ref);
   /// Same-time batching: invoke `fn` at the *current* timestamp, after
   /// every event already queued at this time (FIFO by sequence) but before
   /// any event queued afterwards. Lets modules coalesce a burst of
@@ -330,9 +347,9 @@ class Engine {
   std::uint64_t run();
 
   [[nodiscard]] std::size_t live_process_count() const { return live_roots_; }
-  /// Pending firings: heap and lane entries plus armed timers.
+  /// Pending firings: queued events plus armed timers.
   [[nodiscard]] std::size_t queued_event_count() const {
-    return heap_.size() + lane_size_ + armed_timers_;
+    return size_ + armed_timers_;
   }
 
   /// Emit "event_queue_depth" counter samples on tracer track "engine",
@@ -348,22 +365,21 @@ class Engine {
   friend class Timer;
 
   // Queued events are compact {t, seq|slot} records over a slab of
-  // payloads addressed by slot, so heap sifts move 16 bytes and payload
-  // storage is recycled. `seq` keeps the upper 40 bits of the key:
-  // same-time events compare by it alone (slot bits can never tie-break
-  // since seq is unique). The lane holds keys only; its time is now_.
+  // payloads addressed by slot, so shifting the ring moves 16 bytes per
+  // entry and payload storage is recycled. `seq` keeps the upper 40 bits of
+  // the key: same-time events compare by it alone (slot bits can never
+  // tie-break since seq is unique).
   static constexpr int kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
-  struct HeapEntry {
+  /// Entries an insert compares from the front before it binary-searches.
+  static constexpr std::size_t kFrontScan = 8;
+  struct Entry {
     Time t;
     std::uint64_t key;  ///< (seq << kSlotBits) | payload slot
   };
-  struct EventLater {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const {
-      if (a.t != b.t) return a.t > b.t;
-      return a.key > b.key;
-    }
-  };
+  static bool earlier(const Entry& a, Time t, std::uint64_t key) {
+    return a.t < t || (a.t == t && a.key < key);
+  }
   struct EventSlot {
     std::coroutine_handle<> handle;  // set for handle events
     EventFn callback;                // set for callback events
@@ -377,9 +393,21 @@ class Engine {
   /// `t` itself, or now_ for a past `t` (asserted in debug builds).
   /// Throws SimError on NaN.
   Time checked_time(Time t) const;
-  void push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
-                  EventFn&& fn);
-  void grow_lane();
+  /// Queue a payload at (t, seq); returns the entry's place in the ring.
+  EventRef push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
+                      EventFn&& fn);
+  [[nodiscard]] Entry& at(std::size_t i) {
+    return queue_[(head_ + i) & (queue_.size() - 1)];
+  }
+  /// Index of the first entry in [from, size_) not earlier than (t, key).
+  [[nodiscard]] std::size_t lower_bound(Time t, std::uint64_t key,
+                                        std::size_t from);
+  /// Put `e` at index `i` (< size_) of a ring with room, shifting the
+  /// shorter side out of its way.
+  void insert_at(std::size_t i, Entry e);
+  /// Remove the entry at index `i`, closing the gap from the shorter side.
+  void erase_at(std::size_t i);
+  void grow_queue();
   void arm_timer(Timer& timer, Time t);
   void disarm_timer(Timer& timer);
   void update_next_timer();
@@ -387,12 +415,11 @@ class Engine {
   void check_quiescence() const;
 
   [[no_unique_address]] ThreadOwner owner_;
-  std::vector<HeapEntry> heap_;
-  /// Same-instant lane: a power-of-two ring of keys, every one due at now_
-  /// and in ascending seq order.
-  std::vector<std::uint64_t> lane_;
-  std::size_t lane_head_ = 0;
-  std::size_t lane_size_ = 0;
+  /// Pending events: a power-of-two ring sorted by (t, seq), `size_`
+  /// entries from `head_`.
+  std::vector<Entry> queue_;
+  std::size_t head_ = 0;
+  std::size_t size_ = 0;
   Timer* timers_ = nullptr;      ///< intrusive list of armed timers
   std::size_t armed_timers_ = 0;
   Timer* next_timer_ = nullptr;  ///< least armed (t, seq), or null

@@ -1,12 +1,13 @@
 // Size-bucketed free-list recycler for hot-path heap objects: coroutine
-// frames (Task promises), latches, make_pooled objects (cancel tokens,
-// event latches), and gpusim's per-stream lanes and their ring chunks and
-// chunk maps (blocks of at most 8 KiB; stream ops themselves are ring
-// entries and take no block each). Freed blocks are cached in thread-local
-// buckets and handed back on the next same-size allocation, so a
-// steady-state workload stops calling the global allocator entirely after
-// its first few transfers warm the pools, and a fresh simulation stack
-// built on a warm pool takes its blocks from it.
+// frames (Task promises), latches, make_pooled objects (event latches),
+// gpusim's per-stream lanes and their ring chunks and chunk maps, and a
+// pipeline run's per-path leases and watchdog entries (blocks of at most
+// 8 KiB; stream ops themselves are ring entries and take no block each).
+// Freed blocks are cached in thread-local buckets and handed back on the
+// next same-size allocation, so a steady-state workload stops calling the
+// global allocator entirely after its first few transfers warm the pools,
+// and a fresh simulation stack built on a warm pool takes its blocks from
+// it.
 //
 // Under AddressSanitizer the pool is compiled as a passthrough to the
 // global allocator: recycling would mask use-after-free on pooled objects

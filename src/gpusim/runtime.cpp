@@ -49,7 +49,7 @@ struct GpuRuntime::Entry {
     std::size_t dst_offset;
     std::size_t src_offset;
     std::size_t len;
-    CancelTokenPtr token;
+    CancelToken* token;
     DoneHook on_done;
   };
 
@@ -377,10 +377,6 @@ void GpuRuntime::release_event(EventId event) {
   event_free_list_.push_back(event);
 }
 
-CancelTokenPtr GpuRuntime::make_cancel_token() const {
-  return sim::make_pooled<CancelToken>(*network_);
-}
-
 bool GpuRuntime::event_fired(EventId event) const {
   return events_.at(event).latch->fired();
 }
@@ -421,14 +417,14 @@ std::string GpuRuntime::stream_track(StreamId stream) const {
 void GpuRuntime::memcpy_async(DeviceBuffer& dst, std::size_t dst_offset,
                               const DeviceBuffer& src, std::size_t src_offset,
                               std::size_t len, StreamId stream,
-                              CancelTokenPtr token, DoneHook on_done) {
+                              CancelToken* token, DoneHook on_done) {
   // Validate regions eagerly: misuse should fail at the call site, not at
   // some later simulated instant.
   dst.check_region(dst_offset, len);
   src.check_region(src_offset, len);
   Entry& op = enqueue(stream, OpKind::kCopy);
   ::new (&op.copy) Entry::Copy{&dst,       &src, dst_offset,
-                               src_offset, len,  std::move(token),
+                               src_offset, len,  token,
                                std::move(on_done)};
 }
 

@@ -4,30 +4,111 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <new>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
+
+#include "mpath/sim/pool.hpp"
 
 namespace mpath::pipeline {
 
 namespace {
 
-// State shared between the executing coroutine and its watchdog callbacks.
-// Heap-held (shared_ptr, pool-recycled) because a watchdog timer can fire
-// after the transfer completed and the coroutine frame is gone.
+/// A run's per-path state in one sim-pool block, sized when the run starts:
+/// a plan of any width takes no global allocation (the pool recycles the
+/// block), and the issue frame holds only a pointer and a count. Empty
+/// until assign().
+template <typename T>
+class RunArray {
+ public:
+  RunArray() = default;
+  RunArray(const RunArray&) = delete;
+  RunArray& operator=(const RunArray&) = delete;
+  ~RunArray() {
+    std::destroy_n(data_, size_);
+    if (data_ != nullptr) sim::detail::pool_free(data_, size_ * sizeof(T));
+  }
+
+  /// Construct `n` elements from `args` in a fresh block (once per run).
+  template <typename... Args>
+  void assign(std::size_t n, Args&... args) {
+    static_assert(std::is_nothrow_constructible_v<T, Args&...>);
+    data_ = static_cast<T*>(sim::detail::pool_alloc(n * sizeof(T)));
+    size_ = n;
+    for (std::size_t i = 0; i < n; ++i) ::new (data_ + i) T(args...);
+  }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+  T& operator[](std::size_t i) { return data_[i]; }
+
+ private:
+  T* data_ = nullptr;
+  std::size_t size_ = 0;
+};
+
+// A run's watchdog state, in its issue frame. Entries are parallel to the
+// plan; a watched path's entry owns the cancel token its copies carry and
+// the ref of its pending watchdog. The run cancels every pending watchdog
+// when it finishes, and the destructor cancels any still queued if the
+// frame unwinds early, so no watchdog outlives the frame: its callback and
+// the direct paths' DoneHooks capture raw pointers into it.
 struct MonitorState {
   struct Entry {
-    gpusim::CancelTokenPtr token;
-    util::SmallVec<gpusim::EventId, 16> done_events;  ///< per-chunk completion
-    util::SmallVec<std::size_t, 16> chunk_sizes;
+    explicit Entry(sim::FluidNetwork& net) noexcept : token(net) {}
+    const TransferGraph::Path* path = nullptr;  ///< null: not watched
+    gpusim::CancelToken token;
+    sim::EventRef watchdog;          ///< pending deadline, or none
     std::size_t records_issued = 0;  ///< completion records enqueued so far
-    std::uint64_t bytes = 0;
     std::uint64_t delivered = 0;  ///< direct: running total fed by DoneHooks
-    bool staged = false;
-    bool finished = false;
     bool timed_out = false;
   };
-  gpusim::GpuRuntime* rt = nullptr;
-  util::SmallVec<Entry, 4> entries;  ///< parallel to the caller's plan
+
+  explicit MonitorState(gpusim::GpuRuntime& runtime)
+      : engine(&runtime.engine()), rt(&runtime) {}
+  MonitorState(const MonitorState&) = delete;
+  MonitorState& operator=(const MonitorState&) = delete;
+  ~MonitorState() { cancel_watchdogs(); }
+
+  [[nodiscard]] Entry* watched(std::size_t i) {
+    return entries.empty() || entries[i].path == nullptr ? nullptr
+                                                         : &entries[i];
+  }
+
+  /// DoneHook of a direct chunk of `sz` bytes: adds it to the path's
+  /// delivered total, or none for an unwatched path.
+  static gpusim::GpuRuntime::DoneHook progress_hook(Entry* e, std::size_t sz) {
+    if (e == nullptr) return {};
+    return [e, sz](bool delivered) {
+      if (delivered) e->delivered += sz;
+    };
+  }
+
+  /// The finished run's per-path outcome, parallel to `config`. Built
+  /// here rather than in the issue frame, which would keep a copy.
+  [[nodiscard]] TransferOutcome outcome(const model::TransferConfig& config) {
+    TransferOutcome out;
+    out.paths.resize(config.paths.size());
+    for (std::size_t i = 0; i < config.paths.size(); ++i) {
+      PathOutcome& po = out.paths[i];
+      po.bytes = po.bytes_delivered = config.paths[i].bytes;
+      const Entry* e = watched(i);
+      if (e != nullptr && e->timed_out) {
+        po.timed_out = true;
+        po.bytes_delivered = e->delivered;
+        out.complete = false;
+      }
+    }
+    return out;
+  }
+
+  void cancel_watchdogs() {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      sim::EventRef& w = entries[i].watchdog;
+      if (w.key != 0) engine->cancel(std::exchange(w, {}));
+    }
+  }
 
   // Contiguous delivered prefix. Direct paths accumulate it passively: each
   // chunk's memcpy_async carries a DoneHook that adds the chunk size on
@@ -36,34 +117,37 @@ struct MonitorState {
   // events whose record has been *enqueued* are consulted — a freshly
   // created event reads as fired (CUDA never-recorded semantics) and must
   // not count until record_event re-arms it.
-  [[nodiscard]] std::uint64_t delivered_prefix(std::size_t i) const {
-    const Entry& e = entries[i];
-    if (!e.staged) return e.delivered;
+  [[nodiscard]] std::uint64_t delivered_prefix(const Entry& e) const {
+    const TransferGraph::Path& p = *e.path;
+    if (!p.staged) return e.delivered;
     std::uint64_t sum = 0;
-    const std::size_t n = std::min(e.records_issued, e.done_events.size());
+    const std::size_t n = std::min(e.records_issued, p.bwd_events.size());
     for (std::size_t c = 0; c < n; ++c) {
-      if (!rt->event_fired(e.done_events[c])) break;
-      sum += e.chunk_sizes[c];
+      if (!rt->event_fired(p.bwd_events[c])) break;
+      sum += p.chunk_sizes[c];
     }
     return sum;
   }
 
   // Watchdog body for path `i`: snapshot progress *before* cancelling (the
   // post-cancel drain fires the remaining completion records without moving
-  // data), then abort the path's in-flight flows.
+  // data), then abort the path's in-flight flows. A path that delivered
+  // everything already is left alone.
   void on_deadline(std::size_t i) {
     Entry& e = entries[i];
-    if (e.finished || e.timed_out) return;
-    const std::uint64_t d = delivered_prefix(i);
-    if (d >= e.bytes) {  // raced with completion: path is effectively done
-      e.finished = true;
-      e.delivered = e.bytes;
-      return;
-    }
+    e.watchdog = {};
+    const std::uint64_t d = delivered_prefix(e);
+    if (d >= e.path->bytes) return;
     e.delivered = d;
     e.timed_out = true;
-    e.token->cancel();
+    e.token.cancel();
   }
+
+  // The engine outlives every frame it runs, so the destructor may cancel
+  // through it even at engine teardown, after the runtime is gone.
+  sim::Engine* engine;
+  gpusim::GpuRuntime* rt;
+  RunArray<Entry> entries;  ///< empty when no path is watched
 };
 
 /// The byte total of `shares`, after checking that each can be issued: at
@@ -160,12 +244,11 @@ sim::Task<TransferOutcome> PipelineEngine::execute_monitored(
   dst.check_region(dst_offset, total);
   build_graph(*g, src.device(), dst.device());
 
-  TransferOutcome out = co_await issue(*g, dst, dst_offset, src, src_offset,
-                                       std::move(watch));
+  TransferOutcome out =
+      co_await issue(*g, dst, dst_offset, src, src_offset, watch);
   // Every record has fired (the streams drained), every waiter captured
-  // its latch at enqueue time, and late watchdog timers bail out on
-  // finished/timed-out entries before consulting events — so recycling the
-  // events can never alias stale state.
+  // its latch at enqueue time, and the run cancelled its watchdogs — so
+  // recycling the events can never alias stale state.
   g->release();
   spare_graphs_.push_back(std::move(g));
   co_return out;
@@ -258,60 +341,52 @@ sim::Task<TransferOutcome> PipelineEngine::replay(
     TransferGraph* g;
     ~BusyReset() { g->busy_ = false; }
   } busy_reset{&g};
-  co_return co_await issue(g, dst, dst_offset, src, src_offset,
-                           std::move(watch));
+  co_return co_await issue(g, dst, dst_offset, src, src_offset, watch);
 }
 
 sim::Task<TransferOutcome> PipelineEngine::issue(
     TransferGraph& g, gpusim::DeviceBuffer& dst, std::size_t dst_offset,
     const gpusim::DeviceBuffer& src, std::size_t src_offset,
-    PathWatchList watch) {
+    std::span<const PathWatch> watch) {
   // -- staging ----------------------------------------------------------------
   // Every run, compiled or not, leases its staging from the suspending pool,
   // in path order and before any watchdog is armed: waiting for a slot is
   // charged to the transfer, not to its deadlines. Each lease returns as its
   // staged path drains (below), so nothing holds a slot between runs.
-  util::SmallVec<StagingPool::Lease, 4> leases;
-  leases.resize(g.paths_.size());
+  RunArray<StagingPool::Lease> leases;
   for (std::size_t i = 0; i < g.paths_.size(); ++i) {
     const TransferGraph::Path& p = g.paths_[i];
     if (!p.staged) continue;
+    if (leases.empty()) leases.assign(g.paths_.size());
     leases[i] = co_await staging_.acquire(p.plan.stage, staging_bytes(p),
                                           g.src_dev_);
   }
 
-  const std::size_t plan_size = g.config_.paths.size();
-  bool any_watch = false;
-  for (const PathWatch& w : watch) any_watch |= w.deadline_s > 0.0;
-  std::shared_ptr<MonitorState> mon;
-  if (any_watch) {
-    mon = sim::make_pooled<MonitorState>();
-    mon->rt = runtime_;
-    mon->entries.resize(plan_size);
-  }
-
   // -- accounting, monitor entries and watchdogs ------------------------------
-  // Only watched paths get a cancel token, so only they can time out.
-  // Deadlines are relative to issue start. The callback holds the shared
-  // MonitorState, not the coroutine frame, so a timer firing after the
-  // transfer completed is a harmless no-op.
+  // Once any path is watched, every plan path gets a monitor entry, but only
+  // a watched one gets its path and a watchdog, so only it can time out.
+  // Deadlines are relative to issue start.
   sim::Engine& engine = runtime_->engine();
+  MonitorState mon(*runtime_);
+  for (const PathWatch& w : watch) {
+    if (w.deadline_s > 0.0) {
+      mon.entries.assign(g.config_.paths.size(),
+                         runtime_->binding().network());
+      break;
+    }
+  }
   for (const TransferGraph::Path& pi : g.paths_) {
     bytes_by_kind_[pi.plan.kind] += pi.bytes;
     const std::size_t i = pi.plan_index;
-    if (mon == nullptr || watch[i].deadline_s <= 0.0) continue;
-    MonitorState::Entry& e = mon->entries[i];
-    e.token = runtime_->make_cancel_token();
-    e.bytes = pi.bytes;
-    e.chunk_sizes = pi.chunk_sizes;
-    e.staged = pi.staged;
+    if (mon.entries.empty() || watch[i].deadline_s <= 0.0) continue;
     // The backward record of chunk c fires once the chunk left the staging
     // device, i.e. the chunk is visible at the destination. Direct paths
     // need no events at all: each chunk's copy reports its own completion
     // through a DoneHook (see kCopyDirect below).
-    if (pi.staged) e.done_events = pi.bwd_events;
-    engine.schedule_callback(engine.now() + watch[i].deadline_s,
-                             [mon, i] { mon->on_deadline(i); });
+    mon.entries[i].path = &pi;
+    mon.entries[i].watchdog = engine.schedule_callback(
+        engine.now() + watch[i].deadline_s,
+        [m = &mon, i] { m->on_deadline(i); });
   }
 
   // -- issue the op list ------------------------------------------------------
@@ -322,14 +397,15 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
   bool skipping = false;
   for (const GraphOp& op : g.ops_) {
     TransferGraph::Path& pi = g.paths_[op.path];
+    MonitorState::Entry* watched = mon.watched(pi.plan_index);
     if (op.chunk_head) {
       // Each (path, chunk) group's ops are contiguous, so one flag carries
       // the skip decision to the end of the group.
-      skipping = mon != nullptr && mon->entries[pi.plan_index].timed_out;
+      skipping = watched != nullptr && watched->timed_out;
     }
     if (skipping) continue;
-    gpusim::CancelTokenPtr token =
-        mon != nullptr ? mon->entries[pi.plan_index].token : nullptr;
+    gpusim::CancelToken* token =
+        watched != nullptr ? &watched->token : nullptr;
     const std::size_t c = op.chunk;
     switch (op.kind) {
       case GraphOp::Kind::kCopyDirect: {
@@ -340,14 +416,8 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
             dst_offset + pi.offset + pi.chunk_offsets[c];
         // Progress accounting rides the copy's own completion instead of an
         // extra per-chunk event record: monitoring a direct path is free.
-        gpusim::GpuRuntime::DoneHook hook;
-        if (token != nullptr) {
-          hook = [mon, i = pi.plan_index, sz](bool delivered) {
-            if (delivered) mon->entries[i].delivered += sz;
-          };
-        }
         runtime_->memcpy_async(dst, dst_at, src, src_at, sz, pi.first_stream,
-                               std::move(token), std::move(hook));
+                               token, MonitorState::progress_hook(watched, sz));
         break;
       }
       case GraphOp::Kind::kWaitSlot:
@@ -359,8 +429,7 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
         const std::size_t slot_off = (c % 2) * (stage.size() / 2);
         runtime_->memcpy_async(stage, slot_off, src,
                                src_offset + pi.offset + pi.chunk_offsets[c],
-                               pi.chunk_sizes[c], pi.first_stream,
-                               std::move(token));
+                               pi.chunk_sizes[c], pi.first_stream, token);
         break;
       }
       case GraphOp::Kind::kRecordFwd:
@@ -378,12 +447,12 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
         runtime_->memcpy_async(dst,
                                dst_offset + pi.offset + pi.chunk_offsets[c],
                                stage, slot_off, pi.chunk_sizes[c],
-                               pi.second_stream, std::move(token));
+                               pi.second_stream, token);
         break;
       }
       case GraphOp::Kind::kRecordBwd:
         runtime_->record_event(pi.bwd_events[c], pi.second_stream);
-        if (token != nullptr) ++mon->entries[pi.plan_index].records_issued;
+        if (watched != nullptr) ++watched->records_issued;
         break;
     }
     co_await issue_cost();
@@ -399,17 +468,16 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
     const TransferGraph::Path& pi = g.paths_[pidx];
     if (!pi.staged) continue;
     co_await runtime_->synchronize(pi.second_stream);
-    const bool timed_out =
-        mon != nullptr && mon->entries[pi.plan_index].timed_out;
+    const MonitorState::Entry* watched = mon.watched(pi.plan_index);
+    const bool timed_out = watched != nullptr && watched->timed_out;
     if (src.materialized() && dst.materialized() &&
         !leases[pidx].buffer().materialized()) {
       // Simulated staging buffer between materialized endpoints: land the
       // payload in bulk — but only the delivered prefix of a path that was
       // aborted mid-flight.
       const std::size_t land =
-          timed_out
-              ? static_cast<std::size_t>(mon->entries[pi.plan_index].delivered)
-              : static_cast<std::size_t>(pi.bytes);
+          timed_out ? static_cast<std::size_t>(watched->delivered)
+                    : static_cast<std::size_t>(pi.bytes);
       if (land > 0) {
         std::memcpy(dst.region(dst_offset + pi.offset, land).data(),
                     src.region(src_offset + pi.offset, land).data(), land);
@@ -422,24 +490,10 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
     co_await runtime_->synchronize(pi.first_stream);
   }
   ++transfers_;
+  // The run is over: no deadline of it may fire, or hold the clock, now.
+  mon.cancel_watchdogs();
 
-  // -- assemble the outcome ---------------------------------------------------
-  TransferOutcome out;
-  out.paths.resize(plan_size);
-  for (std::size_t i = 0; i < plan_size; ++i) {
-    PathOutcome& po = out.paths[i];
-    po.bytes = po.bytes_delivered = g.config_.paths[i].bytes;
-    if (mon == nullptr) continue;
-    MonitorState::Entry& e = mon->entries[i];
-    if (e.timed_out) {
-      po.timed_out = true;
-      po.bytes_delivered = e.delivered;
-      out.complete = false;
-    } else {
-      e.finished = true;  // disarm any still-pending watchdog timer
-    }
-  }
-  co_return out;
+  co_return mon.outcome(g.config_);
 }
 
 }  // namespace mpath::pipeline

@@ -51,8 +51,9 @@ Engine::~Engine() {
   }
   timers_ = nullptr;
   next_timer_ = nullptr;
-  heap_.clear();
-  lane_size_ = 0;
+  // Empty the queue before any payload or frame dies, so a cancel() from a
+  // capture or frame being destroyed below finds nothing to do.
+  size_ = 0;
   slots_.clear();
   roots_.clear();
   if (proc_slab_ != nullptr) {
@@ -74,8 +75,8 @@ Time Engine::checked_time(Time t) const {
   return now_;
 }
 
-void Engine::push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
-                        EventFn&& fn) {
+EventRef Engine::push_event(Time t, std::uint64_t seq,
+                            std::coroutine_handle<> h, EventFn&& fn) {
   MPATH_ASSERT_OWNER(owner_, "sim::Engine (event scheduling)");
   if (!(t >= now_)) t = checked_time(t);
   std::uint32_t slot;
@@ -91,40 +92,85 @@ void Engine::push_event(Time t, std::uint64_t seq, std::coroutine_handle<> h,
     }
     slots_.push_back(EventSlot{h, std::move(fn)});
   }
-  const std::uint64_t key = (seq << kSlotBits) | slot;
-  // An event due now joins the lane if that keeps the lane sorted by seq:
-  // always for a fresh seq, which is larger than every queued one, and for
-  // a reserved place behind the lane's last entry. Anything else takes its
-  // place in the heap, and run() orders the two by (t, seq).
-  const std::size_t mask = lane_.size() - 1;
-  if (t == now_ &&
-      (lane_size_ == 0 || key > lane_[(lane_head_ + lane_size_ - 1) & mask])) {
-    if (lane_size_ == lane_.size()) grow_lane();
-    lane_[(lane_head_ + lane_size_) & (lane_.size() - 1)] = key;
-    ++lane_size_;
+  const Entry e{t, (seq << kSlotBits) | slot};
+  if (size_ == queue_.size()) grow_queue();
+  // Most events sort after everything queued: a fresh seq at the latest
+  // queued time, or a time beyond it. The rest are usually due soon, so
+  // their rank is among the first few entries; deeper ones binary-search.
+  if (size_ == 0 || !earlier(e, at(size_ - 1).t, at(size_ - 1).key)) {
+    at(size_) = e;
   } else {
-    heap_.push_back(HeapEntry{t, key});
-    std::push_heap(heap_.begin(), heap_.end(), EventLater{});
+    const std::size_t scan = std::min(size_, kFrontScan);
+    std::size_t i = 0;
+    while (i < scan && earlier(at(i), e.t, e.key)) ++i;
+    insert_at(i < scan ? i : lower_bound(e.t, e.key, scan), e);
   }
+  ++size_;
+  return EventRef{e.t, e.key};
 }
 
-void Engine::grow_lane() {
-  // Double the ring, unrolling it so the oldest entry lands at index 0.
-  std::vector<std::uint64_t> grown(
-      std::max<std::size_t>(64, 2 * lane_.size()));
-  for (std::size_t i = 0; i < lane_size_; ++i) {
-    grown[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
+std::size_t Engine::lower_bound(Time t, std::uint64_t key, std::size_t from) {
+  std::size_t lo = from;
+  std::size_t hi = size_;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (earlier(at(mid), t, key)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
   }
-  lane_ = std::move(grown);
-  lane_head_ = 0;
+  return lo;
+}
+
+void Engine::insert_at(std::size_t i, Entry e) {
+  const std::size_t mask = queue_.size() - 1;
+  if (i < size_ - i) {
+    head_ = (head_ + mask) & mask;
+    for (std::size_t j = 0; j < i; ++j) at(j) = at(j + 1);
+  } else {
+    for (std::size_t j = size_; j > i; --j) at(j) = at(j - 1);
+  }
+  at(i) = e;
+}
+
+void Engine::erase_at(std::size_t i) {
+  if (i < size_ - 1 - i) {
+    for (std::size_t j = i; j > 0; --j) at(j) = at(j - 1);
+    head_ = (head_ + 1) & (queue_.size() - 1);
+  } else {
+    for (std::size_t j = i; j + 1 < size_; ++j) at(j) = at(j + 1);
+  }
+  --size_;
+}
+
+void Engine::grow_queue() {
+  // Double the ring, unrolling it so the front entry lands at index 0.
+  std::vector<Entry> grown(std::max<std::size_t>(64, 2 * queue_.size()));
+  for (std::size_t i = 0; i < size_; ++i) grown[i] = at(i);
+  queue_ = std::move(grown);
+  head_ = 0;
+}
+
+void Engine::cancel(EventRef ref) {
+  MPATH_ASSERT_OWNER(owner_, "sim::Engine (cancel)");
+  if (size_ == 0) return;
+  const std::size_t i = lower_bound(ref.t, ref.key, 0);
+  if (i == size_ || at(i).t != ref.t || at(i).key != ref.key) return;
+  erase_at(i);
+  const auto slot = static_cast<std::uint32_t>(ref.key & kSlotMask);
+  // Destroy the captures outside the slab: a capture's destructor may
+  // queue work, which can grow the slab or reuse this slot.
+  EventFn dropped = std::move(slots_[slot].callback);
+  free_slots_.push_back(slot);
 }
 
 void Engine::schedule_handle(Time t, std::coroutine_handle<> h) {
   push_event(t, reserve_seq(), h, EventFn{});
 }
 
-void Engine::schedule_callback(Time t, EventFn fn) {
-  push_event(t, reserve_seq(), nullptr, std::move(fn));
+EventRef Engine::schedule_callback(Time t, EventFn fn) {
+  return push_event(t, reserve_seq(), nullptr, std::move(fn));
 }
 
 void Engine::defer(EventFn fn) {
@@ -253,56 +299,34 @@ std::uint64_t Engine::run() {
   MPATH_ASSERT_OWNER(owner_, "sim::Engine (run)");
   std::uint64_t processed = 0;
   for (;;) {
-    // The queue's front is the lane's, unless an equal-time heap entry (a
-    // reserved place, or one queued before this instant) holds an earlier
-    // seq. Lane entries are all due at now_, and now_ only advances once
-    // the lane is empty.
-    const bool lane = lane_size_ > 0;
-    const bool from_lane =
-        lane && !(!heap_.empty() && heap_.front().t == now_ &&
-                  heap_.front().key < lane_[lane_head_]);
-    const bool queued = lane || !heap_.empty();
-    if (!queued && next_timer_ == nullptr) break;
-    Time t = now_;
-    std::uint64_t key = 0;
-    if (from_lane) {
-      key = lane_[lane_head_];
-    } else if (queued) {
-      t = heap_.front().t;
-      key = heap_.front().key;
-    }
     Timer* timer = next_timer_;
-    if (timer != nullptr &&
-        (!queued || timer->t_ < t ||
-         (timer->t_ == t && timer->seq_ < (key >> kSlotBits)))) {
-      // Disarm before firing, so the callback may re-arm.
-      now_ = timer->t_;
-      current_seq_ = timer->seq_;
-      disarm_timer(*timer);
-      timer->fn_();
-    } else {
-      if (from_lane) {
-        lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
-        --lane_size_;
-      } else {
-        std::pop_heap(heap_.begin(), heap_.end(), EventLater{});
-        heap_.pop_back();
-        now_ = t;
-      }
-      current_seq_ = key >> kSlotBits;
-      const auto slot = static_cast<std::uint32_t>(key & kSlotMask);
+    if (size_ == 0 && timer == nullptr) break;
+    if (size_ > 0 &&
+        (timer == nullptr || earlier(queue_[head_], timer->t_,
+                                     timer->seq_ << kSlotBits))) {
+      const Entry e = queue_[head_];
+      head_ = (head_ + 1) & (queue_.size() - 1);
+      --size_;
+      now_ = e.t;
+      current_seq_ = e.key >> kSlotBits;
+      const auto slot = static_cast<std::uint32_t>(e.key & kSlotMask);
       // Move the payload out and recycle the slot *before* invoking: the
       // event may schedule new work, which can then reuse this slot.
       const std::coroutine_handle<> handle = slots_[slot].handle;
       EventFn callback = std::move(slots_[slot].callback);
       slots_[slot].handle = nullptr;
-      slots_[slot].callback.reset();
       free_slots_.push_back(slot);
       if (handle) {
         handle.resume();
       } else {
         callback();
       }
+    } else {
+      // Disarm before firing, so the callback may re-arm.
+      now_ = timer->t_;
+      current_seq_ = timer->seq_;
+      disarm_timer(*timer);
+      timer->fn_();
     }
     ++processed;
     if (tracer_ != nullptr && --trace_countdown_ == 0) {

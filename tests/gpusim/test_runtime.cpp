@@ -128,8 +128,8 @@ TEST(GpuRuntime, SyncWaitersAndSuccessorWakeInQueueOrder) {
       CleanFixture f;
       mg::DeviceBuffer a(f.gpus[0], 64), b(f.gpus[1], 64);
       const auto s = f.rt.create_stream(f.gpus[0]);
-      auto token = f.rt.make_cancel_token();
-      token->cancel();
+      mg::CancelToken token(f.net);
+      token.cancel();
       constexpr double kDelay = 1e-5;
       std::vector<int> order;
       f.rt.stream_delay(s, kDelay);
@@ -144,7 +144,7 @@ TEST(GpuRuntime, SyncWaitersAndSuccessorWakeInQueueOrder) {
       // later (when the delay starts), so the successor's place is ahead.
       // At 0 the successor enqueues an instant before the delay ends.
       f.engine.schedule_callback(keeps_place ? kDelay : 0.0, [&] {
-        f.rt.memcpy_async(b, 0, a, 0, 64, s, token, [&](bool delivered) {
+        f.rt.memcpy_async(b, 0, a, 0, 64, s, &token, [&](bool delivered) {
           EXPECT_FALSE(delivered);
           EXPECT_EQ(f.engine.now(), kDelay);
           order.push_back(0);
@@ -237,23 +237,23 @@ TEST(GpuRuntime, CancelledTokenDrainsDeepQueueWithoutMovingData) {
   mg::DeviceBuffer ref(f.gpus[1], 256_KiB);
   ref.fill_pattern(4);
   const auto s = f.rt.create_stream(f.gpus[0]);
-  auto token = f.rt.make_cancel_token();
+  mg::CancelToken token(f.net);
   constexpr int kOps = 2048;
   constexpr double kCancelAt = 2e-6;  // the first copy streams 1-2.4 us
   int drained = 0;
   for (int i = 0; i < kOps; ++i) {
     const std::size_t off = static_cast<std::size_t>(i % 4) * 64_KiB;
-    f.rt.memcpy_async(dst, off, src, off, 64_KiB, s, token,
+    f.rt.memcpy_async(dst, off, src, off, 64_KiB, s, &token,
                       [&](bool delivered) {
                         EXPECT_FALSE(delivered);
                         EXPECT_EQ(f.engine.now(), kCancelAt);
                         ++drained;
                       });
   }
-  f.engine.schedule_callback(kCancelAt, [&] { token->cancel(); });
+  f.engine.schedule_callback(kCancelAt, [&] { token.cancel(); });
   const std::uint64_t events = f.engine.run();
   EXPECT_EQ(drained, kOps);
-  EXPECT_EQ(token->flows_cancelled(), 1u);
+  EXPECT_EQ(token.flows_cancelled(), 1u);
   EXPECT_EQ(f.rt.bytes_copied(), 0u);
   EXPECT_TRUE(dst.same_content(ref));
   EXPECT_EQ(events, 2054u);  // as the pooled-record queue counted

@@ -1,8 +1,9 @@
 // Regression guard for the zero-allocation steady state: after one warmup
 // round fills the event/flow/frame pools and container high-water marks, a
 // second identical round of full-stack pipeline transfers must perform zero
-// global operator-new calls. The same holds for a stream queue thousands of
-// ops deep, and for the scheduler's departure side: once its ledger and
+// global operator-new calls. The same holds for monitored plans wider than
+// four paths, for a stream queue thousands of ops deep, and for the
+// scheduler's departure side: once its ledger and
 // solver buffers have grown, a departure or a link-capacity change (each a
 // water-fill over every live path) allocates nothing. A fresh stack built
 // on a warm pool allocates no more than the pooled-record stream queue did.
@@ -87,6 +88,74 @@ std::uint64_t steady_state_allocs(int workers, int repeats, bool monitored) {
   spawn_round();
   engine.run();
   return scope.delta();
+}
+
+/// Three rounds in which each of two workers runs one six-path transfer on
+/// dgx (direct plus five GPU-staged paths, every path under a watchdog);
+/// returns the allocations of the third. Each round's plans and watch
+/// lists are built before it is counted: their four inline slots are the
+/// caller's choice, and this measures what the pipeline does with a plan
+/// wider than that (its outcome, staging leases and watchdog state).
+std::uint64_t six_path_monitored_allocs() {
+  mt::System sys = mt::make_dgx_nvswitch();
+  sys.costs.jitter_rel = 0;
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  net.set_solver_mode(ms::FluidNetwork::SolverMode::kIncremental);
+  mg::GpuRuntime rt(sys, engine, net);
+  mp::PipelineEngine pipe(rt, /*staging_buffers_per_device=*/64,
+                          mg::Payload::Simulated);
+  const std::vector<mt::DeviceId> gpus = sys.topology.gpus();
+  constexpr int kWorkers = 2;
+  constexpr std::size_t kPaths = 6;
+  struct Job {
+    std::unique_ptr<mg::DeviceBuffer> src, dst;
+    mp::ExecPlan plan;
+    mp::PathWatchList watch;
+    mp::TransferOutcome out;
+  };
+  std::vector<Job> jobs(kWorkers);
+  const auto gpu = [&](std::size_t i) { return gpus[i % gpus.size()]; };
+  for (std::size_t w = 0; w < kWorkers; ++w) {
+    jobs[w].src = std::make_unique<mg::DeviceBuffer>(gpu(2 * w), 6_MiB,
+                                                     mg::Payload::Simulated);
+    jobs[w].dst = std::make_unique<mg::DeviceBuffer>(
+        gpu(2 * w + 1), 6_MiB, mg::Payload::Simulated);
+  }
+  const auto round = [&] {
+    for (std::size_t w = 0; w < kWorkers; ++w) {
+      Job& job = jobs[w];
+      job.plan = {mp::ExecPath{{mt::PathKind::Direct, mt::kInvalidDevice},
+                               1_MiB, 4}};
+      for (std::size_t k = 1; k < kPaths; ++k) {
+        job.plan.push_back(mp::ExecPath{
+            {mt::PathKind::GpuStaged, gpu(2 * w + 1 + k)}, 1_MiB, 4});
+      }
+      job.watch.clear();
+      for (std::size_t k = 0; k < kPaths; ++k) {
+        job.watch.push_back(mp::PathWatch{/*deadline_s=*/10.0});
+      }
+    }
+    const mpath::benchcore::AllocScope scope;
+    for (Job& job : jobs) {
+      engine.spawn(
+          [](mp::PipelineEngine& p, Job& j) -> ms::Task<void> {
+            j.out = co_await p.execute_monitored(
+                *j.dst, 0, *j.src, 0, std::move(j.plan), std::move(j.watch));
+          }(pipe, job),
+          "worker");
+    }
+    engine.run();
+    const std::uint64_t allocs = scope.delta();
+    for (const Job& job : jobs) {
+      EXPECT_TRUE(job.out.complete);
+      EXPECT_EQ(job.out.paths.size(), kPaths);
+    }
+    return allocs;
+  };
+  round();  // warmup: pools and capacities reach their high-water marks
+  round();
+  return round();
 }
 
 /// Two identical rounds of `ops` stream ops enqueued at once on one stream
@@ -248,6 +317,14 @@ TEST(AllocRegression, MonitoredSteadyStateRoundIsAllocationFree) {
   EXPECT_EQ(steady_state_allocs(/*workers=*/8, /*repeats=*/4,
                                 /*monitored=*/true),
             0u);
+#endif
+}
+
+TEST(AllocRegression, SixPathMonitoredRunIsAllocationFree) {
+#if defined(MPATH_POOL_PASSTHROUGH)
+  GTEST_SKIP() << "size-bucketed pool is pass-through under sanitizers";
+#else
+  EXPECT_EQ(six_path_monitored_allocs(), 0u);
 #endif
 }
 

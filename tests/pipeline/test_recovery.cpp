@@ -261,6 +261,36 @@ TEST(Recovery, HealthyTransferPaysNoRecovery) {
   EXPECT_EQ(st.transfers_recovered, 0u);
 }
 
+// A recovery-enabled transfer that finishes cancels its watchdogs: nothing
+// of it stays queued once it completes, and the engine's clock stops at the
+// completion instant instead of running on to a deadline that can no
+// longer matter.
+TEST(Recovery, FinishedTransferLeavesNoWatchdogQueued) {
+  Fixture f;
+  mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::three_gpus(),
+                            recovery_opts());
+  mg::DeviceBuffer src(f.gpus[0], 16_MiB), dst(f.gpus[1], 16_MiB);
+  src.fill_pattern(63);
+  double done_at = -1.0;
+  std::size_t queued_at_done = 0;
+  f.engine.spawn(
+      [](mp::ModelDrivenChannel& c, ms::Engine& e, mg::DeviceBuffer& d,
+         const mg::DeviceBuffer& s, double& at,
+         std::size_t& queued) -> ms::Task<void> {
+        co_await c.transfer(d, 0, s, 0, 16_MiB);
+        at = e.now();
+        queued = e.queued_event_count();
+      }(ch, f.engine, dst, src, done_at, queued_at_done),
+      "xfer");
+  f.engine.run();
+  EXPECT_TRUE(dst.same_content(src));
+  EXPECT_EQ(ch.recovery_stats().path_timeouts, 0u);
+  EXPECT_GT(done_at, 0.0);
+  EXPECT_EQ(queued_at_done, 0u);
+  EXPECT_EQ(f.engine.now(), done_at);
+  EXPECT_EQ(f.engine.queued_event_count(), 0u);
+}
+
 // Severing every egress link of the source leaves no survivor: the channel
 // must raise a typed TransferError carrying partial-progress accounting,
 // and the simulation must terminate (no hang).

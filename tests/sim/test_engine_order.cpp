@@ -1,14 +1,18 @@
-// Dispatch order of sim::Engine across its three sources of work: the
-// same-instant lane, the heap and re-armable timers.
+// Dispatch order of sim::Engine across its two sources of work, the sorted
+// event ring and re-armable timers, and cancellation of queued callbacks.
 //
-// The differential test runs a seeded random program that queues work every
-// way the engine offers: schedule_handle, schedule_callback and defer (at
-// now() and later), reserve_seq + schedule_reserved, Latch::fire over
+// The first differential test runs a seeded random program that queues work
+// every way the engine offers: schedule_handle, schedule_callback and defer
+// (at now() and later), reserve_seq + schedule_reserved, Latch::fire over
 // callback waiters, and Timer arm / re-arm / disarm. Times sit on a 1/4
-// grid, so exact ties between lane, heap and timer entries are common.
-// Every queued firing is recorded with the (t, seq) place it was given, and
-// the dispatch log of (now(), current_seq()) must equal those places sorted
-// by (t, seq), with no superseded or disarmed timer firing in it.
+// grid, so exact ties between queued events and timers are common. Every
+// queued firing is recorded with the (t, seq) place it was given, and the
+// dispatch log of (now(), current_seq()) must equal those places sorted by
+// (t, seq), with no superseded or disarmed timer firing in it.
+//
+// The second interleaves 100k queueing and cancel() calls over a queue a
+// few hundred entries deep, near-future and far-future times mixed, and
+// checks every dispatch against an ordered set of the pending places.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +23,9 @@
 #include <limits>
 #include <memory>
 #include <ostream>
+#include <set>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "mpath/sim/engine.hpp"
@@ -353,17 +360,298 @@ TEST(Timer, ArmRejectsNaNTime) {
   EXPECT_FALSE(timer.armed());
 }
 
-// queued_event_count() sees every pending firing: lane, heap and timers.
-TEST(Engine, QueuedEventCountIncludesLaneHeapAndTimers) {
+// queued_event_count() sees every pending firing: queued events, whether
+// due now or later, and armed timers.
+TEST(Engine, QueuedEventCountIncludesQueueAndTimers) {
   ms::Engine e;
   ms::Timer timer(e, [] {});
-  e.defer([] {});                     // lane
-  e.schedule_callback(1.0, [] {});    // heap
-  e.schedule_callback(0.0, [] {});    // lane
+  e.defer([] {});
+  e.schedule_callback(1.0, [] {});
+  e.schedule_callback(0.0, [] {});
   timer.arm(0.5);
   EXPECT_EQ(e.queued_event_count(), 4u);
   timer.disarm();
   EXPECT_EQ(e.queued_event_count(), 3u);
   EXPECT_EQ(e.run(), 3u);
   EXPECT_EQ(e.queued_event_count(), 0u);
+}
+
+namespace {
+
+/// Seeded random program of 100k queueing and cancel() calls. Every queued
+/// place goes into an ordered set, a cancel that hits leaves it, and each
+/// dispatch must be the set's least place. Each dispatch makes random calls
+/// until it queued two events while the queue is shallower than its target
+/// and one when deeper, so the depth holds at a few hundred entries; times
+/// are mostly near (front-scan inserts) with a share far ahead
+/// (binary-search inserts deep in the ring, and cancels there).
+class CancelProgram {
+ public:
+  static constexpr int kOps = 100000;
+  static constexpr std::size_t kTargetDepth = 300;
+  static constexpr int kActors = 8;
+
+  explicit CancelProgram(std::uint64_t seed) : rng_(seed) {
+    for (int i = 0; i < kActors; ++i) {
+      actors_.push_back(actor(i));
+      actor_queued_.push_back(false);
+    }
+  }
+  CancelProgram(const CancelProgram&) = delete;
+  CancelProgram& operator=(const CancelProgram&) = delete;
+  ~CancelProgram() {
+    for (Actor& a : actors_) a.handle.destroy();
+  }
+
+  void run() {
+    while (pending_.size() < kTargetDepth && ops < kOps) act();
+    engine_.run();
+  }
+
+  [[nodiscard]] bool drained() const { return pending_.empty(); }
+  ms::Engine& engine() { return engine_; }
+
+  int ops = 0;
+  std::uint64_t dispatched = 0;
+  std::size_t max_depth = 0;
+  int cancels_hit = 0, cancels_missed = 0, reserved = 0, deep_inserts = 0;
+
+ private:
+  using Place = std::pair<double, std::uint64_t>;
+  struct Queued {
+    ms::EventRef ref;
+    Place place;
+    int id;
+  };
+
+  Actor actor(int index) {
+    for (;;) {
+      actor_queued_[static_cast<std::size_t>(index)] = false;
+      on_dispatch();
+      co_await std::suspend_always{};
+    }
+  }
+
+  std::uint64_t next_seq() { return engine_.reserve_seq() + 1; }
+
+  void on_dispatch() {
+    const Place now{engine_.now(), engine_.current_seq()};
+    ASSERT_FALSE(pending_.empty()) << "dispatch with nothing pending";
+    ASSERT_EQ(*pending_.begin(), now) << "dispatch " << dispatched;
+    pending_.erase(pending_.begin());
+    ++dispatched;
+    max_depth = std::max(max_depth, engine_.queued_event_count());
+    const int want = pending_.size() < kTargetDepth ? 2 : 1;
+    for (int queued = 0; queued < want && ops < kOps;) {
+      if (act()) ++queued;
+    }
+  }
+
+  void on_callback(int id) {
+    ASSERT_FALSE(cancelled_[static_cast<std::size_t>(id)])
+        << "cancelled callback " << id << " ran";
+    last_ran_ = queued_index_[static_cast<std::size_t>(id)];
+    on_dispatch();
+  }
+
+  int new_id() {
+    cancelled_.push_back(false);
+    queued_index_.push_back(-1);
+    return static_cast<int>(cancelled_.size()) - 1;
+  }
+
+  /// A time on a 1/4 grid: now, a step or two ahead, or far ahead.
+  double when() {
+    const double now = engine_.now();
+    switch (rng_.uniform_int(0, 3)) {
+      case 0:
+        return now;
+      case 1:
+      case 2:
+        return now + 0.25 * static_cast<double>(rng_.uniform_int(1, 8));
+      default:
+        ++deep_inserts;
+        return now + 0.25 * static_cast<double>(rng_.uniform_int(40, 400));
+    }
+  }
+
+  /// One random call; true if it queued an event.
+  bool act() {
+    ++ops;
+    const double now = engine_.now();
+    switch (rng_.uniform_int(0, 6)) {
+      case 0:
+      case 1: {
+        const double t = when();
+        const Place place{t, next_seq()};
+        const int id = new_id();
+        const ms::EventRef ref =
+            engine_.schedule_callback(t, [this, id] { on_callback(id); });
+        pending_.insert(place);
+        queued_index_.back() = static_cast<std::int64_t>(queued_.size());
+        queued_.push_back(Queued{ref, place, id});
+        return true;
+      }
+      case 2: {
+        for (std::size_t i = 0; i < actors_.size(); ++i) {
+          if (actor_queued_[i]) continue;
+          const double t = when();
+          pending_.insert({t, next_seq()});
+          actor_queued_[i] = true;
+          engine_.schedule_handle(t, actors_[i].handle);
+          return true;
+        }
+        return false;
+      }
+      case 3: {
+        const int id = new_id();
+        pending_.insert({now, next_seq()});
+        engine_.defer([this, id] { on_callback(id); });
+        return true;
+      }
+      case 4:
+        reservations_.push_back({now, engine_.reserve_seq()});
+        return false;
+      case 5: {
+        // Use a place reserved at this instant that is still ahead.
+        for (std::size_t i = 0; i < reservations_.size(); ++i) {
+          const Place r = reservations_[i];
+          if (r.first != now || r.second <= engine_.current_seq()) continue;
+          reservations_.erase(reservations_.begin() +
+                              static_cast<std::ptrdiff_t>(i));
+          const int id = new_id();
+          pending_.insert(r);
+          engine_.schedule_reserved(r.second,
+                                    [this, id] { on_callback(id); });
+          ++reserved;
+          return true;
+        }
+        return false;
+      }
+      default: {
+        // Cancel the callback that ran last, often while later events of
+        // its instant are queued, or one of the last 512 queued: still
+        // pending, already run, or already cancelled (its slot may carry a
+        // later event by now).
+        if (queued_.empty()) return false;
+        const auto n = static_cast<std::int64_t>(queued_.size());
+        const std::int64_t k =
+            last_ran_ >= 0 && rng_.uniform_int(0, 1) == 0
+                ? last_ran_
+                : rng_.uniform_int(std::max<std::int64_t>(0, n - 512), n - 1);
+        const Queued q = queued_[static_cast<std::size_t>(k)];
+        const std::size_t before = engine_.queued_event_count();
+        engine_.cancel(q.ref);
+        if (pending_.erase(q.place) == 1) {
+          cancelled_[static_cast<std::size_t>(q.id)] = true;
+          ++cancels_hit;
+          EXPECT_EQ(engine_.queued_event_count(), before - 1);
+        } else {
+          ++cancels_missed;
+          EXPECT_EQ(engine_.queued_event_count(), before);
+        }
+        return false;
+      }
+    }
+  }
+
+  ms::Engine engine_;
+  mpath::util::Rng rng_;
+  std::set<Place> pending_;  ///< the reference: places still due
+  std::vector<Queued> queued_;
+  std::vector<bool> cancelled_;  ///< per callback id
+  std::vector<std::int64_t> queued_index_;  ///< per id: in queued_, or -1
+  std::int64_t last_ran_ = -1;  ///< queued_ index of the last run, or -1
+  std::vector<Actor> actors_;
+  std::vector<bool> actor_queued_;
+  std::vector<Place> reservations_;
+};
+
+}  // namespace
+
+TEST(EngineOrder, CancelInterleavedDispatchMatchesOrderedSetReference) {
+  CancelProgram program(42);
+  program.run();
+  EXPECT_EQ(program.ops, CancelProgram::kOps);
+  EXPECT_TRUE(program.drained());
+  EXPECT_EQ(program.engine().queued_event_count(), 0u);
+  // Every path the order depends on ran, many times over, with the ring
+  // deep enough that inserts and cancels binary-search and shift both ways.
+  EXPECT_GT(program.dispatched, 40000u);
+  EXPECT_GE(program.max_depth, 250u);
+  EXPECT_GT(program.cancels_hit, 2000);
+  EXPECT_GT(program.cancels_missed, 5000);
+  EXPECT_GT(program.reserved, 3000);
+  EXPECT_GT(program.deep_inserts, 4000);
+}
+
+// cancel() drops the event and destroys its captures at once, before the
+// engine runs again; nothing of it ever runs.
+TEST(Engine, CancelDestroysCapturesAndNeverRuns) {
+  ms::Engine e;
+  auto token = std::make_shared<int>(0);
+  const std::weak_ptr<int> alive = token;
+  bool ran = false;
+  const ms::EventRef ref = e.schedule_callback(
+      2.0, [t = std::move(token), &ran] { ran = true; });
+  e.schedule_callback(1.0, [] {});
+  EXPECT_EQ(e.queued_event_count(), 2u);
+  e.cancel(ref);
+  EXPECT_TRUE(alive.expired());
+  EXPECT_EQ(e.queued_event_count(), 1u);
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(e.now(), 1.0);  // the drain never reached the cancelled time
+}
+
+// A ref names one event. Cancelling it after it ran, or twice, does
+// nothing; nor does a default ref. And once its payload slot is reused by
+// a later event at the same instant (the freed slot is the only one, so
+// the next event takes it), cancelling the old ref leaves that event alone.
+TEST(Engine, CancelAfterRunOrSlotReuseIsNoOp) {
+  ms::Engine e;
+  int first = 0;
+  int second = 0;
+  const ms::EventRef ref = e.schedule_callback(1.0, [&] { ++first; });
+  EXPECT_EQ(e.run(), 1u);
+  e.cancel(ref);
+  e.cancel(ms::EventRef{});
+  e.schedule_callback(1.0, [&] { ++second; });  // same time, same slot
+  e.cancel(ref);
+  EXPECT_EQ(e.queued_event_count(), 1u);
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 1);
+
+  const ms::EventRef twice = e.schedule_callback(3.0, [&] { ++first; });
+  e.schedule_callback(2.0, [&] { ++second; });
+  e.cancel(twice);
+  e.cancel(twice);
+  EXPECT_EQ(e.queued_event_count(), 1u);
+  EXPECT_EQ(e.run(), 1u);
+  EXPECT_EQ(first, 1);
+  EXPECT_EQ(second, 2);
+}
+
+// A frame destroyed at engine teardown may cancel its pending events from
+// a destructor: teardown empties the queue first, so the cancel finds
+// nothing and touches no payload (the ASan job runs this).
+TEST(Engine, CancelDuringTeardownIsNoOp) {
+  struct CancelOnExit {
+    ms::Engine* engine;
+    ms::EventRef ref;
+    ~CancelOnExit() { engine->cancel(ref); }
+  };
+  int ran = 0;
+  auto e = std::make_unique<ms::Engine>();
+  ms::Latch never(*e);
+  e->spawn([](ms::Engine& eng, ms::Latch& l, int& r) -> ms::Task<void> {
+    const CancelOnExit guard{&eng, eng.schedule_callback(5.0, [&r] { ++r; })};
+    co_await l.wait();
+  }(*e, never, ran));
+  e->schedule_callback(1.0, [] { throw std::runtime_error("stop"); });
+  EXPECT_THROW(e->run(), std::runtime_error);
+  EXPECT_EQ(e->queued_event_count(), 1u);  // the guarded event
+  e.reset();
+  EXPECT_EQ(ran, 0);
 }
