@@ -19,41 +19,29 @@ namespace mu = mpath::util;
 
 namespace {
 
-/// Static plan for a fixed assignment rule at one message size.
-mpath::pipeline::StaticPlan make_plan(
-    const mb::CalibratedSystem& cal, const std::vector<mt::PathPlan>& paths,
-    const mm::TransferConfig& reference, const std::string& rule) {
-  mpath::pipeline::StaticPlan plan;
-  plan.paths = paths;
-  plan.fractions.assign(paths.size(), 0.0);
-  plan.chunks.assign(paths.size(), 1);
-  for (std::size_t i = 0; i < paths.size(); ++i) {
-    plan.chunks[i] = std::max(1, reference.paths[i].chunks);
-  }
+/// Static plan for a fixed assignment rule at one message size, starting
+/// from the model's reference shares (paths and chunk counts).
+mpath::pipeline::StaticPlan make_plan(const mm::TransferConfig& reference,
+                                      const std::string& rule) {
+  mpath::pipeline::StaticPlan plan = reference.paths;
+  for (mm::PathShare& share : plan) share.chunks = std::max(1, share.chunks);
   if (rule == "equal-split") {
-    for (auto& f : plan.fractions) {
-      f = 1.0 / static_cast<double>(paths.size());
+    for (mm::PathShare& share : plan) {
+      share.theta = 1.0 / static_cast<double>(plan.size());
     }
   } else if (rule == "bw-proportional") {
     double sum = 0.0;
-    std::vector<double> w(paths.size());
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      w[i] = 1.0 / reference.paths[i].terms.omega;
-      sum += w[i];
+    for (mm::PathShare& share : plan) {
+      share.theta = 1.0 / share.terms.omega;
+      sum += share.theta;
     }
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      plan.fractions[i] = w[i] / sum;
-    }
-  } else {  // equal-time: copy the model's split
-    for (std::size_t i = 0; i < paths.size(); ++i) {
-      plan.fractions[i] = reference.paths[i].theta;
-    }
+    for (mm::PathShare& share : plan) share.theta /= sum;
+  } else {  // equal-time: keep the model's split
     // Guard against rounding dust.
     double total = 0.0;
-    for (double f : plan.fractions) total += f;
-    for (double& f : plan.fractions) f /= total;
+    for (const mm::PathShare& share : plan) total += share.theta;
+    for (mm::PathShare& share : plan) share.theta /= total;
   }
-  (void)cal;
   return plan;
 }
 
@@ -89,7 +77,7 @@ int main(int argc, char** argv) {
     const mm::PathConfigurator configurator(cal.registry);
     const auto reference =
         configurator.compute_config(gpus[0], gpus[1], bytes, paths);
-    auto plan = make_plan(cal, paths, reference, rule);
+    auto plan = make_plan(reference, rule);
     auto stack = bc::SimStack::static_plan(cal.system, plan);
     return bc::measure_bw(stack.world(), bytes, p2p);
   });

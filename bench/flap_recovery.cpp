@@ -175,14 +175,20 @@ double run_drift(bool recalibrate, std::vector<double>* all_errors) {
   s.engine.spawn(
       [](Stack& st, mp::ModelDrivenChannel& c,
          std::vector<double>& errs) -> ms::Task<void> {
+        const std::vector<mt::PathPlan> paths = mt::enumerate_paths(
+            st.rt.topology(), st.gpus[0], st.gpus[1], c.policy());
         for (int i = 0; i < kDriftTransfers; ++i) {
           mg::DeviceBuffer src(st.gpus[0], kDriftBytes);
           mg::DeviceBuffer dst(st.gpus[1], kDriftBytes);
           src.fill_pattern(static_cast<std::uint8_t>(60 + i));
+          // The channel plans under the calibration snapshot current when
+          // the transfer starts, so this is the prediction it runs.
+          const double predicted =
+              st.cfg.compute_config(st.gpus[0], st.gpus[1], kDriftBytes, paths)
+                  .predicted_time;
           const double t0 = st.engine.now();
           co_await c.transfer(dst, 0, src, 0, kDriftBytes);
           const double actual = st.engine.now() - t0;
-          const double predicted = c.last_config()->predicted_time;
           errs.push_back(std::abs(actual - predicted) / actual);
         }
       }(s, ch, errors),

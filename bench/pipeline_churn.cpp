@@ -25,9 +25,11 @@
 //       the compiled fast path must be bit-identical to the uncompiled one.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,15 +59,17 @@ ms::FluidNetwork::SolverMode mode_arg(const benchmark::State& state) {
 ms::Task<void> worker_loop(mp::PipelineEngine& pipe, mg::DeviceBuffer& dst,
                            const mg::DeviceBuffer& src, mt::DeviceId stage,
                            int repeats, bool monitored) {
+  const std::array<mm::PathShare, 2> plan{{
+      {{mt::PathKind::Direct, mt::kInvalidDevice}, 0.5, 2_MiB, 8, 0.0, {}},
+      {{mt::PathKind::GpuStaged, stage}, 0.5, 2_MiB, 8, 0.0, {}},
+  }};
+  const std::array<mp::PathWatch, 2> watch{
+      {{/*deadline_s=*/10.0}, {/*deadline_s=*/10.0}}};
   for (int r = 0; r < repeats; ++r) {
-    mp::ExecPlan plan{
-        mp::ExecPath{{mt::PathKind::Direct, mt::kInvalidDevice}, 2_MiB, 8},
-        mp::ExecPath{{mt::PathKind::GpuStaged, stage}, 2_MiB, 8},
-    };
-    mp::PathWatchList watch;
-    if (monitored) watch = {{/*deadline_s=*/10.0}, {/*deadline_s=*/10.0}};
-    (void)co_await pipe.execute_monitored(dst, 0, src, 0, std::move(plan),
-                                          std::move(watch));
+    (void)co_await pipe.execute(
+        dst, 0, src, 0, plan,
+        monitored ? std::span<const mp::PathWatch>(watch)
+                  : std::span<const mp::PathWatch>());
   }
 }
 

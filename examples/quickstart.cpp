@@ -66,18 +66,14 @@ int main() {
   gpusim::DeviceBuffer dst(gpus[1], bytes);
   src.fill_pattern(2024);
 
-  pipeline::ExecPlan plan;
-  for (const auto& share : config.paths) {
-    plan.push_back(pipeline::ExecPath{share.plan, share.bytes, share.chunks});
-  }
   double measured = 0.0;
   engine.spawn(
       [](pipeline::PipelineEngine& pe, gpusim::DeviceBuffer& d,
-         const gpusim::DeviceBuffer& s, pipeline::ExecPlan p,
+         const gpusim::DeviceBuffer& s, const model::TransferConfig& c,
          double& out) -> sim::Task<void> {
-        co_await pe.execute(d, 0, s, 0, std::move(p));
+        (void)co_await pe.execute(d, 0, s, 0, c.paths);
         out = pe.runtime().engine().now();
-      }(pipeline_engine, dst, src, std::move(plan), measured),
+      }(pipeline_engine, dst, src, config, measured),
       "quickstart-transfer");
   engine.run();
 

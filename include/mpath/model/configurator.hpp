@@ -4,8 +4,8 @@
 // multi-path configuration — per-path byte shares and chunk counts — from
 // the fitted model parameters, with a configuration cache in front. The
 // cache is a PlanCache keyed by the request tuple and unbounded: it holds
-// one entry per distinct request until clear_cache(), and every recovery
-// re-plan of a new remainder adds one.
+// one entry per distinct request until clear_cache(). Recovery re-plans,
+// whose remainders never recur, call compute_config() and add none.
 #pragma once
 
 #include <cstdint>

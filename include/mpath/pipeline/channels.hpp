@@ -6,13 +6,15 @@
 //     "Dynamic Path Distribution"),
 //   * StaticPlanChannel — a fixed fraction/chunk assignment found offline
 //     by exhaustive search (the paper's "Static Path Distribution", [35]).
+// All three write a plan the one way Algorithm 1 does, as model::PathShare
+// records, and hand that list to PipelineEngine::execute (or replay a
+// template compiled from it).
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
@@ -49,7 +51,7 @@ class SinglePathChannel final : public gpusim::DataChannel {
 /// escalated_slack() (floored at 1 ms, so noise cannot trip tiny shares);
 /// on timeout the failed path is dropped from the candidate set, theta is
 /// re-solved over the survivors for the undelivered remainder, and the
-/// remainder is re-issued as a fresh ExecPlan. After `max_replans` failed
+/// remainder is re-issued as a fresh plan. After `max_replans` failed
 /// attempts (or when no path survives) the transfer throws
 /// gpusim::TransferError with partial-progress accounting. Disabled, a
 /// transfer runs once with no watchdog.
@@ -156,13 +158,6 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
                                          std::size_t bytes) override;
   [[nodiscard]] std::string name() const override { return "model-driven"; }
 
-  /// The configuration chosen for the most recent transfer (theta
-  /// reporting, Fig. 4). Empty until the first multi-path transfer. A
-  /// report only: the channel writes it and never reads it back.
-  [[nodiscard]] const std::optional<model::TransferConfig>& last_config()
-      const {
-    return last_config_;
-  }
   [[nodiscard]] const topo::PathPolicy& policy() const { return policy_; }
   [[nodiscard]] const RecoveryStats& recovery_stats() const { return stats_; }
   [[nodiscard]] const ModelDrivenOptions& options() const { return options_; }
@@ -226,15 +221,16 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
                                  std::uint64_t bytes,
                                  const std::vector<topo::PathPlan>& paths,
                                  Plan& plan);
-  /// Scheduler admission (a re-plan once `plan` holds a ticket) or solo
-  /// Algorithm 1 over `paths`, whose first entry is the anchor. The plan is
-  /// reproducible only for a `canonical` request — the whole message over
-  /// the full candidate set with no probe pending — that admission (if
-  /// any) found uncontended; a reproducible plan compiles a template when
-  /// the channel has a GraphCache.
+  /// Scheduler admission or solo Algorithm 1 over `paths`, whose first
+  /// entry is the anchor; a `replan` of a remainder goes through the
+  /// scheduler's replan on the admitted ticket, or solo computes its config
+  /// without caching it. The plan is reproducible only for a `canonical`
+  /// request — the whole message over the full candidate set with no probe
+  /// pending — that admission (if any) found uncontended; a reproducible
+  /// plan compiles a template when the channel has a GraphCache.
   void plan_fresh(topo::DeviceId src, topo::DeviceId dst, std::uint64_t bytes,
-                  std::span<const topo::PathPlan> paths, bool canonical,
-                  Plan& plan);
+                  std::span<const topo::PathPlan> paths, bool replan,
+                  bool canonical, Plan& plan);
   /// Compile `config` into a template, stamp it with the current capacity
   /// epoch, and insert it into the cache.
   [[nodiscard]] std::shared_ptr<TransferGraph> compile_template(
@@ -250,21 +246,17 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
   PathHealthManager health_;
   RecoveryStats stats_;
   GraphUseStats graph_stats_;
-  std::optional<model::TransferConfig> last_config_;
   // Candidate path cache per (src, dst).
   std::map<std::pair<topo::DeviceId, topo::DeviceId>,
            std::vector<topo::PathPlan>>
       path_cache_;
 };
 
-/// Offline-tuned fixed distribution: fraction[i] of every message rides
-/// plan paths[i] with chunks[i] pipeline depth. Fractions must sum to ~1.
+/// Offline-tuned fixed distribution: each share's `theta` of every message
+/// rides its `plan` path with `chunks` pipeline depth; the other fields are
+/// ignored. The direct path comes first and the fractions sum to ~1.
 /// StaticPlanChannel sends messages below kMinMultipathBytes direct.
-struct StaticPlan {
-  std::vector<topo::PathPlan> paths;
-  std::vector<double> fractions;
-  std::vector<int> chunks;
-};
+using StaticPlan = std::vector<model::PathShare>;
 
 class StaticPlanChannel final : public gpusim::DataChannel {
  public:
@@ -276,7 +268,6 @@ class StaticPlanChannel final : public gpusim::DataChannel {
                                          std::size_t src_offset,
                                          std::size_t bytes) override;
   [[nodiscard]] std::string name() const override { return "static"; }
-  [[nodiscard]] const StaticPlan& plan() const { return plan_; }
 
  private:
   PipelineEngine* engine_;

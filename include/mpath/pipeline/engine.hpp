@@ -2,9 +2,12 @@
 // (ExHET'24, ref [35] of the paper) that the performance model drives
 // (Fig. 2a Step 5).
 //
-// An ExecPlan assigns a contiguous slice of the message to each path. The
-// engine issues the per-chunk operation graph for all paths from a single
-// host loop (interleaved round-robin over paths, one chunk per round):
+// A plan is a list of model::PathShare, the (path, theta, bytes, chunks)
+// record Algorithm 1 emits: each share owns a contiguous slice of the
+// message, in list order, and the engine reads its path, bytes and chunk
+// count. The engine issues the per-chunk operation graph for all paths
+// from a single host loop (interleaved round-robin over paths, one chunk
+// per round):
 //
 //   stream A (first hop):   [wait slot free] copy(src -> stage)  record F_c
 //   stream B (second hop):  wait F_c  [host-sync delay]  copy(stage -> dst)
@@ -43,17 +46,6 @@
 
 namespace mpath::pipeline {
 
-/// One path's assignment inside a transfer.
-struct ExecPath {
-  topo::PathPlan plan;
-  std::uint64_t bytes = 0;  ///< contiguous slice length (0 = skip)
-  int chunks = 1;           ///< pipeline depth k_i (staged paths)
-};
-
-/// A transfer's path assignments. Small-vector: the paper's plans use at
-/// most 3–4 paths, so building and passing a plan never heap-allocates.
-using ExecPlan = util::SmallVec<ExecPath, 4>;
-
 /// Watchdog spec for one path of a monitored transfer: a relative deadline
 /// measured from issue start. The model-driven caller derives it from the
 /// predicted per-path completion time T_i times a slack factor; <= 0
@@ -62,10 +54,11 @@ struct PathWatch {
   double deadline_s = 0.0;
 };
 
-/// Watchdog specs, parallel to an ExecPlan (same inline capacity).
+/// Storage for a run's watchdog specs, parallel to its plan. The paper's
+/// plans use at most 3-4 paths, so building one never heap-allocates.
 using PathWatchList = util::SmallVec<PathWatch, 4>;
 
-/// Per-path result of a monitored transfer (parallel to the input plan).
+/// Per-path result of a transfer (parallel to the input plan).
 struct PathOutcome {
   std::uint64_t bytes = 0;           ///< slice length assigned to the path
   std::uint64_t bytes_delivered = 0; ///< contiguous prefix visible at dst
@@ -93,52 +86,51 @@ class PipelineEngine {
   PipelineEngine(const PipelineEngine&) = delete;
   PipelineEngine& operator=(const PipelineEngine&) = delete;
 
-  /// Execute `plan` moving sum(plan.bytes) from src[src_offset..] to
-  /// dst[dst_offset..]. Paths own consecutive slices in plan order.
-  /// Throws std::invalid_argument on malformed plans (bounds, chunks < 1).
-  [[nodiscard]] sim::Task<void> execute(gpusim::DeviceBuffer& dst,
-                                        std::size_t dst_offset,
-                                        const gpusim::DeviceBuffer& src,
-                                        std::size_t src_offset,
-                                        ExecPlan plan);
-
-  /// Like execute(), but each path with `watch[i].deadline_s > 0` runs under
-  /// a watchdog: if the path has not delivered its slice by the deadline its
-  /// in-flight fluid flows are cancelled, no further chunks are issued on
-  /// it, and the outcome reports the delivered contiguous prefix — so a
-  /// transfer over a severed link returns (with partial-progress accounting)
-  /// instead of hanging. `watch` must be empty (no monitoring) or the same
-  /// length as `plan`. Progress accounting is passive (per-chunk completion
-  /// hooks on direct paths, the existing backward event records on staged
-  /// paths), so monitoring does not change a path's completion time; and
-  /// the run cancels its pending watchdogs when it finishes, so a run whose
+  /// Execute `plan`, moving the sum of its shares' bytes from
+  /// src[src_offset..] to dst[dst_offset..]; shares own consecutive slices
+  /// in plan order, and only their path, bytes and chunk count are read.
+  /// Each path with `watch[i].deadline_s > 0` runs under a watchdog: if the
+  /// path has not delivered its slice by the deadline its in-flight fluid
+  /// flows are cancelled, no further chunks are issued on it, and the
+  /// outcome reports the delivered contiguous prefix — so a transfer over a
+  /// severed link returns (with partial-progress accounting) instead of
+  /// hanging. `watch` must be empty (no monitoring) or the same length as
+  /// `plan`. Progress accounting is passive (per-chunk completion hooks on
+  /// direct paths, the existing backward event records on staged paths),
+  /// so monitoring does not change a path's completion time; and the run
+  /// cancels its pending watchdogs when it finishes, so a run whose
   /// watchdogs never fire dispatches the events of an unmonitored one.
-  [[nodiscard]] sim::Task<TransferOutcome> execute_monitored(
+  /// `plan` and `watch` must outlive the task, as the buffers must. Throws
+  /// std::invalid_argument on malformed plans (bounds, chunks < 1, a staged
+  /// share without a stage), checking every share before issuing any.
+  [[nodiscard]] sim::Task<TransferOutcome> execute(
       gpusim::DeviceBuffer& dst, std::size_t dst_offset,
-      const gpusim::DeviceBuffer& src, std::size_t src_offset, ExecPlan plan,
-      PathWatchList watch);
+      const gpusim::DeviceBuffer& src, std::size_t src_offset,
+      std::span<const model::PathShare> plan,
+      std::span<const PathWatch> watch = {});
 
   /// Compile `config` into a reusable TransferGraph template: resolve
   /// streams, reserve events and flatten the chunk-op issue order. Takes no
   /// simulated time and no staging: each replay leases its own, as an
   /// uncompiled run does. Throws std::invalid_argument on malformed
-  /// configs, mirroring execute_monitored's validation.
+  /// configs, mirroring execute()'s validation for the shares that carry
+  /// bytes (a compiled config also lists the paths the solver excluded).
   [[nodiscard]] std::shared_ptr<TransferGraph> compile_graph(
       topo::DeviceId src_dev, topo::DeviceId dst_dev,
       const model::TransferConfig& config);
 
   /// Execute a compiled template: one driver frame walks the precompiled op
   /// list — no theta solve, no plan construction, no per-chunk setup. This
-  /// is the issue loop execute_monitored runs its transient graph through,
-  /// staging leases included, so completion times (and rng draws under
-  /// jitter) match the uncompiled path bit for bit. `watch` must be empty
-  /// or sized like graph->config().paths. Throws std::logic_error if the
-  /// graph is already replaying (templates are not reentrant),
-  /// std::invalid_argument on endpoint/graph mismatches.
+  /// is the issue loop execute() runs its transient graph through, staging
+  /// leases included, so completion times (and rng draws under jitter)
+  /// match the uncompiled path bit for bit. `watch` must be empty or sized
+  /// like graph->config().paths, and must outlive the task. Throws
+  /// std::logic_error if the graph is already replaying (templates are not
+  /// reentrant), std::invalid_argument on endpoint/graph mismatches.
   [[nodiscard]] sim::Task<TransferOutcome> replay(
       std::shared_ptr<TransferGraph> graph, gpusim::DeviceBuffer& dst,
       std::size_t dst_offset, const gpusim::DeviceBuffer& src,
-      std::size_t src_offset, PathWatchList watch);
+      std::size_t src_offset, std::span<const PathWatch> watch = {});
 
   [[nodiscard]] gpusim::GpuRuntime& runtime() { return *runtime_; }
   [[nodiscard]] std::uint64_t transfers_executed() const {

@@ -11,8 +11,9 @@
 // replay, done — no theta solve, no plan construction, no per-chunk setup.
 //
 // A graph is the captured form of the ordinary stream code, not a second
-// implementation of it: execute_monitored runs a *transient* graph of its
-// plan through the same issue loop, and that loop leases every run's
+// implementation of it: PipelineEngine::execute assigns its plan's shares
+// into the config of a *transient* graph and runs it through the same
+// issue loop, and that loop leases every run's
 // staging from the pool, so replay issues the uncompiled path's
 // runtime-call/issue-cost sequence (same rng draws under jitter) and waits
 // for the same staging slots: the two are bit-identical by construction.

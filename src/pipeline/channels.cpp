@@ -29,17 +29,10 @@ std::uint64_t plan_ns_since(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
-ExecPlan direct_plan(std::size_t bytes) {
-  return {ExecPath{topo::PathPlan{topo::PathKind::Direct, topo::kInvalidDevice},
-                   bytes, 1}};
-}
-
-ExecPlan exec_plan(const model::TransferConfig& config) {
-  ExecPlan plan;
-  for (const model::PathShare& share : config.paths) {
-    plan.push_back(ExecPath{share.plan, share.bytes, share.chunks});
-  }
-  return plan;
+/// The whole of a `bytes` message on the direct path, in one chunk.
+model::PathShare direct_share(std::uint64_t bytes) {
+  return {topo::PathPlan{topo::PathKind::Direct, topo::kInvalidDevice}, 1.0,
+          bytes, 1, 0.0, {}};
 }
 
 /// Single path for a small segment: prefer the Direct survivor when one is
@@ -61,11 +54,12 @@ constexpr double kMinDeadlineS = 1e-3;
 
 }  // namespace
 
-/// The template to replay (or, when null, the uncompiled plan to execute),
-/// the ticket the transfer departs when it finishes, a by-value snapshot of
-/// the chosen configuration (empty for a sub-threshold direct transfer),
-/// and whether a later identical transfer would pick it again — the bar a
-/// template or a captured chain step must meet to compile. A transfer that
+/// The template to replay (when null, the attempt runs config.paths), the
+/// ticket the transfer departs when it finishes, a by-value snapshot of
+/// the chosen configuration (empty for a sub-threshold direct transfer;
+/// an attempt's probe slices are appended to it), and whether a later
+/// identical transfer would pick it again — the bar a template or a
+/// captured chain step must meet to compile. A transfer that
 /// unwinds before departing fails its ticket, so the scheduler stops
 /// water-filling against it.
 struct ModelDrivenChannel::Plan {
@@ -78,7 +72,6 @@ struct ModelDrivenChannel::Plan {
 
   TransferScheduler* sched;
   std::shared_ptr<TransferGraph> graph;
-  ExecPlan exec;
   TransferScheduler::TicketId ticket = TransferScheduler::kInvalidTicket;
   model::TransferConfig config;
   bool reproducible = false;
@@ -94,8 +87,9 @@ sim::Task<void> SinglePathChannel::transfer(gpusim::DeviceBuffer& dst,
                                             const gpusim::DeviceBuffer& src,
                                             std::size_t src_offset,
                                             std::size_t bytes) {
-  co_await engine_->execute(dst, dst_offset, src, src_offset,
-                            direct_plan(bytes));
+  const model::PathShare direct = direct_share(bytes);
+  (void)co_await engine_->execute(dst, dst_offset, src, src_offset,
+                                  std::span(&direct, 1));
 }
 
 ModelDrivenChannel::ModelDrivenChannel(PipelineEngine& engine,
@@ -166,7 +160,6 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
   std::vector<topo::PathPlan> alive;
   std::vector<topo::PathPlan> active;
   std::vector<topo::PathPlan> probe_due;
-  std::vector<topo::PathPlan> probes_issued;
   std::vector<std::string> dead_names;
 
   // Undelivered message segments (offsets relative to the transfer). The
@@ -199,7 +192,6 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
       // Claimed chain step: no configuration to do.
     } else if (!rec.enabled && bytes < options_.min_multipath_bytes) {
       // No watchdog needs a prediction: a small message skips the model.
-      plan.exec = direct_plan(bytes);
     } else {
       const std::vector<topo::PathPlan>& candidates =
           candidate_paths(sdev, ddev);
@@ -236,14 +228,14 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
         // what a later identical transfer would pick: a template is keyed
         // under (and replays) the full-tuple plan only — a subset config
         // would compile an unfindable template.
-        plan_fresh(sdev, ddev, seg.bytes, use,
+        plan_fresh(sdev, ddev, seg.bytes, use, replans > 0,
                    whole && probe_due.empty() &&
                        pool->size() == candidates.size(),
                    plan);
       }
     }
     PathWatchList watch;
-    probes_issued.clear();
+    bool probed = false;  // this attempt carries probe slices
     if (rec.enabled) {
       // Watchdog deadline: the model-predicted completion time of a share
       // times this attempt's slack, whose base factor escalates per re-plan
@@ -262,41 +254,48 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
                             : PathWatch{});
       }
       // Probe slices: paths on probation ride along with a small cut of
-      // the anchor's share. A probe that delivers readmits its path into
-      // the planned set from the next attempt on; one that times out only
-      // costs its own (floored) deadline, never the planned paths' bytes.
-      // (Never reached on a replayed attempt: the replay gate requires
-      // every template path healthy.)
+      // the anchor's share, appended to the config as shares of their own,
+      // so outcome i is always share i. A probe that delivers readmits its
+      // path into the planned set from the next attempt on; one that times
+      // out only costs its own (floored) deadline, never the planned paths'
+      // bytes. (Never reached on a replayed attempt: the replay gate
+      // requires every template path healthy.)
       if (plan.graph == nullptr && use_health &&
           seg.bytes >= options_.min_multipath_bytes) {
+        std::vector<model::PathShare>& shares = plan.config.paths;
         const std::uint64_t pb = health_.probe_bytes(seg.bytes);
         for (const topo::PathPlan& pp : probe_due) {
           // Keep the anchor meaningfully larger than what it donates.
-          if (plan.exec.empty() || plan.exec.front().bytes < 2 * pb) break;
-          plan.exec.front().bytes -= pb;
+          if (shares.front().bytes < 2 * pb) break;
+          shares.front().bytes -= pb;
+          // A single-path config puts all pb bytes on its one share.
           const model::TransferConfig probe_cfg =
               configurator_->compute_config(
                   sdev, ddev, pb, std::span<const topo::PathPlan>(&pp, 1));
-          plan.exec.push_back(ExecPath{pp, pb, probe_cfg.paths[0].chunks});
+          shares.push_back(probe_cfg.paths[0]);
           watch.push_back(deadline(pp, probe_cfg.predicted_time));
-          probes_issued.push_back(pp);
+          probed = true;
           health_.on_probe_issued(sdev, ddev, pp);
         }
       }
     }
-    if (!plan.config.paths.empty()) last_config_ = plan.config;
     graph_stats_.plan_ns += plan_ns_since(plan_t0);
     // Concurrent transfers interleave at the co_await: afterwards read this
-    // transfer's own plan, never last_config_ or the configurator's cache.
+    // transfer's own plan, never the configurator's cache.
     TransferOutcome out;
     if (plan.graph != nullptr) {
       out = co_await engine_->replay(std::move(plan.graph), dst,
                                      dst_offset + seg.off, src,
-                                     src_offset + seg.off, std::move(watch));
+                                     src_offset + seg.off, watch);
     } else {
-      out = co_await engine_->execute_monitored(
-          dst, dst_offset + seg.off, src, src_offset + seg.off,
-          std::move(plan.exec), std::move(watch));
+      // The sub-threshold shortcut planned no config: one direct share.
+      const model::PathShare direct = direct_share(bytes);
+      const std::span<const model::PathShare> shares =
+          plan.config.paths.empty()
+              ? std::span(&direct, 1)
+              : std::span<const model::PathShare>(plan.config.paths);
+      out = co_await engine_->execute(dst, dst_offset + seg.off, src,
+                                      src_offset + seg.off, shares, watch);
     }
     if (out.complete) {
       if (todo.empty() && plan.ticket != TransferScheduler::kInvalidTicket) {
@@ -305,13 +304,14 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
             std::exchange(plan.ticket, TransferScheduler::kInvalidTicket));
         graph_stats_.plan_ns += plan_ns_since(depart_t0);
       }
-      if (replans == 0 && probes_issued.empty() &&
-          options_.recalibrator != nullptr && !plan.config.paths.empty()) {
+      if (replans == 0 && !probed && options_.recalibrator != nullptr &&
+          !plan.config.paths.empty()) {
         // Feed (predicted, actual) back for online alpha/beta refinement.
         // Only a first attempt that ran its config as planned counts: one
         // that tripped a watchdog stalled on a fault (the health machine's
-        // job, not drift), and one that carried probe slices ran with its
-        // anchor's share cut short.
+        // job, not drift), one that carried probe slices ran with its
+        // anchor's share cut short, and the sub-threshold shortcut's direct
+        // share is no model plan.
         options_.recalibrator->observe(sdev, ddev, plan.config,
                                        eng.now() - t0);
       }
@@ -319,9 +319,6 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
         for (const model::PathShare& share : plan.config.paths) {
           if (share.bytes > 0) health_.on_success(sdev, ddev, share.plan,
                                                   eng.now());
-        }
-        for (const topo::PathPlan& pp : probes_issued) {
-          health_.on_success(sdev, ddev, pp, eng.now());
         }
       }
       continue;
@@ -337,10 +334,7 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
     std::size_t path_off = seg.off;
     for (std::size_t i = 0; i < out.paths.size(); ++i) {
       const PathOutcome& po = out.paths[i];
-      const topo::PathPlan dead =
-          i < plan.config.paths.size()
-              ? plan.config.paths[i].plan
-              : probes_issued[i - plan.config.paths.size()];
+      const topo::PathPlan dead = plan.config.paths[i].plan;
       if (po.timed_out) {
         ++stats_.path_timeouts;
         dead_names.push_back(
@@ -477,14 +471,19 @@ bool ModelDrivenChannel::plan_cached(topo::DeviceId src, topo::DeviceId dst,
 void ModelDrivenChannel::plan_fresh(topo::DeviceId src, topo::DeviceId dst,
                                     std::uint64_t bytes,
                                     std::span<const topo::PathPlan> paths,
-                                    bool canonical, Plan& plan) {
+                                    bool replan, bool canonical, Plan& plan) {
   if (scheduler_ == nullptr) {
-    // Solo configure. Copy out of the configurator's cache: a clear_cache()
-    // or a recalibrated re-plan during the transfer must not invalidate what
-    // it executes (or reports).
-    plan.config = configurator_->configure_over(src, dst, bytes, paths);
+    // Solo configure, copied out of the configurator's cache: a
+    // clear_cache() or a recalibrated re-plan during the transfer must not
+    // invalidate what it executes. A re-plan's remainder is a request no
+    // later transfer makes, so it is computed without being cached.
+    if (replan) {
+      plan.config = configurator_->compute_config(src, dst, bytes, paths);
+    } else {
+      plan.config = configurator_->configure_over(src, dst, bytes, paths);
+    }
     plan.reproducible = canonical;  // deterministic given calibration
-  } else if (plan.ticket == TransferScheduler::kInvalidTicket) {
+  } else if (!replan) {
     // Scheduler admission. An uncontended joint solve is the solo
     // configuration — reproducible; a contended one depends on the live
     // flows at this exact instant.
@@ -502,8 +501,6 @@ void ModelDrivenChannel::plan_fresh(topo::DeviceId src, topo::DeviceId dst,
   // registers exactly what a fresh plan would.
   if (plan.reproducible && options_.graphs != nullptr) {
     plan.graph = compile_template(src, dst, plan.config);
-  } else {
-    plan.exec = exec_plan(plan.config);
   }
 }
 
@@ -523,23 +520,23 @@ std::shared_ptr<TransferGraph> ModelDrivenChannel::compile_template(
 
 StaticPlanChannel::StaticPlanChannel(PipelineEngine& engine, StaticPlan plan)
     : engine_(&engine), plan_(std::move(plan)) {
-  if (plan_.paths.empty() ||
-      plan_.paths.size() != plan_.fractions.size() ||
-      plan_.paths.size() != plan_.chunks.size()) {
-    throw std::invalid_argument("StaticPlanChannel: inconsistent plan");
+  if (plan_.empty()) {
+    throw std::invalid_argument("StaticPlanChannel: empty plan");
   }
-  if (plan_.paths.front().kind != topo::PathKind::Direct) {
+  if (plan_.front().plan.kind != topo::PathKind::Direct) {
     throw std::invalid_argument(
         "StaticPlanChannel: first path must be direct");
   }
+  // Both checks are written so that a NaN fails them.
   double sum = 0.0;
-  for (double f : plan_.fractions) {
-    if (f < 0.0) {
-      throw std::invalid_argument("StaticPlanChannel: negative fraction");
+  for (const model::PathShare& share : plan_) {
+    if (!(share.theta >= 0.0)) {
+      throw std::invalid_argument(
+          "StaticPlanChannel: fraction must be a number >= 0");
     }
-    sum += f;
+    sum += share.theta;
   }
-  if (std::abs(sum - 1.0) > 1e-6) {
+  if (!(std::abs(sum - 1.0) <= 1e-6)) {
     throw std::invalid_argument("StaticPlanChannel: fractions must sum to 1");
   }
 }
@@ -550,24 +547,21 @@ sim::Task<void> StaticPlanChannel::transfer(gpusim::DeviceBuffer& dst,
                                             std::size_t src_offset,
                                             std::size_t bytes) {
   if (bytes < kMinMultipathBytes) {
-    co_await engine_->execute(dst, dst_offset, src, src_offset,
-                              direct_plan(bytes));
+    const model::PathShare direct = direct_share(bytes);
+    (void)co_await engine_->execute(dst, dst_offset, src, src_offset,
+                                    std::span(&direct, 1));
     co_return;
   }
-  ExecPlan plan;
-  plan.reserve(plan_.paths.size());
+  util::SmallVec<model::PathShare, 4> shares(plan_);
   std::uint64_t assigned = 0;
-  for (std::size_t i = 1; i < plan_.paths.size(); ++i) {
-    const auto share = static_cast<std::uint64_t>(
-        std::floor(plan_.fractions[i] * static_cast<double>(bytes)));
-    assigned += share;
-    plan.push_back(ExecPath{plan_.paths[i], share, plan_.chunks[i]});
+  for (std::size_t i = 1; i < shares.size(); ++i) {
+    shares[i].bytes = static_cast<std::uint64_t>(
+        std::floor(shares[i].theta * static_cast<double>(bytes)));
+    assigned += shares[i].bytes;
   }
   // The direct path absorbs the rounding remainder, as in Algorithm 1.
-  plan.insert(plan.begin(),
-              ExecPath{plan_.paths[0], bytes - assigned, plan_.chunks[0]});
-  co_await engine_->execute(dst, dst_offset, src, src_offset,
-                            std::move(plan));
+  shares[0].bytes = bytes - assigned;
+  (void)co_await engine_->execute(dst, dst_offset, src, src_offset, shares);
 }
 
 }  // namespace mpath::pipeline

@@ -209,39 +209,26 @@ std::uint64_t PipelineEngine::bytes_on(topo::PathKind kind) const {
   return it == bytes_by_kind_.end() ? 0 : it->second;
 }
 
-sim::Task<void> PipelineEngine::execute(gpusim::DeviceBuffer& dst,
-                                        std::size_t dst_offset,
-                                        const gpusim::DeviceBuffer& src,
-                                        std::size_t src_offset,
-                                        ExecPlan plan) {
-  (void)co_await execute_monitored(dst, dst_offset, src, src_offset,
-                                   std::move(plan), {});
-}
-
-sim::Task<TransferOutcome> PipelineEngine::execute_monitored(
+sim::Task<TransferOutcome> PipelineEngine::execute(
     gpusim::DeviceBuffer& dst, std::size_t dst_offset,
-    const gpusim::DeviceBuffer& src, std::size_t src_offset, ExecPlan plan,
-    PathWatchList watch) {
+    const gpusim::DeviceBuffer& src, std::size_t src_offset,
+    std::span<const model::PathShare> plan, std::span<const PathWatch> watch) {
   if (!watch.empty() && watch.size() != plan.size()) {
     throw std::invalid_argument(
         "PipelineEngine: watch must be empty or match the plan size");
   }
+  // Validate the *whole* plan before issuing anything: a malformed plan
+  // must not leak event reservations or partially issued operations.
+  const std::uint64_t total = checked_total(plan, /*all=*/true);
+  src.check_region(src_offset, total);
+  dst.check_region(dst_offset, total);
   // Capture the plan into a transient graph, laid out like a template.
   if (spare_graphs_.empty()) {
     spare_graphs_.push_back(std::make_unique<TransferGraph>());
   }
   std::unique_ptr<TransferGraph> g = std::move(spare_graphs_.back());
   spare_graphs_.pop_back();
-  g->config_.paths.clear();
-  for (const ExecPath& p : plan) {
-    g->config_.paths.push_back(
-        model::PathShare{p.plan, 0.0, p.bytes, p.chunks, 0.0, {}});
-  }
-  // Validate the *whole* plan before issuing anything: a malformed plan
-  // must not leak event reservations or partially issued operations.
-  const std::uint64_t total = checked_total(g->config_.paths, /*all=*/true);
-  src.check_region(src_offset, total);
-  dst.check_region(dst_offset, total);
+  g->config_.paths.assign(plan.begin(), plan.end());
   build_graph(*g, src.device(), dst.device());
 
   TransferOutcome out =
@@ -296,8 +283,8 @@ void PipelineEngine::build_graph(TransferGraph& g, topo::DeviceId src_dev,
 std::shared_ptr<TransferGraph> PipelineEngine::compile_graph(
     topo::DeviceId src_dev, topo::DeviceId dst_dev,
     const model::TransferConfig& config) {
-  // Validate the whole config first, mirroring execute_monitored: a
-  // malformed config must not leak reserved events.
+  // Validate the whole config first, mirroring execute(): a malformed
+  // config must not leak reserved events.
   if (config.paths.empty() || checked_total(config.paths, false) == 0) {
     throw std::invalid_argument("PipelineEngine: cannot compile empty config");
   }
@@ -311,7 +298,7 @@ std::shared_ptr<TransferGraph> PipelineEngine::compile_graph(
 sim::Task<TransferOutcome> PipelineEngine::replay(
     std::shared_ptr<TransferGraph> graph, gpusim::DeviceBuffer& dst,
     std::size_t dst_offset, const gpusim::DeviceBuffer& src,
-    std::size_t src_offset, PathWatchList watch) {
+    std::size_t src_offset, std::span<const PathWatch> watch) {
   if (graph == nullptr || !graph->valid()) {
     throw std::invalid_argument("PipelineEngine: replay of an invalid graph");
   }

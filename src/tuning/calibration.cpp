@@ -1,5 +1,6 @@
 #include "mpath/tuning/calibration.hpp"
 
+#include <span>
 #include <utility>
 
 #include "mpath/gpusim/runtime.hpp"
@@ -91,9 +92,9 @@ double time_staged(Probe& probe, topo::DeviceId src, topo::DeviceId stage,
       [](pipeline::PipelineEngine& pe, gpusim::DeviceBuffer& dd,
          const gpusim::DeviceBuffer& ss, topo::PathKind k, topo::DeviceId st,
          int kc, double& out) -> sim::Task<void> {
-        pipeline::ExecPlan plan{
-            pipeline::ExecPath{topo::PathPlan{k, st}, ss.size(), kc}};
-        co_await pe.execute(dd, 0, ss, 0, std::move(plan));
+        const model::PathShare share{topo::PathPlan{k, st}, 1.0, ss.size(),
+                                     kc, 0.0, {}};
+        (void)co_await pe.execute(dd, 0, ss, 0, std::span(&share, 1));
         out = pe.runtime().engine().now();
       }(engine, d, s, kind, stage, chunks, finish),
       "calibration-staged");

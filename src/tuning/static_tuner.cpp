@@ -75,16 +75,13 @@ StaticTuneResult StaticTuner::tune(std::size_t bytes) {
     const int direct_share = steps - staged_total;
     const bool any_staged = staged_total > 0;
     for (int k : options_.chunk_grid) {
-      pipeline::StaticPlan plan;
-      plan.paths = paths_;
-      plan.fractions.resize(p);
-      plan.chunks.assign(p, 1);
-      plan.fractions[0] =
-          static_cast<double>(direct_share) / static_cast<double>(steps);
-      for (std::size_t i = 1; i < p; ++i) {
-        plan.fractions[i] = static_cast<double>(comp[i - 1]) /
-                            static_cast<double>(steps);
-        plan.chunks[i] = k;
+      pipeline::StaticPlan plan(p);
+      for (std::size_t i = 0; i < p; ++i) {
+        const int share = i == 0 ? direct_share : comp[i - 1];
+        plan[i].plan = paths_[i];
+        plan[i].theta =
+            static_cast<double>(share) / static_cast<double>(steps);
+        plan[i].chunks = i == 0 ? 1 : k;
       }
       const double bw = measure(plan, bytes);
       ++best.evaluated;
@@ -131,7 +128,7 @@ bool StaticTuner::load_cached(std::size_t bytes, StaticTuneResult& out) const {
   std::ifstream in(cache_path(bytes));
   if (!in) return false;
   StaticTuneResult result;
-  result.plan.paths = paths_;
+  result.plan.resize(paths_.size());
   std::string line;
   if (!std::getline(in, line)) return false;
   std::istringstream ss(line);
@@ -140,11 +137,12 @@ bool StaticTuner::load_cached(std::size_t bytes, StaticTuneResult& out) const {
   result.bandwidth_bps = std::stod(cell);
   for (std::size_t i = 0; i < paths_.size(); ++i) {
     if (!std::getline(ss, cell, ',')) return false;
-    result.plan.fractions.push_back(std::stod(cell));
+    result.plan[i].plan = paths_[i];
+    result.plan[i].theta = std::stod(cell);
   }
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
+  for (model::PathShare& share : result.plan) {
     if (!std::getline(ss, cell, ',')) return false;
-    result.plan.chunks.push_back(std::stoi(cell));
+    share.chunks = std::stoi(cell);
   }
   out = std::move(result);
   return true;
@@ -158,8 +156,8 @@ void StaticTuner::store_cached(std::size_t bytes,
   std::ostringstream out;
   out.precision(17);  // full double round-trip
   out << result.bandwidth_bps;
-  for (double f : result.plan.fractions) out << "," << f;
-  for (int k : result.plan.chunks) out << "," << k;
+  for (const model::PathShare& share : result.plan) out << "," << share.theta;
+  for (const model::PathShare& share : result.plan) out << "," << share.chunks;
   out << "\n";
   // Atomic publication: a reader (or a parallel sweep worker tuning the
   // same point) either sees the complete line or no file at all.

@@ -71,11 +71,10 @@ TEST(Omb, ModelDrivenStackBeatsDirectStack) {
 TEST(Omb, StaticPlanStackMeasures) {
   const auto sys = quiet_beluga();
   const auto gpus = sys.topology.gpus();
-  mpath::pipeline::StaticPlan plan;
-  plan.paths = mt::enumerate_paths(sys.topology, gpus[0], gpus[1],
-                                   mt::PathPolicy::two_gpus());
-  plan.fractions = {0.5, 0.5};
-  plan.chunks = {1, 16};
+  const auto paths = mt::enumerate_paths(sys.topology, gpus[0], gpus[1],
+                                         mt::PathPolicy::two_gpus());
+  const mpath::pipeline::StaticPlan plan{{paths.at(0), 0.5, 0, 1, 0.0, {}},
+                                         {paths.at(1), 0.5, 0, 16, 0.0, {}}};
   auto stack = bc::SimStack::static_plan(sys, plan);
   const double bw = bc::measure_bw(stack.world(), 128_MiB);
   EXPECT_GT(bw, 1.3 * gbps(46));

@@ -17,8 +17,10 @@
 // executables.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mpath/benchcore/alloc_hook.hpp"
@@ -42,18 +44,25 @@ using namespace mpath::util::literals;
 
 namespace {
 
+/// A plan share: the engine reads only its path, bytes and chunk count.
+mm::PathShare path_share(mt::PathPlan path, std::uint64_t bytes, int chunks) {
+  return {path, 0.0, bytes, chunks, 0.0, {}};
+}
+
 ms::Task<void> worker_loop(mp::PipelineEngine& pipe, mg::DeviceBuffer& dst,
                            const mg::DeviceBuffer& src, mt::DeviceId stage,
                            int repeats, bool monitored) {
+  const std::array<mm::PathShare, 2> plan{
+      path_share({mt::PathKind::Direct, mt::kInvalidDevice}, 2_MiB, 8),
+      path_share({mt::PathKind::GpuStaged, stage}, 2_MiB, 8),
+  };
+  const std::array<mp::PathWatch, 2> watch{
+      {{/*deadline_s=*/10.0}, {/*deadline_s=*/10.0}}};
   for (int r = 0; r < repeats; ++r) {
-    mp::ExecPlan plan{
-        mp::ExecPath{{mt::PathKind::Direct, mt::kInvalidDevice}, 2_MiB, 8},
-        mp::ExecPath{{mt::PathKind::GpuStaged, stage}, 2_MiB, 8},
-    };
-    mp::PathWatchList watch;
-    if (monitored) watch = {{/*deadline_s=*/10.0}, {/*deadline_s=*/10.0}};
-    (void)co_await pipe.execute_monitored(dst, 0, src, 0, std::move(plan),
-                                          std::move(watch));
+    (void)co_await pipe.execute(
+        dst, 0, src, 0, plan,
+        monitored ? std::span<const mp::PathWatch>(watch)
+                  : std::span<const mp::PathWatch>());
   }
 }
 
@@ -93,9 +102,9 @@ std::uint64_t steady_state_allocs(int workers, int repeats, bool monitored) {
 /// Three rounds in which each of two workers runs one six-path transfer on
 /// dgx (direct plus five GPU-staged paths, every path under a watchdog);
 /// returns the allocations of the third. Each round's plans and watch
-/// lists are built before it is counted: their four inline slots are the
-/// caller's choice, and this measures what the pipeline does with a plan
-/// wider than that (its outcome, staging leases and watchdog state).
+/// lists are built before it is counted: their storage is the caller's
+/// choice, and this measures what the pipeline does with a plan wider than
+/// four paths (its outcome, staging leases and watchdog state).
 std::uint64_t six_path_monitored_allocs() {
   mt::System sys = mt::make_dgx_nvswitch();
   sys.costs.jitter_rel = 0;
@@ -110,7 +119,7 @@ std::uint64_t six_path_monitored_allocs() {
   constexpr std::size_t kPaths = 6;
   struct Job {
     std::unique_ptr<mg::DeviceBuffer> src, dst;
-    mp::ExecPlan plan;
+    std::vector<mm::PathShare> plan;
     mp::PathWatchList watch;
     mp::TransferOutcome out;
   };
@@ -125,11 +134,11 @@ std::uint64_t six_path_monitored_allocs() {
   const auto round = [&] {
     for (std::size_t w = 0; w < kWorkers; ++w) {
       Job& job = jobs[w];
-      job.plan = {mp::ExecPath{{mt::PathKind::Direct, mt::kInvalidDevice},
-                               1_MiB, 4}};
+      job.plan = {
+          path_share({mt::PathKind::Direct, mt::kInvalidDevice}, 1_MiB, 4)};
       for (std::size_t k = 1; k < kPaths; ++k) {
-        job.plan.push_back(mp::ExecPath{
-            {mt::PathKind::GpuStaged, gpu(2 * w + 1 + k)}, 1_MiB, 4});
+        job.plan.push_back(path_share(
+            {mt::PathKind::GpuStaged, gpu(2 * w + 1 + k)}, 1_MiB, 4));
       }
       job.watch.clear();
       for (std::size_t k = 0; k < kPaths; ++k) {
@@ -140,8 +149,7 @@ std::uint64_t six_path_monitored_allocs() {
     for (Job& job : jobs) {
       engine.spawn(
           [](mp::PipelineEngine& p, Job& j) -> ms::Task<void> {
-            j.out = co_await p.execute_monitored(
-                *j.dst, 0, *j.src, 0, std::move(j.plan), std::move(j.watch));
+            j.out = co_await p.execute(*j.dst, 0, *j.src, 0, j.plan, j.watch);
           }(pipe, job),
           "worker");
     }

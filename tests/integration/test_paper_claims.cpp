@@ -4,7 +4,7 @@
 // result (who wins, roughly by how much), not exact figures.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <ctime>
 
 #include "mpath/benchcore/metrics.hpp"
 #include "mpath/benchcore/omb.hpp"
@@ -152,10 +152,12 @@ TEST(PaperClaims, CollectivesSpeedUp) {
 TEST(PaperClaims, ModelRuntimeOverheadNegligible) {
   // "runtime overhead ... less than 0.1% of the total execution time" for
   // large messages: time 10k cold configurations and compare with one
-  // 64 MB transfer at 46 GB/s.
+  // 64 MB transfer at 46 GB/s. The process CPU clock measures the calls'
+  // own work, so time other processes take from this one on a loaded host
+  // cannot fail the bound.
 #ifdef MPATH_SANITIZED
-  GTEST_SKIP() << "wall-clock overhead bound is not meaningful under "
-                  "sanitizer instrumentation";
+  GTEST_SKIP() << "the overhead bound is not meaningful under sanitizer "
+                  "instrumentation";
 #endif
   auto& cal = beluga();
   const auto gpus = cal.system.topology.gpus();
@@ -163,15 +165,13 @@ TEST(PaperClaims, ModelRuntimeOverheadNegligible) {
       cal.system.topology, gpus[0], gpus[1],
       topo::PathPolicy::three_gpus_with_host());
   const model::PathConfigurator cfg(cal.registry);
-  const auto start = std::chrono::steady_clock::now();
+  const std::clock_t start = std::clock();
   constexpr int kIters = 10000;
   for (int i = 0; i < kIters; ++i) {
     (void)cfg.compute_config(gpus[0], gpus[1], (64u << 20) + i, paths);
   }
-  const double per_call =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count() /
-      kIters;
+  const double per_call = static_cast<double>(std::clock() - start) /
+                          CLOCKS_PER_SEC / kIters;
   const double transfer = static_cast<double>(64_MiB) / 46e9;  // ~1.5 ms
   EXPECT_LT(per_call / transfer, 0.001);
 }

@@ -10,12 +10,18 @@
 #include "mpath/util/units.hpp"
 
 namespace mg = mpath::gpusim;
+namespace mm = mpath::model;
 namespace mp = mpath::pipeline;
 namespace ms = mpath::sim;
 namespace mt = mpath::topo;
 using namespace mpath::util::literals;
 
 namespace {
+
+/// A plan share: the engine reads only its path, bytes and chunk count.
+mm::PathShare path_share(mt::PathPlan path, std::uint64_t bytes, int chunks) {
+  return {path, 0.0, bytes, chunks, 0.0, {}};
+}
 
 struct Fixture {
   mt::System sys = [] {
@@ -37,22 +43,14 @@ struct Fixture {
   };
 
   RunResult run(mg::DeviceBuffer& dst, const mg::DeviceBuffer& src,
-                mp::ExecPlan plan, mp::PathWatchList watch) {
+                std::vector<mm::PathShare> plan, mp::PathWatchList watch) {
     RunResult r;
-    const bool monitored = !watch.empty();
     engine.spawn([](Fixture& fx, mg::DeviceBuffer& d,
-                    const mg::DeviceBuffer& s, mp::ExecPlan p,
-                    mp::PathWatchList w, bool mon,
-                    RunResult& out) -> ms::Task<void> {
-      if (mon) {
-        out.outcome = co_await fx.pipe.execute_monitored(d, 0, s, 0,
-                                                         std::move(p),
-                                                         std::move(w));
-      } else {
-        co_await fx.pipe.execute(d, 0, s, 0, std::move(p));
-      }
+                    const mg::DeviceBuffer& s, std::vector<mm::PathShare> p,
+                    mp::PathWatchList w, RunResult& out) -> ms::Task<void> {
+      out.outcome = co_await fx.pipe.execute(d, 0, s, 0, p, w);
       out.elapsed = fx.engine.now();
-    }(*this, dst, src, std::move(plan), std::move(watch), monitored, r),
+    }(*this, dst, src, std::move(plan), std::move(watch), r),
                  "exec");
     r.events = engine.run();
     r.ops = rt.ops_issued();
@@ -67,8 +65,8 @@ struct Fixture {
 // not it is monitored: progress flows through completion hooks on the
 // copies already being issued, not through extra event-record operations.
 TEST(Batching, MonitoredDirectTimingMatchesUnmonitored) {
-  mp::ExecPlan plan{
-      mp::ExecPath{{mt::PathKind::Direct, mt::kInvalidDevice}, 8_MiB, 8}};
+  std::vector<mm::PathShare> plan{
+      path_share({mt::PathKind::Direct, mt::kInvalidDevice}, 8_MiB, 8)};
 
   Fixture plain;
   mg::DeviceBuffer s1(plain.gpus[0], 8_MiB), d1(plain.gpus[1], 8_MiB);
@@ -95,9 +93,9 @@ TEST(Batching, MonitoredDirectTimingMatchesUnmonitored) {
 // time — are untouched by monitoring.
 TEST(Batching, MonitoredMixedPlanTimingMatchesUnmonitored) {
   auto make_plan = [](const std::vector<mt::DeviceId>& gpus) {
-    return mp::ExecPlan{
-        mp::ExecPath{{mt::PathKind::Direct, mt::kInvalidDevice}, 2_MiB, 4},
-        mp::ExecPath{{mt::PathKind::GpuStaged, gpus[2]}, 2_MiB, 8}};
+    return std::vector<mm::PathShare>{
+        path_share({mt::PathKind::Direct, mt::kInvalidDevice}, 2_MiB, 4),
+        path_share({mt::PathKind::GpuStaged, gpus[2]}, 2_MiB, 8)};
   };
 
   Fixture plain;
@@ -133,12 +131,12 @@ TEST(Batching, HookAccountingReportsExactChunkPrefix) {
   mg::DeviceBuffer ps(probe.gpus[0], 8_MiB), pd(probe.gpus[1], 8_MiB);
   const auto full = probe.run(
       pd, ps,
-      {mp::ExecPath{{mt::PathKind::Direct, mt::kInvalidDevice}, 8_MiB, 8}},
+      {path_share({mt::PathKind::Direct, mt::kInvalidDevice}, 8_MiB, 8)},
       {});
   const double deadline = full.elapsed * 5.0 / 8.0;
   const auto cut = f.run(
       dst, src,
-      {mp::ExecPath{{mt::PathKind::Direct, mt::kInvalidDevice}, 8_MiB, 8}},
+      {path_share({mt::PathKind::Direct, mt::kInvalidDevice}, 8_MiB, 8)},
       {mp::PathWatch{deadline}});
   EXPECT_FALSE(cut.outcome.complete);
   ASSERT_EQ(cut.outcome.paths.size(), 1u);

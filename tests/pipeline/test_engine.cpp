@@ -6,6 +6,7 @@
 #include "mpath/util/units.hpp"
 
 namespace mg = mpath::gpusim;
+namespace mm = mpath::model;
 namespace mp = mpath::pipeline;
 namespace ms = mpath::sim;
 namespace mt = mpath::topo;
@@ -42,13 +43,13 @@ struct Fixture {
 
   /// Run one plan to completion; returns elapsed simulated seconds.
   double run(mg::DeviceBuffer& dst, const mg::DeviceBuffer& src,
-             mp::ExecPlan plan) {
+             std::vector<mm::PathShare> plan) {
     double finish = -1;
     const double start = engine.now();
     engine.spawn([](mp::PipelineEngine& pe, mg::DeviceBuffer& d,
-                    const mg::DeviceBuffer& s, mp::ExecPlan p,
+                    const mg::DeviceBuffer& s, std::vector<mm::PathShare> p,
                     double& out) -> ms::Task<void> {
-      co_await pe.execute(d, 0, s, 0, std::move(p));
+      (void)co_await pe.execute(d, 0, s, 0, p);
       out = pe.runtime().engine().now();
     }(pipe, dst, src, std::move(plan), finish), "exec");
     engine.run();
@@ -61,13 +62,18 @@ mt::PathPlan direct() {
   return {mt::PathKind::Direct, mt::kInvalidDevice};
 }
 
+/// A plan share: the engine reads only its path, bytes and chunk count.
+mm::PathShare path_share(mt::PathPlan path, std::uint64_t bytes, int chunks) {
+  return {path, 0.0, bytes, chunks, 0.0, {}};
+}
+
 }  // namespace
 
 TEST(PipelineEngine, DirectPlanDeliversPayload) {
   Fixture f;
   mg::DeviceBuffer src(f.gpus[0], 8_MiB), dst(f.gpus[1], 8_MiB);
   src.fill_pattern(1);
-  f.run(dst, src, {mp::ExecPath{direct(), 8_MiB, 1}});
+  f.run(dst, src, {path_share(direct(), 8_MiB, 1)});
   EXPECT_TRUE(dst.same_content(src));
   EXPECT_EQ(f.pipe.transfers_executed(), 1u);
   EXPECT_EQ(f.pipe.bytes_on(mt::PathKind::Direct), 8_MiB);
@@ -76,7 +82,7 @@ TEST(PipelineEngine, DirectPlanDeliversPayload) {
 TEST(PipelineEngine, DirectPlanTimeIsCloseToAnalytic) {
   Fixture f(/*clean_costs=*/true);
   mg::DeviceBuffer src(f.gpus[0], 64_MiB), dst(f.gpus[1], 64_MiB);
-  const double t = f.run(dst, src, {mp::ExecPath{direct(), 64_MiB, 1}});
+  const double t = f.run(dst, src, {path_share(direct(), 64_MiB, 1)});
   const double expected = 1e-6 + static_cast<double>(64_MiB) / gbps(46);
   EXPECT_NEAR(t, expected, 1e-8);
 }
@@ -86,7 +92,7 @@ TEST(PipelineEngine, GpuStagedPlanDeliversPayload) {
   mg::DeviceBuffer src(f.gpus[0], 8_MiB), dst(f.gpus[1], 8_MiB);
   src.fill_pattern(2);
   f.run(dst, src,
-        {mp::ExecPath{{mt::PathKind::GpuStaged, f.gpus[2]}, 8_MiB, 8}});
+        {path_share({mt::PathKind::GpuStaged, f.gpus[2]}, 8_MiB, 8)});
   EXPECT_TRUE(dst.same_content(src));
   EXPECT_EQ(f.pipe.bytes_on(mt::PathKind::GpuStaged), 8_MiB);
 }
@@ -96,7 +102,7 @@ TEST(PipelineEngine, HostStagedPlanDeliversPayload) {
   const auto host = f.sys.topology.hosts()[0];
   mg::DeviceBuffer src(f.gpus[0], 4_MiB), dst(f.gpus[1], 4_MiB);
   src.fill_pattern(3);
-  f.run(dst, src, {mp::ExecPath{{mt::PathKind::HostStaged, host}, 4_MiB, 4}});
+  f.run(dst, src, {path_share({mt::PathKind::HostStaged, host}, 4_MiB, 4)});
   EXPECT_TRUE(dst.same_content(src));
 }
 
@@ -107,10 +113,10 @@ TEST(PipelineEngine, MultiPathPlanDeliversEveryRegion) {
   src.fill_pattern(4);
   dst.fill_pattern(5);
   f.run(dst, src,
-        {mp::ExecPath{direct(), 30_MiB, 1},
-         mp::ExecPath{{mt::PathKind::GpuStaged, f.gpus[2]}, 16_MiB, 8},
-         mp::ExecPath{{mt::PathKind::GpuStaged, f.gpus[3]}, 14_MiB, 8},
-         mp::ExecPath{{mt::PathKind::HostStaged, host}, 4_MiB, 4}});
+        {path_share(direct(), 30_MiB, 1),
+         path_share({mt::PathKind::GpuStaged, f.gpus[2]}, 16_MiB, 8),
+         path_share({mt::PathKind::GpuStaged, f.gpus[3]}, 14_MiB, 8),
+         path_share({mt::PathKind::HostStaged, host}, 4_MiB, 4)});
   EXPECT_TRUE(dst.same_content(src));
 }
 
@@ -121,12 +127,12 @@ TEST(PipelineEngine, PipeliningBeatsUnpipelinedStaging) {
   Fixture f(/*clean_costs=*/true);
   const std::size_t n = 64_MiB;
   mg::DeviceBuffer src1(f.gpus[0], n), dst1(f.gpus[1], n);
-  const double t1 =
-      f.run(dst1, src1, {mp::ExecPath{{mt::PathKind::GpuStaged, f.gpus[2]}, n, 1}});
+  const double t1 = f.run(
+      dst1, src1, {path_share({mt::PathKind::GpuStaged, f.gpus[2]}, n, 1)});
   Fixture g(/*clean_costs=*/true);
   mg::DeviceBuffer src2(g.gpus[0], n), dst2(g.gpus[1], n);
-  const double t16 =
-      g.run(dst2, src2, {mp::ExecPath{{mt::PathKind::GpuStaged, g.gpus[2]}, n, 16}});
+  const double t16 = g.run(
+      dst2, src2, {path_share({mt::PathKind::GpuStaged, g.gpus[2]}, n, 16)});
   const double hop = static_cast<double>(n) / gbps(46);
   EXPECT_GT(t1, 1.9 * hop);        // k=1: two sequential hops
   EXPECT_LT(t16, 1.2 * hop);       // k=16: hops overlap
@@ -138,14 +144,14 @@ TEST(PipelineEngine, ThreePathsBeatDirectByNearlyThreeTimes) {
   Fixture f;
   const std::size_t n = 192_MiB;
   mg::DeviceBuffer src1(f.gpus[0], n), dst1(f.gpus[1], n);
-  const double t_direct = f.run(dst1, src1, {mp::ExecPath{direct(), n, 1}});
+  const double t_direct = f.run(dst1, src1, {path_share(direct(), n, 1)});
   Fixture g;
   mg::DeviceBuffer src3(g.gpus[0], n), dst3(g.gpus[1], n);
   const double t_multi = g.run(
       dst3, src3,
-      {mp::ExecPath{direct(), 64_MiB, 1},
-       mp::ExecPath{{mt::PathKind::GpuStaged, g.gpus[2]}, 64_MiB, 16},
-       mp::ExecPath{{mt::PathKind::GpuStaged, g.gpus[3]}, 64_MiB, 16}});
+      {path_share(direct(), 64_MiB, 1),
+       path_share({mt::PathKind::GpuStaged, g.gpus[2]}, 64_MiB, 16),
+       path_share({mt::PathKind::GpuStaged, g.gpus[3]}, 64_MiB, 16)});
   EXPECT_TRUE(dst3.same_content(src3));
   const double speedup = t_direct / t_multi;
   EXPECT_GT(speedup, 2.5);
@@ -157,8 +163,8 @@ TEST(PipelineEngine, ZeroByteAndSkippedPathsAreFine) {
   mg::DeviceBuffer src(f.gpus[0], 1_MiB), dst(f.gpus[1], 1_MiB);
   src.fill_pattern(6);
   f.run(dst, src,
-        {mp::ExecPath{direct(), 1_MiB, 1},
-         mp::ExecPath{{mt::PathKind::GpuStaged, f.gpus[2]}, 0, 4}});
+        {path_share(direct(), 1_MiB, 1),
+         path_share({mt::PathKind::GpuStaged, f.gpus[2]}, 0, 4)});
   EXPECT_TRUE(dst.same_content(src));
 }
 
@@ -168,8 +174,8 @@ TEST(PipelineEngine, ChunksAreCappedByBytes) {
   src.fill_pattern(7);
   // 3 bytes on a staged path with k=8: must degrade to k=3, not crash.
   f.run(dst, src,
-        {mp::ExecPath{direct(), 13, 1},
-         mp::ExecPath{{mt::PathKind::GpuStaged, f.gpus[2]}, 3, 8}});
+        {path_share(direct(), 13, 1),
+         path_share({mt::PathKind::GpuStaged, f.gpus[2]}, 3, 8)});
   EXPECT_TRUE(dst.same_content(src));
 }
 
@@ -180,7 +186,7 @@ TEST(PipelineEngine, ChunkCountsBeyondSixteenBitsDeliver) {
   constexpr std::size_t kChunks = 70000;
   mg::DeviceBuffer src(f.gpus[0], kChunks), dst(f.gpus[1], kChunks);
   src.fill_pattern(8);
-  f.run(dst, src, {mp::ExecPath{direct(), kChunks, kChunks}});
+  f.run(dst, src, {path_share(direct(), kChunks, kChunks)});
   EXPECT_TRUE(dst.same_content(src));
 }
 
@@ -191,22 +197,22 @@ TEST(PipelineEngine, MalformedPlansThrow) {
   f.engine.spawn([](mp::PipelineEngine& pe, mg::DeviceBuffer& d,
                     const mg::DeviceBuffer& s, bool& a, bool& b,
                     bool& c) -> ms::Task<void> {
-    mp::ExecPlan bad_chunks{mp::ExecPath{direct(), 64, 0}};
+    std::vector<mm::PathShare> bad_chunks{path_share(direct(), 64, 0)};
     try {
-      co_await pe.execute(d, 0, s, 0, std::move(bad_chunks));
+      (void)co_await pe.execute(d, 0, s, 0, bad_chunks);
     } catch (const std::invalid_argument&) {
       a = true;
     }
-    mp::ExecPlan bad_stage{
-        mp::ExecPath{{mt::PathKind::GpuStaged, mt::kInvalidDevice}, 64, 1}};
+    std::vector<mm::PathShare> bad_stage{
+        path_share({mt::PathKind::GpuStaged, mt::kInvalidDevice}, 64, 1)};
     try {
-      co_await pe.execute(d, 0, s, 0, std::move(bad_stage));
+      (void)co_await pe.execute(d, 0, s, 0, bad_stage);
     } catch (const std::invalid_argument&) {
       b = true;
     }
-    mp::ExecPlan bad_bounds{mp::ExecPath{direct(), 2_MiB, 1}};
+    std::vector<mm::PathShare> bad_bounds{path_share(direct(), 2_MiB, 1)};
     try {
-      co_await pe.execute(d, 0, s, 0, std::move(bad_bounds));
+      (void)co_await pe.execute(d, 0, s, 0, bad_bounds);
     } catch (const std::out_of_range&) {
       c = true;
     }
@@ -227,10 +233,10 @@ TEST(PipelineEngine, SimulatedStagingStillRelaysMaterializedPayload) {
   f.engine.spawn([](mp::PipelineEngine& pe, mg::DeviceBuffer& d,
                     const mg::DeviceBuffer& s,
                     std::vector<mt::DeviceId> gpus) -> ms::Task<void> {
-    mp::ExecPlan plan{
-        mp::ExecPath{direct(), 3_MiB, 1},
-        mp::ExecPath{{mt::PathKind::GpuStaged, gpus[2]}, 5_MiB, 8}};
-    co_await pe.execute(d, 0, s, 0, std::move(plan));
+    std::vector<mm::PathShare> plan{
+        path_share(direct(), 3_MiB, 1),
+        path_share({mt::PathKind::GpuStaged, gpus[2]}, 5_MiB, 8)};
+    (void)co_await pe.execute(d, 0, s, 0, plan);
   }(sim_staged, dst, src, f.gpus), "xfer");
   f.engine.run();
   EXPECT_TRUE(dst.same_content(src));
@@ -251,10 +257,10 @@ TEST(PipelineEngine, ConcurrentTransfersDoNotCorruptEachOther) {
     f.engine.spawn([](mp::PipelineEngine& pe, mg::DeviceBuffer& d,
                       const mg::DeviceBuffer& s,
                       std::vector<mt::DeviceId> gpus) -> ms::Task<void> {
-      mp::ExecPlan plan{
-          mp::ExecPath{direct(), 4_MiB, 1},
-          mp::ExecPath{{mt::PathKind::GpuStaged, gpus[2]}, 4_MiB, 8}};
-      co_await pe.execute(d, 0, s, 0, std::move(plan));
+      std::vector<mm::PathShare> plan{
+          path_share(direct(), 4_MiB, 1),
+          path_share({mt::PathKind::GpuStaged, gpus[2]}, 4_MiB, 8)};
+      (void)co_await pe.execute(d, 0, s, 0, plan);
     }(f.pipe, *dsts[static_cast<std::size_t>(i)],
       *srcs[static_cast<std::size_t>(i)], f.gpus), "xfer");
   }

@@ -70,14 +70,6 @@ struct Fixture {
   }
 };
 
-mp::ExecPlan plan_of(const mm::TransferConfig& config) {
-  mp::ExecPlan plan;
-  for (const auto& share : config.paths) {
-    plan.push_back(mp::ExecPath{share.plan, share.bytes, share.chunks});
-  }
-  return plan;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -180,7 +172,7 @@ TEST(GraphCompile, MirrorsExecuteValidation) {
 
 // The core tentpole invariant, at the engine level and with jitter ON: a
 // replay issues the exact same runtime-call + issue-cost sequence as
-// execute_monitored on the equivalent plan, so the completion instants (and
+// execute() on the config's shares, so the completion instants (and
 // the rng draws behind them) are bit-identical across two fresh engines.
 TEST(GraphReplay, BitIdenticalToUncompiledUnderJitter) {
   const std::uint64_t n = 64_MiB;
@@ -195,10 +187,9 @@ TEST(GraphReplay, BitIdenticalToUncompiledUnderJitter) {
     src.fill_pattern(21);
     f.engine.spawn(
         [](Fixture& fx, mg::DeviceBuffer& d, const mg::DeviceBuffer& s,
-           mp::ExecPlan plan) -> ms::Task<void> {
-          (void)co_await fx.pipe.execute_monitored(d, 0, s, 0,
-                                                   std::move(plan), {});
-        }(f, dst, src, plan_of(config)),
+           std::vector<mm::PathShare> plan) -> ms::Task<void> {
+          (void)co_await fx.pipe.execute(d, 0, s, 0, plan);
+        }(f, dst, src, config.paths),
         "classic");
     f.engine.run();
     t_classic = f.engine.now();
@@ -262,11 +253,9 @@ TEST(GraphReplay, MonitoredTimeoutMatchesUncompiledBitForBit) {
            const mg::DeviceBuffer& s, mp::PathWatchList w,
            mp::TransferOutcome& res) -> ms::Task<void> {
           if (gr != nullptr) {
-            res = co_await fx.pipe.replay(std::move(gr), d, 0, s, 0,
-                                          std::move(w));
+            res = co_await fx.pipe.replay(std::move(gr), d, 0, s, 0, w);
           } else {
-            res = co_await fx.pipe.execute_monitored(
-                d, 0, s, 0, plan_of(cf), std::move(w));
+            res = co_await fx.pipe.execute(d, 0, s, 0, cf.paths, w);
           }
         }(f, g, config, dst, src, watch, out),
         compiled ? "replay" : "classic");

@@ -379,11 +379,17 @@ TEST(DriftConvergence, RecalibratedPredictionsConvergeOnDriftedLink) {
   f.engine.spawn(
       [](Fixture& fx, mp::ModelDrivenChannel& c,
          std::vector<double>& errs) -> ms::Task<void> {
+        const std::vector<mt::PathPlan> paths = mt::enumerate_paths(
+            fx.rt.topology(), fx.gpus[0], fx.gpus[1], c.policy());
         for (int i = 0; i < kTransfers; ++i) {
+          // The channel plans under the calibration snapshot current when
+          // the transfer starts, so this is the prediction it runs.
+          const double predicted =
+              fx.cfg.compute_config(fx.gpus[0], fx.gpus[1], 32_MiB, paths)
+                  .predicted_time;
           RunRecord rr;
           co_await one_transfer(fx, c, fx.gpus[0], fx.gpus[1], 32_MiB,
                                 static_cast<std::uint8_t>(90 + i), rr);
-          const double predicted = c.last_config()->predicted_time;
           errs.push_back(std::abs(rr.elapsed_s - predicted) / rr.elapsed_s);
         }
       }(f, ch, errors),

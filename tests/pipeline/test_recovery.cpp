@@ -5,6 +5,7 @@
 // fully-severed source raises a typed TransferError.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
@@ -50,17 +51,16 @@ struct Fixture {
 
   mp::TransferOutcome run_monitored(mg::DeviceBuffer& dst,
                                     const mg::DeviceBuffer& src,
-                                    mp::ExecPlan plan,
+                                    std::vector<mm::PathShare> plan,
                                     mp::PathWatchList watch) {
     mp::TransferOutcome out;
     rejected.reset();
     engine.spawn([](Fixture& fx, mg::DeviceBuffer& d,
-                    const mg::DeviceBuffer& s, mp::ExecPlan p,
+                    const mg::DeviceBuffer& s, std::vector<mm::PathShare> p,
                     mp::PathWatchList w,
                     mp::TransferOutcome& o) -> ms::Task<void> {
       try {
-        o = co_await fx.pipe.execute_monitored(d, 0, s, 0, std::move(p),
-                                               std::move(w));
+        o = co_await fx.pipe.execute(d, 0, s, 0, p, w);
       } catch (const std::invalid_argument& e) {
         fx.rejected = e.what();
       }
@@ -72,6 +72,11 @@ struct Fixture {
 
 mt::PathPlan direct() { return {mt::PathKind::Direct, mt::kInvalidDevice}; }
 
+/// A plan share: the engine reads only its path, bytes and chunk count.
+mm::PathShare path_share(mt::PathPlan path, std::uint64_t bytes, int chunks) {
+  return {path, 0.0, bytes, chunks, 0.0, {}};
+}
+
 }  // namespace
 
 TEST(Recovery, MonitoredHealthyPlanCompletesIntact) {
@@ -80,8 +85,8 @@ TEST(Recovery, MonitoredHealthyPlanCompletesIntact) {
   src.fill_pattern(51);
   const auto out = f.run_monitored(
       dst, src,
-      {mp::ExecPath{direct(), 4_MiB, 4},
-       mp::ExecPath{{mt::PathKind::GpuStaged, f.gpus[2]}, 4_MiB, 4}},
+      {path_share(direct(), 4_MiB, 4),
+       path_share({mt::PathKind::GpuStaged, f.gpus[2]}, 4_MiB, 4)},
       {mp::PathWatch{10.0}, mp::PathWatch{10.0}});
   EXPECT_TRUE(out.complete);
   ASSERT_EQ(out.paths.size(), 2u);
@@ -96,7 +101,7 @@ TEST(Recovery, EmptyWatchMatchesExecute) {
   mg::DeviceBuffer src(f.gpus[0], 4_MiB), dst(f.gpus[1], 4_MiB);
   src.fill_pattern(52);
   const auto out =
-      f.run_monitored(dst, src, {mp::ExecPath{direct(), 4_MiB, 2}}, {});
+      f.run_monitored(dst, src, {path_share(direct(), 4_MiB, 2)}, {});
   EXPECT_TRUE(out.complete);
   EXPECT_EQ(out.delivered(), 4_MiB);
   EXPECT_TRUE(dst.same_content(src));
@@ -105,7 +110,7 @@ TEST(Recovery, EmptyWatchMatchesExecute) {
 TEST(Recovery, WatchSizeMismatchRejected) {
   Fixture f;
   mg::DeviceBuffer src(f.gpus[0], 1_MiB), dst(f.gpus[1], 1_MiB);
-  (void)f.run_monitored(dst, src, {mp::ExecPath{direct(), 1_MiB, 1}},
+  (void)f.run_monitored(dst, src, {path_share(direct(), 1_MiB, 1)},
                         {mp::PathWatch{1.0}, mp::PathWatch{1.0}});
   EXPECT_TRUE(f.rejected.has_value());
 }
@@ -123,7 +128,7 @@ TEST(Recovery, SeveredDirectPathTimesOutWithPartialPrefix) {
   f.engine.schedule_callback(60e-6,
                              [&] { f.net.set_link_capacity(link, 0.0); });
   const auto out = f.run_monitored(dst, src,
-                                   {mp::ExecPath{direct(), 8_MiB, 8}},
+                                   {path_share(direct(), 8_MiB, 8)},
                                    {mp::PathWatch{1e-3}});
   EXPECT_FALSE(out.complete);
   ASSERT_EQ(out.paths.size(), 1u);
@@ -149,7 +154,7 @@ TEST(Recovery, TimedOutStagedPathReleasesStagingSlots) {
   f.engine.schedule_callback(20e-6,
                              [&] { f.net.set_link_capacity(link, 0.0); });
   const auto out = f.run_monitored(
-      dst, src, {mp::ExecPath{{mt::PathKind::GpuStaged, via}, 4_MiB, 4}},
+      dst, src, {path_share({mt::PathKind::GpuStaged, via}, 4_MiB, 4)},
       {mp::PathWatch{1e-3}});
   EXPECT_FALSE(out.complete);
   EXPECT_TRUE(out.paths[0].timed_out);
@@ -160,7 +165,7 @@ TEST(Recovery, TimedOutStagedPathReleasesStagingSlots) {
   mg::DeviceBuffer src2(f.gpus[0], 4_MiB), dst2(f.gpus[1], 4_MiB);
   src2.fill_pattern(55);
   const auto out2 = f.run_monitored(
-      dst2, src2, {mp::ExecPath{{mt::PathKind::GpuStaged, via}, 4_MiB, 4}},
+      dst2, src2, {path_share({mt::PathKind::GpuStaged, via}, 4_MiB, 4)},
       {mp::PathWatch{10.0}});
   EXPECT_TRUE(out2.complete);
   EXPECT_TRUE(dst2.same_content(src2));
@@ -172,9 +177,9 @@ TEST(Recovery, TimedOutStagedPathReleasesStagingSlots) {
 TEST(Recovery, OverflowingPlanRejectedBeforeIssuing) {
   Fixture f;
   mg::DeviceBuffer src(f.gpus[0], 8), dst(f.gpus[1], 8);
-  mp::ExecPlan plan{
-      mp::ExecPath{direct(), std::numeric_limits<std::uint64_t>::max(), 1},
-      mp::ExecPath{{mt::PathKind::GpuStaged, f.gpus[2]}, 2, 1}};
+  std::vector<mm::PathShare> plan{
+      path_share(direct(), std::numeric_limits<std::uint64_t>::max(), 1),
+      path_share({mt::PathKind::GpuStaged, f.gpus[2]}, 2, 1)};
   (void)f.run_monitored(dst, src, std::move(plan), {});
   ASSERT_TRUE(f.rejected.has_value());
   EXPECT_NE(f.rejected->find("overflow"), std::string::npos);
@@ -240,6 +245,43 @@ TEST(Recovery, DegradedDirectPathRecoversViaReplan) {
   EXPECT_EQ(st.transfers_recovered, 1u);
   EXPECT_EQ(st.transfers_failed, 0u);
   EXPECT_GT(st.recovery_time_s, 0.0);
+}
+
+// A solo re-plan's remainder is a request no later transfer makes, so it is
+// computed without entering the config cache: only the first attempts (one
+// per distinct transfer size here) leave entries behind, however many
+// distinct remainders recovery re-plans.
+TEST(Recovery, SoloReplansDoNotGrowTheConfigCache) {
+  Fixture f;
+  mp::ModelDrivenChannel ch(f.pipe, f.cfg, mt::PathPolicy::three_gpus(),
+                            recovery_opts());
+  // From 100 us on the direct link runs at a tenth of its capacity: each
+  // transfer's first attempt plans it at full speed, times out on it and
+  // re-plans its remainder over the staged survivors.
+  const auto link = f.direct_link(f.gpus[0], f.gpus[1]);
+  const double base = f.net.link(link).capacity_bps;
+  f.engine.schedule_callback(
+      100e-6, [&, base] { f.net.set_link_capacity(link, 0.1 * base); });
+
+  static constexpr std::size_t kSizes[] = {64_MiB, 48_MiB, 32_MiB};
+  std::vector<ChannelRun> runs(std::size(kSizes));
+  f.engine.spawn(
+      [](Fixture& fx, mp::ModelDrivenChannel& c,
+         std::vector<ChannelRun>& out) -> ms::Task<void> {
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          mg::DeviceBuffer src(fx.gpus[0], kSizes[i]);
+          mg::DeviceBuffer dst(fx.gpus[1], kSizes[i]);
+          co_await guarded_transfer(c, dst, src, kSizes[i], out[i]);
+        }
+      }(f, ch, runs),
+      "xfers");
+  f.engine.run();
+
+  for (const ChannelRun& run : runs) {
+    EXPECT_FALSE(run.error.has_value()) << run.what;
+  }
+  EXPECT_GE(ch.recovery_stats().replans, std::size(kSizes));
+  EXPECT_EQ(f.cfg.cache_size(), std::size(kSizes));
 }
 
 // With recovery enabled but no fault, the channel must not pay any

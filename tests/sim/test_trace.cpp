@@ -9,6 +9,7 @@
 #include "mpath/util/units.hpp"
 
 namespace mg = mpath::gpusim;
+namespace mm = mpath::model;
 namespace mp = mpath::pipeline;
 namespace ms = mpath::sim;
 namespace mt = mpath::topo;
@@ -90,10 +91,10 @@ TEST(Tracer, RuntimeEmitsCopySpans) {
   engine.spawn([](mp::PipelineEngine& pe, mg::DeviceBuffer& d,
                   const mg::DeviceBuffer& s,
                   std::vector<mt::DeviceId> g) -> ms::Task<void> {
-    mp::ExecPlan plan{
-        mp::ExecPath{{mt::PathKind::Direct, mt::kInvalidDevice}, 4_MiB, 1},
-        mp::ExecPath{{mt::PathKind::GpuStaged, g[2]}, 4_MiB, 4}};
-    co_await pe.execute(d, 0, s, 0, std::move(plan));
+    const std::vector<mm::PathShare> plan{
+        {{mt::PathKind::Direct, mt::kInvalidDevice}, 0.5, 4_MiB, 1, 0.0, {}},
+        {{mt::PathKind::GpuStaged, g[2]}, 0.5, 4_MiB, 4, 0.0, {}}};
+    (void)co_await pe.execute(d, 0, s, 0, plan);
   }(pipe, dst, src, gpus), "traced");
   engine.run();
 

@@ -28,9 +28,9 @@ TEST(StaticTuner, FindsMultiPathPlanForLargeMessages) {
                         coarse_options());
   const auto result = tuner.tune(128_MiB);
   EXPECT_GT(result.evaluated, 3);
-  ASSERT_EQ(result.plan.fractions.size(), 2u);
+  ASSERT_EQ(result.plan.size(), 2u);
   // A large message must use the staged path...
-  EXPECT_GT(result.plan.fractions[1], 0.0);
+  EXPECT_GT(result.plan[1].theta, 0.0);
   // ...and beat the single direct lane.
   EXPECT_GT(result.bandwidth_bps, 1.3 * gbps(46));
 }
@@ -41,16 +41,16 @@ TEST(StaticTuner, PrefersDirectOnlyForModestMessages) {
   const auto result = tuner.tune(512_KiB);
   // At 512 KB the fixed staging overheads dominate: the exhaustive search
   // lands on an all-direct (or nearly all-direct) split.
-  EXPECT_GE(result.plan.fractions[0], 0.75);
+  EXPECT_GE(result.plan[0].theta, 0.75);
 }
 
 TEST(StaticTuner, ChunkedPlansWinForStagedPaths) {
   tu::StaticTuner tuner(mt::make_beluga(), mt::PathPolicy::two_gpus(),
                         coarse_options());
   const auto result = tuner.tune(256_MiB);
-  ASSERT_EQ(result.plan.chunks.size(), 2u);
+  ASSERT_EQ(result.plan.size(), 2u);
   // With half the bytes staged, pipelining must win over k=1.
-  EXPECT_GT(result.plan.chunks[1], 1);
+  EXPECT_GT(result.plan[1].chunks, 1);
 }
 
 TEST(StaticTuner, CacheRoundTrip) {
@@ -64,10 +64,10 @@ TEST(StaticTuner, CacheRoundTrip) {
   const auto second = tuner.tune(64_MiB);
   EXPECT_TRUE(second.from_cache);
   EXPECT_DOUBLE_EQ(second.bandwidth_bps, first.bandwidth_bps);
-  ASSERT_EQ(second.plan.fractions.size(), first.plan.fractions.size());
-  for (std::size_t i = 0; i < first.plan.fractions.size(); ++i) {
-    EXPECT_DOUBLE_EQ(second.plan.fractions[i], first.plan.fractions[i]);
-    EXPECT_EQ(second.plan.chunks[i], first.plan.chunks[i]);
+  ASSERT_EQ(second.plan.size(), first.plan.size());
+  for (std::size_t i = 0; i < first.plan.size(); ++i) {
+    EXPECT_DOUBLE_EQ(second.plan[i].theta, first.plan[i].theta);
+    EXPECT_EQ(second.plan[i].chunks, first.plan[i].chunks);
   }
   std::filesystem::remove_all(cache);
 }
