@@ -116,10 +116,12 @@ static void BM_RngJitter(benchmark::State& state) {
 BENCHMARK(BM_RngJitter);
 
 // The same draws as GpuRuntime takes them, from a util::JitterStream: one
-// refill per 256 draws, then one scale and clamp per draw. Back to back, as
-// here, it reads slower per draw than BM_RngJitter; the batch pays off in
-// the simulator, where each draw sits between events (DESIGN.md, "Jitter
-// stream").
+// batch fill per 256 draws (per 2,048 past the first 4,096), then one scale
+// and clamp per draw. Back to back, as here, the draws outrun the filler
+// thread, so this mostly times the fills the stream does itself, and it
+// reads slower per draw than BM_RngJitter. The batches pay off in the
+// simulator, where each draw sits between events and the filler keeps
+// ahead (DESIGN.md, "Jitter stream").
 static void BM_JitterStream(benchmark::State& state) {
   mpath::util::JitterStream stream(7);
   double sigma = 0.02;

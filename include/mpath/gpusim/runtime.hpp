@@ -24,6 +24,12 @@
 // A copy may be governed by a CancelToken that its issuer owns and passes
 // by address, as it passes the buffers: the token, like the buffers, must
 // outlive the ops it governs.
+//
+// Every modeled op scales its cost by one jitter draw (jitter()). Once a
+// runtime has taken util::JitterStream::kSelfDraws draws, the process's one
+// filler thread fills its next batch of draws while the runtime reads the
+// current one; the values are the same either way. That thread is the only
+// one a runtime touches, and it touches nothing of the simulation.
 #pragma once
 
 #include <cstdint>
@@ -191,9 +197,11 @@ class GpuRuntime {
   /// One jitter factor for a modeled op's cost: the next draw of the
   /// runtime's util::JitterStream at the system's `jitter_rel`, equal bit
   /// for bit to util::Rng::jitter on the same seed (the stream only draws
-  /// its σ-free factors in batches, ahead of use), or exactly 1 without a
-  /// draw when `jitter_rel` <= 0. Skipping is safe because nothing else
-  /// reads the stream and `jitter_rel` is fixed per system.
+  /// its σ-free factors in batches, ahead of use, past its young phase on
+  /// the filler thread), or exactly 1 without a draw when `jitter_rel`
+  /// <= 0, so such a runtime never starts that thread. Skipping is safe
+  /// because nothing else reads the stream and `jitter_rel` is fixed per
+  /// system.
   [[nodiscard]] double jitter() {
     const double sigma = costs().jitter_rel;
     return sigma <= 0.0 ? 1.0 : jitter_stream_.next(sigma);

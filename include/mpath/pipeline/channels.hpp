@@ -13,6 +13,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
 #include <span>
@@ -183,6 +184,9 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
  private:
   friend class ChainController;
   using PlanClock = std::chrono::steady_clock;
+  /// Share vectors kept between solo transfers, one list node each, so a
+  /// plan takes and returns one without allocating.
+  using SpareShares = std::list<std::vector<model::PathShare>>;
   /// One planned execution: what a plan source hands the transfer loop.
   struct Plan;
 
@@ -246,6 +250,7 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
   PathHealthManager health_;
   RecoveryStats stats_;
   GraphUseStats graph_stats_;
+  SpareShares spare_shares_;  ///< empty, each with its capacity
   // Candidate path cache per (src, dst).
   std::map<std::pair<topo::DeviceId, topo::DeviceId>,
            std::vector<topo::PathPlan>>
@@ -257,6 +262,12 @@ class ModelDrivenChannel final : public gpusim::DataChannel {
 /// ignored. The direct path comes first and the fractions sum to ~1.
 /// StaticPlanChannel sends messages below kMinMultipathBytes direct.
 using StaticPlan = std::vector<model::PathShare>;
+
+/// Why StaticPlanChannel refuses `plan`, or null when it takes it: the plan
+/// is empty, its first path is not the direct one, a fraction is not a
+/// number >= 0, a chunk count is below 1, or the fractions do not sum to 1
+/// within 1e-6.
+[[nodiscard]] const char* static_plan_error(const StaticPlan& plan);
 
 class StaticPlanChannel final : public gpusim::DataChannel {
  public:

@@ -8,13 +8,17 @@
 // largest host cost (DESIGN.md, "Jitter stream"). uniform() and
 // uniform_int() run the standard distributions on the same engine.
 // JitterStream takes the same jitter draws in batches, on an engine of its
-// own.
+// own. Past a stream's first JitterStream::kSelfDraws draws, one
+// process-wide filler thread fills its next batch while its owner reads the
+// current one, and no value changes.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <random>
 
 namespace mpath::util {
@@ -126,47 +130,86 @@ double jitter_from(Gen& gen, double rel_sigma) {
   return jitter_at(p.factor(), rel_sigma);
 }
 
-/// Rng::jitter's draws taken in batches: one refill draws the next
-/// kBatch accepted points, first the accept/reject scan over word pairs,
-/// then the log/sqrt/div pass that turns each into its σ-free factor, so
-/// the logs of a batch run back to back instead of one between every two
-/// simulator events. next(σ) scales one factor by σ and clamps it as
-/// jitter_from does, so the n-th value equals the n-th Rng::jitter(σ) of an
-/// Rng seeded alike, bit for bit, whatever σ > 0 each call passes.
+class JitterFiller;  // the process's filler thread (rng.cpp)
+
+/// Rng::jitter's draws taken in batches. A batch is the next run of draws
+/// on the stream's own engine, filled in passes of kBatch: first the
+/// accept/reject scan over word pairs, then the log/sqrt/div pass that
+/// turns each accepted point into its σ-free factor, so the logs run back
+/// to back instead of one between every two simulator events. next(σ)
+/// scales one factor by σ and clamps it as jitter_from does, so the n-th
+/// value equals the n-th Rng::jitter(σ) of an Rng seeded alike, bit for
+/// bit, whatever σ > 0 each call passes.
 ///
-/// The engine is the stream's own: a refill takes the words of kBatch draws
-/// ahead of use, so anything else reading that engine would see them out of
-/// order. (That is also why this is not a buffer inside Rng, whose
-/// uniform() and engine() share its engine.)
+/// A young stream fills its own batches of kBatch draws. Once it has
+/// filled kSelfDraws, it keeps a spare batch, and the process's one filler
+/// thread fills the spare with the next run of draws while next() reads
+/// the current batch. The filler's batches double from kBatch up to
+/// kFillBatch, so that its first fills are done by the time the stream
+/// reaches them: the stream's own last batch leaves the filler only kBatch
+/// draws to wake up and fill the first. At the end of a batch next()
+/// takes the spare if it is filled, fills it itself if the filler has not
+/// started on it, and waits only while the filler is filling it. Values
+/// cannot change: only one party advances the engine at a time, and where
+/// a batch begins does not change the sequence of draws. The filler holds
+/// the stream's address, so a stream is neither copied nor moved, and its
+/// destructor withdraws a queued fill and waits for one in flight.
+///
+/// The engine is the stream's own: a batch takes its words ahead of use,
+/// so anything else reading that engine would see them out of order.
+/// (That is also why this is not a buffer inside Rng, whose uniform() and
+/// engine() share its engine.) A stream belongs to one thread, as the
+/// runtime that draws from it does.
 class JitterStream {
  public:
+  /// Draws per pass of a fill, and per batch of a young stream.
+  static constexpr std::size_t kBatch = 256;
+  /// Draws a stream fills itself before the filler takes over, so that a
+  /// short-lived stream never touches the filler thread.
+  static constexpr std::size_t kSelfDraws = 4096;
+  /// Draws per batch once the filler's batches have grown.
+  static constexpr std::size_t kFillBatch = 2048;
+
   explicit JitterStream(std::uint64_t seed) : gen_(seed) {}
+  JitterStream(const JitterStream&) = delete;
+  JitterStream& operator=(const JitterStream&) = delete;
+  ~JitterStream();
 
   /// The next draw at `rel_sigma` > 0. A caller that wants no jitter at
   /// σ <= 0 skips the call rather than passing σ.
   double next(double rel_sigma) {
-    if (next_ == kBatch) refill();
-    return jitter_at(factors_[next_++], rel_sigma);
+    if (next_ == size_) next_batch();
+    return jitter_at(batch_[next_++], rel_sigma);
   }
 
  private:
-  static constexpr std::size_t kBatch = 256;
+  friend class JitterFiller;
 
-  void refill() {
-    // A rejected trial is overwritten by the next one: n advances only on
-    // acceptance, without a branch on it.
-    std::array<PolarPoint, kBatch> points{};
-    for (std::size_t n = 0; n < kBatch;) {
-      points[n] = polar_point(gen_);
-      n += points[n].accepted();
-    }
-    for (std::size_t i = 0; i < kBatch; ++i) factors_[i] = points[i].factor();
-    next_ = 0;
-  }
+  /// Who holds the spare batch, and with it the engine. The filler moves a
+  /// stream kQueued → kFilling → kReady; next() moves it on from kReady or
+  /// (withdrawing the request) from kQueued.
+  enum class Spare : std::uint8_t { kEmpty, kQueued, kFilling, kReady };
 
-  Mt19937_64 gen_;
-  std::array<double, kBatch> factors_{};  ///< σ-free factors of this batch
-  std::size_t next_ = kBatch;             ///< first unused factor
+  /// Make the next batch current, at the end of this one.
+  void next_batch();
+  /// Fill `out` with the next `n` σ-free factors (n a multiple of kBatch).
+  void fill(double* out, std::size_t n);
+  void fill_spare() { fill(spare_, spare_size_); }
+
+  // The filler writes the spare batch and the engine while it fills. Both
+  // sit on cache lines of their own, so those writes never evict what
+  // next() reads, here or in the object that owns the stream.
+  alignas(64) std::array<double, kFillBatch> batches_[2]{};
+  double* batch_ = batches_[0].data();  ///< the current batch
+  std::size_t next_ = 0;                ///< first unused factor
+  std::size_t size_ = 0;                ///< factors in this batch
+  double* spare_ = batches_[1].data();  ///< the batch after the current one
+  std::size_t spare_size_ = kBatch;     ///< factors the spare is filled with
+  alignas(64) Mt19937_64 gen_;
+  std::atomic<Spare> spare_state_{Spare::kEmpty};
+  std::size_t self_filled_ = 0;           ///< draws filled while young
+  std::shared_ptr<JitterFiller> filler_;  ///< null while young
+  JitterStream* queued_next_ = nullptr;   ///< the filler's queue link
 };
 
 class Rng {

@@ -61,16 +61,32 @@ constexpr double kMinDeadlineS = 1e-3;
 /// identical transfer would pick it again — the bar a template or a
 /// captured chain step must meet to compile. A transfer that
 /// unwinds before departing fails its ticket, so the scheduler stops
-/// water-filling against it.
+/// water-filling against it. Without a scheduler, whose admissions hand
+/// over configs of their own, the snapshot's share vector is one of
+/// `spares`, taken for the plan's lifetime and given back empty with its
+/// capacity, so copying a cached config into it allocates nothing once the
+/// channel has seen as many plans at once before.
 struct ModelDrivenChannel::Plan {
-  explicit Plan(TransferScheduler* s) : sched(s) {}
+  Plan(TransferScheduler* s, SpareShares& spares)
+      : sched(s), spare(s == nullptr ? &spares : nullptr) {
+    if (spare == nullptr) return;
+    if (spare->empty()) spare->emplace_back();
+    shares.splice(shares.begin(), *spare, spare->begin());
+    config.paths.swap(shares.front());
+  }
   Plan(const Plan&) = delete;
   Plan& operator=(const Plan&) = delete;
   ~Plan() {
     if (ticket != TransferScheduler::kInvalidTicket) sched->fail(ticket);
+    if (spare == nullptr) return;
+    config.paths.clear();
+    config.paths.swap(shares.front());
+    spare->splice(spare->begin(), shares);
   }
 
   TransferScheduler* sched;
+  SpareShares* spare;  ///< null on a scheduled channel
+  SpareShares shares;  ///< the one spare vector this plan holds
   std::shared_ptr<TransferGraph> graph;
   TransferScheduler::TicketId ticket = TransferScheduler::kInvalidTicket;
   model::TransferConfig config;
@@ -173,7 +189,7 @@ sim::Task<void> ModelDrivenChannel::transfer(gpusim::DeviceBuffer& dst,
   int replans = 0;
   double first_timeout = -1.0;
   // One plan across attempts: re-plans keep the first admission's ticket.
-  Plan plan(scheduler_);
+  Plan plan(scheduler_, spare_shares_);
 
   // With recovery off nothing is watched, so no attempt can time out and
   // the loop runs exactly once.
@@ -473,10 +489,11 @@ void ModelDrivenChannel::plan_fresh(topo::DeviceId src, topo::DeviceId dst,
                                     std::span<const topo::PathPlan> paths,
                                     bool replan, bool canonical, Plan& plan) {
   if (scheduler_ == nullptr) {
-    // Solo configure, copied out of the configurator's cache: a
-    // clear_cache() or a recalibrated re-plan during the transfer must not
-    // invalidate what it executes. A re-plan's remainder is a request no
-    // later transfer makes, so it is computed without being cached.
+    // Solo configure, copied out of the configurator's cache into the
+    // plan's spare vector: a clear_cache() or a recalibrated re-plan during
+    // the transfer must not invalidate what it executes. A re-plan's
+    // remainder is a request no later transfer makes, so it is computed
+    // without being cached.
     if (replan) {
       plan.config = configurator_->compute_config(src, dst, bytes, paths);
     } else {
@@ -518,26 +535,26 @@ std::shared_ptr<TransferGraph> ModelDrivenChannel::compile_template(
   return g;
 }
 
-StaticPlanChannel::StaticPlanChannel(PipelineEngine& engine, StaticPlan plan)
-    : engine_(&engine), plan_(std::move(plan)) {
-  if (plan_.empty()) {
-    throw std::invalid_argument("StaticPlanChannel: empty plan");
+const char* static_plan_error(const StaticPlan& plan) {
+  if (plan.empty()) return "empty plan";
+  if (plan.front().plan.kind != topo::PathKind::Direct) {
+    return "first path must be direct";
   }
-  if (plan_.front().plan.kind != topo::PathKind::Direct) {
-    throw std::invalid_argument(
-        "StaticPlanChannel: first path must be direct");
-  }
-  // Both checks are written so that a NaN fails them.
+  // Both fraction checks are written so that a NaN fails them.
   double sum = 0.0;
-  for (const model::PathShare& share : plan_) {
-    if (!(share.theta >= 0.0)) {
-      throw std::invalid_argument(
-          "StaticPlanChannel: fraction must be a number >= 0");
-    }
+  for (const model::PathShare& share : plan) {
+    if (!(share.theta >= 0.0)) return "fraction must be a number >= 0";
+    if (share.chunks < 1) return "chunks must be >= 1";
     sum += share.theta;
   }
-  if (!(std::abs(sum - 1.0) <= 1e-6)) {
-    throw std::invalid_argument("StaticPlanChannel: fractions must sum to 1");
+  if (!(std::abs(sum - 1.0) <= 1e-6)) return "fractions must sum to 1";
+  return nullptr;
+}
+
+StaticPlanChannel::StaticPlanChannel(PipelineEngine& engine, StaticPlan plan)
+    : engine_(&engine), plan_(std::move(plan)) {
+  if (const char* error = static_plan_error(plan_)) {
+    throw std::invalid_argument(std::string("StaticPlanChannel: ") + error);
   }
 }
 

@@ -1,9 +1,12 @@
 #include "mpath/tuning/static_tuner.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 
 #include "mpath/benchcore/omb.hpp"
 #include "mpath/benchcore/stack.hpp"
@@ -13,6 +16,14 @@
 namespace mpath::tuning {
 
 namespace {
+/// The whole of `cell` as a T; false if any of it does not parse.
+template <class T>
+bool parse_cell(std::string_view cell, T& value) {
+  const char* end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, value);
+  return ec == std::errc{} && ptr == end;
+}
+
 /// Enumerate all compositions (f_1, ..., f_n) with sum <= `remaining` on
 /// the grid, appending each to `out`. Plain recursion — no std::function.
 void enumerate_compositions(std::vector<int>& current, std::size_t idx,
@@ -125,24 +136,36 @@ std::string StaticTuner::cache_path(std::size_t bytes) const {
 
 bool StaticTuner::load_cached(std::size_t bytes, StaticTuneResult& out) const {
   if (options_.cache_dir.empty()) return false;
-  std::ifstream in(cache_path(bytes));
-  if (!in) return false;
-  StaticTuneResult result;
-  result.plan.resize(paths_.size());
+  const std::string path = cache_path(bytes);
+  std::ifstream in(path);
   std::string line;
   if (!std::getline(in, line)) return false;
-  std::istringstream ss(line);
-  std::string cell;
-  if (!std::getline(ss, cell, ',')) return false;
-  result.bandwidth_bps = std::stod(cell);
-  for (std::size_t i = 0; i < paths_.size(); ++i) {
-    if (!std::getline(ss, cell, ',')) return false;
-    result.plan[i].plan = paths_[i];
-    result.plan[i].theta = std::stod(cell);
+  // One line, as store_cached writes it: the bandwidth, each path's
+  // fraction, then each path's chunk count. A line that reads otherwise,
+  // or whose plan StaticPlanChannel would refuse, is a miss, and tune()
+  // overwrites it.
+  std::vector<std::string_view> cells;
+  for (std::string_view rest = line;;) {
+    const std::size_t comma = rest.find(',');
+    cells.push_back(rest.substr(0, comma));
+    if (comma == std::string_view::npos) break;
+    rest.remove_prefix(comma + 1);
   }
-  for (model::PathShare& share : result.plan) {
-    if (!std::getline(ss, cell, ',')) return false;
-    share.chunks = std::stoi(cell);
+  const std::size_t p = paths_.size();
+  StaticTuneResult result;
+  result.plan.resize(p);
+  bool ok = cells.size() == 1 + 2 * p &&
+            parse_cell(cells[0], result.bandwidth_bps) &&
+            result.bandwidth_bps >= 0.0;
+  for (std::size_t i = 0; ok && i < p; ++i) {
+    model::PathShare& share = result.plan[i];
+    share.plan = paths_[i];
+    ok = parse_cell(cells[1 + i], share.theta) &&
+         parse_cell(cells[1 + p + i], share.chunks);
+  }
+  if (!ok || pipeline::static_plan_error(result.plan) != nullptr) {
+    MPATH_WARN << "StaticTuner: ignoring corrupt cache " << path;
+    return false;
   }
   out = std::move(result);
   return true;

@@ -2,7 +2,8 @@
 // round fills the event/flow/frame pools and container high-water marks, a
 // second identical round of full-stack pipeline transfers must perform zero
 // global operator-new calls. The same holds for monitored plans wider than
-// four paths, for a stream queue thousands of ops deep, and for the
+// four paths, for a stream queue thousands of ops deep, for transfers
+// that a solo model-driven channel plans afresh, and for the
 // scheduler's departure side: once its ledger and
 // solver buffers have grown, a departure or a link-capacity change (each a
 // water-fill over every live path) allocates nothing. A fresh stack built
@@ -233,6 +234,51 @@ std::uint64_t fresh_stack_allocs() {
   return scope.delta();
 }
 
+/// Three rounds in which each of `workers` workers runs `repeats` 4 MiB
+/// transfers through one solo model-driven channel on beluga, without a
+/// GraphCache; returns the allocations of the third. Every transfer plans
+/// afresh and copies the configurator's cached config into its plan.
+std::uint64_t solo_model_driven_allocs(int workers, int repeats) {
+  mt::System sys = mt::make_beluga();
+  sys.costs.jitter_rel = 0;
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  net.set_solver_mode(ms::FluidNetwork::SolverMode::kIncremental);
+  mg::GpuRuntime rt(sys, engine, net);
+  mp::PipelineEngine pipe(rt, /*staging_buffers_per_device=*/64,
+                          mg::Payload::Simulated);
+  const mm::ModelRegistry reg = mpath::tuning::registry_from_topology(sys);
+  mm::PathConfigurator cfg(reg);
+  mp::ModelDrivenChannel channel(pipe, cfg, mt::PathPolicy::three_gpus());
+  const std::vector<mt::DeviceId> gpus = sys.topology.gpus();
+  const int n = static_cast<int>(gpus.size());
+  std::vector<std::unique_ptr<mg::DeviceBuffer>> bufs;
+  for (int w = 0; w < workers; ++w) {
+    bufs.push_back(std::make_unique<mg::DeviceBuffer>(gpus[w % n], 4_MiB,
+                                                      mg::Payload::Simulated));
+    bufs.push_back(std::make_unique<mg::DeviceBuffer>(
+        gpus[(w + 1) % n], 4_MiB, mg::Payload::Simulated));
+  }
+  const auto round = [&] {
+    for (int w = 0; w < workers; ++w) {
+      engine.spawn(
+          [](mp::ModelDrivenChannel& ch, mg::DeviceBuffer& dst,
+             const mg::DeviceBuffer& src, int count) -> ms::Task<void> {
+            for (int r = 0; r < count; ++r) {
+              co_await ch.transfer(dst, 0, src, 0, 4_MiB);
+            }
+          }(channel, *bufs[2 * w + 1], *bufs[2 * w], repeats),
+          "worker");
+    }
+    engine.run();
+  };
+  round();  // warmup: pools, caches and capacities reach their high-water
+  round();  // marks
+  const mpath::benchcore::AllocScope scope;
+  round();
+  return scope.delta();
+}
+
 /// Two identical cycles on a beluga scheduler: `tickets` admissions at one
 /// instant over every GPU pair (3_GPUs candidates), then one departure every
 /// 5 us with one link-capacity change halfway. Each departure and the
@@ -354,6 +400,17 @@ TEST(AllocRegression, FreshStackOnWarmPoolAllocatesNoMoreThanBefore) {
   GTEST_SKIP() << "size-bucketed pool is pass-through under sanitizers";
 #else
   EXPECT_LE(fresh_stack_allocs(), 242u);
+#endif
+}
+
+// A solo model-driven transfer copies its config out of the configurator's
+// cache, since clear_cache() may run while it is in flight; the copy lands
+// in share storage the channel keeps between transfers.
+TEST(AllocRegression, SoloModelDrivenTransfersAreAllocationFree) {
+#if defined(MPATH_POOL_PASSTHROUGH)
+  GTEST_SKIP() << "size-bucketed pool is pass-through under sanitizers";
+#else
+  EXPECT_EQ(solo_model_driven_allocs(/*workers=*/32, /*repeats=*/4), 0u);
 #endif
 }
 

@@ -126,6 +126,9 @@ TEST(Channels, StaticPlanValidation) {
                                          static_share(staged, -0.25, 8)};
   EXPECT_THROW(mp::StaticPlanChannel(f.pipe, negative_fraction),
                std::invalid_argument);
+  const mp::StaticPlan no_chunks{static_share(direct, 0.75, 1),
+                                 static_share(staged, 0.25, 0)};
+  EXPECT_THROW(mp::StaticPlanChannel(f.pipe, no_chunks), std::invalid_argument);
 }
 
 TEST(Channels, StaticPlanSplitsByFractions) {

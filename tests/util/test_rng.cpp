@@ -7,8 +7,10 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
 #include <random>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -76,6 +78,79 @@ TEST(Rng, JitterStreamMatchesScalarJitterBitForBit) {
     EXPECT_GT(clamped, 0) << "seed " << seed
                           << ": sigma 0.4 never reached the 0.01 clamp";
   }
+}
+
+namespace {
+
+/// The draw count after which a stream has just queued a fill of its spare
+/// batch, first past `drawn`: its last own batch of kBatch, which ends at
+/// kSelfDraws, queues the first fill, of kBatch draws, and each batch it
+/// takes from the filler queues the next, twice as large up to kFillBatch.
+std::uint64_t next_handoff(std::uint64_t drawn) {
+  std::uint64_t at =
+      mu::JitterStream::kSelfDraws - mu::JitterStream::kBatch + 1;
+  std::uint64_t begin = mu::JitterStream::kSelfDraws;  // next filler batch
+  std::uint64_t size = mu::JitterStream::kBatch;
+  while (at <= drawn) {
+    at = begin + 1;
+    begin += size;
+    size = std::min<std::uint64_t>(2 * size, mu::JitterStream::kFillBatch);
+  }
+  return at;
+}
+
+}  // namespace
+
+// Streams past their young phase share the process's one filler thread.
+// Several threads each draw from many streams with distinct seeds and
+// destroy them at random points: some right after a hand-off, while the
+// filler has the stream's spare queued or is filling it, others anywhere.
+// Every draw must still equal its Rng twin's, bit for bit.
+TEST(JitterFiller, ConcurrentStreamsMatchScalarDrawsBitForBit) {
+  constexpr int kThreads = 4;
+  constexpr int kLive = 6;  // streams each thread draws from at once
+  constexpr int kRounds = 400;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t] {
+      struct Live {
+        std::unique_ptr<mu::JitterStream> stream;
+        mu::Rng twin;
+        std::uint64_t seed = 0;
+        std::uint64_t drawn = 0;
+      };
+      mu::Rng pick(1000 + static_cast<std::uint64_t>(t));
+      std::uint64_t next_seed = static_cast<std::uint64_t>(t) << 32;
+      const auto fresh = [&next_seed] {
+        const std::uint64_t seed = next_seed++;
+        return Live{std::make_unique<mu::JitterStream>(seed), mu::Rng(seed),
+                    seed, 0};
+      };
+      std::vector<Live> live;
+      for (int i = 0; i < kLive; ++i) live.push_back(fresh());
+      for (int r = 0; r < kRounds; ++r) {
+        Live& l =
+            live[static_cast<std::size_t>(pick.uniform_int(0, kLive - 1))];
+        const bool to_handoff = pick.uniform_int(0, 3) == 0;
+        const std::uint64_t until =
+            to_handoff ? next_handoff(l.drawn)
+                       : l.drawn + static_cast<std::uint64_t>(
+                                       pick.uniform_int(1, 3000));
+        for (; l.drawn < until; ++l.drawn) {
+          const double sigma = 0.02 + 0.01 * static_cast<double>(l.drawn % 3);
+          const double got = l.stream->next(sigma);
+          const double want = l.twin.jitter(sigma);
+          if (std::memcmp(&got, &want, sizeof got) != 0) {
+            ADD_FAILURE() << "seed " << l.seed << " draw " << l.drawn << ": "
+                          << got << " vs " << want;
+            return;
+          }
+        }
+        if (to_handoff || pick.uniform_int(0, 3) == 0) l = fresh();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
 }
 
 // The tests below compare against libstdc++'s own engine and distributions,
