@@ -28,8 +28,10 @@
 // Every modeled op scales its cost by one jitter draw (jitter()). Once a
 // runtime has taken util::JitterStream::kSelfDraws draws, the process's one
 // filler thread fills its next batch of draws while the runtime reads the
-// current one; the values are the same either way. That thread is the only
-// one a runtime touches, and it touches nothing of the simulation.
+// current one, unless a util::JitterStream::OwnFills is alive (a sweep with
+// a worker on every core); the values are the same either way. That thread
+// is the only one a runtime touches, and it touches nothing of the
+// simulation.
 #pragma once
 
 #include <cstdint>

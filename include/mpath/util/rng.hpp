@@ -142,18 +142,16 @@ class JitterFiller;  // the process's filler thread (rng.cpp)
 /// bit, whatever σ > 0 each call passes.
 ///
 /// A young stream fills its own batches of kBatch draws. Once it has
-/// filled kSelfDraws, it keeps a spare batch, and the process's one filler
-/// thread fills the spare with the next run of draws while next() reads
-/// the current batch. The filler's batches double from kBatch up to
-/// kFillBatch, so that its first fills are done by the time the stream
-/// reaches them: the stream's own last batch leaves the filler only kBatch
-/// draws to wake up and fill the first. At the end of a batch next()
+/// filled kSelfDraws, it keeps a spare batch of kFillBatch draws, and the
+/// process's one filler thread fills the spare with the next run of draws
+/// while next() reads the current batch. At the end of a batch next()
 /// takes the spare if it is filled, fills it itself if the filler has not
 /// started on it, and waits only while the filler is filling it. Values
 /// cannot change: only one party advances the engine at a time, and where
 /// a batch begins does not change the sequence of draws. The filler holds
 /// the stream's address, so a stream is neither copied nor moved, and its
-/// destructor withdraws a queued fill and waits for one in flight.
+/// destructor withdraws a queued fill and waits for one in flight. While
+/// an OwnFills is alive, streams queue no fills and fill their own spares.
 ///
 /// The engine is the stream's own: a batch takes its words ahead of use,
 /// so anything else reading that engine would see them out of order.
@@ -167,13 +165,30 @@ class JitterStream {
   /// Draws a stream fills itself before the filler takes over, so that a
   /// short-lived stream never touches the filler thread.
   static constexpr std::size_t kSelfDraws = 4096;
-  /// Draws per batch once the filler's batches have grown.
+  /// Draws per batch past kSelfDraws, each filled by the filler thread
+  /// unless next() reaches it first.
   static constexpr std::size_t kFillBatch = 2048;
 
   explicit JitterStream(std::uint64_t seed) : gen_(seed) {}
   JitterStream(const JitterStream&) = delete;
   JitterStream& operator=(const JitterStream&) = delete;
   ~JitterStream();
+
+  /// While one is alive, every stream fills its own batches and none
+  /// starts the filler thread. A caller that keeps every core busy with
+  /// simulation threads holds one, since the filler could then only take
+  /// CPU time from them. Values are the same either way.
+  class OwnFills {
+   public:
+    OwnFills();
+    OwnFills(const OwnFills&) = delete;
+    OwnFills& operator=(const OwnFills&) = delete;
+    ~OwnFills();
+  };
+
+  /// Whether streams hand their batches to the filler thread now: true
+  /// unless an OwnFills is alive.
+  static bool fills_ahead();
 
   /// The next draw at `rel_sigma` > 0. A caller that wants no jitter at
   /// σ <= 0 skips the call rather than passing σ.
@@ -186,25 +201,26 @@ class JitterStream {
   friend class JitterFiller;
 
   /// Who holds the spare batch, and with it the engine. The filler moves a
-  /// stream kQueued → kFilling → kReady; next() moves it on from kReady or
-  /// (withdrawing the request) from kQueued.
+  /// stream kQueued → kFilling → kReady; next() moves it on from kReady,
+  /// from kEmpty (an OwnFills kept it from queueing) or, withdrawing the
+  /// request, from kQueued.
   enum class Spare : std::uint8_t { kEmpty, kQueued, kFilling, kReady };
 
   /// Make the next batch current, at the end of this one.
   void next_batch();
   /// Fill `out` with the next `n` σ-free factors (n a multiple of kBatch).
   void fill(double* out, std::size_t n);
-  void fill_spare() { fill(spare_, spare_size_); }
+  void fill_spare() { fill(spare_, kFillBatch); }
 
   // The filler writes the spare batch and the engine while it fills. Both
   // sit on cache lines of their own, so those writes never evict what
-  // next() reads, here or in the object that owns the stream.
-  alignas(64) std::array<double, kFillBatch> batches_[2]{};
+  // next() reads, here or in the object that owns the stream. No batch is
+  // read before it is filled, so neither is zeroed when a stream is built.
+  alignas(64) std::array<double, kFillBatch> batches_[2];
   double* batch_ = batches_[0].data();  ///< the current batch
   std::size_t next_ = 0;                ///< first unused factor
   std::size_t size_ = 0;                ///< factors in this batch
   double* spare_ = batches_[1].data();  ///< the batch after the current one
-  std::size_t spare_size_ = kBatch;     ///< factors the spare is filled with
   alignas(64) Mt19937_64 gen_;
   std::atomic<Spare> spare_state_{Spare::kEmpty};
   std::size_t self_filled_ = 0;           ///< draws filled while young

@@ -5,7 +5,10 @@
 #include <chrono>
 #include <exception>
 #include <limits>
+#include <optional>
 #include <thread>
+
+#include "mpath/util/rng.hpp"
 
 namespace mpath::benchcore {
 
@@ -85,6 +88,11 @@ void SweepRunner::dispatch(std::size_t n, void* ctx, ScenarioFn invoke) {
       }
     }
   };
+
+  // Workers on every core leave none for the jitter filler thread, which
+  // could then only take CPU time from them (DESIGN.md, "Parallel sweeps").
+  std::optional<util::JitterStream::OwnFills> own_fills;
+  if (workers >= hardware_jobs()) own_fills.emplace();
 
   std::vector<std::thread> pool;
   pool.reserve(static_cast<std::size_t>(workers - 1));

@@ -1,6 +1,5 @@
 #include "mpath/util/rng.hpp"
 
-#include <algorithm>
 #include <condition_variable>
 #include <mutex>
 #include <system_error>
@@ -123,6 +122,22 @@ std::shared_ptr<JitterFiller> JitterFiller::instance() {
   return filler;
 }
 
+namespace {
+std::atomic<int> own_fills{0};  ///< live JitterStream::OwnFills
+}  // namespace
+
+JitterStream::OwnFills::OwnFills() {
+  own_fills.fetch_add(1, std::memory_order_relaxed);
+}
+
+JitterStream::OwnFills::~OwnFills() {
+  own_fills.fetch_sub(1, std::memory_order_relaxed);
+}
+
+bool JitterStream::fills_ahead() {
+  return own_fills.load(std::memory_order_relaxed) == 0;
+}
+
 JitterStream::~JitterStream() {
   if (filler_ != nullptr) filler_->withdraw(*this);
 }
@@ -130,23 +145,27 @@ JitterStream::~JitterStream() {
 void JitterStream::next_batch() {
   next_ = 0;
   if (filler_ == nullptr) {
-    fill(batches_[0].data(), kBatch);
+    fill(batch_, kBatch);
     size_ = kBatch;
     self_filled_ += kBatch;
-    if (self_filled_ == kSelfDraws) {
+    if (self_filled_ >= kSelfDraws && fills_ahead()) {
       filler_ = JitterFiller::instance();
       if (filler_ != nullptr) filler_->request(*this);
     }
     return;
   }
-  if (spare_state_.load(std::memory_order_acquire) != Spare::kReady &&
-      filler_->withdraw(*this)) {
+  const Spare spare = spare_state_.load(std::memory_order_acquire);
+  if (spare == Spare::kEmpty ||
+      (spare != Spare::kReady && filler_->withdraw(*this))) {
     fill_spare();
   }
   std::swap(batch_, spare_);
-  size_ = spare_size_;
-  spare_size_ = std::min(2 * spare_size_, kFillBatch);
-  filler_->request(*this);
+  size_ = kFillBatch;
+  if (fills_ahead()) {
+    filler_->request(*this);
+  } else {
+    spare_state_.store(Spare::kEmpty, std::memory_order_relaxed);
+  }
 }
 
 void JitterStream::fill(double* out, std::size_t n) {

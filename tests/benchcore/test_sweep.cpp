@@ -18,6 +18,7 @@
 #include "mpath/topo/paths.hpp"
 #include "mpath/tuning/calibration.hpp"
 #include "mpath/util/csv.hpp"
+#include "mpath/util/rng.hpp"
 #include "mpath/util/units.hpp"
 
 namespace bc = mpath::benchcore;
@@ -96,6 +97,24 @@ TEST(SweepRunner, MoreJobsThanScenariosIsFine) {
   const auto out = runner.run(3, [](std::size_t i) { return i; });
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[2], 2u);
+}
+
+// Workers on every core leave none for the jitter filler thread, so while
+// they run, jitter streams fill their own batches; fewer workers leave the
+// filler a core.
+TEST(SweepRunner, WorkersOnEveryCoreFillTheirOwnJitter) {
+  const int hw = bc::SweepRunner::hardware_jobs();
+  const auto n = static_cast<std::size_t>(hw);
+  const auto fills_ahead = [](std::size_t) {
+    return mu::JitterStream::fills_ahead() ? 1 : 0;
+  };
+  bc::SweepRunner every_core(bc::SweepOptions{hw});
+  for (const int f : every_core.run(n, fills_ahead)) EXPECT_EQ(f, 0);
+  EXPECT_TRUE(mu::JitterStream::fills_ahead());
+  if (hw > 1) {
+    bc::SweepRunner fewer(bc::SweepOptions{hw - 1});
+    for (const int f : fewer.run(n, fills_ahead)) EXPECT_EQ(f, 1);
+  }
 }
 
 namespace {

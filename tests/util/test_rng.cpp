@@ -84,18 +84,14 @@ namespace {
 
 /// The draw count after which a stream has just queued a fill of its spare
 /// batch, first past `drawn`: its last own batch of kBatch, which ends at
-/// kSelfDraws, queues the first fill, of kBatch draws, and each batch it
-/// takes from the filler queues the next, twice as large up to kFillBatch.
+/// kSelfDraws, queues the first fill, and each batch of kFillBatch it takes
+/// from the filler queues the next.
 std::uint64_t next_handoff(std::uint64_t drawn) {
-  std::uint64_t at =
+  const std::uint64_t first =
       mu::JitterStream::kSelfDraws - mu::JitterStream::kBatch + 1;
-  std::uint64_t begin = mu::JitterStream::kSelfDraws;  // next filler batch
-  std::uint64_t size = mu::JitterStream::kBatch;
-  while (at <= drawn) {
-    at = begin + 1;
-    begin += size;
-    size = std::min<std::uint64_t>(2 * size, mu::JitterStream::kFillBatch);
-  }
+  if (drawn < first) return first;
+  std::uint64_t at = mu::JitterStream::kSelfDraws + 1;
+  while (at <= drawn) at += mu::JitterStream::kFillBatch;
   return at;
 }
 
@@ -151,6 +147,49 @@ TEST(JitterFiller, ConcurrentStreamsMatchScalarDrawsBitForBit) {
     });
   }
   for (std::thread& th : threads) th.join();
+}
+
+// While an OwnFills is alive, streams fill their own batches: one already
+// past its young phase takes its queued fill back and queues none, and one
+// that leaves its young phase then queues none either. Once the last
+// OwnFills goes, both hand batches to the filler again. No value changes.
+TEST(JitterFiller, OwnFillsKeepDrawsBitForBit) {
+  struct Twinned {
+    mu::JitterStream stream;
+    mu::Rng twin;
+    explicit Twinned(std::uint64_t seed) : stream(seed), twin(seed) {}
+    void draw(int n) {
+      for (int i = 0; i < n; ++i) {
+        const double got = stream.next(0.03);
+        const double want = twin.jitter(0.03);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "draw " << i;
+      }
+    }
+  };
+  Twinned adult(21);
+  adult.draw(10'000);
+  {
+    const mu::JitterStream::OwnFills own;
+    EXPECT_FALSE(mu::JitterStream::fills_ahead());
+    Twinned young(22);
+    adult.draw(10'000);
+    young.draw(10'000);
+    {
+      const mu::JitterStream::OwnFills nested;
+      adult.draw(5'000);
+    }
+    EXPECT_FALSE(mu::JitterStream::fills_ahead());
+    adult.draw(5'000);
+    young.draw(5'000);
+    {
+      const mu::JitterStream::OwnFills gone;
+    }
+    EXPECT_FALSE(mu::JitterStream::fills_ahead());
+  }
+  EXPECT_TRUE(mu::JitterStream::fills_ahead());
+  adult.draw(10'000);
+  Twinned after(23);
+  after.draw(10'000);
 }
 
 // The tests below compare against libstdc++'s own engine and distributions,
