@@ -1,7 +1,7 @@
 // FUZZ-HUNT — Generative scenario fuzzing for the performance model: seeded
 // random topologies (NVLink / NVSwitch / xGMI / PCIe, multi-NUMA,
-// asymmetric links), each evaluated against the SolverMode::kFull fluid
-// oracle, flagging scenarios where the model's prediction error or
+// asymmetric links), each evaluated against the fluid simulator as ground
+// truth, flagging scenarios where the model's prediction error or
 // theta-policy regret exceeds the accuracy thresholds.
 //
 // Usage:
@@ -73,8 +73,8 @@ int main(int argc, char** argv) {
       argc, argv, "--corpus-out", mb::results_dir() + "/corpus");
 
   std::printf(
-      "FUZZ-HUNT: %zu seeded scenarios from seed %llu (full-solver oracle, "
-      "thresholds: error > %.0f%%, regret > %.0f%%)\n\n",
+      "FUZZ-HUNT: %zu seeded scenarios from seed %llu (fluid-simulator "
+      "oracle, thresholds: error > %.0f%%, regret > %.0f%%)\n\n",
       opt.count, static_cast<unsigned long long>(opt.seed),
       100.0 * eval.thresholds.max_error, 100.0 * eval.thresholds.max_regret);
 

@@ -51,11 +51,6 @@ using namespace mpath::util::literals;
 
 namespace {
 
-ms::FluidNetwork::SolverMode mode_arg(const benchmark::State& state) {
-  return state.range(1) == 0 ? ms::FluidNetwork::SolverMode::kFull
-                             : ms::FluidNetwork::SolverMode::kIncremental;
-}
-
 ms::Task<void> worker_loop(mp::PipelineEngine& pipe, mg::DeviceBuffer& dst,
                            const mg::DeviceBuffer& src, mt::DeviceId stage,
                            int repeats, bool monitored) {
@@ -75,13 +70,13 @@ ms::Task<void> worker_loop(mp::PipelineEngine& pipe, mg::DeviceBuffer& dst,
 
 }  // namespace
 
-// range(0) = concurrent workers, range(1) = solver mode, range(2) = whether
-// paths run under (never-firing) watchdogs — the monitored variant is the
-// recovery-enabled configuration, where per-chunk progress accounting used
-// to cost extra events.
+// range(0) = concurrent workers, range(1) = whether paths run under
+// (never-firing) watchdogs — the monitored variant is the recovery-enabled
+// configuration, where per-chunk progress accounting used to cost extra
+// events.
 static void BM_PipelineChurn(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
-  const bool monitored = state.range(2) != 0;
+  const bool monitored = state.range(1) != 0;
   const int repeats = 4;
   std::uint64_t transfers = 0, events = 0;
   ms::FluidNetwork::SolverStats last{};
@@ -90,7 +85,6 @@ static void BM_PipelineChurn(benchmark::State& state) {
     sys.costs.jitter_rel = 0;
     ms::Engine engine;
     ms::FluidNetwork net(engine);
-    net.set_solver_mode(mode_arg(state));
     mg::GpuRuntime rt(sys, engine, net);
     mp::PipelineEngine pipe(rt, /*staging_buffers_per_device=*/64,
                             mg::Payload::Simulated);
@@ -115,12 +109,11 @@ static void BM_PipelineChurn(benchmark::State& state) {
     last = net.stats();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(transfers));
-  state.SetLabel(std::string(state.range(1) == 0 ? "mode:full" : "mode:incr") +
-                 (monitored ? " monitored" : " plain"));
+  state.SetLabel(monitored ? "monitored" : "plain");
   state.counters["events"] =
       static_cast<double>(events) / static_cast<double>(transfers);
-  state.counters["resolves"] = static_cast<double>(last.resolves);
-  state.counters["coalesced"] = static_cast<double>(last.coalesced);
+  state.counters["resolves"] = static_cast<double>(last.resolves) /
+                               static_cast<double>(workers * repeats);
 
   // Steady-state allocation count, measured outside the timing loop: one
   // warmup round fills the event/flow/frame pools and the container
@@ -130,7 +123,6 @@ static void BM_PipelineChurn(benchmark::State& state) {
     sys.costs.jitter_rel = 0;
     ms::Engine engine;
     ms::FluidNetwork net(engine);
-    net.set_solver_mode(mode_arg(state));
     mg::GpuRuntime rt(sys, engine, net);
     mp::PipelineEngine pipe(rt, /*staging_buffers_per_device=*/64,
                             mg::Payload::Simulated);
@@ -161,11 +153,10 @@ static void BM_PipelineChurn(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PipelineChurn)
-    ->Args({8, 1, 0})
-    ->Args({8, 1, 1})
-    ->Args({32, 0, 1})
-    ->Args({32, 1, 0})
-    ->Args({32, 1, 1});
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({32, 0})
+    ->Args({32, 1});
 
 namespace {
 
@@ -194,7 +185,6 @@ static void BM_ChannelChurn(benchmark::State& state) {
     sys.costs.jitter_rel = 0;
     ms::Engine engine;
     ms::FluidNetwork net(engine);
-    net.set_solver_mode(ms::FluidNetwork::SolverMode::kIncremental);
     mg::GpuRuntime rt(sys, engine, net);
     mp::PipelineEngine pipe(rt, /*staging_buffers_per_device=*/64,
                             mg::Payload::Simulated);

@@ -3,10 +3,9 @@
 // draw. Not a paper figure — it documents that the substrate is fast
 // enough for the exhaustive static-tuning baseline to be practical.
 //
-// The fluid benchmarks run twice: once with the legacy eager whole-network
-// solver (SolverMode::kFull, "mode:full") and once with the incremental
-// dirty-component solver plus same-time coalescing ("mode:incr"), so the
-// speedup of the incremental path is measured in-tree.
+// The fluid benchmarks report the incremental solver's re-solves: every
+// flow start and every timestamp's batch of completions re-solves the
+// dirty component in place, so a lockstep burst of k starts costs k solves.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -17,15 +16,6 @@
 #include "mpath/util/rng.hpp"
 
 namespace ms = mpath::sim;
-
-namespace {
-
-ms::FluidNetwork::SolverMode mode_arg(const benchmark::State& state) {
-  return state.range(1) == 0 ? ms::FluidNetwork::SolverMode::kFull
-                             : ms::FluidNetwork::SolverMode::kIncremental;
-}
-
-}  // namespace
 
 static void BM_EngineEventThroughput(benchmark::State& state) {
   for (auto _ : state) {
@@ -40,27 +30,29 @@ static void BM_EngineEventThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineEventThroughput)->Arg(1000)->Arg(100000);
 
-// Same-instant work: eight interleaved chains in which every event defers
-// the next, so all of it runs at t = 0 and every insert appends.
-static void BM_EngineDeferChain(benchmark::State& state) {
+// Same-instant work: eight interleaved chains in which every event queues
+// the next at now(), so all of it runs at t = 0 and every insert appends.
+static void BM_EngineSameInstantChain(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   struct Link {
     ms::Engine* engine;
     int* left;
     void operator()() const {
-      if (--*left > 0) engine->defer(*this);
+      if (--*left > 0) engine->schedule_callback(engine->now(), *this);
     }
   };
   std::uint64_t events = 0;
   for (auto _ : state) {
     ms::Engine engine;
     int left = n;
-    for (int c = 0; c < 8; ++c) engine.defer(Link{&engine, &left});
+    for (int c = 0; c < 8; ++c) {
+      engine.schedule_callback(engine.now(), Link{&engine, &left});
+    }
     events += engine.run();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_EngineDeferChain)->Arg(1000)->Arg(100000);
+BENCHMARK(BM_EngineSameInstantChain)->Arg(1000)->Arg(100000);
 
 // The hold model: `depth` events stay queued, and each one, when it runs,
 // queues its successor an exponentially distributed time ahead (mean 1), so
@@ -154,7 +146,6 @@ static void BM_FluidConcurrentFlows(benchmark::State& state) {
   for (auto _ : state) {
     ms::Engine engine;
     ms::FluidNetwork net(engine);
-    net.set_solver_mode(mode_arg(state));
     const int nlinks = 8;
     std::vector<ms::LinkId> links;
     for (int l = 0; l < nlinks; ++l) {
@@ -174,23 +165,14 @@ static void BM_FluidConcurrentFlows(benchmark::State& state) {
     last = net.stats();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(flows_done));
-  state.SetLabel(state.range(1) == 0 ? "mode:full" : "mode:incr");
   state.counters["resolves"] = static_cast<double>(last.resolves);
-  state.counters["coalesced"] = static_cast<double>(last.coalesced);
 }
-BENCHMARK(BM_FluidConcurrentFlows)
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({128, 0})
-    ->Args({128, 1})
-    ->Args({256, 0})
-    ->Args({256, 1});
+BENCHMARK(BM_FluidConcurrentFlows)->Arg(16)->Arg(128)->Arg(256);
 
 // Pipeline-style churn on a shared-link topology: W workers each push a
-// stream of C chunks through {shared hub, private spoke}. Chunk completions
-// land in same-timestamp bursts (the pipeline engine's common case at large
-// k), so the incremental solver coalesces a burst's worth of re-solves into
-// one pass while the full solver pays one whole-network solve per event.
+// stream of C chunks through {shared hub, private spoke}. The workers run
+// in lockstep, so chunk completions land in same-timestamp bursts that
+// share one re-solve, while each worker's next start re-solves on its own.
 // items_per_second == flows (chunks) per second.
 static void BM_FluidSharedLinkChurn(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
@@ -200,7 +182,6 @@ static void BM_FluidSharedLinkChurn(benchmark::State& state) {
   for (auto _ : state) {
     ms::Engine engine;
     ms::FluidNetwork net(engine);
-    net.set_solver_mode(mode_arg(state));
     const auto hub = net.add_link({"hub", 64e9, 0.0});
     std::vector<ms::LinkId> spokes;
     for (int w = 0; w < workers; ++w) {
@@ -220,21 +201,13 @@ static void BM_FluidSharedLinkChurn(benchmark::State& state) {
     last = net.stats();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(flows_done));
-  state.SetLabel(state.range(1) == 0 ? "mode:full" : "mode:incr");
   state.counters["resolves"] = static_cast<double>(last.resolves);
-  state.counters["coalesced"] = static_cast<double>(last.coalesced);
 }
-BENCHMARK(BM_FluidSharedLinkChurn)
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({256, 0})
-    ->Args({256, 1});
+BENCHMARK(BM_FluidSharedLinkChurn)->Arg(16)->Arg(64)->Arg(256);
 
 // Disjoint worker pairs (no shared hub): the incremental solver re-solves
-// only the two-link component a chunk touches; the full solver re-walks
-// every link on every event. This isolates the dirty-component win.
+// only the two-link component a chunk touches, however many workers run.
+// This isolates the dirty-component win.
 static void BM_FluidDisjointChurn(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   const int chunks = 64;
@@ -243,7 +216,6 @@ static void BM_FluidDisjointChurn(benchmark::State& state) {
   for (auto _ : state) {
     ms::Engine engine;
     ms::FluidNetwork net(engine);
-    net.set_solver_mode(mode_arg(state));
     std::vector<ms::LinkId> a, b;
     for (int w = 0; w < workers; ++w) {
       a.push_back(net.add_link({"a", 2e9, 0.0}));
@@ -263,14 +235,8 @@ static void BM_FluidDisjointChurn(benchmark::State& state) {
     last = net.stats();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(flows_done));
-  state.SetLabel(state.range(1) == 0 ? "mode:full" : "mode:incr");
   state.counters["resolves"] = static_cast<double>(last.resolves);
-  state.counters["coalesced"] = static_cast<double>(last.coalesced);
 }
-BENCHMARK(BM_FluidDisjointChurn)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({256, 0})
-    ->Args({256, 1});
+BENCHMARK(BM_FluidDisjointChurn)->Arg(64)->Arg(256);
 
 BENCHMARK_MAIN();

@@ -1,14 +1,14 @@
 // Mispredict hunter: fan seeded random scenarios (topo/fuzz.hpp) across
 // the parallel sweep harness, compare the model's predicted bandwidth
-// against the simulated fabric under SolverMode::kFull (the ground-truth
-// oracle the incremental solver self-checks against), measure the chosen
-// theta-policy's regret against the best enumerated policy, and flag
-// threshold exceeders (model/accuracy.hpp).
+// against the simulated fabric (the fluid network's max-min solver, which
+// the solver tests audit against its whole-network oracle), measure the
+// chosen theta-policy's regret against the best enumerated policy, and
+// flag threshold exceeders (model/accuracy.hpp).
 //
 // Flagged scenarios can be greedily minimized — drop transfers, GPUs and
 // link groups, halve messages, downgrade policies, while the flag still
 // reproduces — and frozen as JSON into tests/corpus/, which the corpus
-// replay test re-runs under both solver modes on every CI build.
+// replay test re-runs on every CI build.
 //
 // Determinism: scenario i of a hunt depends only on (seed, i) via
 // fuzz::mix_seed, every evaluation runs on a private SimStack with
@@ -22,7 +22,6 @@
 
 #include "mpath/benchcore/sweep.hpp"
 #include "mpath/model/accuracy.hpp"
-#include "mpath/sim/fluid.hpp"
 #include "mpath/topo/fuzz.hpp"
 #include "mpath/topo/paths.hpp"
 
@@ -69,10 +68,6 @@ struct CorpusEntry {
 [[nodiscard]] std::vector<CorpusEntry> load_corpus(const std::string& dir);
 
 struct EvalOptions {
-  /// Oracle solver for observed bandwidths. kFull is the reference
-  /// rate-allocation solve; the replay test runs the corpus under both.
-  sim::FluidNetwork::SolverMode solver =
-      sim::FluidNetwork::SolverMode::kFull;
   model::AccuracyThresholds thresholds;
 };
 

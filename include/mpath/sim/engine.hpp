@@ -285,18 +285,16 @@ class Engine {
   /// a NaN `t`.
   void schedule_handle(Time t, std::coroutine_handle<> h);
   /// Invoke `fn` at absolute simulated time `t` (>= now). Throws SimError
-  /// on a NaN `t`. The returned ref can cancel() the event until it runs.
+  /// on a NaN `t`. Same-time events run in sequence order, so at t == now()
+  /// `fn` runs after everything already queued for this instant and before
+  /// anything queued later. The returned ref can cancel() the event until
+  /// it runs.
   EventRef schedule_callback(Time t, EventFn fn);
   /// Drop a queued callback without running it, destroying its captures
   /// now. A no-op when the event already ran or was cancelled (its slot
   /// may since carry another event, which is left alone) and when engine
   /// teardown has cleared the queue.
   void cancel(EventRef ref);
-  /// Same-time batching: invoke `fn` at the *current* timestamp, after
-  /// every event already queued at this time (FIFO by sequence) but before
-  /// any event queued afterwards. Lets modules coalesce a burst of
-  /// same-time updates (e.g. k chunk completions) into one pass.
-  void defer(EventFn fn);
 
   /// Take the sequence number the next queued event would get, without
   /// queueing one. Same-time events run in sequence order, so this holds a

@@ -56,9 +56,11 @@ class FaultInjector {
   /// Emit an instant per applied fault on `tracer` track "faults".
   void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
-  /// Schedule an absolute capacity for `link` at time `t` (>= now).
+  /// Schedule an absolute capacity for `link` at time `t` (>= now). Throws
+  /// std::invalid_argument unless `bps` is finite and >= 0.
   void set_capacity_at(Time t, LinkId link, double bps);
-  /// Scale `link` to `factor` × its baseline capacity at time `t`.
+  /// Scale `link` to `factor` × its baseline capacity at time `t`. Throws
+  /// std::invalid_argument unless `factor` is finite and >= 0.
   void degrade_at(Time t, LinkId link, double factor);
   /// Cut `link` to zero capacity at time `t` (flows on it stall).
   void sever_at(Time t, LinkId link);

@@ -2,27 +2,26 @@
 //
 // Each transfer ("flow") occupies a set of directed links simultaneously
 // (cut-through). Active flows share every link max-min fairly: whenever a
-// flow starts, finishes, or is cancelled, allocations are re-solved by
-// water-filling and the network's one completion timer is re-armed at the
-// earliest finish (or disarmed when no flow can finish). This
-// reproduces the contention phenomena behind the paper's evaluation —
-// saturated NVLink, shared PCIe/UPI on host-staged paths, and
-// bidirectional interference — without packet-level simulation.
+// flow starts, finishes, or is cancelled, or a link's capacity changes,
+// allocations are re-solved by water-filling in that same call, and the
+// network's one completion timer is re-armed at the earliest finish (or
+// disarmed when no flow can finish). This reproduces the contention
+// phenomena behind the paper's evaluation — saturated NVLink, shared
+// PCIe/UPI on host-staged paths, and bidirectional interference — without
+// packet-level simulation.
 //
 // The solver is *incremental*: every link keeps the set of flows that
 // traverse it, a flow add/remove only dirties the links it touches, and the
 // water-filling re-solve is restricted to the connected component of the
 // flow/link sharing graph reachable from the dirty links (flows in disjoint
 // components cannot change rate, so their allocations are reused as-is).
-// Re-solves triggered within one simulated timestamp are additionally
-// coalesced into a single pass: a burst of k same-time chunk completions or
-// starts (the pipeline engine's common case at large chunk counts) costs one
-// rate solve instead of k. Within a pass, bottleneck selection runs over a
+// All completions that land on one timestamp drain together and share one
+// re-solve. Within a pass, bottleneck selection runs over a
 // lazily-invalidated min-heap keyed by (fair share, LinkId) instead of a
 // linear rescan, so a component of n links water-fills in O(n log n) rather
 // than O(n^2). The original whole-network solver is retained as
-// `SolverMode::kFull` — both a behavioural baseline for benchmarks and a
-// reference oracle (`set_self_check`) that property tests compare against.
+// `reference_rates()`, the oracle that `set_self_check` audits every
+// re-solve against.
 #pragma once
 
 #include <cstdint>
@@ -59,15 +58,13 @@ struct LinkSpec {
 
 class FluidNetwork {
  public:
-  enum class SolverMode {
-    kIncremental,  ///< dirty-component re-solve + same-time coalescing
-    kFull,         ///< legacy: immediate whole-network re-solve per event
-  };
-
   /// Counters describing solver work done so far (monotonic).
   struct SolverStats {
-    std::uint64_t resolve_requests = 0;  ///< flow add/remove events
-    std::uint64_t coalesced = 0;    ///< requests absorbed by a pending solve
+    /// Flow starts and cancels, capacity changes and completion drains.
+    std::uint64_t resolve_requests = 0;
+    /// Requests absorbed by a pending solve: stays 0, since every request
+    /// re-solves in place. Kept for the metrics that report it.
+    std::uint64_t coalesced = 0;
     std::uint64_t resolves = 0;     ///< water-filling passes actually run
     std::uint64_t full_resolves = 0;     ///< passes that visited every link
     std::uint64_t flows_resolved = 0;    ///< flow-rate assignments summed
@@ -76,7 +73,8 @@ class FluidNetwork {
     std::uint64_t heap_reinserts = 0;  ///< stale keys re-queued on pop
     std::uint64_t timers_fired = 0;      ///< completion timers processed
     /// Superseded timers discarded: stays 0, since re-arming the completion
-    /// timer replaces its pending firing instead of queueing another.
+    /// timer replaces its pending firing instead of queueing another. Kept
+    /// for the metrics that report it.
     std::uint64_t timers_stale = 0;
     std::uint64_t cancelled_flows = 0;   ///< flows aborted via cancel_flow
     std::uint64_t capacity_changes = 0;  ///< set_link_capacity calls
@@ -84,13 +82,12 @@ class FluidNetwork {
 
   explicit FluidNetwork(Engine& engine)
       : engine_(&engine),
-        resolve_timer_(engine, [this] { resolve_and_reschedule(); }),
         completion_timer_(engine, [this] { on_completion_timer(); }) {}
   FluidNetwork(const FluidNetwork&) = delete;
   FluidNetwork& operator=(const FluidNetwork&) = delete;
 
-  /// Register a directed link. Throws std::invalid_argument on
-  /// non-positive capacity or negative latency.
+  /// Register a directed link. Throws std::invalid_argument unless the
+  /// capacity is finite and > 0 and the latency finite and >= 0.
   LinkId add_link(LinkSpec spec);
 
   [[nodiscard]] const LinkSpec& link(LinkId id) const;
@@ -101,7 +98,7 @@ class FluidNetwork {
   /// rate 0 (they stay live and resume if capacity is restored; cancel them
   /// via cancel_flow to abort). Only the connected component containing the
   /// link is re-solved. Throws std::out_of_range on a bad id and
-  /// std::invalid_argument on a negative capacity.
+  /// std::invalid_argument unless the capacity is finite and >= 0.
   void set_link_capacity(LinkId id, double bps);
 
   /// Capacity-change notification: invoked synchronously from
@@ -116,9 +113,6 @@ class FluidNetwork {
   std::uint64_t add_capacity_listener(CapacityListener fn);
   /// Deregister; returns false if the handle is unknown (already removed).
   bool remove_capacity_listener(std::uint64_t handle);
-  [[nodiscard]] std::size_t capacity_listener_count() const {
-    return capacity_listeners_.size();
-  }
 
   /// Move `bytes` across `route`. Pays the sum of the route's latencies
   /// once, then streams at the flow's max-min fair rate until done. A
@@ -166,11 +160,6 @@ class FluidNetwork {
   }
   /// Live flows currently pinned at rate 0 by a zero-capacity link.
   [[nodiscard]] std::size_t stalled_flow_count() const;
-
-  /// Select the rate solver (default kIncremental). kFull reproduces the
-  /// original eager whole-network behaviour for baseline measurements.
-  void set_solver_mode(SolverMode mode) { mode_ = mode; }
-  [[nodiscard]] SolverMode solver_mode() const { return mode_; }
 
   /// When enabled, every incremental solve is checked against a full
   /// whole-network water-filling oracle; a rate mismatch beyond 1e-9
@@ -228,10 +217,8 @@ class FluidNetwork {
 
   void progress_to_now();
   void mark_link_dirty(LinkId l);
-  /// React to a flow add/remove (its links are already dirty): solve now
-  /// (kFull) or coalesce into one same-time deferred solve (kIncremental).
-  void request_resolve();
-  /// Water-fill the connected component reachable from the dirty links,
+  /// React to a flow or capacity change (its links are already dirty):
+  /// water-fill the connected component reachable from the dirty links,
   /// then re-arm the completion timer.
   void resolve_and_reschedule();
   void resolve_dirty();
@@ -269,14 +256,10 @@ class FluidNetwork {
   std::uint64_t dirty_epoch_ = 1;  ///< bumps when dirty_links_ drains
   std::uint64_t visit_epoch_ = 0;  ///< bumps per resolve pass
   bool self_check_ = false;
-  SolverMode mode_ = SolverMode::kIncremental;
   SolverStats stats_;
   Tracer* tracer_ = nullptr;
   Time last_progress_ = 0.0;
-  // Declared last, so they are disarmed before anything they read is torn
-  // down. The resolve timer is the one same-instant deferred solve that
-  // request_resolve() coalesces into.
-  Timer resolve_timer_;
+  // Declared last, so it is disarmed before anything it reads is torn down.
   Timer completion_timer_;
 };
 

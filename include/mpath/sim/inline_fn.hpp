@@ -1,7 +1,7 @@
 // Non-allocating move-only callable with fixed small-buffer storage.
 //
 // std::function heap-allocates any capture larger than two pointers, which
-// made every Engine::schedule_callback/defer on the hot path an allocation.
+// made every Engine::schedule_callback on the hot path an allocation.
 // InlineFn stores the callable inline (no heap fallback): a capture that
 // does not fit is a compile-time error, so the event hot path cannot
 // silently regress back to allocating. Unlike std::function it also accepts

@@ -180,7 +180,7 @@ namespace {
 double run_policy(const topo::System& system,
                   const model::ModelRegistry& registry,
                   const TransferCase& tc, const topo::PathPolicy& policy,
-                  sim::FluidNetwork::SolverMode solver, double* predicted) {
+                  double* predicted) {
   const std::vector<topo::DeviceId> gpus = system.topology.gpus();
   const auto rank_of = [&](topo::DeviceId d) {
     const auto it = std::find(gpus.begin(), gpus.end(), d);
@@ -196,7 +196,6 @@ double run_policy(const topo::System& system,
   configurator.set_topology(&system.topology);
   benchcore::SimStack stack =
       benchcore::SimStack::model_driven(system, configurator, policy);
-  stack.network().set_solver_mode(solver);
   benchcore::P2POptions p2p;
   p2p.window = 1;
   p2p.iterations = 3;
@@ -228,14 +227,13 @@ ScenarioReport evaluate_scenario(const Scenario& scenario,
     }
     CaseOutcome out;
     out.transfer = tc;
-    out.observed_bw = run_policy(system, registry, tc, tc.policy,
-                                 options.solver, &out.predicted_bw);
+    out.observed_bw =
+        run_policy(system, registry, tc, tc.policy, &out.predicted_bw);
     out.best_bw = out.observed_bw;
     out.best_policy = tc.policy;
     for (const topo::PathPolicy& policy : enumerated_policies()) {
       if (same_policy(policy, tc.policy)) continue;
-      const double bw =
-          run_policy(system, registry, tc, policy, options.solver, nullptr);
+      const double bw = run_policy(system, registry, tc, policy, nullptr);
       if (bw > out.best_bw) {
         out.best_bw = bw;
         out.best_policy = policy;

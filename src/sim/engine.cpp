@@ -173,12 +173,6 @@ EventRef Engine::schedule_callback(Time t, EventFn fn) {
   return push_event(t, reserve_seq(), nullptr, std::move(fn));
 }
 
-void Engine::defer(EventFn fn) {
-  // Monotone sequence numbers order same-time events FIFO, so this runs
-  // after everything already queued at now() and before later arrivals.
-  push_event(now_, reserve_seq(), nullptr, std::move(fn));
-}
-
 void Engine::schedule_reserved(std::uint64_t seq, EventFn fn) {
   assert(seq > current_seq_ && seq < next_seq_ &&
          "schedule_reserved: place already dispatched or never reserved");

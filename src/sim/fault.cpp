@@ -1,6 +1,7 @@
 #include "mpath/sim/fault.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -32,8 +33,10 @@ void FaultInjector::schedule(Time t, LinkId link, double bps) {
   if (t < engine_->now()) {
     throw std::invalid_argument("FaultInjector: event time is in the past");
   }
-  if (bps < 0.0) {
-    throw std::invalid_argument("FaultInjector: capacity must be >= 0");
+  if (!(std::isfinite(bps) && bps >= 0.0)) {  // NaN fails too
+    throw std::invalid_argument("FaultInjector: capacity of " +
+                                net_->link(link).name +
+                                " must be finite and >= 0");
   }
   ++scheduled_;
   engine_->schedule_callback(t, [this, link, bps] {
@@ -54,8 +57,10 @@ void FaultInjector::set_capacity_at(Time t, LinkId link, double bps) {
 }
 
 void FaultInjector::degrade_at(Time t, LinkId link, double factor) {
-  if (factor < 0.0) {
-    throw std::invalid_argument("FaultInjector: degrade factor must be >= 0");
+  if (!(std::isfinite(factor) && factor >= 0.0)) {  // NaN fails too
+    throw std::invalid_argument("FaultInjector: degrade factor of " +
+                                net_->link(link).name +
+                                " must be finite and >= 0");
   }
   schedule(t, link, capture_baseline(link) * factor);
 }
@@ -85,7 +90,8 @@ void FaultInjector::random_plan(std::span<const LinkId> links,
   if (links.empty()) {
     throw std::invalid_argument("FaultInjector: random plan needs links");
   }
-  if (opts.min_factor < 0.0 || opts.max_factor < opts.min_factor) {
+  if (!(std::isfinite(opts.max_factor) && opts.min_factor >= 0.0 &&
+        opts.max_factor >= opts.min_factor)) {
     throw std::invalid_argument("FaultInjector: bad degrade factor range");
   }
   if (opts.min_duration < 0.0 || opts.max_duration < opts.min_duration) {

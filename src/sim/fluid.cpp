@@ -22,13 +22,16 @@ double completion_eps(double bytes) {
 }  // namespace
 
 LinkId FluidNetwork::add_link(LinkSpec spec) {
-  if (spec.capacity_bps <= 0.0) {
-    throw std::invalid_argument("FluidNetwork: capacity must be positive (" +
-                                spec.name + ")");
+  // Written so that NaN fails too: an infinite or NaN capacity leaves the
+  // flows on the link with no finite completion time.
+  if (!(std::isfinite(spec.capacity_bps) && spec.capacity_bps > 0.0)) {
+    throw std::invalid_argument(
+        "FluidNetwork: capacity must be finite and positive (" + spec.name +
+        ")");
   }
-  if (spec.latency_s < 0.0) {
-    throw std::invalid_argument("FluidNetwork: latency must be >= 0 (" +
-                                spec.name + ")");
+  if (!(std::isfinite(spec.latency_s) && spec.latency_s >= 0.0)) {
+    throw std::invalid_argument(
+        "FluidNetwork: latency must be finite and >= 0 (" + spec.name + ")");
   }
   LinkState ls;
   ls.spec = std::move(spec);
@@ -44,14 +47,14 @@ void FluidNetwork::set_link_capacity(LinkId id, double bps) {
   if (id >= links_.size()) {
     throw std::out_of_range("FluidNetwork::set_link_capacity: bad LinkId");
   }
-  if (bps < 0.0) {
+  if (!(std::isfinite(bps) && bps >= 0.0)) {
     throw std::invalid_argument(
-        "FluidNetwork::set_link_capacity: capacity must be >= 0 (" +
+        "FluidNetwork::set_link_capacity: capacity must be finite and >= 0 (" +
         links_[id].spec.name + ")");
   }
   // Credit bytes streamed at the old rates before the capacity changes,
-  // then let the usual dirty-component machinery re-solve: only the
-  // component containing this link is touched.
+  // then re-solve the dirty component: only the component containing this
+  // link is touched.
   progress_to_now();
   // Notify before the mutation lands: listeners integrating modeled state
   // (the transfer scheduler) must close their window at the rates that
@@ -70,7 +73,7 @@ void FluidNetwork::set_link_capacity(LinkId id, double bps) {
   // bookkeeping, and zero-capacity links need their flows stalled, so mark
   // dirty unconditionally.
   mark_link_dirty(id);
-  request_resolve();
+  resolve_and_reschedule();
 }
 
 std::uint64_t FluidNetwork::add_capacity_listener(CapacityListener fn) {
@@ -99,14 +102,7 @@ std::size_t FluidNetwork::stalled_flow_count() const {
 }
 
 double FluidNetwork::link_allocated_rate(LinkId id) const {
-  if (id >= links_.size()) throw std::out_of_range("bad LinkId");
-  // A same-time resolve may still be pending (coalescing); settle it now so
-  // queries always observe max-min rates. The deferred pass then finds an
-  // empty dirty set and only re-arms the completion timer.
-  if (!dirty_links_.empty()) {
-    const_cast<FluidNetwork*>(this)->resolve_dirty();
-  }
-  return links_[id].allocated;
+  return links_.at(id).allocated;
 }
 
 double FluidNetwork::link_bytes_transferred(LinkId id) const {
@@ -143,28 +139,9 @@ void FluidNetwork::mark_link_dirty(LinkId l) {
   dirty_links_.push_back(l);
 }
 
-void FluidNetwork::request_resolve() {
-  ++stats_.resolve_requests;
-  if (mode_ == SolverMode::kFull) {
-    // Legacy behaviour: eagerly re-solve the whole network on every event.
-    for (LinkId l = 0; l < static_cast<LinkId>(links_.size()); ++l) {
-      mark_link_dirty(l);
-    }
-    resolve_and_reschedule();
-    return;
-  }
-  if (resolve_timer_.armed()) {
-    ++stats_.coalesced;
-    return;
-  }
-  // Armed at now() it takes a fresh seq, the place defer() would give it:
-  // after everything already queued at this instant. The timer dies with
-  // the network, so nothing can fire into a destroyed one.
-  resolve_timer_.arm(engine_->now());
-}
-
 void FluidNetwork::resolve_and_reschedule() {
-  progress_to_now();
+  // Every caller has already credited bytes up to now() at the old rates.
+  ++stats_.resolve_requests;
   resolve_dirty();
   schedule_next_completion();
 }
@@ -222,8 +199,8 @@ void FluidNetwork::resolve_dirty() {
   // s <= r/u), so a popped entry whose stored key is below the link's
   // current share is stale — re-queue it under the fresh key and pop again.
   // The LinkId tie-break freezes equal-share bottlenecks in the same
-  // ascending order as the kFull oracle's linear scan, keeping freeze order
-  // (and therefore floating-point rate arithmetic) aligned across modes.
+  // ascending order as reference_rates()' linear scan, keeping freeze order
+  // (and therefore floating-point rate arithmetic) aligned with the oracle.
   const auto heap_later = [](const HeapEntry& a, const HeapEntry& b) {
     if (a.share != b.share) return a.share > b.share;
     return a.link > b.link;
@@ -390,7 +367,6 @@ void FluidNetwork::schedule_next_completion() {
 void FluidNetwork::on_completion_timer() {
   ++stats_.timers_fired;
   progress_to_now();
-  bool any_completed = false;
   // A flow is complete when its remaining bytes fall below its relative
   // epsilon, or when they would stream in less than ~2 ulps of the clock —
   // otherwise the next timer could round to the current timestamp, deliver
@@ -411,14 +387,13 @@ void FluidNetwork::on_completion_timer() {
     Flow& f = flows_[slot];
     if (f.done) f.done->fire();
     detach_flow(slot);  // marks the flow's links dirty
-    any_completed = true;
   }
-  if (any_completed) {
-    request_resolve();
-  } else if (!resolve_timer_.armed()) {
+  if (completed_scratch_.empty()) {
     // Defensive re-arm: rounding pushed the nearest completion past this
     // timer. Rates are unchanged, so just schedule the next event.
     schedule_next_completion();
+  } else {
+    resolve_and_reschedule();
   }
 }
 
@@ -513,7 +488,7 @@ FlowId FluidNetwork::start_flow(std::span<const LinkId> route, double bytes,
   progress_to_now();
   const std::uint32_t slot = allocate_flow(route, bytes, done);
   for (LinkId l : flows_[slot].links) mark_link_dirty(l);
-  request_resolve();
+  resolve_and_reschedule();
   return (static_cast<FlowId>(flows_[slot].gen) << 32) |
          static_cast<FlowId>(slot + 1);
 }
@@ -536,7 +511,7 @@ bool FluidNetwork::cancel_flow(FlowId id) {
   }
   if (f.done) f.done->fire();
   detach_flow(slot);  // marks the flow's links dirty
-  request_resolve();
+  resolve_and_reschedule();
   return true;
 }
 

@@ -345,8 +345,8 @@ TopoSpec generate_topology(std::uint64_t seed) {
   }
 
   // Software costs: mild per-system perturbation of the defaults. Jitter is
-  // zero so the kFull fluid simulation is a noise-free oracle — every
-  // flagged mispredict is structural, not measurement luck.
+  // zero so the fluid simulation is a noise-free oracle — every flagged
+  // mispredict is structural, not measurement luck.
   topo::SoftwareCosts& c = g.spec.costs;
   const double s = g.rng.uniform(0.7, 1.3);
   c.op_launch_s *= s;

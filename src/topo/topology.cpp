@@ -1,11 +1,30 @@
 #include "mpath/topo/topology.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <stdexcept>
 
 namespace mpath::topo {
+
+namespace {
+
+/// Refuse a capacity that is not finite and > 0 or a latency that is not
+/// finite and >= 0, naming the link. Written so that NaN fails too.
+void check_link_parameters(const std::string& name, double capacity_bps,
+                           double latency_s) {
+  if (!(std::isfinite(capacity_bps) && capacity_bps > 0.0)) {
+    throw std::invalid_argument("Topology: link " + name +
+                                " capacity must be finite and positive");
+  }
+  if (!(std::isfinite(latency_s) && latency_s >= 0.0)) {
+    throw std::invalid_argument("Topology: link " + name +
+                                " latency must be finite and >= 0");
+  }
+}
+
+}  // namespace
 
 std::string_view to_string(LinkKind kind) {
   switch (kind) {
@@ -44,12 +63,10 @@ EdgeId Topology::connect(DeviceId from, DeviceId to, LinkKind kind,
   if (from >= devices_.size() || to >= devices_.size() || from == to) {
     throw std::invalid_argument("Topology::connect: bad endpoints");
   }
-  if (capacity_bps <= 0.0 || latency_s < 0.0) {
-    throw std::invalid_argument("Topology::connect: bad link parameters");
-  }
-  const auto id = static_cast<EdgeId>(edges_.size());
   std::string name = devices_[from].name + "->" + devices_[to].name + ":" +
                      std::string(to_string(kind));
+  check_link_parameters(name, capacity_bps, latency_s);
+  const auto id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(
       Edge{id, from, to, kind, capacity_bps, latency_s, std::move(name), false});
   adjacency_[from].push_back(id);
@@ -75,9 +92,11 @@ EdgeId Topology::add_memory_channel(DeviceId host, double capacity_bps,
     throw std::invalid_argument(
         "Topology::add_memory_channel: host already has a channel");
   }
+  std::string name = devices_[host].name + ":MemChan";
+  check_link_parameters(name, capacity_bps, latency_s);
   const auto id = static_cast<EdgeId>(edges_.size());
   edges_.push_back(Edge{id, host, host, LinkKind::MemChan, capacity_bps,
-                        latency_s, devices_[host].name + ":MemChan", true});
+                        latency_s, std::move(name), true});
   memory_channels_.emplace(host, id);
   return id;
 }

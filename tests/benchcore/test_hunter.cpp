@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "mpath/util/units.hpp"
 
@@ -93,6 +95,26 @@ TEST(Hunter, EvaluateRejectsMalformedScenarios) {
   EXPECT_THROW((void)mf::evaluate_scenario(sc), std::invalid_argument);
   sc = mini_scenario();
   sc.transfers[0].src = 0;  // host endpoint
+  EXPECT_THROW((void)mf::evaluate_scenario(sc), std::invalid_argument);
+}
+
+// The scenario parser reads "bps": 1e999 as an infinite bandwidth. Building
+// the topology refuses it, so the scenario fails before any simulation
+// runs instead of deadlocking in one.
+TEST(Hunter, NonFiniteLinkBandwidthIsRefusedBeforeSimulating) {
+  std::string text = mini_scenario().to_json().dump();
+  const std::string pcie =
+      "\"bps\": " + mpath::util::json::Value(gbps(12)).dump(0);
+  int replaced = 0;
+  for (std::size_t at = text.find(pcie); at != std::string::npos;
+       at = text.find(pcie, at)) {
+    text.replace(at, pcie.size(), "\"bps\": 1e999");
+    ++replaced;
+  }
+  ASSERT_EQ(replaced, 4);
+  const mf::Scenario sc =
+      mf::Scenario::from_json(mpath::util::json::Value::parse(text));
+  EXPECT_THROW((void)sc.topo.build(), std::invalid_argument);
   EXPECT_THROW((void)mf::evaluate_scenario(sc), std::invalid_argument);
 }
 

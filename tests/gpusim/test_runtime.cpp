@@ -256,7 +256,7 @@ TEST(GpuRuntime, CancelledTokenDrainsDeepQueueWithoutMovingData) {
   EXPECT_EQ(token.flows_cancelled(), 1u);
   EXPECT_EQ(f.rt.bytes_copied(), 0u);
   EXPECT_TRUE(dst.same_content(ref));
-  EXPECT_EQ(events, 2054u);  // as the pooled-record queue counted
+  EXPECT_EQ(events, 2052u);
   bool synced = false;
   f.engine.spawn([](mg::GpuRuntime& rt, mg::StreamId st,
                     bool& out) -> ms::Task<void> {

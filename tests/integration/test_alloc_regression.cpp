@@ -72,7 +72,6 @@ std::uint64_t steady_state_allocs(int workers, int repeats, bool monitored) {
   sys.costs.jitter_rel = 0;
   ms::Engine engine;
   ms::FluidNetwork net(engine);
-  net.set_solver_mode(ms::FluidNetwork::SolverMode::kIncremental);
   mg::GpuRuntime rt(sys, engine, net);
   mp::PipelineEngine pipe(rt, /*staging_buffers_per_device=*/64,
                           mg::Payload::Simulated);
@@ -111,7 +110,6 @@ std::uint64_t six_path_monitored_allocs() {
   sys.costs.jitter_rel = 0;
   ms::Engine engine;
   ms::FluidNetwork net(engine);
-  net.set_solver_mode(ms::FluidNetwork::SolverMode::kIncremental);
   mg::GpuRuntime rt(sys, engine, net);
   mp::PipelineEngine pipe(rt, /*staging_buffers_per_device=*/64,
                           mg::Payload::Simulated);
@@ -243,7 +241,6 @@ std::uint64_t solo_model_driven_allocs(int workers, int repeats) {
   sys.costs.jitter_rel = 0;
   ms::Engine engine;
   ms::FluidNetwork net(engine);
-  net.set_solver_mode(ms::FluidNetwork::SolverMode::kIncremental);
   mg::GpuRuntime rt(sys, engine, net);
   mp::PipelineEngine pipe(rt, /*staging_buffers_per_device=*/64,
                           mg::Payload::Simulated);

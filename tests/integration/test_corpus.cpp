@@ -6,8 +6,7 @@
 //     model may not drift past the hunter's thresholds on them; and
 //   * frozen mispredicts (`expected != none`) must keep reproducing the
 //     recorded flag, so a "fix" that merely hides the defect is caught.
-// Both properties must hold under the incremental and the full fluid
-// solver, and all error/regret values must stay inside sanity ceilings.
+// All error/regret values must also stay inside sanity ceilings.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 
 #include "mpath/benchcore/hunter.hpp"
 #include "mpath/model/accuracy.hpp"
-#include "mpath/sim/fluid.hpp"
 #include "mpath/topo/fuzz.hpp"
 #include "mpath/topo/topology.hpp"
 
@@ -29,7 +27,6 @@
 namespace mf = mpath::fuzz;
 namespace mm = mpath::model;
 namespace mt = mpath::topo;
-using mpath::sim::FluidNetwork;
 
 namespace {
 
@@ -64,34 +61,25 @@ TEST(CorpusReplay, CorpusIsSeededAndWellFormed) {
   }
 }
 
-TEST(CorpusReplay, FlagsReproduceUnderBothSolverModes) {
-  for (const FluidNetwork::SolverMode mode :
-       {FluidNetwork::SolverMode::kIncremental,
-        FluidNetwork::SolverMode::kFull}) {
-    mf::EvalOptions eval;
-    eval.solver = mode;
-    for (const mf::CorpusEntry& entry : corpus()) {
-      SCOPED_TRACE(short_name(entry.path) + (mode == FluidNetwork::SolverMode::kFull
-                                                 ? " [full]"
-                                                 : " [incremental]"));
-      const mf::ScenarioReport report =
-          mf::evaluate_scenario(entry.scenario, eval);
-      if (entry.scenario.expected == mm::MispredictKind::kNone) {
-        EXPECT_EQ(report.kind, mm::MispredictKind::kNone)
-            << "regression fixture drifted: error " << report.max_error
-            << " regret " << report.max_regret;
-      } else {
-        EXPECT_TRUE(mm::covers(report.kind, entry.scenario.expected))
-            << "frozen mispredict no longer reproduces (got "
-            << mm::to_string(report.kind) << ", expected "
-            << mm::to_string(entry.scenario.expected) << ")";
-      }
-      // Sanity ceilings: even pinned mispredicts must stay bounded.
-      EXPECT_GE(report.max_error, 0.0);
-      EXPECT_LE(report.max_error, 1.5);
-      EXPECT_GE(report.max_regret, 0.0);
-      EXPECT_LE(report.max_regret, 0.9);
+TEST(CorpusReplay, FlagsReproduce) {
+  for (const mf::CorpusEntry& entry : corpus()) {
+    SCOPED_TRACE(short_name(entry.path));
+    const mf::ScenarioReport report = mf::evaluate_scenario(entry.scenario);
+    if (entry.scenario.expected == mm::MispredictKind::kNone) {
+      EXPECT_EQ(report.kind, mm::MispredictKind::kNone)
+          << "regression fixture drifted: error " << report.max_error
+          << " regret " << report.max_regret;
+    } else {
+      EXPECT_TRUE(mm::covers(report.kind, entry.scenario.expected))
+          << "frozen mispredict no longer reproduces (got "
+          << mm::to_string(report.kind) << ", expected "
+          << mm::to_string(entry.scenario.expected) << ")";
     }
+    // Sanity ceilings: even pinned mispredicts must stay bounded.
+    EXPECT_GE(report.max_error, 0.0);
+    EXPECT_LE(report.max_error, 1.5);
+    EXPECT_GE(report.max_regret, 0.0);
+    EXPECT_LE(report.max_regret, 0.9);
   }
 }
 

@@ -3,8 +3,9 @@
 // path is readmitted via probe slices instead of staying dead forever,
 // bytes stay conserved under injected faults, and online recalibration
 // shrinks the model error on a drifted link without learning from attempts
-// that carried probe slices. The fluid-network self-check
-// (kFull whole-network oracle) is armed for every simulation test here.
+// that carried probe slices. The fluid-network self-check (the
+// whole-network water-filling oracle) is armed for every simulation test
+// here.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -185,7 +186,7 @@ struct Fixture {
   mm::PathConfigurator cfg{reg};
   std::vector<mt::DeviceId> gpus = sys.topology.gpus();
 
-  Fixture() { net.set_self_check(true); }  // kFull whole-network oracle
+  Fixture() { net.set_self_check(true); }  // whole-network oracle
 
   [[nodiscard]] ms::LinkId direct_link(mt::DeviceId a, mt::DeviceId b) const {
     return rt.binding().link_for_edge(*sys.topology.direct_edge(a, b));

@@ -86,7 +86,6 @@ double mean_rel_error(const std::vector<mp::TransferScheduler::Record>& recs) {
 /// scheduled channel and return the mean relative prediction error.
 double contention_error(bool joint, int k, std::size_t bytes) {
   Fixture f;
-  f.net.set_solver_mode(ms::FluidNetwork::SolverMode::kFull);  // oracle
   mp::SchedulerOptions sopt;
   sopt.joint = joint;
   mp::TransferScheduler sched(f.pipe, f.cfg, sopt);
@@ -197,7 +196,7 @@ TEST(Scheduler, SameInstantArrivalsRefreshEachOther) {
 
 // The contention-misprediction regression (tentpole acceptance): K
 // simultaneous transfers share the direct link. Joint planning's predicted
-// T tracks the kFull-oracle simulated completion; solo planning (same
+// T tracks the simulated completion; solo planning (same
 // admission machinery, joint=false) is systematically wrong, and the joint
 // error is at most a third of it.
 TEST(Scheduler, JointPredictionsTrackSimulatedContention) {

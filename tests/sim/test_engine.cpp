@@ -216,14 +216,14 @@ TEST(Engine, CallbacksInterleaveWithCoroutines) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(Engine, DeferRunsAfterQueuedSameTimeEventsAndBeforeLaterOnes) {
+TEST(Engine, CallbackAtNowRunsAfterQueuedSameTimeEventsAndBeforeLaterOnes) {
   ms::Engine e;
   std::vector<int> order;
   e.schedule_callback(1.0, [&] { order.push_back(1); });
   e.schedule_callback(1.0, [&] {
-    // Deferred work runs after the same-time event queued below (seq
-    // order), but before anything queued after the defer call.
-    e.defer([&] {
+    // Work queued at now() runs after the same-time event queued below
+    // (seq order), but before anything queued after it.
+    e.schedule_callback(e.now(), [&] {
       order.push_back(4);
       e.schedule_callback(e.now(), [&] { order.push_back(5); });
     });

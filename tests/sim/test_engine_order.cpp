@@ -2,8 +2,8 @@
 // event ring and re-armable timers, and cancellation of queued callbacks.
 //
 // The first differential test runs a seeded random program that queues work
-// every way the engine offers: schedule_handle, schedule_callback and defer
-// (at now() and later), reserve_seq + schedule_reserved, Latch::fire over
+// every way the engine offers: schedule_handle and schedule_callback (at
+// now() and later), reserve_seq + schedule_reserved, Latch::fire over
 // callback waiters, and Timer arm / re-arm / disarm. Times sit on a 1/4
 // grid, so exact ties between queued events and timers are common. Every
 // queued firing is recorded with the (t, seq) place it was given, and the
@@ -146,9 +146,9 @@ class Program {
     return id;
   }
 
-  /// Log the firing, queue its successor (a callback, deferral or actor
-  /// resume, so the program lives until kItems) and do up to two more
-  /// actions of any kind.
+  /// Log the firing, queue its successor (a callback or actor resume, so
+  /// the program lives until kItems) and do up to two more actions of any
+  /// kind.
   void step(int id) {
     log.push_back(Firing{engine_.now(), engine_.current_seq(), id});
     act(rng_.uniform_int(0, 2));
@@ -183,7 +183,7 @@ class Program {
       }
       case 1: {
         const int id = record(now, next_seq());
-        engine_.defer([this, id] { step(id); });
+        engine_.schedule_callback(now, [this, id] { step(id); });
         ++counts.now_events;
         break;
       }
@@ -365,7 +365,7 @@ TEST(Timer, ArmRejectsNaNTime) {
 TEST(Engine, QueuedEventCountIncludesQueueAndTimers) {
   ms::Engine e;
   ms::Timer timer(e, [] {});
-  e.defer([] {});
+  e.schedule_callback(e.now(), [] {});
   e.schedule_callback(1.0, [] {});
   e.schedule_callback(0.0, [] {});
   timer.arm(0.5);
@@ -506,7 +506,7 @@ class CancelProgram {
       case 3: {
         const int id = new_id();
         pending_.insert({now, next_seq()});
-        engine_.defer([this, id] { on_callback(id); });
+        engine_.schedule_callback(now, [this, id] { on_callback(id); });
         return true;
       }
       case 4:

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -30,6 +32,18 @@ ms::Task<void> delayed_transfer(ms::Engine& e, ms::FluidNetwork& net,
   co_await e.delay(start);
   co_await net.transfer(std::move(route), bytes);
   finish = e.now();
+}
+
+/// `change` must throw std::invalid_argument naming `link`.
+template <typename Fn>
+void expect_refused(Fn&& change, const std::string& link) {
+  try {
+    change();
+    ADD_FAILURE() << "a non-finite parameter of " << link << " was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(link), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
@@ -110,6 +124,35 @@ TEST(Fault, SetLinkCapacityValidatesArguments) {
   EXPECT_THROW(net.set_link_capacity(link, -1.0), std::invalid_argument);
 }
 
+// NaN passes a `<= 0` or `< 0` check and an infinite capacity never drains
+// a flow: at either, the flows on the link would stay live with no
+// completion ahead. Both are refused, with the link named.
+TEST(Fault, NonFiniteLinkParametersAreRefused) {
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  const auto link = net.add_link({"victim", 100.0, 0.0});
+  ms::FaultInjector inj(engine, net);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    SCOPED_TRACE(bad);
+    expect_refused([&] { (void)net.add_link({"new-cap", bad, 0.0}); },
+                   "new-cap");
+    expect_refused([&] { (void)net.add_link({"new-lat", 1.0, bad}); },
+                   "new-lat");
+    expect_refused([&] { net.set_link_capacity(link, bad); }, "victim");
+    expect_refused([&] { inj.set_capacity_at(0.0, link, bad); }, "victim");
+    expect_refused([&] { inj.degrade_at(0.0, link, bad); }, "victim");
+    ms::FaultInjector::RandomPlanOptions opts;
+    opts.max_factor = bad;
+    EXPECT_THROW(inj.random_plan({&link, 1}, opts, 1), std::invalid_argument);
+  }
+  EXPECT_EQ(net.link_count(), 1u);
+  EXPECT_EQ(net.link(link).capacity_bps, 100.0);
+  EXPECT_EQ(inj.scheduled_count(), 0u);
+  EXPECT_EQ(engine.queued_event_count(), 0u);
+}
+
 // Random churn with random capacity changes (including paired sever /
 // restore cycles) audited by the full-resolve oracle after every solve.
 TEST(Fault, RandomChurnWithCapacityChangesMatchesOracle) {
@@ -174,8 +217,6 @@ TEST(Fault, CapacityChangeResolvesOnlyAffectedComponent) {
   const auto b1 = net.add_link({"b1", 100.0, 0.0});
   double fa = -1.0, fb = -1.0;
   engine.spawn(timed_transfer(engine, net, {a0, a1}, 400.0, fa));
-  // Staggered start: a same-timestamp burst would legitimately resolve both
-  // components in one coalesced (full) pass.
   engine.spawn(delayed_transfer(engine, net, 0.5, {b0, b1}, 400.0, fb));
   // Halve component A's bottleneck at t=2: A slows, B is untouched.
   engine.schedule_callback(2.0, [&] { net.set_link_capacity(a0, 50.0); });
@@ -347,16 +388,15 @@ TEST(FaultInjector, EmitsTracerInstants) {
 }
 
 // ---------------------------------------------------------------------------
-// cancel_flow under solver modes (satellite: cancel tests)
+// cancel_flow
 // ---------------------------------------------------------------------------
 
-// Cancel churn under the legacy kFull solver with the oracle active: both
-// solver modes must survive cancellation mid-churn.
-TEST(FaultCancel, CancelChurnUnderFullSolver) {
+// Cancel churn with the oracle active: every re-solve after a cancel must
+// still match the whole-network water-filling.
+TEST(FaultCancel, CancelChurnUnderSelfCheck) {
   mpath::util::Rng rng(271);
   ms::Engine engine;
   ms::FluidNetwork net(engine);
-  net.set_solver_mode(ms::FluidNetwork::SolverMode::kFull);
   net.set_self_check(true);
   std::vector<ms::LinkId> links;
   for (int l = 0; l < 6; ++l) {

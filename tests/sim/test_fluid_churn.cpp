@@ -1,7 +1,7 @@
 // Property tests for the incremental max-min solver: randomized flow churn
 // (start / cancel / complete) over shared-link topologies, with the
 // retained full-resolve water-filling oracle checking every incremental
-// solve, plus solver-mode equivalence of completion times.
+// solve, plus pinned completion times and re-solve counts.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -161,146 +161,122 @@ TEST(FluidChurn, CancelChurnMatchesOracle) {
   for (ms::FlowId id : ids) EXPECT_FALSE(net.cancel_flow(id));
 }
 
-// The incremental solver must reproduce the legacy eager full solver's
-// completion times bit-for-bit (within 1e-9 s) on an identical workload.
+// The incremental solver against its whole-network oracle on a workload
+// with per-link latencies: the self-check throws on the first re-solve
+// whose rates differ from the oracle's, and every flow must finish no
+// sooner than its serial lower bound.
 TEST(FluidChurn, ModesProduceIdenticalCompletionTimes) {
   mpath::util::Rng rng(777);
   const int nlinks = 6;
   const auto specs = make_workload(rng, nlinks, 150, /*with_cancels=*/false);
-  auto run_mode = [&](ms::FluidNetwork::SolverMode mode) {
-    mpath::util::Rng cap_rng(42);
-    ms::Engine engine;
-    ms::FluidNetwork net(engine);
-    net.set_solver_mode(mode);
-    for (int l = 0; l < nlinks; ++l) {
-      net.add_link({"l" + std::to_string(l), cap_rng.uniform(50.0, 500.0),
-                    1e-5 * l});
+  mpath::util::Rng cap_rng(42);
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  net.set_self_check(true);
+  for (int l = 0; l < nlinks; ++l) {
+    net.add_link({"l" + std::to_string(l), cap_rng.uniform(50.0, 500.0),
+                  1e-5 * l});
+  }
+  std::vector<double> finishes(specs.size(), -1.0);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    engine.spawn(delayed_transfer(engine, net, specs[i].start, specs[i].route,
+                                  specs[i].bytes, finishes[i]));
+  }
+  engine.run();
+  EXPECT_EQ(net.stats().timers_stale, 0u);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    double cap = 1e18;
+    for (auto l : specs[i].route) {
+      cap = std::min(cap, net.link(l).capacity_bps);
     }
-    std::vector<double> finishes(specs.size(), -1.0);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      engine.spawn(delayed_transfer(engine, net, specs[i].start,
-                                    specs[i].route, specs[i].bytes,
-                                    finishes[i]));
-    }
-    engine.run();
-    EXPECT_EQ(net.stats().timers_stale, 0u);
-    return finishes;
-  };
-  const auto full = run_mode(ms::FluidNetwork::SolverMode::kFull);
-  const auto incr = run_mode(ms::FluidNetwork::SolverMode::kIncremental);
-  ASSERT_EQ(full.size(), incr.size());
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    EXPECT_NEAR(full[i], incr[i], 1e-9) << "flow " << i;
+    EXPECT_GE(finishes[i] + 1e-9, specs[i].start + specs[i].bytes / cap)
+        << "flow " << i;
   }
 }
 
 // Exact-tie workload: symmetric power-of-two capacities make every link
 // bottleneck at exactly the same share, so the heap's (share, LinkId)
 // tie-break must mirror the oracle's ascending-id scan — the self-check
-// audits every solve. Completion times must match across solver modes
-// bit-for-bit (EXPECT_EQ, not NEAR: exact arithmetic, no tolerance).
+// audits every solve. The completion instants are pinned bit-for-bit
+// (EXPECT_EQ, not NEAR: exact arithmetic, no tolerance).
 TEST(FluidChurn, ExactTiesResolveIdenticallyAcrossModes) {
-  auto run_mode = [](ms::FluidNetwork::SolverMode mode) {
-    ms::Engine engine;
-    ms::FluidNetwork net(engine);
-    net.set_solver_mode(mode);
-    net.set_self_check(true);
-    const int nlinks = 8;
-    std::vector<ms::LinkId> links;
-    for (int l = 0; l < nlinks; ++l) {
-      links.push_back(net.add_link({"l" + std::to_string(l), 128.0, 0.0}));
-    }
-    std::vector<double> finishes(3 * nlinks, -1.0);
-    for (int i = 0; i < nlinks; ++i) {
-      // Ring flow over a link pair, a single-link flow, and a delayed
-      // second wave — all sizes powers of two so shares tie exactly.
-      engine.spawn(timed_transfer(engine, net,
-                                  {links[static_cast<std::size_t>(i)],
-                                   links[static_cast<std::size_t>(
-                                       (i + 1) % nlinks)]},
-                                  1024.0, finishes[static_cast<std::size_t>(
-                                              3 * i)]));
-      engine.spawn(timed_transfer(engine, net,
-                                  {links[static_cast<std::size_t>(i)]},
-                                  2048.0, finishes[static_cast<std::size_t>(
-                                              3 * i + 1)]));
-      engine.spawn(delayed_transfer(engine, net, 8.0,
-                                    {links[static_cast<std::size_t>(i)]},
-                                    512.0, finishes[static_cast<std::size_t>(
-                                               3 * i + 2)]));
-    }
-    engine.run();
-    EXPECT_EQ(net.stats().timers_stale, 0u);
-    return finishes;
-  };
-  const auto full = run_mode(ms::FluidNetwork::SolverMode::kFull);
-  const auto incr = run_mode(ms::FluidNetwork::SolverMode::kIncremental);
-  ASSERT_EQ(full.size(), incr.size());
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    ASSERT_GT(incr[i], 0.0) << "flow " << i << " never finished";
-    EXPECT_EQ(full[i], incr[i]) << "flow " << i;
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  net.set_self_check(true);
+  const std::size_t nlinks = 8;
+  std::vector<ms::LinkId> links;
+  for (std::size_t l = 0; l < nlinks; ++l) {
+    links.push_back(net.add_link({"l" + std::to_string(l), 128.0, 0.0}));
+  }
+  std::vector<double> finishes(3 * nlinks, -1.0);
+  for (std::size_t i = 0; i < nlinks; ++i) {
+    // Ring flow over a link pair, a single-link flow, and a delayed second
+    // wave — all sizes powers of two so shares tie exactly.
+    engine.spawn(timed_transfer(engine, net,
+                                {links[i], links[(i + 1) % nlinks]}, 1024.0,
+                                finishes[3 * i]));
+    engine.spawn(
+        timed_transfer(engine, net, {links[i]}, 2048.0, finishes[3 * i + 1]));
+    engine.spawn(delayed_transfer(engine, net, 8.0, {links[i]}, 512.0,
+                                  finishes[3 * i + 2]));
+  }
+  engine.run();
+  EXPECT_EQ(net.stats().timers_stale, 0u);
+  for (std::size_t i = 0; i < nlinks; ++i) {
+    EXPECT_EQ(finishes[3 * i], 28.0) << "ring flow " << i;
+    EXPECT_EQ(finishes[3 * i + 1], 36.0) << "single-link flow " << i;
+    EXPECT_EQ(finishes[3 * i + 2], 24.0) << "second-wave flow " << i;
   }
 }
 
-// Same cross-mode equivalence under a seeded random fault plan: capacity
-// churn exercises the heap's lazy-invalidation path (stale keys from
-// freeze-time decrements), and both solver modes must still agree. Also
-// pins down that the heap actually ran and lazily reinserted stale keys.
+// The oracle audit under a seeded random fault plan: capacity churn
+// exercises the heap's lazy-invalidation path (stale keys from freeze-time
+// decrements), and every re-solve must still match the whole-network
+// water-filling. Also pins down that the heap actually ran and lazily
+// reinserted stale keys.
 TEST(FluidChurn, ModesAgreeUnderFaultPlan) {
   mpath::util::Rng rng(4242);
   const int nlinks = 6;
   const auto specs = make_workload(rng, nlinks, 150, /*with_cancels=*/false);
-  auto run_mode = [&](ms::FluidNetwork::SolverMode mode,
-                      ms::FluidNetwork::SolverStats& stats_out) {
-    mpath::util::Rng cap_rng(42);
-    ms::Engine engine;
-    ms::FluidNetwork net(engine);
-    net.set_solver_mode(mode);
-    std::vector<ms::LinkId> links;
-    for (int l = 0; l < nlinks; ++l) {
-      links.push_back(net.add_link(
-          {"l" + std::to_string(l), cap_rng.uniform(50.0, 500.0), 1e-5 * l}));
-    }
-    ms::FaultInjector inj(engine, net);
-    ms::FaultInjector::RandomPlanOptions opts;
-    opts.faults = 16;
-    opts.horizon = 20.0;
-    opts.min_factor = 0.1;
-    opts.max_factor = 0.8;
-    opts.restore_probability = 1.0;  // flows must still drain
-    inj.random_plan(links, opts, 7);
-    std::vector<double> finishes(specs.size(), -1.0);
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      engine.spawn(delayed_transfer(engine, net, specs[i].start,
-                                    specs[i].route, specs[i].bytes,
-                                    finishes[i]));
-    }
-    engine.run();
-    stats_out = net.stats();
-    EXPECT_EQ(stats_out.timers_stale, 0u);
-    return finishes;
-  };
-  ms::FluidNetwork::SolverStats full_stats{}, incr_stats{};
-  const auto full = run_mode(ms::FluidNetwork::SolverMode::kFull, full_stats);
-  const auto incr =
-      run_mode(ms::FluidNetwork::SolverMode::kIncremental, incr_stats);
-  ASSERT_EQ(full.size(), incr.size());
-  for (std::size_t i = 0; i < full.size(); ++i) {
-    ASSERT_GT(incr[i], 0.0) << "flow " << i << " never finished";
-    EXPECT_NEAR(full[i], incr[i], 1e-9) << "flow " << i;
-  }
-  // Both modes run the heap water-filler (kFull additionally re-solves
-  // everything eagerly); capacity churn must have forced lazy reinserts.
-  EXPECT_GT(incr_stats.heap_pushes, 0u);
-  EXPECT_GT(incr_stats.heap_reinserts, 0u);
-  EXPECT_GT(full_stats.heap_pushes, incr_stats.heap_pushes);
-}
-
-// A same-timestamp burst of starts (and later of completions) must share
-// one rate re-solve instead of paying one per flow.
-TEST(FluidChurn, SameTimestampBurstsCoalesceIntoOneResolve) {
+  mpath::util::Rng cap_rng(42);
   ms::Engine engine;
   ms::FluidNetwork net(engine);
+  net.set_self_check(true);
+  std::vector<ms::LinkId> links;
+  for (int l = 0; l < nlinks; ++l) {
+    links.push_back(net.add_link(
+        {"l" + std::to_string(l), cap_rng.uniform(50.0, 500.0), 1e-5 * l}));
+  }
+  ms::FaultInjector inj(engine, net);
+  ms::FaultInjector::RandomPlanOptions opts;
+  opts.faults = 16;
+  opts.horizon = 20.0;
+  opts.min_factor = 0.1;
+  opts.max_factor = 0.8;
+  opts.restore_probability = 1.0;  // flows must still drain
+  inj.random_plan(links, opts, 7);
+  std::vector<double> finishes(specs.size(), -1.0);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    engine.spawn(delayed_transfer(engine, net, specs[i].start, specs[i].route,
+                                  specs[i].bytes, finishes[i]));
+  }
+  engine.run();
+  for (std::size_t i = 0; i < finishes.size(); ++i) {
+    ASSERT_GT(finishes[i], 0.0) << "flow " << i << " never finished";
+  }
+  const auto& st = net.stats();
+  EXPECT_EQ(st.timers_stale, 0u);
+  EXPECT_GT(st.heap_pushes, 0u);
+  EXPECT_GT(st.heap_reinserts, 0u);
+}
+
+// Every flow change re-solves in place, so a same-timestamp burst of k
+// starts costs k re-solves; the burst's completions, which drain in one
+// timer firing, share one. The self-check audits each.
+TEST(FluidChurn, SameTimestampBurstResolvesEachChangeInPlace) {
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  net.set_self_check(true);
   const auto link = net.add_link({"l", 100.0, 0.0});
   const int n = 32;
   std::vector<double> finishes(n, -1.0);
@@ -310,13 +286,36 @@ TEST(FluidChurn, SameTimestampBurstsCoalesceIntoOneResolve) {
   }
   engine.run();
   // All start at t=0 and, being identical, all complete at t=32 together.
-  for (double f : finishes) EXPECT_NEAR(f, 32.0, 1e-9);
-  // One solve for the start burst, one for the completion burst (plus at
-  // most one settling pass) — not one per flow.
-  EXPECT_LE(net.stats().resolves, 3u);
-  EXPECT_GE(net.stats().coalesced, static_cast<std::uint64_t>(n) - 2);
-  EXPECT_EQ(net.stats().resolve_requests, static_cast<std::uint64_t>(n) + 1);
-  EXPECT_EQ(net.stats().timers_stale, 0u);
+  for (double f : finishes) EXPECT_EQ(f, 32.0);
+  const auto& st = net.stats();
+  EXPECT_EQ(st.resolves, static_cast<std::uint64_t>(n) + 1);
+  EXPECT_EQ(st.resolve_requests, st.resolves);
+  EXPECT_EQ(st.coalesced, 0u);
+  EXPECT_EQ(st.timers_stale, 0u);
+}
+
+// start_flow, cancel_flow and set_link_capacity re-solve before they
+// return: the new max-min rates are visible before the engine runs.
+TEST(FluidChurn, FlowChangesResolveBeforeReturning) {
+  ms::Engine engine;
+  ms::FluidNetwork net(engine);
+  const auto shared = net.add_link({"shared", 100.0, 0.0});
+  const auto narrow = net.add_link({"narrow", 30.0, 0.0});
+  const ms::FlowId a = net.start_flow({shared, narrow}, 1000.0);
+  EXPECT_EQ(net.stats().resolves, 1u);
+  EXPECT_EQ(net.link_allocated_rate(shared), 30.0);
+  (void)net.start_flow({shared}, 1000.0);
+  EXPECT_EQ(net.stats().resolves, 2u);
+  // The narrow flow keeps 30; the other takes the 70 left on `shared`.
+  EXPECT_EQ(net.link_allocated_rate(shared), 100.0);
+  net.set_link_capacity(narrow, 60.0);
+  EXPECT_EQ(net.stats().resolves, 3u);
+  EXPECT_EQ(net.link_allocated_rate(narrow), 50.0);  // the fair half
+  EXPECT_TRUE(net.cancel_flow(a));
+  EXPECT_EQ(net.stats().resolves, 4u);
+  EXPECT_EQ(net.link_allocated_rate(narrow), 0.0);
+  EXPECT_EQ(net.link_allocated_rate(shared), 100.0);
+  EXPECT_EQ(engine.queued_event_count(), 1u);  // the completion timer
 }
 
 // Disjoint components: churn on one pair of links must not grow the
@@ -401,32 +400,31 @@ TEST(FluidChurn, TransferRejectsNaNBytes) {
   EXPECT_EQ(net.active_flow_count(), 0u);
 }
 
-// A network destroyed while its completion timer is armed, or while its
-// same-instant rate solve is pending, takes the timers with it: nothing is
-// left to fire into freed memory (the sanitizer build runs these under
-// ASan).
+// A network destroyed while its completion timer is armed takes the timer
+// with it: nothing is left to fire into freed memory (the sanitizer build
+// runs these under ASan). start_flow re-solves in place, so the armed
+// completion timer is the only event it leaves queued, whether the network
+// dies before the engine runs or mid-run.
 TEST(FluidChurn, DestroyedWhileTimerArmedLeavesNothingToFire) {
   ms::Engine engine;
   auto net = std::make_unique<ms::FluidNetwork>(engine);
   const auto link = net->add_link({"l", 100.0, 0.0});
   (void)net->start_flow({link}, 1000.0);  // would complete at t = 10
+  EXPECT_EQ(engine.queued_event_count(), 1u);  // the armed timer
   engine.schedule_callback(5.0, [&] {
     EXPECT_EQ(engine.queued_event_count(), 1u);  // the armed timer
     net.reset();
     EXPECT_EQ(engine.queued_event_count(), 0u);
   });
-  // The deferred rate solve at t = 0 and the callback; no timer firing.
-  EXPECT_EQ(engine.run(), 2u);
+  // Only the callback runs; no timer firing.
+  EXPECT_EQ(engine.run(), 1u);
   EXPECT_EQ(engine.now(), 5.0);
-}
 
-TEST(FluidChurn, DestroyedWhileResolvePendingLeavesNothingToFire) {
-  ms::Engine engine;
-  auto net = std::make_unique<ms::FluidNetwork>(engine);
-  const auto link = net->add_link({"l", 100.0, 0.0});
-  (void)net->start_flow({link}, 1000.0);  // requests a same-instant solve
+  auto early = std::make_unique<ms::FluidNetwork>(engine);
+  const auto l2 = early->add_link({"l", 100.0, 0.0});
+  (void)early->start_flow({l2}, 1000.0);
   EXPECT_EQ(engine.queued_event_count(), 1u);
-  net.reset();
+  early.reset();
   EXPECT_EQ(engine.queued_event_count(), 0u);
   EXPECT_EQ(engine.run(), 0u);
 }

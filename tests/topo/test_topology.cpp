@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -52,6 +55,37 @@ TEST(Topology, ConnectValidation) {
   EXPECT_THROW(t.connect(a, b, mt::LinkKind::NVLink2, 1e9, -1), std::invalid_argument);
   EXPECT_THROW(t.connect(a, 99, mt::LinkKind::NVLink2, 1e9, 0), std::invalid_argument);
   EXPECT_THROW(t.add_memory_channel(a, 1e9, 0), std::invalid_argument);
+}
+
+// NaN passes a `<= 0` or `< 0` check and an infinite capacity never
+// drains a flow, so both are refused, with the link named.
+TEST(Topology, NonFiniteLinkParametersAreRefused) {
+  mt::Topology t("bad");
+  const auto a = t.add_device(mt::DeviceKind::Gpu, 0, "a");
+  const auto b = t.add_device(mt::DeviceKind::Gpu, 0, "b");
+  const auto h = t.add_device(mt::DeviceKind::Host, 0, "h");
+  const auto expect_refused = [](auto&& add, const std::string& link) {
+    try {
+      add();
+      ADD_FAILURE() << link << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(link), std::string::npos)
+          << e.what();
+    }
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                           -inf}) {
+    SCOPED_TRACE(bad);
+    expect_refused([&] { t.connect(a, b, mt::LinkKind::NVLink2, bad, 0); },
+                   "a->b:NVLink2");
+    expect_refused([&] { t.connect(a, b, mt::LinkKind::NVLink2, 1e9, bad); },
+                   "a->b:NVLink2");
+    expect_refused([&] { t.add_memory_channel(h, bad, 0); }, "h:MemChan");
+    expect_refused([&] { t.add_memory_channel(h, 1e9, bad); }, "h:MemChan");
+  }
+  expect_refused([&] { t.add_memory_channel(h, 0.0, 0); }, "h:MemChan");
+  EXPECT_TRUE(t.edges().empty());
 }
 
 TEST(Topology, MemoryChannelUniquePerHost) {
