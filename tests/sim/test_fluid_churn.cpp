@@ -419,12 +419,18 @@ TEST(FluidChurn, DestroyedWhileTimerArmedLeavesNothingToFire) {
   // Only the callback runs; no timer firing.
   EXPECT_EQ(engine.run(), 1u);
   EXPECT_EQ(engine.now(), 5.0);
+}
 
-  auto early = std::make_unique<ms::FluidNetwork>(engine);
-  const auto l2 = early->add_link({"l", 100.0, 0.0});
-  (void)early->start_flow({l2}, 1000.0);
+TEST(FluidChurn, DestroyedWhileResolvePendingLeavesNothingToFire) {
+  // Destroyed in the instant after a flow change, before the engine runs:
+  // the change was re-solved in place, so only the completion timer is
+  // queued, and destroying the network disarms it.
+  ms::Engine engine;
+  auto net = std::make_unique<ms::FluidNetwork>(engine);
+  const auto link = net->add_link({"l", 100.0, 0.0});
+  (void)net->start_flow({link}, 1000.0);
   EXPECT_EQ(engine.queued_event_count(), 1u);
-  early.reset();
+  net.reset();
   EXPECT_EQ(engine.queued_event_count(), 0u);
   EXPECT_EQ(engine.run(), 0u);
 }
