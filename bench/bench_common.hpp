@@ -128,7 +128,6 @@ inline tuning::StaticTunerOptions tuner_options(tuning::TuneMetric metric,
                          : std::vector<int>{1, 8, 32};
   opt.iterations = 2;
   opt.warmup = 1;
-  opt.cache_dir = results_dir() + "/.tuner_cache";
   return opt;
 }
 

@@ -57,8 +57,6 @@ inline void run_bandwidth_figure(const std::string& figure_id,
 
   // Phase B — static-plan tuning, deduplicated: the cells only ever ask
   // for anchor sizes, so tune each (system, policy, anchor) exactly once.
-  // Tuning the same point twice in parallel would also race on the tuner's
-  // disk cache; the dedup removes that by construction.
   std::vector<std::size_t> anchors;
   for (std::size_t bytes : sizes) {
     const std::size_t a = tuning_anchor(bytes);

@@ -97,31 +97,19 @@ static void BM_EngineRandomHold(benchmark::State& state) {
 BENCHMARK(BM_EngineRandomHold)->Arg(16)->Arg(256)->Arg(4096);
 
 // One jitter draw at sigma 0.02: every modeled op (copy launch, event record
-// and wait, host chunk issue) scales its cost by one.
-static void BM_RngJitter(benchmark::State& state) {
-  mpath::util::Rng rng(7);
+// and wait, IPC open, host chunk issue) scales its cost by one, keyed by the
+// op (DESIGN.md, "Keyed jitter"). Back to back, as here, the table stays in
+// cache; in the simulator each draw sits between events.
+static void BM_KeyedJitter(benchmark::State& state) {
+  std::uint64_t ordinal = 0;
   double sigma = 0.02;
   benchmark::DoNotOptimize(sigma);
-  for (auto _ : state) benchmark::DoNotOptimize(rng.jitter(sigma));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mpath::util::keyed_jitter(7, ordinal++, sigma));
+  }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RngJitter);
-
-// The same draws as GpuRuntime takes them, from a util::JitterStream: one
-// batch fill per 256 draws (per 2,048 past the first 4,096), then one scale
-// and clamp per draw. Back to back, as here, the draws outrun the filler
-// thread, so this mostly times the fills the stream does itself, and it
-// reads slower per draw than BM_RngJitter. The batches pay off in the
-// simulator, where each draw sits between events and the filler keeps
-// ahead (DESIGN.md, "Jitter stream").
-static void BM_JitterStream(benchmark::State& state) {
-  mpath::util::JitterStream stream(7);
-  double sigma = 0.02;
-  benchmark::DoNotOptimize(sigma);
-  for (auto _ : state) benchmark::DoNotOptimize(stream.next(sigma));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_JitterStream);
+BENCHMARK(BM_KeyedJitter);
 
 static void BM_CoroutineSpawnJoin(benchmark::State& state) {
   for (auto _ : state) {

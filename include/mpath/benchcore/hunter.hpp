@@ -11,7 +11,7 @@
 // replay test re-runs on every CI build.
 //
 // Determinism: scenario i of a hunt depends only on (seed, i) via
-// fuzz::mix_seed, every evaluation runs on a private SimStack with
+// util::mix_seed, every evaluation runs on a private SimStack with
 // jitter_rel = 0, and results come back in index order — so fuzz_hunt's
 // CSV is byte-identical for any --jobs value.
 #pragma once

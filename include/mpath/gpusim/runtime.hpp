@@ -25,13 +25,13 @@
 // by address, as it passes the buffers: the token, like the buffers, must
 // outlive the ops it governs.
 //
-// Every modeled op scales its cost by one jitter draw (jitter()). Once a
-// runtime has taken util::JitterStream::kSelfDraws draws, the process's one
-// filler thread fills its next batch of draws while the runtime reads the
-// current one, unless a util::JitterStream::OwnFills is alive (a sweep with
-// a worker on every core); the values are the same either way. That thread
-// is the only one a runtime touches, and it touches nothing of the
-// simulation.
+// Every modeled op scales its cost by one jitter draw keyed by the op
+// (util::keyed_jitter): a stream op by (stream, its ordinal there), the
+// host issue that follows it by the same pair under another tag, and an
+// IPC open by (opener, this runtime's count of paid opens). A draw is a
+// pure function of (seed, key, jitter_rel), so no dispatch order moves it,
+// and a compiled replay draws what op-by-op issue draws. The key scheme
+// lives here alone; see DESIGN.md, "Keyed jitter".
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,6 @@
 #include "mpath/sim/trace.hpp"
 #include "mpath/topo/binding.hpp"
 #include "mpath/topo/system.hpp"
-#include "mpath/util/rng.hpp"
 #include "mpath/util/small_vec.hpp"
 
 namespace mpath::gpusim {
@@ -131,7 +130,7 @@ class GpuRuntime {
   // have held and starts when its predecessor finishes, in that place if
   // the predecessor finishes later in the same instant before the engine
   // reaches it, else at a fresh place. Ties between streams therefore
-  // resolve, and jitter is drawn, in enqueue order.
+  // resolve in enqueue order.
   /// Completion hook for memcpy_async: runs at the simulated instant the
   /// copy finishes, with `delivered == false` when the copy was cancelled
   /// (drained without moving data). Lets callers observe per-chunk progress
@@ -196,18 +195,12 @@ class GpuRuntime {
   }
   /// The per-pair route table itself (route() lowers on first lookup).
   [[nodiscard]] topo::NetworkBinding& binding() { return binding_; }
-  /// One jitter factor for a modeled op's cost: the next draw of the
-  /// runtime's util::JitterStream at the system's `jitter_rel`, equal bit
-  /// for bit to util::Rng::jitter on the same seed (the stream only draws
-  /// its σ-free factors in batches, ahead of use, past its young phase on
-  /// the filler thread), or exactly 1 without a draw when `jitter_rel`
-  /// <= 0, so such a runtime never starts that thread. Skipping is safe
-  /// because nothing else reads the stream and `jitter_rel` is fixed per
-  /// system.
-  [[nodiscard]] double jitter() {
-    const double sigma = costs().jitter_rel;
-    return sigma <= 0.0 ? 1.0 : jitter_stream_.next(sigma);
-  }
+  /// The jitter factor, at the system's `jitter_rel`, that scales the
+  /// modeled cost of the op enqueued `ordinal`-th (from 0) on `stream`.
+  [[nodiscard]] double op_jitter(StreamId stream, std::uint64_t ordinal) const;
+  /// The jitter factor of the host issue that follows the op enqueued last
+  /// on `stream`: the pipeline's per-op issue cost (Algorithm 1, line 18).
+  [[nodiscard]] double host_issue_jitter(StreamId stream) const;
 
   /// Total simulated bytes copied through memcpy_async so far.
   [[nodiscard]] std::uint64_t bytes_copied() const { return bytes_copied_; }
@@ -249,7 +242,7 @@ class GpuRuntime {
   sim::Engine* engine_;
   sim::FluidNetwork* network_;
   topo::NetworkBinding binding_;
-  util::JitterStream jitter_stream_;
+  std::uint64_t seed_;  ///< every jitter key derives from it
   /// Sim-pool blocks, so a growing vector moves no running record.
   std::vector<std::unique_ptr<Lane>> streams_;
   std::vector<Event> events_;
@@ -258,6 +251,7 @@ class GpuRuntime {
   std::uint64_t events_released_ = 0;     ///< release_event calls
   /// Names this runtime's IPC handles; never shared by two runtimes.
   std::uint64_t ipc_serial_;
+  std::uint64_t ipc_opens_ = 0;  ///< opens that paid: the next one's key
   std::uint64_t bytes_copied_ = 0;
   std::uint64_t ops_issued_ = 0;
   sim::Tracer* tracer_ = nullptr;

@@ -20,7 +20,7 @@
 //
 // Replay is bit-identical to the uncaptured collective by construction:
 // each step replay issues the same runtime-call / issue-cost sequence
-// (same rng draws under jitter) as the uncompiled channel path, and
+// (same keyed jitter draws) as the uncompiled channel path, and
 // capture/claim bookkeeping takes no simulated time. On scheduled channels
 // an admitted replay registers the ticket a fresh admission would, and a
 // refused one falls back to that fresh admission.

@@ -122,7 +122,7 @@ class PipelineEngine {
   /// Execute a compiled template: one driver frame walks the precompiled op
   /// list — no theta solve, no plan construction, no per-chunk setup. This
   /// is the issue loop execute() runs its transient graph through, staging
-  /// leases included, so completion times (and rng draws under jitter)
+  /// leases included, so completion times (and keyed jitter draws)
   /// match the uncompiled path bit for bit. `watch` must be empty or sized
   /// like graph->config().paths, and must outlive the task. Throws
   /// std::logic_error if the graph is already replaying (templates are not
@@ -149,7 +149,9 @@ class PipelineEngine {
   };
 
   gpusim::StreamId stream_for(const StreamKey& key, topo::DeviceId device);
-  [[nodiscard]] sim::Engine::DelayAwaiter issue_cost();
+  /// The host's issue cost after an op enqueued on `stream`, scaled by
+  /// that op's host-issue jitter.
+  [[nodiscard]] sim::Engine::DelayAwaiter issue_cost(gpusim::StreamId stream);
 
   /// Lay `g` out over its config(): endpoints, key paths and total, then
   /// each active share's streams, chunk count, host-sync cost and (staged)

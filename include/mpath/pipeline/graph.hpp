@@ -15,7 +15,7 @@
 // into the config of a *transient* graph and runs it through the same
 // issue loop, and that loop leases every run's
 // staging from the pool, so replay issues the uncompiled path's
-// runtime-call/issue-cost sequence (same rng draws under jitter) and waits
+// runtime-call/issue-cost sequence (same keyed jitter draws) and waits
 // for the same staging slots: the two are bit-identical by construction.
 // Compile takes no simulated time and no staging; a template holds only its
 // op list, streams and events.

@@ -89,11 +89,6 @@ inline constexpr double kMaxLatencyUs = 2.5;
 /// some asymmetric duplex capacities. Pure in the seed.
 [[nodiscard]] TopoSpec generate_topology(std::uint64_t seed);
 
-/// splitmix64 — the per-index seed derivation used everywhere in the fuzz
-/// subsystem, so scenario i of a hunt is identical no matter which worker
-/// (or how many workers) ran it.
-[[nodiscard]] std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t index);
-
 [[nodiscard]] topo::DeviceKind device_kind_from_string(std::string_view s);
 [[nodiscard]] topo::LinkKind link_kind_from_string(std::string_view s);
 

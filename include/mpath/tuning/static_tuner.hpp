@@ -7,7 +7,6 @@
 // analytical model exists to avoid.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "mpath/pipeline/channels.hpp"
@@ -27,17 +26,12 @@ struct StaticTunerOptions {
   int iterations = 3;
   int warmup = 1;
   std::uint64_t seed = 7;
-  /// When non-empty, tuning results are cached as CSV files under this
-  /// directory and reused on repeat calls. A file's name carries every
-  /// option above, so tuners that differ in any of them never share a plan.
-  std::string cache_dir;
 };
 
 struct StaticTuneResult {
   pipeline::StaticPlan plan;
   double bandwidth_bps = 0.0;  ///< best measured bandwidth
   int evaluated = 0;           ///< candidate configurations simulated
-  bool from_cache = false;
 };
 
 class StaticTuner {
@@ -56,9 +50,6 @@ class StaticTuner {
                                std::size_t bytes) const;
   /// Shares of the fraction grid: 1 / fraction_step, rounded, at least 1.
   [[nodiscard]] int grid_steps() const;
-  [[nodiscard]] std::string cache_path(std::size_t bytes) const;
-  [[nodiscard]] bool load_cached(std::size_t bytes, StaticTuneResult& out) const;
-  void store_cached(std::size_t bytes, const StaticTuneResult& result) const;
 
   topo::System system_;
   topo::PathPolicy policy_;

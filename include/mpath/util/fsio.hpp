@@ -1,7 +1,7 @@
-// Atomic file publication. Result files (bench CSVs, tuner caches, sweep
-// stats) are written to a temporary sibling and renamed into place, so a
-// reader — or a re-run interrupted mid-write — never observes a truncated
-// file. rename(2) within one directory is atomic on POSIX.
+// Atomic file publication. Result files (bench CSVs, sweep stats, fuzz
+// corpus scenarios) are written to a temporary sibling and renamed into
+// place, so a reader — or a re-run interrupted mid-write — never observes a
+// truncated file. rename(2) within one directory is atomic on POSIX.
 #pragma once
 
 #include <string>

@@ -132,7 +132,7 @@ Scenario generate_scenario(std::uint64_t seed) {
   Scenario sc;
   sc.seed = seed;
   sc.topo = generate_topology(seed);
-  util::Rng rng(mix_seed(seed, 0x5CE7A210ull));
+  util::Rng rng(util::mix_seed(seed, 0x5CE7A210ull));
   std::vector<topo::DeviceId> gpus;
   for (std::size_t i = 0; i < sc.topo.devices.size(); ++i) {
     if (sc.topo.devices[i].kind == topo::DeviceKind::Gpu) {
@@ -254,7 +254,8 @@ HuntResult run_hunt(const HuntOptions& options) {
   benchcore::SweepRunner runner(benchcore::SweepOptions{options.jobs});
   HuntResult result;
   result.reports = runner.run(options.count, [&](std::size_t i) {
-    return evaluate_scenario(generate_scenario(mix_seed(options.seed, i)));
+    return evaluate_scenario(
+        generate_scenario(util::mix_seed(options.seed, i)));
   });
   result.sweep = runner.stats();
   return result;

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "mpath/util/rng.hpp"
+
 namespace mpath::gpusim {
 
 namespace {
@@ -53,10 +55,7 @@ void DeviceBuffer::fill_pattern(std::uint64_t seed) {
   if (!materialized()) return;
   // splitmix64 over byte index: cheap, deterministic, position-dependent.
   for (std::size_t i = 0; i < bytes_.size(); ++i) {
-    std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (i + 1);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    bytes_[i] = static_cast<std::byte>((z ^ (z >> 31)) & 0xFF);
+    bytes_[i] = static_cast<std::byte>(util::mix_seed(seed, i) & 0xFF);
   }
 }
 

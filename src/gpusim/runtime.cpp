@@ -6,6 +6,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "mpath/util/rng.hpp"
 #include "mpath/util/units.hpp"
 
 namespace mpath::gpusim {
@@ -28,6 +29,15 @@ bool CancelToken::was_cancelled(sim::FlowId id) const {
 
 namespace {
 std::atomic<std::uint64_t> g_next_ipc_serial{1};
+
+/// The kind of draw a jitter key is for, so that no two kinds share a key.
+enum KeyTag : std::uint64_t { kStreamOp, kHostIssue, kIpcOpen };
+
+/// The key of one kind of draw for `id` (a stream or an opener) under
+/// `seed`; a draw then mixes in its ordinal (util::keyed_jitter).
+std::uint64_t jitter_key(std::uint64_t seed, KeyTag tag, std::uint64_t id) {
+  return util::mix_seed(util::mix_seed(seed, tag), id);
+}
 
 /// Order-stable removal (SmallVec analogue of std::erase on a vector).
 void erase_flow(util::SmallVec<sim::FlowId, 4>& v, sim::FlowId id) {
@@ -91,7 +101,11 @@ struct GpuRuntime::Lane {
   }
 
   Lane(GpuRuntime& runtime, StreamId stream, topo::DeviceId dev)
-      : rt(&runtime), id(stream), device(dev) {
+      : rt(&runtime),
+        id(stream),
+        device(dev),
+        op_key(jitter_key(runtime.seed_, kStreamOp, stream)),
+        issue_key(jitter_key(runtime.seed_, kHostIssue, stream)) {
     waiter.fn = [](void* self) {
       Lane& lane = *static_cast<Lane*>(self);
       lane.next(lane);
@@ -146,6 +160,7 @@ struct GpuRuntime::Lane {
         break;
     }
     e.~Entry();
+    ++finished;
     if (++head == tail) head = tail = 0;
   }
   /// Double the chunk map; the live chunks keep their entries and move to
@@ -170,9 +185,10 @@ struct GpuRuntime::Lane {
     sim::Engine& e = *rt->engine_;
     e.schedule_callback(e.now() + dt, [this, step] { step(*this); });
   }
-  /// Run `step` after `cost` scaled by the runtime's jitter, drawn now.
+  /// Run `step` after `cost` scaled by the front op's jitter. Ops start in
+  /// FIFO order, so the front op's ordinal is the count of finished ones.
   void after_jittered(double cost, Step step) {
-    after(cost * rt->jitter(), step);
+    after(cost * rt->op_jitter(id, finished), step);
   }
   /// Run `step` from the event `latch`'s fire() queues. The waiter node
   /// lives here, not in the latch: FluidNetwork destroys a flow's latch
@@ -194,6 +210,9 @@ struct GpuRuntime::Lane {
   GpuRuntime* rt;
   StreamId id;
   topo::DeviceId device;
+  std::uint64_t op_key;        ///< jitter key of the stream's ops
+  std::uint64_t issue_key;     ///< jitter key of their host issues
+  std::uint64_t finished = 0;  ///< ops popped: the front op's ordinal
   // The running record: the front op's progress.
   Step next = nullptr;         ///< what a wakeup of `waiter` runs
   sim::Latch::Awaiter waiter;  ///< node on the latch the lane waits on now
@@ -337,7 +356,7 @@ GpuRuntime::GpuRuntime(const topo::System& system, sim::Engine& engine,
       engine_(&engine),
       network_(&network),
       binding_(system.topology, network),
-      jitter_stream_(seed),
+      seed_(seed),
       ipc_serial_(g_next_ipc_serial.fetch_add(1, std::memory_order_relaxed)) {
 }
 
@@ -379,6 +398,17 @@ void GpuRuntime::release_event(EventId event) {
 
 bool GpuRuntime::event_fired(EventId event) const {
   return events_.at(event).latch->fired();
+}
+
+double GpuRuntime::op_jitter(StreamId stream, std::uint64_t ordinal) const {
+  return util::keyed_jitter(streams_.at(stream)->op_key, ordinal,
+                            costs().jitter_rel);
+}
+
+double GpuRuntime::host_issue_jitter(StreamId stream) const {
+  const Lane& lane = *streams_.at(stream);
+  const std::uint64_t last = lane.finished + (lane.tail - lane.head) - 1;
+  return util::keyed_jitter(lane.issue_key, last, costs().jitter_rel);
 }
 
 GpuRuntime::Entry& GpuRuntime::enqueue(StreamId stream, OpKind kind) {
@@ -466,7 +496,10 @@ sim::Task<void> GpuRuntime::synchronize(StreamId stream) {
 sim::Task<void> GpuRuntime::ipc_open(topo::DeviceId opener,
                                      const DeviceBuffer& buffer) {
   if (ipc_cached(opener, buffer)) co_return;
-  co_await engine_->delay(costs().ipc_open_s * jitter());
+  co_await engine_->delay(
+      costs().ipc_open_s *
+      util::keyed_jitter(jitter_key(seed_, kIpcOpen, opener), ipc_opens_++,
+                         costs().jitter_rel));
   // Two opens of one pair in flight together both pay, as before; the
   // second stores nothing.
   if (ipc_cached(opener, buffer)) co_return;

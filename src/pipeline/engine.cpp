@@ -199,9 +199,10 @@ gpusim::StreamId PipelineEngine::stream_for(const StreamKey& key,
   return it->second;
 }
 
-sim::Engine::DelayAwaiter PipelineEngine::issue_cost() {
+sim::Engine::DelayAwaiter PipelineEngine::issue_cost(
+    gpusim::StreamId stream) {
   return runtime_->engine().delay(runtime_->costs().op_launch_s *
-                                  runtime_->jitter());
+                                  runtime_->host_issue_jitter(stream));
 }
 
 std::uint64_t PipelineEngine::bytes_on(topo::PathKind kind) const {
@@ -377,10 +378,11 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
   }
 
   // -- issue the op list ------------------------------------------------------
-  // One flat walk; every op issues exactly one runtime call followed by one
-  // issue-cost await. Chunk heads re-check the watchdog once per (path,
-  // round) and skip the rest of a timed-out chunk group: no further chunks
-  // are fed to a path its watchdog already gave up on.
+  // One flat walk; every op issues exactly one runtime call on one stream,
+  // followed by one issue-cost await keyed by that op. Chunk heads re-check
+  // the watchdog once per (path, round) and skip the rest of a timed-out
+  // chunk group: no further chunks are fed to a path its watchdog already
+  // gave up on.
   bool skipping = false;
   for (const GraphOp& op : g.ops_) {
     TransferGraph::Path& pi = g.paths_[op.path];
@@ -394,6 +396,7 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
     gpusim::CancelToken* token =
         watched != nullptr ? &watched->token : nullptr;
     const std::size_t c = op.chunk;
+    gpusim::StreamId stream = pi.first_stream;
     switch (op.kind) {
       case GraphOp::Kind::kCopyDirect: {
         const std::size_t sz = pi.chunk_sizes[c];
@@ -403,46 +406,50 @@ sim::Task<TransferOutcome> PipelineEngine::issue(
             dst_offset + pi.offset + pi.chunk_offsets[c];
         // Progress accounting rides the copy's own completion instead of an
         // extra per-chunk event record: monitoring a direct path is free.
-        runtime_->memcpy_async(dst, dst_at, src, src_at, sz, pi.first_stream,
-                               token, MonitorState::progress_hook(watched, sz));
+        runtime_->memcpy_async(dst, dst_at, src, src_at, sz, stream, token,
+                               MonitorState::progress_hook(watched, sz));
         break;
       }
       case GraphOp::Kind::kWaitSlot:
         // The slot is free once chunk c-2 left the staging device.
-        runtime_->wait_event(pi.first_stream, pi.bwd_events[c - 2]);
+        runtime_->wait_event(stream, pi.bwd_events[c - 2]);
         break;
       case GraphOp::Kind::kCopyToStage: {
         gpusim::DeviceBuffer& stage = leases[op.path].buffer();
         const std::size_t slot_off = (c % 2) * (stage.size() / 2);
         runtime_->memcpy_async(stage, slot_off, src,
                                src_offset + pi.offset + pi.chunk_offsets[c],
-                               pi.chunk_sizes[c], pi.first_stream, token);
+                               pi.chunk_sizes[c], stream, token);
         break;
       }
       case GraphOp::Kind::kRecordFwd:
-        runtime_->record_event(pi.fwd_events[c], pi.first_stream);
+        runtime_->record_event(pi.fwd_events[c], stream);
         break;
       case GraphOp::Kind::kWaitFwd:
-        runtime_->wait_event(pi.second_stream, pi.fwd_events[c]);
+        stream = pi.second_stream;
+        runtime_->wait_event(stream, pi.fwd_events[c]);
         break;
       case GraphOp::Kind::kStageDelay:
-        runtime_->stream_delay(pi.second_stream, pi.extra_sync_s);
+        stream = pi.second_stream;
+        runtime_->stream_delay(stream, pi.extra_sync_s);
         break;
       case GraphOp::Kind::kCopyFromStage: {
         gpusim::DeviceBuffer& stage = leases[op.path].buffer();
         const std::size_t slot_off = (c % 2) * (stage.size() / 2);
+        stream = pi.second_stream;
         runtime_->memcpy_async(dst,
                                dst_offset + pi.offset + pi.chunk_offsets[c],
-                               stage, slot_off, pi.chunk_sizes[c],
-                               pi.second_stream, token);
+                               stage, slot_off, pi.chunk_sizes[c], stream,
+                               token);
         break;
       }
       case GraphOp::Kind::kRecordBwd:
-        runtime_->record_event(pi.bwd_events[c], pi.second_stream);
+        stream = pi.second_stream;
+        runtime_->record_event(pi.bwd_events[c], stream);
         if (watched != nullptr) ++watched->records_issued;
         break;
     }
-    co_await issue_cost();
+    co_await issue_cost(stream);
   }
 
   // -- completion -------------------------------------------------------------

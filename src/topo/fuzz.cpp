@@ -180,13 +180,6 @@ TopoSpec TopoSpec::from_json(const util::json::Value& v) {
 // Generation
 // ---------------------------------------------------------------------------
 
-std::uint64_t mix_seed(std::uint64_t seed, std::uint64_t index) {
-  std::uint64_t z = seed + 0x9E3779B97F4A7C15ull * (index + 1);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 namespace {
 
 enum class Fabric { kPcieOnly, kNvlinkMesh, kNvlinkPartial, kNvswitch,
@@ -233,7 +226,7 @@ struct Gen {
 }  // namespace
 
 TopoSpec generate_topology(std::uint64_t seed) {
-  Gen g{util::Rng(mix_seed(seed, 0x0F0F0F0Full)), {}};
+  Gen g{util::Rng(util::mix_seed(seed, 0x0F0F0F0Full)), {}};
   g.spec.name = "fuzz-" + std::to_string(seed);
 
   const int n_numa = static_cast<int>(g.rng.uniform_int(1, kMaxNumaDomains));

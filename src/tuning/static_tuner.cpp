@@ -1,29 +1,14 @@
 #include "mpath/tuning/static_tuner.hpp"
 
-#include <charconv>
 #include <cmath>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <string_view>
-#include <system_error>
 
 #include "mpath/benchcore/omb.hpp"
 #include "mpath/benchcore/stack.hpp"
-#include "mpath/util/fsio.hpp"
 #include "mpath/util/log.hpp"
 
 namespace mpath::tuning {
 
 namespace {
-/// The whole of `cell` as a T; false if any of it does not parse.
-template <class T>
-bool parse_cell(std::string_view cell, T& value) {
-  const char* end = cell.data() + cell.size();
-  const auto [ptr, ec] = std::from_chars(cell.data(), end, value);
-  return ec == std::errc{} && ptr == end;
-}
-
 /// Enumerate all compositions (f_1, ..., f_n) with sum <= `remaining` on
 /// the grid, appending each to `out`. Plain recursion — no std::function.
 void enumerate_compositions(std::vector<int>& current, std::size_t idx,
@@ -66,11 +51,6 @@ double StaticTuner::measure(const pipeline::StaticPlan& plan,
 
 StaticTuneResult StaticTuner::tune(std::size_t bytes) {
   StaticTuneResult best;
-  if (load_cached(bytes, best)) {
-    best.from_cache = true;
-    return best;
-  }
-
   const std::size_t p = paths_.size();
   const int steps = grid_steps();
   // Enumerate all compositions (f_1, ..., f_{p-1}) of the staged shares on
@@ -108,88 +88,12 @@ StaticTuneResult StaticTuner::tune(std::size_t bytes) {
              << policy_.label() << ", " << bytes << "B): best "
              << best.bandwidth_bps / 1e9 << " GB/s over " << best.evaluated
              << " candidates";
-  store_cached(bytes, best);
   return best;
 }
 
 int StaticTuner::grid_steps() const {
   return std::max(
       1, static_cast<int>(std::lround(1.0 / options_.fraction_step)));
-}
-
-std::string StaticTuner::cache_path(std::size_t bytes) const {
-  // Every option that can change the winning plan is in the name, so a
-  // tuner with another grid or protocol never reads this one's plan.
-  std::ostringstream name;
-  name << "static_" << system_.topology.name() << "_" << policy_.label()
-       << "_"
-       << (options_.metric == TuneMetric::Unidirectional ? "bw" : "bibw")
-       << "_w" << options_.window << "_it" << options_.iterations << "_wu"
-       << options_.warmup << "_seed" << options_.seed << "_f"
-       << grid_steps() << "_k";
-  for (std::size_t i = 0; i < options_.chunk_grid.size(); ++i) {
-    name << (i > 0 ? "-" : "") << options_.chunk_grid[i];
-  }
-  name << "_" << bytes << ".csv";
-  return options_.cache_dir + "/" + name.str();
-}
-
-bool StaticTuner::load_cached(std::size_t bytes, StaticTuneResult& out) const {
-  if (options_.cache_dir.empty()) return false;
-  const std::string path = cache_path(bytes);
-  std::ifstream in(path);
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  // One line, as store_cached writes it: the bandwidth, each path's
-  // fraction, then each path's chunk count. A line that reads otherwise,
-  // or whose plan StaticPlanChannel would refuse, is a miss, and tune()
-  // overwrites it.
-  std::vector<std::string_view> cells;
-  for (std::string_view rest = line;;) {
-    const std::size_t comma = rest.find(',');
-    cells.push_back(rest.substr(0, comma));
-    if (comma == std::string_view::npos) break;
-    rest.remove_prefix(comma + 1);
-  }
-  const std::size_t p = paths_.size();
-  StaticTuneResult result;
-  result.plan.resize(p);
-  bool ok = cells.size() == 1 + 2 * p &&
-            parse_cell(cells[0], result.bandwidth_bps) &&
-            result.bandwidth_bps >= 0.0;
-  for (std::size_t i = 0; ok && i < p; ++i) {
-    model::PathShare& share = result.plan[i];
-    share.plan = paths_[i];
-    ok = parse_cell(cells[1 + i], share.theta) &&
-         parse_cell(cells[1 + p + i], share.chunks);
-  }
-  if (!ok || pipeline::static_plan_error(result.plan) != nullptr) {
-    MPATH_WARN << "StaticTuner: ignoring corrupt cache " << path;
-    return false;
-  }
-  out = std::move(result);
-  return true;
-}
-
-void StaticTuner::store_cached(std::size_t bytes,
-                               const StaticTuneResult& result) const {
-  if (options_.cache_dir.empty()) return;
-  std::error_code ec;
-  std::filesystem::create_directories(options_.cache_dir, ec);
-  std::ostringstream out;
-  out.precision(17);  // full double round-trip
-  out << result.bandwidth_bps;
-  for (const model::PathShare& share : result.plan) out << "," << share.theta;
-  for (const model::PathShare& share : result.plan) out << "," << share.chunks;
-  out << "\n";
-  // Atomic publication: a reader (or a parallel sweep worker tuning the
-  // same point) either sees the complete line or no file at all.
-  try {
-    util::write_file_atomic(cache_path(bytes), out.str());
-  } catch (const std::exception& e) {
-    MPATH_WARN << "StaticTuner: cannot write cache " << cache_path(bytes)
-               << ": " << e.what();
-  }
 }
 
 }  // namespace mpath::tuning

@@ -82,38 +82,73 @@ TEST(GpuRuntime, StreamOpsExecuteInOrder) {
 // An op enqueued onto a busy stream queues no start event. If its
 // predecessor finishes later in the same instant, but before the place an
 // event queued at enqueue would have held, the op still starts in that
-// place: it draws its launch jitter before an op enqueued after it on an
-// idle stream, exactly as if it had been given a start event.
+// place: ahead of an op enqueued after it on an idle stream, exactly as if
+// it had been given a start event. At jitter 0 both launches end at one
+// instant, so the order of their hooks shows the order they started in.
 TEST(GpuRuntime, BusyStreamOpKeepsItsSameInstantStartPlace) {
   auto sys = mt::make_beluga();
   sys.costs.op_launch_s = 1e-6;
-  sys.costs.jitter_rel = 0.05;
-  constexpr std::uint64_t kSeed = 3;
+  sys.costs.jitter_rel = 0.0;
   ms::Engine engine;
   ms::FluidNetwork net{engine};
-  mg::GpuRuntime rt{sys, engine, net, kSeed};
+  mg::GpuRuntime rt{sys, engine, net};
   const auto gpus = sys.topology.gpus();
   mg::DeviceBuffer a(gpus[0], 64), b(gpus[1], 64);
   const auto busy = rt.create_stream(gpus[0]);
   const auto idle = rt.create_stream(gpus[1]);
   constexpr double kDelay = 1e-5;
-  rt.stream_delay(busy, kDelay);  // ends at kDelay; draws nothing
-  double busy_done = -1.0;
-  double idle_done = -1.0;
+  rt.stream_delay(busy, kDelay);  // ends at kDelay
+  std::vector<mg::StreamId> order;
   // Queued before the delay's end event exists, so it runs first at kDelay.
   engine.schedule_callback(kDelay, [&] {
     rt.memcpy_async(b, 0, a, 0, 0, busy, nullptr,
-                    [&](bool) { busy_done = engine.now(); });
+                    [&](bool) { order.push_back(busy); });
     rt.memcpy_async(b, 0, a, 0, 0, idle, nullptr,
-                    [&](bool) { idle_done = engine.now(); });
+                    [&](bool) { order.push_back(idle); });
   });
   engine.run();
-  mpath::util::Rng twin(kSeed);
-  const double first = twin.jitter(sys.costs.jitter_rel);
-  const double second = twin.jitter(sys.costs.jitter_rel);
-  ASSERT_NE(first, second);
-  EXPECT_EQ(busy_done, kDelay + sys.costs.op_launch_s * first);
-  EXPECT_EQ(idle_done, kDelay + sys.costs.op_launch_s * second);
+  EXPECT_EQ(order, (std::vector<mg::StreamId>{busy, idle}));
+  EXPECT_EQ(engine.now(), kDelay + sys.costs.op_launch_s);
+}
+
+// A draw is keyed by the op it scales, not taken in dispatch order: two
+// runtimes of one seed that enqueue the same independent ops on two
+// streams, in opposite orders, complete every op at the same instant.
+TEST(GpuRuntime, JitterDoesNotDependOnDispatchOrder) {
+  auto sys = mt::make_beluga();
+  sys.costs.op_launch_s = 1e-6;
+  sys.costs.event_record_s = 2e-6;
+  sys.costs.jitter_rel = 0.05;
+  constexpr std::size_t kOps = 6;
+  using Instants = std::vector<std::vector<double>>;
+  const auto run = [&](bool reversed) {
+    ms::Engine engine;
+    ms::FluidNetwork net{engine};
+    mg::GpuRuntime rt{sys, engine, net, 5};
+    const auto gpus = sys.topology.gpus();
+    mg::DeviceBuffer a(gpus[0], 64), b(gpus[1], 64);
+    const std::vector<mg::StreamId> streams = {rt.create_stream(gpus[0]),
+                                               rt.create_stream(gpus[1])};
+    Instants done(streams.size());
+    for (std::size_t k = 0; k < streams.size(); ++k) {
+      const std::size_t s = reversed ? streams.size() - 1 - k : k;
+      for (std::size_t i = 0; i < kOps; ++i) {
+        // A record between copies: its own jittered cost, and no hook.
+        if (i == kOps / 2) rt.record_event(rt.create_event(), streams[s]);
+        rt.memcpy_async(b, 0, a, 0, 0, streams[s], nullptr,
+                        [&done, &engine, s](bool) {
+                          done[s].push_back(engine.now());
+                        });
+      }
+    }
+    engine.run();
+    return done;
+  };
+  const Instants forward = run(false);
+  const Instants reversed = run(true);
+  for (const auto& stream : forward) ASSERT_EQ(stream.size(), kOps);
+  EXPECT_EQ(forward, reversed);
+  EXPECT_NE(forward[0], forward[1]);  // the two streams draw apart
 }
 
 // synchronize() waiters on an op that later gets a successor wake in a
@@ -268,10 +303,9 @@ TEST(GpuRuntime, CancelledTokenDrainsDeepQueueWithoutMovingData) {
   EXPECT_EQ(f.engine.now(), kCancelAt);
 }
 
-// Modeled ops take their jitter from the runtime's batched stream. The
-// completion instants of zero-length copies in sequence on one stream are
-// the running sums of the launch cost scaled by a twin Rng's scalar draws,
-// across more than three of the stream's 256-draw batches.
+// Modeled ops take their jitter from keyed draws. The completion instants
+// of zero-length copies in sequence on one stream are the running sums of
+// the launch cost scaled by the stream's draws for ordinals 0, 1, 2, ...
 TEST(GpuRuntime, ModeledOpJitterMatchesScalarDrawsAcrossBatches) {
   auto sys = mt::make_beluga();
   sys.costs.op_launch_s = 1e-6;
@@ -292,12 +326,12 @@ TEST(GpuRuntime, ModeledOpJitterMatchesScalarDrawsAcrossBatches) {
   }
   engine.run();
   ASSERT_EQ(done.size(), kCopies);
-  mpath::util::Rng twin(kSeed);
   double t = 0.0;
   for (std::size_t i = 0; i < kCopies; ++i) {
-    t += sys.costs.op_launch_s * twin.jitter(sys.costs.jitter_rel);
+    t += sys.costs.op_launch_s * rt.op_jitter(s, i);
     ASSERT_EQ(done[i], t) << "copy " << i;
   }
+  EXPECT_NE(rt.op_jitter(s, 0), rt.op_jitter(s, 1));
 }
 
 TEST(GpuRuntime, StreamDelayRejectsNegativeAndNaN) {

@@ -9,7 +9,8 @@
 // traces once more without faults. Every arrival's completion instant is
 // written at 9 significant digits (the golden CSVs' precision) and compared
 // with tests/integration/data/fault_fingerprint.txt. A change that reorders
-// same-instant events or RNG draws anywhere in the stack moves some of them.
+// same-instant events or re-keys jitter draws anywhere in the stack moves
+// some of them.
 // Each replay also ends with a clean TransferScheduler::audit().
 //
 // On a mismatch the actual fingerprint is written to

@@ -107,10 +107,11 @@ TEST(HockneyFitter, RecoversParameters) {
 
 TEST(HockneyFitter, NoisyFitStaysClose) {
   mm::HockneyFitter fitter;
-  mpath::util::Rng rng(99);
   const double alpha = 4e-6, beta = 46e9;
+  std::uint64_t sample = 0;
   for (double n = 1e6; n <= 512e6; n *= 2) {
-    fitter.add_sample(n, (alpha + n / beta) * rng.jitter(0.02));
+    fitter.add_sample(
+        n, (alpha + n / beta) * mpath::util::keyed_jitter(99, sample++, 0.02));
   }
   const auto lp = fitter.fit();
   EXPECT_NEAR(lp.beta, beta, 0.1 * beta);

@@ -115,7 +115,7 @@ TEST(Channels, StaticPlanValidation) {
   const mp::StaticPlan not_normalized{static_share(direct, 0.5, 1)};
   EXPECT_THROW(mp::StaticPlanChannel(f.pipe, not_normalized),
                std::invalid_argument);
-  // A NaN fraction (say, from a corrupt tuner cache) makes both the sign
+  // A NaN fraction (say, from a hand-edited plan) makes both the sign
   // test and the sum test compare false; it must still be rejected.
   const mp::StaticPlan nan_fraction{
       static_share(direct, 1.0, 1),

@@ -196,8 +196,8 @@ TEST(ChainCapture, DistinctCollectivesGetDistinctChains) {
 // The tentpole invariant end to end: with jitter ON (the factory default),
 // chained replay must be bit-identical in simulated time to the same
 // collective on an identically seeded stack with chaining off — replay
-// issues the same runtime-call/issue-cost sequence, so it consumes the
-// same rng draws.
+// issues the same runtime-call/issue-cost sequence, so it takes the same
+// keyed jitter draws.
 TEST(ChainReplay, TimelineBitIdenticalToUncapturedUnderJitter) {
   const double jitter = mt::make_beluga().costs.jitter_rel;
   ASSERT_GT(jitter, 0.0);

@@ -173,7 +173,8 @@ TEST(GraphCompile, MirrorsExecuteValidation) {
 // The core tentpole invariant, at the engine level and with jitter ON: a
 // replay issues the exact same runtime-call + issue-cost sequence as
 // execute() on the config's shares, so the completion instants (and
-// the rng draws behind them) are bit-identical across two fresh engines.
+// the keyed jitter draws behind them) are bit-identical across two fresh
+// engines.
 TEST(GraphReplay, BitIdenticalToUncompiledUnderJitter) {
   const std::uint64_t n = 64_MiB;
   double t_classic = 0.0, t_replay = 0.0;
@@ -748,7 +749,7 @@ std::vector<double> run_series(Fixture& f, mg::DataChannel& ch,
 
 // The CI gate in miniature: the same transfer series through the same
 // channel, with and without a GraphCache, completes at bit-identical
-// instants — under jitter, so the rng draw sequence is verified too.
+// instants — under jitter, so the jitter keys are verified too.
 TEST(ChannelGraphs, FastPathFingerprintsAreBitIdentical) {
   const std::uint64_t n = 48_MiB;
   std::vector<double> base, compiled;

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-
 #include "mpath/util/units.hpp"
 
 namespace mt = mpath::topo;
@@ -52,93 +49,6 @@ TEST(StaticTuner, ChunkedPlansWinForStagedPaths) {
   ASSERT_EQ(result.plan.size(), 2u);
   // With half the bytes staged, pipelining must win over k=1.
   EXPECT_GT(result.plan[1].chunks, 1);
-}
-
-TEST(StaticTuner, CacheRoundTrip) {
-  const std::string cache = "/tmp/mpath_tuner_cache_test";
-  std::filesystem::remove_all(cache);
-  auto opt = coarse_options();
-  opt.cache_dir = cache;
-  tu::StaticTuner tuner(mt::make_beluga(), mt::PathPolicy::two_gpus(), opt);
-  const auto first = tuner.tune(64_MiB);
-  EXPECT_FALSE(first.from_cache);
-  const auto second = tuner.tune(64_MiB);
-  EXPECT_TRUE(second.from_cache);
-  EXPECT_DOUBLE_EQ(second.bandwidth_bps, first.bandwidth_bps);
-  ASSERT_EQ(second.plan.size(), first.plan.size());
-  for (std::size_t i = 0; i < first.plan.size(); ++i) {
-    EXPECT_DOUBLE_EQ(second.plan[i].theta, first.plan[i].theta);
-    EXPECT_EQ(second.plan[i].chunks, first.plan[i].chunks);
-  }
-  std::filesystem::remove_all(cache);
-}
-
-// A cached plan is named by the grid and protocol that tuned it: a tuner
-// with another fraction step, chunk grid or iteration count tunes afresh
-// instead of reading it, and leaves it in place for its own tuner.
-TEST(StaticTuner, AnotherGridMissesACachedPlan) {
-  const std::string cache =
-      ::testing::TempDir() + "mpath_tuner_cache_grid_test";
-  std::filesystem::remove_all(cache);
-  auto opt = coarse_options();
-  opt.cache_dir = cache;
-  EXPECT_FALSE(tu::StaticTuner(mt::make_beluga(), mt::PathPolicy::two_gpus(),
-                               opt)
-                   .tune(4_MiB)
-                   .from_cache);
-  auto chunks = opt;
-  chunks.chunk_grid = {1, 16};
-  auto fractions = opt;
-  fractions.fraction_step = 0.5;
-  auto iterations = opt;
-  iterations.iterations = 3;
-  for (const tu::StaticTunerOptions& other : {chunks, fractions, iterations}) {
-    tu::StaticTuner tuner(mt::make_beluga(), mt::PathPolicy::two_gpus(),
-                          other);
-    EXPECT_FALSE(tuner.tune(4_MiB).from_cache);
-    EXPECT_TRUE(tuner.tune(4_MiB).from_cache);
-  }
-  EXPECT_TRUE(tu::StaticTuner(mt::make_beluga(), mt::PathPolicy::two_gpus(),
-                              opt)
-                  .tune(4_MiB)
-                  .from_cache);
-  std::filesystem::remove_all(cache);
-}
-
-// A cache line that does not parse, has a NaN fraction or a chunk count of
-// 0 is a miss: tune() tunes afresh and rewrites the file, and the next
-// call reads the rewritten plan.
-TEST(StaticTuner, CorruptCacheLineIsRetunedAndRewritten) {
-  const std::string cache =
-      ::testing::TempDir() + "mpath_tuner_cache_corrupt_test";
-  std::filesystem::remove_all(cache);
-  auto opt = coarse_options();
-  opt.cache_dir = cache;
-  tu::StaticTuner tuner(mt::make_beluga(), mt::PathPolicy::two_gpus(), opt);
-  const auto tuned = tuner.tune(4_MiB);
-  ASSERT_FALSE(tuned.from_cache);
-  const std::filesystem::path file =
-      std::filesystem::directory_iterator(cache)->path();
-  for (const char* line :
-       {"1e11,nan,0.5,1,8", "1e11,abc,0.5,1,8", "1e11,0.5,0.5,1,0"}) {
-    std::ofstream(file) << line << "\n";
-    const auto fresh = tuner.tune(4_MiB);
-    EXPECT_FALSE(fresh.from_cache) << line;
-    ASSERT_EQ(fresh.plan.size(), tuned.plan.size()) << line;
-    double sum = 0.0;
-    for (std::size_t i = 0; i < fresh.plan.size(); ++i) {
-      EXPECT_GE(fresh.plan[i].theta, 0.0) << line;
-      EXPECT_GE(fresh.plan[i].chunks, 1) << line;
-      EXPECT_EQ(fresh.plan[i].theta, tuned.plan[i].theta) << line;
-      EXPECT_EQ(fresh.plan[i].chunks, tuned.plan[i].chunks) << line;
-      sum += fresh.plan[i].theta;
-    }
-    EXPECT_NEAR(sum, 1.0, 1e-6) << line;
-    const auto reread = tuner.tune(4_MiB);
-    EXPECT_TRUE(reread.from_cache) << line;
-    EXPECT_EQ(reread.bandwidth_bps, fresh.bandwidth_bps) << line;
-  }
-  std::filesystem::remove_all(cache);
 }
 
 TEST(StaticTuner, RequiresTwoGpus) {

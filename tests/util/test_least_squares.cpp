@@ -23,11 +23,10 @@ TEST(LeastSquares, RecoversHockneyParamsFromNoisyData) {
   // parameter-extraction step of the paper (Fig. 2a Step 1).
   const double alpha = 5e-6;
   const double beta = 46e9;
-  mu::Rng rng(123);
   std::vector<double> ns, ts;
   for (double n = 1e6; n <= 512e6; n *= 2) {
     ns.push_back(n);
-    ts.push_back((alpha + n / beta) * rng.jitter(0.01));
+    ts.push_back((alpha + n / beta) * mu::keyed_jitter(123, ns.size(), 0.01));
   }
   const auto fit = mu::fit_line(ns, ts);
   EXPECT_NEAR(1.0 / fit.slope, beta, 0.05 * beta);
